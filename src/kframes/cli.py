@@ -30,10 +30,12 @@ from .frames import (
     verify_kdual,
     verify_kframe,
 )
-from .linalg import TolerancePolicy
+from .linalg import TolerancePolicy, matvec_rows, row_norms
 from .recovery import (
+    STRATEGIES,
     erase,
     find_rk_matrix,
+    plan_recovery,
     recover_blind,
     recover_consistency,
     recover_side_info,
@@ -287,13 +289,31 @@ def _load_coded(path, m: int):
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict) or "coefficients" not in obj:
         raise MatrixFormatError(f"{path}: expected an object with 'coefficients'")
-    erased = _zero_based(obj.get("erased", []))
-    coeffs = [0.0 if v is None else float(v) for v in obj["coefficients"]]
-    if len(coeffs) != m:
+    erased = obj.get("erased", [])
+    if not isinstance(erased, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in erased
+    ):
+        raise MatrixFormatError(f"{path}: 'erased' must be a list of integer positions")
+    outside = [i for i in erased if not 1 <= i <= m]
+    if outside:
         raise MatrixFormatError(
-            f"{path}: expected {m} coefficients, got {len(coeffs)}"
+            f"{path}: erased positions must lie in 1..{m}, got {outside}"
         )
-    return erase(coeffs, erased)
+    repeated = sorted({i for i in erased if erased.count(i) > 1})
+    if repeated:
+        raise MatrixFormatError(f"{path}: erased positions repeat: {repeated}")
+    coeffs = obj["coefficients"]
+    if not isinstance(coeffs, list) or len(coeffs) != m:
+        got = len(coeffs) if isinstance(coeffs, list) else type(coeffs).__name__
+        raise MatrixFormatError(f"{path}: expected {m} coefficients, got {got}")
+    nulls = [j + 1 for j, v in enumerate(coeffs) if v is None and j + 1 not in erased]
+    if nulls:
+        raise MatrixFormatError(
+            f"{path}: null coefficients at surviving positions {nulls}; "
+            f"list erased positions in 'erased'"
+        )
+    values = [0.0 if v is None else float(v) for v in coeffs]
+    return erase(values, _zero_based(erased))
 
 
 def _cmd_recover(argv) -> dict:
@@ -301,8 +321,7 @@ def _cmd_recover(argv) -> dict:
     parser.add_argument("--system", required=True)
     parser.add_argument("--dual", required=True)
     parser.add_argument("--coded", required=True)
-    parser.add_argument("--strategy", default="consistency",
-                        choices=("side-info", "blind", "consistency"))
+    parser.add_argument("--strategy", default="consistency", choices=STRATEGIES)
     parser.add_argument("--rk-matrix", default=None)
     parser.add_argument("--side-info", default=None)
     args = parser.parse_args(argv)
@@ -362,39 +381,37 @@ def _cmd_find_rk(argv) -> dict:
     return {"report": report, "pretty": args.pretty}
 
 
-def _simulate_strategy(system, dual, strategy, m_mat, draws, tol):
-    completed = 0
-    skipped = 0
+def _simulate_strategy(system, dual, strategy, m_mat, signals, groups, tol):
+    """Recover the signals (rows) with one plan per erasure set in groups.
+
+    A set whose plan raises skips all its draws. Each draw is rounded as if
+    recovered alone and errors stay in draw order, so grouping never shows.
+    """
+    coeffs = matvec_rows(dual.G.T, signals)
+    targets = matvec_rows(system.K.matrix, signals)
+    sides = matvec_rows(system.F.T, targets)
+    errors = np.full(len(signals), np.nan)
     exact = 0
-    errors = []
-    for f, lam in draws:
-        truth = dual.G.T @ f
-        target = system.K.matrix @ f
-        coded = erase(truth, lam)
+    for lam, idx in groups.items():
         try:
-            if strategy == "side-info":
-                v = system.F.T @ target
-                result = recover_side_info(system, m_mat, coded, v, tol=tol)
-            elif strategy == "blind":
-                result = recover_blind(system, m_mat, coded, tol=tol)
-            else:
-                result = recover_consistency(system, dual, coded, tol=tol)
+            plan = plan_recovery(system, strategy, lam, m_mat=m_mat, dual=dual, tol=tol)
         except KFrameError:
-            skipped += 1
             continue
-        completed += 1
-        err = float(np.linalg.norm(result.reconstructed - target))
-        errors.append(err)
-        if result.certified_exact and err <= 1e-8 * (1.0 + float(np.linalg.norm(target))):
-            exact += 1
+        full, _, certified = plan.apply(coeffs[idx], sides[idx])
+        target = targets[idx]
+        errors[idx] = row_norms(matvec_rows(system.F, full) - target)
+        close = errors[idx] <= 1e-8 * (1.0 + row_norms(target))
+        exact += int(np.count_nonzero(certified & close))
+    done = errors[~np.isnan(errors)].tolist()
+    completed = len(done)
     entry = {
-        "signals": len(draws),
+        "signals": len(signals),
         "completed": completed,
-        "skipped": skipped,
+        "skipped": len(signals) - completed,
         "exact": exact,
-        "exact_fraction": exact / len(draws) if draws else 0.0,
-        "max_error": max(errors) if errors else None,
-        "mean_error": sum(errors) / len(errors) if errors else None,
+        "exact_fraction": exact / len(signals),
+        "max_error": max(done) if done else None,
+        "mean_error": sum(done) / completed if done else None,
     }
     if completed == 0:
         entry["skipped_all"] = True
@@ -422,16 +439,17 @@ def _cmd_simulate(argv) -> dict:
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
-        if s not in ("side-info", "blind", "consistency"):
+        if s not in STRATEGIES:
             raise KFrameError(f"unknown strategy {s!r}")
     m_mat = system.gramian if args.rk_matrix is None \
         else matrixio.load_matrix(args.rk_matrix)
     rng = np.random.default_rng(args.seed)
-    draws = []
-    for _ in range(args.signals):
-        f = rng.standard_normal(system.n)
+    signals = np.empty((args.signals, system.n))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in range(args.signals):
+        signals[i] = rng.standard_normal(system.n)
         lam = tuple(sorted(rng.choice(system.m, size=args.r, replace=False).tolist()))
-        draws.append((f, lam))
+        groups.setdefault(lam, []).append(i)
     certificate = None
     if {"side-info", "blind"} & set(strategies):
         cert = validate_rk_matrix(system, dual, m_mat, tol)
@@ -456,7 +474,7 @@ def _cmd_simulate(argv) -> dict:
         },
         "certificate": certificate,
         "strategies": {
-            s: _simulate_strategy(system, dual, s, m_mat, draws, tol)
+            s: _simulate_strategy(system, dual, s, m_mat, signals, groups, tol)
             for s in strategies
         },
     }

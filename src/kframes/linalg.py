@@ -23,10 +23,13 @@ __all__ = [
     "svd_factor",
     "rank_of",
     "pseudo_inverse",
+    "pinv_and_rank",
     "null_space_basis",
     "range_basis",
     "range_projector",
     "operator_norm",
+    "matvec_rows",
+    "row_norms",
     "restricted_operator",
     "ranges_nested",
 ]
@@ -151,17 +154,19 @@ def rank_of(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     return int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
 
 
-def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD with the policy's rank cutoff."""
+def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """Pseudo-inverse and numerical rank, both read off one SVD."""
     arr = ensure_matrix(m)
     if arr.size == 0:
-        return np.zeros((arr.shape[1], arr.shape[0]))
+        return np.zeros((arr.shape[1], arr.shape[0])), 0
     u, s, v = svd_factor(arr)
-    cutoff = _rank_cutoff(s, arr.shape, tol)
-    r = int(np.sum(s > cutoff))
-    if r == 0:
-        return np.zeros((arr.shape[1], arr.shape[0]))
-    return v[:, :r] @ np.diag(1.0 / s[:r]) @ u[:, :r].T
+    r = int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
+    return v[:, :r] @ np.diag(1.0 / s[:r]) @ u[:, :r].T, r
+
+
+def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse via SVD with the policy's rank cutoff."""
+    return pinv_and_rank(m, tol)[0]
 
 
 def range_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
@@ -197,6 +202,17 @@ def operator_norm(m) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.linalg.svd(arr, compute_uv=False)[0])
+
+
+def matvec_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m @ x for each row x of a B x k block, rounded exactly as m @ x alone."""
+    return (m @ np.ascontiguousarray(rows)[..., None])[..., 0]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, rounded as np.linalg.norm of that row."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt((rows[:, None, :] @ rows[..., None])[:, 0, 0])
 
 
 def restricted_operator(

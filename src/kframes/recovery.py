@@ -13,6 +13,13 @@ reconstruct them:
 
 A recovery matrix here is any m x m matrix M with (M - Gram) G^T = 0; its
 two sparks bound how many erasures each solver tolerates.
+
+For a fixed erasure set each solver is one linear map. plan_recovery builds
+it once per erasure set and strategy from one SVD of the erased block, which
+gives both the rank decision and the pseudo-inverse; RecoveryPlan.apply then
+recovers a batch of signals in one stacked matmul, with a solver residual and
+a certified-exact flag per signal. The recover_* functions plan and apply for
+one signal.
 """
 
 from __future__ import annotations
@@ -36,12 +43,14 @@ from .linalg import (
     TolerancePolicy,
     ensure_matrix,
     ensure_vector,
+    matvec_rows,
     null_space_basis,
     operator_norm,
+    pinv_and_rank,
     pseudo_inverse,
     range_projector,
     rank_of,
-    ranges_nested,
+    row_norms,
 )
 from .redundancy import INFINITE, SparkResult, spark
 
@@ -53,6 +62,8 @@ __all__ = [
     "validate_rk_matrix",
     "RkSearchResult",
     "find_rk_matrix",
+    "RecoveryPlan",
+    "plan_recovery",
     "RecoveryReport",
     "recover_side_info",
     "recover_blind",
@@ -118,6 +129,32 @@ def _r_from_spark(value: int | float, m: int) -> int:
     return m if value == INFINITE else int(value) - 1
 
 
+def _recovery_matrix(sys: KFrameSystem, m_mat, dual=None, tol=None) -> np.ndarray:
+    """M as a checked m x m array, the Gramian when m_mat is None.
+
+    Given the dual, M must also annihilate it: (M - Gram) G^T = 0.
+    """
+    mat = ensure_matrix(sys.gramian if m_mat is None else m_mat, "M")
+    if mat.shape != (sys.m, sys.m):
+        raise ShapeMismatchError(f"M must be {sys.m}x{sys.m}, got {mat.shape}")
+    if dual is not None:
+        _, residual, annihilates = _annihilation(sys, dual, mat, tol or sys.tol)
+        if not annihilates:
+            raise KFrameError(f"recovery matrix fails annihilation against the dual "
+                              f"(residual {residual:.3e})")
+    return mat
+
+
+def _annihilation(
+    sys: KFrameSystem, dual: DualSystem, mat: np.ndarray, tol: TolerancePolicy
+) -> tuple[np.ndarray, float, bool]:
+    """N = M - Gram, the residual ||N G^T|| and whether it passes its threshold."""
+    n_mat = mat - sys.gramian
+    residual = operator_norm(n_mat @ dual.G.T)
+    threshold = tol.residual_rel * (1.0 + operator_norm(n_mat) * operator_norm(dual.G))
+    return n_mat, residual, residual <= threshold
+
+
 @dataclass(frozen=True)
 class RkCertificate:
     """Recovery-matrix certificate: both sparks and the annihilation residual.
@@ -146,12 +183,8 @@ def validate_rk_matrix(
     cap: int = 24,
 ) -> RkCertificate:
     tol = tol or sys.tol
-    mat = ensure_matrix(m_mat, "M")
-    if mat.shape != (sys.m, sys.m):
-        raise ShapeMismatchError(f"M must be {sys.m}x{sys.m}, got {mat.shape}")
-    n_mat = mat - sys.gramian
-    residual = operator_norm(n_mat @ dual.G.T)
-    threshold = tol.residual_rel * (1.0 + operator_norm(n_mat) * operator_norm(dual.G))
+    mat = _recovery_matrix(sys, m_mat)
+    n_mat, residual, annihilates = _annihilation(sys, dual, mat, tol)
     spark_m = spark(mat, tol, cap)
     spark_n = spark(n_mat, tol, cap)
     return RkCertificate(
@@ -160,7 +193,7 @@ def validate_rk_matrix(
         N=n_mat,
         spark_N=spark_n,
         annihilation_residual=residual,
-        annihilation_ok=residual <= threshold,
+        annihilation_ok=annihilates,
         r_side_info=_r_from_spark(spark_m.value, sys.m),
         r_blind=_r_from_spark(spark_n.value, sys.m),
     )
@@ -207,6 +240,97 @@ def find_rk_matrix(
     )
 
 
+STRATEGIES = ("side-info", "blind", "consistency")
+
+
+@dataclass(frozen=True)
+class RecoveryPlan:
+    """Recovery map of one strategy for one erasure set.
+
+    It fits block @ x = rhs by the pseudo-inverse solver and fills the erased
+    slots with lift @ x. side-info: block = M_L, rhs = v - M_known c_known
+    (coupling = M_known); blind: the same with N = M - Gram and no v; lift is
+    None for both, as x = c_L. consistency: block = G_known^T, rhs = c_known,
+    lift = G_L^T, and range_ok says whether the survivors span R(K^T).
+    """
+
+    strategy: str
+    erased: list[int]
+    known: list[int]
+    block: np.ndarray
+    solver: np.ndarray
+    coupling: np.ndarray | None
+    lift: np.ndarray | None
+    range_ok: bool
+    tol: TolerancePolicy
+
+    def apply(
+        self, coefficients: np.ndarray, side: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Recovered coefficients, solver residuals and certified flags of B signals.
+
+        coefficients and side (side-info only) are B x m, one row per signal. A
+        signal is certified when range_ok and residual <= residual_rel (1 + ||rhs||).
+        """
+        full = coefficients.copy()
+        if self.block.shape[1] == 0:
+            # Nothing erased: the survivors are the whole coefficient vector.
+            return full, np.zeros(len(full)), np.ones(len(full), dtype=bool)
+        known_values = coefficients[:, self.known]
+        if self.strategy == "consistency":
+            rhs = known_values
+        elif self.strategy == "blind":
+            rhs = -matvec_rows(self.coupling, known_values)
+        else:
+            rhs = side - matvec_rows(self.coupling, known_values)
+        x = matvec_rows(self.solver, rhs)
+        residual = row_norms(matvec_rows(self.block, x) - rhs)
+        full[:, self.erased] = x if self.lift is None else matvec_rows(self.lift, x)
+        return full, residual, self.range_ok & (
+            residual <= self.tol.residual_rel * (1.0 + row_norms(rhs)))
+
+
+def plan_recovery(
+    sys: KFrameSystem,
+    strategy: str,
+    lam,
+    m_mat=None,
+    dual: DualSystem | None = None,
+    tol: TolerancePolicy | None = None,
+) -> RecoveryPlan:
+    """Plan recovery of the erasure set lam from one SVD of its block.
+
+    side-info and blind read m_mat (default: the Gramian), consistency the
+    dual. Raises AmbiguityError with the rank deficiency when the erased
+    columns of M (side-info) or M - Gram (blind) are rank deficient.
+    """
+    tol = tol or sys.tol
+    erased = list(normalize_erasure_set(lam, sys.m))
+    known = [i for i in range(sys.m) if i not in erased]
+    if strategy == "consistency":
+        g_known = dual.G[:, known]
+        solver, rank = pinv_and_rank(g_known.T, tol)
+        # The survivors frame R(K^T) exactly when appending K^T adds no rank.
+        range_ok = rank_of(np.hstack([g_known, sys.K.matrix.T]), tol) == rank
+        return RecoveryPlan(strategy, erased, known, g_known.T, solver, None,
+                            dual.G[:, erased].T, range_ok, tol)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    mat = _recovery_matrix(sys, m_mat)
+    if strategy == "blind":
+        mat = mat - sys.gramian
+    block = mat[:, erased]
+    solver, rank = pinv_and_rank(block, tol)
+    if rank < len(erased):
+        raise AmbiguityError(
+            f"{strategy}: erased columns are rank deficient "
+            f"({rank} < {len(erased)}); recovery is ambiguous",
+            deficiency=len(erased) - rank,
+        )
+    return RecoveryPlan(strategy, erased, known, block, solver, mat[:, known],
+                        None, True, tol)
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """Recovered coefficients plus the synthesized reconstruction F c."""
@@ -218,55 +342,13 @@ class RecoveryReport:
     certified_exact: bool
 
 
-def _check_annihilation(
-    sys: KFrameSystem, dual: DualSystem | None, mat: np.ndarray, tol: TolerancePolicy
-) -> None:
-    if dual is None:
-        return
-    n_mat = mat - sys.gramian
-    residual = operator_norm(n_mat @ dual.G.T)
-    threshold = tol.residual_rel * (1.0 + operator_norm(n_mat) * operator_norm(dual.G))
-    if residual > threshold:
-        raise KFrameError(
-            f"recovery matrix fails annihilation against the dual "
-            f"(residual {residual:.3e})"
-        )
-
-
-def _solve_columns(
-    block: np.ndarray, rhs: np.ndarray, tol: TolerancePolicy, what: str
-) -> tuple[np.ndarray, float, bool]:
-    width = block.shape[1]
-    rank = rank_of(block, tol)
-    if rank < width:
-        raise AmbiguityError(
-            f"{what}: erased columns are rank deficient "
-            f"({rank} < {width}); recovery is ambiguous",
-            deficiency=width - rank,
-        )
-    solution = pseudo_inverse(block, tol) @ rhs
-    residual = float(np.linalg.norm(block @ solution - rhs))
-    certified = residual <= tol.residual_rel * (1.0 + float(np.linalg.norm(rhs)))
-    return solution, residual, certified
-
-
-def _finish(
-    sys: KFrameSystem,
-    coded: CodedSignal,
-    recovered_lam: np.ndarray,
-    strategy: str,
-    residual: float,
-    certified: bool,
+def _recover_one(
+    sys: KFrameSystem, plan: RecoveryPlan, coded: CodedSignal, side=None
 ) -> RecoveryReport:
-    full = coded.coefficients.copy()
-    full[list(coded.mask)] = recovered_lam
-    return RecoveryReport(
-        coefficients=full,
-        reconstructed=sys.F @ full,
-        strategy=strategy,
-        solver_residual=residual,
-        certified_exact=certified,
-    )
+    full, residual, certified = plan.apply(
+        coded.coefficients[None, :], None if side is None else side[None, :])
+    return RecoveryReport(full[0], sys.F @ full[0], plan.strategy, float(residual[0]),
+                          bool(certified[0]))
 
 
 def recover_side_info(
@@ -284,23 +366,12 @@ def recover_side_info(
     annihilation precondition check on M.
     """
     tol = tol or sys.tol
-    mat = ensure_matrix(m_mat, "M")
-    if mat.shape != (sys.m, sys.m):
-        raise ShapeMismatchError(f"M must be {sys.m}x{sys.m}, got {mat.shape}")
     side = ensure_vector(v, "side vector")
     if side.shape[0] != sys.m:
         raise ShapeMismatchError(f"side vector length {side.shape[0]} != m = {sys.m}")
-    _check_annihilation(sys, dual, mat, tol)
-    lam = list(coded.mask)
-    if not lam:
-        values = coded.coefficients.copy()
-        return RecoveryReport(values, sys.F @ values, "side-info", 0.0, True)
-    known = coded.known_indices
-    rhs = side - mat[:, known] @ coded.known_values
-    solution, residual, certified = _solve_columns(
-        mat[:, lam], rhs, tol, "side-info"
-    )
-    return _finish(sys, coded, solution, "side-info", residual, certified)
+    mat = _recovery_matrix(sys, m_mat, dual, tol)
+    plan = plan_recovery(sys, "side-info", coded.mask, m_mat=mat, tol=tol)
+    return _recover_one(sys, plan, coded, side)
 
 
 def recover_blind(
@@ -312,19 +383,9 @@ def recover_blind(
 ) -> RecoveryReport:
     """Recover erased entries from the homogeneous relation (M - Gram) c = 0."""
     tol = tol or sys.tol
-    mat = ensure_matrix(m_mat, "M")
-    if mat.shape != (sys.m, sys.m):
-        raise ShapeMismatchError(f"M must be {sys.m}x{sys.m}, got {mat.shape}")
-    _check_annihilation(sys, dual, mat, tol)
-    n_mat = mat - sys.gramian
-    lam = list(coded.mask)
-    if not lam:
-        values = coded.coefficients.copy()
-        return RecoveryReport(values, sys.F @ values, "blind", 0.0, True)
-    known = coded.known_indices
-    rhs = -n_mat[:, known] @ coded.known_values
-    solution, residual, certified = _solve_columns(n_mat[:, lam], rhs, tol, "blind")
-    return _finish(sys, coded, solution, "blind", residual, certified)
+    mat = _recovery_matrix(sys, m_mat, dual, tol)
+    plan = plan_recovery(sys, "blind", coded.mask, m_mat=mat, tol=tol)
+    return _recover_one(sys, plan, coded)
 
 
 def recover_consistency(
@@ -339,20 +400,8 @@ def recover_consistency(
     (range test), which pins Kf even though the fitted signal itself may
     wander in the kernel directions.
     """
-    tol = tol or sys.tol
-    known = coded.known_indices
-    g_known = dual.G[:, known]
-    fitted = pseudo_inverse(g_known.T, tol) @ coded.known_values
-    residual = float(np.linalg.norm(g_known.T @ fitted - coded.known_values))
-    survivors_ok = ranges_nested(sys.K.matrix.T, g_known, tol)
-    certified = survivors_ok and residual <= tol.residual_rel * (
-        1.0 + float(np.linalg.norm(coded.known_values))
-    )
-    if not coded.mask:
-        values = coded.coefficients.copy()
-        return RecoveryReport(values, sys.F @ values, "consistency", residual, certified)
-    recovered = dual.G[:, list(coded.mask)].T @ fitted
-    return _finish(sys, coded, recovered, "consistency", residual, certified)
+    plan = plan_recovery(sys, "consistency", coded.mask, dual=dual, tol=tol)
+    return _recover_one(sys, plan, coded)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,145 @@
+"""Batched recovery in `simulate` against an independent route.
+
+For every draw, numpy's matrix_rank (with the library's relative cutoff) of
+the erased block predicts whether side-info and blind recovery complete, and
+the survivor range test predicts whether consistency recovery is exact. The
+signals and erasure sets are redrawn here with simulate's rng call sequence.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kframes import AmbiguityError, verify_kdual, verify_kframe
+from kframes.cli import run_command
+from kframes.fixtures import FIXTURES
+from kframes.recovery import STRATEGIES, plan_recovery
+
+from conftest import random_kframe
+
+SIGNALS = 24
+
+
+def _matrix(a):
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.tolist()}
+
+
+def _rank(a):
+    if a.size == 0:
+        return 0
+    return int(np.linalg.matrix_rank(a, rtol=1e-10 * max(a.shape)))
+
+
+def _draws(seed, n, m, r):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(SIGNALS):
+        f = rng.standard_normal(n)
+        out.append((f, tuple(sorted(rng.choice(m, size=r, replace=False).tolist()))))
+    return out
+
+
+def _predicted(f_mat, k_mat, g, m_mat, draws):
+    """(completed, skipped, exact) per strategy, from ranks alone."""
+    m = f_mat.shape[1]
+    blocks = {"side-info": m_mat, "blind": m_mat - f_mat.T @ f_mat}
+    counts = {s: np.zeros(3, dtype=int) for s in STRATEGIES}
+    for _, lam in draws:
+        for name, mat in blocks.items():
+            solvable = _rank(mat[:, list(lam)]) == len(lam)
+            counts[name] += (solvable, not solvable, solvable)
+        g_known = g[:, [i for i in range(m) if i not in lam]]
+        spans = _rank(np.hstack([g_known, k_mat.T])) == _rank(g_known)
+        counts["consistency"] += (1, 0, spans)
+    return {s: tuple(c.tolist()) for s, c in counts.items()}
+
+
+def _check_simulate(workdir, f_mat, k_mat, g, m_mat, r, seed):
+    system = workdir / "system.json"
+    system.write_text(json.dumps({"F": _matrix(f_mat), "K": _matrix(k_mat)}))
+    dual = workdir / "dual.json"
+    dual.write_text(json.dumps({"G": _matrix(g)}))
+    rk = workdir / "rk.json"
+    rk.write_text(json.dumps(_matrix(m_mat)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["simulate", "--system", str(system), "--dual", str(dual),
+                            "--rk-matrix", str(rk), "--r", str(r),
+                            "--signals", str(SIGNALS), "--seed", str(seed)])
+    assert code == 0
+    report = json.loads(out.getvalue())["strategies"]
+
+    draws = _draws(seed, *f_mat.shape, r)
+    want = _predicted(f_mat, k_mat, g, m_mat, draws)
+    got = {s: (e["completed"], e["skipped"], e["exact"]) for s, e in report.items()}
+    assert got == want
+
+    # Every certified reconstruction of the batched path matches Kf.
+    sys = verify_kframe(f_mat, k_mat)
+    dual_sys = verify_kdual(sys, g)
+    for strategy in STRATEGIES:
+        for lam in {lam for _, lam in draws}:
+            rows = [f for f, erased in draws if erased == lam]
+            signals = np.array(rows)
+            try:
+                plan = plan_recovery(sys, strategy, lam, m_mat=m_mat, dual=dual_sys)
+            except AmbiguityError:
+                continue
+            full, _, certified = plan.apply(signals @ g, signals @ k_mat.T @ f_mat)
+            recon = full @ f_mat.T
+            kf = signals @ k_mat.T
+            err = np.linalg.norm(recon - kf, axis=1)
+            assert np.all(err[certified] <= 1e-8 * np.linalg.norm(kf, axis=1)[certified])
+    return report
+
+
+def _annihilating_matrix(rng, f_mat, g):
+    """Gram + A (I - P), with P the projector onto the row space of the dual."""
+    m = f_mat.shape[1]
+    proj = g.T @ np.linalg.pinv(g.T)
+    return f_mat.T @ f_mat + rng.standard_normal((m, m)) @ (np.eye(m) - proj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 4),
+    rank_k=st.integers(1, 4),
+    r=st.integers(0, 3),
+    use_gramian=st.booleans(),
+)
+def test_simulate_matches_rank_prediction(
+    tmp_path_factory, seed, n, extra, rank_k, r, use_gramian
+):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f_mat, k_mat = random_kframe(rng, n, m, min(rank_k, n))
+    g = (np.linalg.pinv(f_mat) @ k_mat).T
+    m_mat = f_mat.T @ f_mat if use_gramian else _annihilating_matrix(rng, f_mat, g)
+    report = _check_simulate(tmp_path_factory.mktemp("sim"), f_mat, k_mat, g, m_mat,
+                             min(r, m - 1), seed)
+    if use_gramian and r > 0:
+        # M - Gram = 0 leaves blind recovery nothing to solve with.
+        assert report["blind"]["skipped_all"] is True
+
+
+def test_fixture_d_plans_that_must_raise(tmp_path):
+    fix = FIXTURES["FIX-D"]
+    gram = fix.F.T @ fix.F
+    report = _check_simulate(tmp_path, fix.F, fix.K, fix.dual, gram, 3, 5)
+    # spark(Gram) = 3 on FIX-D: some 3-erasure side-info blocks are singular.
+    assert 0 < report["side-info"]["skipped"] < SIGNALS
+    assert report["blind"]["skipped_all"] is True
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_fixture_d_blind_against_gramian_all_skipped(tmp_path, r):
+    fix = FIXTURES["FIX-D"]
+    report = _check_simulate(tmp_path, fix.F, fix.K, fix.dual, fix.F.T @ fix.F, r, 11)
+    assert report["blind"]["skipped"] == SIGNALS

@@ -262,6 +262,35 @@ class TestRecoverCommand:
             report["reconstructed"], fix.K @ f, atol=1e-8
         )
 
+    def _recover_coded(self, capsys, system_d, tmp_path, coded_obj):
+        coded = tmp_path / "coded.json"
+        coded.write_text(json.dumps(coded_obj))
+        return run(capsys, "recover", "--system", system_d[0], "--dual", system_d[1],
+                   "--coded", str(coded))
+
+    def test_null_in_surviving_slot_rejected(self, capsys, system_d, tmp_path):
+        code, out, err = self._recover_coded(capsys, system_d, tmp_path, {
+            "coefficients": [None, 1.0, None, 0.5],
+            "erased": [1],
+        })
+        assert code == 2 and out == ""
+        assert "surviving positions [3]" in err
+
+    @pytest.mark.parametrize("erased, shown", [
+        ([0], "got [0]"),
+        ([2, 5], "got [5]"),
+        ([2, 2], "repeat: [2]"),
+        ([1.0], "integer"),
+        ("1", "integer"),
+    ])
+    def test_bad_erased_list_rejected(self, capsys, system_d, tmp_path, erased, shown):
+        code, out, err = self._recover_coded(capsys, system_d, tmp_path, {
+            "coefficients": [None, None, 1.0, 0.5],
+            "erased": erased,
+        })
+        assert code == 2 and out == ""
+        assert shown in err
+
 
 class TestFindRkCommand:
     def test_fixture_d_target_two(self, capsys, system_d):
