@@ -21,7 +21,7 @@ from .linalg import (
     null_space_basis,
     operator_norm,
     pseudo_inverse,
-    rank_of,
+    ranges_nested,
     restricted_operator,
 )
 
@@ -135,9 +135,9 @@ def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
     g_image = mk_t @ d @ inv @ r.T @ sys.F
     g_domain = mk_t @ r @ inv.T @ d.T @ sys.F
     hypotheses = {
-        "frame_in_operator_range": _nested(sys, sys.F, d),
-        "operator_range_in_image": _nested(sys, d, r),
-        "frame_in_image": _nested(sys, sys.F, r),
+        "frame_in_operator_range": ranges_nested(sys.F, d, sys.tol),
+        "operator_range_in_image": ranges_nested(d, r, sys.tol),
+        "frame_in_image": ranges_nested(sys.F, r, sys.tol),
     }
     return RestrictedDualReport(
         dual_image=verify_kdual(sys, g_image),
@@ -145,9 +145,3 @@ def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
         hypotheses=hypotheses,
     )
 
-
-def _nested(sys: KFrameSystem, inner: np.ndarray, outer: np.ndarray) -> bool:
-    if outer.shape[1] == 0:
-        return rank_of(inner, sys.tol) == 0
-    stacked = np.hstack([outer, inner])
-    return rank_of(stacked, sys.tol) == rank_of(outer, sys.tol)

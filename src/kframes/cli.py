@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matrixio
 from .canonical import canonical_kdual, canonical_kdual_restricted
-from .errors import KFrameError, MatrixFormatError
+from .errors import BudgetExceededError, KFrameError, MatrixFormatError
 from .fixtures import get_fixture
 from .frames import (
     DualSystem,
@@ -155,7 +155,7 @@ def _cmd_spark(argv) -> dict:
     parser.add_argument("--matrix", required=True)
     args = parser.parse_args(argv)
     mat = matrixio.load_matrix(args.matrix)
-    result = spark(mat, _policy(args), cap=24)
+    result = spark(mat, _policy(args), cap=args.cap_subsets)
     report = {"command": "spark", "matrix": args.matrix, **_spark_obj(result)}
     return {"report": report, "pretty": args.pretty}
 
@@ -218,7 +218,7 @@ def _cmd_analyze(argv) -> dict:
     tol = _policy(args)
     system = _load_system(args.system, tol)
     cls = classify(system)
-    spark_f = spark(system.F, tol, cap=24)
+    spark_f = spark(system.F, tol, cap=args.cap_subsets)
     excess = uniform_excess(system.F, system.K, cap=args.cap_subsets, tol=tol)
     satisfied, failing = mrc_all(system.F, system.K, args.r,
                                  cap=args.cap_subsets, tol=tol)
@@ -364,7 +364,8 @@ def _cmd_find_rk(argv) -> dict:
     tol = _policy(args)
     system = _load_system(args.system, tol)
     dual = _load_dual(args.dual, system)
-    found = find_rk_matrix(system, dual, args.r, trials=args.trials, seed=args.seed)
+    found = find_rk_matrix(system, dual, args.r, trials=args.trials, seed=args.seed,
+                           cap=args.cap_subsets)
     cert = found.certificate
     report = {
         "command": "find-rk",
@@ -452,7 +453,7 @@ def _cmd_simulate(argv) -> dict:
         groups.setdefault(lam, []).append(i)
     certificate = None
     if {"side-info", "blind"} & set(strategies):
-        cert = validate_rk_matrix(system, dual, m_mat, tol)
+        cert = validate_rk_matrix(system, dual, m_mat, tol, cap=args.cap_subsets)
         certificate = {
             "spark_M": _spark_obj(cert.spark_M)["spark"],
             "spark_N": _spark_obj(cert.spark_N)["spark"],
@@ -512,7 +513,9 @@ def run_command(argv) -> int:
         _sys.stderr.write(f"kframes {name}: {exc}\n")
         return 2
     except (KFrameError, ValueError, KeyError) as exc:
-        _sys.stderr.write(f"kframes {name}: {exc}\n")
+        budget = isinstance(exc, BudgetExceededError)
+        hint = "; --cap-subsets raises the limit" if budget else ""
+        _sys.stderr.write(f"kframes {name}: {exc}{hint}\n")
         return 1
     _emit(outcome["report"], outcome["pretty"])
     return 0

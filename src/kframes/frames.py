@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    KFrameError,
     NotKFrameError,
     ShapeMismatchError,
     ZeroOperatorError,
 )
 from .linalg import (
+    _TINY,
     DEFAULT_TOL,
     SubspaceBasis,
     TolerancePolicy,
@@ -41,6 +43,8 @@ __all__ = [
     "DualSystem",
     "Classification",
     "normalize_erasure_set",
+    "scan_budget",
+    "scan_subsets",
     "is_kframe",
     "verify_kframe",
     "frame_bounds",
@@ -134,6 +138,31 @@ def normalize_erasure_set(indices, m: int) -> tuple[int, ...]:
     return lam
 
 
+def scan_budget(what: str, m: int, sizes, cap: int, cost=None) -> None:
+    """The one budget rule: refuse a scan whose worst case exceeds cap subset tests.
+
+    The scan visits every subset of range(m) of the given sizes, and a subset
+    of size k costs cost(k) tests (default 1).
+    """
+    tests = sum(math.comb(m, k) * (cost(k) if cost else 1) for k in sizes)
+    if tests > cap:
+        raise BudgetExceededError(
+            f"{what} needs {tests} subset tests, more than the cap of {cap}"
+        )
+
+
+def scan_subsets(what: str, m: int, sizes, cap: int, cost=None):
+    """Subsets of range(m) of the ascending sizes, lexicographic within a size.
+
+    scan_budget runs here, once, before any subset is handed out, so sizes
+    is read twice and must be a range or a sequence.
+    """
+    scan_budget(what, m, sizes, cap, cost)
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(m), k) for k in sizes
+    )
+
+
 def _range_inclusion_ok(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> bool:
     if op.rank == 0:
         return True
@@ -172,18 +201,25 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
 
 
 def _compute_bounds(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> tuple[float, float]:
-    upper = operator_norm(f) ** 2
-    # Minimal-norm solution of F X = M_K; its norm is the reciprocal root of
-    # the optimal lower bound.
-    x = pseudo_inverse(f, tol) @ op.matrix
-    lower = 1.0 / operator_norm(x) ** 2
+    # Squared in float64: a bound out of range reads inf or 0, not an error.
+    with np.errstate(over="ignore", divide="ignore"):
+        upper = np.float64(operator_norm(f)) ** 2
+        # Minimal-norm solution of F X = M_K; its norm is the reciprocal
+        # root of the optimal lower bound.
+        x = pseudo_inverse(f, tol) @ op.matrix
+        lower = 1.0 / np.float64(operator_norm(x)) ** 2
     return (lower, upper)
 
 
 def frame_bounds(sys: KFrameSystem) -> tuple[float, float]:
-    """Optimal bounds (A, B) with A ||K^T f||^2 <= ||F^T f||^2 <= B ||f||^2."""
+    """Optimal bounds (A, B) with A ||K^T f||^2 <= ||F^T f||^2 <= B ||f||^2.
+
+    Raises KFrameError when a bound over- or underflowed float64.
+    """
     if sys.bounds is None:
         raise ZeroOperatorError("lower frame bound is undefined for K = 0")
+    if not all(_TINY <= bound < math.inf for bound in sys.bounds):
+        raise KFrameError(f"frame bounds {sys.bounds} lie outside the float64 range")
     return sys.bounds
 
 
@@ -192,21 +228,33 @@ def gramian(sys: KFrameSystem) -> np.ndarray:
     return sys.gramian
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a / 2^e with the largest entry in [1/2, 1), and e; the scaling is exact."""
+    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    return np.ldexp(a, -e), e
+
+
 def classify(sys: KFrameSystem, tol: TolerancePolicy | None = None) -> Classification:
-    """Tightness (least-squares alpha fit of FF^T vs M_K M_K^T) and norms."""
+    """Tightness (least-squares alpha fit of FF^T vs M_K M_K^T) and norms.
+
+    Both tests run on F and K scaled exactly to unit size, so the thresholds
+    are relative to the input scale and no product under- or overflows.
+    """
     tol = tol or sys.tol
-    ss = sys.F @ sys.F.T
-    kk = sys.K.matrix @ sys.K.matrix.T
+    f, f_exp = _unit_scaled(sys.F)
+    k, k_exp = _unit_scaled(sys.K.matrix)
+    ss = f @ f.T
+    kk = k @ k.T
     kk_sq = float(np.sum(kk * kk))
     alpha = None
     if kk_sq > 0.0:
         fit = float(np.sum(ss * kk)) / kk_sq
         resid = np.linalg.norm(ss - fit * kk)
         if resid <= tol.residual_rel * (1.0 + np.linalg.norm(ss)):
-            alpha = fit
+            alpha = float(np.ldexp(fit, 2 * (f_exp - k_exp)))
     elif np.linalg.norm(ss) <= tol.residual_rel:
         alpha = 1.0
-    norms = np.linalg.norm(sys.F, axis=0)
+    norms = np.linalg.norm(f, axis=0)
     spread = float(norms.max() - norms.min()) if norms.size else 0.0
     equal_norm = spread <= tol.residual_rel * (1.0 + float(norms.max(initial=0.0)))
     parseval = alpha is not None and abs(alpha - 1.0) <= tol.residual_rel * 10
@@ -247,11 +295,17 @@ def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem
     return verify_kdual(sys, base.G + coeffs @ null.basis.T)
 
 
-def _subset_budget(m: int, r: int, cap: int, what: str) -> None:
-    if math.comb(m, r) > cap:
-        raise BudgetExceededError(
-            f"{what}: C({m},{r}) = {math.comb(m, r)} subsets exceed cap {cap}"
-        )
+def _max_erasure_norm(
+    what: str, f: np.ndarray, g: np.ndarray, r: int, cap: int
+) -> tuple[float, tuple[int, ...]]:
+    """Largest ||F_L G_L^T|| over |L| = r with the lexicographically first such L."""
+    if not (1 <= r < f.shape[1]):
+        raise ValueError(f"erasure count must satisfy 1 <= r < m, got {r}")
+    return max(
+        ((operator_norm(f[:, list(lam)] @ g[:, list(lam)].T), lam)
+         for lam in scan_subsets(what, f.shape[1], [r], cap)),
+        key=lambda pair: pair[0],
+    )
 
 
 def worst_erasure_error(
@@ -261,17 +315,7 @@ def worst_erasure_error(
 
     Returns the value and the lexicographically first maximizing index set.
     """
-    if not (1 <= r < sys.m):
-        raise ValueError(f"erasure count must satisfy 1 <= r < m, got {r}")
-    _subset_budget(sys.m, r, cap, "worst_erasure_error")
-    best = -1.0
-    best_lam: tuple[int, ...] = ()
-    for lam in itertools.combinations(range(sys.m), r):
-        idx = list(lam)
-        value = operator_norm(sys.F[:, idx] @ dual.G[:, idx].T)
-        if value > best:
-            best, best_lam = value, lam
-    return best, best_lam
+    return _max_erasure_norm("worst_erasure_error", sys.F, dual.G, r, cap)
 
 
 def transform(sys: KFrameSystem, a, u, tol: TolerancePolicy | None = None) -> KFrameSystem:

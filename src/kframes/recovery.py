@@ -24,7 +24,6 @@ one signal.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +32,17 @@ import numpy as np
 from .canonical import canonical_kdual
 from .errors import (
     AmbiguityError,
-    BudgetExceededError,
     ExpansionError,
     KFrameError,
     ShapeMismatchError,
 )
-from .frames import DualSystem, KFrameSystem, normalize_erasure_set, verify_kdual
+from .frames import (
+    DualSystem,
+    KFrameSystem,
+    _max_erasure_norm,
+    normalize_erasure_set,
+    verify_kdual,
+)
 from .linalg import (
     TolerancePolicy,
     ensure_matrix,
@@ -180,7 +184,7 @@ def validate_rk_matrix(
     dual: DualSystem,
     m_mat,
     tol: TolerancePolicy | None = None,
-    cap: int = 24,
+    cap: int = 10**6,
 ) -> RkCertificate:
     tol = tol or sys.tol
     mat = _recovery_matrix(sys, m_mat)
@@ -212,24 +216,26 @@ def find_rk_matrix(
     r_target: int,
     trials: int = 64,
     seed: int = 0,
+    cap: int = 10**6,
 ) -> RkSearchResult:
     """Seeded search for a recovery matrix tolerating r_target erasures.
 
     Candidates are Gram + A (I - P) with P the projector onto the row space
     of the dual, so annihilation holds exactly by construction and only the
     spark levels need checking. The first certificate reaching the target in
-    either mode is returned, flagged with which mode qualified.
+    either mode is returned, flagged with which mode qualified. cap is the
+    subset budget of each certificate's spark scans.
     """
     if not (0 <= r_target < sys.m):
         raise ValueError(f"r_target must satisfy 0 <= r_target < m, got {r_target}")
     annihilator = np.eye(sys.m) - range_projector(dual.G.T, sys.tol)
     if r_target == 0:
-        cert = validate_rk_matrix(sys, dual, sys.gramian)
+        cert = validate_rk_matrix(sys, dual, sys.gramian, cap=cap)
         return RkSearchResult(certificate=cert, mode="both", trial=0)
     rng = np.random.default_rng(seed)
     for trial in range(1, trials + 1):
         a = rng.standard_normal((sys.m, sys.m))
-        cert = validate_rk_matrix(sys, dual, sys.gramian + a @ annihilator)
+        cert = validate_rk_matrix(sys, dual, sys.gramian + a @ annihilator, cap=cap)
         blind_ok = cert.r_blind >= r_target
         side_ok = cert.r_side_info >= r_target
         if blind_ok or side_ok:
@@ -519,22 +525,8 @@ def worst_residual_error(
     sys: KFrameSystem, dual: DualSystem, r: int, cap: int = 10**6
 ) -> tuple[float, tuple[int, ...]]:
     """Exact maximum of the residual error norm over all erasure sets of size r."""
-    if not (1 <= r < sys.m):
-        raise ValueError(f"erasure count must satisfy 1 <= r < m, got {r}")
-    if math.comb(sys.m, r) > cap:
-        raise BudgetExceededError(
-            f"worst_residual_error: C({sys.m},{r}) subsets exceed cap {cap}"
-        )
-    projector = sys.K.range.projector()
-    residual_dual = (np.eye(sys.n) - projector) @ dual.G
-    best = -1.0
-    best_lam: tuple[int, ...] = ()
-    for lam in itertools.combinations(range(sys.m), r):
-        idx = list(lam)
-        value = operator_norm(sys.F[:, idx] @ residual_dual[:, idx].T)
-        if value > best:
-            best, best_lam = value, lam
-    return best, best_lam
+    residual_dual = (np.eye(sys.n) - sys.K.range.projector()) @ dual.G
+    return _max_erasure_norm("worst_residual_error", sys.F, residual_dual, r, cap)
 
 
 @dataclass(frozen=True)
@@ -613,7 +605,7 @@ def compose_recovery_matrices(
     n_mat,
     m_mat,
     tol: TolerancePolicy | None = None,
-    cap: int = 24,
+    cap: int = 10**6,
 ) -> ComposedRecovery:
     tol = tol or sys.tol
     n_arr = ensure_matrix(n_mat, "N")

@@ -2,9 +2,15 @@
 
 The spark of a matrix is the minimal Hamming weight over nonzero kernel
 vectors, equivalently the size of the smallest linearly dependent column
-subset; it is +inf when the kernel is trivial. Brute-force enumeration with
-explicit caps is intentional: the quantities are NP-hard in general but the
-target instances are desk scale.
+subset; it is +inf when the kernel is trivial. Brute-force enumeration is
+intentional: the quantities are NP-hard in general but the target instances
+are desk scale.
+
+Every scan takes its subsets from frames.scan_subsets under one budget rule,
+frames.scan_budget: before the first subset test, count the tests the scan
+can run in the worst case and raise BudgetExceededError when that exceeds cap
+(default 10**6). A test is one rank decision on a submatrix or one K-frame
+check; a subset checked for being an exact K-frame costs its column count + 1.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
@@ -19,19 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, KFrameError, RestrictedInverseError
+from .errors import KFrameError, RestrictedInverseError
 from .frames import (
     KFrameSystem,
     OperatorK,
     classify,
     is_kframe,
     normalize_erasure_set,
+    scan_budget,
+    scan_subsets,
     verify_kframe,
 )
 from .linalg import (
     DEFAULT_TOL,
     _TINY,
     TolerancePolicy,
+    _canonical_signs,
     ensure_matrix,
     ensure_vector,
     null_space_basis,
@@ -83,65 +92,51 @@ def hamming_weight(x, tol: float = 1e-9) -> int:
     return int(np.sum(np.abs(arr) > cut))
 
 
-def _column_cap(m: int, cap: int, what: str) -> None:
-    if m > cap:
-        raise BudgetExceededError(f"{what}: {m} columns exceed cap {cap}")
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    mags = np.abs(vec)
-    lead = int(np.argmax(mags >= (1.0 - 1e-12) * mags.max()))
-    return -vec if vec[lead] < 0 else vec
-
-
-def _embed_witness(m: int, support, local: np.ndarray) -> np.ndarray:
-    vec = np.zeros(m)
-    vec[list(support)] = local
-    return _fix_sign(vec)
-
-
-def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 24) -> SparkResult:
+def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkResult:
     """Smallest dependent column subset, scanned size-ascending.
 
     Submatrix rank tests use a cutoff anchored to the parent matrix scale,
     matching the global rank decision (a column of pure round-off counts as
     zero). Short-circuits at k = rank + 1, which is always dependent, so
-    the scan terminates even without finding smaller dependencies.
+    the scan terminates even without finding smaller dependencies; the
+    budget counts the subsets of sizes 1..rank + 1.
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
-    _column_cap(m, cap, "spark")
     r = rank_of(arr, tol)
     if r == m:
         return SparkResult(INFINITE, None)
     sigma_max = operator_norm(arr)
     cutoff = max(tol.rank_cutoff_rel * max(arr.shape) * sigma_max, _TINY)
-    for k in range(1, r + 2):
-        for subset in itertools.combinations(range(m), k):
-            block = arr[:, list(subset)]
-            u_s = np.linalg.svd(block, compute_uv=False)
-            if int(np.sum(u_s > cutoff)) < k:
-                local = _small_singular_vector(block, k)
-                return SparkResult(k, _embed_witness(m, subset, local))
+    for subset in scan_subsets("spark", m, range(1, r + 2), cap):
+        k = len(subset)
+        block = arr[:, list(subset)]
+        u_s = np.linalg.svd(block, compute_uv=False)
+        if int(np.sum(u_s > cutoff)) < k:
+            witness = np.zeros(m)
+            witness[list(subset)] = _small_singular_vector(block, k)
+            return SparkResult(k, _canonical_signs(witness[:, None])[:, 0])
     raise AssertionError("unreachable: a dependent subset exists at rank + 1")
 
 
 def spark_via_kernel(
-    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 24
+    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6
 ) -> SparkResult:
     """Independent spark route: support search inside the kernel.
 
     Enumerates candidate supports and tests whether the kernel meets the
     corresponding coordinate subspace, using row-rank tests on a kernel
-    basis instead of column-rank tests on submatrices.
+    basis instead of column-rank tests on submatrices. Its loop is its own:
+    it shares only the budget with spark, to stay an independent route.
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
-    _column_cap(m, cap, "spark_via_kernel")
     kernel = null_space_basis(arr, tol)
     d = kernel.dim
     if d == 0:
         return SparkResult(INFINITE, None)
+    # Supports of size m - d + 1 leave d - 1 rows, which cannot have rank d.
+    scan_budget("spark_via_kernel", m, range(1, m - d + 2), cap)
     nb = kernel.basis
     # Row submatrices of an orthonormal basis must be ranked against the
     # basis scale (1), not their own largest entry, or pure round-off rows
@@ -154,7 +149,7 @@ def spark_via_kernel(
             s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
             if int(np.sum(s > cutoff)) < d:
                 coeff = _small_singular_vector(rows, d)
-                return SparkResult(k, _fix_sign(nb @ coeff))
+                return SparkResult(k, _canonical_signs((nb @ coeff)[:, None])[:, 0])
     raise AssertionError("unreachable: the kernel is nontrivial")
 
 
@@ -166,25 +161,15 @@ def _small_singular_vector(rows: np.ndarray, d: int) -> np.ndarray:
 
 
 def min_support_in_range(
-    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 24
+    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6
 ) -> int | float:
-    """Minimal Hamming weight over nonzero vectors in the column space."""
-    arr = ensure_matrix(mat)
-    n = arr.shape[0]
-    _column_cap(arr.shape[1], cap, "min_support_in_range")
-    basis = range_basis(arr, tol)
-    r = basis.dim
-    if r == 0:
-        return INFINITE
-    cutoff = tol.rank_cutoff_rel * max(basis.basis.shape)
-    for k in range(1, n + 1):
-        for support in itertools.combinations(range(n), k):
-            outside = [i for i in range(n) if i not in support]
-            rows = basis.basis[outside, :]
-            s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
-            if int(np.sum(s > cutoff)) < r:
-                return k
-    raise AssertionError("unreachable: the range is nontrivial")
+    """Minimal Hamming weight over nonzero vectors in the column space.
+
+    That is the spark of N^T for an orthonormal basis N of the orthogonal
+    complement of the range, as the kernel of N^T is the range itself.
+    """
+    complement = null_space_basis(ensure_matrix(mat).T, tol)
+    return spark(complement.basis.T, tol, cap).value
 
 
 @dataclass(frozen=True)
@@ -263,30 +248,22 @@ def mrc_all(
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m = arr.shape[1]
-    if r == 0:
-        return is_kframe(arr, op, tol), None
-    if not (0 < r <= m):
+    if not (0 <= r <= m):
         raise ValueError(f"erasure count must satisfy 0 <= r <= m, got {r}")
-    if math.comb(m, r) > cap:
-        raise BudgetExceededError(
-            f"mrc_all: C({m},{r}) = {math.comb(m, r)} subsets exceed cap {cap}"
-        )
-    for sig in itertools.combinations(range(m), r):
-        survivors = [i for i in range(m) if i not in sig]
-        if not is_kframe(arr[:, survivors], op, tol):
-            return False, sig
-    return True, None
+    failing = next(
+        (sig for sig in scan_subsets("mrc_all", m, [r], cap)
+         if not is_kframe(arr[:, [i for i in range(m) if i not in sig]], op, tol)),
+        None,
+    )
+    # The one set of size 0 is (), reported as no failing set.
+    return failing is None, failing or None
 
 
 def _is_exact_kframe(cols: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> bool:
-    if not is_kframe(cols, op, tol):
-        return False
     m = cols.shape[1]
-    for j in range(m):
-        keep = [i for i in range(m) if i != j]
-        if is_kframe(cols[:, keep], op, tol):
-            return False
-    return True
+    return is_kframe(cols, op, tol) and not any(
+        is_kframe(cols[:, [i for i in range(m) if i != j]], op, tol) for j in range(m)
+    )
 
 
 @dataclass(frozen=True)
@@ -308,27 +285,22 @@ def uniform_excess(
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m = arr.shape[1]
-    total = sum(math.comb(m, r) * (m - r + 1) for r in range(1, m))
-    if total > cap:
-        raise BudgetExceededError(
-            f"uniform_excess: {total} subset checks exceed cap {cap}"
-        )
+    # Removing r columns leaves m - r to check for exactness.
+    subsets = scan_subsets("uniform_excess", m, range(1, m), cap,
+                           cost=lambda r: m - r + 1)
     best = 0
     first_failure: tuple[int, ...] | None = None
-    for r in range(1, m):
-        qualified = True
-        for sig in itertools.combinations(range(m), r):
-            survivors = [i for i in range(m) if i not in sig]
-            if not _is_exact_kframe(arr[:, survivors], op, tol):
-                qualified = False
-                if r == 1 and first_failure is None:
-                    first_failure = sig
-                break
-        if qualified:
+    for r, group in itertools.groupby(subsets, key=len):
+        failing = next(
+            (sig for sig in group if not _is_exact_kframe(
+                arr[:, [i for i in range(m) if i not in sig]], op, tol)),
+            None,
+        )
+        if failing is None:
             best = r
-    if best > 0:
-        return ExcessReport(value=best, witness=None)
-    return ExcessReport(value=0, witness=first_failure)
+        elif r == 1:
+            first_failure = failing
+    return ExcessReport(value=best, witness=None if best else first_failure)
 
 
 def is_maximal_robust(
@@ -341,14 +313,8 @@ def is_maximal_robust(
     rk = op.rank
     if rk > m:
         return False
-    if math.comb(m, rk) > cap:
-        raise BudgetExceededError(
-            f"is_maximal_robust: C({m},{rk}) subsets exceed cap {cap}"
-        )
-    return all(
-        _is_exact_kframe(arr[:, list(sub)], op, tol)
-        for sub in itertools.combinations(range(m), rk)
-    )
+    subsets = scan_subsets("is_maximal_robust", m, [rk], cap, cost=lambda size: size + 1)
+    return all(_is_exact_kframe(arr[:, list(sub)], op, tol) for sub in subsets)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
+
+from conftest import random_kframe, random_parseval_kframe
 
 
 def run(capsys, *argv):
@@ -132,6 +138,17 @@ class TestSparkCommand:
         code, _, _ = run(capsys, "spark", "--matrix", str(path))
         assert code == 2
 
+    def test_cap_subsets_below_count_refused(self, capsys, tmp_path):
+        # Rank 0 over 30 columns: the scan stops at size 1, 30 subset tests.
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 30, "data": [[0.0] * 30] * 2}))
+        code, out, err = run(capsys, "spark", "--matrix", str(path),
+                             "--cap-subsets", "29")
+        assert code == 1 and out == ""
+        assert "needs 30 subset tests" in err and "--cap-subsets" in err
+        report = run_json(capsys, "spark", "--matrix", str(path), "--cap-subsets", "30")
+        assert report["spark"] == 1
+
 
 class TestAnalysisCommands:
     def test_canonical_dual_douglas(self, capsys, system_a):
@@ -206,6 +223,21 @@ class TestAnalysisCommands:
         report = run_json(capsys, "analyze", "--system", str(path))
         assert report["bounds"] is None
         assert report["operator_rank"] == 0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_bounds_out_of_float64_range_read_null(self, capsys, tmp_path, scale):
+        fix = FIXTURES["FIX-D"]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({
+            "F": {"rows": 4, "cols": 4, "data": (scale * fix.F).tolist()},
+            "K": {"rows": 4, "cols": 4, "data": (scale * fix.K).tolist()},
+        }))
+        report = run_json(capsys, "analyze", "--system", str(path))
+        assert run_json(capsys, "canonical-dual", "--system", str(path))
+        assert report["bounds"] is None
+        assert report["spark"]["spark"] == 3
+        assert report["classification"] == {
+            "tight_alpha": None, "parseval": False, "equal_norm": False}
 
     def test_mrc_scan_mode(self, capsys, tmp_path):
         fix = FIXTURES["FIX-B"]
@@ -391,3 +423,48 @@ class TestSimulateCommand:
         )
         assert report["config"]["dual"] is None
         assert report["strategies"]["side-info"]["exact_fraction"] == 1.0
+
+
+def _analyze(workdir, f, k):
+    path = workdir / "system.json"
+    path.write_text(json.dumps({
+        "F": {"rows": f.shape[0], "cols": f.shape[1], "data": f.tolist()},
+        "K": {"rows": k.shape[0], "cols": k.shape[1], "data": k.tolist()},
+    }))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(["analyze", "--system", str(path)]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "parseval", "FIX-A", "FIX-B", "FIX-C", "FIX-D"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    rank_k=st.integers(1, 4),
+    exponent=st.integers(-60, 60),
+)
+def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank_k,
+                                    exponent):
+    rng = np.random.default_rng(seed)
+    if kind in FIXTURES:
+        f, k = FIXTURES[kind].F, FIXTURES[kind].K
+    elif kind == "generic":
+        f, k = random_kframe(rng, n, n + extra, min(rank_k, n))
+    else:
+        f, k = random_parseval_kframe(rng, n, n + extra, min(rank_k, n))
+    c = 10.0 ** exponent
+    workdir = tmp_path_factory.mktemp("scale")
+    base, scaled = _analyze(workdir, f, k), _analyze(workdir, c * f, c * k)
+    for key in ("operator_rank", "uniform_excess", "mrc", "maximal_robust"):
+        assert scaled[key] == base[key], key
+    assert scaled["spark"]["spark"] == base["spark"]["spark"]
+    alpha, scaled_alpha = (r["classification"].pop("tight_alpha") for r in (base, scaled))
+    assert scaled["classification"] == base["classification"]
+    assert (alpha is None) == (scaled_alpha is None)
+    if alpha is not None:
+        assert scaled_alpha == pytest.approx(alpha, rel=1e-9)
+    assert scaled["bounds"] == pytest.approx([base["bounds"][0], c * c * base["bounds"][1]],
+                                             rel=1e-9)

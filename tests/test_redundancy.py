@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kframes import (
     BudgetExceededError,
@@ -89,16 +91,31 @@ class TestSpark:
             if a.witness is not None:
                 assert np.linalg.norm(mat @ b.witness) < 1e-8
 
-    def test_matches_bruteforce_oracle(self):
-        rng = np.random.default_rng(57)
-        for _ in range(15):
-            rank = rng.integers(1, 4)
-            mat = rng.standard_normal((4, rank)) @ rng.standard_normal((rank, 6))
-            assert spark(mat).value == spark_oracle_bruteforce(mat)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        m=st.integers(1, 9),
+        rank=st.integers(0, 4),
+    )
+    def test_matches_bruteforce_oracle(self, seed, n, m, rank):
+        # Rank below n keeps every scanned block tall, as the oracle needs.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n - 1, m)
+        mat = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        result = spark(mat)
+        assert result.value == spark_via_kernel(mat).value
+        assert result.value == spark_oracle_bruteforce(mat)
+        if result.finite:
+            assert hamming_weight(result.witness) == result.value
+            assert np.linalg.norm(mat @ result.witness) <= 1e-8 * (
+                1.0 + np.linalg.norm(mat)) * np.linalg.norm(result.witness)
 
-    def test_column_cap(self):
+    def test_subset_count_budget(self):
+        # Rank 0: the scan stops at size 1, so it costs C(30, 1) = 30 tests.
         with pytest.raises(BudgetExceededError):
-            spark(np.zeros((2, 30)))
+            spark(np.zeros((2, 30)), cap=29)
+        assert spark(np.zeros((2, 30)), cap=30).value == 1
 
 
 class TestMinSupportInRange:
