@@ -128,8 +128,9 @@ def _zero_based(indices) -> list[int]:
 
 
 def _emit(report: dict, pretty: bool) -> None:
+    """Print the report as JSON; raises ValueError, printing nothing, on NaN or -inf."""
     indent = 2 if pretty else None
-    print(json.dumps(_jsonable(report), indent=indent))
+    print(json.dumps(_jsonable(report), indent=indent, allow_nan=False))
 
 
 def _cmd_fixtures(argv) -> dict:
@@ -517,7 +518,11 @@ def run_command(argv) -> int:
         hint = "; --cap-subsets raises the limit" if budget else ""
         _sys.stderr.write(f"kframes {name}: {exc}{hint}\n")
         return 1
-    _emit(outcome["report"], outcome["pretty"])
+    try:
+        _emit(outcome["report"], outcome["pretty"])
+    except ValueError as exc:
+        _sys.stderr.write(f"kframes {name}: report is not valid JSON: {exc}\n")
+        return 1
     return 0
 
 

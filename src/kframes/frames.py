@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +30,14 @@ from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     TolerancePolicy,
+    column_blocks,
     ensure_matrix,
     null_space_basis,
     operator_norm,
     pseudo_inverse,
     range_basis,
     rank_of,
+    stacked_ranks,
 )
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "scan_budget",
     "scan_subsets",
     "is_kframe",
+    "kframe_flags",
     "verify_kframe",
     "frame_bounds",
     "gramian",
@@ -96,8 +100,12 @@ class KFrameSystem:
     F: np.ndarray
     K: OperatorK
     tol: TolerancePolicy
-    gramian: np.ndarray
     bounds: tuple[float, float] | None
+
+    @cached_property
+    def gramian(self) -> np.ndarray:
+        """F^T F, formed on first read: at extreme scales it overflows."""
+        return self.F.T @ self.F
 
     @property
     def n(self) -> int:
@@ -138,29 +146,40 @@ def normalize_erasure_set(indices, m: int) -> tuple[int, ...]:
     return lam
 
 
-def scan_budget(what: str, m: int, sizes, cap: int, cost=None) -> None:
+# Subsets per chunk: enough to spread the Python cost of one stacked SVD thin,
+# and few enough that a chunk's blocks stay small next to a whole level.
+SCAN_CHUNK = 256
+
+
+def scan_budget(what: str, m: int, sizes, cap: int) -> None:
     """The one budget rule: refuse a scan whose worst case exceeds cap subset tests.
 
-    The scan visits every subset of range(m) of the given sizes, and a subset
-    of size k costs cost(k) tests (default 1).
+    The scan tests every subset of range(m) of the given sizes once.
     """
-    tests = sum(math.comb(m, k) * (cost(k) if cost else 1) for k in sizes)
+    tests = sum(math.comb(m, k) for k in sizes)
     if tests > cap:
         raise BudgetExceededError(
             f"{what} needs {tests} subset tests, more than the cap of {cap}"
         )
 
 
-def scan_subsets(what: str, m: int, sizes, cap: int, cost=None):
+def scan_subsets(what: str, m: int, sizes, cap: int):
     """Subsets of range(m) of the ascending sizes, lexicographic within a size.
 
-    scan_budget runs here, once, before any subset is handed out, so sizes
-    is read twice and must be a range or a sequence.
+    They come in chunks: N x k index arrays of one size k, N <= SCAN_CHUNK,
+    so no level is held whole. scan_budget runs here, once, before any
+    subset is handed out, so sizes is read twice and must be a range or a
+    sequence.
     """
-    scan_budget(what, m, sizes, cap, cost)
-    return itertools.chain.from_iterable(
-        itertools.combinations(range(m), k) for k in sizes
-    )
+    scan_budget(what, m, sizes, cap)
+
+    def chunks():
+        for k in sizes:
+            level = itertools.combinations(range(m), k)
+            while batch := list(itertools.islice(level, SCAN_CHUNK)):
+                yield np.array(batch, dtype=np.intp)
+
+    return chunks()
 
 
 def _range_inclusion_ok(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> bool:
@@ -174,6 +193,23 @@ def is_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     arr = ensure_matrix(f, "F")
     op = k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
     return arr.shape[0] == op.dim and _range_inclusion_ok(arr, op, tol)
+
+
+def kframe_flags(
+    f: np.ndarray, op: OperatorK, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+) -> np.ndarray:
+    """is_kframe(f[:, S], op) for every row S of an N x k index array.
+
+    Each of the test's two ranks, of [F_S, K] and of F_S, comes from one
+    stacked SVD over the chunk.
+    """
+    if f.shape[0] != op.dim:
+        return np.zeros(len(subsets), dtype=bool)
+    if op.rank == 0:
+        return np.ones(len(subsets), dtype=bool)
+    blocks = column_blocks(f, subsets)
+    k = np.broadcast_to(op.matrix, (len(subsets),) + op.matrix.shape)
+    return stacked_ranks(np.concatenate([blocks, k], axis=2), tol) == stacked_ranks(blocks, tol)
 
 
 def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
@@ -197,7 +233,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
             witness=op.range.basis[:, worst].copy(),
         )
     bounds = None if op.rank == 0 else _compute_bounds(arr, op, tol)
-    return KFrameSystem(F=arr, K=op, tol=tol, gramian=arr.T @ arr, bounds=bounds)
+    return KFrameSystem(F=arr, K=op, tol=tol, bounds=bounds)
 
 
 def _compute_bounds(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> tuple[float, float]:
@@ -302,8 +338,8 @@ def _max_erasure_norm(
     if not (1 <= r < f.shape[1]):
         raise ValueError(f"erasure count must satisfy 1 <= r < m, got {r}")
     return max(
-        ((operator_norm(f[:, list(lam)] @ g[:, list(lam)].T), lam)
-         for lam in scan_subsets(what, f.shape[1], [r], cap)),
+        ((operator_norm(f[:, lam] @ g[:, lam].T), tuple(lam))
+         for chunk in scan_subsets(what, f.shape[1], [r], cap) for lam in chunk.tolist()),
         key=lambda pair: pair[0],
     )
 

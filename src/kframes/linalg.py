@@ -22,6 +22,8 @@ __all__ = [
     "ensure_matrix",
     "svd_factor",
     "rank_of",
+    "stacked_ranks",
+    "column_blocks",
     "pseudo_inverse",
     "pinv_and_rank",
     "null_space_basis",
@@ -152,6 +154,30 @@ def rank_of(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
     return int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
+
+
+def stacked_ranks(
+    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
+) -> np.ndarray:
+    """Rank of every block of an N x n x k stack, from one stacked SVD.
+
+    The stacked SVD returns the singular values that a separate SVD of each
+    block returns, so each rank equals that block's own rank decision: by
+    rank_of's relative cutoff, or by the fixed cutoff when one is given.
+    Blocks without rows or columns have rank 0.
+    """
+    if blocks.shape[-1] == 0 or blocks.shape[-2] == 0:
+        return np.zeros(len(blocks), dtype=np.intp)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    if cutoff is None:
+        # _rank_cutoff, block by block.
+        cutoff = np.maximum(tol.rank_cutoff_rel * max(blocks.shape[1:]) * s[:, :1], _TINY)
+    return np.count_nonzero(s > cutoff, axis=1)
+
+
+def column_blocks(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """N x n x k stack of the submatrices m[:, S], one per row S of an index array."""
+    return m.T[subsets].transpose(0, 2, 1)
 
 
 def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, int]:

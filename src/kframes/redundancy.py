@@ -10,11 +10,18 @@ Every scan takes its subsets from frames.scan_subsets under one budget rule,
 frames.scan_budget: before the first subset test, count the tests the scan
 can run in the worst case and raise BudgetExceededError when that exceeds cap
 (default 10**6). A test is one rank decision on a submatrix or one K-frame
-check; a subset checked for being an exact K-frame costs its column count + 1.
+check. Subsets come in chunks of at most frames.SCAN_CHUNK of one size, and
+each chunk's tests are decided by one stacked SVD per rank test, which gives
+every subset the singular values of its own SVD.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
 means a K-frame that stops being one when any single column is removed.
+Exactness is read from per-size tables T_s (is every s-column subset a
+K-frame?): every s-set is exact exactly when all of T_s holds and none of
+T_(s-1) does, because every (s-1)-set is some s-set minus one column. So
+is_maximal_robust tests C(m, rank K) + C(m, rank K - 1) subsets, and
+uniform_excess, which needs T_s for every s < m, tests 2^m - 1.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ from .errors import KFrameError, RestrictedInverseError
 from .frames import (
     KFrameSystem,
     OperatorK,
+    _unit_scaled,
     classify,
     is_kframe,
+    kframe_flags,
     normalize_erasure_set,
     scan_budget,
     scan_subsets,
@@ -41,6 +50,7 @@ from .linalg import (
     _TINY,
     TolerancePolicy,
     _canonical_signs,
+    column_blocks,
     ensure_matrix,
     ensure_vector,
     null_space_basis,
@@ -50,6 +60,7 @@ from .linalg import (
     rank_of,
     ranges_nested,
     restricted_operator,
+    stacked_ranks,
 )
 
 __all__ = [
@@ -108,13 +119,13 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
         return SparkResult(INFINITE, None)
     sigma_max = operator_norm(arr)
     cutoff = max(tol.rank_cutoff_rel * max(arr.shape) * sigma_max, _TINY)
-    for subset in scan_subsets("spark", m, range(1, r + 2), cap):
-        k = len(subset)
-        block = arr[:, list(subset)]
-        u_s = np.linalg.svd(block, compute_uv=False)
-        if int(np.sum(u_s > cutoff)) < k:
+    for chunk in scan_subsets("spark", m, range(1, r + 2), cap):
+        k = chunk.shape[1]
+        dependent = np.flatnonzero(stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff) < k)
+        if dependent.size:
+            subset = chunk[dependent[0]]
             witness = np.zeros(m)
-            witness[list(subset)] = _small_singular_vector(block, k)
+            witness[subset] = _small_singular_vector(arr[:, subset], k)
             return SparkResult(k, _canonical_signs(witness[:, None])[:, 0])
     raise AssertionError("unreachable: a dependent subset exists at rank + 1")
 
@@ -217,7 +228,10 @@ def _trivial_intersection(
 ) -> bool:
     if not sig:
         return True
-    coeff_range = range_basis(arr.T @ op.matrix, tol)
+    # Positive scalings keep R(F^T M_K); at unit size the product cannot overflow.
+    f, _ = _unit_scaled(arr)
+    k, _ = _unit_scaled(op.matrix)
+    coeff_range = range_basis(f.T @ k, tol)
     erased = np.eye(arr.shape[1])[:, list(sig)]
     stacked = np.hstack([coeff_range.basis, erased])
     return rank_of(stacked, tol) == coeff_range.dim + len(sig)
@@ -227,13 +241,17 @@ def _parseval_condition(
     sys: KFrameSystem, sig: tuple[int, ...], survivors: list[int]
 ) -> bool:
     # Invertibility of (K - theta_sigma xi_sigma^T) restricted to R(K^T),
-    # onto the image of R(K) under the survivor frame operator.
-    x = pseudo_inverse(sys.F, sys.tol) @ sys.K.matrix
-    t = sys.K.matrix - sys.F[:, list(sig)] @ x[list(sig), :]
+    # onto the image of R(K) under the survivor frame operator. Positive
+    # scalings of F and K keep every range compared here, and at unit size
+    # no product over- or underflows.
+    f, _ = _unit_scaled(sys.F)
+    k, _ = _unit_scaled(sys.K.matrix)
+    x = pseudo_inverse(f, sys.tol) @ k
+    t = k - f[:, list(sig)] @ x[list(sig), :]
     domain = sys.K.adjoint_range
     coord, image = restricted_operator(t, domain, sys.tol)
     injective = image.dim == domain.dim and coord.shape[0] == coord.shape[1]
-    f_c = sys.F[:, survivors]
+    f_c = f[:, survivors]
     target = (f_c @ f_c.T) @ sys.K.range.basis
     same_range = ranges_nested(image.basis, target, sys.tol) and ranges_nested(
         target, image.basis, sys.tol
@@ -250,20 +268,19 @@ def mrc_all(
     m = arr.shape[1]
     if not (0 <= r <= m):
         raise ValueError(f"erasure count must satisfy 0 <= r <= m, got {r}")
-    failing = next(
-        (sig for sig in scan_subsets("mrc_all", m, [r], cap)
-         if not is_kframe(arr[:, [i for i in range(m) if i not in sig]], op, tol)),
-        None,
-    )
-    # The one set of size 0 is (), reported as no failing set.
-    return failing is None, failing or None
+    for chunk in scan_subsets("mrc_all", m, [r], cap):
+        survive = kframe_flags(arr, op, _complements(chunk, m), tol)
+        if not survive.all():
+            # The one set of size 0 is (), reported as no failing set.
+            return False, tuple(chunk[np.argmin(survive)].tolist()) or None
+    return True, None
 
 
-def _is_exact_kframe(cols: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> bool:
-    m = cols.shape[1]
-    return is_kframe(cols, op, tol) and not any(
-        is_kframe(cols[:, [i for i in range(m) if i != j]], op, tol) for j in range(m)
-    )
+def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
+    """Ascending complement in range(m) of every row of an N x k index array."""
+    keep = np.ones((len(subsets), m), dtype=bool)
+    keep[np.arange(len(subsets))[:, None], subsets] = False
+    return np.nonzero(keep)[1].reshape(len(subsets), m - subsets.shape[1])
 
 
 @dataclass(frozen=True)
@@ -285,22 +302,23 @@ def uniform_excess(
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m = arr.shape[1]
-    # Removing r columns leaves m - r to check for exactness.
-    subsets = scan_subsets("uniform_excess", m, range(1, m), cap,
-                           cost=lambda r: m - r + 1)
-    best = 0
-    first_failure: tuple[int, ...] | None = None
-    for r, group in itertools.groupby(subsets, key=len):
-        failing = next(
-            (sig for sig in group if not _is_exact_kframe(
-                arr[:, [i for i in range(m) if i not in sig]], op, tol)),
-            None,
-        )
-        if failing is None:
-            best = r
-        elif r == 1:
-            first_failure = failing
-    return ExcessReport(value=best, witness=None if best else first_failure)
+    # Removing r columns leaves m - r; exactness there needs T_(m-r) and T_(m-r-1).
+    every: dict[int, bool] = {}
+    some: dict[int, bool] = {}
+    fails_one = np.zeros(m, dtype=bool)  # removals {i} leaving no exact K-frame
+    for chunk in scan_subsets("uniform_excess", m, range(m), cap):
+        s = chunk.shape[1]
+        flags = kframe_flags(arr, op, chunk, tol)
+        every[s] = every.get(s, True) and bool(flags.all())
+        some[s] = some.get(s, False) or bool(flags.any())
+        if m >= 2 and s >= m - 2:
+            # range(m) minus {i} must be a K-frame and lose that when minus {i, j}.
+            removed = _complements(chunk, m)
+            fails_one[removed[~flags if s == m - 1 else flags]] = True
+    best = max((r for r in range(1, m) if every[m - r] and not some[m - r - 1]),
+               default=0)
+    witness = (int(np.argmax(fails_one)),) if fails_one.any() else None
+    return ExcessReport(value=best, witness=None if best else witness)
 
 
 def is_maximal_robust(
@@ -313,8 +331,12 @@ def is_maximal_robust(
     rk = op.rank
     if rk > m:
         return False
-    subsets = scan_subsets("is_maximal_robust", m, [rk], cap, cost=lambda size: size + 1)
-    return all(_is_exact_kframe(arr[:, list(sub)], op, tol) for sub in subsets)
+    # All of T_rk and none of T_(rk-1); size rk - 1 comes first.
+    for chunk in scan_subsets("is_maximal_robust", m, range(max(rk - 1, 0), rk + 1), cap):
+        flags = kframe_flags(arr, op, chunk, tol)
+        if not (flags.all() if chunk.shape[1] == rk else not flags.any()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

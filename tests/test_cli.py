@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kframes.cli
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
 
@@ -88,6 +89,17 @@ class TestDispatch:
         )
         assert code == 1
         assert "side-info" in err
+
+
+    @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+    def test_non_finite_report_exits_one_and_prints_nothing(
+            self, capsys, monkeypatch, value):
+        report = {"command": "fake", "value": [1.0, value]}
+        monkeypatch.setitem(kframes.cli._COMMANDS, "fake",
+                            lambda argv: {"report": report, "pretty": False})
+        code, out, err = run(capsys, "fake")
+        assert (code, out) == (1, "")
+        assert "kframes fake: report is not valid JSON" in err
 
 
 class TestFixturesCommand:
@@ -238,6 +250,24 @@ class TestAnalysisCommands:
         assert report["spark"]["spark"] == 3
         assert report["classification"] == {
             "tight_alpha": None, "parseval": False, "equal_norm": False}
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_mrc_sigma_verdicts_do_not_depend_on_scale(self, capsys, tmp_path, scale):
+        systems = [(fix.F, fix.K) for fix in FIXTURES.values()]
+        systems.append(random_parseval_kframe(np.random.default_rng(5), 4, 6, 3))
+        for i, (f, k) in enumerate(systems):
+            reports = []
+            for c in (1.0, scale):
+                path = tmp_path / f"sys{i}-{c:g}.json"
+                path.write_text(json.dumps({
+                    "F": {"rows": f.shape[0], "cols": f.shape[1], "data": (c * f).tolist()},
+                    "K": {"rows": k.shape[0], "cols": k.shape[1], "data": (c * k).tolist()},
+                }))
+                reports.append([
+                    run_json(capsys, "mrc", "--system", str(path), "--sigma", sigma)
+                    for sigma in ("1", "2", "1,2")])
+            assert reports[0] == reports[1], i
+        assert reports[0][0]["parseval_condition_ii"] is True
 
     def test_mrc_scan_mode(self, capsys, tmp_path):
         fix = FIXTURES["FIX-B"]

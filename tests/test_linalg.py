@@ -18,6 +18,7 @@ from kframes import (
     restricted_operator,
     svd_factor,
 )
+from kframes.linalg import column_blocks, stacked_ranks
 from kframes.fixtures import FIXTURES
 
 FC = FIXTURES["FIX-C"].F
@@ -77,6 +78,48 @@ class TestRank:
     def test_scale_invariance(self):
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         assert rank_of(m) == rank_of(1e8 * m) == rank_of(1e-8 * m) == 1
+
+
+class TestStackedRanks:
+    """One stacked SVD decides each block as an SVD of that block alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 5),
+        n=st.integers(1, 5),
+        k=st.integers(0, 6),
+        rank=st.integers(0, 5),
+        exponent=st.integers(-300, 300),
+    )
+    def test_bit_equal_to_one_svd_per_block(self, seed, count, n, k, rank, exponent):
+        rng = np.random.default_rng(seed)
+        r = min(rank, n, k)
+        blocks = rng.standard_normal((count, n, r)) @ rng.standard_normal((count, r, k))
+        blocks = blocks * 2.0**exponent
+        blocks[0] = 0.0
+        cutoff = 1e-9 * 2.0**exponent
+        ranks, fixed = stacked_ranks(blocks), stacked_ranks(blocks, cutoff=cutoff)
+        assert ranks.shape == fixed.shape == (count,)
+        stacked = np.linalg.svd(blocks, compute_uv=False) if k else None
+        for i, block in enumerate(blocks):
+            assert ranks[i] == rank_of(block)
+            if k == 0:
+                assert ranks[i] == fixed[i] == 0
+                continue
+            alone = np.linalg.svd(block, compute_uv=False)
+            assert np.array_equal(stacked[i], alone)
+            assert fixed[i] == np.count_nonzero(alone > cutoff)
+        assert ranks[0] == 0
+
+    def test_column_blocks(self):
+        mat = np.arange(12.0).reshape(3, 4)
+        subsets = np.array([[0, 2], [1, 3], [2, 3]])
+        blocks = column_blocks(mat, subsets)
+        assert blocks.shape == (3, 3, 2)
+        for block, cols in zip(blocks, subsets):
+            assert np.array_equal(block, mat[:, cols])
+        assert column_blocks(mat, np.zeros((1, 0), dtype=int)).shape == (1, 3, 0)
 
 
 class TestPseudoInverse:

@@ -25,6 +25,7 @@ from kframes import (
     verify_kframe,
 )
 from kframes.fixtures import FIXTURES
+from kframes.frames import OperatorK
 
 from conftest import (
     random_kframe,
@@ -339,3 +340,61 @@ class TestDerivedPinvFrames:
                 )
             checked += 1
         assert checked > 0
+
+
+def _reference_exact(f, op, cols):
+    """A K-frame that stops being one when any single column is removed."""
+    sub = f[:, cols]
+    return is_kframe(sub, op) and not any(
+        is_kframe(sub[:, [i for i in range(len(cols)) if i != j]], op)
+        for j in range(len(cols)))
+
+
+def _reference_scans(f, op, r):
+    """uniform_excess, is_maximal_robust and mrc_all subset by subset."""
+    m = f.shape[1]
+    rest = lambda lam: [i for i in range(m) if i not in lam]  # noqa: E731
+    best, first = 0, None
+    for size in range(1, m):
+        failing = [lam for lam in itertools.combinations(range(m), size)
+                   if not _reference_exact(f, op, rest(lam))]
+        if not failing:
+            best = size
+        elif size == 1:
+            first = failing[0]
+    robust = op.rank <= m and all(
+        _reference_exact(f, op, list(sub))
+        for sub in itertools.combinations(range(m), op.rank))
+    mrc_fail = next((lam for lam in itertools.combinations(range(m), r)
+                     if not is_kframe(f[:, rest(lam)], op)), None)
+    return ((best, None if best else first), robust,
+            (mrc_fail is None, mrc_fail or None))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    rank_k=st.integers(0, 4),
+    damage=st.sampled_from(["none", "duplicate", "zero", "faint_k"]),
+    r=st.integers(0, 3),
+)
+def test_table_scans_match_subset_by_subset_reference(seed, n, extra, rank_k, damage, r):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f, k = random_kframe(rng, n, m, min(rank_k, n))
+    if damage == "faint_k":
+        # Beside F, K falls under the relative rank cutoff: a rank test then
+        # reads any columns as a K-frame, but K alone keeps its rank.
+        k = k * 1e-13
+    elif damage != "none" and m >= 2:
+        i, j = rng.choice(m, size=2, replace=False)
+        f[:, j] = f[:, i] if damage == "duplicate" else 0.0
+    op = OperatorK.from_matrix(k)
+    r = min(r, m)
+    excess, robust, mrc = _reference_scans(f, op, r)
+    got = uniform_excess(f, k)
+    assert (got.value, got.witness) == excess
+    assert is_maximal_robust(f, k) == robust
+    assert mrc_all(f, k, r) == mrc

@@ -3,8 +3,8 @@
 Each scan entry point must run with cap equal to its worst-case count of
 subset tests and refuse with cap one below it, before handing out a single
 subset. The counts are written out here from the rule itself: one test per
-subset, column count + 1 per subset checked for being an exact K-frame, and
-for the spark family only the sizes that are sure to end the scan.
+subset; exactness at size s needs the K-frame tests of sizes s and s - 1;
+and for the spark family only the sizes that are sure to end the scan.
 """
 
 import ast
@@ -33,7 +33,7 @@ from kframes import (
     worst_erasure_error,
     worst_residual_error,
 )
-from kframes.frames import scan_subsets
+from kframes.frames import SCAN_CHUNK, scan_subsets
 
 from conftest import random_kframe
 
@@ -62,9 +62,8 @@ def _cases(f, k, r):
         ("spark", sum(comb(m, s) for s in range(1, m - rank_f + 2)),
          lambda cap: min_support_in_range(f.T, cap=cap)),
         ("mrc_all", comb(m, r), lambda cap: mrc_all(f, k, r, cap=cap)),
-        ("uniform_excess", sum(comb(m, s) * (m - s + 1) for s in range(1, m)),
-         lambda cap: uniform_excess(f, k, cap=cap)),
-        ("is_maximal_robust", comb(m, rank_k) * (rank_k + 1),
+        ("uniform_excess", 2**m - 1, lambda cap: uniform_excess(f, k, cap=cap)),
+        ("is_maximal_robust", comb(m, rank_k) + comb(m, rank_k - 1),
          lambda cap: is_maximal_robust(f, k, cap=cap)),
         ("worst_erasure_error", comb(m, r),
          lambda cap: worst_erasure_error(sys, dual, r, cap=cap)),
@@ -110,13 +109,17 @@ def test_every_scan_passes_at_its_count_and_refuses_below(seed, n, extra, rank_k
 
 
 def test_enumerator_order_and_refusal():
-    assert list(scan_subsets("t", 4, [1, 3], cap=8)) == [
-        (0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    with pytest.raises(BudgetExceededError):
-        scan_subsets("t", 4, [1, 3], cap=7)
-    # Costs per size: 4 subsets of size 1 at 2 tests, 4 of size 3 at 4 tests.
-    with pytest.raises(BudgetExceededError, match="needs 24 subset tests"):
-        scan_subsets("t", 4, [1, 3], cap=23, cost=lambda size: size + 1)
+    chunks = list(scan_subsets("t", 4, [0, 1, 3], cap=9))
+    assert [c.shape for c in chunks] == [(1, 0), (4, 1), (4, 3)]
+    assert [tuple(row) for c in chunks for row in c.tolist()] == [
+        (), (0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    with pytest.raises(BudgetExceededError, match="needs 9 subset tests"):
+        scan_subsets("t", 4, [0, 1, 3], cap=8)
+    # A level longer than one chunk is split, in order, into full chunks first.
+    level = list(scan_subsets("t", 12, [5], cap=comb(12, 5)))
+    assert [len(c) for c in level] == [SCAN_CHUNK] * 3 + [comb(12, 5) - 3 * SCAN_CHUNK]
+    assert [tuple(row) for c in level for row in c.tolist()] == list(
+        itertools.combinations(range(12), 5))
 
 
 # The only functions allowed to enumerate subsets or count them.
