@@ -146,8 +146,8 @@ def normalize_erasure_set(indices, m: int) -> tuple[int, ...]:
     return lam
 
 
-# Subsets per chunk: enough to spread the Python cost of one stacked SVD thin,
-# and few enough that a chunk's blocks stay small next to a whole level.
+# Most subsets per chunk: enough to spread the Python cost of one stacked SVD
+# thin, and few enough that a chunk's blocks stay small next to a whole level.
 SCAN_CHUNK = 256
 
 
@@ -164,20 +164,23 @@ def scan_budget(what: str, m: int, sizes, cap: int) -> None:
 
 
 def scan_subsets(what: str, m: int, sizes, cap: int):
-    """Subsets of range(m) of the ascending sizes, lexicographic within a size.
+    """Subsets of range(m) of the given sizes in that order, lexicographic within a size.
 
-    They come in chunks: N x k index arrays of one size k, N <= SCAN_CHUNK,
-    so no level is held whole. scan_budget runs here, once, before any
-    subset is handed out, so sizes is read twice and must be a range or a
-    sequence.
+    They come in chunks: N x k index arrays of one size k, so no level is
+    held whole. Within a level N doubles from 1 up to SCAN_CHUNK, so a scan
+    that its first subset decides tests one subset, and a long level still
+    goes in full chunks. scan_budget runs here, once, before any subset is
+    handed out, so sizes is read twice and must be a range or a sequence.
     """
     scan_budget(what, m, sizes, cap)
 
     def chunks():
         for k in sizes:
             level = itertools.combinations(range(m), k)
-            while batch := list(itertools.islice(level, SCAN_CHUNK)):
+            size = 1
+            while batch := list(itertools.islice(level, size)):
                 yield np.array(batch, dtype=np.intp)
+                size = min(2 * size, SCAN_CHUNK)
 
     return chunks()
 

@@ -10,18 +10,19 @@ Every scan takes its subsets from frames.scan_subsets under one budget rule,
 frames.scan_budget: before the first subset test, count the tests the scan
 can run in the worst case and raise BudgetExceededError when that exceeds cap
 (default 10**6). A test is one rank decision on a submatrix or one K-frame
-check. Subsets come in chunks of at most frames.SCAN_CHUNK of one size, and
-each chunk's tests are decided by one stacked SVD per rank test, which gives
-every subset the singular values of its own SVD.
+check. Subsets come in chunks of one size, growing from 1 to
+frames.SCAN_CHUNK, and each chunk's tests are decided by one stacked SVD per
+rank test, which gives every subset the singular values of its own SVD.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
 means a K-frame that stops being one when any single column is removed.
 Exactness is read from per-size tables T_s (is every s-column subset a
 K-frame?): every s-set is exact exactly when all of T_s holds and none of
-T_(s-1) does, because every (s-1)-set is some s-set minus one column. So
-is_maximal_robust tests C(m, rank K) + C(m, rank K - 1) subsets, and
-uniform_excess, which needs T_s for every s < m, tests 2^m - 1.
+T_(s-1) does, because every (s-1)-set is some s-set minus one column. A
+table is read only until its all/none is decided, so these are worst cases:
+is_maximal_robust tests at most C(m, rank K) + C(m, rank K - 1) subsets, and
+uniform_excess, which may need T_s for every s < m, at most 2^m - 1.
 """
 
 from __future__ import annotations
@@ -291,6 +292,36 @@ class ExcessReport:
     witness: tuple[int, ...] | None
 
 
+class _KFrameTable:
+    """T_s: is each s-column subset a K-frame? Tested chunk by chunk on demand.
+
+    A read tests chunks only until it is decided, and keeps what it tested,
+    so each subset is tested at most once and the levels s and s + 1, which
+    both read T_s, share its tests.
+    """
+
+    def __init__(self, arr: np.ndarray, op: OperatorK, chunks, tol: TolerancePolicy):
+        self._test = lambda chunk: kframe_flags(arr, op, chunk, tol)
+        self._chunks = chunks
+        self._flags: list[np.ndarray] = []
+        self._seen: set[bool] = set()
+
+    def holds(self, value: bool) -> bool:
+        """Whether some s-subset's flag is value."""
+        while value not in self._seen:
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                return False
+            self._flags.append(self._test(chunk))
+            self._seen.update(self._flags[-1].tolist())
+        return True
+
+    def flags(self) -> np.ndarray:
+        """Every flag, lexicographic in the subsets."""
+        self._flags.extend(self._test(chunk) for chunk in self._chunks)
+        return np.concatenate(self._flags)
+
+
 def uniform_excess(
     f, k, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExcessReport:
@@ -302,23 +333,34 @@ def uniform_excess(
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m = arr.shape[1]
-    # Removing r columns leaves m - r; exactness there needs T_(m-r) and T_(m-r-1).
-    every: dict[int, bool] = {}
-    some: dict[int, bool] = {}
-    fails_one = np.zeros(m, dtype=bool)  # removals {i} leaving no exact K-frame
-    for chunk in scan_subsets("uniform_excess", m, range(m), cap):
-        s = chunk.shape[1]
-        flags = kframe_flags(arr, op, chunk, tol)
-        every[s] = every.get(s, True) and bool(flags.all())
-        some[s] = some.get(s, False) or bool(flags.any())
-        if m >= 2 and s >= m - 2:
-            # range(m) minus {i} must be a K-frame and lose that when minus {i, j}.
-            removed = _complements(chunk, m)
-            fails_one[removed[~flags if s == m - 1 else flags]] = True
-    best = max((r for r in range(1, m) if every[m - r] and not some[m - r - 1]),
-               default=0)
-    witness = (int(np.argmax(fails_one)),) if fails_one.any() else None
-    return ExcessReport(value=best, witness=None if best else witness)
+    # One budget for all the tables; each table's own check is part of it.
+    scan_budget("uniform_excess", m, range(m), cap)
+    tables = [_KFrameTable(arr, op, scan_subsets("uniform_excess", m, [s], cap), tol)
+              for s in range(m)]
+
+    def exact(s: int) -> bool:
+        # Every s-set is exact: all of T_s and none of T_(s-1). The verdict
+        # does not depend on the order of the two reads, only the cost does:
+        # fewer than rank K columns are no K-frame, so below rank K "all of
+        # T_s" fails at once, and above it "none of T_(s-1)" does.
+        if s < op.rank:
+            return not tables[s].holds(False) and not tables[s - 1].holds(True)
+        return not tables[s - 1].holds(True) and not tables[s].holds(False)
+
+    # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
+    best = next((m - s for s in range(1, m) if exact(s)), 0)
+    if best or m < 2:
+        return ExcessReport(value=best, witness=None)
+    # Removing {i} fails when range(m) - {i} is no K-frame or some
+    # range(m) - {i, j} is one. The complements of lexicographic k-subsets
+    # run in reverse lexicographic order, so the reversed tables list the
+    # removals {i} and {i, j} lexicographically, as triu_indices does. Some
+    # {i} fails, as s = m - 1 is not exact.
+    fails = ~tables[m - 1].flags()[::-1]
+    pairs = tables[m - 2].flags()[::-1]
+    first, second = np.triu_indices(m, 1)
+    fails[first[pairs]] = fails[second[pairs]] = True
+    return ExcessReport(value=0, witness=(int(np.argmax(fails)),))
 
 
 def is_maximal_robust(
@@ -331,8 +373,9 @@ def is_maximal_robust(
     rk = op.rank
     if rk > m:
         return False
-    # All of T_rk and none of T_(rk-1); size rk - 1 comes first.
-    for chunk in scan_subsets("is_maximal_robust", m, range(max(rk - 1, 0), rk + 1), cap):
+    # All of T_rk and none of T_(rk-1). Size rk comes first: a set that is
+    # no K-frame usually turns up in its first chunk.
+    for chunk in scan_subsets("is_maximal_robust", m, [rk, rk - 1] if rk else [0], cap):
         flags = kframe_flags(arr, op, chunk, tol)
         if not (flags.all() if chunk.shape[1] == rk else not flags.any()):
             return False

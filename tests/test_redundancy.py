@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from kframes import (
     uniform_excess,
     verify_kframe,
 )
+from kframes import frames
 from kframes.fixtures import FIXTURES
-from kframes.frames import OperatorK
+from kframes.frames import SCAN_CHUNK, OperatorK
 
 from conftest import (
     random_kframe,
@@ -234,6 +236,14 @@ class TestUniformExcess:
         assert report.value == 0
         assert report.witness == (3,)
 
+    def test_witness_from_a_two_column_removal(self):
+        # Every 3 columns are a K-frame, but removing {0, 1} leaves the
+        # K-frame {2, 3}, so {2, 3, i} is not exact for i = 0 or 1.
+        e = np.eye(3)
+        f = np.column_stack([e[1] + e[2], e[0] + e[2], e[0], e[1]])
+        report = uniform_excess(f, np.diag([1.0, 1.0, 0.0]))
+        assert (report.value, report.witness) == (0, (0,))
+
     def test_exact_frame_zero(self):
         report = uniform_excess(np.eye(3), np.eye(3))
         assert report.value == 0
@@ -379,8 +389,11 @@ def _reference_scans(f, op, r):
     rank_k=st.integers(0, 4),
     damage=st.sampled_from(["none", "duplicate", "zero", "faint_k"]),
     r=st.integers(0, 3),
+    chunk=st.sampled_from([1, 3, SCAN_CHUNK]),
 )
-def test_table_scans_match_subset_by_subset_reference(seed, n, extra, rank_k, damage, r):
+def test_table_scans_match_subset_by_subset_reference(
+    seed, n, extra, rank_k, damage, r, chunk
+):
     rng = np.random.default_rng(seed)
     m = n + extra
     f, k = random_kframe(rng, n, m, min(rank_k, n))
@@ -394,7 +407,9 @@ def test_table_scans_match_subset_by_subset_reference(seed, n, extra, rank_k, da
     op = OperatorK.from_matrix(k)
     r = min(r, m)
     excess, robust, mrc = _reference_scans(f, op, r)
-    got = uniform_excess(f, k)
-    assert (got.value, got.witness) == excess
-    assert is_maximal_robust(f, k) == robust
-    assert mrc_all(f, k, r) == mrc
+    # Small chunks split levels, so the tables are read across chunks.
+    with mock.patch.object(frames, "SCAN_CHUNK", chunk):
+        got = uniform_excess(f, k)
+        assert (got.value, got.witness) == excess
+        assert is_maximal_robust(f, k) == robust
+        assert mrc_all(f, k, r) == mrc

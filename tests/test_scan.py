@@ -110,16 +110,33 @@ def test_every_scan_passes_at_its_count_and_refuses_below(seed, n, extra, rank_k
 
 def test_enumerator_order_and_refusal():
     chunks = list(scan_subsets("t", 4, [0, 1, 3], cap=9))
-    assert [c.shape for c in chunks] == [(1, 0), (4, 1), (4, 3)]
+    assert [c.shape for c in chunks] == [(1, 0), (1, 1), (2, 1), (1, 1), (1, 3), (2, 3), (1, 3)]
     assert [tuple(row) for c in chunks for row in c.tolist()] == [
         (), (0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     with pytest.raises(BudgetExceededError, match="needs 9 subset tests"):
         scan_subsets("t", 4, [0, 1, 3], cap=8)
-    # A level longer than one chunk is split, in order, into full chunks first.
+    # Within a level, chunks double from one subset up to SCAN_CHUNK, in order.
     level = list(scan_subsets("t", 12, [5], cap=comb(12, 5)))
-    assert [len(c) for c in level] == [SCAN_CHUNK] * 3 + [comb(12, 5) - 3 * SCAN_CHUNK]
+    doubling = [2**i for i in range(SCAN_CHUNK.bit_length())]
+    assert doubling[-1] == SCAN_CHUNK
+    assert [len(c) for c in level] == doubling + [SCAN_CHUNK, comb(12, 5) - 3 * SCAN_CHUNK + 1]
     assert [tuple(row) for c in level for row in c.tolist()] == list(
         itertools.combinations(range(12), 5))
+
+
+def test_exactness_scans_stop_once_decided():
+    """Levels are read only as far as their verdicts need, not to the budget."""
+    rng = np.random.default_rng(5)
+    f, k = random_kframe(rng, 2, 16, 2)
+    # Size 1 fails at its first subset and size 2 is exact: sizes 0 and 3..15
+    # are never read, against the 2^16 - 1 tests of the budget.
+    with _counting_subsets() as seen:
+        assert uniform_excess(f, k).value == 14
+    assert seen[0] == 16 + comb(16, 2)
+    f[:, 1] = f[:, 0]  # the first 2-set is no K-frame
+    with _counting_subsets() as seen:
+        assert not is_maximal_robust(f, k)
+    assert seen[0] == 1
 
 
 # The only functions allowed to enumerate subsets or count them.
