@@ -1,0 +1,71 @@
+"""Layer benchmarks (pytest-benchmark), kept out of the tier-1 test paths.
+
+    python -m pytest bench/ --benchmark-json=bench.json
+    python bench/write_bench.py OUT.json      # runs the cases, writes medians
+
+Every case runs on one seeded 6x12 system with rank(K) = 4, its canonical
+dual and a find-rk recovery matrix that tolerates 4 erasures for both
+side-info and blind recovery.
+"""
+
+import numpy as np
+import pytest
+
+from kframes import (
+    canonical_kdual,
+    encode,
+    erase,
+    find_rk_matrix,
+    plan_recovery,
+    recover_side_info,
+    verify_kframe,
+)
+from kframes.linalg import pinv_and_rank
+from kframes.recovery import STRATEGIES
+
+N, M, RANK_K, R, SIGNALS = 6, 12, 4, 4, 1000
+
+
+@pytest.fixture(scope="module")
+def setup():
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal((N, RANK_K)) @ rng.standard_normal((RANK_K, N))
+    f = np.hstack([k @ rng.standard_normal((N, RANK_K)),
+                   rng.standard_normal((N, M - RANK_K))])
+    system = verify_kframe(f, k)
+    dual = canonical_kdual(system).dual
+    m_mat = find_rk_matrix(system, dual, R, seed=1).certificate.M
+    signals = rng.standard_normal((SIGNALS, N))
+    draws = np.sort(np.array([rng.choice(M, size=R, replace=False) for _ in signals]), axis=1)
+    sets, which = np.unique(draws, axis=0, return_inverse=True)
+    return system, dual, m_mat, signals, sets, which
+
+
+def test_recover_side_info(benchmark, setup):
+    system, dual, m_mat, signals, sets, _ = setup
+    f = signals[0]
+    coded = erase(encode(dual, f), sets[0])
+    v = system.F.T @ (system.K.matrix @ f)
+    report = benchmark(recover_side_info, system, m_mat, coded, v)
+    assert report.certified_exact
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_plan_and_apply(benchmark, setup, strategy):
+    system, dual, m_mat, signals, sets, which = setup
+    coeffs = signals @ dual.G
+    sides = signals @ system.K.matrix.T @ system.F
+
+    def run():
+        plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual)
+        return plan.apply(coeffs, which, sides)
+
+    benchmark.extra_info["signals"] = SIGNALS
+    _, _, certified = benchmark(run)
+    assert certified.all()
+
+
+def test_pinv_and_rank(benchmark, setup):
+    block = setup[2][:, :R]
+    _, rank = benchmark(pinv_and_rank, block)
+    assert rank == R

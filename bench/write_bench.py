@@ -1,0 +1,42 @@
+"""Run the layer benchmarks and write their medians as BENCH json.
+
+    python bench/write_bench.py OUT.json
+
+Run from the root of a checkout with BLAS pinned to one thread. Keys are
+fixed per case: times in microseconds, plan + apply as signals per second.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(out: str) -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = Path(tmp) / "bench.json"
+        subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        str(ROOT / "bench"), f"--benchmark-json={raw}"],
+                       cwd=ROOT, env=env, check=True)
+        cases = json.loads(raw.read_text())["benchmarks"]
+    result = {}
+    for case in cases:
+        median = case["stats"]["median"]
+        if "signals" in case["extra_info"]:
+            key = f"plan_apply_{case['param']}_signals_per_s"
+            result[key] = case["extra_info"]["signals"] / median
+        else:
+            result[f"{case['name'].removeprefix('test_')}_us"] = median * 1e6
+    Path(out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RestrictedInverseError
-from .frames import DualSystem, KFrameSystem, verify_kdual
+from .frames import DualSystem, KFrameSystem, _unit_scaled, verify_kdual
 from .linalg import (
     TolerancePolicy,
     null_space_basis,
@@ -121,9 +121,13 @@ class RestrictedDualReport:
 
 
 def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
+    # The frame operator is formed on F scaled exactly by 2^-e to unit size,
+    # where it neither over- nor underflows. Positive scalings keep every
+    # range compared here, and the duals, each 2^e times the unscaled one,
+    # are scaled back exactly.
+    f, f_exp = _unit_scaled(sys.F)
     domain = sys.K.range
-    s_op = sys.F @ sys.F.T
-    coord, image = restricted_operator(s_op, domain, sys.tol)
+    coord, image = restricted_operator(f @ f.T, domain, sys.tol)
     if coord.shape[0] < coord.shape[1]:
         raise RestrictedInverseError(
             "frame operator restricted to R(K) is singular",
@@ -132,12 +136,12 @@ def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
     inv = np.linalg.inv(coord)
     d, r = domain.basis, image.basis
     mk_t = sys.K.matrix.T
-    g_image = mk_t @ d @ inv @ r.T @ sys.F
-    g_domain = mk_t @ r @ inv.T @ d.T @ sys.F
+    g_image = np.ldexp(mk_t @ d @ inv @ r.T @ f, -f_exp)
+    g_domain = np.ldexp(mk_t @ r @ inv.T @ d.T @ f, -f_exp)
     hypotheses = {
-        "frame_in_operator_range": ranges_nested(sys.F, d, sys.tol),
+        "frame_in_operator_range": ranges_nested(f, d, sys.tol),
         "operator_range_in_image": ranges_nested(d, r, sys.tol),
-        "frame_in_image": ranges_nested(sys.F, r, sys.tol),
+        "frame_in_image": ranges_nested(f, r, sys.tol),
     }
     return RestrictedDualReport(
         dual_image=verify_kdual(sys, g_image),

@@ -383,27 +383,23 @@ def _cmd_find_rk(argv) -> dict:
     return {"report": report, "pretty": args.pretty}
 
 
-def _simulate_strategy(system, dual, strategy, m_mat, signals, groups, tol):
-    """Recover the signals (rows) with one plan per erasure set in groups.
+def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which, tol):
+    """Recover the signals (rows), signal i erased at sets[which[i]], with one plan.
 
-    A set whose plan raises skips all its draws. Each draw is rounded as if
-    recovered alone and errors stay in draw order, so grouping never shows.
+    The draws of an ambiguous set are skipped. Each draw is rounded as if
+    recovered alone and errors stay in draw order, so batching never shows.
     """
     coeffs = matvec_rows(dual.G.T, signals)
     targets = matvec_rows(system.K.matrix, signals)
     sides = matvec_rows(system.F.T, targets)
+    plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual, tol=tol)
+    ok = plan.deficiency[which] == 0
+    full, _, certified = plan.apply(coeffs[ok], which[ok], sides[ok])
+    target = targets[ok]
     errors = np.full(len(signals), np.nan)
-    exact = 0
-    for lam, idx in groups.items():
-        try:
-            plan = plan_recovery(system, strategy, lam, m_mat=m_mat, dual=dual, tol=tol)
-        except KFrameError:
-            continue
-        full, _, certified = plan.apply(coeffs[idx], sides[idx])
-        target = targets[idx]
-        errors[idx] = row_norms(matvec_rows(system.F, full) - target)
-        close = errors[idx] <= 1e-8 * (1.0 + row_norms(target))
-        exact += int(np.count_nonzero(certified & close))
+    errors[ok] = row_norms(matvec_rows(system.F, full) - target)
+    close = errors[ok] <= 1e-8 * (1.0 + row_norms(target))
+    exact = int(np.count_nonzero(certified & close))
     done = errors[~np.isnan(errors)].tolist()
     completed = len(done)
     entry = {
@@ -447,11 +443,11 @@ def _cmd_simulate(argv) -> dict:
         else matrixio.load_matrix(args.rk_matrix)
     rng = np.random.default_rng(args.seed)
     signals = np.empty((args.signals, system.n))
-    groups: dict[tuple[int, ...], list[int]] = {}
+    draws = np.empty((args.signals, args.r), dtype=np.intp)
     for i in range(args.signals):
         signals[i] = rng.standard_normal(system.n)
-        lam = tuple(sorted(rng.choice(system.m, size=args.r, replace=False).tolist()))
-        groups.setdefault(lam, []).append(i)
+        draws[i] = np.sort(rng.choice(system.m, size=args.r, replace=False))
+    sets, which = np.unique(draws, axis=0, return_inverse=True)
     certificate = None
     if {"side-info", "blind"} & set(strategies):
         cert = validate_rk_matrix(system, dual, m_mat, tol, cap=args.cap_subsets)
@@ -476,7 +472,7 @@ def _cmd_simulate(argv) -> dict:
         },
         "certificate": certificate,
         "strategies": {
-            s: _simulate_strategy(system, dual, s, m_mat, signals, groups, tol)
+            s: _simulate_strategy(system, dual, s, m_mat, signals, sets, which, tol)
             for s in strategies
         },
     }

@@ -30,6 +30,9 @@ from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     TolerancePolicy,
+    _canonical_signs,
+    _pinv_from_svd,
+    _svd_rank,
     column_blocks,
     ensure_matrix,
     null_space_basis,
@@ -38,6 +41,7 @@ from .linalg import (
     range_basis,
     rank_of,
     stacked_ranks,
+    svd_factor,
 )
 
 __all__ = [
@@ -69,20 +73,30 @@ class OperatorK:
     rank: int
     range: SubspaceBasis
     pinv: np.ndarray
-    adjoint_range: SubspaceBasis
+    tol: TolerancePolicy = DEFAULT_TOL
 
     @classmethod
     def from_matrix(cls, m, tol: TolerancePolicy = DEFAULT_TOL) -> "OperatorK":
         arr = ensure_matrix(m, "K")
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"K must be square, got {arr.shape}")
+        # range and pinv are read off one SVD, as range_basis and
+        # pseudo_inverse would each read them. rank keeps rank_of: singular
+        # values computed without vectors can differ in their last bits.
+        u, s, v = svd_factor(arr)
+        r = _svd_rank(s, arr.shape, tol)
         return cls(
             matrix=arr,
             rank=rank_of(arr, tol),
-            range=range_basis(arr, tol),
-            pinv=pseudo_inverse(arr, tol),
-            adjoint_range=range_basis(arr.T, tol),
+            range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
+            pinv=_pinv_from_svd(u, s, v, r),
+            tol=tol,
         )
+
+    @cached_property
+    def adjoint_range(self) -> SubspaceBasis:
+        """Range of K^T, formed on first read: only the MRC Parseval test reads it."""
+        return range_basis(self.matrix.T, self.tol)
 
     @property
     def dim(self) -> int:
@@ -121,7 +135,8 @@ class DualSystem:
     """A candidate K-dual with its verification residual.
 
     residual = ||F G^T - M_K|| in operator norm; is_valid applies the
-    policy's relative threshold against 1 + ||M_K||.
+    policy's relative threshold against 1 + ||M_K||, with M_K and the
+    residual scaled exactly to the unit size of M_K.
     """
 
     G: np.ndarray
@@ -267,9 +282,14 @@ def gramian(sys: KFrameSystem) -> np.ndarray:
     return sys.gramian
 
 
+def _unit_exponent(a: np.ndarray) -> int:
+    """e with the largest entry of a / 2^e in [1/2, 1); 0 when a is zero."""
+    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+
+
 def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """a / 2^e with the largest entry in [1/2, 1), and e; the scaling is exact."""
-    e = int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    e = _unit_exponent(a)
     return np.ldexp(a, -e), e
 
 
@@ -309,8 +329,11 @@ def verify_kdual(sys: KFrameSystem, g, tol: TolerancePolicy | None = None) -> Du
             f"G shape {arr.shape} != F shape {sys.F.shape}"
         )
     residual = operator_norm(sys.F @ arr.T - sys.K.matrix)
-    threshold = tol.residual_rel * (1.0 + operator_norm(sys.K.matrix))
-    return DualSystem(G=arr, residual=residual, is_valid=residual <= threshold)
+    # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
+    # scaling F and K together keeps the verdict.
+    e = _unit_exponent(sys.K.matrix)
+    threshold = tol.residual_rel * (1.0 + math.ldexp(operator_norm(sys.K.matrix), -e))
+    return DualSystem(G=arr, residual=residual, is_valid=math.ldexp(residual, -e) <= threshold)
 
 
 def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem:

@@ -26,6 +26,7 @@ __all__ = [
     "column_blocks",
     "pseudo_inverse",
     "pinv_and_rank",
+    "stacked_pinv_and_rank",
     "null_space_basis",
     "range_basis",
     "range_projector",
@@ -180,14 +181,47 @@ def column_blocks(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return m.T[subsets].transpose(0, 2, 1)
 
 
+def _svd_rank(s: np.ndarray, shape, tol: TolerancePolicy) -> int:
+    return int(np.sum(s > _rank_cutoff(s, shape, tol)))
+
+
+def _pinv_from_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray, r: int) -> np.ndarray:
+    return v[:, :r] @ np.diag(1.0 / s[:r]) @ u[:, :r].T
+
+
 def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Pseudo-inverse and numerical rank, both read off one SVD."""
     arr = ensure_matrix(m)
     if arr.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0])), 0
     u, s, v = svd_factor(arr)
-    r = int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
-    return v[:, :r] @ np.diag(1.0 / s[:r]) @ u[:, :r].T, r
+    r = _svd_rank(s, arr.shape, tol)
+    return _pinv_from_svd(u, s, v, r), r
+
+
+def stacked_pinv_and_rank(
+    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """pinv_and_rank of every block of an N x n x k stack, from one stacked SVD.
+
+    The stacked SVD returns each block's own factors, the rank rule is
+    _rank_cutoff's block by block, and the pseudo-inverses are formed in
+    pinv_and_rank's operand order, one batch per distinct rank; so every
+    block gets pinv_and_rank's result bit for bit.
+    """
+    count, rows, cols = blocks.shape
+    pinvs = np.zeros((count, cols, rows))
+    if rows == 0 or cols == 0:
+        return pinvs, np.zeros(count, dtype=np.intp)
+    u, s, vt = np.linalg.svd(blocks, full_matrices=True)
+    cutoff = np.maximum(tol.rank_cutoff_rel * max(rows, cols) * s[:, :1], _TINY)
+    ranks = np.count_nonzero(s > cutoff, axis=1)
+    for r in set(ranks.tolist()) - {0}:
+        sel = np.flatnonzero(ranks == r)
+        diag = np.eye(r) / s[sel, :r, None]
+        v, ut = vt[sel, :r].transpose(0, 2, 1), u[sel, :, :r].transpose(0, 2, 1)
+        pinvs[sel] = v @ diag @ ut
+    return pinvs, ranks
 
 
 def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -202,8 +236,7 @@ def range_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     if arr.size == 0:
         return SubspaceBasis(n, np.zeros((n, 0)))
     u, s, _ = svd_factor(arr)
-    r = int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
-    return SubspaceBasis(n, _canonical_signs(u[:, :r]))
+    return SubspaceBasis(n, _canonical_signs(u[:, :_svd_rank(s, arr.shape, tol)]))
 
 
 def null_space_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
@@ -212,9 +245,8 @@ def null_space_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     cols = arr.shape[1]
     if arr.size == 0:
         return SubspaceBasis(cols, np.eye(cols))
-    u, s, v = svd_factor(arr)
-    r = int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
-    return SubspaceBasis(cols, _canonical_signs(v[:, r:]))
+    _, s, v = svd_factor(arr)
+    return SubspaceBasis(cols, _canonical_signs(v[:, _svd_rank(s, arr.shape, tol):]))
 
 
 def range_projector(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

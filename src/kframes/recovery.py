@@ -15,11 +15,13 @@ A recovery matrix here is any m x m matrix M with (M - Gram) G^T = 0; its
 two sparks bound how many erasures each solver tolerates.
 
 For a fixed erasure set each solver is one linear map. plan_recovery builds
-it once per erasure set and strategy from one SVD of the erased block, which
-gives both the rank decision and the pseudo-inverse; RecoveryPlan.apply then
-recovers a batch of signals in one stacked matmul, with a solver residual and
-a certified-exact flag per signal. The recover_* functions plan and apply for
-one signal.
+the maps of one strategy for many erasure sets at once: one stacked SVD of
+all the erased blocks gives each set its rank decision and pseudo-inverse,
+and a rank-deficient set is marked, not raised. RecoveryPlan.apply then
+recovers a batch of signals, each erased on one of the sets, with a solver
+residual and a certified-exact flag per signal; each signal is rounded as if
+planned and recovered alone. The recover_* functions plan one set, raise
+AmbiguityError for a rank-deficient one, and apply for one signal.
 """
 
 from __future__ import annotations
@@ -45,16 +47,17 @@ from .frames import (
 )
 from .linalg import (
     TolerancePolicy,
+    column_blocks,
     ensure_matrix,
     ensure_vector,
     matvec_rows,
     null_space_basis,
     operator_norm,
-    pinv_and_rank,
     pseudo_inverse,
     range_projector,
-    rank_of,
     row_norms,
+    stacked_pinv_and_rank,
+    stacked_ranks,
 )
 from .redundancy import INFINITE, SparkResult, spark
 
@@ -249,92 +252,119 @@ def find_rk_matrix(
 STRATEGIES = ("side-info", "blind", "consistency")
 
 
+# Signals recovered per pass of RecoveryPlan.apply; bounds the per-signal
+# operators it gathers.
+APPLY_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class RecoveryPlan:
-    """Recovery map of one strategy for one erasure set.
+    """Recovery maps of one strategy for G erasure sets, the rows of erased.
 
-    It fits block @ x = rhs by the pseudo-inverse solver and fills the erased
-    slots with lift @ x. side-info: block = M_L, rhs = v - M_known c_known
-    (coupling = M_known); blind: the same with N = M - Gram and no v; lift is
-    None for both, as x = c_L. consistency: block = G_known^T, rhs = c_known,
-    lift = G_L^T, and range_ok says whether the survivors span R(K^T).
+    Set g fits block @ x = rhs by its pseudo-inverse solver[g] and fills its
+    erased slots with x, or with lift @ x; block and lift are columns of
+    matrix. side-info: matrix = M, block = M_L, rhs = v - M_known c_known;
+    blind: the same with matrix = N = M - Gram and no v. consistency: matrix
+    = G, block = G_known^T, rhs = c_known, lift = G_L^T, and range_ok says
+    whether the survivors span R(K^T). rank is each block's numerical rank.
     """
 
     strategy: str
-    erased: list[int]
-    known: list[int]
-    block: np.ndarray
+    matrix: np.ndarray
+    erased: np.ndarray
+    known: np.ndarray
     solver: np.ndarray
-    coupling: np.ndarray | None
-    lift: np.ndarray | None
-    range_ok: bool
+    rank: np.ndarray
+    range_ok: np.ndarray
     tol: TolerancePolicy
 
+    @property
+    def deficiency(self) -> np.ndarray:
+        """Rank deficiency of each set's erased columns of M (side-info) or
+        M - Gram (blind); a set with deficiency > 0 is ambiguous. Always 0
+        for consistency, which fits in the least-squares sense."""
+        if self.strategy == "consistency":
+            return np.zeros_like(self.rank)
+        return self.erased.shape[1] - self.rank
+
     def apply(
-        self, coefficients: np.ndarray, side: np.ndarray | None = None
+        self, coefficients: np.ndarray, which: np.ndarray, side: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Recovered coefficients, solver residuals and certified flags of B signals.
 
-        coefficients and side (side-info only) are B x m, one row per signal. A
-        signal is certified when range_ok and residual <= residual_rel (1 + ||rhs||).
+        coefficients and side (side-info only) are B x m, one row per signal,
+        and signal i was erased at the set erased[which[i]]. Each signal gets
+        its own matrix-vector products with its set's map, so it is rounded
+        exactly as when recovered alone. A signal is certified when its set's
+        range_ok holds and residual <= residual_rel (1 + ||rhs||).
         """
         full = coefficients.copy()
-        if self.block.shape[1] == 0:
+        residual = np.zeros(len(full))
+        certified = np.ones(len(full), dtype=bool)
+        if self.strategy != "consistency" and self.erased.shape[1] == 0:
             # Nothing erased: the survivors are the whole coefficient vector.
-            return full, np.zeros(len(full)), np.ones(len(full), dtype=bool)
-        known_values = coefficients[:, self.known]
-        if self.strategy == "consistency":
-            rhs = known_values
-        elif self.strategy == "blind":
-            rhs = -matvec_rows(self.coupling, known_values)
-        else:
-            rhs = side - matvec_rows(self.coupling, known_values)
-        x = matvec_rows(self.solver, rhs)
-        residual = row_norms(matvec_rows(self.block, x) - rhs)
-        full[:, self.erased] = x if self.lift is None else matvec_rows(self.lift, x)
-        return full, residual, self.range_ok & (
-            residual <= self.tol.residual_rel * (1.0 + row_norms(rhs)))
+            return full, residual, certified
+        for start in range(0, len(full), APPLY_CHUNK):
+            rows = slice(start, start + APPLY_CHUNK)
+            sets = which[rows]
+            known, erased = self.known[sets], self.erased[sets]
+            signal = np.arange(start, start + len(sets))[:, None]
+            rhs = coefficients[signal, known]
+            if self.strategy == "consistency":
+                block, lift = self.matrix.T[known], self.matrix.T[erased]
+            else:
+                block, lift = column_blocks(self.matrix, erased), None
+                coupled = matvec_rows(column_blocks(self.matrix, known), rhs)
+                rhs = -coupled if self.strategy == "blind" else side[rows] - coupled
+            x = matvec_rows(self.solver[sets], rhs)
+            residual[rows] = row_norms(matvec_rows(block, x) - rhs)
+            full[signal, erased] = x if lift is None else matvec_rows(lift, x)
+            certified[rows] = self.range_ok[sets] & (
+                residual[rows] <= self.tol.residual_rel * (1.0 + row_norms(rhs)))
+        return full, residual, certified
 
 
 def plan_recovery(
     sys: KFrameSystem,
     strategy: str,
-    lam,
+    sets,
     m_mat=None,
     dual: DualSystem | None = None,
     tol: TolerancePolicy | None = None,
 ) -> RecoveryPlan:
-    """Plan recovery of the erasure set lam from one SVD of its block.
+    """Plan recovery of every erasure set (row of the G x r index array sets).
 
-    side-info and blind read m_mat (default: the Gramian), consistency the
-    dual. Raises AmbiguityError with the rank deficiency when the erased
-    columns of M (side-info) or M - Gram (blind) are rank deficient.
+    The erased blocks of all sets are factored by one stacked SVD, which gives
+    each set's rank decision and pseudo-inverse. side-info and blind read
+    m_mat (default: the Gramian), consistency the dual. A rank-deficient set
+    is marked by its deficiency, not raised.
     """
     tol = tol or sys.tol
-    erased = list(normalize_erasure_set(lam, sys.m))
-    known = [i for i in range(sys.m) if i not in erased]
+    erased = np.asarray(sets, dtype=np.intp)
+    if erased.ndim != 2:
+        raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
+    count, r = erased.shape
+    keep = np.ones((count, sys.m), dtype=bool)
+    if erased.size and (erased.min() < 0 or erased.max() >= sys.m):
+        raise ValueError(f"erasure sets must hold indices in 0..{sys.m - 1}")
+    keep[np.arange(count)[:, None], erased] = False
+    if np.count_nonzero(keep) != count * (sys.m - r):
+        raise ValueError("an erasure set repeats an index")
+    known = np.nonzero(keep)[1].reshape(count, sys.m - r)
     if strategy == "consistency":
-        g_known = dual.G[:, known]
-        solver, rank = pinv_and_rank(g_known.T, tol)
+        solver, rank = stacked_pinv_and_rank(dual.G.T[known], tol)
         # The survivors frame R(K^T) exactly when appending K^T adds no rank.
-        range_ok = rank_of(np.hstack([g_known, sys.K.matrix.T]), tol) == rank
-        return RecoveryPlan(strategy, erased, known, g_known.T, solver, None,
-                            dual.G[:, erased].T, range_ok, tol)
+        k_t = np.broadcast_to(sys.K.matrix.T, (count, sys.n, sys.n))
+        spans = stacked_ranks(np.concatenate([column_blocks(dual.G, known), k_t], axis=2), tol)
+        return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans == rank, tol)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     mat = _recovery_matrix(sys, m_mat)
     if strategy == "blind":
         mat = mat - sys.gramian
-    block = mat[:, erased]
-    solver, rank = pinv_and_rank(block, tol)
-    if rank < len(erased):
-        raise AmbiguityError(
-            f"{strategy}: erased columns are rank deficient "
-            f"({rank} < {len(erased)}); recovery is ambiguous",
-            deficiency=len(erased) - rank,
-        )
-    return RecoveryPlan(strategy, erased, known, block, solver, mat[:, known],
-                        None, True, tol)
+    solver, rank = stacked_pinv_and_rank(column_blocks(mat, erased), tol)
+    return RecoveryPlan(strategy, mat, erased, known, solver, rank,
+                        np.ones(count, dtype=bool), tol)
 
 
 @dataclass(frozen=True)
@@ -351,8 +381,15 @@ class RecoveryReport:
 def _recover_one(
     sys: KFrameSystem, plan: RecoveryPlan, coded: CodedSignal, side=None
 ) -> RecoveryReport:
+    if plan.deficiency[0]:
+        raise AmbiguityError(
+            f"{plan.strategy}: erased columns are rank deficient "
+            f"({plan.rank[0]} < {len(coded.mask)}); recovery is ambiguous",
+            deficiency=int(plan.deficiency[0]),
+        )
     full, residual, certified = plan.apply(
-        coded.coefficients[None, :], None if side is None else side[None, :])
+        coded.coefficients[None, :], np.zeros(1, dtype=np.intp),
+        None if side is None else side[None, :])
     return RecoveryReport(full[0], sys.F @ full[0], plan.strategy, float(residual[0]),
                           bool(certified[0]))
 
@@ -376,7 +413,7 @@ def recover_side_info(
     if side.shape[0] != sys.m:
         raise ShapeMismatchError(f"side vector length {side.shape[0]} != m = {sys.m}")
     mat = _recovery_matrix(sys, m_mat, dual, tol)
-    plan = plan_recovery(sys, "side-info", coded.mask, m_mat=mat, tol=tol)
+    plan = plan_recovery(sys, "side-info", [coded.mask], m_mat=mat, tol=tol)
     return _recover_one(sys, plan, coded, side)
 
 
@@ -390,7 +427,7 @@ def recover_blind(
     """Recover erased entries from the homogeneous relation (M - Gram) c = 0."""
     tol = tol or sys.tol
     mat = _recovery_matrix(sys, m_mat, dual, tol)
-    plan = plan_recovery(sys, "blind", coded.mask, m_mat=mat, tol=tol)
+    plan = plan_recovery(sys, "blind", [coded.mask], m_mat=mat, tol=tol)
     return _recover_one(sys, plan, coded)
 
 
@@ -406,7 +443,7 @@ def recover_consistency(
     (range test), which pins Kf even though the fitted signal itself may
     wander in the kernel directions.
     """
-    plan = plan_recovery(sys, "consistency", coded.mask, dual=dual, tol=tol)
+    plan = plan_recovery(sys, "consistency", [coded.mask], dual=dual, tol=tol)
     return _recover_one(sys, plan, coded)
 
 

@@ -4,10 +4,13 @@ For every draw, numpy's matrix_rank (with the library's relative cutoff) of
 the erased block predicts whether side-info and blind recovery complete, and
 the survivor range test predicts whether consistency recovery is exact. The
 signals and erasure sets are redrawn here with simulate's rng call sequence.
+The stacked plan itself is checked, bit for bit, against a plan built set by
+set from one SVD per block and applied signal by signal.
 """
 
 import contextlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kframes import AmbiguityError, verify_kdual, verify_kframe
+from kframes import verify_kdual, verify_kframe
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
 from kframes.recovery import STRATEGIES, plan_recovery
@@ -82,19 +85,18 @@ def _check_simulate(workdir, f_mat, k_mat, g, m_mat, r, seed):
     # Every certified reconstruction of the batched path matches Kf.
     sys = verify_kframe(f_mat, k_mat)
     dual_sys = verify_kdual(sys, g)
+    sets, which = np.unique(np.array([lam for _, lam in draws], dtype=int).reshape(
+        SIGNALS, r), axis=0, return_inverse=True)
+    signals = np.array([f for f, _ in draws])
     for strategy in STRATEGIES:
-        for lam in {lam for _, lam in draws}:
-            rows = [f for f, erased in draws if erased == lam]
-            signals = np.array(rows)
-            try:
-                plan = plan_recovery(sys, strategy, lam, m_mat=m_mat, dual=dual_sys)
-            except AmbiguityError:
-                continue
-            full, _, certified = plan.apply(signals @ g, signals @ k_mat.T @ f_mat)
-            recon = full @ f_mat.T
-            kf = signals @ k_mat.T
-            err = np.linalg.norm(recon - kf, axis=1)
-            assert np.all(err[certified] <= 1e-8 * np.linalg.norm(kf, axis=1)[certified])
+        plan = plan_recovery(sys, strategy, sets, m_mat=m_mat, dual=dual_sys)
+        ok = plan.deficiency[which] == 0
+        full, _, certified = plan.apply((signals @ g)[ok], which[ok],
+                                        (signals @ k_mat.T @ f_mat)[ok])
+        recon = full @ f_mat.T
+        kf = signals[ok] @ k_mat.T
+        err = np.linalg.norm(recon - kf, axis=1)
+        assert np.all(err[certified] <= 1e-8 * np.linalg.norm(kf, axis=1)[certified])
     return report
 
 
@@ -143,3 +145,98 @@ def test_fixture_d_blind_against_gramian_all_skipped(tmp_path, r):
     fix = FIXTURES["FIX-D"]
     report = _check_simulate(tmp_path, fix.F, fix.K, fix.dual, fix.F.T @ fix.F, r, 11)
     assert report["blind"]["skipped"] == SIGNALS
+
+
+def _reference_plan(sys, dual, strategy, mat, lam):
+    """(rank, range_ok, block, solver, coupling, lift) of one set, from one SVD."""
+    known = [i for i in range(sys.m) if i not in lam]
+    if strategy == "consistency":
+        block, coupling, lift = dual.G[:, known].T, None, dual.G[:, list(lam)].T
+    else:
+        block, coupling, lift = mat[:, list(lam)], mat[:, known], None
+    rank, solver = 0, np.zeros(block.shape[::-1])
+    if block.size:
+        u, s, vt = np.linalg.svd(block, full_matrices=True)
+        cutoff = max(1e-10 * max(block.shape) * s[0], np.finfo(float).tiny)
+        rank = int(np.sum(s > cutoff))
+        solver = vt.T[:, :rank] @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
+    range_ok = True
+    if strategy == "consistency":
+        both = np.hstack([dual.G[:, known], sys.K.matrix.T])
+        s = np.linalg.svd(both, compute_uv=False)
+        range_ok = int(np.sum(s > max(1e-10 * max(both.shape) * s[0],
+                                      np.finfo(float).tiny))) == rank
+    return rank, range_ok, block, solver, coupling, lift
+
+
+def _reference_apply(strategy, lam, plan, c, side):
+    """One signal through one set's reference plan, with 2-D numpy products."""
+    _, range_ok, block, solver, coupling, lift = plan
+    full = c.copy()
+    if block.shape[1] == 0:
+        return full, 0.0, True
+    known_values = c[[i for i in range(len(c)) if i not in lam]]
+    if strategy == "consistency":
+        rhs = known_values
+    elif strategy == "blind":
+        rhs = -(coupling @ known_values)
+    else:
+        rhs = side - coupling @ known_values
+    x = solver @ rhs
+    residual = float(np.linalg.norm(block @ x - rhs))
+    full[list(lam)] = x if lift is None else lift @ x
+    return full, residual, range_ok and residual <= 1e-9 * (1.0 + np.linalg.norm(rhs))
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 4),
+    rank_k=st.integers(1, 4),
+    r=st.integers(0, 3),
+    use_gramian=st.booleans(),
+    duplicate=st.booleans(),
+    zero=st.booleans(),
+)
+def test_stacked_plan_matches_per_set_reference(
+    seed, n, extra, rank_k, r, use_gramian, duplicate, zero
+):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    r = min(r, m - 1)
+    f_mat, k_mat = random_kframe(rng, n, m, min(rank_k, n))
+    # Repeated and zero columns make some erased blocks rank deficient, and
+    # consistency blocks of one size differ in rank.
+    if duplicate:
+        f_mat[:, m - 1] = f_mat[:, m - 2]
+    if zero and m - 1 > rank_k:
+        f_mat[:, rank_k] = 0.0
+    sys = verify_kframe(f_mat, k_mat)
+    dual = verify_kdual(sys, (np.linalg.pinv(f_mat) @ k_mat).T)
+    m_mat = f_mat.T @ f_mat if use_gramian else _annihilating_matrix(rng, f_mat, dual.G)
+    combos = list(itertools.combinations(range(m), r))
+    sets = np.array(combos, dtype=int).reshape(len(combos), r)
+    which = np.repeat(np.arange(len(sets)), 2)
+    signals = rng.standard_normal((len(which), n))
+    coeffs = signals @ dual.G
+    sides = signals @ k_mat.T @ f_mat
+    for strategy in STRATEGIES:
+        mat = m_mat - f_mat.T @ f_mat if strategy == "blind" else m_mat
+        plan = plan_recovery(sys, strategy, sets, m_mat=m_mat, dual=dual)
+        refs = [_reference_plan(sys, dual, strategy, mat, tuple(lam)) for lam in sets]
+        for g, (rank, range_ok, _, solver, _, _) in enumerate(refs):
+            skip = strategy != "consistency" and rank < r
+            assert (plan.deficiency[g] > 0) == skip
+            assert plan.rank[g] == rank and plan.range_ok[g] == range_ok
+            assert _same(plan.solver[g], solver)
+        full, residual, certified = plan.apply(coeffs, which, sides)
+        for i, g in enumerate(which):
+            want = _reference_apply(strategy, tuple(sets[g]), refs[g], coeffs[i], sides[i])
+            assert _same(full[i], want[0])
+            assert residual[i] == want[1] and certified[i] == want[2]

@@ -171,6 +171,19 @@ class TestRestrictedFormulas:
                     report.dual_domain.G, canonical_kdual(sys).dual.G, atol=1e-8
                 )
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixtures_at_extreme_scale_match_scale_one(self, name, scale):
+        fix = FIXTURES[name]
+        base = canonical_kdual_restricted(verify_kframe(fix.F, fix.K))
+        scaled = canonical_kdual_restricted(verify_kframe(scale * fix.F, scale * fix.K))
+        assert scaled.hypotheses == base.hypotheses
+        for attr in ("dual_image", "dual_domain"):
+            want, got = getattr(base, attr), getattr(scaled, attr)
+            assert got.is_valid == want.is_valid
+            np.testing.assert_allclose(got.G, want.G, rtol=1e-9,
+                                       atol=1e-9 * np.abs(want.G).max())
+
 
 class TestMinimality:
     def test_douglas_minimality_random_systems(self):

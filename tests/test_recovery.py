@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kframes import (
     AmbiguityError,
@@ -28,6 +30,7 @@ from kframes import (
     worst_residual_error,
 )
 from kframes.fixtures import FIXTURES
+from kframes.redundancy import INFINITE, spark_via_kernel
 
 from conftest import random_inrange_kframe, random_kframe, uniform_excess_construction
 
@@ -182,6 +185,46 @@ class TestRecoverSideInfo:
         with pytest.raises(AmbiguityError) as err:
             recover_side_info(sys_d, sys_d.gramian, erase(c, [0, 1, 2]), v)
         assert err.value.deficiency >= 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(1, 4),
+    use_gramian=st.booleans(),
+)
+def test_exact_recovery_up_to_spark_minus_one(seed, n, extra, rank_k, use_gramian):
+    # The paper's guarantee: against a certified M, side-info recovery is exact
+    # for every erasure set L with |L| <= spark(M) - 1, and blind recovery for
+    # every L with |L| <= spark(M - Gram) - 1. Both sparks come from the
+    # independent kernel route.
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f_mat, k_mat = random_kframe(rng, n, m, min(rank_k, n))
+    sys = verify_kframe(f_mat, k_mat)
+    dual = verify_kdual(sys, (np.linalg.pinv(f_mat) @ k_mat).T)
+    m_mat = sys.gramian.copy()
+    if not use_gramian:
+        proj = dual.G.T @ np.linalg.pinv(dual.G.T)
+        m_mat += rng.standard_normal((m, m)) @ (np.eye(m) - proj)
+    assert validate_rk_matrix(sys, dual, m_mat).annihilation_ok
+    signal = rng.standard_normal(n)
+    c, kf = encode(dual, signal), k_mat @ signal
+    for strategy, mat in (("side-info", m_mat), ("blind", m_mat - sys.gramian)):
+        value = spark_via_kernel(mat).value
+        most = m if value == INFINITE else int(value) - 1
+        for size in range(most + 1):
+            for lam in itertools.combinations(range(m), size):
+                coded = erase(c, lam)
+                if strategy == "side-info":
+                    report = recover_side_info(sys, m_mat, coded, f_mat.T @ kf, dual=dual)
+                else:
+                    report = recover_blind(sys, m_mat, coded, dual=dual)
+                assert report.certified_exact, (strategy, lam)
+                error = np.linalg.norm(report.reconstructed - kf)
+                assert error <= 1e-8 * (1.0 + np.linalg.norm(kf)), (strategy, lam)
 
 
 class TestRecoverBlind:
