@@ -4,6 +4,7 @@
 
 Run from the root of a checkout with BLAS pinned to one thread. Keys are
 fixed per case: times in microseconds, plan + apply as signals per second.
+src_lines, the line count of the Python files under src/, stands beside them.
 """
 
 import json
@@ -33,6 +34,7 @@ def main(out: str) -> int:
             result[key] = case["extra_info"]["signals"] / median
         else:
             result[f"{case['name'].removeprefix('test_')}_us"] = median * 1e6
+    result["src_lines"] = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
     Path(out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

@@ -89,7 +89,6 @@ def is_canonical(
     if not dual.is_valid:
         raise ValueError("is_canonical requires a valid dual")
     g = dual.G
-    threshold = tol.residual_rel * 10 * (1.0 + operator_norm(g @ g.T))
     null = null_space_basis(sys.F, tol)
     probes: list[np.ndarray] = [canonical_kdual(sys).dual.G]
     unit = np.ones((sys.n, 1))
@@ -101,7 +100,8 @@ def is_canonical(
             break
         probes.append(g + rng.standard_normal((sys.n, null.dim)) @ null.basis.T)
     gram = g @ g.T
-    return all(operator_norm(gram - g @ z.T) <= threshold for z in probes)
+    scale = operator_norm(gram)
+    return all(tol.accepts(operator_norm(gram - g @ z.T), scale, factor=10) for z in probes)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys as _sys
 from pathlib import Path
 
@@ -68,11 +69,21 @@ common options: --tol-rank X --tol-res X --cap-subsets N --pretty
 """
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low; a smaller one is a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _base_parser(name: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"kframes {name}", add_help=True)
     parser.add_argument("--tol-rank", type=float, default=1e-10)
     parser.add_argument("--tol-res", type=float, default=1e-9)
-    parser.add_argument("--cap-subsets", type=int, default=10**6)
+    parser.add_argument("--cap-subsets", type=_at_least(1), default=10**6)
     parser.add_argument("--pretty", action="store_true")
     parser.add_argument("--json", dest="pretty", action="store_false",
                         help="compact JSON output (default)")
@@ -121,10 +132,6 @@ def _spark_obj(result: SparkResult) -> dict:
 
 def _one_based(indices) -> list[int]:
     return [int(i) + 1 for i in indices]
-
-
-def _zero_based(indices) -> list[int]:
-    return [int(i) - 1 for i in indices]
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -211,6 +218,12 @@ def _cmd_canonical_dual(argv) -> dict:
     return {"report": report, "pretty": args.pretty}
 
 
+def _mrc_all_obj(system: KFrameSystem, r: int, cap: int, tol: TolerancePolicy) -> dict:
+    satisfied, failing = mrc_all(system.F, system.K, r, cap=cap, tol=tol)
+    return {"r": r, "satisfied": satisfied,
+            "first_failing": None if failing is None else _one_based(failing)}
+
+
 def _cmd_analyze(argv) -> dict:
     parser = _base_parser("analyze")
     parser.add_argument("--system", required=True)
@@ -221,8 +234,6 @@ def _cmd_analyze(argv) -> dict:
     cls = classify(system)
     spark_f = spark(system.F, tol, cap=args.cap_subsets)
     excess = uniform_excess(system.F, system.K, cap=args.cap_subsets, tol=tol)
-    satisfied, failing = mrc_all(system.F, system.K, args.r,
-                                 cap=args.cap_subsets, tol=tol)
     try:
         bounds = list(frame_bounds(system))
     except KFrameError:
@@ -243,11 +254,7 @@ def _cmd_analyze(argv) -> dict:
             "value": excess.value,
             "witness": None if excess.witness is None else _one_based(excess.witness),
         },
-        "mrc": {
-            "r": args.r,
-            "satisfied": satisfied,
-            "first_failing": None if failing is None else _one_based(failing),
-        },
+        "mrc": _mrc_all_obj(system, args.r, args.cap_subsets, tol),
         "maximal_robust": is_maximal_robust(system.F, system.K,
                                             cap=args.cap_subsets, tol=tol),
     }
@@ -264,8 +271,9 @@ def _cmd_mrc(argv) -> dict:
     tol = _policy(args)
     system = _load_system(args.system, tol)
     if args.sigma is not None:
-        raw = [s for s in args.sigma.split(",") if s.strip()]
-        sigma = _zero_based(int(s) for s in raw)
+        raw = [s.strip() for s in args.sigma.split(",") if s.strip()]
+        sigma = _positions([int(s) if re.fullmatch(r"[+-]?\d+", s) else s for s in raw],
+                           system.m, "--sigma")
         rep = mrc_subset(system.F, system.K, sigma, tol)
         report = {
             "command": "mrc",
@@ -275,15 +283,23 @@ def _cmd_mrc(argv) -> dict:
             "parseval_condition_ii": rep.parseval_condition_ii,
         }
     else:
-        satisfied, failing = mrc_all(system.F, system.K, args.r,
-                                     cap=args.cap_subsets, tol=tol)
-        report = {
-            "command": "mrc",
-            "r": args.r,
-            "satisfied": satisfied,
-            "first_failing": None if failing is None else _one_based(failing),
-        }
+        report = {"command": "mrc", **_mrc_all_obj(system, args.r, args.cap_subsets, tol)}
     return {"report": report, "pretty": args.pretty}
+
+
+def _positions(values, m: int, what: str) -> list[int]:
+    """0-based indices of distinct 1-based positions in 1..m; else exit code 2."""
+    if not isinstance(values, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in values
+    ):
+        raise MatrixFormatError(f"{what} must be a list of integer positions, got {values!r}")
+    outside = [i for i in values if not 1 <= i <= m]
+    if outside:
+        raise MatrixFormatError(f"{what} positions must lie in 1..{m}, got {outside}")
+    repeated = sorted({i for i in values if values.count(i) > 1})
+    if repeated:
+        raise MatrixFormatError(f"{what} positions repeat: {repeated}")
+    return [i - 1 for i in values]
 
 
 def _load_coded(path, m: int):
@@ -291,18 +307,7 @@ def _load_coded(path, m: int):
     if not isinstance(obj, dict) or "coefficients" not in obj:
         raise MatrixFormatError(f"{path}: expected an object with 'coefficients'")
     erased = obj.get("erased", [])
-    if not isinstance(erased, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in erased
-    ):
-        raise MatrixFormatError(f"{path}: 'erased' must be a list of integer positions")
-    outside = [i for i in erased if not 1 <= i <= m]
-    if outside:
-        raise MatrixFormatError(
-            f"{path}: erased positions must lie in 1..{m}, got {outside}"
-        )
-    repeated = sorted({i for i in erased if erased.count(i) > 1})
-    if repeated:
-        raise MatrixFormatError(f"{path}: erased positions repeat: {repeated}")
+    mask = _positions(erased, m, f"{path}: 'erased'")
     coeffs = obj["coefficients"]
     if not isinstance(coeffs, list) or len(coeffs) != m:
         got = len(coeffs) if isinstance(coeffs, list) else type(coeffs).__name__
@@ -314,7 +319,7 @@ def _load_coded(path, m: int):
             f"list erased positions in 'erased'"
         )
     values = [0.0 if v is None else float(v) for v in coeffs]
-    return erase(values, _zero_based(erased))
+    return erase(values, mask)
 
 
 def _cmd_recover(argv) -> dict:
@@ -360,7 +365,7 @@ def _cmd_find_rk(argv) -> dict:
     parser.add_argument("--dual", required=True)
     parser.add_argument("--r", type=int, required=True)
     parser.add_argument("--trials", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
     args = parser.parse_args(argv)
     tol = _policy(args)
     system = _load_system(args.system, tol)
@@ -423,7 +428,7 @@ def _cmd_simulate(argv) -> dict:
                         help="dual file; canonical dual when omitted")
     parser.add_argument("--r", type=int, required=True)
     parser.add_argument("--signals", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
     parser.add_argument("--strategies", default="side-info,blind,consistency")
     parser.add_argument("--rk-matrix", default=None)
     args = parser.parse_args(argv)
@@ -436,9 +441,9 @@ def _cmd_simulate(argv) -> dict:
     if not (0 <= args.r < system.m):
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise KFrameError(f"unknown strategy {s!r}")
+    if not strategies or any(s not in STRATEGIES or strategies.count(s) > 1 for s in strategies):
+        raise KFrameError(f"--strategies needs distinct names of {', '.join(STRATEGIES)}, "
+                          f"got {args.strategies!r}")
     m_mat = system.gramian if args.rk_matrix is None \
         else matrixio.load_matrix(args.rk_matrix)
     rng = np.random.default_rng(args.seed)

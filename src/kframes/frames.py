@@ -161,6 +161,18 @@ def normalize_erasure_set(indices, m: int) -> tuple[int, ...]:
     return lam
 
 
+def _complements(sets: np.ndarray, m: int) -> np.ndarray:
+    """Sorted complement in range(m) of each row; ValueError on bad or repeated indices."""
+    count, r = sets.shape
+    if sets.size and (sets.min() < 0 or sets.max() >= m):
+        raise ValueError(f"erasure sets must hold indices in 0..{m - 1}")
+    keep = np.ones((count, m), dtype=bool)
+    keep[np.arange(count)[:, None], sets] = False
+    if np.count_nonzero(keep) != count * (m - r):
+        raise ValueError("an erasure set repeats an index")
+    return np.nonzero(keep)[1].reshape(count, m - r)
+
+
 # Most subsets per chunk: enough to spread the Python cost of one stacked SVD
 # thin, and few enough that a chunk's blocks stay small next to a whole level.
 SCAN_CHUNK = 256
@@ -200,6 +212,10 @@ def scan_subsets(what: str, m: int, sizes, cap: int):
     return chunks()
 
 
+def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
+    return k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
+
+
 def _range_inclusion_ok(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> bool:
     if op.rank == 0:
         return True
@@ -209,7 +225,7 @@ def _range_inclusion_ok(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> b
 def is_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Cheap predicate form of verify_kframe (no system construction)."""
     arr = ensure_matrix(f, "F")
-    op = k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
+    op = _as_operator(k, tol)
     return arr.shape[0] == op.dim and _range_inclusion_ok(arr, op, tol)
 
 
@@ -237,7 +253,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
     when the inclusion fails, ShapeMismatchError on incompatible shapes.
     """
     arr = ensure_matrix(f, "F")
-    op = k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
+    op = _as_operator(k, tol)
     if arr.shape[0] != op.dim:
         raise ShapeMismatchError(
             f"F has {arr.shape[0]} rows but K acts on dimension {op.dim}"
@@ -309,14 +325,14 @@ def classify(sys: KFrameSystem, tol: TolerancePolicy | None = None) -> Classific
     if kk_sq > 0.0:
         fit = float(np.sum(ss * kk)) / kk_sq
         resid = np.linalg.norm(ss - fit * kk)
-        if resid <= tol.residual_rel * (1.0 + np.linalg.norm(ss)):
+        if tol.accepts(resid, np.linalg.norm(ss)):
             alpha = float(np.ldexp(fit, 2 * (f_exp - k_exp)))
-    elif np.linalg.norm(ss) <= tol.residual_rel:
+    elif tol.accepts(np.linalg.norm(ss)):
         alpha = 1.0
     norms = np.linalg.norm(f, axis=0)
     spread = float(norms.max() - norms.min()) if norms.size else 0.0
-    equal_norm = spread <= tol.residual_rel * (1.0 + float(norms.max(initial=0.0)))
-    parseval = alpha is not None and abs(alpha - 1.0) <= tol.residual_rel * 10
+    equal_norm = tol.accepts(spread, float(norms.max(initial=0.0)))
+    parseval = alpha is not None and tol.accepts(abs(alpha - 1.0), factor=10)
     return Classification(tight_alpha=alpha, parseval=parseval, equal_norm=equal_norm)
 
 
@@ -332,8 +348,8 @@ def verify_kdual(sys: KFrameSystem, g, tol: TolerancePolicy | None = None) -> Du
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
     e = _unit_exponent(sys.K.matrix)
-    threshold = tol.residual_rel * (1.0 + math.ldexp(operator_norm(sys.K.matrix), -e))
-    return DualSystem(G=arr, residual=residual, is_valid=math.ldexp(residual, -e) <= threshold)
+    is_valid = tol.accepts(math.ldexp(residual, -e), math.ldexp(operator_norm(sys.K.matrix), -e))
+    return DualSystem(G=arr, residual=residual, is_valid=is_valid)
 
 
 def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem:
@@ -394,6 +410,6 @@ def transform(sys: KFrameSystem, a, u, tol: TolerancePolicy | None = None) -> KF
     if u.shape != (sys.m, sys.m):
         raise ShapeMismatchError(f"U must be {sys.m}x{sys.m}, got {u.shape}")
     unitary_defect = operator_norm(u.T @ u - np.eye(sys.m))
-    if unitary_defect > tol.residual_rel * 10:
+    if not tol.accepts(unitary_defect, factor=10):
         raise ValueError(f"U is not unitary (||U^T U - I|| = {unitary_defect:.3e})")
     return verify_kframe(a @ sys.F @ u, a @ sys.K.matrix, tol)

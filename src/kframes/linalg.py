@@ -1,8 +1,10 @@
 """Tolerance-aware dense real linear algebra primitives.
 
-All matrices are 2-D float64 numpy arrays with finite entries. Rank
-decisions are relative to the largest singular value so they are invariant
-under global scaling. Orthonormal bases always come from the SVD, with a
+All matrices are 2-D float64 numpy arrays with finite entries. Every
+numerical verdict in the package applies one of the two rules of
+TolerancePolicy: rank_cutoff for rank decisions, relative to the largest
+singular value so they are invariant under global scaling, and accepts for
+residual tests. Orthonormal bases always come from the SVD, with a
 deterministic sign convention (largest-magnitude entry of each basis vector
 is positive), so repeated runs produce identical bases.
 """
@@ -38,9 +40,14 @@ __all__ = [
 ]
 
 
+# Singular values below the smallest normal double cannot be inverted
+# without overflow; they count as zero in every rank decision.
+_TINY = float(np.finfo(float).tiny)
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical cutoffs used across the package.
+    """The package's two numerical rules, each written only here.
 
     rank_cutoff_rel scales the singular-value threshold for rank decisions;
     residual_rel scales acceptance thresholds for matrix-equation residuals.
@@ -55,6 +62,14 @@ class TolerancePolicy:
             value = getattr(self, name)
             if not (0.0 < value < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
+
+    def rank_cutoff(self, s: np.ndarray, shape) -> np.ndarray:
+        """Per-block cutoff for singular values s (... x k): relative to s[..., 0], >= _TINY."""
+        return np.maximum(self.rank_cutoff_rel * max(shape[-2:]) * s[..., :1], _TINY)
+
+    def accepts(self, residual, scale=0.0, factor=1.0):
+        """Residual test: residual <= residual_rel * factor * (1 + scale)."""
+        return residual <= self.residual_rel * factor * (1.0 + scale)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -137,24 +152,12 @@ def svd_factor(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt.T
 
 
-# Singular values below the smallest normal double cannot be inverted
-# without overflow; they count as zero in every rank decision.
-_TINY = float(np.finfo(float).tiny)
-
-
-def _rank_cutoff(s: np.ndarray, shape, tol: TolerancePolicy) -> float:
-    if s.size == 0:
-        return 0.0
-    return max(tol.rank_cutoff_rel * max(shape) * s[0], _TINY)
-
-
 def rank_of(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     arr = ensure_matrix(m)
     if arr.size == 0:
         return 0
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(s > _rank_cutoff(s, arr.shape, tol)))
+    return _svd_rank(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
 
 
 def stacked_ranks(
@@ -171,8 +174,7 @@ def stacked_ranks(
         return np.zeros(len(blocks), dtype=np.intp)
     s = np.linalg.svd(blocks, compute_uv=False)
     if cutoff is None:
-        # _rank_cutoff, block by block.
-        cutoff = np.maximum(tol.rank_cutoff_rel * max(blocks.shape[1:]) * s[:, :1], _TINY)
+        cutoff = tol.rank_cutoff(s, blocks.shape)
     return np.count_nonzero(s > cutoff, axis=1)
 
 
@@ -182,7 +184,7 @@ def column_blocks(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _svd_rank(s: np.ndarray, shape, tol: TolerancePolicy) -> int:
-    return int(np.sum(s > _rank_cutoff(s, shape, tol)))
+    return int(np.count_nonzero(s > tol.rank_cutoff(s, shape)))
 
 
 def _pinv_from_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray, r: int) -> np.ndarray:
@@ -205,7 +207,7 @@ def stacked_pinv_and_rank(
     """pinv_and_rank of every block of an N x n x k stack, from one stacked SVD.
 
     The stacked SVD returns each block's own factors, the rank rule is
-    _rank_cutoff's block by block, and the pseudo-inverses are formed in
+    applied block by block, and the pseudo-inverses are formed in
     pinv_and_rank's operand order, one batch per distinct rank; so every
     block gets pinv_and_rank's result bit for bit.
     """
@@ -214,8 +216,7 @@ def stacked_pinv_and_rank(
     if rows == 0 or cols == 0:
         return pinvs, np.zeros(count, dtype=np.intp)
     u, s, vt = np.linalg.svd(blocks, full_matrices=True)
-    cutoff = np.maximum(tol.rank_cutoff_rel * max(rows, cols) * s[:, :1], _TINY)
-    ranks = np.count_nonzero(s > cutoff, axis=1)
+    ranks = np.count_nonzero(s > tol.rank_cutoff(s, blocks.shape), axis=1)
     for r in set(ranks.tolist()) - {0}:
         sel = np.flatnonzero(ranks == r)
         diag = np.eye(r) / s[sel, :r, None]

@@ -41,6 +41,7 @@ from .errors import (
 from .frames import (
     DualSystem,
     KFrameSystem,
+    _complements,
     _max_erasure_norm,
     normalize_erasure_set,
     verify_kdual,
@@ -103,15 +104,6 @@ class CodedSignal:
     def m(self) -> int:
         return self.coefficients.shape[0]
 
-    @property
-    def known_indices(self) -> list[int]:
-        erased = set(self.mask)
-        return [i for i in range(self.m) if i not in erased]
-
-    @property
-    def known_values(self) -> np.ndarray:
-        return self.coefficients[self.known_indices]
-
 
 def encode(dual: DualSystem, f) -> np.ndarray:
     """Coefficients c = G^T f; synthesis F c returns Kf for valid duals."""
@@ -158,8 +150,7 @@ def _annihilation(
     """N = M - Gram, the residual ||N G^T|| and whether it passes its threshold."""
     n_mat = mat - sys.gramian
     residual = operator_norm(n_mat @ dual.G.T)
-    threshold = tol.residual_rel * (1.0 + operator_norm(n_mat) * operator_norm(dual.G))
-    return n_mat, residual, residual <= threshold
+    return n_mat, residual, tol.accepts(residual, operator_norm(n_mat) * operator_norm(dual.G))
 
 
 @dataclass(frozen=True)
@@ -296,7 +287,7 @@ class RecoveryPlan:
         and signal i was erased at the set erased[which[i]]. Each signal gets
         its own matrix-vector products with its set's map, so it is rounded
         exactly as when recovered alone. A signal is certified when its set's
-        range_ok holds and residual <= residual_rel (1 + ||rhs||).
+        range_ok holds and tol.accepts(residual, ||rhs||).
         """
         full = coefficients.copy()
         residual = np.zeros(len(full))
@@ -319,8 +310,8 @@ class RecoveryPlan:
             x = matvec_rows(self.solver[sets], rhs)
             residual[rows] = row_norms(matvec_rows(block, x) - rhs)
             full[signal, erased] = x if lift is None else matvec_rows(lift, x)
-            certified[rows] = self.range_ok[sets] & (
-                residual[rows] <= self.tol.residual_rel * (1.0 + row_norms(rhs)))
+            certified[rows] = self.range_ok[sets] & self.tol.accepts(
+                residual[rows], row_norms(rhs))
         return full, residual, certified
 
 
@@ -339,32 +330,27 @@ def plan_recovery(
     m_mat (default: the Gramian), consistency the dual. A rank-deficient set
     is marked by its deficiency, not raised.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "consistency" and dual is None:
+        raise ValueError("consistency recovery needs the dual")
     tol = tol or sys.tol
     erased = np.asarray(sets, dtype=np.intp)
     if erased.ndim != 2:
         raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
-    count, r = erased.shape
-    keep = np.ones((count, sys.m), dtype=bool)
-    if erased.size and (erased.min() < 0 or erased.max() >= sys.m):
-        raise ValueError(f"erasure sets must hold indices in 0..{sys.m - 1}")
-    keep[np.arange(count)[:, None], erased] = False
-    if np.count_nonzero(keep) != count * (sys.m - r):
-        raise ValueError("an erasure set repeats an index")
-    known = np.nonzero(keep)[1].reshape(count, sys.m - r)
+    known = _complements(erased, sys.m)
     if strategy == "consistency":
         solver, rank = stacked_pinv_and_rank(dual.G.T[known], tol)
         # The survivors frame R(K^T) exactly when appending K^T adds no rank.
-        k_t = np.broadcast_to(sys.K.matrix.T, (count, sys.n, sys.n))
+        k_t = np.broadcast_to(sys.K.matrix.T, (len(erased), sys.n, sys.n))
         spans = stacked_ranks(np.concatenate([column_blocks(dual.G, known), k_t], axis=2), tol)
         return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans == rank, tol)
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     mat = _recovery_matrix(sys, m_mat)
     if strategy == "blind":
         mat = mat - sys.gramian
     solver, rank = stacked_pinv_and_rank(column_blocks(mat, erased), tol)
     return RecoveryPlan(strategy, mat, erased, known, solver, rank,
-                        np.ones(count, dtype=bool), tol)
+                        np.ones(len(erased), dtype=bool), tol)
 
 
 @dataclass(frozen=True)
@@ -379,8 +365,14 @@ class RecoveryReport:
 
 
 def _recover_one(
-    sys: KFrameSystem, plan: RecoveryPlan, coded: CodedSignal, side=None
+    sys: KFrameSystem, strategy: str, coded: CodedSignal, side=None, m_mat=None,
+    dual: DualSystem | None = None, tol: TolerancePolicy | None = None,
 ) -> RecoveryReport:
+    """Plan and recover coded's erasure set; AmbiguityError when it is rank
+    deficient. Given the dual, M must first annihilate it (side-info, blind)."""
+    if strategy != "consistency":
+        m_mat = _recovery_matrix(sys, m_mat, dual, tol)
+    plan = plan_recovery(sys, strategy, [coded.mask], m_mat=m_mat, dual=dual, tol=tol)
     if plan.deficiency[0]:
         raise AmbiguityError(
             f"{plan.strategy}: erased columns are rank deficient "
@@ -390,7 +382,7 @@ def _recover_one(
     full, residual, certified = plan.apply(
         coded.coefficients[None, :], np.zeros(1, dtype=np.intp),
         None if side is None else side[None, :])
-    return RecoveryReport(full[0], sys.F @ full[0], plan.strategy, float(residual[0]),
+    return RecoveryReport(full[0], sys.F @ full[0], strategy, float(residual[0]),
                           bool(certified[0]))
 
 
@@ -408,13 +400,10 @@ def recover_side_info(
     caller and never fabricated here. Passing the dual enables the
     annihilation precondition check on M.
     """
-    tol = tol or sys.tol
     side = ensure_vector(v, "side vector")
     if side.shape[0] != sys.m:
         raise ShapeMismatchError(f"side vector length {side.shape[0]} != m = {sys.m}")
-    mat = _recovery_matrix(sys, m_mat, dual, tol)
-    plan = plan_recovery(sys, "side-info", [coded.mask], m_mat=mat, tol=tol)
-    return _recover_one(sys, plan, coded, side)
+    return _recover_one(sys, "side-info", coded, side, m_mat=m_mat, dual=dual, tol=tol)
 
 
 def recover_blind(
@@ -425,10 +414,7 @@ def recover_blind(
     tol: TolerancePolicy | None = None,
 ) -> RecoveryReport:
     """Recover erased entries from the homogeneous relation (M - Gram) c = 0."""
-    tol = tol or sys.tol
-    mat = _recovery_matrix(sys, m_mat, dual, tol)
-    plan = plan_recovery(sys, "blind", [coded.mask], m_mat=mat, tol=tol)
-    return _recover_one(sys, plan, coded)
+    return _recover_one(sys, "blind", coded, m_mat=m_mat, dual=dual, tol=tol)
 
 
 def recover_consistency(
@@ -443,8 +429,7 @@ def recover_consistency(
     (range test), which pins Kf even though the fitted signal itself may
     wander in the kernel directions.
     """
-    plan = plan_recovery(sys, "consistency", [coded.mask], dual=dual, tol=tol)
-    return _recover_one(sys, plan, coded)
+    return _recover_one(sys, "consistency", coded, dual=dual, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -476,29 +461,19 @@ def projected_dual_expansion(
     tol = tol or sys.tol
     mask = normalize_erasure_set(lam, sys.m)
     survivors = [j for j in range(sys.m) if j not in mask]
-    if not mask:
-        return ProjectedDualExpansion(
-            mask=mask,
-            alpha=np.zeros((0, len(survivors))),
-            recovery_matrix=np.zeros((0, sys.m)),
-            expansion_residual=0.0,
-        )
     projector = sys.K.range.projector()
     targets = projector @ dual.G[:, list(mask)]
     basis = sys.F[:, survivors]
     alpha = (pseudo_inverse(basis, tol) @ targets).T
-    residual = float(np.max(np.linalg.norm(basis @ alpha.T - targets, axis=0)))
-    scale = tol.residual_rel * (1.0 + float(np.linalg.norm(targets)))
-    if residual > scale:
+    residual = float(np.max(np.linalg.norm(basis @ alpha.T - targets, axis=0), initial=0.0))
+    if not tol.accepts(residual, float(np.linalg.norm(targets))):
         raise ExpansionError(
             f"projected dual vectors leave the survivor span "
             f"(residual {residual:.3e})"
         )
     recovery = np.zeros((len(mask), sys.m))
-    for row, i in enumerate(mask):
-        recovery[row, i] = 1.0
-    for col, j in enumerate(survivors):
-        recovery[:, j] = -alpha[:, col]
+    recovery[np.arange(len(mask)), list(mask)] = 1.0
+    recovery[:, survivors] = -alpha
     return ProjectedDualExpansion(
         mask=mask,
         alpha=alpha,
@@ -538,12 +513,8 @@ class ErrorSplit:
 def erasure_error_split(
     sys: KFrameSystem, dual: DualSystem, lam
 ) -> ErrorSplit:
-    mask = normalize_erasure_set(lam, sys.m)
     n = sys.n
-    if not mask:
-        zero = np.zeros((n, n))
-        return ErrorSplit(zero, zero.copy(), zero.copy(), (0.0, 0.0, 0.0))
-    idx = list(mask)
+    idx = list(normalize_erasure_set(lam, sys.m))
     projector = sys.K.range.projector()
     f_part = sys.F[:, idx]
     g_part = dual.G[:, idx]
@@ -653,14 +624,13 @@ def compose_recovery_matrices(
             f"got {n_arr.shape} and {m_arr.shape}"
         )
     pre_res = operator_norm(n_arr @ sys.F.T)
-    pre_tol = tol.residual_rel * (1.0 + operator_norm(n_arr) * operator_norm(sys.F))
-    if pre_res > pre_tol:
+    if not tol.accepts(pre_res, operator_norm(n_arr) * operator_norm(sys.F)):
         raise KFrameError(
             f"N is not an erasure-recovery matrix for the frame "
             f"(||N F^T|| = {pre_res:.3e})"
         )
     product = n_arr @ m_arr
-    degenerate = operator_norm(product) <= tol.residual_rel
+    degenerate = tol.accepts(operator_norm(product))
     if degenerate:
         composed_spark = SparkResult(INFINITE, None)
     else:

@@ -37,6 +37,8 @@ from .errors import KFrameError, RestrictedInverseError
 from .frames import (
     KFrameSystem,
     OperatorK,
+    _as_operator,
+    _complements,
     _unit_scaled,
     classify,
     is_kframe,
@@ -48,7 +50,6 @@ from .frames import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _TINY,
     TolerancePolicy,
     _canonical_signs,
     column_blocks,
@@ -115,11 +116,12 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
-    r = rank_of(arr, tol)
+    # One SVD of the parent gives its rank and the fixed cutoff of every subset.
+    s = np.linalg.svd(arr, compute_uv=False)
+    cutoff = tol.rank_cutoff(s, arr.shape)
+    r = int(np.count_nonzero(s > cutoff))
     if r == m:
         return SparkResult(INFINITE, None)
-    sigma_max = operator_norm(arr)
-    cutoff = max(tol.rank_cutoff_rel * max(arr.shape) * sigma_max, _TINY)
     for chunk in scan_subsets("spark", m, range(1, r + 2), cap):
         k = chunk.shape[1]
         dependent = np.flatnonzero(stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff) < k)
@@ -199,10 +201,6 @@ class MrcReport:
     parseval_condition_ii: bool | None
 
 
-def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
-    return k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
-
-
 def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
@@ -275,13 +273,6 @@ def mrc_all(
             # The one set of size 0 is (), reported as no failing set.
             return False, tuple(chunk[np.argmin(survive)].tolist()) or None
     return True, None
-
-
-def _complements(subsets: np.ndarray, m: int) -> np.ndarray:
-    """Ascending complement in range(m) of every row of an N x k index array."""
-    keep = np.ones((len(subsets), m), dtype=bool)
-    keep[np.arange(len(subsets))[:, None], subsets] = False
-    return np.nonzero(keep)[1].reshape(len(subsets), m - subsets.shape[1])
 
 
 @dataclass(frozen=True)
@@ -417,10 +408,9 @@ def derived_pinv_frames(
     seq2 = sys.K.pinv.T @ sys.K.pinv @ f_c
     k_pinv = sys.K.pinv
     residual = operator_norm(seq1 @ seq2.T - k_pinv)
-    threshold = sys.tol.residual_rel * (1.0 + operator_norm(k_pinv))
     report = DerivedPairReport(
         dual_residual=residual,
-        pair_is_dual=residual <= threshold,
+        pair_is_dual=sys.tol.accepts(residual, operator_norm(k_pinv)),
         seq1_spans_pinv_range=ranges_nested(k_pinv, seq1, sys.tol),
         seq2_is_kframe=is_kframe(seq2, sys.K, sys.tol),
     )

@@ -240,3 +240,15 @@ def test_stacked_plan_matches_per_set_reference(
             want = _reference_apply(strategy, tuple(sets[g]), refs[g], coeffs[i], sides[i])
             assert _same(full[i], want[0])
             assert residual[i] == want[1] and certified[i] == want[2]
+
+
+@pytest.mark.parametrize("strategy, sets, shown", [
+    ("bogus", [[0]], "unknown strategy 'bogus'"),
+    ("consistency", [[0]], "consistency recovery needs the dual"),
+    ("side-info", [[0], [4]], "indices in 0..3"),
+    ("blind", [[-1]], "indices in 0..3"),
+    ("side-info", [[1, 1]], "repeats an index"),
+])
+def test_plan_refuses_bad_requests_before_any_work(sys_d, strategy, sets, shown):
+    with pytest.raises(ValueError, match=shown):
+        plan_recovery(sys_d, strategy, sets)

@@ -269,6 +269,18 @@ class TestAnalysisCommands:
             assert reports[0] == reports[1], i
         assert reports[0][0]["parseval_condition_ii"] is True
 
+    @pytest.mark.parametrize("sigma, shown", [
+        ("0", "must lie in 1..4, got [0]"),
+        ("99", "must lie in 1..4, got [99]"),
+        ("2,2", "repeat: [2]"),
+        ("x", "integer positions, got ['x']"),
+        ("1.5", "integer positions, got ['1.5']"),
+    ])
+    def test_bad_sigma_rejected(self, capsys, system_d, sigma, shown):
+        code, out, err = run(capsys, "mrc", "--system", system_d[0], "--sigma", sigma)
+        assert code == 2 and out == ""
+        assert "--sigma" in err and shown in err
+
     def test_mrc_scan_mode(self, capsys, tmp_path):
         fix = FIXTURES["FIX-B"]
         path = tmp_path / "sysb.json"
@@ -446,6 +458,27 @@ class TestSimulateCommand:
         assert code == 1
         assert "residual_rel" in err
 
+    @pytest.mark.parametrize("strategies",
+                             ["bogus", ",", "blind,blind", "side-info, blind,side-info"])
+    def test_bad_strategy_lists_rejected(self, capsys, system_d, strategies):
+        code, out, err = run(capsys, "simulate", "--system", system_d[0], "--r", "1",
+                             "--signals", "4", "--strategies", strategies)
+        assert code == 1 and out == ""
+        assert "--strategies needs distinct names of side-info, blind, consistency" in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--cap-subsets", "0"),
+        ("simulate", "--cap-subsets", "-5"),
+        ("simulate", "--seed", "-1"),
+        ("find-rk", "--cap-subsets", "0"),
+        ("find-rk", "--seed", "-1"),
+    ])
+    def test_out_of_range_flags_are_usage_errors(self, capsys, system_d, command, flag, value):
+        code, out, err = run(capsys, command, "--system", system_d[0], "--dual", system_d[1],
+                             "--r", "1", flag, value)
+        assert code == 64 and out == ""
+        assert f"argument {flag}: must be at least" in err
+
     def test_canonical_dual_when_omitted(self, capsys, system_d):
         report = run_json(
             capsys, "simulate", "--system", system_d[0], "--r", "1",
@@ -498,3 +531,61 @@ def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank
         assert scaled_alpha == pytest.approx(alpha, rel=1e-9)
     assert scaled["bounds"] == pytest.approx([base["bounds"][0], c * c * base["bounds"][1]],
                                              rel=1e-9)
+
+
+def _report(workdir, name, argv, **matrices):
+    """Report of one command whose inputs are written to workdir/name-<key>.json."""
+    paths = []
+    for key, value in matrices.items():
+        path = workdir / f"{name}-{key}.json"
+        obj = {part: _matrix_obj(m) for part, m in value.items()} if isinstance(value, dict) \
+            else _matrix_obj(value)
+        path.write_text(json.dumps(obj))
+        paths += [f"--{key.replace('_', '-')}", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command([*argv, *paths]) == 0
+    return json.loads(out.getvalue())
+
+
+def _matrix_obj(a):
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.tolist()}
+
+
+def _support(spark_obj):
+    return None if spark_obj["witness"] is None else np.flatnonzero(spark_obj["witness"]).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(1, 4),
+    r=st.integers(1, 6),
+    exponent=st.integers(-60, 60),
+)
+def test_rank_verdicts_outside_analyze_are_scale_invariant(
+        tmp_path_factory, seed, n, extra, rank_k, r, exponent):
+    """spark (value and witness support), mrc --r (verdict and first failing set)
+    and the certificate sparks of find-rk's recovery matrix, at 10^exponent."""
+    rng = np.random.default_rng(seed)
+    f, k = random_kframe(rng, n, n + extra, min(rank_k, n))
+    c = 10.0 ** exponent
+    workdir = tmp_path_factory.mktemp("scale")
+    dual = (np.linalg.pinv(f) @ k).T
+    found = _report(workdir, "rk", ["find-rk", "--r", "1"],
+                    system={"F": f, "K": k}, dual={"G": dual})
+    m_mat = np.array(found["M"]["data"])
+    reports = []
+    for scale, name in ((1.0, "base"), (c, "scaled")):
+        system = {"F": scale * f, "K": scale * k}
+        spark_obj = _report(workdir, name, ["spark"], matrix=scale * f)
+        mrc = _report(workdir, name, ["mrc", "--r", str(min(r, n + extra - 1))], system=system)
+        certificate = _report(
+            workdir, name, ["simulate", "--r", "1", "--signals", "1", "--strategies", "blind"],
+            system=system, dual={"G": dual}, rk_matrix=scale * scale * m_mat)["certificate"]
+        reports.append((spark_obj["spark"], _support(spark_obj), mrc["satisfied"],
+                        mrc["first_failing"], certificate["spark_M"], certificate["spark_N"],
+                        certificate["r_side_info"], certificate["r_blind"]))
+    assert reports[0] == reports[1]

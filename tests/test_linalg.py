@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import kframes
 from kframes import (
     ShapeMismatchError,
     SubspaceBasis,
@@ -30,6 +34,50 @@ def _collinear(u, v, atol=1e-9):
     return np.linalg.norm(np.outer(u, v) - np.outer(v, u)) < atol * (
         1 + np.linalg.norm(u) * np.linalg.norm(v)
     )
+
+
+# Where each field of TolerancePolicy may be read: the policy owns the rank
+# rule and the residual rule, the CLI builds the policy from its flags, and
+# spark_via_kernel keeps its own cutoff as the independent spark oracle.
+_READERS = {
+    "rank_cutoff_rel": {("linalg.py", "TolerancePolicy"), ("cli.py", "_policy"),
+                        ("redundancy.py", "spark_via_kernel")},
+    "residual_rel": {("linalg.py", "TolerancePolicy"), ("cli.py", "_policy")},
+}
+
+
+class TestTolerancePolicy:
+    def test_each_rule_is_read_in_one_place(self):
+        found = {field: set() for field in _READERS}
+        for path in sorted(Path(kframes.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.keyword):
+                        name = node.arg
+                    else:
+                        continue
+                    if name in found:
+                        found[name].add((path.name, getattr(top, "name", None)))
+        assert found == _READERS
+
+    def test_rank_cutoff_is_per_block(self):
+        tol = TolerancePolicy()
+        s = np.array([[4.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(tol.rank_cutoff(s, (2, 5, 3)),
+                                      [[1e-10 * 5 * 4.0], [np.finfo(float).tiny]])
+        np.testing.assert_array_equal(tol.rank_cutoff(s[0], (3, 7)), [1e-10 * 7 * 4.0])
+
+    def test_accepts(self):
+        tol = TolerancePolicy(residual_rel=1e-6)
+        assert tol.accepts(2e-6, scale=1.0) and not tol.accepts(2.1e-6, scale=1.0)
+        assert tol.accepts(1e-6 * 10, factor=10) and not tol.accepts(1e-6 * 11, factor=10)
+        # A NaN residual is refused, the safe side of every test.
+        assert not tol.accepts(np.nan)
+        np.testing.assert_array_equal(
+            tol.accepts(np.array([0.0, 1.0, np.nan]), np.array([0.0, 1e6, 0.0])),
+            [True, True, False])
 
 
 class TestSvdFactor:
