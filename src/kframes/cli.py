@@ -5,6 +5,11 @@ find-rk, simulate, fixtures. Reports are JSON on stdout; human diagnostics
 go to stderr. Exit codes: 0 success, 1 contract violation, 2 I/O or parse
 error, 64 unknown command or bad usage.
 
+`_parsers` builds each command's parser once per process, with the common
+options from one parent and the handler as `args.run`. A handler maps args
+to its report body; `run_command` alone parses, prints {"command": name,
+**body} and maps exceptions to exit codes.
+
 All user-facing indices are 1-based; matrices use the JSON/CSV formats
 documented in matrixio.
 """
@@ -12,9 +17,11 @@ documented in matrixio.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys as _sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +76,8 @@ common options: --tol-rank X --tol-res X --cap-subsets N --pretty
 """
 
 
+
+
 def _at_least(low: int):
     """argparse type: an integer >= low; a smaller one is a usage error."""
     def integer(text: str) -> int:
@@ -79,24 +88,13 @@ def _at_least(low: int):
     return integer
 
 
-def _base_parser(name: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"kframes {name}", add_help=True)
-    parser.add_argument("--tol-rank", type=float, default=1e-10)
-    parser.add_argument("--tol-res", type=float, default=1e-9)
-    parser.add_argument("--cap-subsets", type=_at_least(1), default=10**6)
-    parser.add_argument("--pretty", action="store_true")
-    parser.add_argument("--json", dest="pretty", action="store_false",
-                        help="compact JSON output (default)")
-    return parser
-
-
 def _policy(args) -> TolerancePolicy:
     return TolerancePolicy(rank_cutoff_rel=args.tol_rank, residual_rel=args.tol_res)
 
 
-def _load_system(path, tol) -> KFrameSystem:
-    f = matrixio.load_matrix(path, key="F")
-    k = matrixio.load_matrix(path, key="K")
+def _load_system(args) -> KFrameSystem:
+    tol = _policy(args)
+    f, k = (matrixio.load_matrix(args.system, key=key) for key in ("F", "K"))
     return verify_kframe(f, k, tol)
 
 
@@ -106,6 +104,10 @@ def _load_dual(path, system: KFrameSystem) -> DualSystem:
     except MatrixFormatError:
         g = matrixio.load_matrix(path)
     return verify_kdual(system, g)
+
+
+def _rk_matrix(args, system: KFrameSystem) -> np.ndarray:
+    return system.gramian if args.rk_matrix is None else matrixio.load_matrix(args.rk_matrix)
 
 
 def _jsonable(value):
@@ -124,10 +126,25 @@ def _jsonable(value):
 
 
 def _spark_obj(result: SparkResult) -> dict:
+    return {"spark": "inf" if not result.finite else int(result.value),
+            "witness": result.witness}
+
+
+def _certificate_obj(cert, spark_entry) -> dict:
+    """A recovery-matrix certificate, each of its sparks written by spark_entry."""
     return {
-        "spark": "inf" if not result.finite else int(result.value),
-        "witness": None if result.witness is None else _jsonable(result.witness),
+        "spark_M": spark_entry(cert.spark_M),
+        "spark_N": spark_entry(cert.spark_N),
+        "annihilation_residual": cert.annihilation_residual,
+        "annihilation_ok": cert.annihilation_ok,
+        "r_side_info": cert.r_side_info,
+        "r_blind": cert.r_blind,
     }
+
+
+def _dual_obj(dual: DualSystem) -> dict:
+    return {"G": matrixio.matrix_to_obj(dual.G), "residual": dual.residual,
+            "is_valid": dual.is_valid}
 
 
 def _one_based(indices) -> list[int]:
@@ -140,14 +157,9 @@ def _emit(report: dict, pretty: bool) -> None:
     print(json.dumps(_jsonable(report), indent=indent, allow_nan=False))
 
 
-def _cmd_fixtures(argv) -> dict:
-    parser = _base_parser("fixtures")
-    parser.add_argument("--name", required=True)
-    parser.add_argument("--with-dual", action="store_true")
-    args = parser.parse_args(argv)
+def _cmd_fixtures(args) -> dict:
     fix = get_fixture(args.name)
     report = {
-        "command": "fixtures",
         "name": fix.name,
         "F": matrixio.matrix_to_obj(fix.F),
         "K": matrixio.matrix_to_obj(fix.K),
@@ -155,136 +167,80 @@ def _cmd_fixtures(argv) -> dict:
     if args.with_dual:
         report["G"] = None if fix.dual is None else matrixio.matrix_to_obj(fix.dual)
         report["note"] = fix.note
-    return {"report": report, "pretty": args.pretty}
+    return report
 
 
-def _cmd_spark(argv) -> dict:
-    parser = _base_parser("spark")
-    parser.add_argument("--matrix", required=True)
-    args = parser.parse_args(argv)
+def _cmd_spark(args) -> dict:
     mat = matrixio.load_matrix(args.matrix)
-    result = spark(mat, _policy(args), cap=args.cap_subsets)
-    report = {"command": "spark", "matrix": args.matrix, **_spark_obj(result)}
-    return {"report": report, "pretty": args.pretty}
+    return {"matrix": args.matrix, **_spark_obj(spark(mat, _policy(args), cap=args.cap_subsets))}
 
 
-def _cmd_check_dual(argv) -> dict:
-    parser = _base_parser("check-dual")
-    parser.add_argument("--system", required=True)
-    parser.add_argument("--dual", required=True)
-    args = parser.parse_args(argv)
-    system = _load_system(args.system, _policy(args))
-    dual = _load_dual(args.dual, system)
-    report = {
-        "command": "check-dual",
-        "residual": dual.residual,
-        "is_valid": dual.is_valid,
-    }
-    return {"report": report, "pretty": args.pretty}
+def _cmd_check_dual(args) -> dict:
+    dual = _load_dual(args.dual, _load_system(args))
+    return {"residual": dual.residual, "is_valid": dual.is_valid}
 
 
-def _cmd_canonical_dual(argv) -> dict:
-    parser = _base_parser("canonical-dual")
-    parser.add_argument("--system", required=True)
-    parser.add_argument("--method", choices=("douglas", "restricted"),
-                        default="douglas")
-    args = parser.parse_args(argv)
-    system = _load_system(args.system, _policy(args))
+def _cmd_canonical_dual(args) -> dict:
+    system = _load_system(args)
     if args.method == "douglas":
         result = canonical_kdual(system)
-        report = {
-            "command": "canonical-dual",
+        return {
             "method": "douglas",
             "G": matrixio.matrix_to_obj(result.dual.G),
             "residual": result.dual.residual,
             "analysis_norm": result.analysis_norm,
             "hypotheses": None,
         }
-    else:
-        result = canonical_kdual_restricted(system)
-        report = {
-            "command": "canonical-dual",
-            "method": "restricted",
-            "G": matrixio.matrix_to_obj(result.dual_image.G),
-            "residual": result.dual_image.residual,
-            "is_valid": result.dual_image.is_valid,
-            "hypotheses": result.hypotheses,
-            "variant": {
-                "G": matrixio.matrix_to_obj(result.dual_domain.G),
-                "residual": result.dual_domain.residual,
-                "is_valid": result.dual_domain.is_valid,
-            },
-        }
-    return {"report": report, "pretty": args.pretty}
+    result = canonical_kdual_restricted(system)
+    return {
+        "method": "restricted",
+        **_dual_obj(result.dual_image),
+        "hypotheses": result.hypotheses,
+        "variant": _dual_obj(result.dual_domain),
+    }
 
 
-def _mrc_all_obj(system: KFrameSystem, r: int, cap: int, tol: TolerancePolicy) -> dict:
-    satisfied, failing = mrc_all(system.F, system.K, r, cap=cap, tol=tol)
+def _mrc_all_obj(system: KFrameSystem, r: int, cap: int) -> dict:
+    satisfied, failing = mrc_all(system.F, system.K, r, cap=cap, tol=system.tol)
     return {"r": r, "satisfied": satisfied,
             "first_failing": None if failing is None else _one_based(failing)}
 
 
-def _cmd_analyze(argv) -> dict:
-    parser = _base_parser("analyze")
-    parser.add_argument("--system", required=True)
-    parser.add_argument("--r", type=int, default=1)
-    args = parser.parse_args(argv)
-    tol = _policy(args)
-    system = _load_system(args.system, tol)
+def _cmd_analyze(args) -> dict:
+    system = _load_system(args)
+    tol, cap = system.tol, args.cap_subsets
     cls = classify(system)
-    spark_f = spark(system.F, tol, cap=args.cap_subsets)
-    excess = uniform_excess(system.F, system.K, cap=args.cap_subsets, tol=tol)
+    spark_f = spark(system.F, tol, cap=cap)
+    excess = uniform_excess(system.F, system.K, cap=cap, tol=tol)
     try:
-        bounds = list(frame_bounds(system))
+        bounds = frame_bounds(system)
     except KFrameError:
         bounds = None
-    report = {
-        "command": "analyze",
+    return {
         "n": system.n,
         "m": system.m,
         "operator_rank": system.K.rank,
         "bounds": bounds,
-        "classification": {
-            "tight_alpha": cls.tight_alpha,
-            "parseval": cls.parseval,
-            "equal_norm": cls.equal_norm,
-        },
+        "classification": asdict(cls),
         "spark": _spark_obj(spark_f),
         "uniform_excess": {
             "value": excess.value,
             "witness": None if excess.witness is None else _one_based(excess.witness),
         },
-        "mrc": _mrc_all_obj(system, args.r, args.cap_subsets, tol),
-        "maximal_robust": is_maximal_robust(system.F, system.K,
-                                            cap=args.cap_subsets, tol=tol),
+        "mrc": _mrc_all_obj(system, args.r, cap),
+        "maximal_robust": is_maximal_robust(system.F, system.K, cap=cap, tol=tol),
     }
-    return {"report": report, "pretty": args.pretty}
 
 
-def _cmd_mrc(argv) -> dict:
-    parser = _base_parser("mrc")
-    parser.add_argument("--system", required=True)
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sigma", help="comma-separated 1-based indices")
-    group.add_argument("--r", type=int)
-    args = parser.parse_args(argv)
-    tol = _policy(args)
-    system = _load_system(args.system, tol)
-    if args.sigma is not None:
-        raw = [s.strip() for s in args.sigma.split(",") if s.strip()]
-        sigma = _positions([int(s) if re.fullmatch(r"[+-]?\d+", s) else s for s in raw],
-                           system.m, "--sigma")
-        rep = mrc_subset(system.F, system.K, sigma, tol)
-        report = {
-            "command": "mrc",
-            "sigma": _one_based(rep.sigma),
-            "is_mrc": rep.is_mrc,
-            "necessary_condition_i": rep.necessary_condition_i,
-            "parseval_condition_ii": rep.parseval_condition_ii,
-        }
-    else:
-        report = {"command": "mrc", **_mrc_all_obj(system, args.r, args.cap_subsets, tol)}
-    return {"report": report, "pretty": args.pretty}
+def _cmd_mrc(args) -> dict:
+    system = _load_system(args)
+    if args.sigma is None:
+        return _mrc_all_obj(system, args.r, args.cap_subsets)
+    raw = [s.strip() for s in args.sigma.split(",") if s.strip()]
+    sigma = _positions([int(s) if re.fullmatch(r"[+-]?\d+", s) else s for s in raw],
+                       system.m, "--sigma")
+    rep = mrc_subset(system.F, system.K, sigma, system.tol)
+    return {**asdict(rep), "sigma": _one_based(rep.sigma)}
 
 
 def _positions(values, m: int, what: str) -> list[int]:
@@ -318,77 +274,50 @@ def _load_coded(path, m: int):
             f"{path}: null coefficients at surviving positions {nulls}; "
             f"list erased positions in 'erased'"
         )
-    values = [0.0 if v is None else float(v) for v in coeffs]
-    return erase(values, mask)
+    return erase(matrixio.finite_entries([0.0 if v is None else v for v in coeffs],
+                                         lambda j: f"{path}: coefficient {j}"), mask)
 
 
-def _cmd_recover(argv) -> dict:
-    parser = _base_parser("recover")
-    parser.add_argument("--system", required=True)
-    parser.add_argument("--dual", required=True)
-    parser.add_argument("--coded", required=True)
-    parser.add_argument("--strategy", default="consistency", choices=STRATEGIES)
-    parser.add_argument("--rk-matrix", default=None)
-    parser.add_argument("--side-info", default=None)
-    args = parser.parse_args(argv)
-    tol = _policy(args)
-    system = _load_system(args.system, tol)
+def _cmd_recover(args) -> dict:
+    system = _load_system(args)
     dual = _load_dual(args.dual, system)
     coded = _load_coded(args.coded, system.m)
-    m_mat = system.gramian if args.rk_matrix is None \
-        else matrixio.load_matrix(args.rk_matrix)
+    m_mat = _rk_matrix(args, system)
     if args.strategy == "side-info":
         if args.side_info is None:
             raise KFrameError("side-info strategy requires --side-info")
         v = matrixio.vector_from_obj(
             json.loads(Path(args.side_info).read_text()), "side vector")
-        result = recover_side_info(system, m_mat, coded, v, dual=dual, tol=tol)
+        result = recover_side_info(system, m_mat, coded, v, dual=dual, tol=system.tol)
     elif args.strategy == "blind":
-        result = recover_blind(system, m_mat, coded, dual=dual, tol=tol)
+        result = recover_blind(system, m_mat, coded, dual=dual, tol=system.tol)
     else:
-        result = recover_consistency(system, dual, coded, tol=tol)
-    report = {
-        "command": "recover",
+        result = recover_consistency(system, dual, coded, tol=system.tol)
+    return {
         "strategy": result.strategy,
         "erased": _one_based(coded.mask),
-        "coefficients": list(result.coefficients),
-        "reconstructed": list(result.reconstructed),
+        "coefficients": result.coefficients,
+        "reconstructed": result.reconstructed,
         "solver_residual": result.solver_residual,
         "certified_exact": result.certified_exact,
     }
-    return {"report": report, "pretty": args.pretty}
 
 
-def _cmd_find_rk(argv) -> dict:
-    parser = _base_parser("find-rk")
-    parser.add_argument("--system", required=True)
-    parser.add_argument("--dual", required=True)
-    parser.add_argument("--r", type=int, required=True)
-    parser.add_argument("--trials", type=int, default=64)
-    parser.add_argument("--seed", type=_at_least(0), default=0)
-    args = parser.parse_args(argv)
-    tol = _policy(args)
-    system = _load_system(args.system, tol)
+def _cmd_find_rk(args) -> dict:
+    system = _load_system(args)
     dual = _load_dual(args.dual, system)
     found = find_rk_matrix(system, dual, args.r, trials=args.trials, seed=args.seed,
                            cap=args.cap_subsets)
     cert = found.certificate
-    report = {
-        "command": "find-rk",
+    return {
         "mode": found.mode,
         "trial": found.trial,
         "M": matrixio.matrix_to_obj(cert.M),
-        "spark_M": _spark_obj(cert.spark_M),
-        "spark_N": _spark_obj(cert.spark_N),
-        "annihilation_residual": cert.annihilation_residual,
-        "annihilation_ok": cert.annihilation_ok,
-        "r_side_info": cert.r_side_info,
-        "r_blind": cert.r_blind,
+        **_certificate_obj(cert, _spark_obj),
     }
-    return {"report": report, "pretty": args.pretty}
 
 
-def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which, tol):
+def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which):
     """Recover the signals (rows), signal i erased at sets[which[i]], with one plan.
 
     The draws of an ambiguous set are skipped. Each draw is rounded as if
@@ -397,7 +326,7 @@ def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which, tol)
     coeffs = matvec_rows(dual.G.T, signals)
     targets = matvec_rows(system.K.matrix, signals)
     sides = matvec_rows(system.F.T, targets)
-    plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual, tol=tol)
+    plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual, tol=system.tol)
     ok = plan.deficiency[which] == 0
     full, _, certified = plan.apply(coeffs[ok], which[ok], sides[ok])
     target = targets[ok]
@@ -421,31 +350,17 @@ def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which, tol)
     return entry
 
 
-def _cmd_simulate(argv) -> dict:
-    parser = _base_parser("simulate")
-    parser.add_argument("--system", required=True)
-    parser.add_argument("--dual", default=None,
-                        help="dual file; canonical dual when omitted")
-    parser.add_argument("--r", type=int, required=True)
-    parser.add_argument("--signals", type=int, default=1000)
-    parser.add_argument("--seed", type=_at_least(0), default=0)
-    parser.add_argument("--strategies", default="side-info,blind,consistency")
-    parser.add_argument("--rk-matrix", default=None)
-    args = parser.parse_args(argv)
-    tol = _policy(args)
-    system = _load_system(args.system, tol)
+def _cmd_simulate(args) -> dict:
+    system = _load_system(args)
     dual = canonical_kdual(system).dual if args.dual is None \
         else _load_dual(args.dual, system)
-    if args.signals < 1:
-        raise KFrameError("signals must be >= 1")
     if not (0 <= args.r < system.m):
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies or any(s not in STRATEGIES or strategies.count(s) > 1 for s in strategies):
         raise KFrameError(f"--strategies needs distinct names of {', '.join(STRATEGIES)}, "
                           f"got {args.strategies!r}")
-    m_mat = system.gramian if args.rk_matrix is None \
-        else matrixio.load_matrix(args.rk_matrix)
+    m_mat = _rk_matrix(args, system)
     rng = np.random.default_rng(args.seed)
     signals = np.empty((args.signals, system.n))
     draws = np.empty((args.signals, args.r), dtype=np.intp)
@@ -455,17 +370,9 @@ def _cmd_simulate(argv) -> dict:
     sets, which = np.unique(draws, axis=0, return_inverse=True)
     certificate = None
     if {"side-info", "blind"} & set(strategies):
-        cert = validate_rk_matrix(system, dual, m_mat, tol, cap=args.cap_subsets)
-        certificate = {
-            "spark_M": _spark_obj(cert.spark_M)["spark"],
-            "spark_N": _spark_obj(cert.spark_N)["spark"],
-            "annihilation_residual": cert.annihilation_residual,
-            "annihilation_ok": cert.annihilation_ok,
-            "r_side_info": cert.r_side_info,
-            "r_blind": cert.r_blind,
-        }
-    report = {
-        "command": "simulate",
+        cert = validate_rk_matrix(system, dual, m_mat, system.tol, cap=args.cap_subsets)
+        certificate = _certificate_obj(cert, lambda s: _spark_obj(s)["spark"])
+    return {
         "config": {
             "system": args.system,
             "dual": args.dual,
@@ -477,24 +384,56 @@ def _cmd_simulate(argv) -> dict:
         },
         "certificate": certificate,
         "strategies": {
-            s: _simulate_strategy(system, dual, s, m_mat, signals, sets, which, tol)
+            s: _simulate_strategy(system, dual, s, m_mat, signals, sets, which)
             for s in strategies
         },
     }
-    return {"report": report, "pretty": args.pretty}
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "canonical-dual": _cmd_canonical_dual,
-    "check-dual": _cmd_check_dual,
-    "spark": _cmd_spark,
-    "mrc": _cmd_mrc,
-    "recover": _cmd_recover,
-    "find-rk": _cmd_find_rk,
-    "simulate": _cmd_simulate,
-    "fixtures": _cmd_fixtures,
-}
+@functools.cache
+def _parsers() -> dict[str, argparse.ArgumentParser]:
+    """One parser per command, built once; each holds its handler as `run`."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol-rank", type=float, default=1e-10)
+    common.add_argument("--tol-res", type=float, default=1e-9)
+    common.add_argument("--cap-subsets", type=_at_least(1), default=10**6)
+    common.add_argument("--pretty", action="store_true")
+    common.add_argument("--json", dest="pretty", action="store_false",
+                        help="compact JSON output (default)")
+    parsers = {}
+
+    def command(name, run, *required) -> argparse.ArgumentParser:
+        parsers[name] = parser = argparse.ArgumentParser(prog=f"kframes {name}", parents=[common])
+        parser.set_defaults(run=run)
+        for flag in required:
+            parser.add_argument(flag, required=True)
+        return parser
+
+    command("fixtures", _cmd_fixtures, "--name").add_argument("--with-dual", action="store_true")
+    command("spark", _cmd_spark, "--matrix")
+    command("check-dual", _cmd_check_dual, "--system", "--dual")
+    command("canonical-dual", _cmd_canonical_dual, "--system").add_argument(
+        "--method", choices=("douglas", "restricted"), default="douglas")
+    command("analyze", _cmd_analyze, "--system").add_argument("--r", type=int, default=1)
+    group = command("mrc", _cmd_mrc, "--system").add_mutually_exclusive_group(required=True)
+    group.add_argument("--sigma", help="comma-separated 1-based indices")
+    group.add_argument("--r", type=int)
+    parser = command("recover", _cmd_recover, "--system", "--dual", "--coded")
+    parser.add_argument("--strategy", default="consistency", choices=STRATEGIES)
+    parser.add_argument("--rk-matrix", default=None)
+    parser.add_argument("--side-info", default=None)
+    parser = command("find-rk", _cmd_find_rk, "--system", "--dual")
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--trials", type=_at_least(0), default=64)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
+    parser = command("simulate", _cmd_simulate, "--system")
+    parser.add_argument("--dual", default=None, help="dual file; canonical dual when omitted")
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--signals", type=_at_least(1), default=1000)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
+    parser.add_argument("--strategies", default="side-info,blind,consistency")
+    parser.add_argument("--rk-matrix", default=None)
+    return parsers
 
 
 def run_command(argv) -> int:
@@ -503,12 +442,13 @@ def run_command(argv) -> int:
         print(USAGE, end="")
         return 0 if argv else 64
     name = argv[0]
-    handler = _COMMANDS.get(name)
-    if handler is None:
+    parser = _parsers().get(name)
+    if parser is None:
         _sys.stderr.write(f"unknown command: {name}\n{USAGE}")
         return 64
     try:
-        outcome = handler(argv[1:])
+        args = parser.parse_args(argv[1:])
+        body = args.run(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 64
     except (MatrixFormatError, OSError, json.JSONDecodeError) as exc:
@@ -520,7 +460,7 @@ def run_command(argv) -> int:
         _sys.stderr.write(f"kframes {name}: {exc}{hint}\n")
         return 1
     try:
-        _emit(outcome["report"], outcome["pretty"])
+        _emit({"command": name, **body}, args.pretty)
     except ValueError as exc:
         _sys.stderr.write(f"kframes {name}: report is not valid JSON: {exc}\n")
         return 1

@@ -39,6 +39,7 @@ from .linalg import (
     operator_norm,
     pseudo_inverse,
     range_basis,
+    ranges_nested,
     rank_of,
     stacked_ranks,
     svd_factor,
@@ -216,17 +217,12 @@ def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
     return k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
 
 
-def _range_inclusion_ok(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> bool:
-    if op.rank == 0:
-        return True
-    return rank_of(np.hstack([f, op.matrix]), tol) == rank_of(f, tol)
-
-
 def is_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Cheap predicate form of verify_kframe (no system construction)."""
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
-    return arr.shape[0] == op.dim and _range_inclusion_ok(arr, op, tol)
+    # K = 0 passes untested: its zero columns would widen the rank cutoff's max(shape).
+    return arr.shape[0] == op.dim and (op.rank == 0 or ranges_nested(op.matrix, arr, tol))
 
 
 def kframe_flags(
@@ -258,7 +254,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
         raise ShapeMismatchError(
             f"F has {arr.shape[0]} rows but K acts on dimension {op.dim}"
         )
-    if not _range_inclusion_ok(arr, op, tol):
+    if not (op.rank == 0 or ranges_nested(op.matrix, arr, tol)):
         proj = range_basis(arr, tol).projector()
         leftover = op.range.basis - proj @ op.range.basis
         worst = int(np.argmax(np.linalg.norm(leftover, axis=0)))

@@ -2,13 +2,16 @@
 
 JSON format: {"rows": n, "cols": m, "data": [[row], ...]}. CSV alternative:
 one matrix row per line, comma separated. Ragged rows are rejected in both
-formats.
+formats. A JSON entry (matrix, vector or coded coefficient) must be an int or
+float, not a bool or string, and finite; `finite_entries` is that one check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ __all__ = [
     "load_matrix",
     "save_matrix",
     "vector_from_obj",
+    "finite_entries",
 ]
 
 
@@ -40,22 +44,40 @@ def matrix_from_obj(obj) -> np.ndarray:
     missing = {"rows", "cols", "data"} - obj.keys()
     if missing:
         raise MatrixFormatError(f"matrix object missing keys: {sorted(missing)}")
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
         raise MatrixFormatError("rows and cols must be positive integers")
-    data = obj["data"]
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise MatrixFormatError("data must be a list of rows, each a list of entries")
     if len(data) != rows:
         raise MatrixFormatError(f"declared {rows} rows, data has {len(data)}")
-    for i, row in enumerate(data):
+    for i, row in enumerate(data, start=1):
         if len(row) != cols:
             raise MatrixFormatError(f"row {i} has {len(row)} entries, expected {cols}")
+    entries = finite_entries([v for row in data for v in row],
+                             lambda k: f"row {(k - 1) // cols + 1}, column {(k - 1) % cols + 1}")
+    return entries.reshape(rows, cols)
+
+
+def finite_entries(values: list, where) -> np.ndarray:
+    """The list as a float vector, each entry an int or float (not a bool or
+    string) and finite; else MatrixFormatError naming where(k) for the first
+    bad entry, k its 1-based position.
+    """
+    with contextlib.suppress(OverflowError):  # an int beyond float range
+        if {type(v) for v in values} <= {int, float}:
+            arr = np.array(values, dtype=float)
+            if np.all(np.isfinite(arr)):
+                return arr
+    k, value = next((k, v) for k, v in enumerate(values, start=1) if not _is_entry(v))
+    raise MatrixFormatError(f"{where(k)}: expected a finite number, got {value!r}")
+
+
+def _is_entry(value) -> bool:
     try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"non-numeric matrix entry: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise MatrixFormatError("matrix entries must be finite")
-    return arr
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _matrix_from_csv(path: Path) -> np.ndarray:
@@ -114,19 +136,10 @@ def save_matrix(m, path) -> None:
 def vector_from_obj(obj, name: str = "vector") -> np.ndarray:
     """Accept either a JSON array of numbers or a one-column/one-row matrix."""
     if isinstance(obj, list):
-        try:
-            arr = np.array(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise MatrixFormatError(f"{name}: non-numeric entry: {exc}") from exc
-        if arr.ndim != 1:
-            raise MatrixFormatError(f"{name}: expected a flat array")
-    elif isinstance(obj, dict):
-        arr = matrix_from_obj(obj)
-        if 1 not in arr.shape:
-            raise MatrixFormatError(f"{name}: matrix form must have one row or column")
-        arr = arr.reshape(-1)
-    else:
+        return finite_entries(obj, lambda k: f"{name} entry {k}")
+    if not isinstance(obj, dict):
         raise MatrixFormatError(f"{name}: expected array or matrix object")
-    if not np.all(np.isfinite(arr)):
-        raise MatrixFormatError(f"{name}: entries must be finite")
-    return arr
+    arr = matrix_from_obj(obj)
+    if 1 not in arr.shape:
+        raise MatrixFormatError(f"{name}: matrix form must have one row or column")
+    return arr.reshape(-1)

@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kframes
 import kframes.cli
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
@@ -90,16 +96,60 @@ class TestDispatch:
         assert code == 1
         assert "side-info" in err
 
-
     @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
     def test_non_finite_report_exits_one_and_prints_nothing(
-            self, capsys, monkeypatch, value):
-        report = {"command": "fake", "value": [1.0, value]}
-        monkeypatch.setitem(kframes.cli._COMMANDS, "fake",
-                            lambda argv: {"report": report, "pretty": False})
-        code, out, err = run(capsys, "fake")
+            self, capsys, monkeypatch, system_d, value):
+        monkeypatch.setattr(kframes.cli, "verify_kdual",
+                            lambda system, g: SimpleNamespace(residual=value, is_valid=False))
+        code, out, err = run(capsys, "check-dual", "--system", system_d[0],
+                             "--dual", system_d[1])
         assert (code, out) == (1, "")
-        assert "kframes fake: report is not valid JSON" in err
+        assert "kframes check-dual: report is not valid JSON" in err
+
+    def test_every_report_opens_with_its_command(self, capsys, system_d, tmp_path):
+        sys_path, dual_path = system_d
+        coded = tmp_path / "c.json"
+        coded.write_text(json.dumps({"coefficients": [None, 1.0, 2.0, 0.5], "erased": [1]}))
+        gram = tmp_path / "gram.json"
+        fix = FIXTURES["FIX-D"]
+        gram.write_text(json.dumps({"rows": 4, "cols": 4, "data": (fix.F.T @ fix.F).tolist()}))
+        system = ["--system", sys_path]
+        commands = {
+            "analyze": system,
+            "canonical-dual": system,
+            "check-dual": [*system, "--dual", dual_path],
+            "spark": ["--matrix", str(gram)],
+            "mrc": [*system, "--r", "1"],
+            "recover": [*system, "--dual", dual_path, "--coded", str(coded)],
+            "find-rk": [*system, "--dual", dual_path, "--r", "1"],
+            "simulate": [*system, "--r", "1", "--signals", "4"],
+            "fixtures": ["--name", "FIX-D"],
+        }
+        assert set(commands) == set(kframes.cli._parsers())
+        for name, argv in commands.items():
+            report = run_json(capsys, name, *argv)
+            assert next(iter(report.items())) == ("command", name)
+
+    def test_cached_parsers_keep_no_state(self, capsys, system_d):
+        argvs = [["--sigma", "1"], ["--r", "1"], [], ["--sigma", "1"]]
+        outcomes = [run(capsys, "mrc", "--system", system_d[0], *argv) for argv in argvs]
+        assert [code for code, _, _ in outcomes] == [0, 0, 64, 0]
+        assert outcomes[0] == outcomes[3]
+        assert "one of the arguments --sigma --r is required" in outcomes[2][2]
+
+    def test_unrecognized_argument_names_the_command(self, capsys):
+        code, out, err = run(capsys, "spark", "--matrix", "x", "extra")
+        assert (code, out) == (64, "")
+        assert "kframes spark: error: unrecognized arguments: extra" in err
+
+    def test_console_entry_matches_in_process_bytes(self, capsys):
+        argv = ["fixtures", "--name", "FIX-D"]
+        in_process = run(capsys, *argv)
+        env = {**os.environ, "PYTHONPATH": str(Path(kframes.__file__).resolve().parents[1])}
+        for args, code, out in ((argv, 0, in_process[1]), (["frobnicate"], 64, "")):
+            done = subprocess.run([sys.executable, "-m", "kframes.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
 class TestFixturesCommand:
@@ -366,6 +416,70 @@ class TestRecoverCommand:
         assert shown in err
 
 
+# JSON values that are not a finite int or float, among them the ones json
+# reads from NaN, Infinity and an integer beyond float range.
+_BAD_ENTRIES = ["2.5", "x", True, False, None, [2.0], {"v": 1.0},
+                float("nan"), float("inf"), -float("inf"), 10**400]
+
+
+@settings(max_examples=60, deadline=None)
+@given(place=st.sampled_from(["F", "K", "G", "coefficients", "side"]),
+       position=st.integers(0, 15), bad=st.sampled_from(_BAD_ENTRIES))
+def test_malformed_json_entry_exits_two_naming_its_position(tmp_path_factory, place, position,
+                                                            bad):
+    """One bad entry anywhere in the files of recover --strategy side-info."""
+    fix = FIXTURES["FIX-D"]
+    c = fix.dual.T @ np.ones(4)
+    files = {
+        "system": {"F": _matrix_obj(fix.F), "K": _matrix_obj(fix.K)},
+        "dual": {"G": _matrix_obj(fix.dual)},
+        "coded": {"coefficients": [None, *c[1:].tolist()], "erased": [1]},
+        "side": (fix.F.T @ fix.K @ np.ones(4)).tolist(),
+    }
+    if place in ("F", "K", "G"):
+        row, col = divmod(position, 4)
+        files["dual" if place == "G" else "system"][place]["data"][row][col] = bad
+        shown = f"row {row + 1}, column {col + 1}: expected a finite number"
+    elif bad is None and place == "coefficients":  # null is legal at the erased position 1
+        files["coded"]["coefficients"][position % 3 + 1] = bad
+        shown = f"null coefficients at surviving positions [{position % 3 + 2}]"
+    elif place == "coefficients":
+        files["coded"]["coefficients"][position % 4] = bad
+        shown = f"coefficient {position % 4 + 1}: expected a finite number"
+    else:
+        files["side"][position % 4] = bad
+        shown = f"side vector entry {position % 4 + 1}: expected a finite number"
+    workdir = tmp_path_factory.mktemp("bad")
+    argv = ["recover", "--strategy", "side-info"]
+    for key, obj in files.items():
+        path = workdir / f"{key}.json"
+        path.write_text(json.dumps(obj))
+        argv += ["--side-info" if key == "side" else f"--{key}", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert (code, out.getvalue()) == (2, ""), err.getvalue()
+    # A dual file's G that fails to load is retried as a bare matrix object,
+    # whose error is the one shown; only there the position is not named.
+    assert place == "G" or shown in err.getvalue()
+
+
+@pytest.mark.parametrize("change, shown", [
+    ({"rows": True}, "rows and cols must be positive integers"),
+    ({"cols": 4.0}, "rows and cols must be positive integers"),
+    ({"data": [1, 2, 3, 4]}, "data must be a list of rows"),
+    ({"data": 5}, "data must be a list of rows"),
+    ({"data": [[1.0] * 4, [1.0] * 3, [1.0] * 4, [1.0] * 4]}, "row 2 has 3 entries, expected 4"),
+])
+def test_malformed_matrix_object_exits_two(capsys, tmp_path, change, shown):
+    fix = FIXTURES["FIX-D"]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"F": {**_matrix_obj(fix.F), **change}, "K": _matrix_obj(fix.K)}))
+    code, out, err = run(capsys, "analyze", "--system", str(path))
+    assert (code, out) == (2, "")
+    assert shown in err
+
+
 class TestFindRkCommand:
     def test_fixture_d_target_two(self, capsys, system_d):
         sys_path, dual_path = system_d
@@ -472,6 +586,8 @@ class TestSimulateCommand:
         ("simulate", "--seed", "-1"),
         ("find-rk", "--cap-subsets", "0"),
         ("find-rk", "--seed", "-1"),
+        ("simulate", "--signals", "0"),
+        ("find-rk", "--trials", "-3"),
     ])
     def test_out_of_range_flags_are_usage_errors(self, capsys, system_d, command, flag, value):
         code, out, err = run(capsys, command, "--system", system_d[0], "--dual", system_d[1],

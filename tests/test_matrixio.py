@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from kframes import MatrixFormatError
 from kframes.matrixio import (
@@ -107,3 +110,23 @@ class TestVectorFromObj:
     def test_rejects_nested_array(self):
         with pytest.raises(MatrixFormatError):
             vector_from_obj([[1.0], [2.0]])
+
+
+# Signed zeros, subnormals and values near both ends of the float64 range.
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.5e-310, -1.5e-310, 1e300, -1e300, 1e-300,
+                -1e-300, np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mat=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
+               elements=st.one_of(st.sampled_from(_EDGE_VALUES),
+                                  st.floats(allow_nan=False, allow_infinity=False))),
+    suffix=st.sampled_from([".json", ".csv"]),
+)
+def test_save_then_load_is_bit_exact(tmp_path_factory, mat, suffix):
+    path = tmp_path_factory.mktemp("round") / f"m{suffix}"
+    save_matrix(mat, path)
+    got = load_matrix(path)
+    assert got.shape == mat.shape
+    np.testing.assert_array_equal(got.view(np.uint64), mat.view(np.uint64))
