@@ -28,7 +28,7 @@ import numpy as np
 
 from . import matrixio
 from .canonical import canonical_kdual, canonical_kdual_restricted
-from .errors import BudgetExceededError, KFrameError, MatrixFormatError
+from .errors import BudgetExceededError, KFrameError, MatrixFormatError, MissingKeyError
 from .fixtures import get_fixture
 from .frames import (
     DualSystem,
@@ -76,8 +76,6 @@ common options: --tol-rank X --tol-res X --cap-subsets N --pretty
 """
 
 
-
-
 def _at_least(low: int):
     """argparse type: an integer >= low; a smaller one is a usage error."""
     def integer(text: str) -> int:
@@ -101,7 +99,7 @@ def _load_system(args) -> KFrameSystem:
 def _load_dual(path, system: KFrameSystem) -> DualSystem:
     try:
         g = matrixio.load_matrix(path, key="G")
-    except MatrixFormatError:
+    except MissingKeyError:  # a bare matrix object
         g = matrixio.load_matrix(path)
     return verify_kdual(system, g)
 

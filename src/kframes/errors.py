@@ -13,6 +13,10 @@ class MatrixFormatError(KFrameError):
     """A matrix file or JSON object does not follow the documented format."""
 
 
+class MissingKeyError(MatrixFormatError):
+    """A JSON matrix file lacks the key asked for."""
+
+
 class NotKFrameError(KFrameError):
     """Range inclusion fails: the operator range is not covered by the frame.
 

@@ -2,21 +2,21 @@
 
 JSON format: {"rows": n, "cols": m, "data": [[row], ...]}. CSV alternative:
 one matrix row per line, comma separated. Ragged rows are rejected in both
-formats. A JSON entry (matrix, vector or coded coefficient) must be an int or
-float, not a bool or string, and finite; `finite_entries` is that one check.
+formats. An entry (matrix, vector or coded coefficient) must be a Python or
+numpy real, not a bool or string, and finite; `finite_entries` is that check.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixFormatError
+from .errors import MatrixFormatError, MissingKeyError
 from .linalg import ensure_matrix
 
 __all__ = [
@@ -47,7 +47,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
         raise MatrixFormatError("rows and cols must be positive integers")
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+    if not (isinstance(data, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in data)):
         raise MatrixFormatError("data must be a list of rows, each a list of entries")
     if len(data) != rows:
         raise MatrixFormatError(f"declared {rows} rows, data has {len(data)}")
@@ -59,24 +59,22 @@ def matrix_from_obj(obj) -> np.ndarray:
     return entries.reshape(rows, cols)
 
 
-def finite_entries(values: list, where) -> np.ndarray:
-    """The list as a float vector, each entry an int or float (not a bool or
-    string) and finite; else MatrixFormatError naming where(k) for the first
-    bad entry, k its 1-based position.
+def finite_entries(values, where) -> np.ndarray:
+    """The list or tuple as a float vector if each entry passes the entry check;
+    else MatrixFormatError naming where(k), k the first bad entry's 1-based position.
     """
-    with contextlib.suppress(OverflowError):  # an int beyond float range
-        if {type(v) for v in values} <= {int, float}:
-            arr = np.array(values, dtype=float)
-            if np.all(np.isfinite(arr)):
-                return arr
-    k, value = next((k, v) for k, v in enumerate(values, start=1) if not _is_entry(v))
-    raise MatrixFormatError(f"{where(k)}: expected a finite number, got {value!r}")
+    for k, value in enumerate(values, start=1):
+        if not _is_entry(value):
+            raise MatrixFormatError(f"{where(k)}: expected a finite number, got {value!r}")
+    return np.array(values, dtype=float)
 
 
 def _is_entry(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
+    try:  # a plain float or int skips the slow ABC test (a bool is neither)
+        return ((type(value) in (float, int)
+                 or isinstance(value, numbers.Real) and not isinstance(value, bool))
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond float range
         return False
 
 
@@ -116,7 +114,7 @@ def load_matrix(path, key: str | None = None) -> np.ndarray:
         raise MatrixFormatError(f"{p}: invalid JSON: {exc}") from exc
     if key is not None:
         if not isinstance(obj, dict) or key not in obj:
-            raise MatrixFormatError(f"{p}: missing key {key!r}")
+            raise MissingKeyError(f"{p}: missing key {key!r}")
         obj = obj[key]
     return matrix_from_obj(obj)
 
@@ -135,7 +133,7 @@ def save_matrix(m, path) -> None:
 
 def vector_from_obj(obj, name: str = "vector") -> np.ndarray:
     """Accept either a JSON array of numbers or a one-column/one-row matrix."""
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return finite_entries(obj, lambda k: f"{name} entry {k}")
     if not isinstance(obj, dict):
         raise MatrixFormatError(f"{name}: expected array or matrix object")

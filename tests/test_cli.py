@@ -254,6 +254,14 @@ class TestAnalysisCommands:
         assert report["is_valid"] is False
         assert report["residual"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_dual_file_may_be_a_bare_matrix(self, capsys, system_d, tmp_path):
+        keyed = run_json(capsys, "check-dual", "--system", system_d[0], "--dual", system_d[1])
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(json.loads(Path(system_d[1]).read_text())["G"]))
+        assert run_json(capsys, "check-dual", "--system", system_d[0],
+                        "--dual", str(bare)) == keyed
+        assert keyed["is_valid"] is True
+
     def test_analyze_fixture_d(self, capsys, system_d):
         report = run_json(capsys, "analyze", "--system", system_d[0])
         assert report["spark"]["spark"] == 3
@@ -459,9 +467,7 @@ def test_malformed_json_entry_exits_two_naming_its_position(tmp_path_factory, pl
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
     assert (code, out.getvalue()) == (2, ""), err.getvalue()
-    # A dual file's G that fails to load is retried as a bare matrix object,
-    # whose error is the one shown; only there the position is not named.
-    assert place == "G" or shown in err.getvalue()
+    assert shown in err.getvalue()
 
 
 @pytest.mark.parametrize("change, shown", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from kframes import MatrixFormatError
+from kframes.errors import MissingKeyError
 from kframes.matrixio import (
     load_matrix,
     matrix_from_obj,
@@ -46,6 +47,17 @@ class TestJsonFormat:
         with pytest.raises(MatrixFormatError):
             matrix_from_obj({"rows": 0, "cols": 2, "data": []})
 
+    def test_python_and_numpy_reals_accepted(self):
+        data = ([1, 2.5], (np.float64(-0.0), np.int64(3)), [np.float32(0.5), np.uint8(7)])
+        got = matrix_from_obj({"rows": 3, "cols": 2, "data": data})
+        np.testing.assert_array_equal(got, [[1.0, 2.5], [-0.0, 3.0], [0.5, 7.0]])
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "2.5", None, np.float64("nan"),
+                                     10**400, [1.0]])
+    def test_bad_entry_named_by_position(self, bad):
+        with pytest.raises(MatrixFormatError, match="row 2, column 1: expected a finite"):
+            matrix_from_obj({"rows": 2, "cols": 2, "data": [[1.0, 2.0], [bad, 4.0]]})
+
 
 class TestFileRoundTrips:
     def test_json_file(self, tmp_path):
@@ -78,8 +90,13 @@ class TestFileRoundTrips:
         obj = {"F": matrix_to_obj(np.eye(2)), "K": matrix_to_obj(np.zeros((2, 2)))}
         path.write_text(json.dumps(obj))
         np.testing.assert_array_equal(load_matrix(path, key="F"), np.eye(2))
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(MissingKeyError):
             load_matrix(path, key="G")
+        obj["G"] = {"rows": 1, "cols": 1, "data": [["x"]]}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(MatrixFormatError, match="row 1, column 1") as info:
+            load_matrix(path, key="G")
+        assert not isinstance(info.value, MissingKeyError)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -106,6 +123,12 @@ class TestVectorFromObj:
         obj = {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}
         with pytest.raises(MatrixFormatError):
             vector_from_obj(obj)
+
+    def test_numpy_scalars_and_tuples(self):
+        np.testing.assert_array_equal(vector_from_obj(list(np.arange(3.0))), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(vector_from_obj((1, np.int64(2))), [1.0, 2.0])
+        with pytest.raises(MatrixFormatError, match="v entry 2: expected a finite"):
+            vector_from_obj([1.0, np.bool_(True)], name="v")
 
     def test_rejects_nested_array(self):
         with pytest.raises(MatrixFormatError):
