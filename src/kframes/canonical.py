@@ -17,7 +17,6 @@ import numpy as np
 from .errors import RestrictedInverseError
 from .frames import DualSystem, KFrameSystem, _unit_scaled, verify_kdual
 from .linalg import (
-    TolerancePolicy,
     null_space_basis,
     operator_norm,
     pseudo_inverse,
@@ -72,24 +71,17 @@ def dual_vector_map(sys: KFrameSystem) -> np.ndarray:
     return canonical_kdual(sys).vector_map
 
 
-def is_canonical(
-    sys: KFrameSystem,
-    dual: DualSystem,
-    trials: int = 16,
-    seed: int = 0,
-    tol: TolerancePolicy | None = None,
-) -> bool:
+def is_canonical(sys: KFrameSystem, dual: DualSystem, trials: int = 16, seed: int = 0) -> bool:
     """Minimal-norm test: G is canonical iff G G^T = G Z^T for every dual Z.
 
     Probes one perturbation per kernel basis vector (which makes the test
     complete, not statistical), the canonical dual itself, and `trials`
     seeded random duals.
     """
-    tol = tol or sys.tol
     if not dual.is_valid:
         raise ValueError("is_canonical requires a valid dual")
     g = dual.G
-    null = null_space_basis(sys.F, tol)
+    null = null_space_basis(sys.F, sys.tol)
     probes: list[np.ndarray] = [canonical_kdual(sys).dual.G]
     unit = np.ones((sys.n, 1))
     for j in range(null.dim):
@@ -101,7 +93,7 @@ def is_canonical(
         probes.append(g + rng.standard_normal((sys.n, null.dim)) @ null.basis.T)
     gram = g @ g.T
     scale = operator_norm(gram)
-    return all(tol.accepts(operator_norm(gram - g @ z.T), scale, factor=10) for z in probes)
+    return all(sys.tol.accepts(operator_norm(gram - g @ z.T), scale, factor=10) for z in probes)
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,9 @@ def _load_dual(path, system: KFrameSystem) -> DualSystem:
     return verify_kdual(system, g)
 
 
-def _rk_matrix(args, system: KFrameSystem) -> np.ndarray:
-    return system.gramian if args.rk_matrix is None else matrixio.load_matrix(args.rk_matrix)
+def _rk_matrix(args) -> np.ndarray | None:
+    """The --rk-matrix file's matrix; None (the Gramian) when it is absent."""
+    return None if args.rk_matrix is None else matrixio.load_matrix(args.rk_matrix)
 
 
 def _jsonable(value):
@@ -280,17 +281,17 @@ def _cmd_recover(args) -> dict:
     system = _load_system(args)
     dual = _load_dual(args.dual, system)
     coded = _load_coded(args.coded, system.m)
-    m_mat = _rk_matrix(args, system)
+    m_mat = _rk_matrix(args)
     if args.strategy == "side-info":
         if args.side_info is None:
             raise KFrameError("side-info strategy requires --side-info")
         v = matrixio.vector_from_obj(
             json.loads(Path(args.side_info).read_text()), "side vector")
-        result = recover_side_info(system, m_mat, coded, v, dual=dual, tol=system.tol)
+        result = recover_side_info(system, m_mat, coded, v, dual=dual)
     elif args.strategy == "blind":
-        result = recover_blind(system, m_mat, coded, dual=dual, tol=system.tol)
+        result = recover_blind(system, m_mat, coded, dual=dual)
     else:
-        result = recover_consistency(system, dual, coded, tol=system.tol)
+        result = recover_consistency(system, dual, coded)
     return {
         "strategy": result.strategy,
         "erased": _one_based(coded.mask),
@@ -324,7 +325,7 @@ def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which):
     coeffs = matvec_rows(dual.G.T, signals)
     targets = matvec_rows(system.K.matrix, signals)
     sides = matvec_rows(system.F.T, targets)
-    plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual, tol=system.tol)
+    plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual)
     ok = plan.deficiency[which] == 0
     full, _, certified = plan.apply(coeffs[ok], which[ok], sides[ok])
     target = targets[ok]
@@ -358,7 +359,7 @@ def _cmd_simulate(args) -> dict:
     if not strategies or any(s not in STRATEGIES or strategies.count(s) > 1 for s in strategies):
         raise KFrameError(f"--strategies needs distinct names of {', '.join(STRATEGIES)}, "
                           f"got {args.strategies!r}")
-    m_mat = _rk_matrix(args, system)
+    m_mat = _rk_matrix(args)
     rng = np.random.default_rng(args.seed)
     signals = np.empty((args.signals, system.n))
     draws = np.empty((args.signals, args.r), dtype=np.intp)
@@ -368,7 +369,7 @@ def _cmd_simulate(args) -> dict:
     sets, which = np.unique(draws, axis=0, return_inverse=True)
     certificate = None
     if {"side-info", "blind"} & set(strategies):
-        cert = validate_rk_matrix(system, dual, m_mat, system.tol, cap=args.cap_subsets)
+        cert = validate_rk_matrix(system, dual, m_mat, cap=args.cap_subsets)
         certificate = _certificate_obj(cert, lambda s: _spark_obj(s)["spark"])
     return {
         "config": {

@@ -74,7 +74,6 @@ class OperatorK:
     rank: int
     range: SubspaceBasis
     pinv: np.ndarray
-    tol: TolerancePolicy = DEFAULT_TOL
 
     @classmethod
     def from_matrix(cls, m, tol: TolerancePolicy = DEFAULT_TOL) -> "OperatorK":
@@ -91,13 +90,7 @@ class OperatorK:
             rank=rank_of(arr, tol),
             range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
             pinv=_pinv_from_svd(u, s, v, r),
-            tol=tol,
         )
-
-    @cached_property
-    def adjoint_range(self) -> SubspaceBasis:
-        """Range of K^T, formed on first read: only the MRC Parseval test reads it."""
-        return range_basis(self.matrix.T, self.tol)
 
     @property
     def dim(self) -> int:
@@ -106,21 +99,36 @@ class OperatorK:
 
 @dataclass(frozen=True)
 class KFrameSystem:
-    """A verified K-frame: synthesis matrix F plus operator and cached data.
+    """A verified K-frame: synthesis matrix F, operator K and tolerance policy.
 
-    bounds is None exactly when K = 0 (the lower bound is undefined there).
-    Construct through verify_kframe, which enforces the range inclusion.
+    The system owns its policy: every function that takes a system judges
+    with sys.tol and has no tol parameter of its own; functions on raw
+    matrices take tol. Derived data (gramian, bounds) is formed on first
+    read. Construct through verify_kframe, which enforces the range inclusion.
     """
 
     F: np.ndarray
     K: OperatorK
     tol: TolerancePolicy
-    bounds: tuple[float, float] | None
 
     @cached_property
     def gramian(self) -> np.ndarray:
         """F^T F, formed on first read: at extreme scales it overflows."""
         return self.F.T @ self.F
+
+    @cached_property
+    def bounds(self) -> tuple[float, float] | None:
+        """Optimal frame bounds (lower, upper); None exactly when K = 0."""
+        if self.K.rank == 0:
+            return None
+        # Squared in float64: a bound out of range reads inf or 0, not an error.
+        with np.errstate(over="ignore", divide="ignore"):
+            upper = np.float64(operator_norm(self.F)) ** 2
+            # Minimal-norm solution of F X = M_K; its norm is the reciprocal
+            # root of the optimal lower bound.
+            x = pseudo_inverse(self.F, self.tol) @ self.K.matrix
+            lower = 1.0 / np.float64(operator_norm(x)) ** 2
+        return (lower, upper)
 
     @property
     def n(self) -> int:
@@ -262,19 +270,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
             "operator range is not contained in the frame span",
             witness=op.range.basis[:, worst].copy(),
         )
-    bounds = None if op.rank == 0 else _compute_bounds(arr, op, tol)
-    return KFrameSystem(F=arr, K=op, tol=tol, bounds=bounds)
-
-
-def _compute_bounds(f: np.ndarray, op: OperatorK, tol: TolerancePolicy) -> tuple[float, float]:
-    # Squared in float64: a bound out of range reads inf or 0, not an error.
-    with np.errstate(over="ignore", divide="ignore"):
-        upper = np.float64(operator_norm(f)) ** 2
-        # Minimal-norm solution of F X = M_K; its norm is the reciprocal
-        # root of the optimal lower bound.
-        x = pseudo_inverse(f, tol) @ op.matrix
-        lower = 1.0 / np.float64(operator_norm(x)) ** 2
-    return (lower, upper)
+    return KFrameSystem(F=arr, K=op, tol=tol)
 
 
 def frame_bounds(sys: KFrameSystem) -> tuple[float, float]:
@@ -305,13 +301,13 @@ def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
-def classify(sys: KFrameSystem, tol: TolerancePolicy | None = None) -> Classification:
+def classify(sys: KFrameSystem) -> Classification:
     """Tightness (least-squares alpha fit of FF^T vs M_K M_K^T) and norms.
 
     Both tests run on F and K scaled exactly to unit size, so the thresholds
     are relative to the input scale and no product under- or overflows.
     """
-    tol = tol or sys.tol
+    tol = sys.tol
     f, f_exp = _unit_scaled(sys.F)
     k, k_exp = _unit_scaled(sys.K.matrix)
     ss = f @ f.T
@@ -332,9 +328,8 @@ def classify(sys: KFrameSystem, tol: TolerancePolicy | None = None) -> Classific
     return Classification(tight_alpha=alpha, parseval=parseval, equal_norm=equal_norm)
 
 
-def verify_kdual(sys: KFrameSystem, g, tol: TolerancePolicy | None = None) -> DualSystem:
+def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
     """Residual-based K-dual check: ||F G^T - M_K|| against the threshold."""
-    tol = tol or sys.tol
     arr = ensure_matrix(g, "G")
     if arr.shape != sys.F.shape:
         raise ShapeMismatchError(
@@ -344,7 +339,7 @@ def verify_kdual(sys: KFrameSystem, g, tol: TolerancePolicy | None = None) -> Du
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
     e = _unit_exponent(sys.K.matrix)
-    is_valid = tol.accepts(math.ldexp(residual, -e), math.ldexp(operator_norm(sys.K.matrix), -e))
+    is_valid = sys.tol.accepts(math.ldexp(residual, -e), math.ldexp(operator_norm(sys.K.matrix), -e))
     return DualSystem(G=arr, residual=residual, is_valid=is_valid)
 
 
@@ -392,13 +387,13 @@ def worst_erasure_error(
     return _max_erasure_norm("worst_erasure_error", sys.F, dual.G, r, cap)
 
 
-def transform(sys: KFrameSystem, a, u, tol: TolerancePolicy | None = None) -> KFrameSystem:
+def transform(sys: KFrameSystem, a, u) -> KFrameSystem:
     """Left-multiply by a square A and right-multiply by a unitary U.
 
     (A F U, A M_K) is again a valid system for the transported operator, and
-    G U is a dual of it whenever G was a dual of the original.
+    G U is a dual of it whenever G was a dual of the original; the new
+    system keeps sys.tol.
     """
-    tol = tol or sys.tol
     a = ensure_matrix(a, "A")
     u = ensure_matrix(u, "U")
     if a.shape != (sys.n, sys.n):
@@ -406,6 +401,6 @@ def transform(sys: KFrameSystem, a, u, tol: TolerancePolicy | None = None) -> KF
     if u.shape != (sys.m, sys.m):
         raise ShapeMismatchError(f"U must be {sys.m}x{sys.m}, got {u.shape}")
     unitary_defect = operator_norm(u.T @ u - np.eye(sys.m))
-    if not tol.accepts(unitary_defect, factor=10):
+    if not sys.tol.accepts(unitary_defect, factor=10):
         raise ValueError(f"U is not unitary (||U^T U - I|| = {unitary_defect:.3e})")
-    return verify_kframe(a @ sys.F @ u, a @ sys.K.matrix, tol)
+    return verify_kframe(a @ sys.F @ u, a @ sys.K.matrix, sys.tol)

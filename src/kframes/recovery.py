@@ -128,7 +128,7 @@ def _r_from_spark(value: int | float, m: int) -> int:
     return m if value == INFINITE else int(value) - 1
 
 
-def _recovery_matrix(sys: KFrameSystem, m_mat, dual=None, tol=None) -> np.ndarray:
+def _recovery_matrix(sys: KFrameSystem, m_mat, dual=None) -> np.ndarray:
     """M as a checked m x m array, the Gramian when m_mat is None.
 
     Given the dual, M must also annihilate it: (M - Gram) G^T = 0.
@@ -137,7 +137,7 @@ def _recovery_matrix(sys: KFrameSystem, m_mat, dual=None, tol=None) -> np.ndarra
     if mat.shape != (sys.m, sys.m):
         raise ShapeMismatchError(f"M must be {sys.m}x{sys.m}, got {mat.shape}")
     if dual is not None:
-        _, residual, annihilates = _annihilation(sys, dual, mat, tol or sys.tol)
+        _, residual, annihilates = _annihilation(sys, dual, mat)
         if not annihilates:
             raise KFrameError(f"recovery matrix fails annihilation against the dual "
                               f"(residual {residual:.3e})")
@@ -145,12 +145,13 @@ def _recovery_matrix(sys: KFrameSystem, m_mat, dual=None, tol=None) -> np.ndarra
 
 
 def _annihilation(
-    sys: KFrameSystem, dual: DualSystem, mat: np.ndarray, tol: TolerancePolicy
+    sys: KFrameSystem, dual: DualSystem, mat: np.ndarray
 ) -> tuple[np.ndarray, float, bool]:
     """N = M - Gram, the residual ||N G^T|| and whether it passes its threshold."""
     n_mat = mat - sys.gramian
     residual = operator_norm(n_mat @ dual.G.T)
-    return n_mat, residual, tol.accepts(residual, operator_norm(n_mat) * operator_norm(dual.G))
+    return n_mat, residual, sys.tol.accepts(
+        residual, operator_norm(n_mat) * operator_norm(dual.G))
 
 
 @dataclass(frozen=True)
@@ -174,17 +175,12 @@ class RkCertificate:
 
 
 def validate_rk_matrix(
-    sys: KFrameSystem,
-    dual: DualSystem,
-    m_mat,
-    tol: TolerancePolicy | None = None,
-    cap: int = 10**6,
+    sys: KFrameSystem, dual: DualSystem, m_mat, cap: int = 10**6
 ) -> RkCertificate:
-    tol = tol or sys.tol
     mat = _recovery_matrix(sys, m_mat)
-    n_mat, residual, annihilates = _annihilation(sys, dual, mat, tol)
-    spark_m = spark(mat, tol, cap)
-    spark_n = spark(n_mat, tol, cap)
+    n_mat, residual, annihilates = _annihilation(sys, dual, mat)
+    spark_m = spark(mat, sys.tol, cap)
+    spark_n = spark(n_mat, sys.tol, cap)
     return RkCertificate(
         M=mat,
         spark_M=spark_m,
@@ -321,7 +317,6 @@ def plan_recovery(
     sets,
     m_mat=None,
     dual: DualSystem | None = None,
-    tol: TolerancePolicy | None = None,
 ) -> RecoveryPlan:
     """Plan recovery of every erasure set (row of the G x r index array sets).
 
@@ -334,7 +329,7 @@ def plan_recovery(
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "consistency" and dual is None:
         raise ValueError("consistency recovery needs the dual")
-    tol = tol or sys.tol
+    tol = sys.tol
     erased = np.asarray(sets, dtype=np.intp)
     if erased.ndim != 2:
         raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
@@ -366,13 +361,13 @@ class RecoveryReport:
 
 def _recover_one(
     sys: KFrameSystem, strategy: str, coded: CodedSignal, side=None, m_mat=None,
-    dual: DualSystem | None = None, tol: TolerancePolicy | None = None,
+    dual: DualSystem | None = None,
 ) -> RecoveryReport:
     """Plan and recover coded's erasure set; AmbiguityError when it is rank
     deficient. Given the dual, M must first annihilate it (side-info, blind)."""
     if strategy != "consistency":
-        m_mat = _recovery_matrix(sys, m_mat, dual, tol)
-    plan = plan_recovery(sys, strategy, [coded.mask], m_mat=m_mat, dual=dual, tol=tol)
+        m_mat = _recovery_matrix(sys, m_mat, dual)
+    plan = plan_recovery(sys, strategy, [coded.mask], m_mat=m_mat, dual=dual)
     if plan.deficiency[0]:
         raise AmbiguityError(
             f"{plan.strategy}: erased columns are rank deficient "
@@ -392,7 +387,6 @@ def recover_side_info(
     coded: CodedSignal,
     v,
     dual: DualSystem | None = None,
-    tol: TolerancePolicy | None = None,
 ) -> RecoveryReport:
     """Recover erased entries from M_L c_L = v - M_known c_known.
 
@@ -403,25 +397,18 @@ def recover_side_info(
     side = ensure_vector(v, "side vector")
     if side.shape[0] != sys.m:
         raise ShapeMismatchError(f"side vector length {side.shape[0]} != m = {sys.m}")
-    return _recover_one(sys, "side-info", coded, side, m_mat=m_mat, dual=dual, tol=tol)
+    return _recover_one(sys, "side-info", coded, side, m_mat=m_mat, dual=dual)
 
 
 def recover_blind(
-    sys: KFrameSystem,
-    m_mat,
-    coded: CodedSignal,
-    dual: DualSystem | None = None,
-    tol: TolerancePolicy | None = None,
+    sys: KFrameSystem, m_mat, coded: CodedSignal, dual: DualSystem | None = None
 ) -> RecoveryReport:
     """Recover erased entries from the homogeneous relation (M - Gram) c = 0."""
-    return _recover_one(sys, "blind", coded, m_mat=m_mat, dual=dual, tol=tol)
+    return _recover_one(sys, "blind", coded, m_mat=m_mat, dual=dual)
 
 
 def recover_consistency(
-    sys: KFrameSystem,
-    dual: DualSystem,
-    coded: CodedSignal,
-    tol: TolerancePolicy | None = None,
+    sys: KFrameSystem, dual: DualSystem, coded: CodedSignal
 ) -> RecoveryReport:
     """Least-squares signal fit against surviving coefficients.
 
@@ -429,7 +416,7 @@ def recover_consistency(
     (range test), which pins Kf even though the fitted signal itself may
     wander in the kernel directions.
     """
-    return _recover_one(sys, "consistency", coded, dual=dual, tol=tol)
+    return _recover_one(sys, "consistency", coded, dual=dual)
 
 
 @dataclass(frozen=True)
@@ -448,17 +435,14 @@ class ProjectedDualExpansion:
 
 
 def projected_dual_expansion(
-    sys: KFrameSystem,
-    dual: DualSystem,
-    lam,
-    tol: TolerancePolicy | None = None,
+    sys: KFrameSystem, dual: DualSystem, lam
 ) -> ProjectedDualExpansion:
     """Solve pi_{R(K)} g_i = sum_{j notin L} alpha_ij f_j for each erased i.
 
     Guaranteed solvable when the erasure count is at most the uniform
     excess; otherwise the residual check raises ExpansionError.
     """
-    tol = tol or sys.tol
+    tol = sys.tol
     mask = normalize_erasure_set(lam, sys.m)
     survivors = [j for j in range(sys.m) if j not in mask]
     projector = sys.K.range.projector()
@@ -609,13 +593,9 @@ class ComposedRecovery:
 
 
 def compose_recovery_matrices(
-    sys: KFrameSystem,
-    n_mat,
-    m_mat,
-    tol: TolerancePolicy | None = None,
-    cap: int = 10**6,
+    sys: KFrameSystem, n_mat, m_mat, cap: int = 10**6
 ) -> ComposedRecovery:
-    tol = tol or sys.tol
+    tol = sys.tol
     n_arr = ensure_matrix(n_mat, "N")
     m_arr = ensure_matrix(m_mat, "M")
     if n_arr.shape[1] != sys.m or m_arr.shape != (sys.m, sys.m):

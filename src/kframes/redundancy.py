@@ -247,7 +247,7 @@ def _parseval_condition(
     k, _ = _unit_scaled(sys.K.matrix)
     x = pseudo_inverse(f, sys.tol) @ k
     t = k - f[:, list(sig)] @ x[list(sig), :]
-    domain = sys.K.adjoint_range
+    domain = range_basis(sys.K.matrix.T, sys.tol)
     coord, image = restricted_operator(t, domain, sys.tol)
     injective = image.dim == domain.dim and coord.shape[0] == coord.shape[1]
     f_c = f[:, survivors]
