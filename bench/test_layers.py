@@ -5,8 +5,14 @@
 
 Every case runs on one seeded 6x12 system with rank(K) = 4, its canonical
 dual and a find-rk recovery matrix that tolerates 4 erasures for both
-side-info and blind recovery.
+side-info and blind recovery. test_verify_kframe times building the system
+from F and K; test_run_analyze times one `analyze` through run_command, from
+reading the system file to printing the report.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +26,9 @@ from kframes import (
     recover_side_info,
     verify_kframe,
 )
+from kframes.cli import run_command
 from kframes.linalg import pinv_and_rank
+from kframes.matrixio import matrix_to_obj
 from kframes.recovery import STRATEGIES
 
 N, M, RANK_K, R, SIGNALS = 6, 12, 4, 4, 1000
@@ -69,3 +77,23 @@ def test_pinv_and_rank(benchmark, setup):
     block = setup[2][:, :R]
     _, rank = benchmark(pinv_and_rank, block)
     assert rank == R
+
+
+def test_verify_kframe(benchmark, setup):
+    system = setup[0]
+    built = benchmark(verify_kframe, system.F, system.K.matrix)
+    assert built.K.rank == RANK_K
+
+
+def test_run_analyze(benchmark, setup, tmp_path):
+    system = setup[0]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"F": matrix_to_obj(system.F),
+                                "K": matrix_to_obj(system.K.matrix)}))
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run_command(["analyze", "--system", str(path)]) == 0
+        return json.loads(out.getvalue())
+
+    assert benchmark(run)["operator_rank"] == RANK_K

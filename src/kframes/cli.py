@@ -2,8 +2,9 @@
 
 Commands: analyze, canonical-dual, check-dual, spark, mrc, recover,
 find-rk, simulate, fixtures. Reports are JSON on stdout; human diagnostics
-go to stderr. Exit codes: 0 success, 1 contract violation, 2 I/O or parse
-error, 64 unknown command or bad usage.
+go to stderr. Exit codes: 0 success, 1 contract violation or a computed
+value out of float64 range, 2 I/O or parse error, 64 unknown command or bad
+usage.
 
 `_parsers` builds each command's parser once per process, with the common
 options from one parent and the handler as `args.run`. A handler maps args
@@ -91,9 +92,8 @@ def _policy(args) -> TolerancePolicy:
 
 
 def _load_system(args) -> KFrameSystem:
-    tol = _policy(args)
-    f, k = (matrixio.load_matrix(args.system, key=key) for key in ("F", "K"))
-    return verify_kframe(f, k, tol)
+    tol = _policy(args)  # a bad --tol-* is reported before the file is read
+    return verify_kframe(*matrixio.load_matrix(args.system, key=("F", "K")), tol)
 
 
 def _load_dual(path, system: KFrameSystem) -> DualSystem:
@@ -447,9 +447,13 @@ def run_command(argv) -> int:
         return 64
     try:
         args = parser.parse_args(argv[1:])
-        body = args.run(args)
+        with np.errstate(over="raise", invalid="raise"):
+            body = args.run(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 64
+    except FloatingPointError as exc:
+        _sys.stderr.write(f"kframes {name}: computed values leave the float64 range ({exc})\n")
+        return 1
     except (MatrixFormatError, OSError, json.JSONDecodeError) as exc:
         _sys.stderr.write(f"kframes {name}: {exc}\n")
         return 2

@@ -339,7 +339,8 @@ def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
     e = _unit_exponent(sys.K.matrix)
-    is_valid = sys.tol.accepts(math.ldexp(residual, -e), math.ldexp(operator_norm(sys.K.matrix), -e))
+    is_valid = sys.tol.accepts(math.ldexp(residual, -e),
+                               math.ldexp(operator_norm(sys.K.matrix), -e))
     return DualSystem(G=arr, residual=residual, is_valid=is_valid)
 
 

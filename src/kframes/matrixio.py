@@ -99,24 +99,31 @@ def _matrix_from_csv(path: Path) -> np.ndarray:
     return arr
 
 
-def load_matrix(path, key: str | None = None) -> np.ndarray:
+def load_matrix(path, key: str | tuple[str, ...] | None = None):
     """Load a matrix from a .json or .csv file.
 
     For JSON, the file may hold the matrix object directly or wrap it under
-    `key` (e.g. a system file {"F": ..., "K": ...}).
+    `key` (e.g. a dual file {"G": ...}). A tuple of keys gives one matrix per
+    key, read and checked in that order from one parse of the file (e.g.
+    ("F", "K") of a system file). A CSV file is its own matrix for any key.
     """
     p = Path(path)
+    keys = key if isinstance(key, tuple) else (key,)
     if p.suffix.lower() == ".csv":
-        return _matrix_from_csv(p)
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"{p}: invalid JSON: {exc}") from exc
-    if key is not None:
-        if not isinstance(obj, dict) or key not in obj:
-            raise MissingKeyError(f"{p}: missing key {key!r}")
-        obj = obj[key]
-    return matrix_from_obj(obj)
+        mats = [_matrix_from_csv(p) for _ in keys]
+    else:
+        try:
+            obj = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise MatrixFormatError(f"{p}: invalid JSON: {exc}") from exc
+        mats = [matrix_from_obj(obj if k is None else _keyed(obj, k, p)) for k in keys]
+    return tuple(mats) if isinstance(key, tuple) else mats[0]
+
+
+def _keyed(obj, key: str, path: Path):
+    if not isinstance(obj, dict) or key not in obj:
+        raise MissingKeyError(f"{path}: missing key {key!r}")
+    return obj[key]
 
 
 def save_matrix(m, path) -> None:

@@ -150,8 +150,7 @@ def _annihilation(
     """N = M - Gram, the residual ||N G^T|| and whether it passes its threshold."""
     n_mat = mat - sys.gramian
     residual = operator_norm(n_mat @ dual.G.T)
-    return n_mat, residual, sys.tol.accepts(
-        residual, operator_norm(n_mat) * operator_norm(dual.G))
+    return n_mat, residual, sys.tol.accepts(residual, operator_norm(n_mat) * operator_norm(dual.G))
 
 
 @dataclass(frozen=True)

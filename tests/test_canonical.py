@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kframes import (
     canonical_kdual,
@@ -198,3 +200,33 @@ class TestMinimality:
                     sys, result.dual, rng.standard_normal((sys.n, null.dim))
                 )
                 assert result.analysis_norm <= operator_norm(other.G.T) + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    inrange=st.booleans(),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(1, 4),
+    exponent=st.integers(-60, 60),
+)
+def test_canonical_dual_is_minimal(seed, inrange, n, extra, rank_k, exponent):
+    """On K-frames with a nontrivial kernel, at scale 10^exponent, is_canonical
+    accepts the canonical dual G and rejects G + C N^T for C != 0 (N a kernel
+    basis of F), whose analysis norm is no smaller than the canonical one."""
+    rng = np.random.default_rng(seed)
+    draw = random_inrange_kframe if inrange else random_kframe
+    f, k = draw(rng, n, n + extra, min(rank_k, n))
+    c = 10.0 ** exponent
+    sys = verify_kframe(c * f, c * k)
+    result = canonical_kdual(sys)
+    assert is_canonical(sys, result.dual)
+    null = null_space_basis(sys.F, sys.tol)
+    assert null.dim >= extra
+    coeffs = rng.standard_normal((sys.n, null.dim))
+    coeffs[0, 0] += np.copysign(1.0, coeffs[0, 0])  # keeps C away from 0
+    other = dual_perturbation(sys, result.dual, coeffs)
+    assert other.is_valid
+    assert not is_canonical(sys, other)
+    assert result.analysis_norm <= operator_norm(other.G.T) * (1 + 1e-12)

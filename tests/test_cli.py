@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -711,3 +712,43 @@ def test_rank_verdicts_outside_analyze_are_scale_invariant(
                         mrc["first_failing"], certificate["spark_M"], certificate["spark_N"],
                         certificate["r_side_info"], certificate["r_blind"]))
     assert reports[0] == reports[1]
+
+
+def test_analyze_reads_the_system_file_once(capsys, system_d, monkeypatch):
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    run_json(capsys, "analyze", "--system", system_d[0])
+    assert reads.count(system_d[0]) == 1
+
+
+def test_system_file_is_checked_f_before_k(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"F": {"rows": 1, "cols": 1, "data": [["x"]]}}))
+    code, _, err = run(capsys, "analyze", "--system", str(path))
+    assert code == 2 and "row 1, column 1: expected a finite number" in err
+    path.write_text(json.dumps({"F": _matrix_obj(np.eye(2))}))
+    code, _, err = run(capsys, "analyze", "--system", str(path))
+    assert code == 2 and f"{path}: missing key 'K'" in err
+
+
+@pytest.mark.parametrize("strategy", ["consistency", "side-info", "blind"])
+def test_overflow_exits_one_without_warnings(capsys, tmp_path, strategy):
+    """FIX-A scaled by 1e200: a simulate whose products overflow float64 exits 1
+    with one message, instead of printing RuntimeWarnings and reporting "inf"."""
+    fix = FIXTURES["FIX-A"]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"F": _matrix_obj(1e200 * fix.F),
+                                "K": _matrix_obj(1e200 * fix.K)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "simulate", "--system", str(path), "--r", "1",
+                             "--signals", "5", "--strategies", strategy)
+    assert (code, out, caught) == (1, "", [])
+    assert "computed values leave the float64 range" in err
+    assert "RuntimeWarning" not in err and "non-finite" not in err

@@ -1,10 +1,17 @@
+import dataclasses
+import importlib
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kframes import (
+    KFrameSystem,
     NotKFrameError,
+    OperatorK,
     ShapeMismatchError,
     ZeroOperatorError,
     canonical_kdual,
@@ -14,9 +21,15 @@ from kframes import (
     gramian,
     is_kframe,
     normalize_erasure_set,
+    TolerancePolicy,
+    is_maximal_robust,
+    mrc_all,
     operator_norm,
+    pseudo_inverse,
     rank_of,
+    spark,
     transform,
+    uniform_excess,
     verify_kdual,
     verify_kframe,
     worst_erasure_error,
@@ -335,3 +348,88 @@ class TestErasureSetValidation:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             normalize_erasure_set([1, 1], 5)
+
+
+def _planted_kframe(rng, n, extra, rank_k, planted):
+    """Random K-frame whose last `planted` columns copy or combine earlier ones,
+    so its spark and redundancy verdicts are not all generic."""
+    f, k = random_kframe(rng, n, n + extra, rank_k)
+    for j in range(f.shape[1] - planted, f.shape[1]):
+        picks = rng.choice(j, size=min(j, int(rng.integers(1, 3))), replace=False)
+        f[:, j] = f[:, picks] @ rng.choice([-2.0, -1.0, 1.0, 3.0], size=len(picks))
+    return f, k
+
+
+def _verdicts(sys, duals):
+    f, k, tol = sys.F, sys.K, sys.tol
+    return (
+        spark(f, tol).value,
+        uniform_excess(f, k, tol=tol).value,
+        is_maximal_robust(f, k, tol=tol),
+        [mrc_all(f, k, r, tol=tol)[0] for r in range(sys.m + 1)],
+        [verify_kdual(sys, g).is_valid for g in duals],
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(1, 4),
+    planted=st.integers(0, 2),
+)
+def test_verdicts_are_invariant_under_transform(seed, n, extra, rank_k, planted):
+    """Spark, uniform excess, maximal robustness, MRC at every r and dual validity
+    agree on (F, K) with duals G and on (A F U, A K) with duals G U, for A = random
+    + 3I and U a random signed permutation; the new system keeps the policy."""
+    rng = np.random.default_rng(seed)
+    rank_k = min(rank_k, n)
+    f, k = _planted_kframe(rng, n, extra, rank_k, min(planted, extra))
+    policy = TolerancePolicy(rank_cutoff_rel=1e-9, residual_rel=1e-8)
+    sys = verify_kframe(f, k, policy)
+    a = rng.standard_normal((n, n)) + 3 * np.eye(n)
+    u = np.eye(sys.m)[:, rng.permutation(sys.m)] * rng.choice([-1.0, 1.0], size=sys.m)
+    out = transform(sys, a, u)
+    assert out.tol == policy
+    duals = [canonical_kdual(sys).dual.G, rng.standard_normal((n, sys.m))]
+    assert _verdicts(out, [g @ u for g in duals]) == _verdicts(sys, duals)
+
+
+def _takes_a_system(fn) -> bool:
+    params = list(inspect.signature(fn).parameters.values())
+    return bool(params) and params[0].annotation in ("KFrameSystem", KFrameSystem)
+
+
+def test_functions_of_a_system_read_its_policy():
+    """A function whose first parameter is a KFrameSystem has no tol of its own;
+    the system carries F, K and tol only, and K carries no policy."""
+    takers = {}
+    for module in ("frames", "canonical", "recovery", "redundancy"):
+        mod = importlib.import_module(f"kframes.{module}")
+        for name in mod.__all__:
+            fn = getattr(mod, name)
+            if inspect.isfunction(fn) and _takes_a_system(fn):
+                takers[name] = fn
+    assert {"classify", "verify_kdual", "transform", "is_canonical", "plan_recovery",
+            "validate_rk_matrix", "compose_recovery_matrices"} <= takers.keys()
+    assert [name for name, fn in takers.items()
+            if "tol" in inspect.signature(fn).parameters] == []
+    assert [fl.name for fl in dataclasses.fields(KFrameSystem)] == ["F", "K", "tol"]
+    assert "tol" not in {fl.name for fl in dataclasses.fields(OperatorK)}
+    assert not hasattr(OperatorK, "adjoint_range")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_bounds_are_formed_on_first_read(name, scale):
+    """verify_kframe leaves the bounds unformed; the first read gives the eager
+    formula's value bit for bit."""
+    fix = FIXTURES[name]
+    f, k = scale * fix.F, scale * fix.K
+    sys = verify_kframe(f, k)
+    assert "bounds" not in vars(sys)
+    with np.errstate(over="ignore", divide="ignore"):
+        upper = np.float64(operator_norm(f)) ** 2
+        lower = 1.0 / np.float64(operator_norm(pseudo_inverse(f) @ k)) ** 2
+    assert sys.bounds == (lower, upper)

@@ -90,8 +90,13 @@ class TestFileRoundTrips:
         obj = {"F": matrix_to_obj(np.eye(2)), "K": matrix_to_obj(np.zeros((2, 2)))}
         path.write_text(json.dumps(obj))
         np.testing.assert_array_equal(load_matrix(path, key="F"), np.eye(2))
+        f, k = load_matrix(path, key=("F", "K"))
+        np.testing.assert_array_equal(f, np.eye(2))
+        np.testing.assert_array_equal(k, np.zeros((2, 2)))
         with pytest.raises(MissingKeyError):
             load_matrix(path, key="G")
+        with pytest.raises(MissingKeyError, match="missing key 'G'"):
+            load_matrix(path, key=("F", "G"))
         obj["G"] = {"rows": 1, "cols": 1, "data": [["x"]]}
         path.write_text(json.dumps(obj))
         with pytest.raises(MatrixFormatError, match="row 1, column 1") as info:
