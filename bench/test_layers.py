@@ -6,8 +6,9 @@
 Every case runs on one seeded 6x12 system with rank(K) = 4, its canonical
 dual and a find-rk recovery matrix that tolerates 4 erasures for both
 side-info and blind recovery. test_verify_kframe times building the system
-from F and K; test_run_analyze times one `analyze` through run_command, from
-reading the system file to printing the report.
+from F and K; test_mrc_subset one sigma of two columns; test_is_canonical the
+test on the canonical dual; test_run_analyze one `analyze` through
+run_command, from reading the system file to printing the report.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ from kframes import (
     encode,
     erase,
     find_rk_matrix,
+    is_canonical,
+    mrc_subset,
     plan_recovery,
     recover_side_info,
     verify_kframe,
@@ -83,6 +86,17 @@ def test_verify_kframe(benchmark, setup):
     system = setup[0]
     built = benchmark(verify_kframe, system.F, system.K.matrix)
     assert built.K.rank == RANK_K
+
+
+def test_mrc_subset(benchmark, setup):
+    system = setup[0]
+    report = benchmark(mrc_subset, system.F, system.K, [0, 5], system.tol)
+    assert report.is_mrc and report.parseval_condition_ii is None
+
+
+def test_is_canonical(benchmark, setup):
+    system, dual = setup[:2]
+    assert benchmark(is_canonical, system, dual)
 
 
 def test_run_analyze(benchmark, setup, tmp_path):

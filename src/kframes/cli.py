@@ -23,13 +23,12 @@ import json
 import re
 import sys as _sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import matrixio
 from .canonical import canonical_kdual, canonical_kdual_restricted
-from .errors import BudgetExceededError, KFrameError, MatrixFormatError, MissingKeyError
+from .errors import BudgetExceededError, KFrameError, MatrixFormatError
 from .fixtures import get_fixture
 from .frames import (
     DualSystem,
@@ -97,11 +96,8 @@ def _load_system(args) -> KFrameSystem:
 
 
 def _load_dual(path, system: KFrameSystem) -> DualSystem:
-    try:
-        g = matrixio.load_matrix(path, key="G")
-    except MissingKeyError:  # a bare matrix object
-        g = matrixio.load_matrix(path)
-    return verify_kdual(system, g)
+    """The dual of a file holding {"G": matrix} or the bare matrix, parsed once."""
+    return verify_kdual(system, matrixio.load_matrix(path, key="G", bare=True))
 
 
 def _rk_matrix(args) -> np.ndarray | None:
@@ -258,7 +254,7 @@ def _positions(values, m: int, what: str) -> list[int]:
 
 
 def _load_coded(path, m: int):
-    obj = json.loads(Path(path).read_text())
+    obj = matrixio.read_json(path)
     if not isinstance(obj, dict) or "coefficients" not in obj:
         raise MatrixFormatError(f"{path}: expected an object with 'coefficients'")
     erased = obj.get("erased", [])
@@ -285,8 +281,8 @@ def _cmd_recover(args) -> dict:
     if args.strategy == "side-info":
         if args.side_info is None:
             raise KFrameError("side-info strategy requires --side-info")
-        v = matrixio.vector_from_obj(
-            json.loads(Path(args.side_info).read_text()), "side vector")
+        v = matrixio.vector_from_obj(matrixio.read_json(args.side_info),
+                                     f"{args.side_info}: side vector")
         result = recover_side_info(system, m_mat, coded, v, dual=dual)
     elif args.strategy == "blind":
         result = recover_blind(system, m_mat, coded, dual=dual)
@@ -454,7 +450,7 @@ def run_command(argv) -> int:
     except FloatingPointError as exc:
         _sys.stderr.write(f"kframes {name}: computed values leave the float64 range ({exc})\n")
         return 1
-    except (MatrixFormatError, OSError, json.JSONDecodeError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         _sys.stderr.write(f"kframes {name}: {exc}\n")
         return 2
     except (KFrameError, ValueError, KeyError) as exc:

@@ -104,7 +104,7 @@ class KFrameSystem:
     The system owns its policy: every function that takes a system judges
     with sys.tol and has no tol parameter of its own; functions on raw
     matrices take tol. Derived data (gramian, bounds) is formed on first
-    read. Construct through verify_kframe, which enforces the range inclusion.
+    read. Construct through verify_kframe, or directly once is_kframe holds.
     """
 
     F: np.ndarray
@@ -226,7 +226,7 @@ def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
 
 
 def is_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Cheap predicate form of verify_kframe (no system construction)."""
+    """Whether R(K) lies in R(F): the one K-frame test; kframe_flags is its stacked form."""
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     # K = 0 passes untested: its zero columns would widen the rank cutoff's max(shape).
@@ -262,7 +262,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
         raise ShapeMismatchError(
             f"F has {arr.shape[0]} rows but K acts on dimension {op.dim}"
         )
-    if not (op.rank == 0 or ranges_nested(op.matrix, arr, tol)):
+    if not is_kframe(arr, op, tol):
         proj = range_basis(arr, tol).projector()
         leftover = op.range.basis - proj @ op.range.basis
         worst = int(np.argmax(np.linalg.norm(leftover, axis=0)))

@@ -22,6 +22,7 @@ from .linalg import ensure_matrix
 __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
+    "read_json",
     "load_matrix",
     "save_matrix",
     "vector_from_obj",
@@ -38,24 +39,27 @@ def matrix_to_obj(m) -> dict:
     }
 
 
-def matrix_from_obj(obj) -> np.ndarray:
+def matrix_from_obj(obj, name: str | None = None) -> np.ndarray:
+    """The matrix of a JSON matrix object; a MatrixFormatError message starts
+    with name (e.g. a file and its key) when one is given."""
+    at = "" if name is None else f"{name}: "
     if not isinstance(obj, dict):
-        raise MatrixFormatError(f"expected a matrix object, got {type(obj).__name__}")
+        raise MatrixFormatError(f"{at}expected a matrix object, got {type(obj).__name__}")
     missing = {"rows", "cols", "data"} - obj.keys()
     if missing:
-        raise MatrixFormatError(f"matrix object missing keys: {sorted(missing)}")
+        raise MatrixFormatError(f"{at}matrix object missing keys: {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
-        raise MatrixFormatError("rows and cols must be positive integers")
+        raise MatrixFormatError(f"{at}rows and cols must be positive integers")
     if not (isinstance(data, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in data)):
-        raise MatrixFormatError("data must be a list of rows, each a list of entries")
+        raise MatrixFormatError(f"{at}data must be a list of rows, each a list of entries")
     if len(data) != rows:
-        raise MatrixFormatError(f"declared {rows} rows, data has {len(data)}")
+        raise MatrixFormatError(f"{at}declared {rows} rows, data has {len(data)}")
     for i, row in enumerate(data, start=1):
         if len(row) != cols:
-            raise MatrixFormatError(f"row {i} has {len(row)} entries, expected {cols}")
-    entries = finite_entries([v for row in data for v in row],
-                             lambda k: f"row {(k - 1) // cols + 1}, column {(k - 1) % cols + 1}")
+            raise MatrixFormatError(f"{at}row {i} has {len(row)} entries, expected {cols}")
+    entries = finite_entries([v for row in data for v in row], lambda k: (
+        f"{at}row {(k - 1) // cols + 1}, column {(k - 1) % cols + 1}"))
     return entries.reshape(rows, cols)
 
 
@@ -99,31 +103,41 @@ def _matrix_from_csv(path: Path) -> np.ndarray:
     return arr
 
 
-def load_matrix(path, key: str | tuple[str, ...] | None = None):
+def read_json(path):
+    """The parsed JSON file; MatrixFormatError naming the file when it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_matrix(path, key: str | tuple[str, ...] | None = None, bare: bool = False):
     """Load a matrix from a .json or .csv file.
 
-    For JSON, the file may hold the matrix object directly or wrap it under
-    `key` (e.g. a dual file {"G": ...}). A tuple of keys gives one matrix per
-    key, read and checked in that order from one parse of the file (e.g.
+    For JSON, the file holds the matrix object directly or wraps it under
+    `key` (e.g. a dual file {"G": ...}); with bare=True a file without the
+    key is read as the matrix object itself. A tuple of keys gives one matrix
+    per key, read and checked in that order from one parse of the file (e.g.
     ("F", "K") of a system file). A CSV file is its own matrix for any key.
+    Error messages name the file, and the key of a wrapped matrix.
     """
     p = Path(path)
     keys = key if isinstance(key, tuple) else (key,)
     if p.suffix.lower() == ".csv":
         mats = [_matrix_from_csv(p) for _ in keys]
     else:
-        try:
-            obj = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{p}: invalid JSON: {exc}") from exc
-        mats = [matrix_from_obj(obj if k is None else _keyed(obj, k, p)) for k in keys]
+        obj = read_json(p)
+        mats = [_matrix_at(obj, k, p, bare) for k in keys]
     return tuple(mats) if isinstance(key, tuple) else mats[0]
 
 
-def _keyed(obj, key: str, path: Path):
-    if not isinstance(obj, dict) or key not in obj:
+def _matrix_at(obj, key: str | None, path: Path, bare: bool) -> np.ndarray:
+    wrapped = isinstance(obj, dict) and key in obj
+    if key is None or bare and not wrapped:
+        return matrix_from_obj(obj, str(path))
+    if not wrapped:
         raise MissingKeyError(f"{path}: missing key {key!r}")
-    return obj[key]
+    return matrix_from_obj(obj[key], f"{path}: {key}")
 
 
 def save_matrix(m, path) -> None:
@@ -144,7 +158,7 @@ def vector_from_obj(obj, name: str = "vector") -> np.ndarray:
         return finite_entries(obj, lambda k: f"{name} entry {k}")
     if not isinstance(obj, dict):
         raise MatrixFormatError(f"{name}: expected array or matrix object")
-    arr = matrix_from_obj(obj)
+    arr = matrix_from_obj(obj, name)
     if 1 not in arr.shape:
         raise MatrixFormatError(f"{name}: matrix form must have one row or column")
     return arr.reshape(-1)

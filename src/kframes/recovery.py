@@ -43,6 +43,7 @@ from .frames import (
     KFrameSystem,
     _complements,
     _max_erasure_norm,
+    _unit_scaled,
     normalize_erasure_set,
     verify_kdual,
 )
@@ -336,8 +337,10 @@ def plan_recovery(
     if strategy == "consistency":
         solver, rank = stacked_pinv_and_rank(dual.G.T[known], tol)
         # The survivors frame R(K^T) exactly when appending K^T adds no rank.
-        k_t = np.broadcast_to(sys.K.matrix.T, (len(erased), sys.n, sys.n))
-        spans = stacked_ranks(np.concatenate([column_blocks(dual.G, known), k_t], axis=2), tol)
+        # G and K^T are each scaled exactly to unit size, so neither hides the other.
+        g, _ = _unit_scaled(dual.G)
+        k_t = np.broadcast_to(_unit_scaled(sys.K.matrix.T)[0], (len(erased), sys.n, sys.n))
+        spans = stacked_ranks(np.concatenate([column_blocks(g, known), k_t], axis=2), tol)
         return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans == rank, tol)
     mat = _recovery_matrix(sys, m_mat)
     if strategy == "blind":

@@ -46,7 +46,6 @@ from .frames import (
     normalize_erasure_set,
     scan_budget,
     scan_subsets,
-    verify_kframe,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -211,7 +210,7 @@ def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
     cond_i = _trivial_intersection(arr, op, sig, tol)
     cond_ii = None
     if is_kframe(arr, op, tol):
-        sys_full = verify_kframe(arr, op, tol)
+        sys_full = KFrameSystem(arr, op, tol)
         if classify(sys_full).parseval:
             cond_ii = _parseval_condition(sys_full, sig, survivors)
     return MrcReport(
@@ -313,6 +312,14 @@ class _KFrameTable:
         return np.concatenate(self._flags)
 
 
+def _kframe_tables(what: str, arr: np.ndarray, op: OperatorK, sizes, cap: int,
+                   tol: TolerancePolicy) -> dict[int, _KFrameTable]:
+    """T_s for each size s under one budget, which covers each table's own check."""
+    scan_budget(what, arr.shape[1], sizes, cap)
+    return {s: _KFrameTable(arr, op, scan_subsets(what, arr.shape[1], [s], cap), tol)
+            for s in sizes}
+
+
 def uniform_excess(
     f, k, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExcessReport:
@@ -324,10 +331,7 @@ def uniform_excess(
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m = arr.shape[1]
-    # One budget for all the tables; each table's own check is part of it.
-    scan_budget("uniform_excess", m, range(m), cap)
-    tables = [_KFrameTable(arr, op, scan_subsets("uniform_excess", m, [s], cap), tol)
-              for s in range(m)]
+    tables = _kframe_tables("uniform_excess", arr, op, range(m), cap, tol)
 
     def exact(s: int) -> bool:
         # Every s-set is exact: all of T_s and none of T_(s-1). The verdict
@@ -364,13 +368,10 @@ def is_maximal_robust(
     rk = op.rank
     if rk > m:
         return False
-    # All of T_rk and none of T_(rk-1). Size rk comes first: a set that is
+    # All of T_rk and none of T_(rk-1). T_rk is read first: a set that is
     # no K-frame usually turns up in its first chunk.
-    for chunk in scan_subsets("is_maximal_robust", m, [rk, rk - 1] if rk else [0], cap):
-        flags = kframe_flags(arr, op, chunk, tol)
-        if not (flags.all() if chunk.shape[1] == rk else not flags.any()):
-            return False
-    return True
+    tables = _kframe_tables("is_maximal_robust", arr, op, [rk, rk - 1] if rk else [0], cap, tol)
+    return not tables[rk].holds(False) and not (rk and tables[rk - 1].holds(True))
 
 
 @dataclass(frozen=True)

@@ -210,23 +210,27 @@ class TestMinimality:
     extra=st.integers(1, 3),
     rank_k=st.integers(1, 4),
     exponent=st.integers(-60, 60),
+    k_exponent=st.integers(-30, 0),
 )
-def test_canonical_dual_is_minimal(seed, inrange, n, extra, rank_k, exponent):
-    """On K-frames with a nontrivial kernel, at scale 10^exponent, is_canonical
-    accepts the canonical dual G and rejects G + C N^T for C != 0 (N a kernel
-    basis of F), whose analysis norm is no smaller than the canonical one."""
+def test_canonical_dual_is_minimal(seed, inrange, n, extra, rank_k, exponent, k_exponent):
+    """On K-frames with a nontrivial kernel, with F and K scaled by 10^exponent
+    and K alone by a further 10^k_exponent, is_canonical accepts the canonical
+    dual G and rejects G + C N^T for C != 0 (N a kernel basis of F), whose
+    analysis norm is no smaller than the canonical one. G scales by
+    10^k_exponent, and so does C. K is not scaled up: for K far larger than F,
+    verify_kframe itself misjudges the range inclusion."""
     rng = np.random.default_rng(seed)
     draw = random_inrange_kframe if inrange else random_kframe
     f, k = draw(rng, n, n + extra, min(rank_k, n))
     c = 10.0 ** exponent
-    sys = verify_kframe(c * f, c * k)
+    sys = verify_kframe(c * f, c * 10.0 ** k_exponent * k)
     result = canonical_kdual(sys)
     assert is_canonical(sys, result.dual)
     null = null_space_basis(sys.F, sys.tol)
     assert null.dim >= extra
     coeffs = rng.standard_normal((sys.n, null.dim))
     coeffs[0, 0] += np.copysign(1.0, coeffs[0, 0])  # keeps C away from 0
-    other = dual_perturbation(sys, result.dual, coeffs)
+    other = dual_perturbation(sys, result.dual, 10.0 ** k_exponent * coeffs)
     assert other.is_valid
     assert not is_canonical(sys, other)
     assert result.analysis_norm <= operator_norm(other.G.T) * (1 + 1e-12)

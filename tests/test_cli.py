@@ -445,20 +445,25 @@ def test_malformed_json_entry_exits_two_naming_its_position(tmp_path_factory, pl
         "coded": {"coefficients": [None, *c[1:].tolist()], "erased": [1]},
         "side": (fix.F.T @ fix.K @ np.ones(4)).tolist(),
     }
+    workdir = tmp_path_factory.mktemp("bad")
     if place in ("F", "K", "G"):
         row, col = divmod(position, 4)
-        files["dual" if place == "G" else "system"][place]["data"][row][col] = bad
-        shown = f"row {row + 1}, column {col + 1}: expected a finite number"
+        key = "dual" if place == "G" else "system"
+        files[key][place]["data"][row][col] = bad
+        shown = (f"{workdir / key}.json: {place}: row {row + 1}, column {col + 1}: "
+                 "expected a finite number")
     elif bad is None and place == "coefficients":  # null is legal at the erased position 1
         files["coded"]["coefficients"][position % 3 + 1] = bad
-        shown = f"null coefficients at surviving positions [{position % 3 + 2}]"
+        shown = (f"{workdir / 'coded'}.json: null coefficients at surviving positions "
+                 f"[{position % 3 + 2}]")
     elif place == "coefficients":
         files["coded"]["coefficients"][position % 4] = bad
-        shown = f"coefficient {position % 4 + 1}: expected a finite number"
+        shown = (f"{workdir / 'coded'}.json: coefficient {position % 4 + 1}: "
+                 "expected a finite number")
     else:
         files["side"][position % 4] = bad
-        shown = f"side vector entry {position % 4 + 1}: expected a finite number"
-    workdir = tmp_path_factory.mktemp("bad")
+        shown = (f"{workdir / 'side'}.json: side vector entry {position % 4 + 1}: "
+                 "expected a finite number")
     argv = ["recover", "--strategy", "side-info"]
     for key, obj in files.items():
         path = workdir / f"{key}.json"
@@ -714,6 +719,18 @@ def test_rank_verdicts_outside_analyze_are_scale_invariant(
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("name", ["FIX-B", "FIX-D"])
+def test_consistency_certificates_do_not_depend_on_scale(tmp_path, name):
+    """The survivors' span of R(K^T) is judged with G and K^T each at unit size,
+    so a scale that shrinks K next to G (G does not scale) hides nothing."""
+    fix = FIXTURES[name]
+    argv = ["simulate", "--r", "2", "--signals", "20", "--seed", "5",
+            "--strategies", "consistency"]
+    exact = [_report(tmp_path, str(c), argv, system={"F": c * fix.F, "K": c * fix.K})
+             ["strategies"]["consistency"]["exact"] for c in (1.0, 1e-150, 1e150)]
+    assert exact == [exact[0]] * 3
+
+
 def test_analyze_reads_the_system_file_once(capsys, system_d, monkeypatch):
     reads = []
     read_text = Path.read_text
@@ -727,11 +744,39 @@ def test_analyze_reads_the_system_file_once(capsys, system_d, monkeypatch):
     assert reads.count(system_d[0]) == 1
 
 
+def test_bare_dual_file_is_read_once(capsys, system_d, tmp_path, monkeypatch):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(Path(system_d[1]).read_text())["G"]))
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert run_json(capsys, "check-dual", "--system", system_d[0], "--dual", str(bare))["is_valid"]
+    assert reads.count(str(bare)) == 1
+
+
+@pytest.mark.parametrize("which", ["--coded", "--side-info"])
+def test_undecodable_coded_or_side_file_exits_two_naming_it(capsys, system_d, tmp_path, which):
+    files = {"--coded": tmp_path / "coded.json", "--side-info": tmp_path / "side.json"}
+    files["--coded"].write_text(json.dumps({"coefficients": [None, 1.0, 2.0, 0.5],
+                                            "erased": [1]}))
+    files["--side-info"].write_text(json.dumps([1.0, 2.0, 3.0, 4.0]))
+    files[which].write_text('{"coefficients": [1.0, 2.0]\n"erased": [1]}')
+    code, out, err = run(capsys, "recover", "--strategy", "side-info", "--system", system_d[0],
+                         "--dual", system_d[1], *(str(x) for pair in files.items() for x in pair))
+    assert (code, out) == (2, "")
+    assert f"{files[which]}: invalid JSON: Expecting ',' delimiter" in err
+
+
 def test_system_file_is_checked_f_before_k(capsys, tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"F": {"rows": 1, "cols": 1, "data": [["x"]]}}))
     code, _, err = run(capsys, "analyze", "--system", str(path))
-    assert code == 2 and "row 1, column 1: expected a finite number" in err
+    assert code == 2 and f"{path}: F: row 1, column 1: expected a finite number" in err
     path.write_text(json.dumps({"F": _matrix_obj(np.eye(2))}))
     code, _, err = run(capsys, "analyze", "--system", str(path))
     assert code == 2 and f"{path}: missing key 'K'" in err

@@ -164,6 +164,20 @@ class TestMrc:
         report = mrc_subset(sys_b.F, sys_b.K, [])
         assert report.is_mrc
 
+    def test_full_frame_range_test_runs_once(self, sys_b, monkeypatch):
+        """One range test of the survivors, then one of the full frame."""
+        outer_widths = []
+        real = frames.ranges_nested
+
+        def counted(inner, outer, tol):
+            outer_widths.append(outer.shape[1])
+            return real(inner, outer, tol)
+
+        monkeypatch.setattr(frames, "ranges_nested", counted)
+        report = mrc_subset(sys_b.F, sys_b.K, [0, 2])
+        assert outer_widths == [2, 4]
+        assert report.parseval_condition_ii is None
+
     def test_dual_as_adjoint_frame_candidate(self, sys_d, dual_d):
         report = mrc_subset(dual_d.G, sys_d.K.matrix.T, [0])
         assert not report.is_mrc
