@@ -8,7 +8,9 @@ dual and a find-rk recovery matrix that tolerates 4 erasures for both
 side-info and blind recovery. test_verify_kframe times building the system
 from F and K; test_mrc_subset one sigma of two columns; test_is_canonical the
 test on the canonical dual; test_run_analyze one `analyze` through
-run_command, from reading the system file to printing the report.
+run_command, from reading the system file to printing the report, and
+test_run_analyze_invertible the same on the seeded construction with
+rank(K) = N = 6, where uniform excess reads the full 6-of-12 table.
 """
 
 import contextlib
@@ -37,13 +39,18 @@ from kframes.recovery import STRATEGIES
 N, M, RANK_K, R, SIGNALS = 6, 12, 4, 4, 1000
 
 
+def _kframe(rng, rank_k):
+    """F with rank_k columns spanning R(K), K of rank rank_k, the rest free."""
+    k = rng.standard_normal((N, rank_k)) @ rng.standard_normal((rank_k, N))
+    f = np.hstack([k @ rng.standard_normal((N, rank_k)),
+                   rng.standard_normal((N, M - rank_k))])
+    return verify_kframe(f, k)
+
+
 @pytest.fixture(scope="module")
 def setup():
     rng = np.random.default_rng(5)
-    k = rng.standard_normal((N, RANK_K)) @ rng.standard_normal((RANK_K, N))
-    f = np.hstack([k @ rng.standard_normal((N, RANK_K)),
-                   rng.standard_normal((N, M - RANK_K))])
-    system = verify_kframe(f, k)
+    system = _kframe(rng, RANK_K)
     dual = canonical_kdual(system).dual
     m_mat = find_rk_matrix(system, dual, R, seed=1).certificate.M
     signals = rng.standard_normal((SIGNALS, N))
@@ -99,8 +106,7 @@ def test_is_canonical(benchmark, setup):
     assert benchmark(is_canonical, system, dual)
 
 
-def test_run_analyze(benchmark, setup, tmp_path):
-    system = setup[0]
+def _run_analyze(benchmark, system, tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"F": matrix_to_obj(system.F),
                                 "K": matrix_to_obj(system.K.matrix)}))
@@ -110,4 +116,13 @@ def test_run_analyze(benchmark, setup, tmp_path):
             assert run_command(["analyze", "--system", str(path)]) == 0
         return json.loads(out.getvalue())
 
-    assert benchmark(run)["operator_rank"] == RANK_K
+    return benchmark(run)
+
+
+def test_run_analyze(benchmark, setup, tmp_path):
+    assert _run_analyze(benchmark, setup[0], tmp_path)["operator_rank"] == RANK_K
+
+
+def test_run_analyze_invertible(benchmark, tmp_path):
+    report = _run_analyze(benchmark, _kframe(np.random.default_rng(5), N), tmp_path)
+    assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (M - N, True)

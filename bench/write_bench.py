@@ -4,9 +4,9 @@
 
 Run from the root of a checkout with BLAS pinned to one thread. Keys are
 fixed per case: times in microseconds (test_<name> writes <name>_us, e.g.
-verify_kframe_us, mrc_subset_us, is_canonical_us and run_analyze_us), plan +
-apply as signals per second. src_lines, the line count of the Python files
-under src/, stands beside them.
+verify_kframe_us, mrc_subset_us, is_canonical_us, run_analyze_us and
+run_analyze_invertible_us), plan + apply as signals per second. src_lines,
+the line count of the Python files under src/, stands beside them.
 """
 
 import json

@@ -52,7 +52,6 @@ from .recovery import (
 from .redundancy import (
     INFINITE,
     SparkResult,
-    is_maximal_robust,
     mrc_all,
     mrc_subset,
     spark,
@@ -223,7 +222,7 @@ def _cmd_analyze(args) -> dict:
             "witness": None if excess.witness is None else _one_based(excess.witness),
         },
         "mrc": _mrc_all_obj(system, args.r, cap),
-        "maximal_robust": is_maximal_robust(system.F, system.K, cap=cap, tol=tol),
+        "maximal_robust": excess.maximal_robust,
     }
 
 

@@ -619,9 +619,8 @@ def compose_recovery_matrices(
         composed_spark = spark(product, tol, cap)
     spark_m = spark(m_arr, tol, cap)
     kernel = null_space_basis(m_arr, tol)
-    contained = bool(
-        np.all(np.abs(product @ kernel.basis) <= 1e-8 * (1.0 + operator_norm(product)))
-    ) if kernel.dim else True
+    contained = not kernel.dim or bool(tol.accepts(
+        np.max(np.abs(product @ kernel.basis), initial=0.0), operator_norm(product), factor=10))
     return ComposedRecovery(
         product=product,
         spark=composed_spark,

@@ -18,11 +18,13 @@ An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
 means a K-frame that stops being one when any single column is removed.
 Exactness is read from per-size tables T_s (is every s-column subset a
-K-frame?): every s-set is exact exactly when all of T_s holds and none of
-T_(s-1) does, because every (s-1)-set is some s-set minus one column. A
-table is read only until its all/none is decided, so these are worst cases:
+K-frame?), one table object per call: every s-set is exact exactly when all
+of T_s holds and none of T_(s-1) does, because every (s-1)-set is some s-set
+minus one column. T_s is read first for s <= rank K, T_(s-1) above it, and a
+table only until its all/none is decided, so these are worst cases:
 is_maximal_robust tests at most C(m, rank K) + C(m, rank K - 1) subsets, and
-uniform_excess, which may need T_s for every s < m, at most 2^m - 1.
+uniform_excess, which also reports maximal robustness, 2^m - 1 (T_0..T_(m-1)),
+or 2^m when rank K = m.
 """
 
 from __future__ import annotations
@@ -276,48 +278,56 @@ def mrc_all(
 
 @dataclass(frozen=True)
 class ExcessReport:
-    """Uniform excess value; witness is the first failing removal set when 0."""
+    """Uniform excess value, its witness (the first failing removal set when 0)
+    and maximal robustness, all read from the same K-frame tables."""
 
     value: int
     witness: tuple[int, ...] | None
+    maximal_robust: bool
 
 
-class _KFrameTable:
-    """T_s: is each s-column subset a K-frame? Tested chunk by chunk on demand.
+class _KFrameTables:
+    """T_s for each s in sizes: is each s-column subset a K-frame? Read on demand.
 
-    A read tests chunks only until it is decided, and keeps what it tested,
-    so each subset is tested at most once and the levels s and s + 1, which
-    both read T_s, share its tests.
+    One budget covers every table. A read tests chunks only until it is
+    decided, and keeps what it tested, so each subset is tested at most once
+    and every verdict of a call shares the tests.
     """
 
-    def __init__(self, arr: np.ndarray, op: OperatorK, chunks, tol: TolerancePolicy):
+    def __init__(self, what: str, arr: np.ndarray, op: OperatorK, sizes, cap: int,
+                 tol: TolerancePolicy):
+        m = arr.shape[1]
+        scan_budget(what, m, sizes, cap)
         self._test = lambda chunk: kframe_flags(arr, op, chunk, tol)
-        self._chunks = chunks
-        self._flags: list[np.ndarray] = []
-        self._seen: set[bool] = set()
+        self._rank = op.rank
+        self._chunks = {s: scan_subsets(what, m, [s], cap) for s in sizes}
+        self._flags: dict[int, list[np.ndarray]] = {s: [] for s in sizes}
+        self._seen: dict[int, set[bool]] = {s: set() for s in sizes}
 
-    def holds(self, value: bool) -> bool:
+    def holds(self, s: int, value: bool) -> bool:
         """Whether some s-subset's flag is value."""
-        while value not in self._seen:
-            chunk = next(self._chunks, None)
+        while value not in self._seen[s]:
+            chunk = next(self._chunks[s], None)
             if chunk is None:
                 return False
-            self._flags.append(self._test(chunk))
-            self._seen.update(self._flags[-1].tolist())
+            self._flags[s].append(self._test(chunk))
+            self._seen[s].update(self._flags[s][-1].tolist())
         return True
 
-    def flags(self) -> np.ndarray:
-        """Every flag, lexicographic in the subsets."""
-        self._flags.extend(self._test(chunk) for chunk in self._chunks)
-        return np.concatenate(self._flags)
+    def flags(self, s: int) -> np.ndarray:
+        """Every flag of T_s, lexicographic in the subsets."""
+        self._flags[s].extend(self._test(chunk) for chunk in self._chunks[s])
+        return np.concatenate(self._flags[s])
 
+    def exact(self, s: int) -> bool:
+        """Every s-subset is an exact K-frame: all of T_s and none of T_(s-1).
 
-def _kframe_tables(what: str, arr: np.ndarray, op: OperatorK, sizes, cap: int,
-                   tol: TolerancePolicy) -> dict[int, _KFrameTable]:
-    """T_s for each size s under one budget, which covers each table's own check."""
-    scan_budget(what, arr.shape[1], sizes, cap)
-    return {s: _KFrameTable(arr, op, scan_subsets(what, arr.shape[1], [s], cap), tol)
-            for s in sizes}
+        The order of the reads sets only the cost: up to rank K a set that
+        is no K-frame usually turns up at once, above it a K-frame in T_(s-1).
+        """
+        if s <= self._rank:
+            return not self.holds(s, False) and not (s and self.holds(s - 1, True))
+        return not self.holds(s - 1, True) and not self.holds(s, False)
 
 
 def uniform_excess(
@@ -326,36 +336,28 @@ def uniform_excess(
     """Largest r >= 1 with every r-column removal leaving an exact K-frame.
 
     Returns 0 with the lexicographically first failing removal set when no
-    positive r qualifies.
+    positive r qualifies. Maximal robustness comes from the same tables.
     """
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
-    m = arr.shape[1]
-    tables = _kframe_tables("uniform_excess", arr, op, range(m), cap, tol)
-
-    def exact(s: int) -> bool:
-        # Every s-set is exact: all of T_s and none of T_(s-1). The verdict
-        # does not depend on the order of the two reads, only the cost does:
-        # fewer than rank K columns are no K-frame, so below rank K "all of
-        # T_s" fails at once, and above it "none of T_(s-1)" does.
-        if s < op.rank:
-            return not tables[s].holds(False) and not tables[s - 1].holds(True)
-        return not tables[s - 1].holds(True) and not tables[s].holds(False)
-
+    m, rk = arr.shape[1], op.rank
+    # Only maximal robustness at rank K = m reads T_m.
+    tables = _KFrameTables("uniform_excess", arr, op, range(m + (rk == m)), cap, tol)
     # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
-    best = next((m - s for s in range(1, m) if exact(s)), 0)
+    best = next((m - s for s in range(1, m) if tables.exact(s)), 0)
+    robust = rk <= m and tables.exact(rk)
     if best or m < 2:
-        return ExcessReport(value=best, witness=None)
+        return ExcessReport(value=best, witness=None, maximal_robust=robust)
     # Removing {i} fails when range(m) - {i} is no K-frame or some
     # range(m) - {i, j} is one. The complements of lexicographic k-subsets
     # run in reverse lexicographic order, so the reversed tables list the
     # removals {i} and {i, j} lexicographically, as triu_indices does. Some
     # {i} fails, as s = m - 1 is not exact.
-    fails = ~tables[m - 1].flags()[::-1]
-    pairs = tables[m - 2].flags()[::-1]
+    fails = ~tables.flags(m - 1)[::-1]
+    pairs = tables.flags(m - 2)[::-1]
     first, second = np.triu_indices(m, 1)
     fails[first[pairs]] = fails[second[pairs]] = True
-    return ExcessReport(value=0, witness=(int(np.argmax(fails)),))
+    return ExcessReport(value=0, witness=(int(np.argmax(fails)),), maximal_robust=robust)
 
 
 def is_maximal_robust(
@@ -364,14 +366,11 @@ def is_maximal_robust(
     """True when every rank(K)-column subset is an exact K-frame."""
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
-    m = arr.shape[1]
     rk = op.rank
-    if rk > m:
+    if rk > arr.shape[1]:
         return False
-    # All of T_rk and none of T_(rk-1). T_rk is read first: a set that is
-    # no K-frame usually turns up in its first chunk.
-    tables = _kframe_tables("is_maximal_robust", arr, op, [rk, rk - 1] if rk else [0], cap, tol)
-    return not tables[rk].holds(False) and not (rk and tables[rk - 1].holds(True))
+    sizes = [rk, rk - 1] if rk else [0]
+    return _KFrameTables("is_maximal_robust", arr, op, sizes, cap, tol).exact(rk)
 
 
 @dataclass(frozen=True)

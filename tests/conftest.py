@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +45,21 @@ def dual_c(sys_c):
 @pytest.fixture(scope="session")
 def dual_d(sys_d):
     return verify_kdual(sys_d, FIXTURES["FIX-D"].dual)
+
+
+@contextmanager
+def counting_subsets():
+    """Count every subset that any itertools.combinations call hands out."""
+    seen = [0]
+    real = itertools.combinations
+
+    def spy(pool, size):
+        for subset in real(pool, size):
+            seen[0] += 1
+            yield subset
+
+    with mock.patch.object(itertools, "combinations", spy):
+        yield seen
 
 
 def random_operator(rng, n, rank):

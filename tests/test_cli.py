@@ -17,8 +17,9 @@ import kframes
 import kframes.cli
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
+from kframes.matrixio import matrix_to_obj, save_matrix
 
-from conftest import random_kframe, random_parseval_kframe
+from conftest import counting_subsets, random_kframe, random_parseval_kframe
 
 
 def run(capsys, *argv):
@@ -659,6 +660,46 @@ def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank
         assert scaled_alpha == pytest.approx(alpha, rel=1e-9)
     assert scaled["bounds"] == pytest.approx([base["bounds"][0], c * c * base["bounds"][1]],
                                              rel=1e-9)
+
+
+def test_analyze_tests_each_subset_once_per_scan(tmp_path):
+    """Maximal robustness is read from uniform excess's tables: spark, uniform
+    excess and mrc_all alone hand out 42 + 36 + 6 subsets here."""
+    f, k = random_kframe(np.random.default_rng(0), 3, 6, 3)
+    with counting_subsets() as seen:
+        _analyze(tmp_path, f, k)
+    assert seen[0] == 84
+
+
+def _outcome(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-10, 10), min_size=n, max_size=n), min_size=n, max_size=n)),
+    exponent=st.sampled_from([-100, 0, 100]),
+)
+def test_json_and_csv_inputs_give_the_same_reports(tmp_path_factory, a, exponent):
+    """A matrix saved as CSV and as JSON reads the same through the CLI: a CSV
+    system file is its own F and K, and spark echoes only the path."""
+    mat = np.array(a) * 10.0 ** exponent
+    workdir = tmp_path_factory.mktemp("formats")
+    save_matrix(mat, workdir / "a.csv")
+    save_matrix(mat, workdir / "a.json")
+    system = workdir / "system.json"
+    system.write_text(json.dumps({"F": matrix_to_obj(mat), "K": matrix_to_obj(mat)}))
+    assert _outcome(["analyze", "--system", str(workdir / "a.csv")]) == _outcome(
+        ["analyze", "--system", str(system)])
+    sparks = []
+    for name in ("a.csv", "a.json"):
+        code, out = _outcome(["spark", "--matrix", str(workdir / name)])
+        sparks.append((code, out.replace(json.dumps(str(workdir / name)), '"a"')))
+    assert sparks[0] == sparks[1]
 
 
 def _report(workdir, name, argv, **matrices):

@@ -10,6 +10,7 @@ from kframes import (
     AmbiguityError,
     ExpansionError,
     KFrameError,
+    TolerancePolicy,
     canonical_kdual,
     compose_recovery_matrices,
     encode,
@@ -474,6 +475,20 @@ class TestComposeRecoveryMatrices:
     def test_precondition_enforced(self, sys_c):
         with pytest.raises(KFrameError):
             compose_recovery_matrices(sys_c, np.eye(4), sys_c.gramian)
+
+    def test_kernel_containment_is_judged_by_the_system_policy(self):
+        # With M's smallest singular value at 1e-6 of its largest, a coarse
+        # rank cutoff finds a kernel direction k of M, and |N M k| is about
+        # 3e-6: inside the coarse residual rule, far outside the default one.
+        f = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
+        sys = verify_kframe(f, np.eye(2))
+        found = find_rk_matrix(sys, canonical_kdual(sys).dual, 1, trials=32, seed=11)
+        u, s, vt = np.linalg.svd(found.certificate.M)
+        s[-1] = 1e-6 * s[0]
+        coarse = verify_kframe(f, np.eye(2), TolerancePolicy(1e-3, 1e-4))
+        n_mat = null_space_basis(f).basis.T
+        out = compose_recovery_matrices(coarse, n_mat, u @ np.diag(s) @ vt)
+        assert out.kernel_contained
 
 
 class TestClassicalCorollaries:

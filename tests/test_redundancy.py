@@ -425,5 +425,6 @@ def test_table_scans_match_subset_by_subset_reference(
     with mock.patch.object(frames, "SCAN_CHUNK", chunk):
         got = uniform_excess(f, k)
         assert (got.value, got.witness) == excess
+        assert got.maximal_robust == robust
         assert is_maximal_robust(f, k) == robust
         assert mrc_all(f, k, r) == mrc

@@ -9,10 +9,8 @@ and for the spark family only the sizes that are sure to end the scan.
 
 import ast
 import itertools
-from contextlib import contextmanager
 from math import comb
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +33,7 @@ from kframes import (
 )
 from kframes.frames import SCAN_CHUNK, scan_subsets
 
-from conftest import random_kframe
+from conftest import counting_subsets, random_kframe
 
 
 def _rank(a):
@@ -72,21 +70,6 @@ def _cases(f, k, r):
     ]
 
 
-@contextmanager
-def _counting_subsets():
-    """Count every subset that any itertools.combinations call hands out."""
-    seen = [0]
-    real = itertools.combinations
-
-    def spy(pool, size):
-        for subset in real(pool, size):
-            seen[0] += 1
-            yield subset
-
-    with mock.patch.object(itertools, "combinations", spy):
-        yield seen
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -101,11 +84,21 @@ def test_every_scan_passes_at_its_count_and_refuses_below(seed, n, extra, rank_k
     f, k = random_kframe(rng, n, m, min(rank_k, n))
     for name, count, run in _cases(f, k, min(r, m - 1)):
         run(count)
-        with _counting_subsets() as seen, pytest.raises(BudgetExceededError) as exc:
+        with counting_subsets() as seen, pytest.raises(BudgetExceededError) as exc:
             run(count - 1)
         assert seen[0] == 0, name
         assert str(exc.value) == (
             f"{name} needs {count} subset tests, more than the cap of {count - 1}")
+
+
+def test_uniform_excess_counts_t_m_when_k_has_rank_m():
+    """Maximal robustness at rank K = m reads T_m, so the worst case is 2^m."""
+    f, k = random_kframe(np.random.default_rng(0), 3, 3, 3)
+    assert uniform_excess(f, k, cap=8).maximal_robust
+    with counting_subsets() as seen, pytest.raises(BudgetExceededError) as exc:
+        uniform_excess(f, k, cap=7)
+    assert seen[0] == 0
+    assert str(exc.value) == "uniform_excess needs 8 subset tests, more than the cap of 7"
 
 
 def test_enumerator_order_and_refusal():
@@ -130,13 +123,20 @@ def test_exactness_scans_stop_once_decided():
     f, k = random_kframe(rng, 2, 16, 2)
     # Size 1 fails at its first subset and size 2 is exact: sizes 0 and 3..15
     # are never read, against the 2^16 - 1 tests of the budget.
-    with _counting_subsets() as seen:
+    with counting_subsets() as seen:
         assert uniform_excess(f, k).value == 14
     assert seen[0] == 16 + comb(16, 2)
     f[:, 1] = f[:, 0]  # the first 2-set is no K-frame
-    with _counting_subsets() as seen:
+    with counting_subsets() as seen:
         assert not is_maximal_robust(f, k)
     assert seen[0] == 1
+    # rank K = 2 < n: s = 2 reads T_2 first, and its second 2-set is no
+    # K-frame, so T_1 is read no further than its first, failing, subset.
+    f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
+    with counting_subsets() as seen:
+        got = uniform_excess(f, k)
+    assert (got.value, got.maximal_robust) == (0, False)
+    assert seen[0] == 26
 
 
 # The only functions allowed to enumerate subsets or count them.
