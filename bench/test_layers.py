@@ -11,6 +11,10 @@ test on the canonical dual; test_run_analyze one `analyze` through
 run_command, from reading the system file to printing the report, and
 test_run_analyze_invertible the same on the seeded construction with
 rank(K) = N = 6, where uniform excess reads the full 6-of-12 table.
+test_run_simulate times one `simulate --r 4` through run_command on the same
+system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
+test_spark times spark on seeded generic F of size 4x8, 6x12 and 8x16 (full
+spark, so the scan reads the rank level and one more set).
 """
 
 import contextlib
@@ -29,6 +33,7 @@ from kframes import (
     mrc_subset,
     plan_recovery,
     recover_side_info,
+    spark,
     verify_kframe,
 )
 from kframes.cli import run_command
@@ -126,3 +131,30 @@ def test_run_analyze(benchmark, setup, tmp_path):
 def test_run_analyze_invertible(benchmark, tmp_path):
     report = _run_analyze(benchmark, _kframe(np.random.default_rng(5), N), tmp_path)
     assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (M - N, True)
+
+
+@pytest.mark.parametrize("signals", ["1k", "10k"])
+def test_run_simulate(benchmark, setup, tmp_path, signals):
+    system, dual, m_mat = setup[:3]
+    files = {"system": {"F": matrix_to_obj(system.F), "K": matrix_to_obj(system.K.matrix)},
+             "dual": matrix_to_obj(dual.G), "rk-matrix": matrix_to_obj(m_mat)}
+    argv = ["simulate", "--r", str(R), "--seed", "3",
+            "--signals", str(int(signals.removesuffix("k")) * 1000)]
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run_command(argv) == 0
+        return json.loads(out.getvalue())
+
+    report = benchmark(run)
+    assert all(e["exact_fraction"] == 1.0 for e in report["strategies"].values())
+
+
+@pytest.mark.parametrize("shape", ["4x8", "6x12", "8x16"])
+def test_spark(benchmark, shape):
+    n, m = map(int, shape.split("x"))
+    f = np.random.default_rng(5).standard_normal((n, m))
+    assert benchmark(spark, f).value == n + 1

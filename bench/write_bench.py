@@ -5,7 +5,8 @@
 Run from the root of a checkout with BLAS pinned to one thread. Keys are
 fixed per case: times in microseconds (test_<name> writes <name>_us, e.g.
 verify_kframe_us, mrc_subset_us, is_canonical_us, run_analyze_us and
-run_analyze_invertible_us), plan + apply as signals per second. src_lines,
+run_analyze_invertible_us; a parametrized case adds its parameter, as in
+spark_6x12_us and run_simulate_10k_us), plan + apply as signals per second. src_lines,
 the line count of the Python files under src/, stands beside them.
 """
 
@@ -35,7 +36,9 @@ def main(out: str) -> int:
             key = f"plan_apply_{case['param']}_signals_per_s"
             result[key] = case["extra_info"]["signals"] / median
         else:
-            result[f"{case['name'].removeprefix('test_')}_us"] = median * 1e6
+            key = case["name"].split("[")[0].removeprefix("test_")
+            key += f"_{case['param']}" if case["param"] else ""
+            result[f"{key}_us"] = median * 1e6
     result["src_lines"] = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
     Path(out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))

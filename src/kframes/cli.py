@@ -326,7 +326,7 @@ def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which):
     target = targets[ok]
     errors = np.full(len(signals), np.nan)
     errors[ok] = row_norms(matvec_rows(system.F, full) - target)
-    close = errors[ok] <= 1e-8 * (1.0 + row_norms(target))
+    close = system.tol.accepts(errors[ok], row_norms(target), factor=10)
     exact = int(np.count_nonzero(certified & close))
     done = errors[~np.isnan(errors)].tolist()
     completed = len(done)

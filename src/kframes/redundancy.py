@@ -13,6 +13,9 @@ can run in the worst case and raise BudgetExceededError when that exceeds cap
 check. Subsets come in chunks of one size, growing from 1 to
 frames.SCAN_CHUNK, and each chunk's tests are decided by one stacked SVD per
 rank test, which gives every subset the singular values of its own SVD.
+spark tests level rank first and scans below it only when that level holds
+a dependent set: under its one fixed cutoff, interlacing keeps every subset
+of an independent set independent.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
@@ -107,13 +110,15 @@ def hamming_weight(x, tol: float = 1e-9) -> int:
 
 
 def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkResult:
-    """Smallest dependent column subset, scanned size-ascending.
+    """Smallest dependent column subset, rank level first.
 
-    Submatrix rank tests use a cutoff anchored to the parent matrix scale,
-    matching the global rank decision (a column of pure round-off counts as
-    zero). Short-circuits at k = rank + 1, which is always dependent, so
-    the scan terminates even without finding smaller dependencies; the
-    budget counts the subsets of sizes 1..rank + 1.
+    Submatrix rank tests use one cutoff, anchored to the parent matrix scale
+    (a column of pure round-off counts as zero). Under a fixed cutoff,
+    interlacing (sigma_k(A minus a column) >= sigma_(k+1)(A)) keeps subsets of
+    an independent set independent. So level rank is scanned first: with no
+    dependent set there, the first (rank + 1)-set is the witness; otherwise
+    sizes 1..rank - 1 go in order, then that first dependent rank-set. The
+    budget counts sizes 1..rank + 1, the worst case, before any subset.
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
@@ -123,15 +128,22 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
     r = int(np.count_nonzero(s > cutoff))
     if r == m:
         return SparkResult(INFINITE, None)
-    for chunk in scan_subsets("spark", m, range(1, r + 2), cap):
-        k = chunk.shape[1]
-        dependent = np.flatnonzero(stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff) < k)
-        if dependent.size:
-            subset = chunk[dependent[0]]
-            witness = np.zeros(m)
-            witness[subset] = _small_singular_vector(arr[:, subset], k)
-            return SparkResult(k, _canonical_signs(witness[:, None])[:, 0])
-    raise AssertionError("unreachable: a dependent subset exists at rank + 1")
+    scan_budget("spark", m, range(1, r + 2), cap)
+
+    def first_dependent(sizes):
+        for chunk in scan_subsets("spark", m, sizes, cap):
+            ranks = stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff)
+            if (dependent := np.flatnonzero(ranks < chunk.shape[1])).size:
+                return chunk[dependent[0]]
+        return None
+
+    # Rank 0 has no level to test first: its first column is dependent.
+    top = first_dependent([r]) if r else None
+    found = first_dependent([r + 1] if top is None else range(1, r))
+    subset = top if found is None else found
+    witness = np.zeros(m)
+    witness[subset] = _small_singular_vector(arr[:, subset], len(subset))
+    return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0])
 
 
 def spark_via_kernel(

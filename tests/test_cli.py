@@ -608,6 +608,23 @@ class TestSimulateCommand:
         assert code == 64 and out == ""
         assert f"argument {flag}: must be at least" in err
 
+    def test_exact_count_follows_the_residual_policy(self, capsys, tmp_path):
+        """A dual that is off by 1e-7 recovers to about 1e-6: exact under
+        --tol-res 1e-5, whose threshold is ten times the policy's residual."""
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((3, 6))
+        k = rng.standard_normal((3, 3))
+        g = (np.linalg.pinv(f) @ k).T + 1e-7 * np.random.default_rng(1).standard_normal((3, 6))
+        sys_path, dual_path = tmp_path / "sys.json", tmp_path / "dual.json"
+        sys_path.write_text(json.dumps({"F": _matrix_obj(f), "K": _matrix_obj(k)}))
+        dual_path.write_text(json.dumps({"G": _matrix_obj(g)}))
+        entry = run_json(
+            capsys, "simulate", "--system", str(sys_path), "--dual", str(dual_path),
+            "--r", "1", "--signals", "50", "--strategies", "consistency", "--tol-res", "1e-5",
+        )["strategies"]["consistency"]
+        assert 1e-7 < entry["max_error"] < 1e-5
+        assert entry["exact"] == 50
+
     def test_canonical_dual_when_omitted(self, capsys, system_d):
         report = run_json(
             capsys, "simulate", "--system", system_d[0], "--r", "1",
@@ -664,11 +681,13 @@ def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank
 
 def test_analyze_tests_each_subset_once_per_scan(tmp_path):
     """Maximal robustness is read from uniform excess's tables: spark, uniform
-    excess and mrc_all alone hand out 42 + 36 + 6 subsets here."""
+    excess and mrc_all alone hand out 21 + 36 + 6 subsets here. F is full
+    spark, so spark reads its rank level, C(6, 3) = 20 sets, and one 4-set;
+    a size-ascending scan would also read sizes 1 and 2, 42 subsets in all."""
     f, k = random_kframe(np.random.default_rng(0), 3, 6, 3)
     with counting_subsets() as seen:
         _analyze(tmp_path, f, k)
-    assert seen[0] == 84
+    assert seen[0] == 63
 
 
 def _outcome(argv):

@@ -28,13 +28,35 @@ from kframes import (
 from kframes import frames
 from kframes.fixtures import FIXTURES
 from kframes.frames import SCAN_CHUNK, OperatorK
+from kframes.linalg import DEFAULT_TOL, TolerancePolicy, _canonical_signs
+from kframes.redundancy import SparkResult
 
 from conftest import (
+    counting_subsets,
     random_kframe,
     random_parseval_kframe,
     spark_oracle_bruteforce,
     uniform_excess_construction,
 )
+
+
+def _size_ascending_spark(mat, tol):
+    """Reference spark: the parent's cutoff, sizes 1..rank + 1 in order, and
+    the first dependent set's smallest right singular vector as witness."""
+    m = mat.shape[1]
+    s = np.linalg.svd(mat, compute_uv=False)
+    cutoff = tol.rank_cutoff(s, mat.shape)
+    r = int(np.count_nonzero(s > cutoff))
+    if r == m:
+        return SparkResult(math.inf, None)
+    for size in range(1, r + 2):
+        for subset in itertools.combinations(range(m), size):
+            block = mat[:, list(subset)]
+            if int(np.count_nonzero(np.linalg.svd(block, compute_uv=False) > cutoff)) < size:
+                witness = np.zeros(m)
+                witness[list(subset)] = np.linalg.svd(block)[2][-1]
+                return SparkResult(size, _canonical_signs(witness[:, None])[:, 0])
+    raise AssertionError("no dependent set up to rank + 1")
 
 
 def _collinear(u, v):
@@ -119,6 +141,65 @@ class TestSpark:
         with pytest.raises(BudgetExceededError):
             spark(np.zeros((2, 30)), cap=29)
         assert spark(np.zeros((2, 30)), cap=30).value == 1
+
+    def test_generic_frame_reads_only_its_rank_level_and_one_more_set(self):
+        # A generic 7x14 F is full spark: C(14, 7) independent 7-sets, then
+        # the first 8-set. Sizes 1..6 (6,475 more sets) are never read.
+        rng = np.random.default_rng(5)
+        k = rng.standard_normal((7, 5)) @ rng.standard_normal((5, 7))
+        f = np.hstack([k @ rng.standard_normal((7, 5)), rng.standard_normal((7, 9))])
+        with counting_subsets() as seen:
+            result = spark(f)
+        assert result.value == 8
+        assert seen[0] == math.comb(14, 7) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 10),
+        rank=st.integers(0, 6),
+        damage=st.sampled_from(["none", "zero", "duplicate", "near", "faint"]),
+        eps=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 1e-7]),
+        column_scales=st.booleans(),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        coarse=st.booleans(),
+        chunk=st.sampled_from([1, 3, SCAN_CHUNK]),
+    )
+    def test_matches_size_ascending_reference(
+        self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, chunk
+    ):
+        """Rank level first gives the value and witness of a size-ascending scan."""
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n, m)
+        mat = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        if m >= 2 and damage != "none":
+            i, j = rng.choice(m, size=2, replace=False)
+            if damage == "zero":
+                mat[:, j] = 0.0
+            elif damage == "duplicate":
+                mat[:, j] = mat[:, i]
+            elif damage == "near":
+                # Column j leaves the span of the others by about eps.
+                others = np.delete(mat, j, axis=1)
+                mat[:, j] = others @ rng.standard_normal(m - 1) + eps * rng.standard_normal(n)
+            else:
+                mat[:, j] *= 1e-11
+        if column_scales:
+            mat = mat * 10.0 ** rng.uniform(-3, 3, size=m)
+        mat = mat * scale
+        tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
+        with mock.patch.object(frames, "SCAN_CHUNK", chunk):
+            got = spark(mat, tol)
+        want = _size_ascending_spark(mat, tol)
+        assert got.value == want.value
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.tobytes() == want.witness.tobytes()
+        # The kernel route ranks other matrices, so near a cutoff it may differ:
+        # it is asked only where no column was brought near one.
+        if not (coarse or column_scales or damage == "near"):
+            assert got.value == spark_via_kernel(mat, tol).value
 
 
 class TestMinSupportInRange:
