@@ -15,6 +15,9 @@ test_run_simulate times one `simulate --r 4` through run_command on the same
 system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
 test_spark times spark on seeded generic F of size 4x8, 6x12 and 8x16 (full
 spark, so the scan reads the rank level and one more set).
+test_uniform_excess and test_mrc_all time the K-frame scans on a seeded 7x14
+system, with K invertible and with rank(K) = 5: uniform excess with maximal
+robustness, and mrc_all at r = 2.
 """
 
 import contextlib
@@ -30,10 +33,12 @@ from kframes import (
     erase,
     find_rk_matrix,
     is_canonical,
+    mrc_all,
     mrc_subset,
     plan_recovery,
     recover_side_info,
     spark,
+    uniform_excess,
     verify_kframe,
 )
 from kframes.cli import run_command
@@ -44,11 +49,11 @@ from kframes.recovery import STRATEGIES
 N, M, RANK_K, R, SIGNALS = 6, 12, 4, 4, 1000
 
 
-def _kframe(rng, rank_k):
+def _kframe(rng, rank_k, n=N, m=M):
     """F with rank_k columns spanning R(K), K of rank rank_k, the rest free."""
-    k = rng.standard_normal((N, rank_k)) @ rng.standard_normal((rank_k, N))
-    f = np.hstack([k @ rng.standard_normal((N, rank_k)),
-                   rng.standard_normal((N, M - rank_k))])
+    k = rng.standard_normal((n, rank_k)) @ rng.standard_normal((rank_k, n))
+    f = np.hstack([k @ rng.standard_normal((n, rank_k)),
+                   rng.standard_normal((n, m - rank_k))])
     return verify_kframe(f, k)
 
 
@@ -158,3 +163,22 @@ def test_spark(benchmark, shape):
     n, m = map(int, shape.split("x"))
     f = np.random.default_rng(5).standard_normal((n, m))
     assert benchmark(spark, f).value == n + 1
+
+
+# 7x14 systems for the K-frame scans: K invertible, and rank(K) = 5.
+SCAN_RANKS = {"invertible": 7, "rank5": 5}
+
+
+@pytest.mark.parametrize("kind", SCAN_RANKS)
+def test_uniform_excess(benchmark, kind):
+    system = _kframe(np.random.default_rng(5), SCAN_RANKS[kind], n=7, m=14)
+    report = benchmark(uniform_excess, system.F, system.K)
+    # Every 7 columns span R^7; with rank(K) < n, a free column can go.
+    want = (7, True) if kind == "invertible" else (0, False)
+    assert (report.value, report.maximal_robust) == want
+
+
+@pytest.mark.parametrize("kind", SCAN_RANKS)
+def test_mrc_all(benchmark, kind):
+    system = _kframe(np.random.default_rng(5), SCAN_RANKS[kind], n=7, m=14)
+    assert benchmark(mrc_all, system.F, system.K, 2) == (True, None)

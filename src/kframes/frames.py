@@ -39,7 +39,6 @@ from .linalg import (
     operator_norm,
     pseudo_inverse,
     range_basis,
-    ranges_nested,
     rank_of,
     stacked_ranks,
     svd_factor,
@@ -68,11 +67,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorK:
-    """A square operator with cached range data and pseudo-inverse."""
+    """A square operator with its pseudo-inverse and bases of R(K) and R(K)^perp from one U."""
 
     matrix: np.ndarray
     rank: int
     range: SubspaceBasis
+    range_perp: np.ndarray
     pinv: np.ndarray
 
     @classmethod
@@ -80,7 +80,7 @@ class OperatorK:
         arr = ensure_matrix(m, "K")
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"K must be square, got {arr.shape}")
-        # range and pinv are read off one SVD, as range_basis and
+        # range, range_perp and pinv are read off one SVD, as range_basis and
         # pseudo_inverse would each read them. rank keeps rank_of: singular
         # values computed without vectors can differ in their last bits.
         u, s, v = svd_factor(arr)
@@ -89,6 +89,7 @@ class OperatorK:
             matrix=arr,
             rank=rank_of(arr, tol),
             range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
+            range_perp=u[:, r:],
             pinv=_pinv_from_svd(u, s, v, r),
         )
 
@@ -226,28 +227,34 @@ def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
 
 
 def is_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Whether R(K) lies in R(F): the one K-frame test; kframe_flags is its stacked form."""
+    """Whether R(K) lies in R(F): kframe_flags on the one subset of all columns."""
     arr = ensure_matrix(f, "F")
-    op = _as_operator(k, tol)
-    # K = 0 passes untested: its zero columns would widen the rank cutoff's max(shape).
-    return arr.shape[0] == op.dim and (op.rank == 0 or ranges_nested(op.matrix, arr, tol))
+    every = np.arange(arr.shape[1])[None]
+    return bool(kframe_flags(arr, _as_operator(k, tol), every, tol)[0])
 
 
 def kframe_flags(
     f: np.ndarray, op: OperatorK, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
-    """is_kframe(f[:, S], op) for every row S of an N x k index array.
+    """Whether R(K) lies in R(F_S), for every row S of an N x k index array.
 
-    Each of the test's two ranks, of [F_S, K] and of F_S, comes from one
-    stacked SVD over the chunk.
+    S is a K-frame when rank F_S - rank(Q^T F_S), the dimension of
+    R(F_S) & R(K) for Q = op.range_perp, reaches rank K. Both ranks are cut
+    off against F_S's largest singular value and K enters only through Q, so
+    the verdict is free of the scale of F and of K. Each rank is one stacked
+    SVD over the chunk, and Q is empty when K is invertible.
     """
+    rank_k = op.range.dim
     if f.shape[0] != op.dim:
         return np.zeros(len(subsets), dtype=bool)
-    if op.rank == 0:
+    if rank_k == 0:
         return np.ones(len(subsets), dtype=bool)
     blocks = column_blocks(f, subsets)
-    k = np.broadcast_to(op.matrix, (len(subsets),) + op.matrix.shape)
-    return stacked_ranks(np.concatenate([blocks, k], axis=2), tol) == stacked_ranks(blocks, tol)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    cutoff = tol.rank_cutoff(s, blocks.shape)
+    outside = stacked_ranks(op.range_perp.T @ blocks, cutoff=cutoff)
+    # Exactly, the difference never exceeds rank K; >= keeps a rounding excess a K-frame.
+    return np.count_nonzero(s > cutoff, axis=1) - outside >= rank_k
 
 
 def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:

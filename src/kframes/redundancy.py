@@ -23,11 +23,12 @@ means a K-frame that stops being one when any single column is removed.
 Exactness is read from per-size tables T_s (is every s-column subset a
 K-frame?), one table object per call: every s-set is exact exactly when all
 of T_s holds and none of T_(s-1) does, because every (s-1)-set is some s-set
-minus one column. T_s is read first for s <= rank K, T_(s-1) above it, and a
-table only until its all/none is decided, so these are worst cases:
-is_maximal_robust tests at most C(m, rank K) + C(m, rank K - 1) subsets, and
-uniform_excess, which also reports maximal robustness, 2^m - 1 (T_0..T_(m-1)),
-or 2^m when rank K = m.
+minus one column. T_(s-1) is read first, a table only until its all/none is
+decided, and T_s for s < rank K not at all, as it holds no K-frame. So
+is_maximal_robust tests at most C(m, rank K) subsets, and uniform_excess,
+which also reports maximal robustness, the C(m, s) of s = rank K..m - 1, or
+1 when rank K = m. Their budgets count C(m, rank K) + C(m, rank K - 1) and
+2^m - 1 (T_0..T_(m-1)), or 2^m when rank K = m.
 """
 
 from __future__ import annotations
@@ -225,7 +226,9 @@ def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
     cond_ii = None
     if is_kframe(arr, op, tol):
         sys_full = KFrameSystem(arr, op, tol)
-        if classify(sys_full).parseval:
+        with np.errstate(over="ignore"):  # a tight bound past float64 is no Parseval frame
+            parseval = classify(sys_full).parseval
+        if parseval:
             cond_ii = _parseval_condition(sys_full, sig, survivors)
     return MrcReport(
         sigma=sig,
@@ -311,13 +314,15 @@ class _KFrameTables:
         m = arr.shape[1]
         scan_budget(what, m, sizes, cap)
         self._test = lambda chunk: kframe_flags(arr, op, chunk, tol)
-        self._rank = op.rank
+        self._rank = op.range.dim
         self._chunks = {s: scan_subsets(what, m, [s], cap) for s in sizes}
         self._flags: dict[int, list[np.ndarray]] = {s: [] for s in sizes}
         self._seen: dict[int, set[bool]] = {s: set() for s in sizes}
 
     def holds(self, s: int, value: bool) -> bool:
         """Whether some s-subset's flag is value."""
+        if s < self._rank:  # no K-frame has fewer than rank K columns
+            return not value
         while value not in self._seen[s]:
             chunk = next(self._chunks[s], None)
             if chunk is None:
@@ -327,18 +332,17 @@ class _KFrameTables:
         return True
 
     def flags(self, s: int) -> np.ndarray:
-        """Every flag of T_s, lexicographic in the subsets."""
-        self._flags[s].extend(self._test(chunk) for chunk in self._chunks[s])
+        """Every flag of T_s, lexicographic in the subsets; below rank K untested."""
+        test = self._test if s >= self._rank else lambda chunk: np.zeros(len(chunk), dtype=bool)
+        self._flags[s].extend(test(chunk) for chunk in self._chunks[s])
         return np.concatenate(self._flags[s])
 
     def exact(self, s: int) -> bool:
         """Every s-subset is an exact K-frame: all of T_s and none of T_(s-1).
 
-        The order of the reads sets only the cost: up to rank K a set that
-        is no K-frame usually turns up at once, above it a K-frame in T_(s-1).
+        T_(s-1) is read first, which sets only the cost: above rank K it
+        usually holds a K-frame at once, and up to rank K it is free.
         """
-        if s <= self._rank:
-            return not self.holds(s, False) and not (s and self.holds(s - 1, True))
         return not self.holds(s - 1, True) and not self.holds(s, False)
 
 

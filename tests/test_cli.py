@@ -681,13 +681,15 @@ def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank
 
 def test_analyze_tests_each_subset_once_per_scan(tmp_path):
     """Maximal robustness is read from uniform excess's tables: spark, uniform
-    excess and mrc_all alone hand out 21 + 36 + 6 subsets here. F is full
+    excess and mrc_all alone hand out 21 + 20 + 6 subsets here. F is full
     spark, so spark reads its rank level, C(6, 3) = 20 sets, and one 4-set;
-    a size-ascending scan would also read sizes 1 and 2, 42 subsets in all."""
+    a size-ascending scan would also read sizes 1 and 2, 42 subsets in all.
+    K is invertible, so uniform excess reads only T_3, its C(6, 3) = 20 sets:
+    no 1- or 2-set spans R^3, which the tables answer without a subset."""
     f, k = random_kframe(np.random.default_rng(0), 3, 6, 3)
     with counting_subsets() as seen:
         _analyze(tmp_path, f, k)
-    assert seen[0] == 63
+    assert seen[0] == 47
 
 
 def _outcome(argv):

@@ -63,6 +63,14 @@ class TestVerifyKFrame:
         with pytest.raises(ShapeMismatchError):
             verify_kframe(np.eye(3), np.eye(4))
 
+    def test_faint_operator_outside_the_span(self):
+        """R(K) = span(e3) lies outside R(F) however small K is."""
+        f = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        k = np.diag([0.0, 0.0, 1e-9])
+        assert not is_kframe(f, k)
+        with pytest.raises(NotKFrameError):
+            verify_kframe(f, k)
+
     def test_rank_characterization_both_ways(self):
         rng = np.random.default_rng(21)
         for trial in range(30):

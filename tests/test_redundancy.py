@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +28,9 @@ from kframes import (
 )
 from kframes import frames
 from kframes.fixtures import FIXTURES
-from kframes.frames import SCAN_CHUNK, OperatorK
+from kframes.frames import SCAN_CHUNK
 from kframes.linalg import DEFAULT_TOL, TolerancePolicy, _canonical_signs
-from kframes.redundancy import SparkResult
+from kframes.redundancy import ExcessReport, SparkResult
 
 from conftest import (
     counting_subsets,
@@ -246,17 +247,20 @@ class TestMrc:
         assert report.is_mrc
 
     def test_full_frame_range_test_runs_once(self, sys_b, monkeypatch):
-        """One range test of the survivors, then one of the full frame."""
-        outer_widths = []
-        real = frames.ranges_nested
+        """One K-frame test of the 2 survivors, then one of the full frame of 4.
 
-        def counted(inner, outer, tol):
-            outer_widths.append(outer.shape[1])
-            return real(inner, outer, tol)
+        is_kframe is kframe_flags on one subset, so the widths of the subsets
+        that kframe_flags receives count the tests."""
+        widths = []
+        real = frames.kframe_flags
 
-        monkeypatch.setattr(frames, "ranges_nested", counted)
+        def counted(f, op, subsets, tol):
+            widths.extend([subsets.shape[1]] * len(subsets))
+            return real(f, op, subsets, tol)
+
+        monkeypatch.setattr(frames, "kframe_flags", counted)
         report = mrc_subset(sys_b.F, sys_b.K, [0, 2])
-        assert outer_widths == [2, 4]
+        assert widths == [2, 4]
         assert report.parseval_condition_ii is None
 
     def test_dual_as_adjoint_frame_candidate(self, sys_d, dual_d):
@@ -447,33 +451,58 @@ class TestDerivedPinvFrames:
         assert checked > 0
 
 
-def _reference_exact(f, op, cols):
+def _orth(a):
+    """Orthonormal basis of R(a) by scipy's SVD, cut off by the default relative rule."""
+    if a.size == 0:
+        return np.zeros((a.shape[0], 0))
+    return scipy.linalg.orth(a, rcond=DEFAULT_TOL.rank_cutoff_rel * max(a.shape))
+
+
+def _reference_kframe(f, k):
+    """R(K) within R(F), at unit scale: orth(K) beside orth(F) adds no rank."""
+    qf = _orth(f)
+    both = np.hstack([qf, _orth(k)])
+    cut = DEFAULT_TOL.rank_cutoff_rel * max(both.shape)
+    return np.linalg.matrix_rank(both, tol=cut) == qf.shape[1]
+
+
+def _reference_exact(f, k, cols):
     """A K-frame that stops being one when any single column is removed."""
     sub = f[:, cols]
-    return is_kframe(sub, op) and not any(
-        is_kframe(sub[:, [i for i in range(len(cols)) if i != j]], op)
+    return _reference_kframe(sub, k) and not any(
+        _reference_kframe(sub[:, [i for i in range(len(cols)) if i != j]], k)
         for j in range(len(cols)))
 
 
-def _reference_scans(f, op, r):
+def _reference_scans(f, k, r):
     """uniform_excess, is_maximal_robust and mrc_all subset by subset."""
     m = f.shape[1]
+    rank_k = _orth(k).shape[1]
     rest = lambda lam: [i for i in range(m) if i not in lam]  # noqa: E731
     best, first = 0, None
     for size in range(1, m):
         failing = [lam for lam in itertools.combinations(range(m), size)
-                   if not _reference_exact(f, op, rest(lam))]
+                   if not _reference_exact(f, k, rest(lam))]
         if not failing:
             best = size
         elif size == 1:
             first = failing[0]
-    robust = op.rank <= m and all(
-        _reference_exact(f, op, list(sub))
-        for sub in itertools.combinations(range(m), op.rank))
+    robust = rank_k <= m and all(
+        _reference_exact(f, k, list(sub))
+        for sub in itertools.combinations(range(m), rank_k))
     mrc_fail = next((lam for lam in itertools.combinations(range(m), r)
-                     if not is_kframe(f[:, rest(lam)], op)), None)
+                     if not _reference_kframe(f[:, rest(lam)], k)), None)
     return ((best, None if best else first), robust,
             (mrc_fail is None, mrc_fail or None))
+
+
+def _damaged_kframe(rng, n, m, rank_k, damage):
+    """random_kframe, with one column a copy of another or zero when damaged so."""
+    f, k = random_kframe(rng, n, m, min(rank_k, n))
+    if damage in ("duplicate", "zero") and m >= 2:
+        i, j = rng.choice(m, size=2, replace=False)
+        f[:, j] = f[:, i] if damage == "duplicate" else 0.0
+    return f, k
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,17 +520,13 @@ def test_table_scans_match_subset_by_subset_reference(
 ):
     rng = np.random.default_rng(seed)
     m = n + extra
-    f, k = random_kframe(rng, n, m, min(rank_k, n))
+    f, k = _damaged_kframe(rng, n, m, rank_k, damage)
     if damage == "faint_k":
-        # Beside F, K falls under the relative rank cutoff: a rank test then
-        # reads any columns as a K-frame, but K alone keeps its rank.
+        # K far below F's scale: the verdicts must follow R(K), which the
+        # reference reads at unit scale, not K's size next to F's.
         k = k * 1e-13
-    elif damage != "none" and m >= 2:
-        i, j = rng.choice(m, size=2, replace=False)
-        f[:, j] = f[:, i] if damage == "duplicate" else 0.0
-    op = OperatorK.from_matrix(k)
     r = min(r, m)
-    excess, robust, mrc = _reference_scans(f, op, r)
+    excess, robust, mrc = _reference_scans(f, k, r)
     # Small chunks split levels, so the tables are read across chunks.
     with mock.patch.object(frames, "SCAN_CHUNK", chunk):
         got = uniform_excess(f, k)
@@ -509,3 +534,44 @@ def test_table_scans_match_subset_by_subset_reference(
         assert got.maximal_robust == robust
         assert is_maximal_robust(f, k) == robust
         assert mrc_all(f, k, r) == mrc
+
+
+def _kframe_verdicts(f, k, sigma, r):
+    excess = uniform_excess(f, k)
+    return (is_kframe(f, k), mrc_subset(f, k, sigma).is_mrc, mrc_all(f, k, r),
+            (excess.value, excess.witness, excess.maximal_robust), is_maximal_robust(f, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    rank_k=st.integers(0, 4),
+    damage=st.sampled_from(["none", "duplicate", "zero"]),
+    r=st.integers(0, 3),
+    e_f=st.integers(-490, 490),
+    e_k=st.integers(-490, 490),
+)
+def test_kframe_verdicts_are_invariant_under_scaling(seed, n, extra, rank_k, damage, r,
+                                                     e_f, e_k):
+    """K-frame, MRC, uniform excess and maximal robustness verdicts agree on (F, K)
+    and (2^e_f F, 2^e_k K): scaling by a power of two is exact, and K enters the
+    test only through orthonormal bases."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f, k = _damaged_kframe(rng, n, m, rank_k, damage)
+    r = min(r, m)
+    sigma = rng.choice(m, size=r, replace=False)
+    assert _kframe_verdicts(np.ldexp(f, e_f), np.ldexp(k, e_k), sigma, r) == (
+        _kframe_verdicts(f, k, sigma, r))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e8, 1e9, 1e10])
+def test_kframe_verdicts_ignore_the_size_of_k(scale):
+    """Neither a K far larger than F nor a faint one moves a verdict: F is a
+    K-frame, every 3-set erasure meets MRC, and uniform excess is 0."""
+    f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
+    verdicts = lambda k: (is_kframe(f, k), mrc_all(f, k, 3), uniform_excess(f, k))  # noqa: E731
+    assert verdicts(scale * k) == verdicts(k) == (
+        True, (True, None), ExcessReport(value=0, witness=(0,), maximal_robust=False))

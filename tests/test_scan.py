@@ -121,22 +121,24 @@ def test_exactness_scans_stop_once_decided():
     """Levels are read only as far as their verdicts need, not to the budget."""
     rng = np.random.default_rng(5)
     f, k = random_kframe(rng, 2, 16, 2)
-    # Size 1 fails at its first subset and size 2 is exact: sizes 0 and 3..15
-    # are never read, against the 2^16 - 1 tests of the budget.
+    # Size 2 is exact: T_2 is read whole, while T_0 and T_1 lie below rank K
+    # and cost no subset, and sizes 3..15 are never read, against the
+    # 2^16 - 1 tests of the budget.
     with counting_subsets() as seen:
         assert uniform_excess(f, k).value == 14
-    assert seen[0] == 16 + comb(16, 2)
+    assert seen[0] == comb(16, 2)
     f[:, 1] = f[:, 0]  # the first 2-set is no K-frame
     with counting_subsets() as seen:
         assert not is_maximal_robust(f, k)
     assert seen[0] == 1
-    # rank K = 2 < n: s = 2 reads T_2 first, and its second 2-set is no
-    # K-frame, so T_1 is read no further than its first, failing, subset.
+    # rank K = 2 < n: T_1 is free, T_2 is read to its second 2-set, the
+    # first that is no K-frame, and T_3 and T_4 to their first K-frame; the
+    # witness then reads T_5 and T_4 whole: 3 + 1 + 1 + 6 + 14 subsets.
     f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
     with counting_subsets() as seen:
         got = uniform_excess(f, k)
     assert (got.value, got.maximal_robust) == (0, False)
-    assert seen[0] == 26
+    assert seen[0] == 25
 
 
 # The only functions allowed to enumerate subsets or count them.
