@@ -14,7 +14,10 @@ rank(K) = N = 6, where uniform excess reads the full 6-of-12 table.
 test_run_simulate times one `simulate --r 4` through run_command on the same
 system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
 test_spark times spark on seeded generic F of size 4x8, 6x12 and 8x16 (full
-spark, so the scan reads the rank level and one more set).
+spark, so the scan reads the rank level and one more set), and
+test_spark_rank7_14x14 on find-rk's shape of N, a seeded 14x14 matrix of
+rank 7, whose rank-level blocks are tall, 14x7. test_rank_of times rank_of
+on seeded generic F of size 6x12 and 8x16.
 test_uniform_excess and test_mrc_all time the K-frame scans on a seeded 7x14
 system, with K invertible and with rank(K) = 5: uniform excess with maximal
 robustness, and mrc_all at r = 2.
@@ -36,6 +39,7 @@ from kframes import (
     mrc_all,
     mrc_subset,
     plan_recovery,
+    rank_of,
     recover_side_info,
     spark,
     uniform_excess,
@@ -163,6 +167,18 @@ def test_spark(benchmark, shape):
     n, m = map(int, shape.split("x"))
     f = np.random.default_rng(5).standard_normal((n, m))
     assert benchmark(spark, f).value == n + 1
+
+
+def test_spark_rank7_14x14(benchmark):
+    a = np.random.default_rng(5).standard_normal((14, 7))
+    assert benchmark(spark, a @ a.T).value == 8
+
+
+@pytest.mark.parametrize("shape", ["6x12", "8x16"])
+def test_rank_of(benchmark, shape):
+    n, m = map(int, shape.split("x"))
+    f = np.random.default_rng(5).standard_normal((n, m))
+    assert benchmark(rank_of, f) == n
 
 
 # 7x14 systems for the K-frame scans: K invertible, and rank(K) = 5.

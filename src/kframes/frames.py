@@ -33,6 +33,7 @@ from .linalg import (
     _canonical_signs,
     _pinv_from_svd,
     _svd_rank,
+    certified_full_rank,
     column_blocks,
     ensure_matrix,
     null_space_basis,
@@ -56,7 +57,6 @@ __all__ = [
     "kframe_flags",
     "verify_kframe",
     "frame_bounds",
-    "gramian",
     "classify",
     "verify_kdual",
     "dual_perturbation",
@@ -114,7 +114,7 @@ class KFrameSystem:
 
     @cached_property
     def gramian(self) -> np.ndarray:
-        """F^T F, formed on first read: at extreme scales it overflows."""
+        """F^T F, entry (j, i) = <f_i, f_j>; formed on first read, as it can overflow."""
         return self.F.T @ self.F
 
     @cached_property
@@ -250,6 +250,9 @@ def kframe_flags(
     if rank_k == 0:
         return np.ones(len(subsets), dtype=bool)
     blocks = column_blocks(f, subsets)
+    # With K invertible, S is a K-frame when F_S has rank n: proven, no SVD is needed.
+    if rank_k == op.dim and subsets.shape[1] >= rank_k and certified_full_rank(blocks, tol):
+        return np.ones(len(subsets), dtype=bool)
     s = np.linalg.svd(blocks, compute_uv=False)
     cutoff = tol.rank_cutoff(s, blocks.shape)
     outside = stacked_ranks(op.range_perp.T @ blocks, cutoff=cutoff)
@@ -290,11 +293,6 @@ def frame_bounds(sys: KFrameSystem) -> tuple[float, float]:
     if not all(_TINY <= bound < math.inf for bound in sys.bounds):
         raise KFrameError(f"frame bounds {sys.bounds} lie outside the float64 range")
     return sys.bounds
-
-
-def gramian(sys: KFrameSystem) -> np.ndarray:
-    """m x m matrix of pairwise inner products, entry (j, i) = <f_i, f_j>."""
-    return sys.gramian
 
 
 def _unit_exponent(a: np.ndarray) -> int:

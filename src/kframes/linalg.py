@@ -25,6 +25,7 @@ __all__ = [
     "svd_factor",
     "rank_of",
     "stacked_ranks",
+    "certified_full_rank",
     "column_blocks",
     "pseudo_inverse",
     "pinv_and_rank",
@@ -43,6 +44,9 @@ __all__ = [
 # Singular values below the smallest normal double cannot be inverted
 # without overflow; they count as zero in every rank decision.
 _TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
+# Fewest blocks certified_full_rank tests: below it one stacked SVD costs less.
+CERTIFY_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,40 @@ def stacked_ranks(
     if cutoff is None:
         cutoff = tol.rank_cutoff(s, blocks.shape)
     return np.count_nonzero(s > cutoff, axis=1)
+
+
+def certified_full_rank(
+    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
+) -> bool:
+    """True only if stacked_ranks(blocks, tol, cutoff) gives every block rank min(p, q).
+
+    One Cholesky over the stack proves it: each N x p x q block B is scaled
+    exactly by 2^-e to unit size, and the diagonal of its min(p, q)-side Gram
+    loses tau = (c + 8 max(p, q) eps ||B||_F)^2 + 8 (p + q) eps ||B||_F^2, c
+    the cutoff at that scale, which covers the cutoff and the rounding of the
+    Gram, the Cholesky and the SVD. False means unknown: some block is near
+    its cutoff or rank deficient, or the stack has fewer than CERTIFY_MIN blocks.
+    """
+    count, p, q = blocks.shape
+    if count < CERTIFY_MIN:
+        return False
+    e = np.frexp(np.abs(blocks).max(axis=(1, 2), initial=0.0))[1]
+    b = np.ldexp(blocks, -e[:, None, None])
+    gram = b.transpose(0, 2, 1) @ b if p >= q else b @ b.transpose(0, 2, 1)
+    diag = gram.reshape(count, -1)[:, :: min(p, q) + 1]
+    sq = diag.sum(axis=1)
+    norm = np.sqrt(sq)
+    if cutoff is None:
+        c = np.maximum(tol.rank_cutoff(norm[:, None], blocks.shape)[:, 0], np.ldexp(_TINY, -e))
+    else:
+        # A cutoff past 2^64 at unit size certifies nothing, and stays finite.
+        c = np.ldexp(cutoff, np.minimum(-e, 64 - np.frexp(cutoff)[1]))
+    diag -= ((c + 8 * max(p, q) * _EPS * norm) ** 2 + 8 * (p + q) * _EPS * sq)[:, None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def column_blocks(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:

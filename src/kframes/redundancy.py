@@ -13,6 +13,10 @@ can run in the worst case and raise BudgetExceededError when that exceeds cap
 check. Subsets come in chunks of one size, growing from 1 to
 frames.SCAN_CHUNK, and each chunk's tests are decided by one stacked SVD per
 rank test, which gives every subset the singular values of its own SVD.
+Where full rank is the expected answer (spark's levels of no more columns
+than rows, K-frame tests with K invertible), linalg.certified_full_rank
+first tries to prove a whole chunk full rank with one Cholesky; only a chunk
+it cannot prove goes to the SVD, so no value, witness or flag depends on it.
 spark tests level rank first and scans below it only when that level holds
 a dependent set: under its one fixed cutoff, interlacing keeps every subset
 of an independent set independent.
@@ -57,6 +61,7 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _canonical_signs,
+    certified_full_rank,
     column_blocks,
     ensure_matrix,
     ensure_vector,
@@ -133,7 +138,11 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
 
     def first_dependent(sizes):
         for chunk in scan_subsets("spark", m, sizes, cap):
-            ranks = stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff)
+            blocks = column_blocks(arr, chunk)
+            # With no more columns than rows, a proven chunk holds no dependent set.
+            if chunk.shape[1] <= arr.shape[0] and certified_full_rank(blocks, cutoff=cutoff):
+                continue
+            ranks = stacked_ranks(blocks, cutoff=cutoff)
             if (dependent := np.flatnonzero(ranks < chunk.shape[1])).size:
                 return chunk[dependent[0]]
         return None

@@ -692,6 +692,23 @@ def test_analyze_tests_each_subset_once_per_scan(tmp_path):
     assert seen[0] == 47
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+def test_certified_scans_keep_their_verdicts_at_extreme_scales(tmp_path, scale):
+    """The full-rank certificate scales each block to unit size before it forms
+    a norm, so F near the ends of the float64 range neither overflows nor moves
+    a verdict of analyze --r 2 or spark (K invertible, so the K-frame scans
+    take the certificate too)."""
+    f, k = random_kframe(np.random.default_rng(2), 5, 10, 5)
+    reports = []
+    for c in (1.0, scale):
+        analyzed = _report(tmp_path, "a", ["analyze", "--r", "2"], system={"F": c * f, "K": k})
+        sparked = _report(tmp_path, "s", ["spark"], matrix=c * f)
+        reports.append((analyzed["spark"]["spark"], analyzed["uniform_excess"],
+                        analyzed["mrc"], analyzed["maximal_robust"], sparked["spark"],
+                        _support(sparked)))
+    assert reports[0] == reports[1]
+
+
 def _outcome(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -18,7 +18,6 @@ from kframes import (
     classify,
     dual_perturbation,
     frame_bounds,
-    gramian,
     is_kframe,
     normalize_erasure_set,
     TolerancePolicy,
@@ -138,7 +137,7 @@ class TestGramian:
             [1.0, -1.0, 5.0, -0.5],
             [0.0, 0.5, -0.5, 0.5],
         ])
-        np.testing.assert_array_equal(gramian(sys_c), expected)
+        np.testing.assert_array_equal(sys_c.gramian, expected)
 
     def test_fixture_d(self, sys_d):
         expected = np.array([
@@ -147,13 +146,13 @@ class TestGramian:
             [1.0, 2.0, 5.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
         ])
-        np.testing.assert_array_equal(gramian(sys_d), expected)
+        np.testing.assert_array_equal(sys_d.gramian, expected)
 
     def test_orthonormal_columns(self, sys_a):
-        np.testing.assert_allclose(gramian(sys_a), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(sys_a.gramian, np.eye(2), atol=1e-12)
 
     def test_entry_convention(self, sys_c):
-        g = gramian(sys_c)
+        g = sys_c.gramian
         for i in range(4):
             for j in range(4):
                 assert g[j, i] == pytest.approx(sys_c.F[:, i] @ sys_c.F[:, j])

@@ -22,7 +22,7 @@ from kframes import (
     restricted_operator,
     svd_factor,
 )
-from kframes.linalg import column_blocks, stacked_ranks
+from kframes.linalg import CERTIFY_MIN, certified_full_rank, column_blocks, stacked_ranks
 from kframes.fixtures import FIXTURES
 
 FC = FIXTURES["FIX-C"].F
@@ -168,6 +168,78 @@ class TestStackedRanks:
         for block, cols in zip(blocks, subsets):
             assert np.array_equal(block, mat[:, cols])
         assert column_blocks(mat, np.zeros((1, 0), dtype=int)).shape == (1, 3, 0)
+
+
+def _planted_blocks(rng, p, q, lows):
+    """One p x q block per entry of lows, singular values in [low, 1] with low the smallest."""
+    k = min(p, q)
+    blocks = []
+    for low in lows:
+        s = np.r_[1.0, rng.uniform(low, 1.0, max(k - 2, 0)), low][-k:]
+        u = np.linalg.qr(rng.standard_normal((p, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((q, k)))[0]
+        blocks.append((u * s) @ v.T)
+    return np.array(blocks)
+
+
+class TestCertifiedFullRank:
+    """The certificate claims full rank only where stacked_ranks reads it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 9),
+        q=st.integers(1, 9),
+        count=st.integers(CERTIFY_MIN, CERTIFY_MIN + 4),
+        delta=st.one_of(st.sampled_from([-1e-3, 0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
+                        st.floats(-1e-3, 1e6)),
+        odd_delta=st.one_of(st.none(), st.floats(-1e-3, 1e6)),
+        fixed_exp=st.one_of(st.none(), st.integers(-15, -1)),
+        coarse=st.booleans(),
+        exponent=st.integers(-500, 500),
+    )
+    def test_certified_blocks_read_full_rank(self, seed, p, q, count, delta, odd_delta,
+                                             fixed_exp, coarse, exponent):
+        """sigma_min is planted at the cutoff times 1 + delta, in every block or
+        in all but one; a fixed cutoff is 10^fixed_exp, else the policy's rule."""
+        rng = np.random.default_rng(seed)
+        tol = TolerancePolicy(1e-3, 1e-4) if coarse else TolerancePolicy()
+        cutoff = None if fixed_exp is None else 10.0**fixed_exp
+        # Relative to the largest singular value, 1: the rule's cutoff at that scale.
+        base = tol.rank_cutoff(np.ones(1), (p, q))[0] if cutoff is None else cutoff
+        deltas = np.full(count, delta)
+        if odd_delta is not None:
+            deltas[rng.integers(count)] = odd_delta
+        blocks = _planted_blocks(rng, p, q, np.minimum(1.0, base * (1.0 + deltas)))
+        blocks = np.ldexp(blocks, exponent)
+        if cutoff is not None:
+            cutoff = np.ldexp(cutoff, exponent)
+        with np.errstate(over="raise", invalid="raise"):
+            certified = certified_full_rank(blocks, tol, cutoff)
+        if certified:
+            assert np.all(stacked_ranks(blocks, tol, cutoff) == min(p, q))
+
+    @pytest.mark.parametrize("shape", [(7, 7), (14, 7), (7, 10), (1, 9)])
+    @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500, 1e300])
+    def test_gaussian_stack_is_certified(self, shape, scale):
+        blocks = np.random.default_rng(3).standard_normal((16, *shape)) * scale
+        with np.errstate(over="raise", invalid="raise"):
+            assert certified_full_rank(blocks)
+            # Square Gaussian blocks come near the coarse cutoff of 7e-3 sigma_max.
+            assert certified_full_rank(blocks, TolerancePolicy(1e-3, 1e-4)) or shape == (7, 7)
+            assert certified_full_rank(blocks, cutoff=1e-9 * scale)
+            # A cutoff far above the blocks certifies nothing, and does not overflow.
+            assert not certified_full_rank(blocks / 1e300, cutoff=1e-9 * scale)
+
+    def test_unknown_on_deficient_or_small_stacks(self):
+        blocks = np.random.default_rng(4).standard_normal((CERTIFY_MIN, 5, 3))
+        assert certified_full_rank(blocks)
+        blocks[-1, :, 2] = blocks[-1, :, 0]
+        assert not certified_full_rank(blocks)
+        blocks[-1] = 0.0
+        assert not certified_full_rank(blocks)
+        assert not certified_full_rank(np.random.default_rng(4).standard_normal(
+            (CERTIFY_MIN - 1, 5, 3)))
 
 
 class TestPseudoInverse:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -26,10 +27,10 @@ from kframes import (
     uniform_excess,
     verify_kframe,
 )
-from kframes import frames
+from kframes import frames, linalg, redundancy
 from kframes.fixtures import FIXTURES
-from kframes.frames import SCAN_CHUNK
-from kframes.linalg import DEFAULT_TOL, TolerancePolicy, _canonical_signs
+from kframes.frames import SCAN_CHUNK, OperatorK, kframe_flags
+from kframes.linalg import CERTIFY_MIN, DEFAULT_TOL, TolerancePolicy, _canonical_signs
 from kframes.redundancy import ExcessReport, SparkResult
 
 from conftest import (
@@ -58,6 +59,43 @@ def _size_ascending_spark(mat, tol):
                 witness[list(subset)] = np.linalg.svd(block)[2][-1]
                 return SparkResult(size, _canonical_signs(witness[:, None])[:, 0])
     raise AssertionError("no dependent set up to rank + 1")
+
+
+def _damaged_matrix(rng, n, m, rank, damage, eps, column_scales):
+    """Random n x m matrix of rank <= rank, with one column zero, a duplicate,
+    within about eps of the others' span, or faint (x 1e-11), as damage says."""
+    rank = min(rank, n, m)
+    mat = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+    if m >= 2 and damage != "none":
+        i, j = rng.choice(m, size=2, replace=False)
+        if damage == "zero":
+            mat[:, j] = 0.0
+        elif damage == "duplicate":
+            mat[:, j] = mat[:, i]
+        elif damage == "near":
+            others = np.delete(mat, j, axis=1)
+            mat[:, j] = others @ rng.standard_normal(m - 1) + eps * rng.standard_normal(n)
+        else:
+            mat[:, j] *= 1e-11
+    if column_scales:
+        mat = mat * 10.0 ** rng.uniform(-3, 3, size=m)
+    return mat
+
+
+@contextlib.contextmanager
+def without_certificate():
+    """Every chunk goes to the SVD: the full-rank certificate answers unknown."""
+    unknown = mock.Mock(return_value=False)
+    with mock.patch.object(frames, "certified_full_rank", unknown), \
+            mock.patch.object(redundancy, "certified_full_rank", unknown):
+        yield
+
+
+@contextlib.contextmanager
+def counting_svds():
+    """Count every np.linalg.svd call."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        yield svd
 
 
 def _collinear(u, v):
@@ -171,24 +209,8 @@ class TestSpark:
         self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, chunk
     ):
         """Rank level first gives the value and witness of a size-ascending scan."""
-        rng = np.random.default_rng(seed)
-        rank = min(rank, n, m)
-        mat = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
-        if m >= 2 and damage != "none":
-            i, j = rng.choice(m, size=2, replace=False)
-            if damage == "zero":
-                mat[:, j] = 0.0
-            elif damage == "duplicate":
-                mat[:, j] = mat[:, i]
-            elif damage == "near":
-                # Column j leaves the span of the others by about eps.
-                others = np.delete(mat, j, axis=1)
-                mat[:, j] = others @ rng.standard_normal(m - 1) + eps * rng.standard_normal(n)
-            else:
-                mat[:, j] *= 1e-11
-        if column_scales:
-            mat = mat * 10.0 ** rng.uniform(-3, 3, size=m)
-        mat = mat * scale
+        mat = _damaged_matrix(np.random.default_rng(seed), n, m, rank, damage, eps,
+                              column_scales) * scale
         tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
         with mock.patch.object(frames, "SCAN_CHUNK", chunk):
             got = spark(mat, tol)
@@ -201,6 +223,47 @@ class TestSpark:
         # it is asked only where no column was brought near one.
         if not (coarse or column_scales or damage == "near"):
             assert got.value == spark_via_kernel(mat, tol).value
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        m=st.integers(1, 12),
+        rank=st.integers(0, 7),
+        damage=st.sampled_from(["none", "zero", "duplicate", "near", "faint"]),
+        eps=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 1e-7]),
+        column_scales=st.booleans(),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        coarse=st.booleans(),
+        certify_min=st.sampled_from([1, CERTIFY_MIN]),
+    )
+    def test_certificate_changes_no_value_or_witness(
+        self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, certify_min
+    ):
+        """Also when the certificate is asked about every chunk, however small."""
+        mat = _damaged_matrix(np.random.default_rng(seed), n, m, rank, damage, eps,
+                              column_scales) * scale
+        tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
+        with mock.patch.object(linalg, "CERTIFY_MIN", certify_min):
+            got = spark(mat, tol)
+        with without_certificate():
+            want = spark(mat, tol)
+        assert got.value == want.value
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.tobytes() == want.witness.tobytes()
+
+    def test_generic_frame_needs_a_handful_of_svds(self):
+        """A generic 7x14 F: the certificate proves every chunk of 8 or more
+        of its C(14, 7) sets independent, so SVDs run only on the parent, the
+        chunks of 1, 2 and 4 sets, the first 8-set and the witness."""
+        f = np.random.default_rng(5).standard_normal((7, 14))
+        with counting_svds() as svd:
+            assert spark(f).value == 8
+        assert svd.call_count == 6
+        with without_certificate(), counting_svds() as svd:
+            spark(f)
+        assert svd.call_count > 20
 
 
 class TestMinSupportInRange:
@@ -575,3 +638,46 @@ def test_kframe_verdicts_ignore_the_size_of_k(scale):
     verdicts = lambda k: (is_kframe(f, k), mrc_all(f, k, 3), uniform_excess(f, k))  # noqa: E731
     assert verdicts(scale * k) == verdicts(k) == (
         True, (True, None), ExcessReport(value=0, witness=(0,), maximal_robust=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    extra=st.integers(0, 6),
+    rank=st.integers(0, 6),
+    damage=st.sampled_from(["none", "zero", "duplicate", "near", "faint"]),
+    eps=st.sampled_from([1e-12, 1e-10, 1e-8]),
+    column_scales=st.booleans(),
+    scale=st.sampled_from([1e-150, 1.0, 1e150]),
+    coarse=st.booleans(),
+    certify_min=st.sampled_from([1, CERTIFY_MIN]),
+)
+def test_certificate_changes_no_kframe_flag(seed, n, extra, rank, damage, eps, column_scales,
+                                            scale, coarse, certify_min):
+    """With K invertible, kframe_flags gives every subset the flag that the SVD
+    alone gives it."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f = _damaged_matrix(rng, n, m, rank, damage, eps, column_scales) * scale
+    tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
+    op = OperatorK.from_matrix(rng.standard_normal((n, n)), tol)
+    for size in range(1, m + 1):
+        subsets = np.array(list(itertools.combinations(range(m), size)))
+        with mock.patch.object(linalg, "CERTIFY_MIN", certify_min):
+            got = kframe_flags(f, op, subsets, tol)
+        with without_certificate():
+            assert np.array_equal(got, kframe_flags(f, op, subsets, tol))
+
+
+def test_uniform_excess_with_k_invertible_needs_a_handful_of_svds():
+    """The C(14, 7) sets of T_7 are proven K-frames in every chunk of 8 or more,
+    so only K's two SVDs and the chunks of 1, 2 and 4 sets run an SVD."""
+    f, k = random_kframe(np.random.default_rng(5), 7, 14, 7)
+    with counting_svds() as svd:
+        report = uniform_excess(f, k)
+    assert (report.value, report.maximal_robust) == (7, True)
+    assert svd.call_count == 5
+    with without_certificate(), counting_svds() as svd:
+        uniform_excess(f, k)
+    assert svd.call_count > 20
