@@ -20,11 +20,16 @@ rank 7, whose rank-level blocks are tall, 14x7. test_rank_of times rank_of
 on seeded generic F of size 6x12 and 8x16.
 test_uniform_excess and test_mrc_all time the K-frame scans on a seeded 7x14
 system, with K invertible and with rank(K) = 5: uniform excess with maximal
-robustness, and mrc_all at r = 2.
+robustness, and mrc_all at r = 2. test_mrc_all_generic times mrc_all at r = 2
+on seeded generic F of size 4x8, 6x12 and 8x16 with a K of rank n // 2, so
+every survivor set goes through R(K)^perp. test_plan_consistency_all_4sets
+times one consistency plan_recovery over all C(12, 4) = 495 erasure sets of
+the 6x12 system, each with its survivor range test.
 """
 
 import contextlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -198,3 +203,20 @@ def test_uniform_excess(benchmark, kind):
 def test_mrc_all(benchmark, kind):
     system = _kframe(np.random.default_rng(5), SCAN_RANKS[kind], n=7, m=14)
     assert benchmark(mrc_all, system.F, system.K, 2) == (True, None)
+
+
+@pytest.mark.parametrize("shape", ["4x8", "6x12", "8x16"])
+def test_mrc_all_generic(benchmark, shape):
+    n, m = map(int, shape.split("x"))
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((n, m))
+    k = rng.standard_normal((n, n // 2)) @ rng.standard_normal((n // 2, n))
+    # Any m - 2 >= n generic columns span R^n, so every 2-erasure meets MRC.
+    assert benchmark(mrc_all, f, k, 2) == (True, None)
+
+
+def test_plan_consistency_all_4sets(benchmark, setup):
+    system, dual = setup[:2]
+    sets = np.array(list(itertools.combinations(range(M), R)))
+    plan = benchmark(plan_recovery, system, "consistency", sets, dual=dual)
+    assert len(sets) == 495 and plan.range_ok.all()

@@ -202,6 +202,8 @@ def _mrc_all_obj(system: KFrameSystem, r: int, cap: int) -> dict:
 
 def _cmd_analyze(args) -> dict:
     system = _load_system(args)
+    if args.r > system.m:
+        raise KFrameError(f"r must satisfy 0 <= r <= m = {system.m}")
     tol, cap = system.tol, args.cap_subsets
     cls = classify(system)
     spark_f = spark(system.F, tol, cap=cap)
@@ -408,21 +410,21 @@ def _parsers() -> dict[str, argparse.ArgumentParser]:
     command("check-dual", _cmd_check_dual, "--system", "--dual")
     command("canonical-dual", _cmd_canonical_dual, "--system").add_argument(
         "--method", choices=("douglas", "restricted"), default="douglas")
-    command("analyze", _cmd_analyze, "--system").add_argument("--r", type=int, default=1)
+    command("analyze", _cmd_analyze, "--system").add_argument("--r", type=_at_least(0), default=1)
     group = command("mrc", _cmd_mrc, "--system").add_mutually_exclusive_group(required=True)
     group.add_argument("--sigma", help="comma-separated 1-based indices")
-    group.add_argument("--r", type=int)
+    group.add_argument("--r", type=_at_least(0))
     parser = command("recover", _cmd_recover, "--system", "--dual", "--coded")
     parser.add_argument("--strategy", default="consistency", choices=STRATEGIES)
     parser.add_argument("--rk-matrix", default=None)
     parser.add_argument("--side-info", default=None)
     parser = command("find-rk", _cmd_find_rk, "--system", "--dual")
-    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--r", type=_at_least(0), required=True)
     parser.add_argument("--trials", type=_at_least(0), default=64)
     parser.add_argument("--seed", type=_at_least(0), default=0)
     parser = command("simulate", _cmd_simulate, "--system")
     parser.add_argument("--dual", default=None, help="dual file; canonical dual when omitted")
-    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--r", type=_at_least(0), required=True)
     parser.add_argument("--signals", type=_at_least(1), default=1000)
     parser.add_argument("--seed", type=_at_least(0), default=0)
     parser.add_argument("--strategies", default="side-info,blind,consistency")

@@ -36,12 +36,11 @@ from .linalg import (
     certified_full_rank,
     column_blocks,
     ensure_matrix,
+    intersection_dims,
     null_space_basis,
     operator_norm,
     pseudo_inverse,
     range_basis,
-    rank_of,
-    stacked_ranks,
     svd_factor,
 )
 
@@ -67,12 +66,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorK:
-    """A square operator with its pseudo-inverse and bases of R(K) and R(K)^perp from one U."""
+    """A square operator with its rank, pseudo-inverse and bases of R(K), R(K)^perp
+    and Ker K = R(K^T)^perp, all read off one SVD."""
 
     matrix: np.ndarray
     rank: int
     range: SubspaceBasis
     range_perp: np.ndarray
+    kernel: np.ndarray
     pinv: np.ndarray
 
     @classmethod
@@ -80,16 +81,14 @@ class OperatorK:
         arr = ensure_matrix(m, "K")
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"K must be square, got {arr.shape}")
-        # range, range_perp and pinv are read off one SVD, as range_basis and
-        # pseudo_inverse would each read them. rank keeps rank_of: singular
-        # values computed without vectors can differ in their last bits.
         u, s, v = svd_factor(arr)
         r = _svd_rank(s, arr.shape, tol)
         return cls(
             matrix=arr,
-            rank=rank_of(arr, tol),
+            rank=r,
             range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
             range_perp=u[:, r:],
+            kernel=v[:, r:],
             pinv=_pinv_from_svd(u, s, v, r),
         )
 
@@ -114,7 +113,12 @@ class KFrameSystem:
 
     @cached_property
     def gramian(self) -> np.ndarray:
-        """F^T F, entry (j, i) = <f_i, f_j>; formed on first read, as it can overflow."""
+        """F^T F, entry (j, i) = <f_i, f_j>; formed on first read, as it can overflow,
+        and refused when F's entries lie below 2^e with 2e <= -1022: their squares underflow."""
+        e = _unit_exponent(self.F)
+        if 2 * e <= np.finfo(float).minexp:
+            raise KFrameError("computed values leave the float64 range (F^T F underflows: "
+                              f"every entry of F lies below 2^{e})")
         return self.F.T @ self.F
 
     @cached_property
@@ -238,13 +242,12 @@ def kframe_flags(
 ) -> np.ndarray:
     """Whether R(K) lies in R(F_S), for every row S of an N x k index array.
 
-    S is a K-frame when rank F_S - rank(Q^T F_S), the dimension of
-    R(F_S) & R(K) for Q = op.range_perp, reaches rank K. Both ranks are cut
-    off against F_S's largest singular value and K enters only through Q, so
-    the verdict is free of the scale of F and of K. Each rank is one stacked
-    SVD over the chunk, and Q is empty when K is invertible.
+    S is a K-frame when dim(R(F_S) & R(K)), by intersection_dims through
+    Q = op.range_perp, reaches rank K; so the verdict is free of the scale of
+    F and of K. Each rank is one stacked SVD over the chunk, and Q is empty
+    when K is invertible.
     """
-    rank_k = op.range.dim
+    rank_k = op.rank
     if f.shape[0] != op.dim:
         return np.zeros(len(subsets), dtype=bool)
     if rank_k == 0:
@@ -253,11 +256,8 @@ def kframe_flags(
     # With K invertible, S is a K-frame when F_S has rank n: proven, no SVD is needed.
     if rank_k == op.dim and subsets.shape[1] >= rank_k and certified_full_rank(blocks, tol):
         return np.ones(len(subsets), dtype=bool)
-    s = np.linalg.svd(blocks, compute_uv=False)
-    cutoff = tol.rank_cutoff(s, blocks.shape)
-    outside = stacked_ranks(op.range_perp.T @ blocks, cutoff=cutoff)
-    # Exactly, the difference never exceeds rank K; >= keeps a rounding excess a K-frame.
-    return np.count_nonzero(s > cutoff, axis=1) - outside >= rank_k
+    # Exactly, the dimension never exceeds rank K; >= keeps a rounding excess a K-frame.
+    return intersection_dims(blocks, op.range_perp, tol) >= rank_k
 
 
 def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:

@@ -25,6 +25,7 @@ __all__ = [
     "svd_factor",
     "rank_of",
     "stacked_ranks",
+    "intersection_dims",
     "certified_full_rank",
     "column_blocks",
     "pseudo_inverse",
@@ -182,6 +183,18 @@ def stacked_ranks(
     return np.count_nonzero(s > cutoff, axis=1)
 
 
+def intersection_dims(
+    blocks: np.ndarray, perp: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+) -> np.ndarray:
+    """dim(R(B) & V) = rank B - rank(perp^T B) for every block B of an N x n x k
+    stack, perp an orthonormal basis of V^perp: the package's one intersection
+    rule. Both ranks are cut off against B's largest singular value, so the
+    result is free of B's scale, and V enters only through perp."""
+    s = np.linalg.svd(blocks, compute_uv=False)
+    cutoff = tol.rank_cutoff(s, blocks.shape)
+    return np.count_nonzero(s > cutoff, axis=1) - stacked_ranks(perp.T @ blocks, cutoff=cutoff)
+
+
 def certified_full_rank(
     blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
 ) -> bool:
@@ -337,10 +350,11 @@ def restricted_operator(
 
 
 def ranges_nested(inner, outer, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True when the column space of inner is contained in that of outer."""
+    """True when R(inner) lies in R(outer): they meet in rank inner dimensions."""
     a = ensure_matrix(inner, "inner")
     b = ensure_matrix(outer, "outer")
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatchError("range comparison needs equal row counts")
-    r_outer = rank_of(b, tol)
-    return rank_of(np.hstack([b, a]), tol) == r_outer
+    u, s, _ = svd_factor(a)
+    r = _svd_rank(s, a.shape, tol)
+    return bool(intersection_dims(b[None], u[:, r:], tol)[0] >= r)

@@ -43,7 +43,6 @@ from .frames import (
     KFrameSystem,
     _complements,
     _max_erasure_norm,
-    _unit_scaled,
     normalize_erasure_set,
     verify_kdual,
 )
@@ -52,6 +51,7 @@ from .linalg import (
     column_blocks,
     ensure_matrix,
     ensure_vector,
+    intersection_dims,
     matvec_rows,
     null_space_basis,
     operator_norm,
@@ -59,7 +59,6 @@ from .linalg import (
     range_projector,
     row_norms,
     stacked_pinv_and_rank,
-    stacked_ranks,
 )
 from .redundancy import INFINITE, SparkResult, spark
 
@@ -336,12 +335,9 @@ def plan_recovery(
     known = _complements(erased, sys.m)
     if strategy == "consistency":
         solver, rank = stacked_pinv_and_rank(dual.G.T[known], tol)
-        # The survivors frame R(K^T) exactly when appending K^T adds no rank.
-        # G and K^T are each scaled exactly to unit size, so neither hides the other.
-        g, _ = _unit_scaled(dual.G)
-        k_t = np.broadcast_to(_unit_scaled(sys.K.matrix.T)[0], (len(erased), sys.n, sys.n))
-        spans = stacked_ranks(np.concatenate([column_blocks(g, known), k_t], axis=2), tol)
-        return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans == rank, tol)
+        # The survivors frame R(K^T) exactly when they meet it in rank K dimensions.
+        spans = intersection_dims(column_blocks(dual.G, known), sys.K.kernel, tol) >= sys.K.rank
+        return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans, tol)
     mat = _recovery_matrix(sys, m_mat)
     if strategy == "blind":
         mat = mat - sys.gramian

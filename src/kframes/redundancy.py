@@ -65,11 +65,11 @@ from .linalg import (
     column_blocks,
     ensure_matrix,
     ensure_vector,
+    intersection_dims,
     null_space_basis,
     operator_norm,
     pseudo_inverse,
     range_basis,
-    rank_of,
     ranges_nested,
     restricted_operator,
     stacked_ranks,
@@ -231,7 +231,10 @@ def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
     sig = normalize_erasure_set(sigma, m)
     survivors = [i for i in range(m) if i not in sig]
     mrc = is_kframe(arr[:, survivors], op, tol)
-    cond_i = _trivial_intersection(arr, op, sig, tol)
+    # R(F^T M_K) = R(F^T Q), Q the basis of R(K), meets no erased axis; the
+    # survivor axes span their complement. At unit size F^T Q cannot overflow.
+    coeffs = _unit_scaled(arr)[0].T @ op.range.basis
+    cond_i = not intersection_dims(coeffs[None], np.eye(m)[:, survivors], tol)[0]
     cond_ii = None
     if is_kframe(arr, op, tol):
         sys_full = KFrameSystem(arr, op, tol)
@@ -239,26 +242,8 @@ def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
             parseval = classify(sys_full).parseval
         if parseval:
             cond_ii = _parseval_condition(sys_full, sig, survivors)
-    return MrcReport(
-        sigma=sig,
-        is_mrc=mrc,
-        necessary_condition_i=cond_i,
-        parseval_condition_ii=cond_ii,
-    )
-
-
-def _trivial_intersection(
-    arr: np.ndarray, op: OperatorK, sig: tuple[int, ...], tol: TolerancePolicy
-) -> bool:
-    if not sig:
-        return True
-    # Positive scalings keep R(F^T M_K); at unit size the product cannot overflow.
-    f, _ = _unit_scaled(arr)
-    k, _ = _unit_scaled(op.matrix)
-    coeff_range = range_basis(f.T @ k, tol)
-    erased = np.eye(arr.shape[1])[:, list(sig)]
-    stacked = np.hstack([coeff_range.basis, erased])
-    return rank_of(stacked, tol) == coeff_range.dim + len(sig)
+    return MrcReport(sigma=sig, is_mrc=mrc, necessary_condition_i=cond_i,
+                     parseval_condition_ii=cond_ii)
 
 
 def _parseval_condition(
@@ -277,10 +262,8 @@ def _parseval_condition(
     injective = image.dim == domain.dim and coord.shape[0] == coord.shape[1]
     f_c = f[:, survivors]
     target = (f_c @ f_c.T) @ sys.K.range.basis
-    same_range = ranges_nested(image.basis, target, sys.tol) and ranges_nested(
-        target, image.basis, sys.tol
-    )
-    return injective and same_range
+    return injective and ranges_nested(image.basis, target, sys.tol) and ranges_nested(
+        target, image.basis, sys.tol)
 
 
 def mrc_all(

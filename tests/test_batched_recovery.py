@@ -162,10 +162,16 @@ def _reference_plan(sys, dual, strategy, mat, lam):
         solver = vt.T[:, :rank] @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
     range_ok = True
     if strategy == "consistency":
-        both = np.hstack([dual.G[:, known], sys.K.matrix.T])
-        s = np.linalg.svd(both, compute_uv=False)
-        range_ok = int(np.sum(s > max(1e-10 * max(both.shape) * s[0],
-                                      np.finfo(float).tiny))) == rank
+        # The survivors meet R(K^T) in rank K dimensions: rank G_known less the
+        # rank of its part in Ker K, both cut off against G_known's largest
+        # singular value.
+        _, s_k, vt_k = np.linalg.svd(sys.K.matrix)
+        rank_k = int(np.sum(s_k > max(1e-10 * sys.n * s_k[0], np.finfo(float).tiny)))
+        g_known = dual.G[:, known]
+        s = np.linalg.svd(g_known, compute_uv=False)
+        cutoff = max(1e-10 * max(g_known.shape) * s[0], np.finfo(float).tiny)
+        outside = np.linalg.svd(vt_k[rank_k:] @ g_known, compute_uv=False)
+        range_ok = int(np.sum(s > cutoff)) - int(np.sum(outside > cutoff)) >= rank_k
     return rank, range_ok, block, solver, coupling, lift
 
 

@@ -800,8 +800,9 @@ def test_rank_verdicts_outside_analyze_are_scale_invariant(
 
 @pytest.mark.parametrize("name", ["FIX-B", "FIX-D"])
 def test_consistency_certificates_do_not_depend_on_scale(tmp_path, name):
-    """The survivors' span of R(K^T) is judged with G and K^T each at unit size,
-    so a scale that shrinks K next to G (G does not scale) hides nothing."""
+    """The survivors' span of R(K^T) is judged through Ker K against the
+    survivors' own scale, so a scale that shrinks K next to G (G does not
+    scale) hides nothing."""
     fix = FIXTURES[name]
     argv = ["simulate", "--r", "2", "--signals", "20", "--seed", "5",
             "--strategies", "consistency"]
@@ -876,3 +877,54 @@ def test_overflow_exits_one_without_warnings(capsys, tmp_path, strategy):
     assert (code, out, caught) == (1, "", [])
     assert "computed values leave the float64 range" in err
     assert "RuntimeWarning" not in err and "non-finite" not in err
+
+
+@pytest.mark.parametrize("name", ["FIX-A", "FIX-B", "FIX-C", "FIX-D"])
+def test_gramian_underflow_exits_one_and_consistency_still_runs(capsys, tmp_path, name):
+    """F and K scaled by 1e-200: every square of an entry of F underflows, so the
+    commands that read F^T F refuse with one message instead of reading a zero
+    Gramian, while consistency recovery, which never reads it, still runs."""
+    fix = FIXTURES[name]
+    m = fix.F.shape[1]
+    files = {
+        "system": {"F": _matrix_obj(1e-200 * fix.F), "K": _matrix_obj(1e-200 * fix.K)},
+        "dual": _matrix_obj((np.linalg.pinv(fix.F) @ fix.K).T),
+        "coded": {"coefficients": [None] + [1.0] * (m - 1), "erased": [1]},
+        "side-info": [0.0] * m,
+    }
+    flags = {}
+    for key, obj in files.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj))
+        flags[key] = [f"--{key}", str(path)]
+    system = [*flags["system"], *flags["dual"]]
+    recover = ["recover", *system, *flags["coded"]]
+    for argv in ([*recover, "--strategy", "side-info", *flags["side-info"]],
+                 ["find-rk", *system, "--r", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv[0]
+        assert "computed values leave the float64 range (F^T F underflows" in err
+    assert run_json(capsys, *recover, "--strategy", "consistency")["strategy"] == "consistency"
+    assert run_json(capsys, "simulate", *system, "--r", "1", "--signals", "5",
+                    "--strategies", "consistency")["strategies"]["consistency"]["signals"] == 5
+
+
+@pytest.mark.parametrize("command", ["analyze", "mrc", "find-rk", "simulate"])
+def test_negative_r_is_a_usage_error(capsys, system_d, command):
+    dual = ["--dual", system_d[1]] if command == "find-rk" else []
+    code, out, err = run(capsys, command, "--system", system_d[0], *dual, "--r", "-1")
+    assert (code, out) == (64, "")
+    assert "argument --r: must be at least 0, got -1" in err
+
+
+def test_analyze_refuses_r_above_m_before_any_scan(capsys, system_d, monkeypatch):
+    assert run_json(capsys, "analyze", "--system", system_d[0], "--r", "4")["mrc"]["r"] == 4
+
+    def scan(*args, **kwargs):
+        raise AssertionError("analyze ran a scan before checking --r")
+
+    for name in ("classify", "spark", "uniform_excess", "mrc_all"):
+        monkeypatch.setattr(kframes.cli, name, scan)
+    code, out, err = run(capsys, "analyze", "--system", system_d[0], "--r", "5")
+    assert (code, out) == (1, "")
+    assert "r must satisfy 0 <= r <= m = 4" in err

@@ -22,7 +22,14 @@ from kframes import (
     restricted_operator,
     svd_factor,
 )
-from kframes.linalg import CERTIFY_MIN, certified_full_rank, column_blocks, stacked_ranks
+from kframes.linalg import (
+    CERTIFY_MIN,
+    certified_full_rank,
+    column_blocks,
+    intersection_dims,
+    ranges_nested,
+    stacked_ranks,
+)
 from kframes.fixtures import FIXTURES
 
 FC = FIXTURES["FIX-C"].F
@@ -44,6 +51,49 @@ _READERS = {
                         ("redundancy.py", "spark_via_kernel")},
     "residual_rel": {("linalg.py", "TolerancePolicy"), ("cli.py", "_policy")},
 }
+
+
+# Calls that decide a rank, and calls that join matrices side by side.
+_RANKS = {"rank_of", "stacked_ranks", "svd", "matrix_rank", "svd_factor", "range_basis",
+          "null_space_basis", "pinv_and_rank", "stacked_pinv_and_rank"}
+_JOINS = {"hstack", "concatenate", "column_stack", "block"}
+
+
+def _called(function):
+    """Names of every function that a def calls, as written at the call."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(function) if isinstance(node, ast.Call)}
+
+
+class TestIntersectionDims:
+    def test_known_intersections_at_any_scale(self):
+        e = np.eye(4)
+        perp = e[:, 2:]  # the subspace met is span(e1, e2)
+        blocks = np.stack([e[:, [0, 1]], e[:, [0, 2]], e[:, [2, 3]],
+                           e[:, [0, 0]] + [[0, 0], [0, 0], [0, 0], [0, 1e-20]]])
+        for scale in (1e-300, 1.0, 1e300):
+            assert intersection_dims(scale * blocks, perp).tolist() == [2, 1, 0, 1]
+        assert intersection_dims(blocks, e[:, :0]).tolist() == [2, 2, 2, 1]
+        assert intersection_dims(blocks[:, :, :0], perp).tolist() == [0, 0, 0, 0]
+
+    def test_ranges_nested_ignores_both_scales(self):
+        a = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])
+        b = np.array([[1.0], [1.0], [0.0]])
+        for x in (1e-200, 1.0, 1e200):
+            for y in (1e-200, 1.0, 1e200):
+                assert ranges_nested(x * b, y * a) and not ranges_nested(x * a, y * b)
+                assert ranges_nested(np.zeros((3, 0)), y * b)
+
+    def test_only_the_kernel_ranks_joined_matrices(self):
+        """No function ranks matrices joined side by side, as rank [B, A] == rank B
+        would: range inclusions go through linalg.intersection_dims."""
+        found = set()
+        for path in sorted(Path(kframes.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and _called(node) & _RANKS \
+                        and _called(node) & _JOINS:
+                    found.add((path.name, node.name))
+        assert found <= {("linalg.py", "intersection_dims")}
 
 
 class TestTolerancePolicy:

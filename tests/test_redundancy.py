@@ -29,8 +29,15 @@ from kframes import (
 )
 from kframes import frames, linalg, redundancy
 from kframes.fixtures import FIXTURES
-from kframes.frames import SCAN_CHUNK, OperatorK, kframe_flags
-from kframes.linalg import CERTIFY_MIN, DEFAULT_TOL, TolerancePolicy, _canonical_signs
+from kframes.frames import SCAN_CHUNK, DualSystem, KFrameSystem, OperatorK, kframe_flags
+from kframes.linalg import (
+    CERTIFY_MIN,
+    DEFAULT_TOL,
+    TolerancePolicy,
+    _canonical_signs,
+    ranges_nested,
+)
+from kframes.recovery import plan_recovery
 from kframes.redundancy import ExcessReport, SparkResult
 
 from conftest import (
@@ -630,6 +637,45 @@ def test_kframe_verdicts_are_invariant_under_scaling(seed, n, extra, rank_k, dam
         _kframe_verdicts(f, k, sigma, r))
 
 
+def _intersection_verdicts(f, k, g, sigma, r):
+    """ranges_nested both ways between F and K, consistency range_ok for every
+    r-set, and MRC condition (i) for sigma."""
+    sys = KFrameSystem(f, OperatorK.from_matrix(k), DEFAULT_TOL)
+    sets = np.array(list(itertools.combinations(range(f.shape[1]), r)), dtype=np.intp)
+    # plan_recovery reads only G of the dual; with b != c, cG is no K-dual of bK.
+    plan = plan_recovery(sys, "consistency", sets, dual=DualSystem(g, math.nan, False))
+    return (ranges_nested(k, f), ranges_nested(f, k), plan.range_ok.tolist(),
+            mrc_subset(f, k, sigma).necessary_condition_i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(0, 4),
+    damage=st.sampled_from(["none", "duplicate", "zero"]),
+    r=st.integers(0, 3),
+    a=st.floats(-150, 150),
+    b=st.floats(-150, 150),
+    c=st.floats(-150, 150),
+)
+def test_intersection_verdicts_are_invariant_under_scaling(seed, n, extra, rank_k, damage, r,
+                                                           a, b, c):
+    """Every caller of the one intersection rule keeps its verdicts under F -> aF,
+    K -> bK and G -> cG, for independent a, b and c in 10^±150, not only powers
+    of two."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f, k = _damaged_kframe(rng, n, m, rank_k, damage)
+    g = (np.linalg.pinv(f) @ k).T
+    r = min(r, m - 1)
+    sigma = rng.choice(m, size=r, replace=False)
+    a, b, c = 10.0 ** a, 10.0 ** b, 10.0 ** c
+    assert _intersection_verdicts(a * f, b * k, c * g, sigma, r) == (
+        _intersection_verdicts(f, k, g, sigma, r))
+
+
 @pytest.mark.parametrize("scale", [1e-10, 1e8, 1e9, 1e10])
 def test_kframe_verdicts_ignore_the_size_of_k(scale):
     """Neither a K far larger than F nor a faint one moves a verdict: F is a
@@ -672,12 +718,50 @@ def test_certificate_changes_no_kframe_flag(seed, n, extra, rank, damage, eps, c
 
 def test_uniform_excess_with_k_invertible_needs_a_handful_of_svds():
     """The C(14, 7) sets of T_7 are proven K-frames in every chunk of 8 or more,
-    so only K's two SVDs and the chunks of 1, 2 and 4 sets run an SVD."""
+    so only K's one SVD and the chunks of 1, 2 and 4 sets run an SVD."""
     f, k = random_kframe(np.random.default_rng(5), 7, 14, 7)
     with counting_svds() as svd:
         report = uniform_excess(f, k)
     assert (report.value, report.maximal_robust) == (7, True)
-    assert svd.call_count == 5
+    assert svd.call_count == 4
     with without_certificate(), counting_svds() as svd:
         uniform_excess(f, k)
     assert svd.call_count > 20
+
+
+def _straddling_operator():
+    """The first default_rng(0) K, column 3 = column 1 + 1e-9 noise, whose
+    values-only and full SVDs differ in the last singular value, with a policy
+    whose cutoff lies between the two; and the rng, to draw on from there."""
+    rng = np.random.default_rng(0)
+    while True:
+        k = rng.standard_normal((3, 3))
+        k[:, 2] = k[:, 0] + 1e-9 * rng.standard_normal(3)
+        routes = np.linalg.svd(k, compute_uv=False), np.linalg.svd(k)[1]
+        if routes[0][-1] != routes[1][-1]:
+            break
+    # The values differ by an ulp or two: step the cutoff to the lower one.
+    rel = float(min(routes[0][-1], routes[1][-1]) / (3 * routes[1][0]))
+    for _ in range(16):
+        tol = TolerancePolicy(rel)
+        ranks = {int(np.count_nonzero(s > tol.rank_cutoff(s, k.shape))) for s in routes}
+        if len(ranks) == 2:
+            return k, tol, rng
+        rel = float(np.nextafter(rel, 0.0 if ranks == {2} else 1.0))
+    raise AssertionError("no cutoff between the two routes")
+
+
+def test_operator_rank_and_range_come_from_one_svd():
+    """With K's two SVD routes on either side of the cutoff, rank K is still its
+    range's dimension, and maximal robustness follows the K-frame tables: every
+    rank-K set of F, drawn inside R(K), is exact."""
+    k, tol, rng = _straddling_operator()
+    op = OperatorK.from_matrix(k, tol)
+    assert op.rank == op.range.dim
+    f = op.range.basis @ rng.standard_normal((op.rank, 4))
+    sets = lambda s: np.array(list(itertools.combinations(range(4), s)))  # noqa: E731
+    exact = (kframe_flags(f, op, sets(op.range.dim), tol).all()
+             and not kframe_flags(f, op, sets(op.range.dim - 1), tol).any())
+    assert exact
+    assert uniform_excess(f, op, tol=tol).maximal_robust == exact
+    assert is_maximal_robust(f, op, tol=tol) == exact
