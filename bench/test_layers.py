@@ -2,6 +2,7 @@
 
     python -m pytest bench/ --benchmark-json=bench.json
     python bench/write_bench.py OUT.json      # runs the cases, writes medians
+    python bench/interleave.py BEFORE_ROOT 20 OUT.json   # two checkouts, interleaved
 
 Every case runs on one seeded 6x12 system with rank(K) = 4, its canonical
 dual and a find-rk recovery matrix that tolerates 4 erasures for both
@@ -10,11 +11,13 @@ from F and K; test_mrc_subset one sigma of two columns; test_is_canonical the
 test on the canonical dual; test_run_analyze one `analyze` through
 run_command, from reading the system file to printing the report, and
 test_run_analyze_invertible the same on the seeded construction with
-rank(K) = N = 6, where uniform excess reads the full 6-of-12 table.
+rank(K) = N = 6, where uniform excess reads the full 6-of-12 table, and
+test_run_analyze_9x18 on the same construction at 9x18, the largest such
+shape whose scans the default cap admits.
 test_run_simulate times one `simulate --r 4` through run_command on the same
 system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
-test_spark times spark on seeded generic F of size 4x8, 6x12 and 8x16 (full
-spark, so the scan reads the rank level and one more set), and
+test_spark times spark on seeded generic F of size 4x8, 6x12, 8x16 and 10x20
+(full spark, so the scan reads the rank level and one more set), and
 test_spark_rank7_14x14 on find-rk's shape of N, a seeded 14x14 matrix of
 rank 7, whose rank-level blocks are tall, 14x7. test_rank_of times rank_of
 on seeded generic F of size 6x12 and 8x16.
@@ -147,6 +150,11 @@ def test_run_analyze_invertible(benchmark, tmp_path):
     assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (M - N, True)
 
 
+def test_run_analyze_9x18(benchmark, tmp_path):
+    report = _run_analyze(benchmark, _kframe(np.random.default_rng(5), 9, n=9, m=18), tmp_path)
+    assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (9, True)
+
+
 @pytest.mark.parametrize("signals", ["1k", "10k"])
 def test_run_simulate(benchmark, setup, tmp_path, signals):
     system, dual, m_mat = setup[:3]
@@ -167,7 +175,7 @@ def test_run_simulate(benchmark, setup, tmp_path, signals):
     assert all(e["exact_fraction"] == 1.0 for e in report["strategies"].values())
 
 
-@pytest.mark.parametrize("shape", ["4x8", "6x12", "8x16"])
+@pytest.mark.parametrize("shape", ["4x8", "6x12", "8x16", "10x20"])
 def test_spark(benchmark, shape):
     n, m = map(int, shape.split("x"))
     f = np.random.default_rng(5).standard_normal((n, m))

@@ -52,6 +52,7 @@ from .recovery import (
 from .redundancy import (
     INFINITE,
     SparkResult,
+    check_scan_budgets,
     mrc_all,
     mrc_subset,
     spark,
@@ -206,6 +207,7 @@ def _cmd_analyze(args) -> dict:
         raise KFrameError(f"r must satisfy 0 <= r <= m = {system.m}")
     tol, cap = system.tol, args.cap_subsets
     cls = classify(system)
+    check_scan_budgets(system.F, system.K, args.r, cap, tol)
     spark_f = spark(system.F, tol, cap=cap)
     excess = uniform_excess(system.F, system.K, cap=cap, tol=tol)
     try:
@@ -362,7 +364,8 @@ def _cmd_simulate(args) -> dict:
     draws = np.empty((args.signals, args.r), dtype=np.intp)
     for i in range(args.signals):
         signals[i] = rng.standard_normal(system.n)
-        draws[i] = np.sort(rng.choice(system.m, size=args.r, replace=False))
+        draws[i] = rng.choice(system.m, size=args.r, replace=False)
+    draws.sort(axis=1)
     sets, which = np.unique(draws, axis=0, return_inverse=True)
     certificate = None
     if {"side-info", "blind"} & set(strategies):

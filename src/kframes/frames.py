@@ -33,9 +33,9 @@ from .linalg import (
     _canonical_signs,
     _pinv_from_svd,
     _svd_rank,
-    certified_full_rank,
     column_blocks,
     ensure_matrix,
+    full_rank_flags,
     intersection_dims,
     null_space_basis,
     operator_norm,
@@ -187,9 +187,9 @@ def _complements(sets: np.ndarray, m: int) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(count, m - r)
 
 
-# Most subsets per chunk: enough to spread the Python cost of one stacked SVD
-# thin, and few enough that a chunk's blocks stay small next to a whole level.
-SCAN_CHUNK = 256
+# Most subsets per chunk: enough to spread the fixed cost of one stacked SVD or
+# Cholesky thin, and few enough that a chunk's blocks stay small next to a level.
+SCAN_CHUNK = 2048
 
 
 def scan_budget(what: str, m: int, sizes, cap: int) -> None:
@@ -208,20 +208,22 @@ def scan_subsets(what: str, m: int, sizes, cap: int):
     """Subsets of range(m) of the given sizes in that order, lexicographic within a size.
 
     They come in chunks: N x k index arrays of one size k, so no level is
-    held whole. Within a level N doubles from 1 up to SCAN_CHUNK, so a scan
-    that its first subset decides tests one subset, and a long level still
-    goes in full chunks. scan_budget runs here, once, before any subset is
-    handed out, so sizes is read twice and must be a range or a sequence.
+    held whole. Within a level N grows 1, 8, 64, ... up to SCAN_CHUNK, so a
+    scan that its first subset decides tests one subset, and a long level
+    still goes in full chunks. scan_budget runs here, once, before any subset
+    is handed out, so sizes is read twice and must be a range or a sequence.
     """
     scan_budget(what, m, sizes, cap)
 
     def chunks():
         for k in sizes:
             level = itertools.combinations(range(m), k)
-            size = 1
-            while batch := list(itertools.islice(level, size)):
-                yield np.array(batch, dtype=np.intp)
-                size = min(2 * size, SCAN_CHUNK)
+            left, size = math.comb(m, k), 1
+            while left:
+                count = min(size, left)
+                flat = itertools.chain.from_iterable(itertools.islice(level, count))
+                yield np.fromiter(flat, np.intp).reshape(count, k)
+                left, size = left - count, min(8 * size, SCAN_CHUNK)
 
     return chunks()
 
@@ -245,19 +247,18 @@ def kframe_flags(
     S is a K-frame when dim(R(F_S) & R(K)), by intersection_dims through
     Q = op.range_perp, reaches rank K; so the verdict is free of the scale of
     F and of K. Each rank is one stacked SVD over the chunk, and Q is empty
-    when K is invertible.
+    when K is invertible; then an n-set's test is rank F_S = n, which
+    full_rank_flags proves for most subsets without the SVD.
     """
     rank_k = op.rank
     if f.shape[0] != op.dim:
         return np.zeros(len(subsets), dtype=bool)
     if rank_k == 0:
         return np.ones(len(subsets), dtype=bool)
-    blocks = column_blocks(f, subsets)
-    # With K invertible, S is a K-frame when F_S has rank n: proven, no SVD is needed.
-    if rank_k == op.dim and subsets.shape[1] >= rank_k and certified_full_rank(blocks, tol):
-        return np.ones(len(subsets), dtype=bool)
+    if rank_k == op.dim and subsets.shape[1] == rank_k:
+        return full_rank_flags(f, subsets, tol)
     # Exactly, the dimension never exceeds rank K; >= keeps a rounding excess a K-frame.
-    return intersection_dims(blocks, op.range_perp, tol) >= rank_k
+    return intersection_dims(column_blocks(f, subsets), op.range_perp, tol) >= rank_k
 
 
 def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
@@ -344,8 +345,11 @@ def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
     e = _unit_exponent(sys.K.matrix)
-    is_valid = sys.tol.accepts(math.ldexp(residual, -e),
-                               math.ldexp(operator_norm(sys.K.matrix), -e))
+    try:
+        scaled = math.ldexp(residual, -e)
+    except OverflowError:  # past float64 at K's unit size: far above any threshold
+        scaled = math.inf
+    is_valid = sys.tol.accepts(scaled, math.ldexp(operator_norm(sys.K.matrix), -e))
     return DualSystem(G=arr, residual=residual, is_valid=is_valid)
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "rank_of",
     "stacked_ranks",
     "intersection_dims",
+    "full_rank_flags",
     "certified_full_rank",
     "column_blocks",
     "pseudo_inverse",
@@ -46,8 +47,10 @@ __all__ = [
 # without overflow; they count as zero in every rank decision.
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
-# Fewest blocks certified_full_rank tests: below it one stacked SVD costs less.
+# Fewest subsets full_rank_flags certifies: below it one stacked SVD costs less.
 CERTIFY_MIN = 8
+# Least ||B||_F^2 at the parent's unit size that certified_full_rank can prove.
+_GRAM_FLOOR = 2.0**-600
 
 
 @dataclass(frozen=True)
@@ -195,38 +198,80 @@ def intersection_dims(
     return np.count_nonzero(s > cutoff, axis=1) - stacked_ranks(perp.T @ blocks, cutoff=cutoff)
 
 
-def certified_full_rank(
-    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
-) -> bool:
-    """True only if stacked_ranks(blocks, tol, cutoff) gives every block rank min(p, q).
+def full_rank_flags(
+    mat: np.ndarray, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
+    cutoff: float | None = None
+) -> np.ndarray:
+    """Whether stacked_ranks gives mat[:, S] rank |S|, for every row S of an N x k index array.
 
-    One Cholesky over the stack proves it: each N x p x q block B is scaled
-    exactly by 2^-e to unit size, and the diagonal of its min(p, q)-side Gram
-    loses tau = (c + 8 max(p, q) eps ||B||_F)^2 + 8 (p + q) eps ||B||_F^2, c
-    the cutoff at that scale, which covers the cutoff and the rounding of the
-    Gram, the Cholesky and the SVD. False means unknown: some block is near
-    its cutoff or rank deficient, or the stack has fewer than CERTIFY_MIN blocks.
+    In a chunk of at least CERTIFY_MIN tall or square blocks, certified_full_rank
+    proves what it can; only the rest go to the SVD, so every flag is the SVD's.
     """
-    count, p, q = blocks.shape
-    if count < CERTIFY_MIN:
-        return False
-    e = np.frexp(np.abs(blocks).max(axis=(1, 2), initial=0.0))[1]
-    b = np.ldexp(blocks, -e[:, None, None])
-    gram = b.transpose(0, 2, 1) @ b if p >= q else b @ b.transpose(0, 2, 1)
-    diag = gram.reshape(count, -1)[:, :: min(p, q) + 1]
-    sq = diag.sum(axis=1)
+    count, k = subsets.shape
+    if count < CERTIFY_MIN or k > mat.shape[0]:
+        return stacked_ranks(column_blocks(mat, subsets), tol, cutoff) == k
+    flags = certified_full_rank(mat, subsets, tol, cutoff)
+    if not flags.all():
+        unknown = ~flags
+        flags[unknown] = stacked_ranks(column_blocks(mat, subsets[unknown]), tol, cutoff) == k
+    return flags
+
+
+def certified_full_rank(
+    mat: np.ndarray, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
+    cutoff: float | None = None
+) -> np.ndarray:
+    """True where stacked_ranks(mat[:, S], tol, cutoff) is sure to read rank |S|,
+    for every row S of an N x q index array with q <= p, the rows of mat.
+
+    mat is scaled once, exactly, by 2^-e to unit size and G = F^T F formed
+    once. For each block B = F[:, S] (F = mat / 2^e), G[S, S] is gathered,
+    its diagonal lowered by tau = (c + 8 p eps ||B||_F)^2 + 8 (p + q) eps
+    ||B||_F^2, and a Cholesky run along the stack; a subset is proven when
+    all its pivots are positive. c is the cutoff at unit size: the fixed
+    cutoff times 2^-e, clamped at 2^64 so that it stays finite and then
+    proves nothing; else the policy's rule with sigma_max bounded by ||B||_F,
+    and its _TINY floor as _TINY 2^-e.
+
+    Why a proof holds. Each entry of G is a length-p dot product, so the
+    gathered G[S, S] = B^T B + E, ||E||_2 <= p u ||B||_F^2 (u = eps / 2, to
+    first order). A Cholesky that succeeds on A = G[S, S] - tau I factors
+    A + D, ||D||_2 <= (q + 1) u trace A, whatever the order of elimination
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). The
+    shift, the trace and sigma_max's bound each round once more. So
+    lambda_min(B^T B) > tau - 8 (p + q) eps ||B||_F^2 and sigma_min(B) >
+    c + 8 p eps ||B||_F, which is more than the SVD's own error: its sigma_min
+    of mat[:, S] exceeds the cutoff. A block with ||B||_F^2 < _GRAM_FLOOR is
+    unknown, so the margin, at least 2^-648 in B^T B and 2^-349 in B, also
+    covers every absolute error of subnormal entries, products and sums
+    (each below 2^-1074 per operation). A non-positive or NaN pivot, from
+    a rank deficient block, one near its cutoff or an overflow past one,
+    leaves its subset unknown.
+    """
+    (p, m), (count, q) = mat.shape, subsets.shape
+    e = int(np.frexp(np.abs(mat).max(initial=0.0))[1])
+    unit = np.ldexp(mat, -e)
+    gram = (unit.T @ unit).ravel()
+    cols = np.ascontiguousarray(subsets.T)
+    # a[i, j] = G[S_i, S_j] for j <= i, one length-N vector per entry; the
+    # Cholesky factor overwrites it column by column and never reads above.
+    a = np.empty((q, q, count))
+    for i in range(q):
+        a[i, : i + 1] = gram[cols[i] * m + cols[: i + 1]]
+    diag = a.reshape(q * q, count)[:: q + 1]
+    sq = diag.sum(axis=0)
     norm = np.sqrt(sq)
     if cutoff is None:
-        c = np.maximum(tol.rank_cutoff(norm[:, None], blocks.shape)[:, 0], np.ldexp(_TINY, -e))
+        c = np.maximum(tol.rank_cutoff(norm[:, None], (p, q))[:, 0], np.ldexp(_TINY, -e))
     else:
-        # A cutoff past 2^64 at unit size certifies nothing, and stays finite.
         c = np.ldexp(cutoff, np.minimum(-e, 64 - np.frexp(cutoff)[1]))
-    diag -= ((c + 8 * max(p, q) * _EPS * norm) ** 2 + 8 * (p + q) * _EPS * sq)[:, None]
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    diag -= (c + 8 * p * _EPS * norm) ** 2 + 8 * (p + q) * _EPS * sq
+    # A failed pivot leaves NaN or a non-positive diagonal, which stays unknown.
+    with np.errstate(all="ignore"):
+        for j in range(q):
+            col = a[j:, j] - np.einsum("ikn,kn->in", a[j:, :j], a[j, :j])
+            a[j:, j] = col / np.sqrt(col[0])
+    return (sq >= _GRAM_FLOOR) & (diag > 0).all(axis=0)
 
 
 def column_blocks(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:

@@ -10,16 +10,18 @@ Every scan takes its subsets from frames.scan_subsets under one budget rule,
 frames.scan_budget: before the first subset test, count the tests the scan
 can run in the worst case and raise BudgetExceededError when that exceeds cap
 (default 10**6). A test is one rank decision on a submatrix or one K-frame
-check. Subsets come in chunks of one size, growing from 1 to
+check. Subsets come in chunks of one size, growing 1, 8, 64, 512 and then
 frames.SCAN_CHUNK, and each chunk's tests are decided by one stacked SVD per
 rank test, which gives every subset the singular values of its own SVD.
 Where full rank is the expected answer (spark's levels of no more columns
-than rows, K-frame tests with K invertible), linalg.certified_full_rank
-first tries to prove a whole chunk full rank with one Cholesky; only a chunk
-it cannot prove goes to the SVD, so no value, witness or flag depends on it.
-spark tests level rank first and scans below it only when that level holds
-a dependent set: under its one fixed cutoff, interlacing keeps every subset
-of an independent set independent.
+than rows, K-frame tests of n-sets with K invertible), linalg.full_rank_flags
+first lets linalg.certified_full_rank prove each subset of a chunk full rank,
+from one Gram of the whole matrix and one Cholesky run along the chunk; only
+the subsets it cannot prove go to the SVD, so no value, witness or flag
+depends on it. spark tests level rank first and scans below it only when
+that level holds a dependent set: under its one fixed cutoff, interlacing
+keeps every subset of an independent set independent. check_scan_budgets
+lets analyze refuse before the first of its three scans runs.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
@@ -61,10 +63,9 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _canonical_signs,
-    certified_full_rank,
-    column_blocks,
     ensure_matrix,
     ensure_vector,
+    full_rank_flags,
     intersection_dims,
     null_space_basis,
     operator_norm,
@@ -72,7 +73,6 @@ from .linalg import (
     range_basis,
     ranges_nested,
     restricted_operator,
-    stacked_ranks,
 )
 
 __all__ = [
@@ -86,6 +86,7 @@ __all__ = [
     "mrc_all",
     "ExcessReport",
     "uniform_excess",
+    "check_scan_budgets",
     "is_maximal_robust",
     "derived_pinv_frames",
     "DerivedPairReport",
@@ -126,6 +127,11 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
     sizes 1..rank - 1 go in order, then that first dependent rank-set. The
     budget counts sizes 1..rank + 1, the worst case, before any subset.
     """
+    return _spark_scan(mat, tol, cap)()
+
+
+def _spark_scan(mat, tol: TolerancePolicy, cap: int):
+    """spark with its budget checked now and its scan left to a call."""
     arr = ensure_matrix(mat)
     m = arr.shape[1]
     # One SVD of the parent gives its rank and the fixed cutoff of every subset.
@@ -133,27 +139,25 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
     cutoff = tol.rank_cutoff(s, arr.shape)
     r = int(np.count_nonzero(s > cutoff))
     if r == m:
-        return SparkResult(INFINITE, None)
+        return lambda: SparkResult(INFINITE, None)
     scan_budget("spark", m, range(1, r + 2), cap)
 
     def first_dependent(sizes):
         for chunk in scan_subsets("spark", m, sizes, cap):
-            blocks = column_blocks(arr, chunk)
-            # With no more columns than rows, a proven chunk holds no dependent set.
-            if chunk.shape[1] <= arr.shape[0] and certified_full_rank(blocks, cutoff=cutoff):
-                continue
-            ranks = stacked_ranks(blocks, cutoff=cutoff)
-            if (dependent := np.flatnonzero(ranks < chunk.shape[1])).size:
-                return chunk[dependent[0]]
+            if not (independent := full_rank_flags(arr, chunk, cutoff=cutoff)).all():
+                return chunk[np.argmin(independent)]
         return None
 
-    # Rank 0 has no level to test first: its first column is dependent.
-    top = first_dependent([r]) if r else None
-    found = first_dependent([r + 1] if top is None else range(1, r))
-    subset = top if found is None else found
-    witness = np.zeros(m)
-    witness[subset] = _small_singular_vector(arr[:, subset], len(subset))
-    return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0])
+    def run():
+        # Rank 0 has no level to test first: its first column is dependent.
+        top = first_dependent([r]) if r else None
+        found = first_dependent([r + 1] if top is None else range(1, r))
+        subset = top if found is None else found
+        witness = np.zeros(m)
+        witness[subset] = _small_singular_vector(arr[:, subset], len(subset))
+        return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0])
+
+    return run
 
 
 def spark_via_kernel(
@@ -270,17 +274,27 @@ def mrc_all(
     f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Conjunction of mrc_subset over all size-r sets, lexicographic scan."""
+    return _mrc_scan(f, k, r, cap, tol)()
+
+
+def _mrc_scan(f, k, r: int, cap: int, tol: TolerancePolicy):
+    """mrc_all with its budget checked now and its scan left to a call."""
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m = arr.shape[1]
     if not (0 <= r <= m):
         raise ValueError(f"erasure count must satisfy 0 <= r <= m, got {r}")
-    for chunk in scan_subsets("mrc_all", m, [r], cap):
-        survive = kframe_flags(arr, op, _complements(chunk, m), tol)
-        if not survive.all():
-            # The one set of size 0 is (), reported as no failing set.
-            return False, tuple(chunk[np.argmin(survive)].tolist()) or None
-    return True, None
+    chunks = scan_subsets("mrc_all", m, [r], cap)
+
+    def run():
+        for chunk in chunks:
+            survive = kframe_flags(arr, op, _complements(chunk, m), tol)
+            if not survive.all():
+                # The one set of size 0 is (), reported as no failing set.
+                return False, tuple(chunk[np.argmin(survive)].tolist()) or None
+        return True, None
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -346,26 +360,43 @@ def uniform_excess(
     Returns 0 with the lexicographically first failing removal set when no
     positive r qualifies. Maximal robustness comes from the same tables.
     """
+    return _excess_scan(f, k, cap, tol)()
+
+
+def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
+    """uniform_excess with its budget checked now and its scan left to a call."""
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m, rk = arr.shape[1], op.rank
     # Only maximal robustness at rank K = m reads T_m.
     tables = _KFrameTables("uniform_excess", arr, op, range(m + (rk == m)), cap, tol)
-    # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
-    best = next((m - s for s in range(1, m) if tables.exact(s)), 0)
-    robust = rk <= m and tables.exact(rk)
-    if best or m < 2:
-        return ExcessReport(value=best, witness=None, maximal_robust=robust)
-    # Removing {i} fails when range(m) - {i} is no K-frame or some
-    # range(m) - {i, j} is one. The complements of lexicographic k-subsets
-    # run in reverse lexicographic order, so the reversed tables list the
-    # removals {i} and {i, j} lexicographically, as triu_indices does. Some
-    # {i} fails, as s = m - 1 is not exact.
-    fails = ~tables.flags(m - 1)[::-1]
-    pairs = tables.flags(m - 2)[::-1]
-    first, second = np.triu_indices(m, 1)
-    fails[first[pairs]] = fails[second[pairs]] = True
-    return ExcessReport(value=0, witness=(int(np.argmax(fails)),), maximal_robust=robust)
+
+    def run():
+        # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
+        best = next((m - s for s in range(1, m) if tables.exact(s)), 0)
+        robust = rk <= m and tables.exact(rk)
+        if best or m < 2:
+            return ExcessReport(value=best, witness=None, maximal_robust=robust)
+        # Removing {i} fails when range(m) - {i} is no K-frame or some
+        # range(m) - {i, j} is one. The complements of lexicographic k-subsets
+        # run in reverse lexicographic order, so the reversed tables list the
+        # removals {i} and {i, j} lexicographically, as triu_indices does. Some
+        # {i} fails, as s = m - 1 is not exact.
+        fails = ~tables.flags(m - 1)[::-1]
+        pairs = tables.flags(m - 2)[::-1]
+        first, second = np.triu_indices(m, 1)
+        fails[first[pairs]] = fails[second[pairs]] = True
+        return ExcessReport(value=0, witness=(int(np.argmax(fails)),), maximal_robust=robust)
+
+    return run
+
+
+def check_scan_budgets(f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL):
+    """Refuse as spark of F, uniform_excess and mrc_all at r would, in that
+    order, before any of them scans; their scans are built and dropped."""
+    _spark_scan(f, tol, cap)
+    _excess_scan(f, k, cap, tol)
+    _mrc_scan(f, k, r, cap, tol)
 
 
 def is_maximal_robust(

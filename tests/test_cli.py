@@ -928,3 +928,51 @@ def test_analyze_refuses_r_above_m_before_any_scan(capsys, system_d, monkeypatch
     code, out, err = run(capsys, "analyze", "--system", system_d[0], "--r", "5")
     assert (code, out) == (1, "")
     assert "r must satisfy 0 <= r <= m = 4" in err
+
+
+def test_check_dual_with_a_residual_past_float64_at_k_scale_is_invalid(capsys, tmp_path):
+    """FIX-D with K x 1e-200 and the published dual x 1e200: the residual,
+    about 1e200, overflows at K's unit size. It is far above any threshold,
+    so the dual is invalid, and the finite residual is reported."""
+    fix = FIXTURES["FIX-D"]
+    f, k, g = fix.F, 1e-200 * fix.K, 1e200 * fix.dual
+    sys_path, dual_path = tmp_path / "system.json", tmp_path / "dual.json"
+    sys_path.write_text(json.dumps({"F": _matrix_obj(f), "K": _matrix_obj(k)}))
+    dual_path.write_text(json.dumps(_matrix_obj(g)))
+    report = run_json(capsys, "check-dual", "--system", str(sys_path), "--dual", str(dual_path))
+    assert report["is_valid"] is False
+    assert report["residual"] == pytest.approx(np.linalg.norm(f @ g.T - k, 2), rel=1e-12)
+
+
+def test_analyze_checks_every_budget_before_any_scan(capsys, tmp_path):
+    """A generic 10x20 system with K invertible: spark's budget passes, uniform
+    excess needs 2^20 - 1 tests. analyze refuses before spark hands out a
+    subset; with a smaller cap spark's budget refuses first, as before."""
+    f, k = random_kframe(np.random.default_rng(0), 10, 20, 10)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"F": _matrix_obj(f), "K": _matrix_obj(k)}))
+    for cap, message in ((10**6, "uniform_excess needs 1048575 subset tests"),
+                         (1000, "spark needs 784625 subset tests")):
+        with counting_subsets() as seen:
+            code, out, err = run(capsys, "analyze", "--system", str(path), "--r", "2",
+                                 "--cap-subsets", str(cap))
+        assert (code, out, seen[0]) == (1, "", 0)
+        assert f"kframes analyze: {message}, more than the cap of {cap}" in err
+
+
+def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """One seed's report, byte for byte: the draws are sorted once after the
+    loop, and the rng sees the calls it saw when each draw was sorted alone."""
+    fix = FIXTURES["FIX-D"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fix-d.json").write_text(json.dumps(
+        {"F": _matrix_obj(fix.F), "K": _matrix_obj(fix.K)}))
+    code, out, _ = run(capsys, "simulate", "--system", "fix-d.json", "--r", "1",
+                       "--signals", "200", "--seed", "7", "--strategies", "consistency")
+    assert code == 0
+    assert out == (
+        '{"command": "simulate", "config": {"system": "fix-d.json", "dual": null, "r": 1, '
+        '"signals": 200, "seed": 7, "strategies": ["consistency"], "rk_matrix": null}, '
+        '"certificate": null, "strategies": {"consistency": {"signals": 200, '
+        '"completed": 200, "skipped": 0, "exact": 150, "exact_fraction": 0.75, '
+        '"max_error": 2.532519648066966, "mean_error": 0.20352069100840545}}}\n')

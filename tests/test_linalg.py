@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from kframes import (
     svd_factor,
 )
 from kframes.linalg import (
-    CERTIFY_MIN,
     certified_full_rank,
     column_blocks,
     intersection_dims,
@@ -232,64 +232,87 @@ def _planted_blocks(rng, p, q, lows):
     return np.array(blocks)
 
 
+def _parent_of(rng, blocks):
+    """The blocks' columns side by side in a shuffled order, with the index
+    array that gathers each block back (its columns in their own order)."""
+    count, p, q = blocks.shape
+    order = rng.permutation(count * q)
+    parent = blocks.transpose(1, 0, 2).reshape(p, count * q)[:, order]
+    return parent, np.argsort(order).reshape(count, q)
+
+
 class TestCertifiedFullRank:
     """The certificate claims full rank only where stacked_ranks reads it."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        p=st.integers(1, 9),
-        q=st.integers(1, 9),
-        count=st.integers(CERTIFY_MIN, CERTIFY_MIN + 4),
+        p=st.integers(1, 10),
+        q=st.integers(1, 10),
+        count=st.integers(1, 12),
         delta=st.one_of(st.sampled_from([-1e-3, 0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
                         st.floats(-1e-3, 1e6)),
         odd_delta=st.one_of(st.none(), st.floats(-1e-3, 1e6)),
         fixed_exp=st.one_of(st.none(), st.integers(-15, -1)),
         coarse=st.booleans(),
+        spread=st.sampled_from([0, 1, 40]),
         exponent=st.integers(-500, 500),
     )
-    def test_certified_blocks_read_full_rank(self, seed, p, q, count, delta, odd_delta,
-                                             fixed_exp, coarse, exponent):
-        """sigma_min is planted at the cutoff times 1 + delta, in every block or
-        in all but one; a fixed cutoff is 10^fixed_exp, else the policy's rule."""
+    def test_proven_subsets_read_full_rank(self, seed, p, q, count, delta, odd_delta,
+                                           fixed_exp, coarse, spread, exponent):
+        """Tall or square blocks, each at its own scale 2^c, |c| <= spread, side
+        by side in one parent scaled by 2^exponent; sigma_min is planted at the
+        block's cutoff times 1 + delta, in every block or in all but one. A
+        fixed cutoff is 10^fixed_exp at the parent's scale, else the policy's rule."""
         rng = np.random.default_rng(seed)
+        p, q = max(p, q), min(p, q)
         tol = TolerancePolicy(1e-3, 1e-4) if coarse else TolerancePolicy()
         cutoff = None if fixed_exp is None else 10.0**fixed_exp
-        # Relative to the largest singular value, 1: the rule's cutoff at that scale.
-        base = tol.rank_cutoff(np.ones(1), (p, q))[0] if cutoff is None else cutoff
+        scales = rng.integers(-spread, spread + 1, count)
+        # Relative to the block's largest singular value, 1: its cutoff at that scale.
+        base = tol.rank_cutoff(np.ones(1), (p, q))[0] if cutoff is None else (
+            np.ldexp(cutoff, -scales))
         deltas = np.full(count, delta)
         if odd_delta is not None:
             deltas[rng.integers(count)] = odd_delta
         blocks = _planted_blocks(rng, p, q, np.minimum(1.0, base * (1.0 + deltas)))
-        blocks = np.ldexp(blocks, exponent)
+        parent, subsets = _parent_of(rng, np.ldexp(blocks, scales[:, None, None]))
+        parent = np.ldexp(parent, exponent)
         if cutoff is not None:
             cutoff = np.ldexp(cutoff, exponent)
         with np.errstate(over="raise", invalid="raise"):
-            certified = certified_full_rank(blocks, tol, cutoff)
-        if certified:
-            assert np.all(stacked_ranks(blocks, tol, cutoff) == min(p, q))
+            proven = certified_full_rank(parent, subsets, tol, cutoff)
+        assert proven.shape == (count,) and proven.dtype == bool
+        ranks = stacked_ranks(column_blocks(parent, subsets), tol, cutoff)
+        assert np.all(ranks[proven] == q)
 
-    @pytest.mark.parametrize("shape", [(7, 7), (14, 7), (7, 10), (1, 9)])
+    @pytest.mark.parametrize("shape,level", [((7, 14), 7), ((8, 16), 8), ((14, 10), 7),
+                                             ((10, 20), 1)])
     @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500, 1e300])
-    def test_gaussian_stack_is_certified(self, shape, scale):
-        blocks = np.random.default_rng(3).standard_normal((16, *shape)) * scale
+    def test_gaussian_level_is_proven(self, shape, level, scale):
+        """Not vacuous: every subset of a Gaussian level is proven, at any scale."""
+        mat = np.random.default_rng(3).standard_normal(shape) * scale
+        subsets = np.array(list(itertools.combinations(range(shape[1]), level)))
         with np.errstate(over="raise", invalid="raise"):
-            assert certified_full_rank(blocks)
-            # Square Gaussian blocks come near the coarse cutoff of 7e-3 sigma_max.
-            assert certified_full_rank(blocks, TolerancePolicy(1e-3, 1e-4)) or shape == (7, 7)
-            assert certified_full_rank(blocks, cutoff=1e-9 * scale)
-            # A cutoff far above the blocks certifies nothing, and does not overflow.
-            assert not certified_full_rank(blocks / 1e300, cutoff=1e-9 * scale)
+            assert certified_full_rank(mat, subsets).all()
+            assert certified_full_rank(mat, subsets, cutoff=1e-9 * scale).all()
+            # A cutoff far above the blocks proves nothing, and does not overflow.
+            assert not certified_full_rank(mat / 1e300, subsets, cutoff=1e-9 * scale).any()
 
-    def test_unknown_on_deficient_or_small_stacks(self):
-        blocks = np.random.default_rng(4).standard_normal((CERTIFY_MIN, 5, 3))
-        assert certified_full_rank(blocks)
-        blocks[-1, :, 2] = blocks[-1, :, 0]
-        assert not certified_full_rank(blocks)
-        blocks[-1] = 0.0
-        assert not certified_full_rank(blocks)
-        assert not certified_full_rank(np.random.default_rng(4).standard_normal(
-            (CERTIFY_MIN - 1, 5, 3)))
+    def test_unknown_where_deficient_or_below_the_floor(self):
+        mat = np.random.default_rng(4).standard_normal((5, 9))
+        mat[:, 4] = mat[:, 1]
+        mat[:, 6] = 0.0
+        mat[:, 2:4] *= 2.0**-290
+        mat[:, 7:9] *= 2.0**-320
+        subsets = np.array([[0, 1], [1, 4], [5, 6], [0, 7], [7, 8], [2, 3]])
+        assert stacked_ranks(column_blocks(mat, subsets)).tolist() == [2, 1, 1, 1, 2, 2]
+        # {7, 8} has rank 2, but ||B||_F^2 ~ 2^-640 at the parent's unit lies below the floor.
+        assert certified_full_rank(mat, subsets).tolist() == [
+            True, False, False, False, False, True]
+        # A fixed cutoff at the parent's scale lies far above {2, 3}.
+        assert certified_full_rank(mat, subsets, cutoff=1e-9).tolist() == [
+            True, False, False, False, False, False]
 
 
 class TestPseudoInverse:

@@ -27,7 +27,7 @@ from kframes import (
     uniform_excess,
     verify_kframe,
 )
-from kframes import frames, linalg, redundancy
+from kframes import frames, linalg
 from kframes.fixtures import FIXTURES
 from kframes.frames import SCAN_CHUNK, DualSystem, KFrameSystem, OperatorK, kframe_flags
 from kframes.linalg import (
@@ -91,10 +91,11 @@ def _damaged_matrix(rng, n, m, rank, damage, eps, column_scales):
 
 @contextlib.contextmanager
 def without_certificate():
-    """Every chunk goes to the SVD: the full-rank certificate answers unknown."""
-    unknown = mock.Mock(return_value=False)
-    with mock.patch.object(frames, "certified_full_rank", unknown), \
-            mock.patch.object(redundancy, "certified_full_rank", unknown):
+    """Every subset goes to the SVD: the full-rank certificate answers unknown."""
+    def unknown(mat, subsets, *args):
+        return np.zeros(len(subsets), dtype=bool)
+
+    with mock.patch.object(linalg, "certified_full_rank", unknown):
         yield
 
 
@@ -103,6 +104,11 @@ def counting_svds():
     """Count every np.linalg.svd call."""
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         yield svd
+
+
+def _svd_blocks(svd):
+    """Matrices decomposed by the counted SVD calls, each block of a stack counted."""
+    return sum(np.asarray(call.args[0])[..., 0, 0].size for call in svd.call_args_list)
 
 
 def _collinear(u, v):
@@ -261,16 +267,16 @@ class TestSpark:
             assert got.witness.tobytes() == want.witness.tobytes()
 
     def test_generic_frame_needs_a_handful_of_svds(self):
-        """A generic 7x14 F: the certificate proves every chunk of 8 or more
-        of its C(14, 7) sets independent, so SVDs run only on the parent, the
-        chunks of 1, 2 and 4 sets, the first 8-set and the witness."""
+        """A generic 7x14 F: the certificate proves every set of the chunks of
+        8 or more of its C(14, 7) sets independent, so SVDs run only on the
+        parent, the chunk of the first 7-set, the first 8-set and the witness."""
         f = np.random.default_rng(5).standard_normal((7, 14))
         with counting_svds() as svd:
             assert spark(f).value == 8
-        assert svd.call_count == 6
+        assert (svd.call_count, _svd_blocks(svd)) == (4, 4)
         with without_certificate(), counting_svds() as svd:
             spark(f)
-        assert svd.call_count > 20
+        assert (svd.call_count, _svd_blocks(svd)) == (9, math.comb(14, 7) + 3)
 
 
 class TestMinSupportInRange:
@@ -718,15 +724,15 @@ def test_certificate_changes_no_kframe_flag(seed, n, extra, rank, damage, eps, c
 
 def test_uniform_excess_with_k_invertible_needs_a_handful_of_svds():
     """The C(14, 7) sets of T_7 are proven K-frames in every chunk of 8 or more,
-    so only K's one SVD and the chunks of 1, 2 and 4 sets run an SVD."""
+    so only K's one SVD and the chunk of the first 7-set run an SVD."""
     f, k = random_kframe(np.random.default_rng(5), 7, 14, 7)
     with counting_svds() as svd:
         report = uniform_excess(f, k)
     assert (report.value, report.maximal_robust) == (7, True)
-    assert svd.call_count == 4
+    assert (svd.call_count, _svd_blocks(svd)) == (2, 2)
     with without_certificate(), counting_svds() as svd:
         uniform_excess(f, k)
-    assert svd.call_count > 20
+    assert (svd.call_count, _svd_blocks(svd)) == (7, math.comb(14, 7) + 1)
 
 
 def _straddling_operator():

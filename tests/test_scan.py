@@ -103,18 +103,18 @@ def test_uniform_excess_counts_t_m_when_k_has_rank_m():
 
 def test_enumerator_order_and_refusal():
     chunks = list(scan_subsets("t", 4, [0, 1, 3], cap=9))
-    assert [c.shape for c in chunks] == [(1, 0), (1, 1), (2, 1), (1, 1), (1, 3), (2, 3), (1, 3)]
+    assert [c.shape for c in chunks] == [(1, 0), (1, 1), (3, 1), (1, 3), (3, 3)]
     assert [tuple(row) for c in chunks for row in c.tolist()] == [
         (), (0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     with pytest.raises(BudgetExceededError, match="needs 9 subset tests"):
         scan_subsets("t", 4, [0, 1, 3], cap=8)
-    # Within a level, chunks double from one subset up to SCAN_CHUNK, in order.
-    level = list(scan_subsets("t", 12, [5], cap=comb(12, 5)))
-    doubling = [2**i for i in range(SCAN_CHUNK.bit_length())]
-    assert doubling[-1] == SCAN_CHUNK
-    assert [len(c) for c in level] == doubling + [SCAN_CHUNK, comb(12, 5) - 3 * SCAN_CHUNK + 1]
+    # Within a level, chunks grow eightfold from one subset up to SCAN_CHUNK, in order.
+    level = list(scan_subsets("t", 16, [7], cap=comb(16, 7)))
+    assert SCAN_CHUNK == 2048
+    assert [len(c) for c in level] == [1, 8, 64, 512] + [SCAN_CHUNK] * 5 + [615]
+    assert comb(16, 7) == 585 + 5 * SCAN_CHUNK + 615
     assert [tuple(row) for c in level for row in c.tolist()] == list(
-        itertools.combinations(range(12), 5))
+        itertools.combinations(range(16), 7))
 
 
 def test_exactness_scans_stop_once_decided():
@@ -131,14 +131,15 @@ def test_exactness_scans_stop_once_decided():
     with counting_subsets() as seen:
         assert not is_maximal_robust(f, k)
     assert seen[0] == 1
-    # rank K = 2 < n: T_1 is free, T_2 is read to its second 2-set, the
-    # first that is no K-frame, and T_3 and T_4 to their first K-frame; the
-    # witness then reads T_5 and T_4 whole: 3 + 1 + 1 + 6 + 14 subsets.
+    # rank K = 2 < n: T_1 is free, T_2 is read through the chunk of its
+    # second 2-set, the first that is no K-frame, and T_3 and T_4 to their
+    # first K-frame; the witness then reads T_5 and T_4 whole: 1 + 8 + 1 + 1 +
+    # 6 + 14 subsets.
     f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
     with counting_subsets() as seen:
         got = uniform_excess(f, k)
     assert (got.value, got.maximal_robust) == (0, False)
-    assert seen[0] == 25
+    assert seen[0] == 31
 
 
 # The only functions allowed to enumerate subsets or count them.
