@@ -9,9 +9,11 @@ bench/test_layers.py is built once on each package. ROUNDS rounds alternate
 which side goes first; a timing repeats the call for at least 20 ms and keeps
 the mean. OUT.json gets, per case, the median over the rounds of each side,
 under write_bench.py's keys: microseconds per call, or signals per second for
-plan + apply. A shared host's speed drifts by tens of percent within
-minutes, which separate runs cannot tell from a change; interleaving exposes
-both sides to the same drift. Run it with BLAS pinned to one thread.
+plan + apply. A case that fails on BEFORE_ROOT (a command its budget
+refused, say) is timed on this checkout alone and reads null before. A
+shared host's speed drifts by tens of percent within minutes, which separate
+runs cannot tell from a change; interleaving exposes both sides to the same
+drift. Run it with BLAS pinned to one thread.
 """
 
 import inspect
@@ -28,8 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = (ROOT / "bench" / "test_layers.py").read_text()
 
 
-def _layers(package: str, scratch: Path) -> dict:
-    """Each case of test_layers.py on package: key -> (call, signals or None)."""
+def _layers(package: str, scratch: Path, may_fail: bool = False) -> dict:
+    """Each case of test_layers.py on package: key -> (call, signals or None);
+    with may_fail, a case whose assertion fails is left out."""
     module = types.ModuleType(f"layers_{package}")
     source = LAYERS.replace("from kframes", f"from {package}")
     exec(compile(source.replace('@pytest.fixture(scope="module")\n', ""), module.__name__,
@@ -51,7 +54,12 @@ def _layers(package: str, scratch: Path) -> dict:
                 kwargs["setup"] = setup
             if "tmp_path" in wanted:
                 kwargs["tmp_path"] = Path(tempfile.mkdtemp(dir=scratch))
-            test(**kwargs)
+            try:
+                test(**kwargs)
+            except AssertionError:
+                if not may_fail:
+                    raise
+                continue
             signals = bench.extra_info.get("signals")
             key = name.removeprefix("test_") + (f"_{value}" if argname else "")
             cases[f"plan_apply_{value}_signals_per_s" if signals else f"{key}_us"] = (
@@ -84,18 +92,20 @@ def main(before_root: str, rounds: int, out: str) -> int:
         scratch = Path(tmp)
         shutil.copytree(Path(before_root) / "src" / "kframes", scratch / "kframes_before")
         sys.path[:0] = [str(ROOT / "src"), str(scratch)]
-        sides = {"before": _layers("kframes_before", scratch), "after": _layers("kframes", scratch)}
+        sides = {"before": _layers("kframes_before", scratch, may_fail=True),
+                 "after": _layers("kframes", scratch)}
         times = {key: {side: [] for side in sides} for key in sides["after"]}
         for i in range(rounds):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for key in times:
                 for side in order:
-                    times[key][side].append(_mean_time(sides[side][key][0]))
+                    if key in sides[side]:
+                        times[key][side].append(_mean_time(sides[side][key][0]))
     result = {}
     for key, per_side in times.items():
         signals = sides["after"][key][1]
         result[key] = {side: round(signals / statistics.median(t) if signals
-                                   else statistics.median(t) * 1e6, 1)
+                                   else statistics.median(t) * 1e6, 1) if t else None
                        for side, t in per_side.items()}
     Path(out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))

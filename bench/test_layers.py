@@ -12,8 +12,11 @@ test on the canonical dual; test_run_analyze one `analyze` through
 run_command, from reading the system file to printing the report, and
 test_run_analyze_invertible the same on the seeded construction with
 rank(K) = N = 6, where uniform excess reads the full 6-of-12 table, and
-test_run_analyze_9x18 on the same construction at 9x18, the largest such
-shape whose scans the default cap admits.
+test_run_analyze_9x18 and test_run_analyze_10x20 on the same construction
+at 9x18 and 10x20, both at the default cap, which admits 10x20 since the
+budgets count only the levels from rank K on.
+test_worst_erasure_error_6x12_r4 times worst_erasure_error at r = 4 on the
+6x12 system and its canonical dual, over all C(12, 4) = 495 erasure sets.
 test_run_simulate times one `simulate --r 4` through run_command on the same
 system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
 test_spark times spark on seeded generic F of size 4x8, 6x12, 8x16 and 10x20
@@ -52,6 +55,7 @@ from kframes import (
     spark,
     uniform_excess,
     verify_kframe,
+    worst_erasure_error,
 )
 from kframes.cli import run_command
 from kframes.linalg import pinv_and_rank
@@ -153,6 +157,17 @@ def test_run_analyze_invertible(benchmark, tmp_path):
 def test_run_analyze_9x18(benchmark, tmp_path):
     report = _run_analyze(benchmark, _kframe(np.random.default_rng(5), 9, n=9, m=18), tmp_path)
     assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (9, True)
+
+
+def test_run_analyze_10x20(benchmark, tmp_path):
+    report = _run_analyze(benchmark, _kframe(np.random.default_rng(5), 10, n=10, m=20), tmp_path)
+    assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (10, True)
+
+
+def test_worst_erasure_error_6x12_r4(benchmark, setup):
+    system, dual = setup[:2]
+    value, worst = benchmark(worst_erasure_error, system, dual, R)
+    assert value > 0 and len(worst) == R
 
 
 @pytest.mark.parametrize("signals", ["1k", "10k"])

@@ -1,4 +1,5 @@
-"""K-frame modeling: verification, bounds, Gramian, duals and transforms.
+"""K-frame modeling: verification, bounds, Gramian, duals and transforms, and
+SubsetTable, the one subset-enumeration kernel under every scan's budget.
 
 A K-frame is a column family F whose span contains the range of a square
 operator K. Reconstruction then targets Kf rather than f itself: a K-dual
@@ -51,7 +52,7 @@ __all__ = [
     "Classification",
     "normalize_erasure_set",
     "scan_budget",
-    "scan_subsets",
+    "SubsetTable",
     "is_kframe",
     "kframe_flags",
     "verify_kframe",
@@ -195,7 +196,7 @@ SCAN_CHUNK = 2048
 def scan_budget(what: str, m: int, sizes, cap: int) -> None:
     """The one budget rule: refuse a scan whose worst case exceeds cap subset tests.
 
-    The scan tests every subset of range(m) of the given sizes once.
+    The scan tests every subset of range(m) of the given sizes at most once.
     """
     tests = sum(math.comb(m, k) for k in sizes)
     if tests > cap:
@@ -204,28 +205,64 @@ def scan_budget(what: str, m: int, sizes, cap: int) -> None:
         )
 
 
-def scan_subsets(what: str, m: int, sizes, cap: int):
-    """Subsets of range(m) of the given sizes in that order, lexicographic within a size.
+class SubsetTable:
+    """The one subset-enumeration kernel: test's result for each subset of
+    range(m) of the given sizes, read lazily, one level at a time.
 
-    They come in chunks: N x k index arrays of one size k, so no level is
-    held whole. Within a level N grows 1, 8, 64, ... up to SCAN_CHUNK, so a
-    scan that its first subset decides tests one subset, and a long level
-    still goes in full chunks. scan_budget runs here, once, before any subset
-    is handed out, so sizes is read twice and must be a range or a sequence.
+    scan_budget runs once, when the table is made. test gets a level in
+    chunks, N x s index arrays in lexicographic order whose N grows 1, 8, 64,
+    ... up to SCAN_CHUNK, and returns one result per row. The table keeps the
+    results, never the chunks, and reads a level only as far as a question
+    needs, so each subset is tested at most once.
     """
-    scan_budget(what, m, sizes, cap)
 
-    def chunks():
-        for k in sizes:
-            level = itertools.combinations(range(m), k)
-            left, size = math.comb(m, k), 1
-            while left:
-                count = min(size, left)
-                flat = itertools.chain.from_iterable(itertools.islice(level, count))
-                yield np.fromiter(flat, np.intp).reshape(count, k)
-                left, size = left - count, min(8 * size, SCAN_CHUNK)
+    def __init__(self, what: str, m: int, sizes, cap: int, test):
+        scan_budget(what, m, sizes, cap)
+        self._m, self._test = m, test
+        # Generators of chunks that hold no reference back to the table, so
+        # a table is freed without the cyclic garbage collector.
+        self._chunks = {s: self._level(m, s) for s in sizes}
+        self._results: dict[int, list[np.ndarray]] = {s: [] for s in sizes}
 
-    return chunks()
+    @staticmethod
+    def _level(m: int, s: int):
+        level = itertools.combinations(range(m), s)
+        left, size = math.comb(m, s), 1
+        while left:
+            count = min(size, left)
+            flat = itertools.chain.from_iterable(itertools.islice(level, count))
+            yield np.fromiter(flat, np.intp).reshape(count, s)
+            left, size = left - count, min(8 * size, SCAN_CHUNK)
+
+    def _read(self, s: int):
+        """Level s's results chunk by chunk: those kept, then each new chunk's, kept too."""
+        yield from self._results[s]
+        for chunk in self._chunks[s]:
+            self._results[s].append(self._test(chunk))
+            yield self._results[s][-1]
+
+    def first(self, s: int, value) -> tuple[int, ...] | None:
+        """The lexicographically first s-subset whose result is value; None if none is."""
+        before = 0
+        for results in self._read(s):
+            if (hits := results == value).any():
+                return self._subset(s, before + int(hits.argmax()))
+            before += len(results)
+        return None
+
+    def results(self, s: int) -> np.ndarray:
+        """Every result of level s, lexicographic in the subsets."""
+        return np.concatenate(list(self._read(s)))
+
+    def _subset(self, s: int, p: int) -> tuple[int, ...]:
+        """The p-th s-subset of range(m), lexicographic, counted from 0."""
+        subset, low = [], 0
+        for left in range(s, 0, -1):
+            while p >= (after := math.comb(self._m - low - 1, left - 1)):
+                p, low = p - after, low + 1
+            subset.append(low)
+            low += 1
+        return tuple(subset)
 
 
 def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
@@ -377,14 +414,20 @@ def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem
 def _max_erasure_norm(
     what: str, f: np.ndarray, g: np.ndarray, r: int, cap: int
 ) -> tuple[float, tuple[int, ...]]:
-    """Largest ||F_L G_L^T|| over |L| = r with the lexicographically first such L."""
+    """Largest ||F_L G_L^T|| over |L| = r with the lexicographically first such L;
+    a stacked SVD per chunk gives each norm bit for bit as operator_norm would."""
     if not (1 <= r < f.shape[1]):
         raise ValueError(f"erasure count must satisfy 1 <= r < m, got {r}")
-    return max(
-        ((operator_norm(f[:, lam] @ g[:, lam].T), tuple(lam))
-         for chunk in scan_subsets(what, f.shape[1], [r], cap) for lam in chunk.tolist()),
-        key=lambda pair: pair[0],
-    )
+
+    def norms(chunk):
+        products = column_blocks(f, chunk) @ column_blocks(g, chunk).transpose(0, 2, 1)
+        if not np.isfinite(products).all():
+            raise ValueError("matrix contains non-finite entries")
+        return np.linalg.svd(products, compute_uv=False)[:, 0]
+
+    table = SubsetTable(what, f.shape[1], [r], cap, norms)
+    top = float(table.results(r).max())
+    return top, table.first(r, top)
 
 
 def worst_erasure_error(

@@ -6,35 +6,29 @@ subset; it is +inf when the kernel is trivial. Brute-force enumeration is
 intentional: the quantities are NP-hard in general but the target instances
 are desk scale.
 
-Every scan takes its subsets from frames.scan_subsets under one budget rule,
-frames.scan_budget: before the first subset test, count the tests the scan
-can run in the worst case and raise BudgetExceededError when that exceeds cap
-(default 10**6). A test is one rank decision on a submatrix or one K-frame
-check. Subsets come in chunks of one size, growing 1, 8, 64, 512 and then
-frames.SCAN_CHUNK, and each chunk's tests are decided by one stacked SVD per
-rank test, which gives every subset the singular values of its own SVD.
-Where full rank is the expected answer (spark's levels of no more columns
-than rows, K-frame tests of n-sets with K invertible), linalg.full_rank_flags
-first lets linalg.certified_full_rank prove each subset of a chunk full rank,
-from one Gram of the whole matrix and one Cholesky run along the chunk; only
-the subsets it cannot prove go to the SVD, so no value, witness or flag
-depends on it. spark tests level rank first and scans below it only when
-that level holds a dependent set: under its one fixed cutoff, interlacing
-keeps every subset of an independent set independent. check_scan_budgets
-lets analyze refuse before the first of its three scans runs.
+Every scan reads one frames.SubsetTable, which checks the one budget rule,
+frames.scan_budget, before its first subset test: BudgetExceededError when
+the worst-case count of tests exceeds cap (default 10**6). A test is one
+rank decision on a submatrix or one K-frame check, made for a whole chunk by
+one stacked SVD, which gives every subset the singular values of its own
+SVD. Where full rank is the expected answer, linalg.full_rank_flags first
+proves what it can from one Gram, and only the rest go to the SVD, so no
+value, witness or flag depends on it. spark tests level rank first and
+scans below it only when that level holds a dependent set: under its one
+fixed cutoff, interlacing keeps every subset of an independent set
+independent. check_scan_budgets lets analyze refuse before the first of its
+three scans runs.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
 means a K-frame that stops being one when any single column is removed.
-Exactness is read from per-size tables T_s (is every s-column subset a
-K-frame?), one table object per call: every s-set is exact exactly when all
-of T_s holds and none of T_(s-1) does, because every (s-1)-set is some s-set
-minus one column. T_(s-1) is read first, a table only until its all/none is
-decided, and T_s for s < rank K not at all, as it holds no K-frame. So
-is_maximal_robust tests at most C(m, rank K) subsets, and uniform_excess,
-which also reports maximal robustness, the C(m, s) of s = rank K..m - 1, or
-1 when rank K = m. Their budgets count C(m, rank K) + C(m, rank K - 1) and
-2^m - 1 (T_0..T_(m-1)), or 2^m when rank K = m.
+Exactness is read from the levels T_s of one table (is each s-column subset
+a K-frame?): every s-set is exact exactly when all of T_s holds and none of
+T_(s-1) does, as every (s-1)-set is some s-set minus one column. No set of
+fewer than rank K columns is a K-frame, so the table holds the sizes from
+rank K on, and the budgets count only those: is_maximal_robust C(m, rank K),
+and uniform_excess, which also reports maximal robustness, the C(m, s) of
+s = rank K..m - 1, or 1 when rank K = m.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ import numpy as np
 from .errors import KFrameError, RestrictedInverseError
 from .frames import (
     KFrameSystem,
-    OperatorK,
+    SubsetTable,
     _as_operator,
     _complements,
     _unit_scaled,
@@ -57,7 +51,6 @@ from .frames import (
     kframe_flags,
     normalize_erasure_set,
     scan_budget,
-    scan_subsets,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -140,19 +133,14 @@ def _spark_scan(mat, tol: TolerancePolicy, cap: int):
     r = int(np.count_nonzero(s > cutoff))
     if r == m:
         return lambda: SparkResult(INFINITE, None)
-    scan_budget("spark", m, range(1, r + 2), cap)
-
-    def first_dependent(sizes):
-        for chunk in scan_subsets("spark", m, sizes, cap):
-            if not (independent := full_rank_flags(arr, chunk, cutoff=cutoff)).all():
-                return chunk[np.argmin(independent)]
-        return None
+    table = SubsetTable("spark", m, range(1, r + 2), cap,
+                        lambda chunk: full_rank_flags(arr, chunk, cutoff=cutoff))
 
     def run():
         # Rank 0 has no level to test first: its first column is dependent.
-        top = first_dependent([r]) if r else None
-        found = first_dependent([r + 1] if top is None else range(1, r))
-        subset = top if found is None else found
+        top = table.first(r, False) if r else None
+        below = (table.first(s, False) for s in ([r + 1] if top is None else range(1, r)))
+        subset = np.array(next((found for found in below if found), top))
         witness = np.zeros(m)
         witness[subset] = _small_singular_vector(arr[:, subset], len(subset))
         return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0])
@@ -284,15 +272,13 @@ def _mrc_scan(f, k, r: int, cap: int, tol: TolerancePolicy):
     m = arr.shape[1]
     if not (0 <= r <= m):
         raise ValueError(f"erasure count must satisfy 0 <= r <= m, got {r}")
-    chunks = scan_subsets("mrc_all", m, [r], cap)
+    table = SubsetTable("mrc_all", m, [r], cap,
+                        lambda chunk: kframe_flags(arr, op, _complements(chunk, m), tol))
 
     def run():
-        for chunk in chunks:
-            survive = kframe_flags(arr, op, _complements(chunk, m), tol)
-            if not survive.all():
-                # The one set of size 0 is (), reported as no failing set.
-                return False, tuple(chunk[np.argmin(survive)].tolist()) or None
-        return True, None
+        failing = table.first(r, False)
+        # The one set of size 0 is (), reported as no failing set.
+        return failing is None, failing or None
 
     return run
 
@@ -307,49 +293,14 @@ class ExcessReport:
     maximal_robust: bool
 
 
-class _KFrameTables:
-    """T_s for each s in sizes: is each s-column subset a K-frame? Read on demand.
+def _exact(table: SubsetTable, rank_k: int, s: int) -> bool:
+    """Every s-subset is an exact K-frame: all of T_s and none of T_(s-1).
 
-    One budget covers every table. A read tests chunks only until it is
-    decided, and keeps what it tested, so each subset is tested at most once
-    and every verdict of a call shares the tests.
+    T_(s-1) is read first, which sets only the cost: above rank K it usually
+    holds a K-frame at once, and up to rank K it is free.
     """
-
-    def __init__(self, what: str, arr: np.ndarray, op: OperatorK, sizes, cap: int,
-                 tol: TolerancePolicy):
-        m = arr.shape[1]
-        scan_budget(what, m, sizes, cap)
-        self._test = lambda chunk: kframe_flags(arr, op, chunk, tol)
-        self._rank = op.range.dim
-        self._chunks = {s: scan_subsets(what, m, [s], cap) for s in sizes}
-        self._flags: dict[int, list[np.ndarray]] = {s: [] for s in sizes}
-        self._seen: dict[int, set[bool]] = {s: set() for s in sizes}
-
-    def holds(self, s: int, value: bool) -> bool:
-        """Whether some s-subset's flag is value."""
-        if s < self._rank:  # no K-frame has fewer than rank K columns
-            return not value
-        while value not in self._seen[s]:
-            chunk = next(self._chunks[s], None)
-            if chunk is None:
-                return False
-            self._flags[s].append(self._test(chunk))
-            self._seen[s].update(self._flags[s][-1].tolist())
-        return True
-
-    def flags(self, s: int) -> np.ndarray:
-        """Every flag of T_s, lexicographic in the subsets; below rank K untested."""
-        test = self._test if s >= self._rank else lambda chunk: np.zeros(len(chunk), dtype=bool)
-        self._flags[s].extend(test(chunk) for chunk in self._chunks[s])
-        return np.concatenate(self._flags[s])
-
-    def exact(self, s: int) -> bool:
-        """Every s-subset is an exact K-frame: all of T_s and none of T_(s-1).
-
-        T_(s-1) is read first, which sets only the cost: above rank K it
-        usually holds a K-frame at once, and up to rank K it is free.
-        """
-        return not self.holds(s - 1, True) and not self.holds(s, False)
+    return (rank_k <= s and (s == rank_k or table.first(s - 1, True) is None)
+            and table.first(s, False) is None)
 
 
 def uniform_excess(
@@ -358,7 +309,7 @@ def uniform_excess(
     """Largest r >= 1 with every r-column removal leaving an exact K-frame.
 
     Returns 0 with the lexicographically first failing removal set when no
-    positive r qualifies. Maximal robustness comes from the same tables.
+    positive r qualifies. Maximal robustness comes from the same table.
     """
     return _excess_scan(f, k, cap, tol)()
 
@@ -368,23 +319,24 @@ def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
     m, rk = arr.shape[1], op.rank
-    # Only maximal robustness at rank K = m reads T_m.
-    tables = _KFrameTables("uniform_excess", arr, op, range(m + (rk == m)), cap, tol)
+    # T_s from s = rank K on; only maximal robustness at rank K = m reads T_m.
+    table = SubsetTable("uniform_excess", m, range(rk, m + (rk >= m)), cap,
+                        lambda chunk: kframe_flags(arr, op, chunk, tol))
 
     def run():
         # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
-        best = next((m - s for s in range(1, m) if tables.exact(s)), 0)
-        robust = rk <= m and tables.exact(rk)
+        best = next((m - s for s in range(1, m) if _exact(table, rk, s)), 0)
+        robust = rk <= m and _exact(table, rk, rk)
         if best or m < 2:
             return ExcessReport(value=best, witness=None, maximal_robust=robust)
         # Removing {i} fails when range(m) - {i} is no K-frame or some
         # range(m) - {i, j} is one. The complements of lexicographic k-subsets
-        # run in reverse lexicographic order, so the reversed tables list the
+        # run in reverse lexicographic order, so the reversed levels list the
         # removals {i} and {i, j} lexicographically, as triu_indices does. Some
-        # {i} fails, as s = m - 1 is not exact.
-        fails = ~tables.flags(m - 1)[::-1]
-        pairs = tables.flags(m - 2)[::-1]
+        # {i} fails, as s = m - 1 is not exact. Below rank K no set is a K-frame.
         first, second = np.triu_indices(m, 1)
+        fails = ~table.results(m - 1)[::-1] if m - 1 >= rk else np.ones(m, dtype=bool)
+        pairs = table.results(m - 2)[::-1] if m - 2 >= rk else np.zeros(len(first), dtype=bool)
         fails[first[pairs]] = fails[second[pairs]] = True
         return ExcessReport(value=0, witness=(int(np.argmax(fails)),), maximal_robust=robust)
 
@@ -408,8 +360,9 @@ def is_maximal_robust(
     rk = op.rank
     if rk > arr.shape[1]:
         return False
-    sizes = [rk, rk - 1] if rk else [0]
-    return _KFrameTables("is_maximal_robust", arr, op, sizes, cap, tol).exact(rk)
+    table = SubsetTable("is_maximal_robust", arr.shape[1], [rk], cap,
+                        lambda chunk: kframe_flags(arr, op, chunk, tol))
+    return _exact(table, rk, rk)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import kframes.cli
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
 from kframes.matrixio import matrix_to_obj, save_matrix
+from kframes.redundancy import check_scan_budgets
 
 from conftest import counting_subsets, random_kframe, random_parseval_kframe
 
@@ -945,19 +946,27 @@ def test_check_dual_with_a_residual_past_float64_at_k_scale_is_invalid(capsys, t
 
 
 def test_analyze_checks_every_budget_before_any_scan(capsys, tmp_path):
-    """A generic 10x20 system with K invertible: spark's budget passes, uniform
-    excess needs 2^20 - 1 tests. analyze refuses before spark hands out a
-    subset; with a smaller cap spark's budget refuses first, as before."""
-    f, k = random_kframe(np.random.default_rng(0), 10, 20, 10)
+    """A generic 10x20 system with rank K = 4: spark's budget passes, uniform
+    excess needs the 2^20 - 1 - 1351 tests of sizes 4..19. analyze refuses
+    before spark hands out a subset; with a smaller cap spark's budget refuses
+    first, as before. With K invertible, sizes 10..19 need 616,665 tests,
+    which the default cap admits."""
+    f, k = random_kframe(np.random.default_rng(0), 10, 20, 4)
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"F": _matrix_obj(f), "K": _matrix_obj(k)}))
-    for cap, message in ((10**6, "uniform_excess needs 1048575 subset tests"),
+    for cap, message in ((10**6, "uniform_excess needs 1047224 subset tests"),
                          (1000, "spark needs 784625 subset tests")):
         with counting_subsets() as seen:
             code, out, err = run(capsys, "analyze", "--system", str(path), "--r", "2",
                                  "--cap-subsets", str(cap))
         assert (code, out, seen[0]) == (1, "", 0)
         assert f"kframes analyze: {message}, more than the cap of {cap}" in err
+    f, k = random_kframe(np.random.default_rng(0), 10, 20, 10)
+    check_scan_budgets(f, k, 2)
+    with counting_subsets() as seen, pytest.raises(kframes.BudgetExceededError) as exc:
+        kframes.uniform_excess(f, k, cap=616664)
+    assert seen[0] == 0
+    assert str(exc.value) == "uniform_excess needs 616665 subset tests, more than the cap of 616664"
 
 
 def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,10 @@ from kframes import (
     verify_kdual,
     verify_kframe,
     worst_erasure_error,
+    worst_residual_error,
 )
 from kframes.fixtures import FIXTURES
+from kframes.frames import SCAN_CHUNK
 
 from conftest import lower_bound_oracle, random_kframe
 
@@ -290,6 +294,46 @@ class TestWorstErasureError:
 
         with pytest.raises(BudgetExceededError):
             worst_erasure_error(sys_d, dual_d, 2, cap=3)
+
+
+def _first_max_by_loop(f, g, r):
+    """Largest ||F_L G_L^T|| by one operator_norm per subset, first maximizer kept."""
+    best = None
+    for lam in itertools.combinations(range(f.shape[1]), r):
+        norm = operator_norm(f[:, list(lam)] @ g[:, list(lam)].T)
+        if best is None or norm > best[0]:
+            best = (norm, lam)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    rank_k=st.integers(0, 6),
+    r=st.integers(1, 11),
+)
+def test_stacked_erasure_norms_match_a_per_subset_loop(seed, n, extra, rank_k, r):
+    """Both worst errors equal a per-subset operator_norm loop bit for bit, with
+    the same first maximizing set, at column scales 2^-40..2^40, from one SVD
+    per chunk of the scan."""
+    rng = np.random.default_rng(seed)
+    m, r = n + extra, min(r, n + extra - 1)
+    f, k = random_kframe(rng, n, m, min(rank_k, n))
+    # Scaled columns can leave R(K) outside F's numerical span; the errors ask no K-frame.
+    sys = KFrameSystem(f * 2.0 ** rng.integers(-40, 41, m), OperatorK.from_matrix(k),
+                       TolerancePolicy())
+    dual = verify_kdual(sys, rng.standard_normal((n, m)) * 2.0 ** rng.integers(-40, 41, m))
+    residual_g = (np.eye(n) - sys.K.range.projector()) @ dual.G
+    chunks, left, size = 0, comb(m, r), 1
+    while left > 0:
+        chunks, left, size = chunks + 1, left - size, min(8 * size, SCAN_CHUNK)
+    for worst, g in ((worst_erasure_error, dual.G), (worst_residual_error, residual_g)):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            got = worst(sys, dual, r)
+        assert got == _first_max_by_loop(sys.F, g, r)
+        assert svd.call_count == chunks
 
 
 class TestTransform:

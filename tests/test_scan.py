@@ -3,8 +3,9 @@
 Each scan entry point must run with cap equal to its worst-case count of
 subset tests and refuse with cap one below it, before handing out a single
 subset. The counts are written out here from the rule itself: one test per
-subset; exactness at size s needs the K-frame tests of sizes s and s - 1;
-and for the spark family only the sizes that are sure to end the scan.
+subset; exactness at size s needs the K-frame tests of sizes s and s - 1,
+of which only those of at least rank K columns are ever tested; and for the
+spark family only the sizes that are sure to end the scan.
 """
 
 import ast
@@ -31,7 +32,7 @@ from kframes import (
     worst_erasure_error,
     worst_residual_error,
 )
-from kframes.frames import SCAN_CHUNK, scan_subsets
+from kframes.frames import SCAN_CHUNK, SubsetTable
 
 from conftest import counting_subsets, random_kframe
 
@@ -60,8 +61,9 @@ def _cases(f, k, r):
         ("spark", sum(comb(m, s) for s in range(1, m - rank_f + 2)),
          lambda cap: min_support_in_range(f.T, cap=cap)),
         ("mrc_all", comb(m, r), lambda cap: mrc_all(f, k, r, cap=cap)),
-        ("uniform_excess", 2**m - 1, lambda cap: uniform_excess(f, k, cap=cap)),
-        ("is_maximal_robust", comb(m, rank_k) + comb(m, rank_k - 1),
+        ("uniform_excess", sum(comb(m, s) for s in range(rank_k, m)),
+         lambda cap: uniform_excess(f, k, cap=cap)),
+        ("is_maximal_robust", comb(m, rank_k),
          lambda cap: is_maximal_robust(f, k, cap=cap)),
         ("worst_erasure_error", comb(m, r),
          lambda cap: worst_erasure_error(sys, dual, r, cap=cap)),
@@ -92,29 +94,59 @@ def test_every_scan_passes_at_its_count_and_refuses_below(seed, n, extra, rank_k
 
 
 def test_uniform_excess_counts_t_m_when_k_has_rank_m():
-    """Maximal robustness at rank K = m reads T_m, so the worst case is 2^m."""
+    """At rank K = m only maximal robustness tests a subset: the one m-set."""
     f, k = random_kframe(np.random.default_rng(0), 3, 3, 3)
-    assert uniform_excess(f, k, cap=8).maximal_robust
+    with counting_subsets() as seen:
+        got = uniform_excess(f, k, cap=1)
+    assert (got.value, got.witness, got.maximal_robust) == (0, (0,), True)
+    assert seen[0] == 1
     with counting_subsets() as seen, pytest.raises(BudgetExceededError) as exc:
-        uniform_excess(f, k, cap=7)
+        uniform_excess(f, k, cap=0)
     assert seen[0] == 0
-    assert str(exc.value) == "uniform_excess needs 8 subset tests, more than the cap of 7"
+    assert str(exc.value) == "uniform_excess needs 1 subset tests, more than the cap of 0"
+
+
+def _recorded(m, sizes, cap):
+    """A table whose test records each chunk and gives each subset a unique code."""
+    chunks = []
+
+    def code(chunk):
+        chunks.append(chunk)
+        return chunk @ (m ** np.arange(chunk.shape[1]))
+
+    return SubsetTable("t", m, sizes, cap, code), chunks
 
 
 def test_enumerator_order_and_refusal():
-    chunks = list(scan_subsets("t", 4, [0, 1, 3], cap=9))
+    table, chunks = _recorded(4, [0, 1, 3], cap=9)
+    for s in (0, 1, 3):
+        assert len(table.results(s)) == comb(4, s)
     assert [c.shape for c in chunks] == [(1, 0), (1, 1), (3, 1), (1, 3), (3, 3)]
     assert [tuple(row) for c in chunks for row in c.tolist()] == [
         (), (0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     with pytest.raises(BudgetExceededError, match="needs 9 subset tests"):
-        scan_subsets("t", 4, [0, 1, 3], cap=8)
+        _recorded(4, [0, 1, 3], cap=8)
     # Within a level, chunks grow eightfold from one subset up to SCAN_CHUNK, in order.
-    level = list(scan_subsets("t", 16, [7], cap=comb(16, 7)))
+    table, chunks = _recorded(16, [7], cap=comb(16, 7))
+    codes = table.results(7)
     assert SCAN_CHUNK == 2048
-    assert [len(c) for c in level] == [1, 8, 64, 512] + [SCAN_CHUNK] * 5 + [615]
+    assert [len(c) for c in chunks] == [1, 8, 64, 512] + [SCAN_CHUNK] * 5 + [615]
     assert comb(16, 7) == 585 + 5 * SCAN_CHUNK + 615
-    assert [tuple(row) for c in level for row in c.tolist()] == list(
-        itertools.combinations(range(16), 7))
+    level = list(itertools.combinations(range(16), 7))
+    assert [tuple(row) for c in chunks for row in c.tolist()] == level
+    # first names a subset by its result, whichever chunk holds it, with no new test.
+    for p in range(0, len(level), 97):
+        assert table.first(7, codes[p]) == level[p]
+    assert table.first(7, -1) is None and len(chunks) == 10
+
+
+def test_first_reads_a_level_only_until_it_is_answered():
+    """The first 7-set is in the first chunk; the last needs the whole level."""
+    table, chunks = _recorded(16, [7], cap=comb(16, 7))
+    assert table.first(7, sum(16**i * i for i in range(7))) == tuple(range(7))
+    assert len(chunks) == 1
+    assert table.first(7, sum(16**i * (i + 9) for i in range(7))) == tuple(range(9, 16))
+    assert len(chunks) == 10
 
 
 def test_exactness_scans_stop_once_decided():
@@ -144,8 +176,8 @@ def test_exactness_scans_stop_once_decided():
 
 # The only functions allowed to enumerate subsets or count them.
 _ALLOWED = {
+    ("frames.py", "SubsetTable"),
     ("frames.py", "scan_budget"),
-    ("frames.py", "scan_subsets"),
     ("redundancy.py", "spark_via_kernel"),
 }
 _ENUMERATE_OR_COUNT = {("itertools", "combinations"), ("math", "comb")}
