@@ -20,7 +20,10 @@ test_worst_erasure_error_6x12_r4 times worst_erasure_error at r = 4 on the
 test_run_simulate times one `simulate --r 4` through run_command on the same
 system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
 test_spark times spark on seeded generic F of size 4x8, 6x12, 8x16 and 10x20
-(full spark, so the scan reads the rank level and one more set), and
+(full spark, so the scan certifies the rank level and names the first set
+one larger untested), test_spark_dup_10x20 on the 10x20 F with its second
+column a copy of its first, whose rank level and level 2 each pay one
+certified block before the SVD tests their first set, and
 test_spark_rank7_14x14 on find-rk's shape of N, a seeded 14x14 matrix of
 rank 7, whose rank-level blocks are tall, 14x7. test_rank_of times rank_of
 on seeded generic F of size 6x12 and 8x16.
@@ -195,6 +198,12 @@ def test_spark(benchmark, shape):
     n, m = map(int, shape.split("x"))
     f = np.random.default_rng(5).standard_normal((n, m))
     assert benchmark(spark, f).value == n + 1
+
+
+def test_spark_dup_10x20(benchmark):
+    f = np.random.default_rng(5).standard_normal((10, 20))
+    f[:, 1] = f[:, 0]
+    assert benchmark(spark, f).value == 2
 
 
 def test_spark_rank7_14x14(benchmark):

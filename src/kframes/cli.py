@@ -52,11 +52,10 @@ from .recovery import (
 from .redundancy import (
     INFINITE,
     SparkResult,
-    check_scan_budgets,
+    analyze_scans,
     mrc_all,
     mrc_subset,
     spark,
-    uniform_excess,
 )
 
 USAGE = """usage: kframes <command> [options]
@@ -195,8 +194,7 @@ def _cmd_canonical_dual(args) -> dict:
     }
 
 
-def _mrc_all_obj(system: KFrameSystem, r: int, cap: int) -> dict:
-    satisfied, failing = mrc_all(system.F, system.K, r, cap=cap, tol=system.tol)
+def _mrc_all_obj(r: int, satisfied: bool, failing) -> dict:
     return {"r": r, "satisfied": satisfied,
             "first_failing": None if failing is None else _one_based(failing)}
 
@@ -207,9 +205,7 @@ def _cmd_analyze(args) -> dict:
         raise KFrameError(f"r must satisfy 0 <= r <= m = {system.m}")
     tol, cap = system.tol, args.cap_subsets
     cls = classify(system)
-    check_scan_budgets(system.F, system.K, args.r, cap, tol)
-    spark_f = spark(system.F, tol, cap=cap)
-    excess = uniform_excess(system.F, system.K, cap=cap, tol=tol)
+    spark_f, excess, mrc = analyze_scans(system.F, system.K, args.r, cap, tol)
     try:
         bounds = frame_bounds(system)
     except KFrameError:
@@ -225,7 +221,7 @@ def _cmd_analyze(args) -> dict:
             "value": excess.value,
             "witness": None if excess.witness is None else _one_based(excess.witness),
         },
-        "mrc": _mrc_all_obj(system, args.r, cap),
+        "mrc": _mrc_all_obj(args.r, *mrc),
         "maximal_robust": excess.maximal_robust,
     }
 
@@ -233,7 +229,8 @@ def _cmd_analyze(args) -> dict:
 def _cmd_mrc(args) -> dict:
     system = _load_system(args)
     if args.sigma is None:
-        return _mrc_all_obj(system, args.r, args.cap_subsets)
+        return _mrc_all_obj(args.r, *mrc_all(system.F, system.K, args.r, args.cap_subsets,
+                                             system.tol))
     raw = [s.strip() for s in args.sigma.split(",") if s.strip()]
     sigma = _positions([int(s) if re.fullmatch(r"[+-]?\d+", s) else s for s in raw],
                        system.m, "--sigma")

@@ -36,7 +36,6 @@ from .linalg import (
     _svd_rank,
     column_blocks,
     ensure_matrix,
-    full_rank_flags,
     intersection_dims,
     null_space_basis,
     operator_norm,
@@ -211,35 +210,64 @@ class SubsetTable:
 
     scan_budget runs once, when the table is made. test gets a level in
     chunks, N x s index arrays in lexicographic order whose N grows 1, 8, 64,
-    ... up to SCAN_CHUNK, and returns one result per row. The table keeps the
-    results, never the chunks, and reads a level only as far as a question
-    needs, so each subset is tested at most once.
+    ... up to SCAN_CHUNK, and returns one result per row. certify maps some
+    sizes to a prover: certify[s](chunk) is True where test is sure to return
+    True. Such a level is enumerated in SCAN_CHUNK blocks, each proven first;
+    only the block's unproven rows go to test, in order and in the same
+    growing chunks, and the table holds them until they are tested. So every
+    result is test's own. The table keeps the results, never the chunks, and
+    reads a level only as far as a question needs: a read that stopped inside
+    a block resumes at its next unproven row, and each subset is tested at
+    most once.
     """
 
-    def __init__(self, what: str, m: int, sizes, cap: int, test):
+    def __init__(self, what: str, m: int, sizes, cap: int, test, certify=None):
         scan_budget(what, m, sizes, cap)
-        self._m, self._test = m, test
-        # Generators of chunks that hold no reference back to the table, so
+        self._m = m
+        certify = certify or {}
+        # Generators of results that hold no reference back to the table, so
         # a table is freed without the cyclic garbage collector.
-        self._chunks = {s: self._level(m, s) for s in sizes}
+        self._runs = {s: self._level(m, s, test, certify.get(s)) for s in sizes}
         self._results: dict[int, list[np.ndarray]] = {s: [] for s in sizes}
 
     @staticmethod
-    def _level(m: int, s: int):
+    def _level(m: int, s: int, test, certify):
+        """Level s's results in runs, lexicographic, each known in full when yielded."""
         level = itertools.combinations(range(m), s)
         left, size = math.comb(m, s), 1
         while left:
-            count = min(size, left)
+            count = min(size if certify is None else SCAN_CHUNK, left)
             flat = itertools.chain.from_iterable(itertools.islice(level, count))
-            yield np.fromiter(flat, np.intp).reshape(count, s)
-            left, size = left - count, min(8 * size, SCAN_CHUNK)
+            chunk = np.fromiter(flat, np.intp).reshape(count, s)
+            left -= count
+            if certify is None:
+                yield test(chunk)
+                size = min(8 * size, SCAN_CHUNK)
+                continue
+            results, done = certify(chunk), 0
+            unproven = np.flatnonzero(~results)
+            while len(unproven):
+                # Every result before the next unproven row is known.
+                if unproven[0] > done:
+                    yield results[done:unproven[0]]
+                    done = unproven[0]
+                rows, unproven = unproven[:size], unproven[size:]
+                results[rows] = test(chunk[rows])
+                size = min(8 * size, SCAN_CHUNK)
+            yield results[done:]
+
+    def settle(self, s: int, value) -> None:
+        """Take value as every result of level s, unread so far, without a test:
+        for a caller that has proven it another way."""
+        self._results[s] = [np.full(math.comb(self._m, s), value)]
+        self._runs[s] = iter(())
 
     def _read(self, s: int):
-        """Level s's results chunk by chunk: those kept, then each new chunk's, kept too."""
+        """Level s's results run by run: those kept, then each new run's, kept too."""
         yield from self._results[s]
-        for chunk in self._chunks[s]:
-            self._results[s].append(self._test(chunk))
-            yield self._results[s][-1]
+        for results in self._runs[s]:
+            self._results[s].append(results)
+            yield results
 
     def first(self, s: int, value) -> tuple[int, ...] | None:
         """The lexicographically first s-subset whose result is value; None if none is."""
@@ -283,17 +311,15 @@ def kframe_flags(
 
     S is a K-frame when dim(R(F_S) & R(K)), by intersection_dims through
     Q = op.range_perp, reaches rank K; so the verdict is free of the scale of
-    F and of K. Each rank is one stacked SVD over the chunk, and Q is empty
-    when K is invertible; then an n-set's test is rank F_S = n, which
-    full_rank_flags proves for most subsets without the SVD.
+    F and of K. Each rank is one stacked SVD over the chunk. Q is empty when
+    K is invertible; then an n-set's test is rank F_S = n, which
+    linalg.certified_full_rank can prove for a subset table.
     """
     rank_k = op.rank
     if f.shape[0] != op.dim:
         return np.zeros(len(subsets), dtype=bool)
     if rank_k == 0:
         return np.ones(len(subsets), dtype=bool)
-    if rank_k == op.dim and subsets.shape[1] == rank_k:
-        return full_rank_flags(f, subsets, tol)
     # Exactly, the dimension never exceeds rank K; >= keeps a rounding excess a K-frame.
     return intersection_dims(column_blocks(f, subsets), op.range_perp, tol) >= rank_k
 

@@ -26,7 +26,6 @@ __all__ = [
     "rank_of",
     "stacked_ranks",
     "intersection_dims",
-    "full_rank_flags",
     "certified_full_rank",
     "column_blocks",
     "pseudo_inverse",
@@ -47,8 +46,6 @@ __all__ = [
 # without overflow; they count as zero in every rank decision.
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
-# Fewest subsets full_rank_flags certifies: below it one stacked SVD costs less.
-CERTIFY_MIN = 8
 # Least ||B||_F^2 at the parent's unit size that certified_full_rank can prove.
 _GRAM_FLOOR = 2.0**-600
 
@@ -196,25 +193,6 @@ def intersection_dims(
     s = np.linalg.svd(blocks, compute_uv=False)
     cutoff = tol.rank_cutoff(s, blocks.shape)
     return np.count_nonzero(s > cutoff, axis=1) - stacked_ranks(perp.T @ blocks, cutoff=cutoff)
-
-
-def full_rank_flags(
-    mat: np.ndarray, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
-    cutoff: float | None = None
-) -> np.ndarray:
-    """Whether stacked_ranks gives mat[:, S] rank |S|, for every row S of an N x k index array.
-
-    In a chunk of at least CERTIFY_MIN tall or square blocks, certified_full_rank
-    proves what it can; only the rest go to the SVD, so every flag is the SVD's.
-    """
-    count, k = subsets.shape
-    if count < CERTIFY_MIN or k > mat.shape[0]:
-        return stacked_ranks(column_blocks(mat, subsets), tol, cutoff) == k
-    flags = certified_full_rank(mat, subsets, tol, cutoff)
-    if not flags.all():
-        unknown = ~flags
-        flags[unknown] = stacked_ranks(column_blocks(mat, subsets[unknown]), tol, cutoff) == k
-    return flags
 
 
 def certified_full_rank(

@@ -11,13 +11,15 @@ frames.scan_budget, before its first subset test: BudgetExceededError when
 the worst-case count of tests exceeds cap (default 10**6). A test is one
 rank decision on a submatrix or one K-frame check, made for a whole chunk by
 one stacked SVD, which gives every subset the singular values of its own
-SVD. Where full rank is the expected answer, linalg.full_rank_flags first
-proves what it can from one Gram, and only the rest go to the SVD, so no
-value, witness or flag depends on it. spark tests level rank first and
-scans below it only when that level holds a dependent set: under its one
-fixed cutoff, interlacing keeps every subset of an independent set
-independent. check_scan_budgets lets analyze refuse before the first of its
-three scans runs.
+SVD. Where full rank is the expected answer (spark's levels, and T_n when K
+is invertible), the table is certificate first: linalg.certified_full_rank
+proves each block of the level from one Gram, and only the unproven subsets
+go to the SVD, so no value, witness or flag depends on it. spark tests level
+rank first and scans below it only when that level holds a dependent set:
+under its one fixed cutoff, interlacing keeps every subset of an independent
+set independent, and makes every (rank + 1)-set dependent, so that level is
+never tested. analyze_scans checks the budgets of analyze's three scans
+before the first runs, and reads T_n off spark's rank level when it can.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
@@ -56,9 +58,10 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _canonical_signs,
+    certified_full_rank,
+    column_blocks,
     ensure_matrix,
     ensure_vector,
-    full_rank_flags,
     intersection_dims,
     null_space_basis,
     operator_norm,
@@ -66,6 +69,7 @@ from .linalg import (
     range_basis,
     ranges_nested,
     restricted_operator,
+    stacked_ranks,
 )
 
 __all__ = [
@@ -79,7 +83,7 @@ __all__ = [
     "mrc_all",
     "ExcessReport",
     "uniform_excess",
-    "check_scan_budgets",
+    "analyze_scans",
     "is_maximal_robust",
     "derived_pinv_frames",
     "DerivedPairReport",
@@ -114,11 +118,12 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
 
     Submatrix rank tests use one cutoff, anchored to the parent matrix scale
     (a column of pure round-off counts as zero). Under a fixed cutoff,
-    interlacing (sigma_k(A minus a column) >= sigma_(k+1)(A)) keeps subsets of
-    an independent set independent. So level rank is scanned first: with no
-    dependent set there, the first (rank + 1)-set is the witness; otherwise
-    sizes 1..rank - 1 go in order, then that first dependent rank-set. The
-    budget counts sizes 1..rank + 1, the worst case, before any subset.
+    interlacing (sigma_(k+1)(A) <= sigma_k(A minus a column) <= sigma_k(A))
+    keeps subsets of an independent set independent and makes every
+    (rank + 1)-set dependent. So level rank is scanned first: with no
+    dependent set there, the first (rank + 1)-set is the witness, untested;
+    otherwise sizes 1..rank - 1 go in order, then that first dependent
+    rank-set. The budget counts sizes 1..rank + 1 before any subset.
     """
     return _spark_scan(mat, tol, cap)()
 
@@ -133,16 +138,28 @@ def _spark_scan(mat, tol: TolerancePolicy, cap: int):
     r = int(np.count_nonzero(s > cutoff))
     if r == m:
         return lambda: SparkResult(INFINITE, None)
-    table = SubsetTable("spark", m, range(1, r + 2), cap,
-                        lambda chunk: full_rank_flags(arr, chunk, cutoff=cutoff))
+
+    def independent(chunk):
+        return stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff) == chunk.shape[1]
+
+    def prove(chunk):
+        return certified_full_rank(arr, chunk, tol, cutoff)
+
+    # Level rank + 1 is counted but never read. Levels 1..rank are certified:
+    # none has more columns than arr has rows.
+    table = SubsetTable("spark", m, range(1, r + 2), cap, independent,
+                        dict.fromkeys(range(1, r + 1), prove))
 
     def run():
-        # Rank 0 has no level to test first: its first column is dependent.
+        # Rank 0 has no level to test first.
         top = table.first(r, False) if r else None
-        below = (table.first(s, False) for s in ([r + 1] if top is None else range(1, r)))
-        subset = np.array(next((found for found in below if found), top))
+        if top is None:
+            subset = tuple(range(r + 1))
+        else:
+            subset = next(filter(None, (table.first(s, False) for s in range(1, r))), top)
+        cols = list(subset)
         witness = np.zeros(m)
-        witness[subset] = _small_singular_vector(arr[:, subset], len(subset))
+        witness[cols] = _small_singular_vector(arr[:, cols], len(cols))
         return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0])
 
     return run
@@ -314,16 +331,34 @@ def uniform_excess(
     return _excess_scan(f, k, cap, tol)()
 
 
+def _kframe_table(what: str, arr: np.ndarray, op, sizes, cap: int, tol: TolerancePolicy):
+    """The K-frame table T_s over the given sizes. With K invertible an n-set
+    is a K-frame exactly when F_S has rank n, so T_n is certified."""
+    n = op.dim
+    certify = ({n: lambda chunk: certified_full_rank(arr, chunk, tol)}
+               if 0 < op.rank == n == arr.shape[0] else None)
+    return SubsetTable(what, arr.shape[1], sizes, cap,
+                       lambda chunk: kframe_flags(arr, op, chunk, tol), certify)
+
+
 def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
-    """uniform_excess with its budget checked now and its scan left to a call."""
+    """uniform_excess with its budget checked now and its scan left to a call.
+
+    run(spark_value) takes T_n all true when K is invertible and spark of F
+    under the same policy found no dependent n-set (value n + 1, so m > n):
+    each n-set's own cutoff, rel n sigma_max(F_S), lies below spark's fixed
+    cutoff, rel m sigma_max(F), by a factor m / n that covers the rounding of
+    both sigma_max, so every n-set spark found independent is a K-frame.
+    """
     arr = ensure_matrix(f, "F")
     op = _as_operator(k, tol)
-    m, rk = arr.shape[1], op.rank
+    (n, m), rk = arr.shape, op.rank
     # T_s from s = rank K on; only maximal robustness at rank K = m reads T_m.
-    table = SubsetTable("uniform_excess", m, range(rk, m + (rk >= m)), cap,
-                        lambda chunk: kframe_flags(arr, op, chunk, tol))
+    table = _kframe_table("uniform_excess", arr, op, range(rk, m + (rk >= m)), cap, tol)
 
-    def run():
+    def run(spark_value=None):
+        if spark_value == n + 1 and rk == op.dim == n:
+            table.settle(n, True)
         # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
         best = next((m - s for s in range(1, m) if _exact(table, rk, s)), 0)
         robust = rk <= m and _exact(table, rk, rk)
@@ -343,12 +378,17 @@ def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
     return run
 
 
-def check_scan_budgets(f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL):
-    """Refuse as spark of F, uniform_excess and mrc_all at r would, in that
-    order, before any of them scans; their scans are built and dropped."""
-    _spark_scan(f, tol, cap)
-    _excess_scan(f, k, cap, tol)
-    _mrc_scan(f, k, r, cap, tol)
+def analyze_scans(f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL):
+    """spark of F, uniform_excess and mrc_all at r, each as its own call returns it.
+
+    Their budgets are checked in that order before any of them scans. With K
+    invertible, T_n is read off spark's rank level when that level holds no
+    dependent set, so level n is enumerated and certified once.
+    """
+    spark_run, excess_run = _spark_scan(f, tol, cap), _excess_scan(f, k, cap, tol)
+    mrc_run = _mrc_scan(f, k, r, cap, tol)
+    spark_f = spark_run()
+    return spark_f, excess_run(spark_f.value), mrc_run()
 
 
 def is_maximal_robust(
@@ -360,9 +400,7 @@ def is_maximal_robust(
     rk = op.rank
     if rk > arr.shape[1]:
         return False
-    table = SubsetTable("is_maximal_robust", arr.shape[1], [rk], cap,
-                        lambda chunk: kframe_flags(arr, op, chunk, tol))
-    return _exact(table, rk, rk)
+    return _exact(_kframe_table("is_maximal_robust", arr, op, [rk], cap, tol), rk, rk)
 
 
 @dataclass(frozen=True)

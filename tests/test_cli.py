@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import kframes.cli
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
 from kframes.matrixio import matrix_to_obj, save_matrix
-from kframes.redundancy import check_scan_budgets
+from kframes.redundancy import analyze_scans
 
 from conftest import counting_subsets, random_kframe, random_parseval_kframe
 
@@ -681,16 +682,17 @@ def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank
 
 
 def test_analyze_tests_each_subset_once_per_scan(tmp_path):
-    """Maximal robustness is read from uniform excess's tables: spark, uniform
-    excess and mrc_all alone hand out 21 + 20 + 6 subsets here. F is full
-    spark, so spark reads its rank level, C(6, 3) = 20 sets, and one 4-set;
-    a size-ascending scan would also read sizes 1 and 2, 42 subsets in all.
-    K is invertible, so uniform excess reads only T_3, its C(6, 3) = 20 sets:
-    no 1- or 2-set spans R^3, which the tables answer without a subset."""
+    """Maximal robustness is read from uniform excess's tables, and T_3 from
+    spark's: spark and mrc_all alone hand out 20 + 6 subsets here. F is full
+    spark, so spark reads its rank level, C(6, 3) = 20 sets, and names the
+    first 4-set untested; a size-ascending scan would read sizes 1 to 3 and
+    one 4-set, 42 subsets in all. K is invertible, so uniform excess needs only
+    T_3: spark found each 3-set independent, so each is a K-frame, and no 1-
+    or 2-set spans R^3, which the tables answer without a subset."""
     f, k = random_kframe(np.random.default_rng(0), 3, 6, 3)
     with counting_subsets() as seen:
         _analyze(tmp_path, f, k)
-    assert seen[0] == 47
+    assert seen[0] == 26
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
@@ -924,7 +926,7 @@ def test_analyze_refuses_r_above_m_before_any_scan(capsys, system_d, monkeypatch
     def scan(*args, **kwargs):
         raise AssertionError("analyze ran a scan before checking --r")
 
-    for name in ("classify", "spark", "uniform_excess", "mrc_all"):
+    for name in ("classify", "analyze_scans", "spark", "mrc_all"):
         monkeypatch.setattr(kframes.cli, name, scan)
     code, out, err = run(capsys, "analyze", "--system", system_d[0], "--r", "5")
     assert (code, out) == (1, "")
@@ -962,7 +964,11 @@ def test_analyze_checks_every_budget_before_any_scan(capsys, tmp_path):
         assert (code, out, seen[0]) == (1, "", 0)
         assert f"kframes analyze: {message}, more than the cap of {cap}" in err
     f, k = random_kframe(np.random.default_rng(0), 10, 20, 10)
-    check_scan_budgets(f, k, 2)
+    with counting_subsets() as seen:
+        spark_f, excess, mrc = analyze_scans(f, k, 2)
+    assert (spark_f.value, excess.value, excess.maximal_robust, mrc) == (11, 10, True, (True, None))
+    # Level 10 is enumerated once, for spark and T_10 both, and mrc_all reads its pairs.
+    assert seen[0] == math.comb(20, 10) + math.comb(20, 2)
     with counting_subsets() as seen, pytest.raises(kframes.BudgetExceededError) as exc:
         kframes.uniform_excess(f, k, cap=616664)
     assert seen[0] == 0

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kframes import (
@@ -27,18 +27,17 @@ from kframes import (
     uniform_excess,
     verify_kframe,
 )
-from kframes import frames, linalg
+from kframes import frames, redundancy
 from kframes.fixtures import FIXTURES
 from kframes.frames import SCAN_CHUNK, DualSystem, KFrameSystem, OperatorK, kframe_flags
 from kframes.linalg import (
-    CERTIFY_MIN,
     DEFAULT_TOL,
     TolerancePolicy,
     _canonical_signs,
     ranges_nested,
 )
 from kframes.recovery import plan_recovery
-from kframes.redundancy import ExcessReport, SparkResult
+from kframes.redundancy import ExcessReport, SparkResult, _kframe_table, analyze_scans
 
 from conftest import (
     counting_subsets,
@@ -50,8 +49,9 @@ from conftest import (
 
 
 def _size_ascending_spark(mat, tol):
-    """Reference spark: the parent's cutoff, sizes 1..rank + 1 in order, and
-    the first dependent set's smallest right singular vector as witness."""
+    """Reference spark: the parent's cutoff, sizes 1..rank in order, then the
+    first (rank + 1)-set, dependent under that cutoff by interlacing, and the
+    first dependent set's smallest right singular vector as witness."""
     m = mat.shape[1]
     s = np.linalg.svd(mat, compute_uv=False)
     cutoff = tol.rank_cutoff(s, mat.shape)
@@ -61,11 +61,11 @@ def _size_ascending_spark(mat, tol):
     for size in range(1, r + 2):
         for subset in itertools.combinations(range(m), size):
             block = mat[:, list(subset)]
-            if int(np.count_nonzero(np.linalg.svd(block, compute_uv=False) > cutoff)) < size:
+            values = np.linalg.svd(block, compute_uv=False)
+            if size > r or int(np.count_nonzero(values > cutoff)) < size:
                 witness = np.zeros(m)
                 witness[list(subset)] = np.linalg.svd(block)[2][-1]
                 return SparkResult(size, _canonical_signs(witness[:, None])[:, 0])
-    raise AssertionError("no dependent set up to rank + 1")
 
 
 def _damaged_matrix(rng, n, m, rank, damage, eps, column_scales):
@@ -95,7 +95,7 @@ def without_certificate():
     def unknown(mat, subsets, *args):
         return np.zeros(len(subsets), dtype=bool)
 
-    with mock.patch.object(linalg, "certified_full_rank", unknown):
+    with mock.patch.object(redundancy, "certified_full_rank", unknown):
         yield
 
 
@@ -194,16 +194,17 @@ class TestSpark:
             spark(np.zeros((2, 30)), cap=29)
         assert spark(np.zeros((2, 30)), cap=30).value == 1
 
-    def test_generic_frame_reads_only_its_rank_level_and_one_more_set(self):
-        # A generic 7x14 F is full spark: C(14, 7) independent 7-sets, then
-        # the first 8-set. Sizes 1..6 (6,475 more sets) are never read.
+    def test_generic_frame_reads_only_its_rank_level(self):
+        # A generic 7x14 F is full spark: C(14, 7) independent 7-sets, and
+        # the first 8-set is named untested. Sizes 1..6 (6,475 more sets)
+        # are never read.
         rng = np.random.default_rng(5)
         k = rng.standard_normal((7, 5)) @ rng.standard_normal((5, 7))
         f = np.hstack([k @ rng.standard_normal((7, 5)), rng.standard_normal((7, 9))])
         with counting_subsets() as seen:
             result = spark(f)
         assert result.value == 8
-        assert seen[0] == math.comb(14, 7) + 1
+        assert seen[0] == math.comb(14, 7)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -248,16 +249,16 @@ class TestSpark:
         column_scales=st.booleans(),
         scale=st.sampled_from([1e-150, 1.0, 1e150]),
         coarse=st.booleans(),
-        certify_min=st.sampled_from([1, CERTIFY_MIN]),
+        chunk=st.sampled_from([1, 3, SCAN_CHUNK]),
     )
     def test_certificate_changes_no_value_or_witness(
-        self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, certify_min
+        self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, chunk
     ):
-        """Also when the certificate is asked about every chunk, however small."""
+        """Also when small blocks split each certified level."""
         mat = _damaged_matrix(np.random.default_rng(seed), n, m, rank, damage, eps,
                               column_scales) * scale
         tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
-        with mock.patch.object(linalg, "CERTIFY_MIN", certify_min):
+        with mock.patch.object(frames, "SCAN_CHUNK", chunk):
             got = spark(mat, tol)
         with without_certificate():
             want = spark(mat, tol)
@@ -267,16 +268,17 @@ class TestSpark:
             assert got.witness.tobytes() == want.witness.tobytes()
 
     def test_generic_frame_needs_a_handful_of_svds(self):
-        """A generic 7x14 F: the certificate proves every set of the chunks of
-        8 or more of its C(14, 7) sets independent, so SVDs run only on the
-        parent, the chunk of the first 7-set, the first 8-set and the witness."""
+        """A generic 7x14 F: the certificate proves all C(14, 7) sets
+        independent, so SVDs run only on the parent and the witness. Without
+        it the rank level goes to the SVD in chunks of 1, 8, 64, 512 and the
+        rest of its first block of 2048, then its second block of 1384."""
         f = np.random.default_rng(5).standard_normal((7, 14))
         with counting_svds() as svd:
             assert spark(f).value == 8
-        assert (svd.call_count, _svd_blocks(svd)) == (4, 4)
+        assert (svd.call_count, _svd_blocks(svd)) == (2, 2)
         with without_certificate(), counting_svds() as svd:
             spark(f)
-        assert (svd.call_count, _svd_blocks(svd)) == (9, math.comb(14, 7) + 3)
+        assert (svd.call_count, _svd_blocks(svd)) == (8, math.comb(14, 7) + 2)
 
 
 class TestMinSupportInRange:
@@ -573,27 +575,37 @@ def _reference_scans(f, k, r):
 
 
 def _damaged_kframe(rng, n, m, rank_k, damage):
-    """random_kframe, with one column a copy of another or zero when damaged so."""
+    """random_kframe, with one column a copy of another or zero, or two
+    columns copies of two others, as damage says."""
     f, k = random_kframe(rng, n, m, min(rank_k, n))
     if damage in ("duplicate", "zero") and m >= 2:
         i, j = rng.choice(m, size=2, replace=False)
         f[:, j] = f[:, i] if damage == "duplicate" else 0.0
+    elif damage == "two_duplicates" and m >= 4:
+        i, j, a, b = rng.choice(m, size=4, replace=False)
+        f[:, j], f[:, b] = f[:, i], f[:, a]
     return f, k
 
 
+# K invertible with duplicate columns: the first read of T_3 stops at an
+# unproven set inside a block, and a later read must resume at its next one.
+@example(seed=1, n=3, extra=2, rank_k=4, damage="two_duplicates", r=1, chunk=3)
+@example(seed=380, n=3, extra=1, rank_k=4, damage="duplicate", r=1, chunk=3)
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 4),
     extra=st.integers(0, 3),
     rank_k=st.integers(0, 4),
-    damage=st.sampled_from(["none", "duplicate", "zero", "faint_k"]),
+    damage=st.sampled_from(["none", "duplicate", "two_duplicates", "zero", "faint_k"]),
     r=st.integers(0, 3),
     chunk=st.sampled_from([1, 3, SCAN_CHUNK]),
 )
 def test_table_scans_match_subset_by_subset_reference(
     seed, n, extra, rank_k, damage, r, chunk
 ):
+    """Two duplicate pairs leave several unproven sets in one certified block,
+    so a level read again after an early stop must resume inside that block."""
     rng = np.random.default_rng(seed)
     m = n + extra
     f, k = _damaged_kframe(rng, n, m, rank_k, damage)
@@ -610,6 +622,36 @@ def test_table_scans_match_subset_by_subset_reference(
         assert got.maximal_robust == robust
         assert is_maximal_robust(f, k) == robust
         assert mrc_all(f, k, r) == mrc
+        assert spark(f).value == spark_via_kernel(f).value
+
+
+_SCALES = st.one_of(st.sampled_from([1e-150, 1e150]),
+                    st.floats(-150, 150).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    extra=st.integers(0, 4),
+    damage=st.sampled_from(["none", "duplicate", "two_duplicates", "zero"]),
+    r=st.integers(0, 3),
+    a=_SCALES,
+    b=_SCALES,
+)
+def test_analyze_reads_t_n_off_spark_as_uniform_excess_would(seed, n, extra, damage, r, a, b):
+    """With K invertible, analyze takes T_n all true when spark's rank level
+    holds no dependent set (spark n + 1; undamaged), and reads it itself when
+    spark is at most n (damaged): either way its uniform excess and maximal
+    robustness are uniform_excess's own, under independent scalings of F and K."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f, k = _damaged_kframe(rng, n, m, n, damage)
+    f, k = a * f, b * k
+    r = min(r, m)
+    spark_f, excess, mrc = analyze_scans(f, k, r)
+    assert excess == uniform_excess(f, k)
+    assert (spark_f.value, mrc) == (spark(f).value, mrc_all(f, k, r))
 
 
 def _kframe_verdicts(f, k, sigma, r):
@@ -703,33 +745,37 @@ def test_kframe_verdicts_ignore_the_size_of_k(scale):
     column_scales=st.booleans(),
     scale=st.sampled_from([1e-150, 1.0, 1e150]),
     coarse=st.booleans(),
-    certify_min=st.sampled_from([1, CERTIFY_MIN]),
+    chunk=st.sampled_from([1, 3, SCAN_CHUNK]),
 )
 def test_certificate_changes_no_kframe_flag(seed, n, extra, rank, damage, eps, column_scales,
-                                            scale, coarse, certify_min):
-    """With K invertible, kframe_flags gives every subset the flag that the SVD
-    alone gives it."""
+                                            scale, coarse, chunk):
+    """With K invertible, the K-frame table gives every subset the flag that
+    kframe_flags, the SVD alone, gives it, also when a level is read again
+    after its first failing set stopped a read inside a certified block."""
     rng = np.random.default_rng(seed)
     m = n + extra
     f = _damaged_matrix(rng, n, m, rank, damage, eps, column_scales) * scale
     tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
     op = OperatorK.from_matrix(rng.standard_normal((n, n)), tol)
-    for size in range(1, m + 1):
-        subsets = np.array(list(itertools.combinations(range(m), size)))
-        with mock.patch.object(linalg, "CERTIFY_MIN", certify_min):
-            got = kframe_flags(f, op, subsets, tol)
-        with without_certificate():
-            assert np.array_equal(got, kframe_flags(f, op, subsets, tol))
+    with mock.patch.object(frames, "SCAN_CHUNK", chunk):
+        table = _kframe_table("t", f, op, range(1, m + 1), 2**m, tol)
+        for size in range(1, m + 1):
+            subsets = list(itertools.combinations(range(m), size))
+            want = kframe_flags(f, op, np.array(subsets), tol)
+            failing = np.flatnonzero(~want)
+            assert table.first(size, False) == (subsets[failing[0]] if failing.size else None)
+            assert np.array_equal(table.results(size), want)
 
 
 def test_uniform_excess_with_k_invertible_needs_a_handful_of_svds():
-    """The C(14, 7) sets of T_7 are proven K-frames in every chunk of 8 or more,
-    so only K's one SVD and the chunk of the first 7-set run an SVD."""
+    """The C(14, 7) sets of T_7 are proven K-frames, so only K's one SVD runs.
+    Without the certificate T_7 goes to the SVD in six chunks (1, 8, 64, 512,
+    1463 and 1384 sets)."""
     f, k = random_kframe(np.random.default_rng(5), 7, 14, 7)
     with counting_svds() as svd:
         report = uniform_excess(f, k)
     assert (report.value, report.maximal_robust) == (7, True)
-    assert (svd.call_count, _svd_blocks(svd)) == (2, 2)
+    assert (svd.call_count, _svd_blocks(svd)) == (1, 1)
     with without_certificate(), counting_svds() as svd:
         uniform_excess(f, k)
     assert (svd.call_count, _svd_blocks(svd)) == (7, math.comb(14, 7) + 1)

@@ -149,6 +149,34 @@ def test_first_reads_a_level_only_until_it_is_answered():
     assert len(chunks) == 10
 
 
+def test_certified_level_tests_only_its_unproven_subsets():
+    """A certified level is proven in SCAN_CHUNK blocks from its first subset;
+    test sees only the unproven subsets, in order and in chunks growing 1, 8,
+    64, ..., and a read that stopped inside a block resumes at its next
+    unproven subset. Here the unproven 7-sets are the C(14, 5) = 2002 that
+    hold 0 and 1, the first 2002 of the level, and those that also hold 15
+    test False; the first of them, (0, 1, 2, 3, 4, 5, 15), is the 10th set."""
+    level = np.array(list(itertools.combinations(range(16), 7)))
+    proofs, chunks = [], []
+
+    def certify(chunk):
+        proofs.append(len(chunk))
+        return ~((chunk == 0).any(axis=1) & (chunk == 1).any(axis=1))
+
+    def test(chunk):
+        chunks.append(chunk)
+        return ~(chunk == 15).any(axis=1)
+
+    table = SubsetTable("t", 16, [7], comb(16, 7), test, {7: certify})
+    assert table.first(7, False) == (0, 1, 2, 3, 4, 5, 15)
+    assert proofs == [SCAN_CHUNK] and [len(c) for c in chunks] == [1, 8, 64]
+    holds = [(level == i).any(axis=1) for i in (0, 1, 15)]
+    assert np.array_equal(table.results(7), ~(holds[0] & holds[1] & holds[2]))
+    assert proofs == [SCAN_CHUNK] * 5 + [1200]
+    assert [len(c) for c in chunks] == [1, 8, 64, 512, 1417]
+    assert np.array_equal(np.concatenate(chunks), level[:comb(14, 5)])
+
+
 def test_exactness_scans_stop_once_decided():
     """Levels are read only as far as their verdicts need, not to the budget."""
     rng = np.random.default_rng(5)
@@ -160,9 +188,11 @@ def test_exactness_scans_stop_once_decided():
         assert uniform_excess(f, k).value == 14
     assert seen[0] == comb(16, 2)
     f[:, 1] = f[:, 0]  # the first 2-set is no K-frame
+    # K is invertible, so T_2 is certified first, in one block of its 120 sets;
+    # the first set it cannot prove, (0, 1), answers.
     with counting_subsets() as seen:
         assert not is_maximal_robust(f, k)
-    assert seen[0] == 1
+    assert seen[0] == comb(16, 2)
     # rank K = 2 < n: T_1 is free, T_2 is read through the chunk of its
     # second 2-set, the first that is no K-frame, and T_3 and T_4 to their
     # first K-frame; the witness then reads T_5 and T_4 whole: 1 + 8 + 1 + 1 +
