@@ -14,7 +14,10 @@ test_run_analyze_invertible the same on the seeded construction with
 rank(K) = N = 6, where uniform excess reads the full 6-of-12 table, and
 test_run_analyze_9x18 and test_run_analyze_10x20 on the same construction
 at 9x18 and 10x20, both at the default cap, which admits 10x20 since the
-budgets count only the levels from rank K on.
+budgets count only the levels from rank K on. test_analyze_8x16_rank5 times
+`analyze --r 2` on the construction at 8x16 with rank(K) = 5, whose K-frame
+levels of 8 columns or more (the r = 1 witness's T_15 and T_14, and the MRC
+survivor sets) are certified as spans of R^8.
 test_worst_erasure_error_6x12_r4 times worst_erasure_error at r = 4 on the
 6x12 system and its canonical dual, over all C(12, 4) = 495 erasure sets.
 test_run_simulate times one `simulate --r 4` through run_command on the same
@@ -22,8 +25,8 @@ system, dual and recovery matrix, at 1k and 10k signals, all three strategies.
 test_spark times spark on seeded generic F of size 4x8, 6x12, 8x16 and 10x20
 (full spark, so the scan certifies the rank level and names the first set
 one larger untested), test_spark_dup_10x20 on the 10x20 F with its second
-column a copy of its first, whose rank level and level 2 each pay one
-certified block before the SVD tests their first set, and
+column a copy of its first, whose rank level and level 2 each answer at
+their first set, which the SVD tests alone, and
 test_spark_rank7_14x14 on find-rk's shape of N, a seeded 14x14 matrix of
 rank 7, whose rank-level blocks are tall, 14x7. test_rank_of times rank_of
 on seeded generic F of size 6x12 and 8x16.
@@ -31,7 +34,9 @@ test_uniform_excess and test_mrc_all time the K-frame scans on a seeded 7x14
 system, with K invertible and with rank(K) = 5: uniform excess with maximal
 robustness, and mrc_all at r = 2. test_mrc_all_generic times mrc_all at r = 2
 on seeded generic F of size 4x8, 6x12 and 8x16 with a K of rank n // 2, so
-every survivor set goes through R(K)^perp. test_plan_consistency_all_4sets
+every survivor set goes through R(K)^perp, and test_mrc_all_invertible_10x20
+at r = 2 on the seeded 10x20 construction with K invertible, whose 18-column
+survivor sets are proven to span R^10. test_plan_consistency_all_4sets
 times one consistency plan_recovery over all C(12, 4) = 495 erasure sets of
 the 6x12 system, each with its survivor range test.
 """
@@ -135,14 +140,14 @@ def test_is_canonical(benchmark, setup):
     assert benchmark(is_canonical, system, dual)
 
 
-def _run_analyze(benchmark, system, tmp_path):
+def _run_analyze(benchmark, system, tmp_path, *options):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"F": matrix_to_obj(system.F),
                                 "K": matrix_to_obj(system.K.matrix)}))
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert run_command(["analyze", "--system", str(path)]) == 0
+            assert run_command(["analyze", "--system", str(path), *options]) == 0
         return json.loads(out.getvalue())
 
     return benchmark(run)
@@ -165,6 +170,13 @@ def test_run_analyze_9x18(benchmark, tmp_path):
 def test_run_analyze_10x20(benchmark, tmp_path):
     report = _run_analyze(benchmark, _kframe(np.random.default_rng(5), 10, n=10, m=20), tmp_path)
     assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (10, True)
+
+
+def test_analyze_8x16_rank5(benchmark, tmp_path):
+    system = _kframe(np.random.default_rng(5), 5, n=8, m=16)
+    report = _run_analyze(benchmark, system, tmp_path, "--r", "2")
+    assert (report["uniform_excess"]["value"], report["maximal_robust"]) == (0, False)
+    assert report["mrc"]["satisfied"] is True
 
 
 def test_worst_erasure_error_6x12_r4(benchmark, setup):
@@ -234,6 +246,11 @@ def test_uniform_excess(benchmark, kind):
 @pytest.mark.parametrize("kind", SCAN_RANKS)
 def test_mrc_all(benchmark, kind):
     system = _kframe(np.random.default_rng(5), SCAN_RANKS[kind], n=7, m=14)
+    assert benchmark(mrc_all, system.F, system.K, 2) == (True, None)
+
+
+def test_mrc_all_invertible_10x20(benchmark):
+    system = _kframe(np.random.default_rng(5), 10, n=10, m=20)
     assert benchmark(mrc_all, system.F, system.K, 2) == (True, None)
 
 

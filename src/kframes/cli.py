@@ -363,7 +363,14 @@ def _cmd_simulate(args) -> dict:
         signals[i] = rng.standard_normal(system.n)
         draws[i] = rng.choice(system.m, size=args.r, replace=False)
     draws.sort(axis=1)
-    sets, which = np.unique(draws, axis=0, return_inverse=True)
+    # The distinct sets in lexicographic order, and each draw's place among
+    # them, as np.unique(draws, axis=0, return_inverse=True) gives them.
+    order = np.lexsort(draws.T[::-1]) if args.r else np.arange(args.signals)
+    ranked = draws[order]
+    new = np.ones(args.signals, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    sets, which = ranked[new], np.empty(args.signals, dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
     certificate = None
     if {"side-info", "blind"} & set(strategies):
         cert = validate_rk_matrix(system, dual, m_mat, cap=args.cap_subsets)

@@ -212,9 +212,10 @@ class SubsetTable:
     chunks, N x s index arrays in lexicographic order whose N grows 1, 8, 64,
     ... up to SCAN_CHUNK, and returns one result per row. certify maps some
     sizes to a prover: certify[s](chunk) is True where test is sure to return
-    True. Such a level is enumerated in SCAN_CHUNK blocks, each proven first;
-    only the block's unproven rows go to test, in order and in the same
-    growing chunks, and the table holds them until they are tested. So every
+    True. Such a level's first subset goes to test alone; from the second on
+    it is enumerated in SCAN_CHUNK blocks, each proven first, and only a
+    block's unproven rows go to test, in order and in the same growing
+    chunks, and the table holds them until they are tested. So every
     result is test's own. The table keeps the results, never the chunks, and
     reads a level only as far as a question needs: a read that stopped inside
     a block resumes at its next unproven row, and each subset is tested at
@@ -234,13 +235,18 @@ class SubsetTable:
     def _level(m: int, s: int, test, certify):
         """Level s's results in runs, lexicographic, each known in full when yielded."""
         level = itertools.combinations(range(m), s)
-        left, size = math.comb(m, s), 1
+        total = left = math.comb(m, s)
+        size = 1
         while left:
-            count = min(size if certify is None else SCAN_CHUNK, left)
+            # A certified level's first subset goes to test alone: an early hit
+            # costs one test, and a level read only for its first result proves
+            # no block. Blocks start at the second subset.
+            proving = certify is not None and left < total
+            count = min(SCAN_CHUNK if proving else size, left)
             flat = itertools.chain.from_iterable(itertools.islice(level, count))
             chunk = np.fromiter(flat, np.intp).reshape(count, s)
             left -= count
-            if certify is None:
+            if not proving:
                 yield test(chunk)
                 size = min(8 * size, SCAN_CHUNK)
                 continue
@@ -311,9 +317,9 @@ def kframe_flags(
 
     S is a K-frame when dim(R(F_S) & R(K)), by intersection_dims through
     Q = op.range_perp, reaches rank K; so the verdict is free of the scale of
-    F and of K. Each rank is one stacked SVD over the chunk. Q is empty when
-    K is invertible; then an n-set's test is rank F_S = n, which
-    linalg.certified_full_rank can prove for a subset table.
+    F and of K. Each rank is one stacked SVD over the chunk. An F_S that
+    spans R^n passes for any K of rank > 0, and linalg.certified_full_rank,
+    whose margin covers both ranks, can prove that for a subset table.
     """
     rank_k = op.rank
     if f.shape[0] != op.dim:

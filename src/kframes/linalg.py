@@ -199,54 +199,75 @@ def certified_full_rank(
     mat: np.ndarray, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
     cutoff: float | None = None
 ) -> np.ndarray:
-    """True where stacked_ranks(mat[:, S], tol, cutoff) is sure to read rank |S|,
-    for every row S of an N x q index array with q <= p, the rows of mat.
+    """True where stacked_ranks(mat[:, S], tol, cutoff) is sure to read rank
+    k = min(p, q), for every row S of an N x q index array of distinct
+    indices, p the rows of mat: F_S is proven independent (q <= p) or to span
+    R^p (q > p).
 
-    mat is scaled once, exactly, by 2^-e to unit size and G = F^T F formed
-    once. For each block B = F[:, S] (F = mat / 2^e), G[S, S] is gathered,
-    its diagonal lowered by tau = (c + 8 p eps ||B||_F)^2 + 8 (p + q) eps
-    ||B||_F^2, and a Cholesky run along the stack; a subset is proven when
-    all its pivots are positive. c is the cutoff at unit size: the fixed
+    mat is scaled once, exactly, by 2^-e to unit size. For each block B =
+    F[:, S] (F = mat / 2^e) the Gram of the smaller side is formed: on the
+    column side G[S, S], gathered from G = F^T F formed once; on the row
+    side B B^T = sum_(i in S) f_i f_i^T, one product of the chunk's 0/1
+    membership with the per-column outer products. Its diagonal is lowered
+    by tau = (c + 8 (k + 1) max(p, q) eps ||B||_F)^2 + 8 (p + q) eps
+    ||B||_F^2 and a Cholesky run along the stack; a subset is proven when all
+    its k pivots are positive. c is the cutoff at unit size: the fixed
     cutoff times 2^-e, clamped at 2^64 so that it stays finite and then
     proves nothing; else the policy's rule with sigma_max bounded by ||B||_F,
     and its _TINY floor as _TINY 2^-e.
 
-    Why a proof holds. Each entry of G is a length-p dot product, so the
-    gathered G[S, S] = B^T B + E, ||E||_2 <= p u ||B||_F^2 (u = eps / 2, to
-    first order). A Cholesky that succeeds on A = G[S, S] - tau I factors
-    A + D, ||D||_2 <= (q + 1) u trace A, whatever the order of elimination
+    Why a proof holds. Each Gram entry is a dot product of length p (column
+    side) or q (row side: the membership's zeros add exactly), so the Gram
+    is B^T B or B B^T plus E, ||E||_2 <= max(p, q) u ||B||_F^2 (u = eps / 2,
+    to first order). A Cholesky that succeeds on A = Gram - tau I factors
+    A + D, ||D||_2 <= (k + 1) u trace A, whatever the order of elimination
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). The
     shift, the trace and sigma_max's bound each round once more. So
-    lambda_min(B^T B) > tau - 8 (p + q) eps ||B||_F^2 and sigma_min(B) >
-    c + 8 p eps ||B||_F, which is more than the SVD's own error: its sigma_min
-    of mat[:, S] exceeds the cutoff. A block with ||B||_F^2 < _GRAM_FLOOR is
-    unknown, so the margin, at least 2^-648 in B^T B and 2^-349 in B, also
-    covers every absolute error of subnormal entries, products and sums
-    (each below 2^-1074 per operation). A non-positive or NaN pivot, from
-    a rank deficient block, one near its cutoff or an overflow past one,
-    leaves its subset unknown.
+    lambda_min > tau - 8 (p + q) eps ||B||_F^2 and sigma_k(B) > c +
+    8 (k + 1) max(p, q) eps ||B||_F, which is more than the SVD's own error,
+    about max(p, q) eps ||B||: its sigma_k of mat[:, S] exceeds the cutoff.
+    A block with ||B||_F^2 < _GRAM_FLOOR is unknown, so the margin, at least
+    2^-648 in the Gram and 2^-349 in B, also covers every absolute error of
+    subnormal entries, products and sums (each below 2^-1074 per
+    operation). A non-positive or NaN pivot, from a rank deficient block,
+    one near its cutoff or an overflow past one, leaves its subset unknown.
+
+    The margin also covers kframe_flags' second rank when B spans R^p (k = p
+    <= q): rank(Q^T B), Q = op.range_perp, p x d, reads d = p - rank K, so
+    the K-frame test reads rank K. Exactly, sigma_d(Q^T B) >= sigma_min(Q)
+    sigma_p(B); Q, from LAPACK's SVD, is orthonormal to within p eps, and the
+    product rounds by at most p u sqrt(d) ||B||_F. As c < sigma_p(B) <=
+    ||B||_F, the computed sigma_d(Q^T B) loses at most (p + p^1.5 / 2) eps
+    ||B||_F plus its SVD's error, below 8 (p + 1) q eps ||B||_F, so it too
+    exceeds the cutoff that kframe_flags takes from B's own SVD.
     """
     (p, m), (count, q) = mat.shape, subsets.shape
+    k = min(p, q)
     e = int(np.frexp(np.abs(mat).max(initial=0.0))[1])
     unit = np.ldexp(mat, -e)
-    gram = (unit.T @ unit).ravel()
-    cols = np.ascontiguousarray(subsets.T)
-    # a[i, j] = G[S_i, S_j] for j <= i, one length-N vector per entry; the
+    # a[i, j] = Gram[i, j] for j <= i, one length-N vector per entry; the
     # Cholesky factor overwrites it column by column and never reads above.
-    a = np.empty((q, q, count))
-    for i in range(q):
-        a[i, : i + 1] = gram[cols[i] * m + cols[: i + 1]]
-    diag = a.reshape(q * q, count)[:: q + 1]
+    if q <= p:
+        gram = (unit.T @ unit).ravel()
+        cols = np.ascontiguousarray(subsets.T)
+        a = np.empty((q, q, count))
+        for i in range(q):
+            a[i, : i + 1] = gram[cols[i] * m + cols[: i + 1]]
+    else:
+        member = np.zeros((m, count))
+        member[subsets, np.arange(count)[:, None]] = 1.0
+        a = ((unit[:, None] * unit).reshape(p * p, m) @ member).reshape(p, p, count)
+    diag = a.reshape(k * k, count)[:: k + 1]
     sq = diag.sum(axis=0)
     norm = np.sqrt(sq)
     if cutoff is None:
         c = np.maximum(tol.rank_cutoff(norm[:, None], (p, q))[:, 0], np.ldexp(_TINY, -e))
     else:
         c = np.ldexp(cutoff, np.minimum(-e, 64 - np.frexp(cutoff)[1]))
-    diag -= (c + 8 * p * _EPS * norm) ** 2 + 8 * (p + q) * _EPS * sq
+    diag -= (c + 8 * (k + 1) * max(p, q) * _EPS * norm) ** 2 + 8 * (p + q) * _EPS * sq
     # A failed pivot leaves NaN or a non-positive diagonal, which stays unknown.
     with np.errstate(all="ignore"):
-        for j in range(q):
+        for j in range(k):
             col = a[j:, j] - np.einsum("ikn,kn->in", a[j:, :j], a[j, :j])
             a[j:, j] = col / np.sqrt(col[0])
     return (sq >= _GRAM_FLOOR) & (diag > 0).all(axis=0)

@@ -11,15 +11,21 @@ frames.scan_budget, before its first subset test: BudgetExceededError when
 the worst-case count of tests exceeds cap (default 10**6). A test is one
 rank decision on a submatrix or one K-frame check, made for a whole chunk by
 one stacked SVD, which gives every subset the singular values of its own
-SVD. Where full rank is the expected answer (spark's levels, and T_n when K
-is invertible), the table is certificate first: linalg.certified_full_rank
-proves each block of the level from one Gram, and only the unproven subsets
-go to the SVD, so no value, witness or flag depends on it. spark tests level
-rank first and scans below it only when that level holds a dependent set:
-under its one fixed cutoff, interlacing keeps every subset of an independent
-set independent, and makes every (rank + 1)-set dependent, so that level is
-never tested. analyze_scans checks the budgets of analyze's three scans
-before the first runs, and reads T_n off spark's rank level when it can.
+SVD. Where full rank is the expected answer, the table is certificate
+first: in spark's levels it proves independence, and in every K-frame level
+of at least n columns (T_s for s >= n, and mrc_all's complements when
+m - r >= n) it proves that F_S spans R^n, which contains R(K) for any K of
+rank > 0. A certified level's first subset goes to the SVD alone, so an
+early hit, or a level read only for its first result, costs one test; from
+the second subset on, linalg.certified_full_rank proves each block of
+SCAN_CHUNK subsets from one Gram of the block's smaller side, and only the
+unproven subsets go to the SVD, so no value, witness or flag depends on it.
+spark tests level rank first and scans below it only when that level holds
+a dependent set: under its one fixed cutoff, interlacing keeps every subset
+of an independent set independent, and makes every (rank + 1)-set
+dependent, so that level is neither tested nor counted in its budget.
+analyze_scans checks the budgets of analyze's three scans before the first
+runs, and reads T_n off spark's rank level when it can.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
@@ -123,7 +129,8 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkRes
     (rank + 1)-set dependent. So level rank is scanned first: with no
     dependent set there, the first (rank + 1)-set is the witness, untested;
     otherwise sizes 1..rank - 1 go in order, then that first dependent
-    rank-set. The budget counts sizes 1..rank + 1 before any subset.
+    rank-set. The budget counts sizes 1..rank, the levels it can test,
+    before any subset.
     """
     return _spark_scan(mat, tol, cap)()
 
@@ -145,9 +152,8 @@ def _spark_scan(mat, tol: TolerancePolicy, cap: int):
     def prove(chunk):
         return certified_full_rank(arr, chunk, tol, cutoff)
 
-    # Level rank + 1 is counted but never read. Levels 1..rank are certified:
-    # none has more columns than arr has rows.
-    table = SubsetTable("spark", m, range(1, r + 2), cap, independent,
+    # Levels 1..rank are certified: none has more columns than arr has rows.
+    table = SubsetTable("spark", m, range(1, r + 1), cap, independent,
                         dict.fromkeys(range(1, r + 1), prove))
 
     def run():
@@ -289,8 +295,13 @@ def _mrc_scan(f, k, r: int, cap: int, tol: TolerancePolicy):
     m = arr.shape[1]
     if not (0 <= r <= m):
         raise ValueError(f"erasure count must satisfy 0 <= r <= m, got {r}")
+    prove = _span_prover(arr, op, tol)
+    # Complements of at least n columns are K-frames wherever they span R^n.
+    certify = {r: lambda chunk: prove(_complements(chunk, m))} if (
+        prove and m - r >= arr.shape[0]) else None
     table = SubsetTable("mrc_all", m, [r], cap,
-                        lambda chunk: kframe_flags(arr, op, _complements(chunk, m), tol))
+                        lambda chunk: kframe_flags(arr, op, _complements(chunk, m), tol),
+                        certify)
 
     def run():
         failing = table.first(r, False)
@@ -331,12 +342,20 @@ def uniform_excess(
     return _excess_scan(f, k, cap, tol)()
 
 
+def _span_prover(arr: np.ndarray, op, tol: TolerancePolicy):
+    """A prover for kframe_flags on sets of at least n columns: an F_S proven
+    to span R^n contains R(K), and certified_full_rank's margin covers both
+    ranks of the test. None where kframe_flags needs no SVD (rank K = 0, or F
+    and K of different n)."""
+    if op.rank == 0 or arr.shape[0] != op.dim:
+        return None
+    return lambda subsets: certified_full_rank(arr, subsets, tol)
+
+
 def _kframe_table(what: str, arr: np.ndarray, op, sizes, cap: int, tol: TolerancePolicy):
-    """The K-frame table T_s over the given sizes. With K invertible an n-set
-    is a K-frame exactly when F_S has rank n, so T_n is certified."""
-    n = op.dim
-    certify = ({n: lambda chunk: certified_full_rank(arr, chunk, tol)}
-               if 0 < op.rank == n == arr.shape[0] else None)
+    """The K-frame table T_s over the given sizes; T_s is certified for s >= n."""
+    prove = _span_prover(arr, op, tol)
+    certify = {s: prove for s in sizes if s >= arr.shape[0]} if prove else None
     return SubsetTable(what, arr.shape[1], sizes, cap,
                        lambda chunk: kframe_flags(arr, op, chunk, tol), certify)
 

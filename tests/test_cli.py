@@ -205,15 +205,20 @@ class TestSparkCommand:
         assert code == 2
 
     def test_cap_subsets_below_count_refused(self, capsys, tmp_path):
-        # Rank 0 over 30 columns: the scan stops at size 1, 30 subset tests.
-        path = tmp_path / "zeros.json"
-        path.write_text(json.dumps({"rows": 2, "cols": 30, "data": [[0.0] * 30] * 2}))
+        # Rank 1 over 30 columns: the scan tests level 1 only, 30 subset tests.
+        path = tmp_path / "rank1.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 30, "data": [[1.0] * 30, [0.0] * 30]}))
         code, out, err = run(capsys, "spark", "--matrix", str(path),
                              "--cap-subsets", "29")
         assert code == 1 and out == ""
         assert "needs 30 subset tests" in err and "--cap-subsets" in err
         report = run_json(capsys, "spark", "--matrix", str(path), "--cap-subsets", "30")
-        assert report["spark"] == 1
+        assert report["spark"] == 2
+        # Rank 0: no level to test, so any cap admits it.
+        path.write_text(json.dumps({"rows": 2, "cols": 30, "data": [[0.0] * 30] * 2}))
+        with counting_subsets() as seen:
+            report = run_json(capsys, "spark", "--matrix", str(path), "--cap-subsets", "1")
+        assert (report["spark"], seen[0]) == (1, 0)
 
 
 class TestAnalysisCommands:
@@ -948,16 +953,17 @@ def test_check_dual_with_a_residual_past_float64_at_k_scale_is_invalid(capsys, t
 
 
 def test_analyze_checks_every_budget_before_any_scan(capsys, tmp_path):
-    """A generic 10x20 system with rank K = 4: spark's budget passes, uniform
-    excess needs the 2^20 - 1 - 1351 tests of sizes 4..19. analyze refuses
-    before spark hands out a subset; with a smaller cap spark's budget refuses
-    first, as before. With K invertible, sizes 10..19 need 616,665 tests,
-    which the default cap admits."""
+    """A generic 10x20 system with rank K = 4: spark's budget, the 616,665
+    tests of sizes 1..10, passes, and uniform excess needs the 2^20 - 1 - 1351
+    tests of sizes 4..19. analyze refuses before spark hands out a subset;
+    with a smaller cap spark's budget refuses first, as before. With K
+    invertible, sizes 10..19 need 616,665 tests, which the default cap
+    admits."""
     f, k = random_kframe(np.random.default_rng(0), 10, 20, 4)
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"F": _matrix_obj(f), "K": _matrix_obj(k)}))
     for cap, message in ((10**6, "uniform_excess needs 1047224 subset tests"),
-                         (1000, "spark needs 784625 subset tests")):
+                         (1000, "spark needs 616665 subset tests")):
         with counting_subsets() as seen:
             code, out, err = run(capsys, "analyze", "--system", str(path), "--r", "2",
                                  "--cap-subsets", str(cap))

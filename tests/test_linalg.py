@@ -257,15 +257,17 @@ class TestCertifiedFullRank:
         coarse=st.booleans(),
         spread=st.sampled_from([0, 1, 40]),
         exponent=st.integers(-500, 500),
+        wide=st.booleans(),
     )
     def test_proven_subsets_read_full_rank(self, seed, p, q, count, delta, odd_delta,
-                                           fixed_exp, coarse, spread, exponent):
-        """Tall or square blocks, each at its own scale 2^c, |c| <= spread, side
-        by side in one parent scaled by 2^exponent; sigma_min is planted at the
-        block's cutoff times 1 + delta, in every block or in all but one. A
-        fixed cutoff is 10^fixed_exp at the parent's scale, else the policy's rule."""
+                                           fixed_exp, coarse, spread, exponent, wide):
+        """Tall, square or wide blocks (the row side), each at its own scale
+        2^c, |c| <= spread, side by side in one parent scaled by 2^exponent;
+        sigma_min is planted at the block's cutoff times 1 + delta, in every
+        block or in all but one. A fixed cutoff is 10^fixed_exp at the
+        parent's scale, else the policy's rule."""
         rng = np.random.default_rng(seed)
-        p, q = max(p, q), min(p, q)
+        p, q = (min(p, q), max(p, q)) if wide else (max(p, q), min(p, q))
         tol = TolerancePolicy(1e-3, 1e-4) if coarse else TolerancePolicy()
         cutoff = None if fixed_exp is None else 10.0**fixed_exp
         scales = rng.integers(-spread, spread + 1, count)
@@ -284,10 +286,10 @@ class TestCertifiedFullRank:
             proven = certified_full_rank(parent, subsets, tol, cutoff)
         assert proven.shape == (count,) and proven.dtype == bool
         ranks = stacked_ranks(column_blocks(parent, subsets), tol, cutoff)
-        assert np.all(ranks[proven] == q)
+        assert np.all(ranks[proven] == min(p, q))
 
     @pytest.mark.parametrize("shape,level", [((7, 14), 7), ((8, 16), 8), ((14, 10), 7),
-                                             ((10, 20), 1)])
+                                             ((10, 20), 1), ((7, 14), 10), ((5, 16), 14)])
     @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500, 1e300])
     def test_gaussian_level_is_proven(self, shape, level, scale):
         """Not vacuous: every subset of a Gaussian level is proven, at any scale."""

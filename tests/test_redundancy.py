@@ -42,6 +42,7 @@ from kframes.redundancy import ExcessReport, SparkResult, _kframe_table, analyze
 from conftest import (
     counting_subsets,
     random_kframe,
+    random_operator,
     random_parseval_kframe,
     spark_oracle_bruteforce,
     uniform_excess_construction,
@@ -189,10 +190,13 @@ class TestSpark:
                 1.0 + np.linalg.norm(mat)) * np.linalg.norm(result.witness)
 
     def test_subset_count_budget(self):
-        # Rank 0: the scan stops at size 1, so it costs C(30, 1) = 30 tests.
+        # Rank 1: the scan tests level 1 only, so it costs C(30, 1) = 30 tests.
+        mat = np.vstack([np.ones(30), np.zeros(30)])
         with pytest.raises(BudgetExceededError):
-            spark(np.zeros((2, 30)), cap=29)
-        assert spark(np.zeros((2, 30)), cap=30).value == 1
+            spark(mat, cap=29)
+        assert spark(mat, cap=30).value == 2
+        # Rank 0 has no level to test: the first column is the witness.
+        assert spark(np.zeros((2, 30)), cap=1).value == 1
 
     def test_generic_frame_reads_only_its_rank_level(self):
         # A generic 7x14 F is full spark: C(14, 7) independent 7-sets, and
@@ -268,14 +272,15 @@ class TestSpark:
             assert got.witness.tobytes() == want.witness.tobytes()
 
     def test_generic_frame_needs_a_handful_of_svds(self):
-        """A generic 7x14 F: the certificate proves all C(14, 7) sets
-        independent, so SVDs run only on the parent and the witness. Without
-        it the rank level goes to the SVD in chunks of 1, 8, 64, 512 and the
-        rest of its first block of 2048, then its second block of 1384."""
+        """A generic 7x14 F: the rank level's first set goes to the SVD alone
+        and the certificate proves the other C(14, 7) - 1 independent, so SVDs
+        run only on the parent, that first set and the witness. Without it the
+        rank level goes to the SVD in chunks of 1, 8, 64, 512 and the rest of
+        its first block of 2048, then its second block of 1383."""
         f = np.random.default_rng(5).standard_normal((7, 14))
         with counting_svds() as svd:
             assert spark(f).value == 8
-        assert (svd.call_count, _svd_blocks(svd)) == (2, 2)
+        assert (svd.call_count, _svd_blocks(svd)) == (3, 3)
         with without_certificate(), counting_svds() as svd:
             spark(f)
         assert (svd.call_count, _svd_blocks(svd)) == (8, math.comb(14, 7) + 2)
@@ -767,15 +772,58 @@ def test_certificate_changes_no_kframe_flag(seed, n, extra, rank, damage, eps, c
             assert np.array_equal(table.results(size), want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    extra=st.integers(1, 6),
+    rank_k=st.integers(1, 6),
+    push=st.integers(5, 13),
+    damage=st.sampled_from(["none", "duplicate", "zero", "both"]),
+    f_scale=_SCALES,
+    k_scale=_SCALES,
+    r=st.integers(0, 6),
+)
+def test_span_proofs_never_contradict_the_svd(seed, n, extra, rank_k, push, damage,
+                                              f_scale, k_scale, r):
+    """Wherever the certificate proves that F_S, of at least n columns, spans
+    R^n, kframe_flags reads a K-frame, and wherever it proves that of an
+    erasure set's complement, mrc_subset reads MRC: for K of any rank, F's
+    sigma_n pushed down to 10^-push sigma_1, duplicate and zero columns, and
+    F and K scaled apart by up to 10^300."""
+    rng = np.random.default_rng(seed)
+    m, rank_k = n + extra, min(rank_k, n)
+    u, s, vt = np.linalg.svd(rng.standard_normal((n, m)), full_matrices=False)
+    s[-1] = s[0] * 10.0**-push
+    f = (u * s) @ vt
+    if damage in ("duplicate", "both"):
+        f[:, 1] = f[:, 0]
+    if damage in ("zero", "both"):
+        f[:, -1] = 0.0
+    f *= f_scale
+    op = OperatorK.from_matrix(random_operator(rng, n, rank_k) * k_scale)
+    prove = redundancy._span_prover(f, op, DEFAULT_TOL)
+    levels = {size: np.array(list(itertools.combinations(range(m), size)),
+                             dtype=np.intp).reshape(math.comb(m, size), size)
+              for size in range(m + 1)}
+    for size in range(n, m + 1):
+        assert kframe_flags(f, op, levels[size][prove(levels[size])]).all()
+    sets = levels[min(r, m - n)]
+    proven = sets[prove(frames._complements(sets, m))]
+    for sigma in proven[rng.permutation(len(proven))[:20]]:
+        assert mrc_subset(f, op, sigma).is_mrc
+
+
 def test_uniform_excess_with_k_invertible_needs_a_handful_of_svds():
-    """The C(14, 7) sets of T_7 are proven K-frames, so only K's one SVD runs.
-    Without the certificate T_7 goes to the SVD in six chunks (1, 8, 64, 512,
-    1463 and 1384 sets)."""
+    """T_7's first set goes to the SVD alone and its other C(14, 7) - 1 sets
+    are proven K-frames, so only K's SVD and that first test run. Without the
+    certificate T_7 goes to the SVD in six chunks (1, 8, 64, 512, 1464 and
+    1383 sets)."""
     f, k = random_kframe(np.random.default_rng(5), 7, 14, 7)
     with counting_svds() as svd:
         report = uniform_excess(f, k)
     assert (report.value, report.maximal_robust) == (7, True)
-    assert (svd.call_count, _svd_blocks(svd)) == (1, 1)
+    assert (svd.call_count, _svd_blocks(svd)) == (2, 2)
     with without_certificate(), counting_svds() as svd:
         uniform_excess(f, k)
     assert (svd.call_count, _svd_blocks(svd)) == (7, math.comb(14, 7) + 1)

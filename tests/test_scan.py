@@ -41,9 +41,10 @@ def _rank(a):
     return int(np.linalg.matrix_rank(a, rtol=1e-10 * max(a.shape)))
 
 
-def _spark_count(mat):
+def _spark_count(mat, top=1):
+    """Sizes 1..rank, and for the kernel route rank + 1 (top=2)."""
     m, r = mat.shape[1], _rank(mat)
-    return sum(comb(m, k) for k in range(1, r + 2))
+    return sum(comb(m, k) for k in range(1, r + top))
 
 
 def _cases(f, k, r):
@@ -57,8 +58,9 @@ def _cases(f, k, r):
     rank_f, rank_k = _rank(f), _rank(k)
     return [
         ("spark", _spark_count(f), lambda cap: spark(f, cap=cap)),
-        ("spark_via_kernel", _spark_count(f), lambda cap: spark_via_kernel(f, cap=cap)),
-        ("spark", sum(comb(m, s) for s in range(1, m - rank_f + 2)),
+        ("spark_via_kernel", _spark_count(f, top=2),
+         lambda cap: spark_via_kernel(f, cap=cap)),
+        ("spark", sum(comb(m, s) for s in range(1, m - rank_f + 1)),
          lambda cap: min_support_in_range(f.T, cap=cap)),
         ("mrc_all", comb(m, r), lambda cap: mrc_all(f, k, r, cap=cap)),
         ("uniform_excess", sum(comb(m, s) for s in range(rank_k, m)),
@@ -150,12 +152,13 @@ def test_first_reads_a_level_only_until_it_is_answered():
 
 
 def test_certified_level_tests_only_its_unproven_subsets():
-    """A certified level is proven in SCAN_CHUNK blocks from its first subset;
-    test sees only the unproven subsets, in order and in chunks growing 1, 8,
-    64, ..., and a read that stopped inside a block resumes at its next
-    unproven subset. Here the unproven 7-sets are the C(14, 5) = 2002 that
-    hold 0 and 1, the first 2002 of the level, and those that also hold 15
-    test False; the first of them, (0, 1, 2, 3, 4, 5, 15), is the 10th set."""
+    """A certified level's first subset goes to test alone, and the level is
+    proven in SCAN_CHUNK blocks from its second; test sees only the unproven
+    subsets, in order and in chunks growing 1, 8, 64, ..., and a read that
+    stopped inside a block resumes at its next unproven subset. Here the
+    unproven 7-sets are the C(14, 5) = 2002 that hold 0 and 1, the first 2002
+    of the level, and those that also hold 15 test False; the first of them,
+    (0, 1, 2, 3, 4, 5, 15), is the 10th set."""
     level = np.array(list(itertools.combinations(range(16), 7)))
     proofs, chunks = [], []
 
@@ -172,7 +175,7 @@ def test_certified_level_tests_only_its_unproven_subsets():
     assert proofs == [SCAN_CHUNK] and [len(c) for c in chunks] == [1, 8, 64]
     holds = [(level == i).any(axis=1) for i in (0, 1, 15)]
     assert np.array_equal(table.results(7), ~(holds[0] & holds[1] & holds[2]))
-    assert proofs == [SCAN_CHUNK] * 5 + [1200]
+    assert proofs == [SCAN_CHUNK] * 5 + [1199]
     assert [len(c) for c in chunks] == [1, 8, 64, 512, 1417]
     assert np.array_equal(np.concatenate(chunks), level[:comb(14, 5)])
 
@@ -188,11 +191,11 @@ def test_exactness_scans_stop_once_decided():
         assert uniform_excess(f, k).value == 14
     assert seen[0] == comb(16, 2)
     f[:, 1] = f[:, 0]  # the first 2-set is no K-frame
-    # K is invertible, so T_2 is certified first, in one block of its 120 sets;
-    # the first set it cannot prove, (0, 1), answers.
+    # T_2 is certified, but its first set, (0, 1), goes to the SVD alone and
+    # answers before any block is proven.
     with counting_subsets() as seen:
         assert not is_maximal_robust(f, k)
-    assert seen[0] == comb(16, 2)
+    assert seen[0] == 1
     # rank K = 2 < n: T_1 is free, T_2 is read through the chunk of its
     # second 2-set, the first that is no K-frame, and T_3 and T_4 to their
     # first K-frame; the witness then reads T_5 and T_4 whole: 1 + 8 + 1 + 1 +
