@@ -10,7 +10,8 @@ which side goes first; a timing repeats the call for at least 20 ms and keeps
 the mean. OUT.json gets, per case, the median over the rounds of each side,
 under write_bench.py's keys: microseconds per call, or signals per second for
 plan + apply. A case that fails on BEFORE_ROOT (a command its budget
-refused, say) is timed on this checkout alone and reads null before. A
+refused, say) is timed on this checkout alone and reads null before.
+src_lines holds write_bench.py's line count of each checkout's src/. A
 shared host's speed drifts by tens of percent within minutes, which separate
 runs cannot tell from a change; interleaving exposes both sides to the same
 drift. Run it with BLAS pinned to one thread.
@@ -25,6 +26,8 @@ import tempfile
 import time
 import types
 from pathlib import Path
+
+from write_bench import src_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = (ROOT / "bench" / "test_layers.py").read_text()
@@ -107,6 +110,7 @@ def main(before_root: str, rounds: int, out: str) -> int:
         result[key] = {side: round(signals / statistics.median(t) if signals
                                    else statistics.median(t) * 1e6, 1) if t else None
                        for side, t in per_side.items()}
+    result["src_lines"] = {"before": src_lines(Path(before_root)), "after": src_lines(ROOT)}
     Path(out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

@@ -20,6 +20,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def src_lines(root: Path) -> int:
+    """Newlines in the Python files under root/src."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
+
+
 def main(out: str) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -39,7 +44,7 @@ def main(out: str) -> int:
             key = case["name"].split("[")[0].removeprefix("test_")
             key += f"_{case['param']}" if case["param"] else ""
             result[f"{key}_us"] = median * 1e6
-    result["src_lines"] = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
+    result["src_lines"] = src_lines(ROOT)
     Path(out).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0

@@ -28,7 +28,6 @@ __all__ = [
     "CanonicalDual",
     "RestrictedDualReport",
     "canonical_kdual",
-    "dual_vector_map",
     "is_canonical",
     "canonical_kdual_restricted",
 ]
@@ -58,18 +57,9 @@ def canonical_kdual(sys: KFrameSystem) -> CanonicalDual:
                          vector_map=pinv.T @ x, analysis_norm=operator_norm(x))
 
 
-def dual_vector_map(sys: KFrameSystem) -> np.ndarray:
-    """Operator C with canonical dual vectors g_i = C^T f_i and R(C) in R(F).
-
-    For Parseval systems this is the transposed pseudo-inverse of the
-    operator, so the canonical dual collapses to K^+ F.
-    """
-    return canonical_kdual(sys).vector_map
-
-
 def is_canonical(sys: KFrameSystem, dual: DualSystem) -> bool:
-    """Whether the analysis range of G lies in R(F^T), i.e. G N = 0 for a kernel
-    basis N of F: the canonical dual is the one K-dual with that property.
+    """Structure of the canonical K-dual: whether G's analysis range lies in R(F^T),
+    i.e. G N = 0 for a kernel basis N of F, which holds for that one K-dual alone.
 
     Judged with G scaled exactly to unit size, so the verdict does not depend
     on the scale of F or K. Raises ValueError for an invalid dual.

@@ -32,7 +32,6 @@ from .linalg import (
     SubspaceBasis,
     TolerancePolicy,
     _canonical_signs,
-    _pinv_from_svd,
     _svd_rank,
     column_blocks,
     ensure_matrix,
@@ -66,15 +65,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorK:
-    """A square operator with its rank, pseudo-inverse and bases of R(K), R(K)^perp
-    and Ker K = R(K^T)^perp, all read off one SVD."""
+    """A square operator with its rank and bases of R(K), R(K)^perp and
+    Ker K = R(K^T)^perp, all read off one SVD."""
 
     matrix: np.ndarray
     rank: int
     range: SubspaceBasis
     range_perp: np.ndarray
     kernel: np.ndarray
-    pinv: np.ndarray
 
     @classmethod
     def from_matrix(cls, m, tol: TolerancePolicy = DEFAULT_TOL) -> "OperatorK":
@@ -89,7 +87,6 @@ class OperatorK:
             range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
             range_perp=u[:, r:],
             kernel=v[:, r:],
-            pinv=_pinv_from_svd(u, s, v, r),
         )
 
     @property
@@ -423,7 +420,7 @@ def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
 
 
 def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem:
-    """Add a kernel perturbation: rows of the update are null-space combinations.
+    """Structure of the canonical K-dual: add a kernel perturbation to a K-dual.
 
     coeffs has shape (n, d) where d is the kernel dimension of F; the result
     G + coeffs N^T is always another K-dual of the same residual class.
@@ -465,7 +462,7 @@ def _max_erasure_norm(
 def worst_erasure_error(
     sys: KFrameSystem, dual: DualSystem, r: int, cap: int = 10**6
 ) -> tuple[float, tuple[int, ...]]:
-    """Exact maximum of ||sum_{i in L} f_i g_i^T|| over all |L| = r.
+    """Erasure error: the exact maximum of ||sum_{i in L} f_i g_i^T|| over all |L| = r.
 
     Returns the value and the lexicographically first maximizing index set.
     """
@@ -473,7 +470,7 @@ def worst_erasure_error(
 
 
 def transform(sys: KFrameSystem, a, u) -> KFrameSystem:
-    """Left-multiply by a square A and right-multiply by a unitary U.
+    """Structure of the canonical K-dual under A F U, A square and U unitary.
 
     (A F U, A M_K) is again a valid system for the transported operator, and
     G U is a dual of it whenever G was a dual of the original; the new

@@ -33,7 +33,6 @@ __all__ = [
     "stacked_pinv_and_rank",
     "null_space_basis",
     "range_basis",
-    "range_projector",
     "operator_norm",
     "matvec_rows",
     "row_norms",
@@ -343,11 +342,6 @@ def null_space_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
         return SubspaceBasis(cols, np.eye(cols))
     _, s, v = svd_factor(arr)
     return SubspaceBasis(cols, _canonical_signs(v[:, _svd_rank(s, arr.shape, tol):]))
-
-
-def range_projector(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric idempotent projecting onto the column space of m."""
-    return range_basis(m, tol).projector()
 
 
 def operator_norm(m) -> float:

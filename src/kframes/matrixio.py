@@ -141,6 +141,7 @@ def _matrix_at(obj, key: str | None, path: Path, bare: bool) -> np.ndarray:
 
 
 def save_matrix(m, path) -> None:
+    """User need: write m as a JSON matrix object, or as CSV when path ends in .csv."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
         arr = ensure_matrix(m)

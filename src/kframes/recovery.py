@@ -26,12 +26,10 @@ AmbiguityError for a rank-deficient one, and apply for one signal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonical_kdual
 from .errors import (
     AmbiguityError,
     ExpansionError,
@@ -44,7 +42,6 @@ from .frames import (
     _complements,
     _max_erasure_norm,
     normalize_erasure_set,
-    verify_kdual,
 )
 from .linalg import (
     TolerancePolicy,
@@ -56,7 +53,7 @@ from .linalg import (
     null_space_basis,
     operator_norm,
     pseudo_inverse,
-    range_projector,
+    range_basis,
     row_norms,
     stacked_pinv_and_rank,
 )
@@ -78,12 +75,9 @@ __all__ = [
     "recover_consistency",
     "ProjectedDualExpansion",
     "projected_dual_expansion",
-    "recover_projected_coefficients",
     "ErrorSplit",
     "erasure_error_split",
     "worst_residual_error",
-    "MinimizedDual",
-    "minimize_residual_error",
     "ComposedRecovery",
     "compose_recovery_matrices",
 ]
@@ -106,7 +100,7 @@ class CodedSignal:
 
 
 def encode(dual: DualSystem, f) -> np.ndarray:
-    """Coefficients c = G^T f; synthesis F c returns Kf for valid duals."""
+    """User need: coefficients c = G^T f; synthesis F c returns Kf for valid duals."""
     vec = ensure_vector(f, "signal")
     if vec.shape[0] != dual.G.shape[0]:
         raise ShapeMismatchError(
@@ -128,29 +122,30 @@ def _r_from_spark(value: int | float, m: int) -> int:
     return m if value == INFINITE else int(value) - 1
 
 
-def _recovery_matrix(sys: KFrameSystem, m_mat, dual=None) -> np.ndarray:
-    """M as a checked m x m array, the Gramian when m_mat is None.
-
-    Given the dual, M must also annihilate it: (M - Gram) G^T = 0.
-    """
+def _recovery_matrix(sys: KFrameSystem, m_mat) -> np.ndarray:
+    """M as a checked m x m array, the Gramian when m_mat is None."""
     mat = ensure_matrix(sys.gramian if m_mat is None else m_mat, "M")
     if mat.shape != (sys.m, sys.m):
         raise ShapeMismatchError(f"M must be {sys.m}x{sys.m}, got {mat.shape}")
-    if dual is not None:
-        _, residual, annihilates = _annihilation(sys, dual, mat)
-        if not annihilates:
-            raise KFrameError(f"recovery matrix fails annihilation against the dual "
-                              f"(residual {residual:.3e})")
     return mat
 
 
-def _annihilation(
-    sys: KFrameSystem, dual: DualSystem, mat: np.ndarray
-) -> tuple[np.ndarray, float, bool]:
-    """N = M - Gram, the residual ||N G^T|| and whether it passes its threshold."""
-    n_mat = mat - sys.gramian
+def _blind_matrix(sys: KFrameSystem, mat: np.ndarray) -> np.ndarray:
+    """N = M - Gram, exactly zero when it is round-off: ||N|| at or under the rank
+    cutoff at max(||M||, ||Gram||). Frobenius norms, within sqrt(m) of the spectral
+    rule, taken at the unit size of M and Gram so they neither over- nor underflow."""
+    gram = sys.gramian
+    n_mat = mat - gram
+    e = np.frexp(max(np.abs(mat).max(), np.abs(gram).max()))[1]
+    size, *scales = np.linalg.norm(np.ldexp((n_mat, mat, gram), -e), axis=(1, 2))
+    round_off = size <= sys.tol.rank_cutoff(np.array([max(scales)]), mat.shape)[0]
+    return np.zeros_like(n_mat) if round_off else n_mat
+
+
+def _annihilation(sys: KFrameSystem, dual: DualSystem, n_mat: np.ndarray) -> tuple[float, bool]:
+    """The residual ||N G^T|| of N (by _blind_matrix) and whether it passes its threshold."""
     residual = operator_norm(n_mat @ dual.G.T)
-    return n_mat, residual, sys.tol.accepts(residual, operator_norm(n_mat) * operator_norm(dual.G))
+    return residual, sys.tol.accepts(residual, operator_norm(n_mat) * operator_norm(dual.G))
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,8 @@ def validate_rk_matrix(
     sys: KFrameSystem, dual: DualSystem, m_mat, cap: int = 10**6
 ) -> RkCertificate:
     mat = _recovery_matrix(sys, m_mat)
-    n_mat, residual, annihilates = _annihilation(sys, dual, mat)
+    n_mat = _blind_matrix(sys, mat)
+    residual, annihilates = _annihilation(sys, dual, n_mat)
     spark_m = spark(mat, sys.tol, cap)
     spark_n = spark(n_mat, sys.tol, cap)
     return RkCertificate(
@@ -217,7 +213,7 @@ def find_rk_matrix(
     """
     if not (0 <= r_target < sys.m):
         raise ValueError(f"r_target must satisfy 0 <= r_target < m, got {r_target}")
-    annihilator = np.eye(sys.m) - range_projector(dual.G.T, sys.tol)
+    annihilator = np.eye(sys.m) - range_basis(dual.G.T, sys.tol).projector()
     if r_target == 0:
         cert = validate_rk_matrix(sys, dual, sys.gramian, cap=cap)
         return RkSearchResult(certificate=cert, mode="both", trial=0)
@@ -340,7 +336,7 @@ def plan_recovery(
         return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans, tol)
     mat = _recovery_matrix(sys, m_mat)
     if strategy == "blind":
-        mat = mat - sys.gramian
+        mat = _blind_matrix(sys, mat)
     solver, rank = stacked_pinv_and_rank(column_blocks(mat, erased), tol)
     return RecoveryPlan(strategy, mat, erased, known, solver, rank,
                         np.ones(len(erased), dtype=bool), tol)
@@ -363,9 +359,14 @@ def _recover_one(
 ) -> RecoveryReport:
     """Plan and recover coded's erasure set; AmbiguityError when it is rank
     deficient. Given the dual, M must first annihilate it (side-info, blind)."""
-    if strategy != "consistency":
-        m_mat = _recovery_matrix(sys, m_mat, dual)
     plan = plan_recovery(sys, strategy, [coded.mask], m_mat=m_mat, dual=dual)
+    if strategy != "consistency" and dual is not None:
+        # (M - Gram) G^T = 0; a blind plan already holds N.
+        n_mat = plan.matrix if strategy == "blind" else _blind_matrix(sys, plan.matrix)
+        residual, annihilates = _annihilation(sys, dual, n_mat)
+        if not annihilates:
+            raise KFrameError(f"recovery matrix fails annihilation against the dual "
+                              f"(residual {residual:.3e})")
     if plan.deficiency[0]:
         raise AmbiguityError(
             f"{plan.strategy}: erased columns are rank deficient "
@@ -435,7 +436,8 @@ class ProjectedDualExpansion:
 def projected_dual_expansion(
     sys: KFrameSystem, dual: DualSystem, lam
 ) -> ProjectedDualExpansion:
-    """Solve pi_{R(K)} g_i = sum_{j notin L} alpha_ij f_j for each erased i.
+    """Earlier approach the (r,k)-matrix is compared with: solve
+    pi_{R(K)} g_i = sum_{j notin L} alpha_ij f_j for each erased i.
 
     Guaranteed solvable when the erasure count is at most the uniform
     excess; otherwise the residual check raises ExpansionError.
@@ -464,19 +466,6 @@ def projected_dual_expansion(
     )
 
 
-def recover_projected_coefficients(
-    exp: ProjectedDualExpansion, kframe_coeffs
-) -> np.ndarray:
-    """Projected coefficients <f, pi g_i> from survivor measurements <f, f_j>."""
-    coeffs = ensure_vector(kframe_coeffs, "survivor coefficients")
-    if coeffs.shape[0] != exp.alpha.shape[1]:
-        raise ShapeMismatchError(
-            f"expected {exp.alpha.shape[1]} survivor coefficients, "
-            f"got {coeffs.shape[0]}"
-        )
-    return exp.alpha @ coeffs
-
-
 @dataclass(frozen=True)
 class ErrorSplit:
     """Erasure error operator split into recoverable and residual parts.
@@ -495,6 +484,7 @@ class ErrorSplit:
 def erasure_error_split(
     sys: KFrameSystem, dual: DualSystem, lam
 ) -> ErrorSplit:
+    """Erasure error and uniform excess: F_L G_L^T split as ErrorSplit describes."""
     n = sys.n
     idx = list(normalize_erasure_set(lam, sys.m))
     projector = sys.K.range.projector()
@@ -514,63 +504,9 @@ def erasure_error_split(
 def worst_residual_error(
     sys: KFrameSystem, dual: DualSystem, r: int, cap: int = 10**6
 ) -> tuple[float, tuple[int, ...]]:
-    """Exact maximum of the residual error norm over all erasure sets of size r."""
+    """Erasure error and uniform excess: the exact worst residual error over |L| = r."""
     residual_dual = (np.eye(sys.n) - sys.K.range.projector()) @ dual.G
     return _max_erasure_norm("worst_residual_error", sys.F, residual_dual, r, cap)
-
-
-@dataclass(frozen=True)
-class MinimizedDual:
-    dual: DualSystem
-    objective: float
-    start_objective: float
-
-
-def minimize_residual_error(
-    sys: KFrameSystem,
-    r: int,
-    trials: int = 200,
-    seed: int = 0,
-    cap: int = 10**6,
-) -> MinimizedDual:
-    """Heuristic search for a dual with small worst-case residual error.
-
-    Duals are parameterized as canonical plus kernel combinations. The
-    search starts from the canonical dual and from its projection onto
-    R(K)-valued duals (which is exactly optimal whenever an in-range dual
-    exists), then runs seeded greedy perturbations. Descent is guaranteed:
-    the result is never worse than the canonical starting point. Not
-    certified globally optimal.
-    """
-    canonical = canonical_kdual(sys).dual
-    start = worst_residual_error(sys, canonical, r, cap)[0]
-    null = null_space_basis(sys.F, sys.tol)
-    if null.dim == 0:
-        return MinimizedDual(dual=canonical, objective=start, start_objective=start)
-    nb = null.basis
-    perp = np.eye(sys.n) - sys.K.range.projector()
-    projected = canonical.G - (perp @ canonical.G) @ (nb @ nb.T)
-    candidates = [canonical.G, projected]
-    best_g, best_val = None, math.inf
-    for g in candidates:
-        val = worst_residual_error(sys, verify_kdual(sys, g), r, cap)[0]
-        if val < best_val:
-            best_g, best_val = g, val
-    rng = np.random.default_rng(seed)
-    scale = 1.0
-    for _ in range(trials):
-        if best_val <= 1e-14:
-            break
-        step = scale * rng.standard_normal((sys.n, null.dim))
-        trial_g = best_g + step @ nb.T
-        val = worst_residual_error(sys, verify_kdual(sys, trial_g), r, cap)[0]
-        if val < best_val:
-            best_g, best_val = trial_g, val
-        else:
-            scale = max(scale * 0.9, 1e-4)
-    return MinimizedDual(
-        dual=verify_kdual(sys, best_g), objective=best_val, start_objective=start
-    )
 
 
 @dataclass(frozen=True)
@@ -593,6 +529,7 @@ class ComposedRecovery:
 def compose_recovery_matrices(
     sys: KFrameSystem, n_mat, m_mat, cap: int = 10**6
 ) -> ComposedRecovery:
+    """Earlier approach the (r,k)-matrix is compared with: N (N F^T = 0) times M."""
     tol = sys.tol
     n_arr = ensure_matrix(n_mat, "N")
     m_arr = ensure_matrix(m_mat, "M")

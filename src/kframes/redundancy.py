@@ -83,7 +83,6 @@ __all__ = [
     "hamming_weight",
     "spark",
     "spark_via_kernel",
-    "min_support_in_range",
     "MrcReport",
     "mrc_subset",
     "mrc_all",
@@ -111,7 +110,7 @@ class SparkResult:
 
 
 def hamming_weight(x, tol: float = 1e-9) -> int:
-    """Entries counted as nonzero above tol * max(1, ||x||_inf)."""
+    """The tests' support oracle: entries above tol * max(1, ||x||_inf) count."""
     arr = ensure_vector(x)
     if arr.size == 0:
         return 0
@@ -174,7 +173,7 @@ def _spark_scan(mat, tol: TolerancePolicy, cap: int):
 def spark_via_kernel(
     mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6
 ) -> SparkResult:
-    """Independent spark route: support search inside the kernel.
+    """Perfbench's oracle, an independent spark route: support search inside the kernel.
 
     Enumerates candidate supports and tests whether the kernel meets the
     corresponding coordinate subspace, using row-rank tests on a kernel
@@ -210,18 +209,6 @@ def _small_singular_vector(rows: np.ndarray, d: int) -> np.ndarray:
         return np.eye(d)[:, 0]
     _, _, vt = np.linalg.svd(rows)
     return vt[-1, :]
-
-
-def min_support_in_range(
-    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6
-) -> int | float:
-    """Minimal Hamming weight over nonzero vectors in the column space.
-
-    That is the spark of N^T for an orthonormal basis N of the orthogonal
-    complement of the range, as the kernel of N^T is the range itself.
-    """
-    complement = null_space_basis(ensure_matrix(mat).T, tol)
-    return spark(complement.basis.T, tol, cap).value
 
 
 @dataclass(frozen=True)
@@ -433,7 +420,7 @@ class DerivedPairReport:
 def derived_pinv_frames(
     sys: KFrameSystem, sigma
 ) -> tuple[np.ndarray, np.ndarray, DerivedPairReport]:
-    """Survivor families after an MRC erasure: a pinv-frame with its pinv-dual.
+    """The survivors after an MRC erasure: a pinv-frame with its pinv-dual.
 
     seq1 applies the inverted survivor frame operator restriction to the
     surviving frame vectors; seq2 applies (K^+)^T K^+ to them. The report
@@ -454,8 +441,8 @@ def derived_pinv_frames(
         )
     inv = np.linalg.inv(coord)
     seq1 = sys.K.matrix.T @ sys.K.range.basis @ inv @ image.basis.T @ f_c
-    seq2 = sys.K.pinv.T @ sys.K.pinv @ f_c
-    k_pinv = sys.K.pinv
+    k_pinv = pseudo_inverse(sys.K.matrix, sys.tol)
+    seq2 = k_pinv.T @ k_pinv @ f_c
     residual = operator_norm(seq1 @ seq2.T - k_pinv)
     report = DerivedPairReport(
         dual_residual=residual,

@@ -17,13 +17,12 @@ from kframes import (
     erase,
     erasure_error_split,
     find_rk_matrix,
-    minimize_residual_error,
     null_space_basis,
+    plan_recovery,
     projected_dual_expansion,
     ranges_nested,
     recover_blind,
     recover_consistency,
-    recover_projected_coefficients,
     recover_side_info,
     validate_rk_matrix,
     verify_kdual,
@@ -31,7 +30,7 @@ from kframes import (
     worst_residual_error,
 )
 from kframes.fixtures import FIXTURES
-from kframes.linalg import range_projector
+from kframes.linalg import range_basis
 from kframes.redundancy import INFINITE, spark_via_kernel
 
 from conftest import random_inrange_kframe, random_kframe, uniform_excess_construction
@@ -212,7 +211,7 @@ def test_exact_recovery_up_to_spark_minus_one(seed, n, extra, rank_k, use_gramia
     if not use_gramian:
         # P projects onto the row space of the dual under the system's rank
         # rule, as find_rk_matrix builds it.
-        proj = range_projector(dual.G.T, sys.tol)
+        proj = range_basis(dual.G.T, sys.tol).projector()
         m_mat += rng.standard_normal((m, m)) @ (np.eye(m) - proj)
     assert validate_rk_matrix(sys, dual, m_mat).annihilation_ok
     signal = rng.standard_normal(n)
@@ -230,6 +229,38 @@ def test_exact_recovery_up_to_spark_minus_one(seed, n, extra, rank_k, use_gramia
                 assert report.certified_exact, (strategy, lam)
                 error = np.linalg.norm(report.reconstructed - kf)
                 assert error <= 1e-8 * (1.0 + np.linalg.norm(kf)), (strategy, lam)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(1, 4),
+    noise_seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(1, 16),
+    scale=st.sampled_from([1.0, 2.0**-400, 2.0**400]),
+)
+@example(seed=3, n=3, extra=3, rank_k=2, noise_seed=0, ulps=1, scale=1.0)
+def test_round_off_recovery_matrix_gives_no_blind_power(
+    seed, n, extra, rank_k, noise_seed, ulps, scale
+):
+    # M = Gram (1 + delta noise), delta at rounding level: N = M - Gram is
+    # round-off, so its certificate reads spark 1 (r_blind 0) and every blind
+    # erasure set is deficient, at any scale of F and K.
+    f_mat, k_mat = random_kframe(np.random.default_rng(seed), n, n + extra, min(rank_k, n))
+    sys = verify_kframe(scale * f_mat, scale * k_mat)
+    dual = canonical_kdual(sys).dual
+    noise = np.random.default_rng(noise_seed).standard_normal((sys.m, sys.m))
+    m_mat = sys.gramian * (1.0 + ulps * 2.0**-52 * noise)
+    cert = validate_rk_matrix(sys, dual, m_mat)
+    assert (cert.spark_N.value, cert.r_blind, cert.annihilation_ok) == (1, 0, True)
+    assert not cert.N.any()
+    for r in range(1, sys.m):
+        sets = list(itertools.combinations(range(sys.m), r))
+        assert (plan_recovery(sys, "blind", sets, m_mat=m_mat).deficiency > 0).all()
+    with pytest.raises(AmbiguityError):
+        recover_blind(sys, m_mat, erase(encode(dual, np.ones(sys.n)), [0]), dual=dual)
 
 
 class TestRecoverBlind:
@@ -335,7 +366,7 @@ class TestProjectedExpansion:
         for _ in range(100):
             f = rng.standard_normal(3)
             survivors = sys.F[:, [1, 2]].T @ f
-            got = recover_projected_coefficients(exp, survivors)
+            got = exp.alpha @ survivors
             expected = np.array([f @ (proj @ dual.G[:, 0])])
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -346,7 +377,7 @@ class TestProjectedExpansion:
         # K = I here, so only the zero signal is orthogonal to the range;
         # zero input must map to zero output.
         np.testing.assert_allclose(
-            recover_projected_coefficients(exp, np.zeros(2)), [0.0]
+            exp.alpha @ np.zeros(2), [0.0]
         )
 
     def test_zero_alpha_rows(self, sys_a):
@@ -354,7 +385,7 @@ class TestProjectedExpansion:
         exp = projected_dual_expansion(sys_a, dual, [1])
         np.testing.assert_allclose(exp.alpha, np.zeros((1, 1)), atol=1e-12)
         np.testing.assert_allclose(
-            recover_projected_coefficients(exp, [3.0]), [0.0], atol=1e-12
+            exp.alpha @ [3.0], [0.0], atol=1e-12
         )
 
 
@@ -419,28 +450,6 @@ class TestWorstResidualError:
                 worst_residual_error(sys, dual, r)[0] for r in range(1, sys.m)
             ]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-class TestMinimizeResidualError:
-    def test_reaches_zero_when_in_range_dual_exists(self):
-        rng = np.random.default_rng(93)
-        f_mat, k_mat = random_inrange_kframe(rng, 4, 6, 2)
-        sys = verify_kframe(f_mat, k_mat)
-        result = minimize_residual_error(sys, r=1, trials=20, seed=1)
-        assert result.objective <= 1e-8
-        assert result.dual.is_valid
-
-    def test_empty_kernel_returns_canonical(self):
-        sys = verify_kframe(np.eye(3), np.eye(3))
-        result = minimize_residual_error(sys, r=1, trials=5, seed=1)
-        np.testing.assert_array_equal(
-            result.dual.G, canonical_kdual(sys).dual.G
-        )
-
-    def test_descent_property(self, sys_c):
-        result = minimize_residual_error(sys_c, r=1, trials=60, seed=3)
-        assert result.objective <= result.start_objective + 1e-12
-        assert result.dual.is_valid
 
 
 class TestComposeRecoveryMatrices:

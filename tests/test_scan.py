@@ -22,7 +22,6 @@ import kframes
 from kframes import (
     BudgetExceededError,
     is_maximal_robust,
-    min_support_in_range,
     mrc_all,
     spark,
     spark_via_kernel,
@@ -48,20 +47,15 @@ def _spark_count(mat, top=1):
 
 
 def _cases(f, k, r):
-    """(scan name, worst-case subset tests, call taking the cap) per entry point.
-
-    min_support_in_range is the spark of a complement basis, so its scan is spark's.
-    """
+    """(scan name, worst-case subset tests, call taking the cap) per entry point."""
     m = f.shape[1]
     sys = verify_kframe(f, k)
     dual = verify_kdual(sys, (np.linalg.pinv(f) @ k).T)
-    rank_f, rank_k = _rank(f), _rank(k)
+    rank_k = _rank(k)
     return [
         ("spark", _spark_count(f), lambda cap: spark(f, cap=cap)),
         ("spark_via_kernel", _spark_count(f, top=2),
          lambda cap: spark_via_kernel(f, cap=cap)),
-        ("spark", sum(comb(m, s) for s in range(1, m - rank_f + 1)),
-         lambda cap: min_support_in_range(f.T, cap=cap)),
         ("mrc_all", comb(m, r), lambda cap: mrc_all(f, k, r, cap=cap)),
         ("uniform_excess", sum(comb(m, s) for s in range(rank_k, m)),
          lambda cap: uniform_excess(f, k, cap=cap)),
