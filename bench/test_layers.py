@@ -28,7 +28,10 @@ one larger untested), test_spark_dup_10x20 on the 10x20 F with its second
 column a copy of its first, whose rank level and level 2 each answer at
 their first set, which the SVD tests alone, and
 test_spark_rank7_14x14 on find-rk's shape of N, a seeded 14x14 matrix of
-rank 7, whose rank-level blocks are tall, 14x7. test_rank_of times rank_of
+rank 7, whose rank-level blocks are tall, 14x7. test_spark_via_kernel
+times the kernel route, the benchmark's spark oracle, on the seeded 7x14
+construction with K invertible (full spark, so every support of sizes 1..7
+is ranked) and on that 14x14 matrix of rank 7. test_rank_of times rank_of
 on seeded generic F of size 6x12 and 8x16.
 test_uniform_excess and test_mrc_all time the K-frame scans on a seeded 7x14
 system, with K invertible and with rank(K) = 5: uniform excess with maximal
@@ -61,6 +64,7 @@ from kframes import (
     rank_of,
     recover_side_info,
     spark,
+    spark_via_kernel,
     uniform_excess,
     verify_kframe,
     worst_erasure_error,
@@ -221,6 +225,16 @@ def test_spark_dup_10x20(benchmark):
 def test_spark_rank7_14x14(benchmark):
     a = np.random.default_rng(5).standard_normal((14, 7))
     assert benchmark(spark, a @ a.T).value == 8
+
+
+@pytest.mark.parametrize("case", ["7x14", "rank7_14x14"])
+def test_spark_via_kernel(benchmark, case):
+    if case == "7x14":
+        mat = _kframe(np.random.default_rng(5), 7, n=7, m=14).F
+    else:
+        a = np.random.default_rng(5).standard_normal((14, 7))
+        mat = a @ a.T
+    assert benchmark(spark_via_kernel, mat).value == 8
 
 
 @pytest.mark.parametrize("shape", ["6x12", "8x16"])

@@ -312,31 +312,31 @@ def _cmd_find_rk(args) -> dict:
     }
 
 
-def _simulate_strategy(system, dual, strategy, m_mat, signals, sets, which):
-    """Recover the signals (rows), signal i erased at sets[which[i]], with one plan.
+def _simulate_strategy(system, dual, strategy, m_mat, products, sets, which):
+    """Recover signal i, erased at sets[which[i]], from products[j][i], with one plan.
 
+    products holds every signal's coefficients, K f and F^T K f, as rows.
     The draws of an ambiguous set are skipped. Each draw is rounded as if
     recovered alone and errors stay in draw order, so batching never shows.
     """
-    coeffs = matvec_rows(dual.G.T, signals)
-    targets = matvec_rows(system.K.matrix, signals)
-    sides = matvec_rows(system.F.T, targets)
+    coeffs, targets, sides = products
+    count = len(coeffs)
     plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual)
     ok = plan.deficiency[which] == 0
     full, _, certified = plan.apply(coeffs[ok], which[ok], sides[ok])
     target = targets[ok]
-    errors = np.full(len(signals), np.nan)
+    errors = np.full(count, np.nan)
     errors[ok] = row_norms(matvec_rows(system.F, full) - target)
     close = system.tol.accepts(errors[ok], row_norms(target), factor=10)
     exact = int(np.count_nonzero(certified & close))
     done = errors[~np.isnan(errors)].tolist()
     completed = len(done)
     entry = {
-        "signals": len(signals),
+        "signals": count,
         "completed": completed,
-        "skipped": len(signals) - completed,
+        "skipped": count - completed,
         "exact": exact,
-        "exact_fraction": exact / len(signals),
+        "exact_fraction": exact / count,
         "max_error": max(done) if done else None,
         "mean_error": sum(done) / completed if done else None,
     }
@@ -375,6 +375,8 @@ def _cmd_simulate(args) -> dict:
     if {"side-info", "blind"} & set(strategies):
         cert = validate_rk_matrix(system, dual, m_mat, cap=args.cap_subsets)
         certificate = _certificate_obj(cert, lambda s: _spark_obj(s)["spark"])
+    coeffs, targets = matvec_rows(dual.G.T, signals), matvec_rows(system.K.matrix, signals)
+    products = coeffs, targets, matvec_rows(system.F.T, targets)
     return {
         "config": {
             "system": args.system,
@@ -387,7 +389,7 @@ def _cmd_simulate(args) -> dict:
         },
         "certificate": certificate,
         "strategies": {
-            s: _simulate_strategy(system, dual, s, m_mat, signals, sets, which)
+            s: _simulate_strategy(system, dual, s, m_mat, products, sets, which)
             for s in strategies
         },
     }

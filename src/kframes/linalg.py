@@ -114,8 +114,9 @@ class SubspaceBasis:
                 f"basis rows {b.shape[0]} != ambient dim {self.ambient_dim}"
             )
         if b.shape[1]:
-            gram = b.T @ b
-            if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-8):
+            # np.allclose(gram, I, atol=1e-8) written out, without its overhead.
+            eye = np.eye(b.shape[1])
+            if not (np.abs(b.T @ b - eye) <= 1e-8 + 1e-5 * eye).all():
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -358,9 +359,21 @@ def matvec_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, rounded as np.linalg.norm of that row."""
+    """Euclidean norm of every row, rounded as np.linalg.norm of that row.
+
+    A row whose sum of squares leaves float64 is redone at a power-of-two
+    scale 2^-e of its largest entry, so its norm overflows only when it is
+    itself past float64; every other row keeps its bits.
+    """
     rows = np.ascontiguousarray(rows)
-    return np.sqrt((rows[:, None, :] @ rows[..., None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((rows[:, None, :] @ rows[..., None])[:, 0, 0])
+    if np.isinf(norms).any():
+        big = np.isinf(norms) & np.isfinite(rows).all(axis=1)
+        _, e = np.frexp(np.abs(rows[big]).max(axis=1))
+        scaled = np.ldexp(rows[big], -e[:, None])
+        norms[big] = np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[..., None])[:, 0, 0]), e)
+    return norms
 
 
 def restricted_operator(

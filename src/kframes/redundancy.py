@@ -95,6 +95,8 @@ __all__ = [
 ]
 
 INFINITE = math.inf
+# Supports per stacked SVD in spark_via_kernel: bounds its memory per level.
+_KERNEL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,11 @@ def spark_via_kernel(
 
     Enumerates candidate supports and tests whether the kernel meets the
     corresponding coordinate subspace, using row-rank tests on a kernel
-    basis instead of column-rank tests on submatrices. Its loop is its own:
-    it shares only the budget with spark, to stay an independent route.
+    basis instead of column-rank tests on submatrices. Each level's supports
+    are ranked in lexicographic chunks of at most _KERNEL_CHUNK, one stacked
+    SVD of the rows outside each support, which gives every support the
+    singular values of its own SVD. Its loop and cutoff are its own: it
+    shares only the budget with spark, to stay an independent route.
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
@@ -193,15 +198,24 @@ def spark_via_kernel(
     # basis scale (1), not their own largest entry, or pure round-off rows
     # read as full rank.
     cutoff = tol.rank_cutoff_rel * max(nb.shape)
-    for k in range(1, m + 1):
-        for support in itertools.combinations(range(m), k):
-            outside = [i for i in range(m) if i not in support]
-            rows = nb[outside, :]
-            s = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
-            if int(np.sum(s > cutoff)) < d:
-                coeff = _small_singular_vector(rows, d)
-                return SparkResult(k, _canonical_signs((nb @ coeff)[:, None])[:, 0])
-    raise AssertionError("unreachable: the kernel is nontrivial")
+    for k in range(1, m - d + 1):
+        supports = itertools.combinations(range(m), k)
+        while len(chunk := np.array(list(itertools.islice(supports, _KERNEL_CHUNK)))):
+            outside = np.ones((len(chunk), m), dtype=bool)
+            outside[np.arange(len(chunk))[:, None], chunk] = False
+            rows = np.broadcast_to(nb, (len(chunk), m, d))[outside].reshape(-1, m - k, d)
+            s = np.linalg.svd(rows, compute_uv=False)
+            deficient = np.count_nonzero(s > cutoff, axis=1) < d
+            if deficient.any():
+                return _kernel_witness(nb, chunk[np.argmax(deficient)])
+    return _kernel_witness(nb, range(m - d + 1))
+
+
+def _kernel_witness(nb: np.ndarray, support) -> SparkResult:
+    """The kernel vector nb @ c supported on support: c spans the rows outside it."""
+    rows = np.delete(nb, support, axis=0)
+    coeff = _small_singular_vector(rows, nb.shape[1])
+    return SparkResult(len(support), _canonical_signs((nb @ coeff)[:, None])[:, 0])
 
 
 def _small_singular_vector(rows: np.ndarray, d: int) -> np.ndarray:

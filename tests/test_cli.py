@@ -819,6 +819,31 @@ def test_consistency_certificates_do_not_depend_on_scale(tmp_path, name):
     assert exact == [exact[0]] * 3
 
 
+def test_side_info_recovery_does_not_overflow_at_1e150(tmp_path):
+    """F and K at 1e150 put the side vector F^T K f near 1e300, so the squares
+    of a residual row leave float64 although its norm does not: simulate and
+    recover still run, with the exact counts of scale 1."""
+    f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
+    dual = (np.linalg.pinv(f) @ k).T
+    signal = np.random.default_rng(1).standard_normal(3)
+    coded = tmp_path / "coded.json"
+    coded.write_text(json.dumps({"coefficients": [None, *(dual.T @ signal)[1:].tolist()],
+                                 "erased": [1]}))
+    results = []
+    for c in (1.0, 1e150):
+        system = {"F": c * f, "K": c * k}
+        side = tmp_path / f"side-{c}.json"
+        side.write_text(json.dumps(((c * f).T @ (c * k) @ signal).tolist()))
+        simulated = _report(tmp_path, f"sim-{c}", ["simulate", "--r", "1", "--strategies",
+                                                   "side-info"], system=system, dual={"G": dual})
+        recovered = _report(tmp_path, f"rec-{c}", ["recover", "--strategy", "side-info",
+                                                   "--coded", str(coded), "--side-info", str(side)],
+                            system=system, dual={"G": dual})
+        results.append((simulated["strategies"]["side-info"]["exact"],
+                        recovered["certified_exact"]))
+    assert results == [(1000, True)] * 2
+
+
 def test_analyze_reads_the_system_file_once(capsys, system_d, monkeypatch):
     reads = []
     read_text = Path.read_text

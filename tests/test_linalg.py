@@ -28,6 +28,7 @@ from kframes.linalg import (
     column_blocks,
     intersection_dims,
     ranges_nested,
+    row_norms,
     stacked_ranks,
 )
 from kframes.fixtures import FIXTURES
@@ -94,6 +95,19 @@ class TestIntersectionDims:
                         and _called(node) & _JOINS:
                     found.add((path.name, node.name))
         assert found <= {("linalg.py", "intersection_dims")}
+
+
+def test_row_norms_rescale_only_rows_whose_squares_overflow():
+    rows = np.random.default_rng(0).standard_normal((6, 5))
+    base = row_norms(rows)
+    assert base.tobytes() == np.array([np.linalg.norm(row) for row in rows]).tobytes()
+    big = rows.copy()
+    big[::2] *= 2.0**600
+    got = row_norms(big)
+    assert got[1::2].tobytes() == base[1::2].tobytes()
+    assert got[::2].tobytes() == (base[::2] * 2.0**600).tobytes()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        row_norms(np.full((1, 2), 1.5e308))
 
 
 def test_benchmark_names_resolve():
@@ -366,16 +380,23 @@ class TestPseudoInverse:
     # identities of the SVD's pseudo-inverse miss a relative 1e-8 by up to 1.7x.
     @example(np.array([[_E, _E, _E], [_E, 1e-8, _E], [_E, _E, _E], [_E, _E, 6.0]]))
     @example(np.array([[1.0, _E, _E], [_E, 1e-8, _E], [_E, _E, _E], [_E, _E, _E]]))
+    # Rank one at 2.8e-192: p's entries are near 3e190, so their squares leave float64.
+    @example(np.full((4, 3), 2.76481092e-192))
     def test_penrose_identities(self, m):
         p = pseudo_inverse(m)
         # A backward stable pseudo-inverse meets them to about eps times the condition
         # number of its numerical rank, which the cutoff lets reach 2.5e9: 1e-8 holds
         # up to condition 5.6e6, and the conditioned bound takes over only past it.
         rel = max(1e-8, 8 * _E * np.linalg.norm(m, 2) * np.linalg.norm(p, 2))
-        assert np.linalg.norm(m @ p @ m - m) <= rel * (1 + np.linalg.norm(m))
-        assert np.linalg.norm(p @ m @ p - p) <= rel * (1 + np.linalg.norm(p))
-        assert np.linalg.norm((m @ p).T - m @ p) <= rel * (1 + np.linalg.norm(m @ p))
-        assert np.linalg.norm((p @ m).T - p @ m) <= rel * (1 + np.linalg.norm(p @ m))
+
+        def fro(a):
+            """Frobenius norm by BLAS nrm2, which scales its sum of squares."""
+            return scipy.linalg.norm(a.ravel())
+
+        assert fro(m @ p @ m - m) <= rel * (1 + fro(m))
+        assert fro(p @ m @ p - p) <= rel * (1 + fro(p))
+        assert fro((m @ p).T - m @ p) <= rel * (1 + fro(m @ p))
+        assert fro((p @ m).T - p @ m) <= rel * (1 + fro(p @ m))
 
 
 class TestNullSpace:
@@ -510,6 +531,21 @@ class TestPolicyAndBasis:
     def test_basis_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
             SubspaceBasis(2, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("b", [
+        np.eye(2), np.diag([np.sqrt(1 + 5e-6), 1.0]), np.diag([np.sqrt(1 + 2e-5), 1.0]),
+        np.array([[1.0, 5e-9], [0.0, 1.0]]), np.array([[1.0, 2e-8], [0.0, 1.0]]),
+        np.diag([1e200, 1.0]), np.array([[1e200, 1e200], [1e200, -1e200]])])
+    def test_basis_check_is_allclose(self, b):
+        """The orthonormality check gives np.allclose(gram, I, atol=1e-8)'s
+        verdict, on Grams within and past its bounds and on inf and NaN Grams."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.allclose(b.T @ b, np.eye(2), atol=1e-8)
+            try:
+                got = SubspaceBasis(2, b) is not None
+            except ValueError:
+                got = False
+        assert got == want
 
     def test_range_basis_spans(self):
         rng = np.random.default_rng(9)

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import itertools
 import math
 from unittest import mock
@@ -67,6 +69,25 @@ def _size_ascending_spark(mat, tol):
                 witness = np.zeros(m)
                 witness[list(subset)] = np.linalg.svd(block)[2][-1]
                 return SparkResult(size, _canonical_signs(witness[:, None])[:, 0])
+
+
+def _one_support_kernel_spark(mat, tol):
+    """Reference kernel route: one SVD per support, sizes in order, each size's
+    supports in lexicographic order, under the route's cutoff on the rows of an
+    orthonormal kernel basis outside the support."""
+    m = mat.shape[1]
+    nb = null_space_basis(mat, tol).basis
+    d = nb.shape[1]
+    if d == 0:
+        return SparkResult(math.inf, None)
+    cutoff = tol.rank_cutoff_rel * max(nb.shape)
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            rows = nb[[i for i in range(m) if i not in support], :]
+            values = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
+            if int(np.count_nonzero(values > cutoff)) < d:
+                coeff = np.linalg.svd(rows)[2][-1] if rows.size else np.eye(d)[:, 0]
+                return SparkResult(size, _canonical_signs((nb @ coeff)[:, None])[:, 0])
 
 
 def _damaged_matrix(rng, n, m, rank, damage, eps, column_scales):
@@ -284,6 +305,55 @@ class TestSpark:
         with without_certificate(), counting_svds() as svd:
             spark(f)
         assert (svd.call_count, _svd_blocks(svd)) == (8, math.comb(14, 7) + 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 10),
+        rank=st.integers(0, 6),
+        damage=st.sampled_from(["none", "zero", "duplicate", "near", "faint"]),
+        eps=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 1e-7]),
+        column_scales=st.booleans(),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        coarse=st.booleans(),
+        chunk=st.sampled_from([1, 3, redundancy._KERNEL_CHUNK]),
+    )
+    # A zero 1x1 matrix, full column rank, one row, repeated columns in chunks of
+    # one, and a 6x12 whose levels 5 and 6 span two chunks of 512.
+    @example(seed=0, n=1, m=1, rank=0, damage="none", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=1)
+    @example(seed=1, n=4, m=3, rank=4, damage="none", eps=1e-9, column_scales=True,
+             scale=1.0, coarse=False, chunk=512)
+    @example(seed=2, n=1, m=10, rank=1, damage="zero", eps=1e-9, column_scales=False,
+             scale=1e150, coarse=True, chunk=3)
+    @example(seed=3, n=5, m=9, rank=5, damage="duplicate", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=1)
+    @example(seed=4, n=6, m=12, rank=6, damage="none", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    def test_kernel_route_matches_one_support_reference(
+        self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, chunk
+    ):
+        """Stacked chunks give the value and witness bytes of one SVD per support."""
+        mat = _damaged_matrix(np.random.default_rng(seed), n, m, rank, damage, eps,
+                              column_scales) * scale
+        tol = TolerancePolicy(1e-3, 1e-4) if coarse else DEFAULT_TOL
+        with mock.patch.object(redundancy, "_KERNEL_CHUNK", chunk):
+            got = spark_via_kernel(mat, tol)
+        want = _one_support_kernel_spark(mat, tol)
+        assert got.value == want.value
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.tobytes() == want.witness.tobytes()
+
+    def test_kernel_route_reads_no_scan_kernel(self):
+        """spark_via_kernel checks spark: it ranks its own row sets, with none
+        of the subset table's or the certificate's code."""
+        tree = ast.parse(inspect.getsource(redundancy.spark_via_kernel))
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & {"SubsetTable", "stacked_ranks", "certified_full_rank",
+                             "_spark_scan", "spark"}
 
 
 def _min_support_in_range(a) -> int | float:
