@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RestrictedInverseError
-from .frames import DualSystem, KFrameSystem, _unit_scaled, verify_kdual
+from .frames import DualSystem, KFrameSystem, verify_kdual
 from .linalg import (
     null_space_basis,
     operator_norm,
     pseudo_inverse,
     ranges_nested,
     restricted_operator,
+    unit_scaled,
 )
 
 __all__ = [
@@ -66,7 +67,7 @@ def is_canonical(sys: KFrameSystem, dual: DualSystem) -> bool:
     """
     if not dual.is_valid:
         raise ValueError("is_canonical requires a valid dual")
-    g, _ = _unit_scaled(dual.G)
+    g, _ = unit_scaled(dual.G)
     null = null_space_basis(sys.F, sys.tol)
     return sys.tol.accepts(operator_norm(g @ null.basis), operator_norm(g), factor=10)
 
@@ -92,7 +93,7 @@ def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
     # where it neither over- nor underflows. Positive scalings keep every
     # range compared here, and the duals, each 2^e times the unscaled one,
     # are scaled back exactly.
-    f, f_exp = _unit_scaled(sys.F)
+    f, f_exp = unit_scaled(sys.F)
     domain = sys.K.range
     coord, image = restricted_operator(f @ f.T, domain, sys.tol)
     if coord.shape[0] < coord.shape[1]:

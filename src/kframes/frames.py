@@ -41,6 +41,7 @@ from .linalg import (
     pseudo_inverse,
     range_basis,
     svd_factor,
+    unit_scaled,
 )
 
 __all__ = [
@@ -112,7 +113,7 @@ class KFrameSystem:
     def gramian(self) -> np.ndarray:
         """F^T F, entry (j, i) = <f_i, f_j>; formed on first read, as it can overflow,
         and refused when F's entries lie below 2^e with 2e <= -1022: their squares underflow."""
-        e = _unit_exponent(self.F)
+        e = unit_scaled(self.F)[1]
         if 2 * e <= np.finfo(float).minexp:
             raise KFrameError("computed values leave the float64 range (F^T F underflows: "
                               f"every entry of F lies below 2^{e})")
@@ -362,17 +363,6 @@ def frame_bounds(sys: KFrameSystem) -> tuple[float, float]:
     return sys.bounds
 
 
-def _unit_exponent(a: np.ndarray) -> int:
-    """e with the largest entry of a / 2^e in [1/2, 1); 0 when a is zero."""
-    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
-
-
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """a / 2^e with the largest entry in [1/2, 1), and e; the scaling is exact."""
-    e = _unit_exponent(a)
-    return np.ldexp(a, -e), e
-
-
 def classify(sys: KFrameSystem) -> Classification:
     """Tightness (least-squares alpha fit of FF^T vs M_K M_K^T) and norms.
 
@@ -380,8 +370,8 @@ def classify(sys: KFrameSystem) -> Classification:
     are relative to the input scale and no product under- or overflows.
     """
     tol = sys.tol
-    f, f_exp = _unit_scaled(sys.F)
-    k, k_exp = _unit_scaled(sys.K.matrix)
+    f, f_exp = unit_scaled(sys.F)
+    k, k_exp = unit_scaled(sys.K.matrix)
     ss = f @ f.T
     kk = k @ k.T
     kk_sq = float(np.sum(kk * kk))
@@ -410,12 +400,10 @@ def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
     residual = operator_norm(sys.F @ arr.T - sys.K.matrix)
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
-    e = _unit_exponent(sys.K.matrix)
-    try:
-        scaled = math.ldexp(residual, -e)
-    except OverflowError:  # past float64 at K's unit size: far above any threshold
-        scaled = math.inf
-    is_valid = sys.tol.accepts(scaled, math.ldexp(operator_norm(sys.K.matrix), -e))
+    e = unit_scaled(sys.K.matrix)[1]
+    with np.errstate(over="ignore"):  # past float64 at K's unit size: far above any threshold
+        scaled = np.ldexp(residual, -e)
+    is_valid = bool(sys.tol.accepts(scaled, np.ldexp(operator_norm(sys.K.matrix), -e)))
     return DualSystem(G=arr, residual=residual, is_valid=is_valid)
 
 

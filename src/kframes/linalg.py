@@ -26,6 +26,7 @@ __all__ = [
     "rank_of",
     "stacked_ranks",
     "intersection_dims",
+    "unit_scaled",
     "certified_full_rank",
     "column_blocks",
     "pseudo_inverse",
@@ -47,6 +48,8 @@ _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 # Least ||B||_F^2 at the parent's unit size that certified_full_rank can prove.
 _GRAM_FLOOR = 2.0**-600
+# Below this norm the squares that underflow can reach a row norm's last bit.
+_ROW_FLOOR = 2.0**-480
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,14 @@ def intersection_dims(
     return np.count_nonzero(s > cutoff, axis=1) - stacked_ranks(perp.T @ blocks, cutoff=cutoff)
 
 
+def unit_scaled(a: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """a / 2^e with the largest entry (of each slice along axis) in [1/2, 1), and e
+    (kept along axis); e = 0 where a is zero. The package's one unit-size rule:
+    scaling by a power of two is exact, so verdicts judged on the copy keep their bits."""
+    e = np.frexp(np.abs(a).max(axis=axis, initial=0.0, keepdims=axis is not None))[1]
+    return np.ldexp(a, -e), e
+
+
 def certified_full_rank(
     mat: np.ndarray, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
     cutoff: float | None = None
@@ -243,8 +254,7 @@ def certified_full_rank(
     """
     (p, m), (count, q) = mat.shape, subsets.shape
     k = min(p, q)
-    e = int(np.frexp(np.abs(mat).max(initial=0.0))[1])
-    unit = np.ldexp(mat, -e)
+    unit, e = unit_scaled(mat)
     # a[i, j] = Gram[i, j] for j <= i, one length-N vector per entry; the
     # Cholesky factor overwrites it column by column and never reads above.
     if q <= p:
@@ -361,18 +371,21 @@ def matvec_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row, rounded as np.linalg.norm of that row.
 
-    A row whose sum of squares leaves float64 is redone at a power-of-two
-    scale 2^-e of its largest entry, so its norm overflows only when it is
-    itself past float64; every other row keeps its bits.
+    A finite nonzero row whose sum of squares overflows, or whose norm is
+    below 2^-480 where squares that underflow can reach its last bit, is
+    redone at its unit size (unit_scaled), so its norm over- or underflows
+    only when it is itself past float64; every other row keeps its bits.
     """
     rows = np.ascontiguousarray(rows)
     with np.errstate(over="ignore"):
         norms = np.sqrt((rows[:, None, :] @ rows[..., None])[:, 0, 0])
-    if np.isinf(norms).any():
-        big = np.isinf(norms) & np.isfinite(rows).all(axis=1)
-        _, e = np.frexp(np.abs(rows[big]).max(axis=1))
-        scaled = np.ldexp(rows[big], -e[:, None])
-        norms[big] = np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[..., None])[:, 0, 0]), e)
+    redo = np.flatnonzero((norms < _ROW_FLOOR) | np.isinf(norms))
+    if redo.size:  # zero rows, common as exact residuals, keep their 0
+        sub = rows[redo]
+        redo = redo[np.isfinite(sub).all(axis=1) & sub.any(axis=1)]
+    if redo.size:
+        scaled, e = unit_scaled(rows[redo], axis=1)
+        norms[redo] = np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[..., None])[:, 0, 0]), e[:, 0])
     return norms
 
 

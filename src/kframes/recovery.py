@@ -56,6 +56,7 @@ from .linalg import (
     range_basis,
     row_norms,
     stacked_pinv_and_rank,
+    unit_scaled,
 )
 from .redundancy import INFINITE, SparkResult, spark
 
@@ -133,11 +134,10 @@ def _recovery_matrix(sys: KFrameSystem, m_mat) -> np.ndarray:
 def _blind_matrix(sys: KFrameSystem, mat: np.ndarray) -> np.ndarray:
     """N = M - Gram, exactly zero when it is round-off: ||N|| at or under the rank
     cutoff at max(||M||, ||Gram||). Frobenius norms, within sqrt(m) of the spectral
-    rule, taken at the unit size of M and Gram so they neither over- nor underflow."""
+    rule, taken at the unit size of N, M and Gram so they neither over- nor underflow."""
     gram = sys.gramian
     n_mat = mat - gram
-    e = np.frexp(max(np.abs(mat).max(), np.abs(gram).max()))[1]
-    size, *scales = np.linalg.norm(np.ldexp((n_mat, mat, gram), -e), axis=(1, 2))
+    size, *scales = np.linalg.norm(unit_scaled(np.array((n_mat, mat, gram)))[0], axis=(1, 2))
     round_off = size <= sys.tol.rank_cutoff(np.array([max(scales)]), mat.shape)[0]
     return np.zeros_like(n_mat) if round_off else n_mat
 
@@ -278,7 +278,9 @@ class RecoveryPlan:
         and signal i was erased at the set erased[which[i]]. Each signal gets
         its own matrix-vector products with its set's map, so it is rounded
         exactly as when recovered alone. A signal is certified when its set's
-        range_ok holds and tol.accepts(residual, ||rhs||).
+        range_ok holds and tol.accepts(residual, scale): scale is ||rhs||, and
+        for side-info max(||rhs||, ||side||), as v - M_known c_known can cancel
+        to round-off of the size of side.
         """
         full = coefficients.copy()
         residual = np.zeros(len(full))
@@ -301,8 +303,10 @@ class RecoveryPlan:
             x = matvec_rows(self.solver[sets], rhs)
             residual[rows] = row_norms(matvec_rows(block, x) - rhs)
             full[signal, erased] = x if lift is None else matvec_rows(lift, x)
-            certified[rows] = self.range_ok[sets] & self.tol.accepts(
-                residual[rows], row_norms(rhs))
+            scale = row_norms(rhs)
+            if self.strategy == "side-info":
+                scale = np.maximum(scale, row_norms(side[rows]))
+            certified[rows] = self.range_ok[sets] & self.tol.accepts(residual[rows], scale)
         return full, residual, certified
 
 

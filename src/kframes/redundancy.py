@@ -53,7 +53,6 @@ from .frames import (
     SubsetTable,
     _as_operator,
     _complements,
-    _unit_scaled,
     classify,
     is_kframe,
     kframe_flags,
@@ -76,6 +75,7 @@ from .linalg import (
     ranges_nested,
     restricted_operator,
     stacked_ranks,
+    unit_scaled,
 )
 
 __all__ = [
@@ -249,7 +249,7 @@ def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
     mrc = is_kframe(arr[:, survivors], op, tol)
     # R(F^T M_K) = R(F^T Q), Q the basis of R(K), meets no erased axis; the
     # survivor axes span their complement. At unit size F^T Q cannot overflow.
-    coeffs = _unit_scaled(arr)[0].T @ op.range.basis
+    coeffs = unit_scaled(arr)[0].T @ op.range.basis
     cond_i = not intersection_dims(coeffs[None], np.eye(m)[:, survivors], tol)[0]
     cond_ii = None
     if is_kframe(arr, op, tol):
@@ -269,8 +269,8 @@ def _parseval_condition(
     # onto the image of R(K) under the survivor frame operator. Positive
     # scalings of F and K keep every range compared here, and at unit size
     # no product over- or underflows.
-    f, _ = _unit_scaled(sys.F)
-    k, _ = _unit_scaled(sys.K.matrix)
+    f, _ = unit_scaled(sys.F)
+    k, _ = unit_scaled(sys.K.matrix)
     x = pseudo_inverse(f, sys.tol) @ k
     t = k - f[:, list(sig)] @ x[list(sig), :]
     domain = range_basis(sys.K.matrix.T, sys.tol)

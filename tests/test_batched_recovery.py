@@ -191,7 +191,10 @@ def _reference_apply(strategy, lam, plan, c, side):
     x = solver @ rhs
     residual = float(np.linalg.norm(block @ x - rhs))
     full[list(lam)] = x if lift is None else lift @ x
-    return full, residual, range_ok and residual <= 1e-9 * (1.0 + np.linalg.norm(rhs))
+    scale = np.linalg.norm(rhs)
+    if strategy == "side-info":
+        scale = max(scale, np.linalg.norm(side))
+    return full, residual, range_ok and residual <= 1e-9 * (1.0 + scale)
 
 
 def _same(a, b):

@@ -844,6 +844,17 @@ def test_side_info_recovery_does_not_overflow_at_1e150(tmp_path):
     assert results == [(1000, True)] * 2
 
 
+def test_side_info_certificates_survive_cancellation_at_scale(tmp_path):
+    """At 1e100 and 1e150 the right-hand side v - M_known c_known of FIX-A's
+    side-info solve cancels to round-off of the size of v, so each residual is
+    judged against max(||rhs||, ||v||): every draw is certified, as at scale 1."""
+    fix = FIXTURES["FIX-A"]
+    argv = ["simulate", "--r", "1", "--signals", "200", "--strategies", "side-info"]
+    exact = [_report(tmp_path, str(c), argv, system={"F": c * fix.F, "K": c * fix.K})
+             ["strategies"]["side-info"]["exact"] for c in (1.0, 1e100, 1e150, 2.5e7)]
+    assert exact == [200] * 4
+
+
 def test_analyze_reads_the_system_file_once(capsys, system_d, monkeypatch):
     reads = []
     read_text = Path.read_text

@@ -108,6 +108,25 @@ def test_row_norms_rescale_only_rows_whose_squares_overflow():
     assert got[::2].tobytes() == (base[::2] * 2.0**600).tobytes()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         row_norms(np.full((1, 2), 1.5e308))
+    # Squares that underflow: rows at 2^-600 are redone at their unit size.
+    small = rows.copy()
+    small[::2] *= 2.0**-600
+    got = row_norms(small)
+    assert got[1::2].tobytes() == base[1::2].tobytes()
+    assert got[::2].tobytes() == (base[::2] * 2.0**-600).tobytes()
+    edge = np.array([[0.0, 0.0], [5e-324, 0.0], [np.inf, 1.0]])
+    assert row_norms(edge).tolist() == [0.0, 5e-324, np.inf]
+
+
+def test_only_linalg_derives_binary_exponents():
+    """Unit size has one owner: no module but linalg calls or imports frexp, so
+    every exact power-of-two rescaling goes through linalg.unit_scaled."""
+    found = set()
+    for path in sorted(Path(kframes.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if getattr(node, "attr", None) == "frexp" or getattr(node, "name", None) == "frexp":
+                found.add(path.name)
+    assert found <= {"linalg.py"}
 
 
 def test_benchmark_names_resolve():
