@@ -188,6 +188,13 @@ def _complements(sets: np.ndarray, m: int) -> np.ndarray:
 # Most subsets per chunk: enough to spread the fixed cost of one stacked SVD or
 # Cholesky thin, and few enough that a chunk's blocks stay small next to a level.
 SCAN_CHUNK = 2048
+# The first chunk of a level with this many subsets or more builds the level's
+# index table, and every later chunk is cut from it; the ramp's smaller first
+# chunks are streamed, so a read that they answer builds no table.
+_TABLE_FROM = 512
+# Most subsets of a level that builds an index table: 20/10 is 1.8 MB as uint8.
+# A larger level is streamed from itertools.combinations to its end.
+_TABLE_ROWS = 2**19
 
 
 def scan_budget(what: str, m: int, sizes, cap: int) -> None:
@@ -218,6 +225,13 @@ class SubsetTable:
     reads a level only as far as a question needs: a read that stopped inside
     a block resumes at its next unproven row, and each subset is tested at
     most once.
+
+    A level's first chunks, while under _TABLE_FROM subsets, are streamed from
+    itertools.combinations. The first larger one builds the level's index
+    table (_table), every s-subset of range(m) as small unsigned integers,
+    and every later chunk is cut from it; a level of more than _TABLE_ROWS
+    subsets builds none and is streamed to its end. A table lives as long as
+    its level's read: nothing is cached across levels or tables.
     """
 
     def __init__(self, what: str, m: int, sizes, cap: int, test, certify=None):
@@ -232,22 +246,14 @@ class SubsetTable:
     @staticmethod
     def _level(m: int, s: int, test, certify):
         """Level s's results in runs, lexicographic, each known in full when yielded."""
-        level = itertools.combinations(range(m), s)
-        total = left = math.comb(m, s)
-        size = 1
-        while left:
-            # A certified level's first subset goes to test alone: an early hit
-            # costs one test, and a level read only for its first result proves
-            # no block. Blocks start at the second subset.
-            proving = certify is not None and left < total
-            count = min(SCAN_CHUNK if proving else size, left)
-            flat = itertools.chain.from_iterable(itertools.islice(level, count))
-            chunk = np.fromiter(flat, np.intp).reshape(count, s)
-            left -= count
-            if not proving:
-                yield test(chunk)
-                size = min(8 * size, SCAN_CHUNK)
-                continue
+        chunks = SubsetTable._chunks(m, s, certify is not None)
+        # A certified level's first subset goes to test alone: an early hit
+        # costs one test, and a level read only for its first result proves
+        # no block. Blocks start at the second subset, and test's chunks of
+        # their unproven rows go on growing from 8.
+        yield from map(test, itertools.islice(chunks, None if certify is None else 1))
+        size = 8
+        for chunk in chunks:
             results, done = certify(chunk), 0
             unproven = np.flatnonzero(~results)
             while len(unproven):
@@ -259,6 +265,39 @@ class SubsetTable:
                 results[rows] = test(chunk[rows])
                 size = min(8 * size, SCAN_CHUNK)
             yield results[done:]
+
+    @staticmethod
+    def _chunks(m: int, s: int, certified: bool):
+        """The s-subsets of range(m), lexicographic, as fresh N x s intp arrays:
+        N grows 1, 8, 64, ... up to SCAN_CHUNK, or is 1 and then SCAN_CHUNK on a
+        certified level."""
+        total, done, size = math.comb(m, s), 0, 1
+        stream, table = itertools.combinations(range(m), s), None
+        while done < total:
+            count = min(size, total - done)
+            if table is None and (count < _TABLE_FROM or total > _TABLE_ROWS):
+                flat = itertools.chain.from_iterable(itertools.islice(stream, count))
+                yield np.fromiter(flat, np.intp).reshape(count, s)
+            else:
+                if table is None:
+                    table = SubsetTable._table(m, s)
+                yield table[done:done + count].astype(np.intp)
+            done += count
+            size = SCAN_CHUNK if certified else min(8 * size, SCAN_CHUNK)
+
+    @staticmethod
+    def _table(m: int, s: int) -> np.ndarray:
+        """The s-subsets of range(m), lexicographic, in the smallest unsigned dtype."""
+        table = np.zeros((1, 0), np.min_scalar_type(m))
+        for k in range(1, s + 1):
+            # The k-subsets of range(s - k, m): each first entry a beside the
+            # (k - 1)-subsets of range(a + 1, m), the last rows of the table before.
+            # Each is no larger than the level.
+            firsts = range(s - k, m - k + 1)
+            tails = [table[len(table) - math.comb(m - 1 - a, k - 1):] for a in firsts]
+            table = np.column_stack((np.repeat(np.array(firsts, table.dtype),
+                                               [len(t) for t in tails]), np.concatenate(tails)))
+        return table
 
     def settle(self, s: int, value) -> None:
         """Take value as every result of level s, unread so far, without a test:

@@ -517,8 +517,9 @@ def worst_residual_error(
 class ComposedRecovery:
     """Composition of a classical erasure-recovery matrix with a recovery matrix.
 
-    degenerate flags an identically zero product, reported with infinite
-    spark by convention. kernel_contained confirms Ker M lands inside
+    degenerate flags a product that is zero up to round-off, ||N M|| within
+    the residual threshold of ||N|| ||M|| at unit size, reported with
+    infinite spark by convention. kernel_contained confirms Ker M lands inside
     Ker(N M); spark_not_decreased records whether the composed spark stayed
     at or above spark(M), which the kernel containment does not force.
     """
@@ -549,7 +550,11 @@ def compose_recovery_matrices(
             f"(||N F^T|| = {pre_res:.3e})"
         )
     product = n_arr @ m_arr
-    degenerate = tol.accepts(operator_norm(product))
+    # ||N M|| against ||N|| ||M||, with N and M scaled exactly to unit size, so
+    # that the verdict is free of their scales.
+    n_unit, m_unit = unit_scaled(n_arr)[0], unit_scaled(m_arr)[0]
+    degenerate = tol.accepts(operator_norm(n_unit @ m_unit),
+                             operator_norm(n_unit) * operator_norm(m_unit))
     if degenerate:
         composed_spark = SparkResult(INFINITE, None)
     else:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from kframes import verify_kdual, verify_kframe
+from kframes import redundancy, verify_kdual, verify_kframe
+from kframes.frames import SubsetTable
 from kframes.fixtures import FIXTURES
 
 
@@ -49,16 +51,26 @@ def dual_d(sys_d):
 
 @contextmanager
 def counting_subsets():
-    """Count every subset that any itertools.combinations call hands out."""
+    """Count every subset handed out: each row of the chunks SubsetTable
+    enumerates for test or certify, and each support spark_via_kernel draws
+    from itertools.combinations. Index-table rows built but not handed out
+    do not count."""
     seen = [0]
-    real = itertools.combinations
+    chunks = SubsetTable._chunks
 
-    def spy(pool, size):
-        for subset in real(pool, size):
+    def table_spy(*args):
+        for chunk in chunks(*args):
+            seen[0] += len(chunk)
+            yield chunk
+
+    def kernel_spy(pool, size):
+        for subset in itertools.combinations(pool, size):
             seen[0] += 1
             yield subset
 
-    with mock.patch.object(itertools, "combinations", spy):
+    kernel_itertools = SimpleNamespace(**{**vars(itertools), "combinations": kernel_spy})
+    with mock.patch.object(SubsetTable, "_chunks", staticmethod(table_spy)), \
+            mock.patch.object(redundancy, "itertools", kernel_itertools):
         yield seen
 
 

@@ -24,6 +24,7 @@ from kframes import (
     recover_blind,
     recover_consistency,
     recover_side_info,
+    spark,
     validate_rk_matrix,
     verify_kdual,
     verify_kframe,
@@ -459,14 +460,25 @@ class TestComposeRecoveryMatrices:
         assert out.spark.value == math.inf
         assert out.spark_not_decreased
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-5])
+    def test_degenerate_is_free_of_scale(self, scale):
+        """N M with M = Gram + 0.1 s^2 I has norm 0.1 s^2 ||N||: not degenerate
+        at any scale s, while an exactly zero product is."""
+        f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
+        sys = verify_kframe(f * scale, k * scale)
+        n_mat = null_space_basis(sys.F).basis.T
+        m_mat = sys.gramian + 0.1 * scale**2 * np.eye(6)
+        out = compose_recovery_matrices(sys, n_mat, m_mat)
+        assert not out.degenerate
+        assert out.spark.value == spark(n_mat).value
+        assert compose_recovery_matrices(sys, n_mat, 0 * m_mat).degenerate
+
     def test_fixture_c_kernel_rows(self, sys_c):
         # Any annihilating matrix has rows along the kernel, whose third
         # coordinate vanishes, so it can protect at most one erasure.
         kernel = null_space_basis(sys_c.F)
         n_mat = kernel.basis.T
         np.testing.assert_allclose(n_mat[:, 2], 0.0, atol=1e-12)
-        from kframes import spark
-
         assert spark(n_mat).value == 1
         out = compose_recovery_matrices(sys_c, n_mat, sys_c.gramian)
         # Gram columns live in the row space, so the composition collapses.

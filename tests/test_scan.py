@@ -12,10 +12,11 @@ import ast
 import itertools
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kframes
@@ -31,6 +32,7 @@ from kframes import (
     worst_erasure_error,
     worst_residual_error,
 )
+from kframes import frames
 from kframes.frames import SCAN_CHUNK, SubsetTable
 
 from conftest import counting_subsets, random_kframe
@@ -134,6 +136,80 @@ def test_enumerator_order_and_refusal():
     for p in range(0, len(level), 97):
         assert table.first(7, codes[p]) == level[p]
     assert table.first(7, -1) is None and len(chunks) == 10
+
+
+def _ramp(count, size=1):
+    """Chunk lengths for count rows, growing eightfold from size up to SCAN_CHUNK."""
+    lengths = []
+    while count:
+        lengths.append(min(size, count))
+        count, size = count - lengths[-1], min(8 * size, SCAN_CHUNK)
+    return lengths
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.integers(0, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    certified=st.booleans(),
+    rows=st.sampled_from([1, 20, 500, frames._TABLE_ROWS]),
+    table_from=st.sampled_from([1, frames._TABLE_FROM]),
+    stop=st.floats(0, 1),
+)
+@example(shape=(0, 0), certified=False, rows=1, table_from=1, stop=0.0)
+@example(shape=(16, 8), certified=False, rows=frames._TABLE_ROWS,
+         table_from=frames._TABLE_FROM, stop=0.5)
+@example(shape=(16, 8), certified=True, rows=20, table_from=frames._TABLE_FROM, stop=0.9)
+def test_enumerator_hands_out_each_level_in_lexicographic_chunks(
+    shape, certified, rows, table_from, stop
+):
+    """Streamed or cut from an index table, a level's chunks are
+    itertools.combinations in order, as intp arrays in the ramp's lengths; a
+    table is built only for a level of at most _TABLE_ROWS subsets, once a
+    chunk of _TABLE_FROM is due. On a certified level the first subset goes
+    to test alone, and the rest to certify in SCAN_CHUNK blocks and their
+    unproven rows to test. A first read that stops at a drawn row is resumed
+    by results, each subset handed out once, and _subset(s, p) names row p."""
+    m, s = shape
+    level = np.array(list(itertools.combinations(range(m), s)), np.intp).reshape(comb(m, s), s)
+    weights = (m + 1) ** np.arange(s)
+    # Row p alone tests False; certify proves a third of the others.
+    p = int(stop * (len(level) - 1))
+    target = level[p] @ weights
+    tested, blocks, built = [], [], []
+    real_table = SubsetTable._table
+
+    def test(chunk):
+        tested.append(chunk)
+        return chunk @ weights != target
+
+    def certify(chunk):
+        blocks.append(chunk)
+        return (chunk @ weights != target) & (chunk @ weights % 3 == 0)
+
+    def table_spy(*args):
+        built.append(args)
+        return real_table(*args)
+
+    with (mock.patch.object(frames, "_TABLE_ROWS", rows),
+          mock.patch.object(frames, "_TABLE_FROM", table_from),
+          mock.patch.object(SubsetTable, "_table", staticmethod(table_spy))):
+        table = SubsetTable("t", m, [s], comb(m, s), test, {s: certify} if certified else None)
+        assert table.first(s, False) == tuple(level[p])
+        assert np.array_equal(table.results(s), level @ weights != target)
+    longest = max(len(c) for c in (blocks if certified and len(level) > 1 else tested))
+    assert len(built) == (len(level) <= rows and longest >= table_from)
+    assert all(c.dtype == np.intp and c.shape[1:] == (s,) for c in tested + blocks)
+    if certified:
+        proven = (level @ weights != target) & (level @ weights % 3 == 0)
+        assert [len(b) for b in blocks] == _ramp(len(level) - 1, SCAN_CHUNK)
+        assert np.array_equal(np.concatenate([level[:1]] + blocks), level)
+        assert np.array_equal(np.concatenate(tested), np.vstack((level[:1], level[1:][~proven[1:]])))
+        assert len(tested[0]) == 1
+    else:
+        assert [len(c) for c in tested] == _ramp(len(level))
+        assert np.array_equal(np.concatenate(tested), level)
+    for p in range(0, len(level), max(1, len(level) // 50)):
+        assert table._subset(s, p) == tuple(level[p])
 
 
 def test_first_reads_a_level_only_until_it_is_answered():
