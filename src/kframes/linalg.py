@@ -307,21 +307,23 @@ def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, in
 
 
 def stacked_pinv_and_rank(
-    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """pinv_and_rank of every block of an N x n x k stack, from one stacked SVD.
 
     The stacked SVD returns each block's own factors, the rank rule is
     applied block by block, and the pseudo-inverses are formed in
     pinv_and_rank's operand order, one batch per distinct rank; so every
-    block gets pinv_and_rank's result bit for bit.
+    block gets pinv_and_rank's result bit for bit. A given fixed cutoff
+    replaces the rank rule for every block, as in stacked_ranks.
     """
     count, rows, cols = blocks.shape
     pinvs = np.zeros((count, cols, rows))
     if rows == 0 or cols == 0:
         return pinvs, np.zeros(count, dtype=np.intp)
     u, s, vt = np.linalg.svd(blocks, full_matrices=True)
-    ranks = np.count_nonzero(s > tol.rank_cutoff(s, blocks.shape), axis=1)
+    cutoff = tol.rank_cutoff(s, blocks.shape) if cutoff is None else cutoff
+    ranks = np.count_nonzero(s > cutoff, axis=1)
     for r in set(ranks.tolist()) - {0}:
         sel = np.flatnonzero(ranks == r)
         diag = np.eye(r) / s[sel, :r, None]

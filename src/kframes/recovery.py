@@ -8,8 +8,10 @@ reconstruct them:
   recovery matrix M and the side vector v of K-frame measurements <Kf, f_j>.
 * blind: solve the homogeneous relation (M - Gram) c = 0, which needs no
   side information at all.
-* consistency: least-squares fit of a signal explaining the surviving
-  coefficients; exact for Kf whenever the survivors remain a K*-frame.
+* consistency: the blind solve against N = P D, D scaling each dual vector
+  to unit size and P the projector onto Ker(G D), so N G^T = 0; exact for Kf
+  whenever the survivors span R(K^T), as an ambiguity dc of the erased slots
+  is then G^T df with G_known^T df = 0: df in Ker K, F dc = 0.
 
 A recovery matrix here is any m x m matrix M with (M - Gram) G^T = 0; its
 two sparks bound how many erasures each solver tolerates.
@@ -142,10 +144,11 @@ def _blind_matrix(sys: KFrameSystem, mat: np.ndarray) -> np.ndarray:
     return np.zeros_like(n_mat) if round_off else n_mat
 
 
-def _annihilation(sys: KFrameSystem, dual: DualSystem, n_mat: np.ndarray) -> tuple[float, bool]:
-    """The residual ||N G^T|| of N (by _blind_matrix) and whether it passes its threshold."""
-    residual = operator_norm(n_mat @ dual.G.T)
-    return residual, sys.tol.accepts(residual, operator_norm(n_mat) * operator_norm(dual.G))
+def _vanishes(tol: TolerancePolicy, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether A B is zero up to round-off: ||A B|| against ||A|| ||B||, with A and B
+    scaled exactly to unit size, so that the verdict is free of their scales."""
+    a, b = unit_scaled(a)[0], unit_scaled(b)[0]
+    return bool(tol.accepts(operator_norm(a @ b), operator_norm(a) * operator_norm(b)))
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,6 @@ def validate_rk_matrix(
 ) -> RkCertificate:
     mat = _recovery_matrix(sys, m_mat)
     n_mat = _blind_matrix(sys, mat)
-    residual, annihilates = _annihilation(sys, dual, n_mat)
     spark_m = spark(mat, sys.tol, cap)
     spark_n = spark(n_mat, sys.tol, cap)
     return RkCertificate(
@@ -181,8 +183,8 @@ def validate_rk_matrix(
         spark_M=spark_m,
         N=n_mat,
         spark_N=spark_n,
-        annihilation_residual=residual,
-        annihilation_ok=annihilates,
+        annihilation_residual=operator_norm(n_mat @ dual.G.T),
+        annihilation_ok=_vanishes(sys.tol, n_mat, dual.G.T),
         r_side_info=_r_from_spark(spark_m.value, sys.m),
         r_blind=_r_from_spark(spark_n.value, sys.m),
     )
@@ -243,12 +245,12 @@ APPLY_CHUNK = 256
 class RecoveryPlan:
     """Recovery maps of one strategy for G erasure sets, the rows of erased.
 
-    Set g fits block @ x = rhs by its pseudo-inverse solver[g] and fills its
-    erased slots with x, or with lift @ x; block and lift are columns of
-    matrix. side-info: matrix = M, block = M_L, rhs = v - M_known c_known;
-    blind: the same with matrix = N = M - Gram and no v. consistency: matrix
-    = G, block = G_known^T, rhs = c_known, lift = G_L^T, and range_ok says
-    whether the survivors span R(K^T). rank is each block's numerical rank.
+    matrix is m x m. Set g fits matrix_L @ x = rhs by its pseudo-inverse
+    solver[g] and fills its erased slots L with x. side-info: matrix = M,
+    rhs = v - M_known c_known; blind: matrix = N = M - Gram, rhs = -N_known
+    c_known; consistency: the same with N = P D (plan_recovery), and range_ok
+    says whether the survivors span R(K^T) (always true otherwise).
+    rank is each block's numerical rank.
     """
 
     strategy: str
@@ -264,7 +266,7 @@ class RecoveryPlan:
     def deficiency(self) -> np.ndarray:
         """Rank deficiency of each set's erased columns of M (side-info) or
         M - Gram (blind); a set with deficiency > 0 is ambiguous. Always 0
-        for consistency, which fits in the least-squares sense."""
+        for consistency, whose ambiguities F maps to 0 where range_ok holds."""
         if self.strategy == "consistency":
             return np.zeros_like(self.rank)
         return self.erased.shape[1] - self.rank
@@ -284,8 +286,8 @@ class RecoveryPlan:
         """
         full = coefficients.copy()
         residual = np.zeros(len(full))
-        certified = np.ones(len(full), dtype=bool)
-        if self.strategy != "consistency" and self.erased.shape[1] == 0:
+        certified = self.range_ok[which]
+        if self.erased.shape[1] == 0:
             # Nothing erased: the survivors are the whole coefficient vector.
             return full, residual, certified
         for start in range(0, len(full), APPLY_CHUNK):
@@ -293,20 +295,15 @@ class RecoveryPlan:
             sets = which[rows]
             known, erased = self.known[sets], self.erased[sets]
             signal = np.arange(start, start + len(sets))[:, None]
-            rhs = coefficients[signal, known]
-            if self.strategy == "consistency":
-                block, lift = self.matrix.T[known], self.matrix.T[erased]
-            else:
-                block, lift = column_blocks(self.matrix, erased), None
-                coupled = matvec_rows(column_blocks(self.matrix, known), rhs)
-                rhs = -coupled if self.strategy == "blind" else side[rows] - coupled
+            coupled = matvec_rows(column_blocks(self.matrix, known), coefficients[signal, known])
+            rhs = side[rows] - coupled if self.strategy == "side-info" else -coupled
             x = matvec_rows(self.solver[sets], rhs)
-            residual[rows] = row_norms(matvec_rows(block, x) - rhs)
-            full[signal, erased] = x if lift is None else matvec_rows(lift, x)
+            residual[rows] = row_norms(matvec_rows(column_blocks(self.matrix, erased), x) - rhs)
+            full[signal, erased] = x
             scale = row_norms(rhs)
             if self.strategy == "side-info":
                 scale = np.maximum(scale, row_norms(side[rows]))
-            certified[rows] = self.range_ok[sets] & self.tol.accepts(residual[rows], scale)
+            certified[rows] &= self.tol.accepts(residual[rows], scale)
         return full, residual, certified
 
 
@@ -322,7 +319,10 @@ def plan_recovery(
     The erased blocks of all sets are factored by one stacked SVD, which gives
     each set's rank decision and pseudo-inverse. side-info and blind read
     m_mat (default: the Gramian), consistency the dual. A rank-deficient set
-    is marked by its deficiency, not raised.
+    is marked by its deficiency, not raised. Consistency's N = P D: D scales
+    each dual vector exactly to unit size, so a small one keeps its coefficient
+    above round-off, and P projects onto Ker(G D), exactly 0 when that is {0}.
+    pinv(N_L) = D_L^-1 pinv(P_L), each P_L ranked against ||P|| = 1, not itself.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -334,16 +334,20 @@ def plan_recovery(
         raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
     known = _complements(erased, sys.m)
     if strategy == "consistency":
-        solver, rank = stacked_pinv_and_rank(dual.G.T[known], tol)
+        e = np.maximum(unit_scaled(dual.G, axis=0)[1], -1021)  # D <= 2^1021: P D is finite
+        proj = null_space_basis(np.ldexp(dual.G, -e), tol).projector()
+        solver, rank = stacked_pinv_and_rank(column_blocks(proj, erased), tol,
+                                             tol.rank_cutoff(np.ones(1), proj.shape))
+        solver, mat = np.ldexp(solver, e[0, erased][..., None]), np.ldexp(proj, -e)
         # The survivors frame R(K^T) exactly when they meet it in rank K dimensions.
         spans = intersection_dims(column_blocks(dual.G, known), sys.K.kernel, tol) >= sys.K.rank
-        return RecoveryPlan(strategy, dual.G, erased, known, solver, rank, spans, tol)
-    mat = _recovery_matrix(sys, m_mat)
-    if strategy == "blind":
-        mat = _blind_matrix(sys, mat)
-    solver, rank = stacked_pinv_and_rank(column_blocks(mat, erased), tol)
-    return RecoveryPlan(strategy, mat, erased, known, solver, rank,
-                        np.ones(len(erased), dtype=bool), tol)
+    else:
+        mat = _recovery_matrix(sys, m_mat)
+        if strategy == "blind":
+            mat = _blind_matrix(sys, mat)
+        solver, rank = stacked_pinv_and_rank(column_blocks(mat, erased), tol)
+        spans = np.ones(len(erased), dtype=bool)
+    return RecoveryPlan(strategy, mat, erased, known, solver, rank, spans, tol)
 
 
 @dataclass(frozen=True)
@@ -367,10 +371,9 @@ def _recover_one(
     if strategy != "consistency" and dual is not None:
         # (M - Gram) G^T = 0; a blind plan already holds N.
         n_mat = plan.matrix if strategy == "blind" else _blind_matrix(sys, plan.matrix)
-        residual, annihilates = _annihilation(sys, dual, n_mat)
-        if not annihilates:
+        if not _vanishes(sys.tol, n_mat, dual.G.T):
             raise KFrameError(f"recovery matrix fails annihilation against the dual "
-                              f"(residual {residual:.3e})")
+                              f"(residual {operator_norm(n_mat @ dual.G.T):.3e})")
     if plan.deficiency[0]:
         raise AmbiguityError(
             f"{plan.strategy}: erased columns are rank deficient "
@@ -413,11 +416,11 @@ def recover_blind(
 def recover_consistency(
     sys: KFrameSystem, dual: DualSystem, coded: CodedSignal
 ) -> RecoveryReport:
-    """Least-squares signal fit against surviving coefficients.
+    """Recover erased entries from N c = 0, N = P D as plan_recovery builds it.
 
-    Certified exact when the surviving dual vectors still form a K*-frame
-    (range test), which pins Kf even though the fitted signal itself may
-    wander in the kernel directions.
+    Certified exact when the surviving dual vectors still span R(K^T) (range
+    test), which pins Kf even though the recovered coefficients themselves
+    may differ from c by G^T df with df in Ker K.
     """
     return _recover_one(sys, "consistency", coded, dual=dual)
 
@@ -543,18 +546,13 @@ def compose_recovery_matrices(
             f"expected N with {sys.m} columns and M {sys.m}x{sys.m}, "
             f"got {n_arr.shape} and {m_arr.shape}"
         )
-    pre_res = operator_norm(n_arr @ sys.F.T)
-    if not tol.accepts(pre_res, operator_norm(n_arr) * operator_norm(sys.F)):
+    if not _vanishes(tol, n_arr, sys.F.T):
         raise KFrameError(
             f"N is not an erasure-recovery matrix for the frame "
-            f"(||N F^T|| = {pre_res:.3e})"
+            f"(||N F^T|| = {operator_norm(n_arr @ sys.F.T):.3e})"
         )
     product = n_arr @ m_arr
-    # ||N M|| against ||N|| ||M||, with N and M scaled exactly to unit size, so
-    # that the verdict is free of their scales.
-    n_unit, m_unit = unit_scaled(n_arr)[0], unit_scaled(m_arr)[0]
-    degenerate = tol.accepts(operator_norm(n_unit @ m_unit),
-                             operator_norm(n_unit) * operator_norm(m_unit))
+    degenerate = _vanishes(tol, n_arr, m_arr)
     if degenerate:
         composed_spark = SparkResult(INFINITE, None)
     else:

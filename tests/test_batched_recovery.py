@@ -148,18 +148,30 @@ def test_fixture_d_blind_against_gramian_all_skipped(tmp_path, r):
 
 
 def _reference_plan(sys, dual, strategy, mat, lam):
-    """(rank, range_ok, block, solver, coupling, lift) of one set, from one SVD."""
+    """(rank, range_ok, block, solver, coupling) of one set, from one SVD."""
     known = [i for i in range(sys.m) if i not in lam]
+    ranked, cutoff, e = mat, None, np.zeros(sys.m, dtype=int)
     if strategy == "consistency":
-        block, coupling, lift = dual.G[:, known].T, None, dual.G[:, list(lam)].T
-    else:
-        block, coupling, lift = mat[:, list(lam)], mat[:, known], None
+        # N = P D: D scales each dual vector by a power of two, at most 2^1021,
+        # to a largest entry in [1/2, 1), and P, from numpy's own SVD of G D,
+        # projects onto Ker(G D). Blocks of P are ranked against ||P|| = 1,
+        # and D_L^-1 scales their pseudo-inverses.
+        e = np.maximum(np.frexp(np.abs(dual.G).max(axis=0))[1], -1021)
+        _, s_g, vt_g = np.linalg.svd(np.ldexp(dual.G, -e), full_matrices=True)
+        rank_g = int(np.sum(s_g > max(1e-10 * max(dual.G.shape) * s_g[0], np.finfo(float).tiny)))
+        kernel = np.ascontiguousarray(vt_g[rank_g:].T)
+        ranked = kernel @ kernel.T
+        mat = np.ldexp(ranked, -e)
+        cutoff = max(1e-10 * max(mat.shape), np.finfo(float).tiny)
+    block, coupling = mat[:, list(lam)], mat[:, known]
     rank, solver = 0, np.zeros(block.shape[::-1])
     if block.size:
-        u, s, vt = np.linalg.svd(block, full_matrices=True)
-        cutoff = max(1e-10 * max(block.shape) * s[0], np.finfo(float).tiny)
+        u, s, vt = np.linalg.svd(ranked[:, list(lam)], full_matrices=True)
+        if cutoff is None:
+            cutoff = max(1e-10 * max(block.shape) * s[0], np.finfo(float).tiny)
         rank = int(np.sum(s > cutoff))
         solver = vt.T[:, :rank] @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
+        solver = np.ldexp(solver, e[list(lam)][:, None])
     range_ok = True
     if strategy == "consistency":
         # The survivors meet R(K^T) in rank K dimensions: rank G_known less the
@@ -172,25 +184,23 @@ def _reference_plan(sys, dual, strategy, mat, lam):
         cutoff = max(1e-10 * max(g_known.shape) * s[0], np.finfo(float).tiny)
         outside = np.linalg.svd(vt_k[rank_k:] @ g_known, compute_uv=False)
         range_ok = int(np.sum(s > cutoff)) - int(np.sum(outside > cutoff)) >= rank_k
-    return rank, range_ok, block, solver, coupling, lift
+    return rank, range_ok, block, solver, coupling
 
 
 def _reference_apply(strategy, lam, plan, c, side):
     """One signal through one set's reference plan, with 2-D numpy products."""
-    _, range_ok, block, solver, coupling, lift = plan
+    _, range_ok, block, solver, coupling = plan
     full = c.copy()
     if block.shape[1] == 0:
-        return full, 0.0, True
+        return full, 0.0, range_ok
     known_values = c[[i for i in range(len(c)) if i not in lam]]
-    if strategy == "consistency":
-        rhs = known_values
-    elif strategy == "blind":
-        rhs = -(coupling @ known_values)
-    else:
+    if strategy == "side-info":
         rhs = side - coupling @ known_values
+    else:
+        rhs = -(coupling @ known_values)
     x = solver @ rhs
     residual = float(np.linalg.norm(block @ x - rhs))
-    full[list(lam)] = x if lift is None else lift @ x
+    full[list(lam)] = x
     scale = np.linalg.norm(rhs)
     if strategy == "side-info":
         scale = max(scale, np.linalg.norm(side))
@@ -239,7 +249,7 @@ def test_stacked_plan_matches_per_set_reference(
         mat = m_mat - f_mat.T @ f_mat if strategy == "blind" else m_mat
         plan = plan_recovery(sys, strategy, sets, m_mat=m_mat, dual=dual)
         refs = [_reference_plan(sys, dual, strategy, mat, tuple(lam)) for lam in sets]
-        for g, (rank, range_ok, _, solver, _, _) in enumerate(refs):
+        for g, (rank, range_ok, _, solver, _) in enumerate(refs):
             skip = strategy != "consistency" and rank < r
             assert (plan.deficiency[g] > 0) == skip
             assert plan.rank[g] == rank and plan.range_ok[g] == range_ok

@@ -112,6 +112,21 @@ class TestValidateRkMatrix:
         if cert.spark_N.value <= cert.spark_M.value:
             assert cert.r_blind <= cert.r_side_info
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-5])
+    def test_annihilation_is_free_of_scale(self, scale):
+        """M = Gram + 0.1 s^2 I leaves N G^T = 0.1 s^2 G^T: never annihilating,
+        at any scale s, while Gram + s^2 A (I - P) annihilates at every s."""
+        f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
+        sys = verify_kframe(f * scale, k * scale)
+        dual = verify_kdual(sys, (np.linalg.pinv(sys.F) @ sys.K.matrix).T)
+        cert = validate_rk_matrix(sys, dual, sys.gramian + 0.1 * scale**2 * np.eye(6))
+        assert not cert.annihilation_ok
+        assert cert.annihilation_residual > 0.0
+        a = np.random.default_rng(1).standard_normal((6, 6))
+        annihilator = np.eye(6) - range_basis(dual.G.T).projector()
+        assert validate_rk_matrix(sys, dual, sys.gramian + scale**2 * a @ annihilator
+                                  ).annihilation_ok
+
 
 class TestFindRkMatrix:
     def test_target_zero_returns_gramian(self, sys_d, dual_d):
@@ -232,6 +247,42 @@ def test_exact_recovery_up_to_spark_minus_one(seed, n, extra, rank_k, use_gramia
                 assert error <= 1e-8 * (1.0 + np.linalg.norm(kf)), (strategy, lam)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 3),
+    rank_k=st.integers(1, 4),
+    damage=st.sampled_from(["none", "duplicate", "zero"]),
+    r=st.integers(0, 3),
+)
+# The dual's second and third vectors are round-off beside its first.
+@example(seed=0, n=2, extra=1, rank_k=1, damage="duplicate", r=1)
+def test_certified_consistency_recovery_is_exact(seed, n, extra, rank_k, damage, r):
+    # Every certified consistency recovery reconstructs Kf, also where a zero
+    # or repeated frame vector leaves the pseudo-inverse dual with round-off
+    # vectors beside full-size ones: the projector onto Ker G alone loses
+    # their coefficients, while the survivors, ranked at their own size, still
+    # pass the range test.
+    rng = np.random.default_rng(seed)
+    m, k = n + extra, min(rank_k, n)
+    f_mat, k_mat = random_kframe(rng, n, m, k)
+    if damage == "duplicate":
+        f_mat[:, m - 1] = f_mat[:, m - 2]
+    elif damage == "zero" and m - 1 > k:
+        f_mat[:, k] = 0.0
+    sys = verify_kframe(f_mat, k_mat)
+    dual = verify_kdual(sys, (np.linalg.pinv(f_mat) @ k_mat).T)
+    combos = list(itertools.combinations(range(m), min(r, m - 1)))
+    sets = np.array(combos, dtype=int).reshape(len(combos), min(r, m - 1))
+    plan = plan_recovery(sys, "consistency", sets, dual=dual)
+    signals = rng.standard_normal((len(sets), n))
+    full, _, certified = plan.apply(signals @ dual.G, np.arange(len(sets)))
+    kf = signals @ k_mat.T
+    error = np.linalg.norm(full @ f_mat.T - kf, axis=1)
+    assert (error <= 1e-8 * (1.0 + np.linalg.norm(kf, axis=1)))[certified].all()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -332,6 +383,46 @@ class TestRecoverConsistency:
         np.testing.assert_allclose(good.reconstructed, sys_d.K.matrix @ f, atol=1e-8)
         bad = recover_consistency(sys_d, dual_d, erase(c, [0]))
         assert not bad.certified_exact
+
+    def test_no_erasure_keeps_the_range_test(self, sys_d):
+        """With a direction u of R(K^T) taken out of the dual, even the whole
+        coefficient vector cannot pin Kf, and nothing erased is no exception."""
+        g = canonical_kdual(sys_d).dual.G
+        u = range_basis(sys_d.K.matrix.T).basis[:, :1]
+        dual = verify_kdual(sys_d, g - u @ (u.T @ g))
+        c = encode(dual, np.random.default_rng(85).standard_normal(4))
+        assert not recover_consistency(sys_d, dual, erase(c, [])).certified_exact
+        assert not plan_recovery(sys_d, "consistency", np.zeros((1, 0)), dual=dual).range_ok[0]
+
+    def test_subnormal_dual_vectors_keep_the_plan_finite(self):
+        # Scaled to unit size, dual vectors below 2^-1022 would put P D past 2^1024.
+        fix = FIXTURES["FIX-D"]
+        sys = verify_kframe(fix.F, fix.K * 1e-310)
+        dual = verify_kdual(sys, (np.linalg.pinv(fix.F) @ sys.K.matrix).T)
+        plan = plan_recovery(sys, "consistency", np.arange(4)[:, None], dual=dual)
+        assert np.isfinite(plan.matrix).all() and np.isfinite(plan.solver).all()
+
+    def test_fewer_vectors_than_dimensions(self):
+        """F 4x3 with K = F B of rank 3: G^T = B has a trivial kernel, so N is
+        exactly 0, every block has rank 0, and only the whole coefficient
+        vector spans R(K^T)."""
+        rng = np.random.default_rng(87)
+        f = rng.standard_normal((4, 3))
+        sys = verify_kframe(f, f @ rng.standard_normal((3, 4)))
+        dual = verify_kdual(sys, (np.linalg.pinv(f) @ sys.K.matrix).T)
+        for r in range(3):
+            combos = list(itertools.combinations(range(3), r))
+            sets = np.array(combos, dtype=int).reshape(len(combos), r)
+            plan = plan_recovery(sys, "consistency", sets, dual=dual)
+            assert plan.matrix.shape == (3, 3) and not plan.matrix.any()
+            assert (plan.rank == 0).all() and (plan.deficiency == 0).all()
+            assert (plan.range_ok == (r == 0)).all()
+        x = rng.standard_normal(4)
+        c = encode(dual, x)
+        whole = recover_consistency(sys, dual, erase(c, []))
+        assert whole.certified_exact
+        np.testing.assert_allclose(whole.reconstructed, sys.K.matrix @ x, atol=1e-9)
+        assert not recover_consistency(sys, dual, erase(c, [1])).certified_exact
 
 
 class TestProjectedExpansion:
@@ -501,6 +592,17 @@ class TestComposeRecoveryMatrices:
     def test_precondition_enforced(self, sys_c):
         with pytest.raises(KFrameError):
             compose_recovery_matrices(sys_c, np.eye(4), sys_c.gramian)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-5])
+    def test_precondition_is_free_of_scale(self, scale):
+        """N = s I[:3] gives N F^T = s F[:, :3]^T, of size s^2 on a system at
+        scale s: no erasure-recovery matrix at any s, while the kernel rows are."""
+        f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
+        sys = verify_kframe(f * scale, k * scale)
+        with pytest.raises(KFrameError, match="not an erasure-recovery matrix"):
+            compose_recovery_matrices(sys, scale * np.eye(6)[:3], sys.gramian)
+        kernel_rows = scale * null_space_basis(sys.F).basis.T
+        assert compose_recovery_matrices(sys, kernel_rows, sys.gramian).degenerate
 
     def test_kernel_containment_is_judged_by_the_system_policy(self):
         # With M's smallest singular value at 1e-6 of its largest, a coarse
