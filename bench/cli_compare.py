@@ -1,0 +1,221 @@
+"""Run one fixed CLI corpus on two checkouts and list every command that differs.
+
+    python bench/cli_compare.py BEFORE_ROOT OUT.json
+
+BEFORE_ROOT is the root of another checkout, for example the parent commit
+unpacked with `git archive`. The corpus is built once from fixed seeds with
+numpy alone: FIX-A..D (each also at scales 1e-150 and 1e150), the 2x3
+frame whose third vector repeats its first, and generated K-frames with no
+damage, a repeated column, a zero column or both, each with its
+pseudo-inverse dual and a recovery matrix Gram + A Q (Q the projector onto
+Ker G). It runs every command: fixtures, spark, check-dual, canonical-dual,
+analyze, mrc, find-rk, recover with each strategy on many erasure sets, and
+simulate. Each checkout runs the whole corpus in its own Python process,
+which imports that checkout's src/, with BLAS on one thread; each command
+runs in-process through kframes.cli.run_command.
+
+OUT.json lists every command whose stdout, stderr or exit code differs, with
+the changed fields of recover and simulate reports (JSON paths, array
+entries folded into their array) and the before and after values of each
+changed scalar field; counts per command name stand beside them. The script
+writes only under a temporary directory and OUT.json.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIGNALS = 100
+# Generated systems: (n, m, rank K), each under every damage and seed.
+SHAPES = ((2, 3, 1), (2, 4, 2), (3, 5, 1), (3, 6, 2), (3, 6, 3), (4, 7, 2), (4, 8, 4), (5, 9, 3))
+DAMAGES = ("none", "duplicate", "zero", "both")
+SEEDS = (0, 1)
+# The 2x3 frame whose third vector repeats its first, K invertible.
+REPEATED_2X3 = (
+    [[-0.764254750996589, 0.17916326278032324, -0.764254750996589],
+     [0.9903619228169993, 0.4417427045007605, 0.9903619228169993]],
+    [[0.8887091635618033, -1.551005604072312], [0.5614535433138648, 2.0195652264454305]],
+)
+
+
+def _matrix(a) -> dict:
+    a = np.asarray(a, dtype=float)
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.tolist()}
+
+
+def _write(path: Path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return path.name
+
+
+def _pinv_dual(f, k):
+    return (np.linalg.pinv(f, rcond=1e-10 * max(f.shape)) @ k).T
+
+
+def _generated(n, m, rank_k, damage, seed):
+    """A K-frame: the first rank K columns span R(K), the others are free."""
+    rng = np.random.default_rng([n, m, rank_k, seed])
+    k = rng.standard_normal((n, rank_k)) @ rng.standard_normal((rank_k, n))
+    f = np.hstack([k @ rng.standard_normal((n, rank_k)), rng.standard_normal((n, m - rank_k))])
+    if damage in ("duplicate", "both"):
+        f[:, m - 1] = f[:, m - 2]
+    if damage in ("zero", "both") and m - 1 > rank_k:
+        f[:, rank_k] = 0.0
+    return f, k
+
+
+def _systems():
+    """(name, F, K, G, has recovery matrix) of every corpus system."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from kframes.fixtures import FIXTURES
+
+    out = []
+    for name, fix in sorted(FIXTURES.items()):
+        dual = _pinv_dual(fix.F, fix.K) if fix.dual is None else fix.dual
+        out.append((name, fix.F, fix.K, dual, True))
+        for scale in (1e-150, 1e150):
+            out.append((f"{name}@{scale:g}", scale * fix.F, scale * fix.K, dual, False))
+    f, k = (np.array(a) for a in REPEATED_2X3)
+    out.append(("repeated-2x3", f, k, _pinv_dual(f, k), True))
+    for (n, m, rank_k), damage, seed in itertools.product(SHAPES, DAMAGES, SEEDS):
+        f, k = _generated(n, m, rank_k, damage, seed)
+        out.append((f"gen{n}x{m}k{rank_k}-{damage}-{seed}", f, k, _pinv_dual(f, k), True))
+    return out
+
+
+def build_corpus(work: Path) -> list[list[str]]:
+    """Write every input file under work and return the commands, in order."""
+    commands = [["fixtures", "--name", f"FIX-{x}", *extra]
+                for x in "ABCD" for extra in ([], ["--with-dual"])]
+    for index, (name, f, k, g, with_rk) in enumerate(_systems()):
+        rng = np.random.default_rng(index)
+        n, m = f.shape
+        system = _write(work / f"{name}.json", {"F": _matrix(f), "K": _matrix(k)})
+        dual = _write(work / f"{name}-dual.json", {"G": _matrix(g)})
+        gram = f.T @ f
+        q = np.eye(m) - g.T @ np.linalg.pinv(g.T, rcond=1e-10 * max(g.shape))
+        m_mat = gram + (np.linalg.norm(gram, 2) or 1.0) * rng.standard_normal((m, m)) @ q
+        rk = _write(work / f"{name}-rk.json", _matrix(m_mat)) if with_rk else None
+        base = ["--system", system]
+        commands += [
+            ["spark", "--matrix", _write(work / f"{name}-F.json", _matrix(f))],
+            ["check-dual", *base, "--dual", dual],
+            ["canonical-dual", *base, "--method", "douglas"],
+            ["canonical-dual", *base, "--method", "restricted"],
+            ["analyze", *base, "--r", "1"],
+            ["mrc", *base, "--r", "1"],
+            ["mrc", *base, "--sigma", str(int(rng.integers(1, m + 1)))],
+        ]
+        if with_rk:
+            commands += [["spark", "--matrix", rk],
+                         *(["find-rk", *base, "--dual", dual, "--r", str(r)] for r in (1, 2))]
+        for r in (1, 2):
+            if r < m:
+                sim = ["simulate", *base, "--r", str(r), "--signals", str(SIGNALS),
+                       "--seed", str(index)]
+                matrix = ["--rk-matrix", rk] if rk else ["--strategies", "side-info,consistency"]
+                commands.append(sim + ["--dual", dual] + matrix)
+                commands.append(sim + ["--strategies", "consistency"])
+        sets = [lam for r in (0, 1, 2) for lam in itertools.combinations(range(m), r) if r < m]
+        for j, lam in enumerate(sets):
+            signal = rng.standard_normal(n)
+            c = g.T @ signal
+            coded = _write(work / f"{name}-c{j}.json",
+                           {"coefficients": [None if i in lam else float(c[i]) for i in range(m)],
+                            "erased": [i + 1 for i in lam]})
+            side = _write(work / f"{name}-v{j}.json", (f.T @ (k @ signal)).tolist())
+            recover = ["recover", *base, "--dual", dual, "--coded", coded, "--strategy"]
+            commands.append(recover + ["side-info", "--side-info", side])
+            if rk:
+                commands.append(recover + ["blind", "--rk-matrix", rk])
+            commands.append(recover + ["consistency"])
+    return commands
+
+
+def run_corpus(root: str, commands_path: str, results_path: str) -> None:
+    """Run every command on root's src/ in this process; write (code, out, err) of each."""
+    sys.path.insert(0, str(Path(root) / "src"))
+    from kframes.cli import run_command
+
+    warnings.simplefilter("always")
+    results = []
+    for argv in json.loads(Path(commands_path).read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        results.append([code, out.getvalue(), err.getvalue()])
+    Path(results_path).write_text(json.dumps(results))
+
+
+def _leaves(obj, path=""):
+    """JSON path -> value of every leaf; a list of numbers is one leaf."""
+    if isinstance(obj, dict):
+        return {k: v for key, value in obj.items()
+                for k, v in _leaves(value, f"{path}.{key}" if path else key).items()}
+    if isinstance(obj, list) and any(isinstance(v, (dict, list)) for v in obj):
+        return {k: v for i, value in enumerate(obj)
+                for k, v in _leaves(value, f"{path}[{i}]").items()}
+    return {path: obj}
+
+
+def _changed_fields(before: str, after: str) -> dict:
+    """Changed leaves of two JSON reports: path -> [before, after] for scalars, None for arrays."""
+    try:
+        old, new = _leaves(json.loads(before)), _leaves(json.loads(after))
+    except json.JSONDecodeError:
+        return {}
+    return {path: None if isinstance(old.get(path), list) or isinstance(new.get(path), list)
+            else [old.get(path), new.get(path)]
+            for path in sorted(old.keys() | new.keys()) if old.get(path) != new.get(path)}
+
+
+def main(before_root: str, out_path: str) -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        commands = build_corpus(work)
+        (work / "commands.json").write_text(json.dumps(commands))
+        sides = {}
+        for side, root in (("before", Path(before_root).resolve()), ("after", ROOT)):
+            subprocess.run([sys.executable, str(Path(__file__).resolve()), "--run", str(root),
+                            "commands.json", f"{side}.json"], cwd=work, env=env, check=True)
+            sides[side] = json.loads((work / f"{side}.json").read_text())
+    differ, counts = [], {}
+    for argv, old, new in zip(commands, sides["before"], sides["after"]):
+        count = counts.setdefault(argv[0], {"commands": 0, "differ": 0})
+        count["commands"] += 1
+        if old == new:
+            continue
+        count["differ"] += 1
+        entry = {"argv": argv, "differs": [what for what, a, b in zip(
+            ("exit", "stdout", "stderr"), old, new) if a != b]}
+        if old[0] != new[0]:
+            entry["exit"] = [old[0], new[0]]
+        if argv[0] in ("recover", "simulate") and old[1] != new[1]:
+            entry["fields"] = _changed_fields(old[1], new[1])
+        differ.append(entry)
+    report = {"before": str(Path(before_root).resolve()), "after": str(ROOT),
+              "commands": len(commands), "differ": len(differ), "by_command": counts,
+              "changed": differ}
+    Path(out_path).write_text(json.dumps(report, indent=1) + "\n")
+    print(json.dumps({"commands": len(commands), "differ": len(differ), "by_command": counts},
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--run":
+        run_corpus(*sys.argv[2:5])
+    else:
+        sys.exit(main(*sys.argv[1:3]))

@@ -41,7 +41,7 @@ every survivor set goes through R(K)^perp, and test_mrc_all_invertible_10x20
 at r = 2 on the seeded 10x20 construction with K invertible, whose 18-column
 survivor sets are proven to span R^10. test_plan_consistency_all_4sets
 times one consistency plan_recovery over all C(12, 4) = 495 erasure sets of
-the 6x12 system, each with its survivor range test.
+the 6x12 system, each with its F-ambiguity test.
 """
 
 import contextlib

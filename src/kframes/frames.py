@@ -66,28 +66,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorK:
-    """A square operator with its rank and bases of R(K), R(K)^perp and
-    Ker K = R(K^T)^perp, all read off one SVD."""
+    """A square operator with its rank and bases of R(K) and R(K)^perp, all
+    read off one SVD."""
 
     matrix: np.ndarray
     rank: int
     range: SubspaceBasis
     range_perp: np.ndarray
-    kernel: np.ndarray
 
     @classmethod
     def from_matrix(cls, m, tol: TolerancePolicy = DEFAULT_TOL) -> "OperatorK":
         arr = ensure_matrix(m, "K")
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"K must be square, got {arr.shape}")
-        u, s, v = svd_factor(arr)
+        u, s, _ = svd_factor(arr)
         r = _svd_rank(s, arr.shape, tol)
         return cls(
             matrix=arr,
             rank=r,
             range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
             range_perp=u[:, r:],
-            kernel=v[:, r:],
         )
 
     @property

@@ -307,29 +307,27 @@ def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, in
 
 
 def stacked_pinv_and_rank(
-    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """pinv_and_rank of every block of an N x n x k stack, from one stacked SVD.
+    blocks: np.ndarray, cutoff: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pseudo-inverse, rank and right singular vectors of every block of an
+    N x n x k stack, from one stacked SVD ranked against one fixed cutoff.
 
-    The stacked SVD returns each block's own factors, the rank rule is
-    applied block by block, and the pseudo-inverses are formed in
-    pinv_and_rank's operand order, one batch per distinct rank; so every
-    block gets pinv_and_rank's result bit for bit. A given fixed cutoff
-    replaces the rank rule for every block, as in stacked_ranks.
+    The stacked SVD returns each block's own factors, and the pseudo-inverses
+    are formed in pinv_and_rank's operand order, one batch per distinct rank;
+    so a block that both rank alike gets pinv_and_rank's result bit for bit.
+    Column j of a block's V (k x k) is its j-th right singular vector; those
+    from its rank on span its numerical kernel.
     """
     count, rows, cols = blocks.shape
     pinvs = np.zeros((count, cols, rows))
-    if rows == 0 or cols == 0:
-        return pinvs, np.zeros(count, dtype=np.intp)
     u, s, vt = np.linalg.svd(blocks, full_matrices=True)
-    cutoff = tol.rank_cutoff(s, blocks.shape) if cutoff is None else cutoff
     ranks = np.count_nonzero(s > cutoff, axis=1)
     for r in set(ranks.tolist()) - {0}:
         sel = np.flatnonzero(ranks == r)
         diag = np.eye(r) / s[sel, :r, None]
         v, ut = vt[sel, :r].transpose(0, 2, 1), u[sel, :, :r].transpose(0, 2, 1)
         pinvs[sel] = v @ diag @ ut
-    return pinvs, ranks
+    return pinvs, ranks, vt.transpose(0, 2, 1)
 
 
 def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

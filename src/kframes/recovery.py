@@ -8,22 +8,23 @@ reconstruct them:
   recovery matrix M and the side vector v of K-frame measurements <Kf, f_j>.
 * blind: solve the homogeneous relation (M - Gram) c = 0, which needs no
   side information at all.
-* consistency: the blind solve against N = P D, D scaling each dual vector
-  to unit size and P the projector onto Ker(G D), so N G^T = 0; exact for Kf
-  whenever the survivors span R(K^T), as an ambiguity dc of the erased slots
-  is then G^T df with G_known^T df = 0: df in Ker K, F dc = 0.
+* consistency: the blind solve against Q, the projector onto Ker G, so
+  Q G^T = 0; an ambiguity dc of the erased slots is G^T df with
+  G_known^T df = 0, and F dc = K df.
 
 A recovery matrix here is any m x m matrix M with (M - Gram) G^T = 0; its
 two sparks bound how many erasures each solver tolerates.
 
 For a fixed erasure set each solver is one linear map. plan_recovery builds
 the maps of one strategy for many erasure sets at once: one stacked SVD of
-all the erased blocks gives each set its rank decision and pseudo-inverse,
-and a rank-deficient set is marked, not raised. RecoveryPlan.apply then
-recovers a batch of signals, each erased on one of the sets, with a solver
-residual and a certified-exact flag per signal; each signal is rounded as if
-planned and recovered alone. The recover_* functions plan one set, raise
-AmbiguityError for a rank-deficient one, and apply for one signal.
+all the erased blocks, ranked against spark's cutoff for the whole matrix,
+gives each set its rank, pseudo-inverse and ambiguities (one rank rule), and
+a set is exact when F maps every ambiguity to 0 (one exactness rule); a
+rank-deficient set is marked, not raised. RecoveryPlan.apply then recovers a
+batch of signals, each erased on one of the sets, with a solver residual and
+a certified-exact flag per signal; each signal is rounded as if planned and
+recovered alone. The recover_* functions plan one set, raise AmbiguityError
+for a rank-deficient one, and apply for one signal.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .linalg import (
     column_blocks,
     ensure_matrix,
     ensure_vector,
-    intersection_dims,
     matvec_rows,
     null_space_basis,
     operator_norm,
@@ -248,9 +248,9 @@ class RecoveryPlan:
     matrix is m x m. Set g fits matrix_L @ x = rhs by its pseudo-inverse
     solver[g] and fills its erased slots L with x. side-info: matrix = M,
     rhs = v - M_known c_known; blind: matrix = N = M - Gram, rhs = -N_known
-    c_known; consistency: the same with N = P D (plan_recovery), and range_ok
-    says whether the survivors span R(K^T) (always true otherwise).
-    rank is each block's numerical rank.
+    c_known; consistency: the same with N = Q (plan_recovery). rank is each
+    block's numerical rank, and range_ok says whether F_L maps the block's
+    kernel to 0 (for consistency, also whether the dual is a K-dual).
     """
 
     strategy: str
@@ -265,8 +265,8 @@ class RecoveryPlan:
     @property
     def deficiency(self) -> np.ndarray:
         """Rank deficiency of each set's erased columns of M (side-info) or
-        M - Gram (blind); a set with deficiency > 0 is ambiguous. Always 0
-        for consistency, whose ambiguities F maps to 0 where range_ok holds."""
+        M - Gram (blind); a set with deficiency > 0 is refused. Always 0
+        for consistency, whose ambiguities range_ok judges instead."""
         if self.strategy == "consistency":
             return np.zeros_like(self.rank)
         return self.erased.shape[1] - self.rank
@@ -316,13 +316,14 @@ def plan_recovery(
 ) -> RecoveryPlan:
     """Plan recovery of every erasure set (row of the G x r index array sets).
 
-    The erased blocks of all sets are factored by one stacked SVD, which gives
-    each set's rank decision and pseudo-inverse. side-info and blind read
-    m_mat (default: the Gramian), consistency the dual. A rank-deficient set
-    is marked by its deficiency, not raised. Consistency's N = P D: D scales
-    each dual vector exactly to unit size, so a small one keeps its coefficient
-    above round-off, and P projects onto Ker(G D), exactly 0 when that is {0}.
-    pinv(N_L) = D_L^-1 pinv(P_L), each P_L ranked against ||P|| = 1, not itself.
+    side-info and blind read m_mat (default: the Gramian), consistency the
+    dual; N is M, M - Gram or Q, the projector onto Ker G, exactly 0 when
+    that kernel is trivial. One stacked SVD of the erased blocks N_L, each
+    ranked against spark's cutoff at sigma_max(N), gives every set its rank,
+    pseudo-inverse and null right singular vectors; a rank-deficient set is
+    marked by its deficiency, not raised. range_ok: F_L maps each null vector
+    to 0 (rank cutoff at F's Frobenius norm, at unit size) and, for
+    consistency, the dual is a K-dual, as F c is Kf only then.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -334,20 +335,21 @@ def plan_recovery(
         raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
     known = _complements(erased, sys.m)
     if strategy == "consistency":
-        e = np.maximum(unit_scaled(dual.G, axis=0)[1], -1021)  # D <= 2^1021: P D is finite
-        proj = null_space_basis(np.ldexp(dual.G, -e), tol).projector()
-        solver, rank = stacked_pinv_and_rank(column_blocks(proj, erased), tol,
-                                             tol.rank_cutoff(np.ones(1), proj.shape))
-        solver, mat = np.ldexp(solver, e[0, erased][..., None]), np.ldexp(proj, -e)
-        # The survivors frame R(K^T) exactly when they meet it in rank K dimensions.
-        spans = intersection_dims(column_blocks(dual.G, known), sys.K.kernel, tol) >= sys.K.rank
+        mat, valid = null_space_basis(dual.G, tol).projector(), dual.is_valid
     else:
-        mat = _recovery_matrix(sys, m_mat)
+        mat, valid = _recovery_matrix(sys, m_mat), True
         if strategy == "blind":
             mat = _blind_matrix(sys, mat)
-        solver, rank = stacked_pinv_and_rank(column_blocks(mat, erased), tol)
-        spans = np.ones(len(erased), dtype=bool)
-    return RecoveryPlan(strategy, mat, erased, known, solver, rank, spans, tol)
+    cutoff = tol.rank_cutoff(np.linalg.svd(mat, compute_uv=False), mat.shape)
+    solver, rank, v = stacked_pinv_and_rank(column_blocks(mat, erased), cutoff)
+    null = np.arange(erased.shape[1]) >= rank[:, None]
+    range_ok = np.full(len(erased), valid)
+    if null.any():  # a block of full rank leaves no ambiguity to judge
+        f_unit = unit_scaled(sys.F)[0]
+        f_cutoff = tol.rank_cutoff(np.array([np.linalg.norm(f_unit)]), f_unit.shape)
+        moved = np.linalg.norm(column_blocks(f_unit, erased) @ v, axis=1)
+        range_ok &= ~(null & (moved > f_cutoff)).any(axis=1)
+    return RecoveryPlan(strategy, mat, erased, known, solver, rank, range_ok, tol)
 
 
 @dataclass(frozen=True)
@@ -416,10 +418,10 @@ def recover_blind(
 def recover_consistency(
     sys: KFrameSystem, dual: DualSystem, coded: CodedSignal
 ) -> RecoveryReport:
-    """Recover erased entries from N c = 0, N = P D as plan_recovery builds it.
+    """Recover erased entries from Q c = 0, Q the projector onto Ker G.
 
-    Certified exact when the surviving dual vectors still span R(K^T) (range
-    test), which pins Kf even though the recovered coefficients themselves
+    Certified exact when F maps every ambiguity of the erased slots to 0 and
+    G is a K-dual, which pins Kf even though the recovered coefficients
     may differ from c by G^T df with df in Ker K.
     """
     return _recover_one(sys, "consistency", coded, dual=dual)

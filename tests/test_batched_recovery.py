@@ -5,7 +5,8 @@ the erased block predicts whether side-info and blind recovery complete, and
 the survivor range test predicts whether consistency recovery is exact. The
 signals and erasure sets are redrawn here with simulate's rng call sequence.
 The stacked plan itself is checked, bit for bit, against a plan built set by
-set from one SVD per block and applied signal by signal.
+set from one SVD per block, with the library's rank and exactness rules
+written in numpy alone, and applied signal by signal.
 """
 
 import contextlib
@@ -147,43 +148,39 @@ def test_fixture_d_blind_against_gramian_all_skipped(tmp_path, r):
     assert report["blind"]["skipped"] == SIGNALS
 
 
+def _cutoff(a):
+    """The library's rank cutoff for a, from numpy's singular values of a."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return max(1e-10 * max(a.shape) * s[0], np.finfo(float).tiny)
+
+
 def _reference_plan(sys, dual, strategy, mat, lam):
     """(rank, range_ok, block, solver, coupling) of one set, from one SVD."""
     known = [i for i in range(sys.m) if i not in lam]
-    ranked, cutoff, e = mat, None, np.zeros(sys.m, dtype=int)
+    valid = True
     if strategy == "consistency":
-        # N = P D: D scales each dual vector by a power of two, at most 2^1021,
-        # to a largest entry in [1/2, 1), and P, from numpy's own SVD of G D,
-        # projects onto Ker(G D). Blocks of P are ranked against ||P|| = 1,
-        # and D_L^-1 scales their pseudo-inverses.
-        e = np.maximum(np.frexp(np.abs(dual.G).max(axis=0))[1], -1021)
-        _, s_g, vt_g = np.linalg.svd(np.ldexp(dual.G, -e), full_matrices=True)
+        # N = Q, the projector onto Ker G, from numpy's own SVD of G.
+        _, s_g, vt_g = np.linalg.svd(dual.G, full_matrices=True)
         rank_g = int(np.sum(s_g > max(1e-10 * max(dual.G.shape) * s_g[0], np.finfo(float).tiny)))
         kernel = np.ascontiguousarray(vt_g[rank_g:].T)
-        ranked = kernel @ kernel.T
-        mat = np.ldexp(ranked, -e)
-        cutoff = max(1e-10 * max(mat.shape), np.finfo(float).tiny)
+        mat = kernel @ kernel.T
+        valid = np.linalg.norm(sys.F @ dual.G.T - sys.K.matrix, 2) <= 1e-9 * (
+            1.0 + np.linalg.norm(sys.K.matrix, 2))
     block, coupling = mat[:, list(lam)], mat[:, known]
-    rank, solver = 0, np.zeros(block.shape[::-1])
+    rank, solver, null = 0, np.zeros(block.shape[::-1]), np.eye(len(lam))
     if block.size:
-        u, s, vt = np.linalg.svd(ranked[:, list(lam)], full_matrices=True)
-        if cutoff is None:
-            cutoff = max(1e-10 * max(block.shape) * s[0], np.finfo(float).tiny)
-        rank = int(np.sum(s > cutoff))
+        # Every block is ranked against its whole matrix's largest singular value.
+        u, s, vt = np.linalg.svd(block, full_matrices=True)
+        rank = int(np.sum(s > _cutoff(mat)))
         solver = vt.T[:, :rank] @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
-        solver = np.ldexp(solver, e[list(lam)][:, None])
-    range_ok = True
-    if strategy == "consistency":
-        # The survivors meet R(K^T) in rank K dimensions: rank G_known less the
-        # rank of its part in Ker K, both cut off against G_known's largest
-        # singular value.
-        _, s_k, vt_k = np.linalg.svd(sys.K.matrix)
-        rank_k = int(np.sum(s_k > max(1e-10 * sys.n * s_k[0], np.finfo(float).tiny)))
-        g_known = dual.G[:, known]
-        s = np.linalg.svd(g_known, compute_uv=False)
-        cutoff = max(1e-10 * max(g_known.shape) * s[0], np.finfo(float).tiny)
-        outside = np.linalg.svd(vt_k[rank_k:] @ g_known, compute_uv=False)
-        range_ok = int(np.sum(s > cutoff)) - int(np.sum(outside > cutoff)) >= rank_k
+        null = vt[rank:].T
+    # Exact when F_L maps every null right singular vector of the block to 0,
+    # against the rank cutoff at F's Frobenius norm, F scaled by a power of two
+    # to unit size.
+    f_unit = np.ldexp(sys.F, -np.frexp(np.abs(sys.F).max())[1])
+    moved = np.linalg.norm(f_unit[:, list(lam)] @ null, axis=0)
+    f_cutoff = max(1e-10 * max(f_unit.shape) * np.linalg.norm(f_unit), np.finfo(float).tiny)
+    range_ok = bool(valid and np.all(moved <= f_cutoff))
     return rank, range_ok, block, solver, coupling
 
 

@@ -1032,4 +1032,4 @@ def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
         '"signals": 200, "seed": 7, "strategies": ["consistency"], "rk_matrix": null}, '
         '"certificate": null, "strategies": {"consistency": {"signals": 200, '
         '"completed": 200, "skipped": 0, "exact": 150, "exact_fraction": 0.75, '
-        '"max_error": 2.5325196480669656, "mean_error": 0.20352069100840497}}}\n')
+        '"max_error": 2.5325196480669656, "mean_error": 0.20352069100840503}}}\n')

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from kframes import (
@@ -261,9 +261,8 @@ def test_exact_recovery_up_to_spark_minus_one(seed, n, extra, rank_k, use_gramia
 def test_certified_consistency_recovery_is_exact(seed, n, extra, rank_k, damage, r):
     # Every certified consistency recovery reconstructs Kf, also where a zero
     # or repeated frame vector leaves the pseudo-inverse dual with round-off
-    # vectors beside full-size ones: the projector onto Ker G alone loses
-    # their coefficients, while the survivors, ranked at their own size, still
-    # pass the range test.
+    # vectors beside full-size ones: the projector onto Ker G loses their
+    # coefficients, and F, not the survivors' own size, judges what is lost.
     rng = np.random.default_rng(seed)
     m, k = n + extra, min(rank_k, n)
     f_mat, k_mat = random_kframe(rng, n, m, k)
@@ -313,6 +312,106 @@ def test_round_off_recovery_matrix_gives_no_blind_power(
         assert (plan_recovery(sys, "blind", sets, m_mat=m_mat).deficiency > 0).all()
     with pytest.raises(AmbiguityError):
         recover_blind(sys, m_mat, erase(encode(dual, np.ones(sys.n)), [0]), dual=dual)
+
+
+def _near_cutoff(mat, sets):
+    """Whether a block mat[:, L] has its smallest singular value within a
+    rounding margin of spark's cutoff at sigma_max(mat), where the plan's SVD
+    and the certificate's may fall on different sides of it."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    low = np.linalg.svd(mat.T[sets].transpose(0, 2, 1), compute_uv=False)[:, -1]
+    cutoff = max(1e-10 * max(mat.shape) * s[0], np.finfo(float).tiny)
+    return bool(np.any(np.abs(low - cutoff) <= 64 * max(mat.shape) * np.finfo(float).eps * s[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 4),
+    rank_k=st.integers(1, 4),
+    damage=st.sampled_from(["none", "duplicate", "zero", "both"]),
+    use_gramian=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-100, 1e100]),
+)
+# Blind ranked each block against itself: a round-off column of N, certified
+# spark 1, was inverted as a rank-1 block.
+@example(seed=0, n=2, extra=1, rank_k=1, damage="duplicate", use_gramian=False, scale=1.0)
+def test_plan_agrees_with_certificate(seed, n, extra, rank_k, damage, use_gramian, scale):
+    """Side-info and blind plans rank every erased block against spark's cutoff
+    for the whole matrix, so they agree with the certificate, an independent
+    route (subset table and Gram certificate against stacked pseudo-inverses):
+    every r-set with r <= r_side_info (r_blind) has deficiency 0, and the
+    support of a finite spark's witness is deficient. M = Gram + A Q, Q the
+    projector onto Ker G, and zero and repeated frame vectors put round-off
+    columns into N = M - Gram."""
+    rng = np.random.default_rng(seed)
+    m, k = n + extra, min(rank_k, n)
+    f_mat, k_mat = random_kframe(rng, n, m, k)
+    if damage in ("duplicate", "both"):
+        f_mat[:, m - 1] = f_mat[:, m - 2]
+    if damage in ("zero", "both") and m - 1 > k:
+        f_mat[:, k] = 0.0
+    sys = verify_kframe(scale * f_mat, scale * k_mat)
+    dual = verify_kdual(sys, (np.linalg.pinv(f_mat) @ k_mat).T)
+    m_mat = sys.gramian.copy()
+    if not use_gramian:
+        a = scale * scale * rng.standard_normal((m, m))
+        m_mat += a @ null_space_basis(dual.G, sys.tol).projector()
+    cert = validate_rk_matrix(sys, dual, m_mat)
+    for strategy, mat, level, found in (("side-info", cert.M, cert.r_side_info, cert.spark_M),
+                                        ("blind", cert.N, cert.r_blind, cert.spark_N)):
+        tolerated = [np.array(list(itertools.combinations(range(m), r)))
+                     for r in range(1, min(level, m) + 1)]
+        witness = [np.flatnonzero(found.witness)[None]] if found.finite else []
+        if any(_near_cutoff(mat, sets) for sets in tolerated + witness):
+            event(f"{strategy}: a block within rounding of the cutoff, skipped")
+            assume(False)
+        for sets in tolerated:
+            deficiency = plan_recovery(sys, strategy, sets, m_mat=m_mat).deficiency
+            assert not deficiency.any(), (strategy, sets[deficiency > 0])
+        for sets in witness:
+            assert plan_recovery(sys, strategy, sets, m_mat=m_mat).deficiency[0] > 0, strategy
+
+
+def test_blind_refuses_what_its_certificate_refuses():
+    """A 2x3 frame whose third vector repeats its first, K invertible, canonical
+    dual: the find-rk matrix for one erasure certifies r_blind = 0, as column 2
+    of N = M - Gram is 0 in exact arithmetic and round-off in float. Ranked
+    against ||N||, not against itself, that column is not inverted, so blind
+    recovery of erasure {2} (1-based) is ambiguous; ranked against itself it
+    is inverted and certified exact with errors of 25% to 71% in Kf."""
+    f = np.array([[-0.764254750996589, 0.17916326278032324, -0.764254750996589],
+                  [0.9903619228169993, 0.4417427045007605, 0.9903619228169993]])
+    k = np.array([[0.8887091635618033, -1.551005604072312],
+                  [0.5614535433138648, 2.0195652264454305]])
+    sys = verify_kframe(f, k)
+    dual = canonical_kdual(sys).dual
+    cert = find_rk_matrix(sys, dual, 1).certificate
+    assert (cert.spark_N.value, cert.r_blind) == (1, 0)
+    for signal in np.random.default_rng(0).standard_normal((3, 2)):
+        with pytest.raises(AmbiguityError):
+            recover_blind(sys, cert.M, erase(encode(dual, signal), [1]), dual=dual)
+        assert plan_recovery(sys, "blind", [[1]], m_mat=cert.M).deficiency[0] == 1
+
+
+def test_consistency_refuses_round_off_survivors():
+    """A 2x3 rank-1 K system whose third frame vector repeats its second: the
+    pseudo-inverse dual's last two vectors are round-off beside the first.
+    Erased at the first coefficient, Kf survives only in that round-off, so
+    consistency recovery is not certified: a range test that ranks the
+    survivors at their own size passes, and noise of 1e-16 ||c|| on them then
+    puts the reconstruction off by 125%."""
+    f, k = random_kframe(np.random.default_rng(0), 2, 3, 1)
+    f[:, 2] = f[:, 1]
+    sys = verify_kframe(f, k)
+    dual = verify_kdual(sys, (np.linalg.pinv(f) @ k).T)
+    assert np.linalg.norm(dual.G[:, 1:]) < 1e-15 * np.linalg.norm(dual.G)
+    c = encode(dual, np.random.default_rng(1).standard_normal(2))
+    for noise in (0.0, 1e-16, 1e-15):
+        coded = erase(c + noise * np.linalg.norm(c) * np.array([0.0, 1.0, -1.0]), [0])
+        assert not recover_consistency(sys, dual, coded).certified_exact
+    assert not plan_recovery(sys, "consistency", [[0]], dual=dual).range_ok[0]
 
 
 class TestRecoverBlind:
@@ -395,7 +494,7 @@ class TestRecoverConsistency:
         assert not plan_recovery(sys_d, "consistency", np.zeros((1, 0)), dual=dual).range_ok[0]
 
     def test_subnormal_dual_vectors_keep_the_plan_finite(self):
-        # Scaled to unit size, dual vectors below 2^-1022 would put P D past 2^1024.
+        # Dual vectors below 2^-1022 leave the projector onto Ker G finite.
         fix = FIXTURES["FIX-D"]
         sys = verify_kframe(fix.F, fix.K * 1e-310)
         dual = verify_kdual(sys, (np.linalg.pinv(fix.F) @ sys.K.matrix).T)

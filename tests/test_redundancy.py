@@ -771,8 +771,9 @@ def _intersection_verdicts(f, k, g, sigma, r):
     r-set, and MRC condition (i) for sigma."""
     sys = KFrameSystem(f, OperatorK.from_matrix(k), DEFAULT_TOL)
     sets = np.array(list(itertools.combinations(range(f.shape[1]), r)), dtype=np.intp)
-    # plan_recovery reads only G of the dual; with b != c, cG is no K-dual of bK.
-    plan = plan_recovery(sys, "consistency", sets, dual=DualSystem(g, math.nan, False))
+    # plan_recovery reads G and is_valid of the dual, never K: cG is a K-dual of
+    # acK, not of bK, and marked valid so that its F-ambiguity rule is compared.
+    plan = plan_recovery(sys, "consistency", sets, dual=DualSystem(g, math.nan, True))
     return (ranges_nested(k, f), ranges_nested(f, k), plan.range_ok.tolist(),
             mrc_subset(f, k, sigma).necessary_condition_i)
 
@@ -791,9 +792,9 @@ def _intersection_verdicts(f, k, g, sigma, r):
 )
 def test_intersection_verdicts_are_invariant_under_scaling(seed, n, extra, rank_k, damage, r,
                                                            a, b, c):
-    """Every caller of the one intersection rule keeps its verdicts under F -> aF,
-    K -> bK and G -> cG, for independent a, b and c in 10^±150, not only powers
-    of two."""
+    """Every caller of the one intersection rule, and consistency's F-ambiguity
+    rule, keeps its verdicts under F -> aF, K -> bK and G -> cG, for
+    independent a, b and c in 10^±150, not only powers of two."""
     rng = np.random.default_rng(seed)
     m = n + extra
     f, k = _damaged_kframe(rng, n, m, rank_k, damage)
