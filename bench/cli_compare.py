@@ -10,9 +10,13 @@ damage, a repeated column, a zero column or both, each with its
 pseudo-inverse dual and a recovery matrix Gram + A Q (Q the projector onto
 Ker G). It runs every command: fixtures, spark, check-dual, canonical-dual,
 analyze, mrc, find-rk, recover with each strategy on many erasure sets, and
-simulate. Each checkout runs the whole corpus in its own Python process,
-which imports that checkout's src/, with BLAS on one thread; each command
-runs in-process through kframes.cli.run_command.
+simulate. Malformed inputs on FIX-D follow: invalid JSON, missing keys,
+ragged rows, bool, string, null, 1e999 and 10**400 entries in every file
+kind, bad erased positions, CSV matrices good and bad, and a missing file,
+each given by a plain, a ./-prefixed and a doubled-slash path, since
+messages print the path. Each checkout runs the whole corpus in its own
+Python process, which imports that checkout's src/, with BLAS on one
+thread; each command runs in-process through kframes.cli.run_command.
 
 OUT.json lists every command whose stdout, stderr or exit code differs, with
 the changed fields of recover and simulate reports (JSON paths, array
@@ -139,6 +143,84 @@ def build_corpus(work: Path) -> list[list[str]]:
             if rk:
                 commands.append(recover + ["blind", "--rk-matrix", rk])
             commands.append(recover + ["consistency"])
+    return commands + _malformed(work, "FIX-D.json", "FIX-D-dual.json")
+
+
+# Bad entries: "1e999" is a placeholder for the bare JSON number 1e999, which
+# json reads as inf.
+BAD_ENTRIES = {"bool": True, "string": "2.5", "null": None, "1e999": "1e999", "big": 10**400}
+
+
+def _bad_text(obj) -> str:
+    return json.dumps(obj).replace('"1e999"', "1e999")
+
+
+def _with_entry(rows, i, j, value):
+    rows = [list(row) for row in rows]
+    rows[i][j] = value
+    return {"rows": len(rows), "cols": len(rows[0]), "data": rows}
+
+
+def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
+    """Commands on FIX-D whose system, dual, coded, side or recovery-matrix
+    file is malformed, each file named by three spellings of its path."""
+    from kframes.fixtures import FIXTURES
+
+    fix = FIXTURES["FIX-D"]
+    f, k, g = fix.F.tolist(), fix.K.tolist(), fix.dual.tolist()
+    c = (fix.dual.T @ np.ones(4)).tolist()
+    gram = (fix.F.T @ fix.F).tolist()
+    csv = "\n".join(",".join(repr(x) for x in row) for row in gram)
+    bad_dir = work / "bad"
+    bad_dir.mkdir()
+    good_c = _write(work / "fixd-c.json", {"coefficients": [None, *c[1:]], "erased": [1]})
+    files = {  # kind -> {file name: text}
+        "system": {"not-json.json": '{"F": {"rows": 4,', "sys.csv": csv,
+                   "no-F.json": _bad_text({"K": _matrix(k)}),
+                   "no-K.json": _bad_text({"F": _matrix(f)}),
+                   "ragged.json": _bad_text({"F": {"rows": 4, "cols": 4,
+                                                   "data": [f[0], f[1][:3], f[2], f[3]]},
+                                             "K": _matrix(k)})},
+        "dual": {"not-json.json": "{", "no-G.json": _bad_text({"H": _matrix(g)})},
+        "coded": {"not-json.json": "[1.0,", "no-coefficients.json": '{"erased": [1]}',
+                  "short.json": _bad_text({"coefficients": c[:3]}),
+                  "null-survivor.json": _bad_text({"coefficients": [None, *c[1:]]})},
+        "side": {"not-json.json": "[", "short.json": _bad_text(c[:3])},
+        "rk": {"not-json.json": "{}}", "m.csv": csv, "ragged.csv": "1.0,2.0\n3.0\n",
+               "cell.csv": csv.replace(repr(gram[1][2]), "x", 1),
+               "inf.csv": csv.replace(repr(gram[2][0]), "inf", 1), "empty.csv": "\n"},
+    }
+    for what, erased in {"outside": [5], "zero": [0], "repeat": [1, 1], "bool": [True],
+                         "float": [1.0], "string": "1"}.items():
+        files["coded"][f"erased-{what}.json"] = _bad_text(
+            {"coefficients": [None, *c[1:]], "erased": erased})
+    for what, value in BAD_ENTRIES.items():
+        files["system"][f"F-{what}.json"] = _bad_text({"F": _with_entry(f, 1, 2, value),
+                                                       "K": _matrix(k)})
+        files["system"][f"K-{what}.json"] = _bad_text({"F": _matrix(f),
+                                                       "K": _with_entry(k, 0, 0, value)})
+        files["dual"][f"G-{what}.json"] = _bad_text({"G": _with_entry(g, 3, 1, value)})
+        files["coded"][f"{what}.json"] = _bad_text(
+            {"coefficients": [None, c[1], value, c[3]], "erased": [1]})
+        files["side"][f"{what}.json"] = _bad_text([1.0, 2.0, value, 4.0])
+        files["rk"][f"{what}.json"] = _bad_text(_with_entry(gram, 0, 3, value))
+    recover = ["recover", "--system", system, "--dual", dual]
+    uses = {
+        "system": lambda p: [["check-dual", "--system", p, "--dual", dual]],
+        "dual": lambda p: [["check-dual", "--system", system, "--dual", p]],
+        "coded": lambda p: [recover + ["--coded", p, "--strategy", "consistency"]],
+        "side": lambda p: [recover + ["--coded", good_c, "--strategy", "side-info",
+                                      "--side-info", p]],
+        "rk": lambda p: [["spark", "--matrix", p],
+                         recover + ["--coded", good_c, "--strategy", "blind", "--rk-matrix", p]],
+    }
+    commands = []
+    for kind, named in files.items():
+        for name, text in {**named, "missing.json": None}.items():
+            if text is not None:
+                (bad_dir / f"{kind}-{name}").write_text(text)
+            for path in (f"bad/{kind}-{name}", f"./bad/{kind}-{name}", f"bad//{kind}-{name}"):
+                commands += uses[kind](path)
     return commands
 
 

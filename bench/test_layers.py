@@ -41,7 +41,11 @@ every survivor set goes through R(K)^perp, and test_mrc_all_invertible_10x20
 at r = 2 on the seeded 10x20 construction with K invertible, whose 18-column
 survivor sets are proven to span R^10. test_plan_consistency_all_4sets
 times one consistency plan_recovery over all C(12, 4) = 495 erasure sets of
-the 6x12 system, each with its F-ambiguity test.
+the 6x12 system, each with its F-ambiguity test. The per-command fixed cost
+of the CLI: test_load_system_8x16 times reading the system file of the 8x16
+construction with rank(K) = 5 (load_matrix of F and K, then verify_kframe),
+and test_emit_canonical_8x16 printing its `canonical-dual --method
+restricted` report (_emit, to a sink that discards the text).
 """
 
 import contextlib
@@ -69,9 +73,9 @@ from kframes import (
     verify_kframe,
     worst_erasure_error,
 )
-from kframes.cli import run_command
+from kframes.cli import _emit, _parsers, run_command
 from kframes.linalg import pinv_and_rank
-from kframes.matrixio import matrix_to_obj
+from kframes.matrixio import load_matrix, matrix_to_obj
 from kframes.recovery import STRATEGIES
 
 N, M, RANK_K, R, SIGNALS = 6, 12, 4, 4, 1000
@@ -283,3 +287,40 @@ def test_plan_consistency_all_4sets(benchmark, setup):
     sets = np.array(list(itertools.combinations(range(M), R)))
     plan = benchmark(plan_recovery, system, "consistency", sets, dual=dual)
     assert len(sets) == 495 and plan.range_ok.all()
+
+
+def _write_system(system, path):
+    path.write_text(json.dumps({"F": matrix_to_obj(system.F),
+                                "K": matrix_to_obj(system.K.matrix)}))
+    return str(path)
+
+
+def test_load_system_8x16(benchmark, tmp_path):
+    system = _kframe(np.random.default_rng(5), 5, n=8, m=16)
+    path = _write_system(system, tmp_path / "system.json")
+    loaded = benchmark(lambda: verify_kframe(*load_matrix(path, key=("F", "K"))))
+    assert loaded.K.rank == 5 and np.array_equal(loaded.F, system.F)
+
+
+class _Sink:
+    """A stdout that discards what is printed to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_emit_canonical_8x16(benchmark, tmp_path):
+    system = _kframe(np.random.default_rng(5), 5, n=8, m=16)
+    argv = ["--system", _write_system(system, tmp_path / "system.json"), "--method", "restricted"]
+    args = _parsers()["canonical-dual"].parse_args(argv)
+    report = {"command": "canonical-dual", **args.run(args)}
+
+    def emit():
+        with contextlib.redirect_stdout(_Sink()):
+            _emit(report, False)
+
+    benchmark(emit)
+    assert report["G"]["rows"] == 8 and report["G"]["cols"] == 16

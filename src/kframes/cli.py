@@ -105,6 +105,7 @@ def _rk_matrix(args) -> np.ndarray | None:
 
 
 def _jsonable(value):
+    """The report with numpy values as Python ones and inf as "inf"; NaN and -inf stay."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -145,10 +146,30 @@ def _one_based(indices) -> list[int]:
     return [int(i) + 1 for i in indices]
 
 
+def _plain(value):
+    """json.dumps' default hook: an ndarray or numpy scalar as its Python value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, pretty: bool) -> None:
-    """Print the report as JSON; raises ValueError, printing nothing, on NaN or -inf."""
+    """Print the report as JSON; raises ValueError, printing nothing, on NaN or -inf.
+
+    One json.dumps encodes the report, numpy values through _plain. Only when
+    it meets a non-finite float is the report encoded again through _jsonable,
+    which writes inf as "inf".
+    """
     indent = 2 if pretty else None
-    print(json.dumps(_jsonable(report), indent=indent, allow_nan=False))
+    try:
+        text = json.dumps(report, indent=indent, allow_nan=False, default=_plain)
+    except ValueError:
+        text = json.dumps(_jsonable(report), indent=indent, allow_nan=False)
+    print(text)
 
 
 def _cmd_fixtures(args) -> dict:

@@ -87,14 +87,14 @@ def ensure_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def ensure_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

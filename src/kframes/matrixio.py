@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import numbers
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,7 @@ __all__ = [
 
 def matrix_to_obj(m) -> dict:
     arr = ensure_matrix(m)
-    return {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "data": [[float(x) for x in row] for row in arr],
-    }
+    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]), "data": arr.tolist()}
 
 
 def matrix_from_obj(obj, name: str | None = None) -> np.ndarray:
@@ -58,7 +55,7 @@ def matrix_from_obj(obj, name: str | None = None) -> np.ndarray:
     for i, row in enumerate(data, start=1):
         if len(row) != cols:
             raise MatrixFormatError(f"{at}row {i} has {len(row)} entries, expected {cols}")
-    entries = finite_entries([v for row in data for v in row], lambda k: (
+    entries = finite_entries(list(chain.from_iterable(data)), lambda k: (
         f"{at}row {(k - 1) // cols + 1}, column {(k - 1) % cols + 1}"))
     return entries.reshape(rows, cols)
 
@@ -66,7 +63,19 @@ def matrix_from_obj(obj, name: str | None = None) -> np.ndarray:
 def finite_entries(values, where) -> np.ndarray:
     """The list or tuple as a float vector if each entry passes the entry check;
     else MatrixFormatError naming where(k), k the first bad entry's 1-based position.
+
+    Entries that are all plain floats and ints are checked in one numpy pass;
+    the per-entry loop runs only for other types, or to name a bad entry (a
+    non-finite float, an int beyond float range).
     """
+    if set(map(type, values)) <= {float, int}:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:  # an int beyond float range; the loop names it
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
     for k, value in enumerate(values, start=1):
         if not _is_entry(value):
             raise MatrixFormatError(f"{where(k)}: expected a finite number, got {value!r}")
@@ -104,9 +113,12 @@ def _matrix_from_csv(path: Path) -> np.ndarray:
 
 
 def read_json(path):
-    """The parsed JSON file; MatrixFormatError naming the file when it is not JSON."""
+    """The parsed JSON file; MatrixFormatError naming the file when it is not JSON.
+
+    path is a str or a Path; a Path is read as given, without building another.
+    """
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads((path if isinstance(path, Path) else Path(path)).read_text())
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
 

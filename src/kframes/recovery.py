@@ -250,7 +250,7 @@ class RecoveryPlan:
     rhs = v - M_known c_known; blind: matrix = N = M - Gram, rhs = -N_known
     c_known; consistency: the same with N = Q (plan_recovery). rank is each
     block's numerical rank, and range_ok says whether F_L maps the block's
-    kernel to 0 (for consistency, also whether the dual is a K-dual).
+    kernel to 0 and the dual, when one is given, is a K-dual.
     """
 
     strategy: str
@@ -322,8 +322,8 @@ def plan_recovery(
     ranked against spark's cutoff at sigma_max(N), gives every set its rank,
     pseudo-inverse and null right singular vectors; a rank-deficient set is
     marked by its deficiency, not raised. range_ok: F_L maps each null vector
-    to 0 (rank cutoff at F's Frobenius norm, at unit size) and, for
-    consistency, the dual is a K-dual, as F c is Kf only then.
+    to 0 (rank cutoff at F's Frobenius norm, at unit size) and the dual, when
+    one is given, is a K-dual, as F c is Kf only then.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -335,15 +335,15 @@ def plan_recovery(
         raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
     known = _complements(erased, sys.m)
     if strategy == "consistency":
-        mat, valid = null_space_basis(dual.G, tol).projector(), dual.is_valid
+        mat = null_space_basis(dual.G, tol).projector()
     else:
-        mat, valid = _recovery_matrix(sys, m_mat), True
+        mat = _recovery_matrix(sys, m_mat)
         if strategy == "blind":
             mat = _blind_matrix(sys, mat)
     cutoff = tol.rank_cutoff(np.linalg.svd(mat, compute_uv=False), mat.shape)
     solver, rank, v = stacked_pinv_and_rank(column_blocks(mat, erased), cutoff)
     null = np.arange(erased.shape[1]) >= rank[:, None]
-    range_ok = np.full(len(erased), valid)
+    range_ok = np.full(len(erased), dual is None or dual.is_valid)
     if null.any():  # a block of full rank leaves no ambiguity to judge
         f_unit = unit_scaled(sys.F)[0]
         f_cutoff = tol.rank_cutoff(np.array([np.linalg.norm(f_unit)]), f_unit.shape)

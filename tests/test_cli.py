@@ -11,8 +11,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import kframes
 import kframes.cli
@@ -431,6 +432,45 @@ class TestRecoverCommand:
         })
         assert code == 2 and out == ""
         assert shown in err
+
+
+# Report values: Python and numpy scalars (finite, +inf, -inf and NaN), float
+# and int arrays, nested in dicts, lists and tuples as handlers build them.
+_REPORT_LEAF = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    arrays(np.float64, array_shapes(max_dims=2, max_side=3)),
+    arrays(np.int64, array_shapes(max_dims=2, max_side=3)),
+)
+_REPORT = st.dictionaries(st.text(max_size=3), st.recursive(
+    _REPORT_LEAF, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=10), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_REPORT, pretty=st.booleans())
+@example(report={"spark": math.inf, "M": np.array([[1.0, math.inf]]), "r": (np.int64(2),)},
+         pretty=False)
+@example(report={"residual": np.float64(-math.inf)}, pretty=True)
+@example(report={"v": [np.float32(0.1), {"x": math.nan}]}, pretty=False)
+def test_emit_prints_the_bytes_of_the_jsonable_walk(report, pretty):
+    """_emit prints json.dumps(_jsonable(report)) byte for byte; where that
+    raises ValueError (NaN or -inf), _emit raises it too and prints nothing."""
+    indent = 2 if pretty else None
+    out = io.StringIO()
+    try:
+        want = json.dumps(kframes.cli._jsonable(report), indent=indent, allow_nan=False) + "\n"
+    except ValueError:
+        with contextlib.redirect_stdout(out), pytest.raises(ValueError):
+            kframes.cli._emit(report, pretty)
+        assert out.getvalue() == ""
+    else:
+        with contextlib.redirect_stdout(out):
+            kframes.cli._emit(report, pretty)
+        assert out.getvalue() == want
 
 
 # JSON values that are not a finite int or float, among them the ones json

@@ -1,14 +1,17 @@
 import json
+import math
+import numbers
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from kframes import MatrixFormatError
 from kframes.errors import MissingKeyError
 from kframes.matrixio import (
+    finite_entries,
     load_matrix,
     matrix_from_obj,
     matrix_to_obj,
@@ -158,3 +161,69 @@ def test_save_then_load_is_bit_exact(tmp_path_factory, mat, suffix):
     got = load_matrix(path)
     assert got.shape == mat.shape
     np.testing.assert_array_equal(got.view(np.uint64), mat.view(np.uint64))
+
+
+def _entries_by_loop(values, where):
+    """finite_entries checked one entry at a time: the reference for its numpy pass."""
+    for k, value in enumerate(values, start=1):
+        try:
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        except OverflowError:  # an int beyond float range
+            ok = False
+        if not ok:
+            raise MatrixFormatError(f"{where(k)}: expected a finite number, got {value!r}")
+    return np.array(values, dtype=float)
+
+
+# Entries of every kind a JSON file or a caller can hand over: finite and
+# non-finite floats, ints in and beyond float range (2**1024 - 2**970 rounds
+# up past it), bools, None, strings, nested lists and numpy scalars.
+_PLAIN_ENTRY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-(10**20), 10**20))
+_FLOAT_OR_INT = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**309, -(10**309), 10**308,
+                     2**1024 - 2**970, 2**1024 - 2**971]),
+)
+_ANY_ENTRY = st.one_of(
+    _FLOAT_OR_INT,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=2),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.sampled_from([np.bool_(True), np.float64("nan"), np.float64(-np.inf), np.float64(2.5)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(
+    st.lists(_PLAIN_ENTRY, max_size=12),
+    st.lists(st.one_of(_PLAIN_ENTRY, _FLOAT_OR_INT), max_size=12),
+    st.lists(st.one_of(_PLAIN_ENTRY, _ANY_ENTRY), max_size=12),
+    st.lists(_ANY_ENTRY, max_size=6),
+).flatmap(lambda v: st.sampled_from([v, tuple(v)])))
+@example(values=[1.0, 10**309])
+@example(values=[2**1024 - 2**970, float("inf")])
+@example(values=[2**1024 - 2**971, -0.0, 3])
+@example(values=[1.0, True])
+@example(values=[1, float("nan"), None])
+@example(values=[0.5, 2, -float("inf")])
+@example(values=[])
+def test_finite_entries_agrees_with_the_per_entry_loop(values):
+    """Both accept with arrays equal bit for bit, or both name the same entry."""
+    def where(k):
+        return f"entry {k}"
+    try:
+        want = _entries_by_loop(values, where)
+    except MatrixFormatError as exc:
+        with pytest.raises(MatrixFormatError) as info:
+            finite_entries(values, where)
+        assert str(info.value) == str(exc)
+    else:
+        got = finite_entries(values, where)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

@@ -395,6 +395,32 @@ def test_blind_refuses_what_its_certificate_refuses():
         assert plan_recovery(sys, "blind", [[1]], m_mat=cert.M).deficiency[0] == 1
 
 
+def test_side_info_and_blind_certify_only_with_a_k_dual():
+    """FIX-C's published dual has ||F G^T - K|| = 2, so F c is not Kf: blind
+    recovery of every erasure set, and side-info recovery with nothing
+    erased, leave Kf off by 0.08 to 2.1 and are not certified exact."""
+    fix = FIXTURES["FIX-C"]
+    sys = verify_kframe(fix.F, fix.K)
+    dual = verify_kdual(sys, fix.dual)
+    assert not dual.is_valid
+    m_mat = find_rk_matrix(sys, dual, 1).certificate.M
+    rng = np.random.default_rng(0)
+    for lam in ([], [0], [1], [2], [3]):
+        f = rng.standard_normal(sys.n)
+        report = recover_blind(sys, m_mat, erase(encode(dual, f), lam), dual=dual)
+        assert np.linalg.norm(report.reconstructed - sys.K.matrix @ f) > 0.05
+        assert not report.certified_exact, lam
+    f = rng.standard_normal(sys.n)
+    report = recover_side_info(sys, m_mat, erase(encode(dual, f), []),
+                               sys.F.T @ (sys.K.matrix @ f), dual=dual)
+    assert np.linalg.norm(report.reconstructed - sys.K.matrix @ f) > 0.05
+    assert not report.certified_exact
+    for strategy in ("side-info", "blind"):
+        sets = [[0], [1]]
+        assert not plan_recovery(sys, strategy, sets, m_mat=m_mat, dual=dual).range_ok.any()
+        assert plan_recovery(sys, strategy, sets, m_mat=m_mat).range_ok.all()
+
+
 def test_consistency_refuses_round_off_survivors():
     """A 2x3 rank-1 K system whose third frame vector repeats its second: the
     pseudo-inverse dual's last two vectors are round-off beside the first.
