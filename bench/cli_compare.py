@@ -10,13 +10,18 @@ damage, a repeated column, a zero column or both, each with its
 pseudo-inverse dual and a recovery matrix Gram + A Q (Q the projector onto
 Ker G). It runs every command: fixtures, spark, check-dual, canonical-dual,
 analyze, mrc, find-rk, recover with each strategy on many erasure sets, and
-simulate. Malformed inputs on FIX-D follow: invalid JSON, missing keys,
-ragged rows, bool, string, null, 1e999 and 10**400 entries in every file
-kind, bad erased positions, CSV matrices good and bad, and a missing file,
-each given by a plain, a ./-prefixed and a doubled-slash path, since
-messages print the path. Each checkout runs the whole corpus in its own
-Python process, which imports that checkout's src/, with BLAS on one
-thread; each command runs in-process through kframes.cli.run_command.
+simulate. Every system with rank K < n also runs find-rk at each r up to
+m - 1 against a dual perturbed off the pseudo-inverse one along Ker F,
+where the top levels are often out of reach. FIX-D then runs find-rk with
+--trials and --seed and a few commands with --json, flags the CLI once
+had. Malformed inputs on FIX-D follow: invalid JSON, missing keys, ragged
+rows, bool, string, null, 1e999 and 10**400 entries in every file kind, bad
+erased positions, CSV matrices good and bad (a non-numeric, blank, nan,
+inf or 1e999 cell), and a missing file, each given by a plain, a
+./-prefixed and a doubled-slash path, since messages print the path. Each
+checkout runs the whole corpus in its own Python process, which imports
+that checkout's src/, with BLAS on one thread; each command runs
+in-process through kframes.cli.run_command.
 
 OUT.json lists every command whose stdout, stderr or exit code differs, with
 the changed fields of recover and simulate reports (JSON paths, array
@@ -123,6 +128,15 @@ def build_corpus(work: Path) -> list[list[str]]:
         if with_rk:
             commands += [["spark", "--matrix", rk],
                          *(["find-rk", *base, "--dual", dual, "--r", str(r)] for r in (1, 2))]
+        if with_rk and np.linalg.matrix_rank(k) < n:
+            # The pseudo-inverse dual plus a perturbation along Ker F: with rank K < n
+            # no recovery matrix reaches the top levels, which find-rk refuses.
+            _, sv, vt = np.linalg.svd(f)
+            kernel = vt[np.count_nonzero(sv > 1e-10 * m * sv[0]):].T
+            perturbed = g + np.random.default_rng([index, 1]).standard_normal(
+                (n, kernel.shape[1])) @ kernel.T
+            other = _write(work / f"{name}-perturbed-dual.json", {"G": _matrix(perturbed)})
+            commands += [["find-rk", *base, "--dual", other, "--r", str(r)] for r in range(1, m)]
         for r in (1, 2):
             if r < m:
                 sim = ["simulate", *base, "--r", str(r), "--signals", str(SIGNALS),
@@ -143,6 +157,13 @@ def build_corpus(work: Path) -> list[list[str]]:
             if rk:
                 commands.append(recover + ["blind", "--rk-matrix", rk])
             commands.append(recover + ["consistency"])
+    fixd = ["--system", "FIX-D.json", "--dual", "FIX-D-dual.json"]
+    for flags in (["--trials", "64"], ["--seed", "3"], ["--trials", "64", "--seed", "3"],
+                  ["--json"], ["--pretty", "--json"]):
+        commands.append(["find-rk", *fixd, "--r", "2", *flags])
+    commands += [["spark", "--matrix", "FIX-D-F.json", "--json"],
+                 ["analyze", "--system", "FIX-D.json", "--json"],
+                 ["simulate", *fixd, "--r", "1", "--signals", "10", "--json"]]
     return commands + _malformed(work, "FIX-D.json", "FIX-D-dual.json")
 
 
@@ -171,6 +192,13 @@ def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
     c = (fix.dual.T @ np.ones(4)).tolist()
     gram = (fix.F.T @ fix.F).tolist()
     csv = "\n".join(",".join(repr(x) for x in row) for row in gram)
+
+    def csv_with(i, j, cell):
+        """The Gramian as CSV text with entry (i, j), 0-based, written as cell."""
+        rows = [[repr(x) for x in row] for row in gram]
+        rows[i][j] = cell
+        return "\n".join(",".join(row) for row in rows)
+
     bad_dir = work / "bad"
     bad_dir.mkdir()
     good_c = _write(work / "fixd-c.json", {"coefficients": [None, *c[1:]], "erased": [1]})
@@ -187,8 +215,9 @@ def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
                   "null-survivor.json": _bad_text({"coefficients": [None, *c[1:]]})},
         "side": {"not-json.json": "[", "short.json": _bad_text(c[:3])},
         "rk": {"not-json.json": "{}}", "m.csv": csv, "ragged.csv": "1.0,2.0\n3.0\n",
-               "cell.csv": csv.replace(repr(gram[1][2]), "x", 1),
-               "inf.csv": csv.replace(repr(gram[2][0]), "inf", 1), "empty.csv": "\n"},
+               "cell.csv": csv_with(1, 2, "x"), "inf.csv": csv_with(0, 0, "inf"),
+               "nan.csv": csv_with(3, 3, "nan"), "1e999.csv": csv_with(1, 0, "1e999"),
+               "blank-cell.csv": csv_with(2, 2, " "), "empty.csv": "\n"},
     }
     for what, erased in {"outside": [5], "zero": [0], "repeat": [1, 1], "bool": [True],
                          "float": [1.0], "string": "1"}.items():

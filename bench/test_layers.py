@@ -94,7 +94,7 @@ def setup():
     rng = np.random.default_rng(5)
     system = _kframe(rng, RANK_K)
     dual = canonical_kdual(system).dual
-    m_mat = find_rk_matrix(system, dual, R, seed=1).certificate.M
+    m_mat = find_rk_matrix(system, dual, R).certificate.M
     signals = rng.standard_normal((SIGNALS, N))
     draws = np.sort(np.array([rng.choice(M, size=R, replace=False) for _ in signals]), axis=1)
     sets, which = np.unique(draws, axis=0, return_inverse=True)

@@ -67,7 +67,7 @@ commands:
   spark           spark of a matrix with a kernel witness
   mrc             minimal redundancy condition for a set or all r-sets
   recover         recover erased coefficients (side-info | blind | consistency)
-  find-rk         search for a recovery matrix with a target erasure level
+  find-rk         build and certify a recovery matrix for a target erasure level
   simulate        seeded Monte-Carlo erasure/recovery experiment
   fixtures        emit a built-in reference system (FIX-A .. FIX-D)
 
@@ -322,8 +322,7 @@ def _cmd_recover(args) -> dict:
 def _cmd_find_rk(args) -> dict:
     system = _load_system(args)
     dual = _load_dual(args.dual, system)
-    found = find_rk_matrix(system, dual, args.r, trials=args.trials, seed=args.seed,
-                           cap=args.cap_subsets)
+    found = find_rk_matrix(system, dual, args.r, cap=args.cap_subsets)
     cert = found.certificate
     return {
         "mode": found.mode,
@@ -424,8 +423,6 @@ def _parsers() -> dict[str, argparse.ArgumentParser]:
     common.add_argument("--tol-res", type=float, default=1e-9)
     common.add_argument("--cap-subsets", type=_at_least(1), default=10**6)
     common.add_argument("--pretty", action="store_true")
-    common.add_argument("--json", dest="pretty", action="store_false",
-                        help="compact JSON output (default)")
     parsers = {}
 
     def command(name, run, *required) -> argparse.ArgumentParser:
@@ -450,8 +447,6 @@ def _parsers() -> dict[str, argparse.ArgumentParser]:
     parser.add_argument("--side-info", default=None)
     parser = command("find-rk", _cmd_find_rk, "--system", "--dual")
     parser.add_argument("--r", type=_at_least(0), required=True)
-    parser.add_argument("--trials", type=_at_least(0), default=64)
-    parser.add_argument("--seed", type=_at_least(0), default=0)
     parser = command("simulate", _cmd_simulate, "--system")
     parser.add_argument("--dual", default=None, help="dual file; canonical dual when omitted")
     parser.add_argument("--r", type=_at_least(0), required=True)

@@ -91,25 +91,29 @@ def _is_entry(value) -> bool:
         return False
 
 
+def _csv_entry(cell: str):
+    try:
+        return float(cell)
+    except ValueError:  # finite_entries refuses the text
+        return cell
+
+
 def _matrix_from_csv(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
+    """The matrix of a CSV file, one row per non-blank line; each cell passes the
+    entry check, and a bad one is named by its 1-based line and column."""
+    rows: list[np.ndarray] = []
     with path.open(newline="") as handle:
         for line_no, record in enumerate(csv.reader(handle), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError as exc:
-                raise MatrixFormatError(f"{path}:{line_no}: {exc}") from exc
+            rows.append(finite_entries([_csv_entry(cell) for cell in record],
+                                       lambda k: f"{path}: line {line_no}, column {k}"))
     if not rows:
         raise MatrixFormatError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise MatrixFormatError(f"{path}: ragged rows (widths {sorted(widths)})")
-    arr = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise MatrixFormatError(f"{path}: matrix entries must be finite")
-    return arr
+    return np.array(rows, dtype=float)
 
 
 def read_json(path):

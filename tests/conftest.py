@@ -10,8 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kframes import redundancy, verify_kdual, verify_kframe
-from kframes.frames import SubsetTable
+from kframes import canonical_kdual, redundancy, verify_kdual, verify_kframe
+from kframes.frames import SubsetTable, dual_perturbation
 from kframes.fixtures import FIXTURES
 
 
@@ -94,6 +94,14 @@ def random_kframe(rng, n, m, rank_k):
     extra = rng.standard_normal((n, m - rank_k))
     f = np.hstack([span_part, extra]) if m > rank_k else span_part
     return f, k
+
+
+def unreachable_rk_system():
+    """A 3x6 system with rank K = 1 and a K-dual perturbed off the canonical one:
+    every recovery matrix reaches r_side_info 4 and r_blind 3, short of m - 1 = 5."""
+    rng = np.random.default_rng(0)
+    sys = verify_kframe(*random_kframe(rng, 3, 6, 1))
+    return sys, dual_perturbation(sys, canonical_kdual(sys).dual, rng.standard_normal((3, 3)))
 
 
 def random_inrange_kframe(rng, n, m, rank_k):

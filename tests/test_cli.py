@@ -22,7 +22,12 @@ from kframes.fixtures import FIXTURES
 from kframes.matrixio import matrix_to_obj, save_matrix
 from kframes.redundancy import analyze_scans
 
-from conftest import counting_subsets, random_kframe, random_parseval_kframe
+from conftest import (
+    counting_subsets,
+    random_kframe,
+    random_parseval_kframe,
+    unreachable_rk_system,
+)
 
 
 def run(capsys, *argv):
@@ -204,6 +209,14 @@ class TestSparkCommand:
         path.write_text("1.0,2.0\n3.0\n")
         code, _, _ = run(capsys, "spark", "--matrix", str(path))
         assert code == 2
+
+    def test_csv_bad_cell_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n3.0,1e999\n")
+        code, out, err = run(capsys, "spark", "--matrix", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"kframes spark: {path}: line 2, column 2: "
+                       "expected a finite number, got inf\n")
 
     def test_cap_subsets_below_count_refused(self, capsys, tmp_path):
         # Rank 1 over 30 columns: the scan tests level 1 only, 30 subset tests.
@@ -545,19 +558,22 @@ class TestFindRkCommand:
         sys_path, dual_path = system_d
         report = run_json(
             capsys, "find-rk", "--system", sys_path, "--dual", dual_path,
-            "--r", "2", "--trials", "64", "--seed", "3",
+            "--r", "2",
         )
         assert report["annihilation_ok"] is True
         assert report["r_side_info"] >= 2
 
-    def test_search_failure_exits_one(self, capsys, system_d):
-        sys_path, dual_path = system_d
-        code, _, err = run(
-            capsys, "find-rk", "--system", sys_path, "--dual", dual_path,
-            "--r", "2", "--trials", "0",
-        )
-        assert code == 1
-        assert "trials" in err
+    def test_search_failure_exits_one(self, capsys, tmp_path):
+        sys, dual = unreachable_rk_system()
+        save_matrix(dual.G, tmp_path / "g.csv")
+        (tmp_path / "sys.json").write_text(json.dumps(
+            {"F": matrix_to_obj(sys.F), "K": matrix_to_obj(sys.K.matrix)}))
+        code, out, err = run(capsys, "find-rk", "--system", str(tmp_path / "sys.json"),
+                             "--dual", str(tmp_path / "g.csv"), "--r", "5")
+        assert (code, out) == (1, "")
+        assert err == ("kframes find-rk: no recovery matrix with r >= 5: Gram + A (I - P) "
+                       "reaches r_side_info 4 (spark_M witness on columns [1, 2, 3, 4, 5]) "
+                       "and r_blind 3 (spark_N witness on columns [1, 2, 3, 4])\n")
 
 
 class TestSimulateCommand:
@@ -645,15 +661,24 @@ class TestSimulateCommand:
         ("simulate", "--cap-subsets", "-5"),
         ("simulate", "--seed", "-1"),
         ("find-rk", "--cap-subsets", "0"),
-        ("find-rk", "--seed", "-1"),
         ("simulate", "--signals", "0"),
-        ("find-rk", "--trials", "-3"),
     ])
     def test_out_of_range_flags_are_usage_errors(self, capsys, system_d, command, flag, value):
         code, out, err = run(capsys, command, "--system", system_d[0], "--dual", system_d[1],
                              "--r", "1", flag, value)
         assert code == 64 and out == ""
         assert f"argument {flag}: must be at least" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("find-rk", ["--trials", "3", "--seed", "1"]),
+        ("find-rk", ["--json"]),
+        ("simulate", ["--json"]),
+    ], ids=["find-rk-trials-seed", "find-rk-json", "simulate-json"])
+    def test_removed_flags_are_usage_errors(self, capsys, system_d, command, flags):
+        code, out, err = run(capsys, command, "--system", system_d[0], "--dual", system_d[1],
+                             "--r", "1", *flags)
+        assert (code, out) == (64, "")
+        assert f"kframes {command}: error: unrecognized arguments: {' '.join(flags)}" in err
 
     def test_exact_count_follows_the_residual_policy(self, capsys, tmp_path):
         """A dual that is off by 1e-7 recovers to about 1e-6: exact under

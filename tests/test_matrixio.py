@@ -1,6 +1,7 @@
 import json
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ class TestFileRoundTrips:
         np.testing.assert_array_equal(
             load_matrix(path), [[1.0, 2.0], [3.0, 4.0]]
         )
+
+    @pytest.mark.parametrize("cell, shown", [
+        ("nan", "nan"), ("inf", "inf"), ("-1e999", "-inf"), ("x", "'x'"), (" ", "' '"),
+    ])
+    def test_csv_bad_cell_named_by_line_and_column(self, tmp_path, cell, shown):
+        """A cell that is not a finite number is refused with its 1-based line,
+        blank lines counted, and column."""
+        path = tmp_path / "m.csv"
+        path.write_text(f"1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(MatrixFormatError, match=re.escape(
+                f"{path}: line 3, column 2: expected a finite number, got {shown}")):
+            load_matrix(path)
 
     def test_csv_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

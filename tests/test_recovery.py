@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kframes import (
     TolerancePolicy,
     canonical_kdual,
     compose_recovery_matrices,
+    dual_perturbation,
     encode,
     erase,
     erasure_error_split,
@@ -34,7 +36,12 @@ from kframes.fixtures import FIXTURES
 from kframes.linalg import range_basis
 from kframes.redundancy import INFINITE, spark_via_kernel
 
-from conftest import random_inrange_kframe, random_kframe, uniform_excess_construction
+from conftest import (
+    random_inrange_kframe,
+    random_kframe,
+    uniform_excess_construction,
+    unreachable_rk_system,
+)
 
 
 def mercedes_system():
@@ -135,7 +142,7 @@ class TestFindRkMatrix:
         assert found.mode == "both" and found.trial == 0
 
     def test_fixture_d_target_two(self, sys_d, dual_d):
-        found = find_rk_matrix(sys_d, dual_d, 2, trials=64, seed=5)
+        found = find_rk_matrix(sys_d, dual_d, 2)
         assert found.certificate.annihilation_ok
         assert found.certificate.r_side_info >= 2
         assert found.certificate.spark_M.value >= 3
@@ -145,14 +152,21 @@ class TestFindRkMatrix:
             find_rk_matrix(sys_d, dual_d, 4)
 
     def test_deterministic_for_seed(self, sys_d, dual_d):
-        a = find_rk_matrix(sys_d, dual_d, 1, seed=9)
-        b = find_rk_matrix(sys_d, dual_d, 1, seed=9)
+        a = find_rk_matrix(sys_d, dual_d, 1)
+        b = find_rk_matrix(sys_d, dual_d, 1)
         np.testing.assert_array_equal(a.certificate.M, b.certificate.M)
-        assert a.trial == b.trial
+        assert a.trial == b.trial == 1
 
-    def test_exhausted_trials_fail_explicitly(self, sys_d, dual_d):
-        with pytest.raises(KFrameError):
-            find_rk_matrix(sys_d, dual_d, 1, trials=0)
+    def test_exhausted_trials_fail_explicitly(self):
+        """An unreachable target raises at once, naming the candidate's levels
+        and the 1-based columns of each spark witness."""
+        sys, dual = unreachable_rk_system()
+        assert find_rk_matrix(sys, dual, 4).mode == "side-info"
+        with pytest.raises(KFrameError, match=re.escape(
+                "no recovery matrix with r >= 5: Gram + A (I - P) reaches r_side_info 4 "
+                "(spark_M witness on columns [1, 2, 3, 4, 5]) and r_blind 3 "
+                "(spark_N witness on columns [1, 2, 3, 4])")):
+            find_rk_matrix(sys, dual, 5)
 
 
 class TestRecoverSideInfo:
@@ -374,6 +388,78 @@ def test_plan_agrees_with_certificate(seed, n, extra, rank_k, damage, use_gramia
             assert plan_recovery(sys, strategy, sets, m_mat=m_mat).deficiency[0] > 0, strategy
 
 
+def _far_from_cutoff(mat, margin=1e3) -> bool:
+    """Whether every column subset of mat (rows >= columns) has its smallest
+    singular value outside a factor margin of the rank cutoff at sigma_max(mat):
+    there spark and the kernel route, which rank different matrices, agree."""
+    m = mat.shape[1]
+    s0 = np.linalg.norm(mat, 2)
+    cutoff = 1e-10 * max(mat.shape) * s0
+    for size in range(1, m + 1):
+        subsets = np.array(list(itertools.combinations(range(m), size)))
+        low = np.linalg.svd(mat.T[subsets].transpose(0, 2, 1), compute_uv=False)[:, -1]
+        if np.any((low > cutoff / margin) & (low < cutoff * margin)):
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 4),
+    rank_k=st.integers(1, 4),
+    damage=st.sampled_from(["none", "duplicate", "zero", "both"]),
+    perturbed=st.booleans(),
+)
+# Rank K < n and a perturbed dual: no recovery matrix reaches r = m - 1 = 5.
+@example(seed=0, n=3, extra=3, rank_k=1, damage="none", perturbed=True)
+def test_find_rk_candidate_reaches_the_optimal_levels(seed, n, extra, rank_k, damage,
+                                                      perturbed):
+    """find-rk's one candidate M = Gram + A (I - P) reaches the best levels of
+    any recovery matrix, read by the kernel route on matrices that do not
+    involve A: spark_N = spark(I - P), as Ker(A (I - P)) = Ker(I - P) for an
+    invertible A, and spark_M = spark([I - P; F / ||F||]), whose kernel is
+    R(G^T) & Ker F. So r_side_info >= r_blind, and find_rk_matrix returns
+    the candidate for every r up to the better level and raises above it."""
+    rng = np.random.default_rng(seed)
+    m, k = n + extra, min(rank_k, n)
+    f_mat, k_mat = random_kframe(rng, n, m, k)
+    if damage in ("duplicate", "both"):
+        f_mat[:, m - 1] = f_mat[:, m - 2]
+    if damage in ("zero", "both") and m - 1 > k:
+        f_mat[:, k] = 0.0
+    sys = verify_kframe(f_mat, k_mat)
+    dual = canonical_kdual(sys).dual
+    if perturbed:
+        kernel_dim = null_space_basis(sys.F, sys.tol).dim
+        dual = dual_perturbation(sys, dual, rng.standard_normal((n, kernel_dim)))
+    a = np.random.default_rng(0).standard_normal((m, m))
+    m_mat = sys.gramian + a @ (np.eye(m) - range_basis(dual.G.T, sys.tol).projector())
+    cert = validate_rk_matrix(sys, dual, m_mat)
+    # The oracle's projector: numpy's SVD of G^T under the same relative cutoff.
+    u, s, _ = np.linalg.svd(dual.G.T)
+    cutoff = 1e-10 * m * s[0]
+    q = np.eye(m) - (basis := u[:, : np.count_nonzero(s > cutoff)]) @ basis.T
+    stacked = np.vstack([q, f_mat / np.linalg.norm(f_mat, 2)])
+    near = np.any((s > cutoff / 1e3) & (s < cutoff * 1e3))
+    if near or not all(_far_from_cutoff(x) for x in (cert.M, cert.N, q, stacked)):
+        event("a deciding singular value within 1e3 of the cutoff, skipped")
+        assume(False)
+    assert cert.spark_N.value == spark_via_kernel(q).value
+    assert cert.spark_M.value == spark_via_kernel(stacked).value
+    assert cert.r_side_info >= cert.r_blind
+    for r in range(1, m):
+        if r > cert.r_side_info:
+            with pytest.raises(KFrameError, match=f"r_side_info {cert.r_side_info} .* "
+                                                  f"r_blind {cert.r_blind} "):
+                find_rk_matrix(sys, dual, r)
+            continue
+        found = find_rk_matrix(sys, dual, r)
+        np.testing.assert_array_equal(found.certificate.M, m_mat)
+        assert (found.mode, found.trial) == ("both" if r <= cert.r_blind else "side-info", 1)
+
+
 def test_blind_refuses_what_its_certificate_refuses():
     """A 2x3 frame whose third vector repeats its first, K invertible, canonical
     dual: the find-rk matrix for one erasure certifies r_blind = 0, as column 2
@@ -476,7 +562,7 @@ class TestRecoverBlind:
             sys = verify_kframe(f_mat, k_mat)
             dual = canonical_kdual(sys).dual
             try:
-                found = find_rk_matrix(sys, dual, 1, trials=16, seed=7)
+                found = find_rk_matrix(sys, dual, 1)
             except KFrameError:
                 continue
             f = rng.standard_normal(4)
@@ -706,7 +792,7 @@ class TestComposeRecoveryMatrices:
         dual = canonical_kdual(sys).dual
         kernel = null_space_basis(sys.F)
         n_mat = kernel.basis.T
-        found = find_rk_matrix(sys, dual, 1, trials=32, seed=11)
+        found = find_rk_matrix(sys, dual, 1)
         out = compose_recovery_matrices(sys, n_mat, found.certificate.M)
         assert out.kernel_contained
         # Enumeration cross-check of the containment.
@@ -735,7 +821,7 @@ class TestComposeRecoveryMatrices:
         # 3e-6: inside the coarse residual rule, far outside the default one.
         f = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0]])
         sys = verify_kframe(f, np.eye(2))
-        found = find_rk_matrix(sys, canonical_kdual(sys).dual, 1, trials=32, seed=11)
+        found = find_rk_matrix(sys, canonical_kdual(sys).dual, 1)
         u, s, vt = np.linalg.svd(found.certificate.M)
         s[-1] = 1e-6 * s[0]
         coarse = verify_kframe(f, np.eye(2), TolerancePolicy(1e-3, 1e-4))
@@ -794,7 +880,7 @@ class TestSurvivorFrameProperty:
             sys = verify_kframe(f_mat, k_mat)
             dual = canonical_kdual(sys).dual
             try:
-                found = find_rk_matrix(sys, dual, 1, trials=8, seed=13)
+                found = find_rk_matrix(sys, dual, 1)
             except KFrameError:
                 continue
             cert = found.certificate
