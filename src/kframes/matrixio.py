@@ -1,7 +1,8 @@
 """Matrix (de)serialization: JSON objects and CSV files.
 
 JSON format: {"rows": n, "cols": m, "data": [[row], ...]}. CSV alternative:
-one matrix row per line, comma separated. Ragged rows are rejected in both
+one matrix row per line, comma separated, each cell a JSON number (JSON
+whitespace around it is allowed). Ragged rows are rejected in both
 formats. An entry (matrix, vector or coded coefficient) must be a Python or
 numpy real, not a bool or string, and finite; `finite_entries` is that check.
 """
@@ -12,6 +13,7 @@ import csv
 import json
 import math
 import numbers
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -91,16 +93,20 @@ def _is_entry(value) -> bool:
         return False
 
 
+# JSON's number grammar; [0-9], as \d also matches other scripts' digits.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _csv_entry(cell: str):
-    try:
-        return float(cell)
-    except ValueError:  # finite_entries refuses the text
-        return cell
+    """The cell's float when it is a JSON number, bar JSON whitespace around
+    it (1e999 reads as inf); else the text, which finite_entries refuses."""
+    return float(cell) if _JSON_NUMBER.fullmatch(cell.strip(" \t\n\r")) else cell
 
 
 def _matrix_from_csv(path: Path) -> np.ndarray:
-    """The matrix of a CSV file, one row per non-blank line; each cell passes the
-    entry check, and a bad one is named by its 1-based line and column."""
+    """The matrix of a CSV file, one row per non-blank line; each cell is a JSON
+    number and passes the entry check, and a bad one is named by its 1-based
+    line and column."""
     rows: list[np.ndarray] = []
     with path.open(newline="") as handle:
         for line_no, record in enumerate(csv.reader(handle), start=1):

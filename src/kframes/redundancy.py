@@ -177,13 +177,18 @@ def spark_via_kernel(
 ) -> SparkResult:
     """Perfbench's oracle, an independent spark route: support search inside the kernel.
 
-    Enumerates candidate supports and tests whether the kernel meets the
-    corresponding coordinate subspace, using row-rank tests on a kernel
-    basis instead of column-rank tests on submatrices. Each level's supports
-    are ranked in lexicographic chunks of at most _KERNEL_CHUNK, one stacked
-    SVD of the rows outside each support, which gives every support the
-    singular values of its own SVD. Its loop and cutoff are its own: it
-    shares only the budget with spark, to stay an independent route.
+    A support is deficient when the rows outside it of an orthonormal m x d
+    kernel basis rank below d: the kernel meets its coordinate subspace. Under
+    the route's fixed cutoff, adding rows never lowers sigma_min
+    (interlacing), so supersets of a deficient support are deficient. The
+    top size m - d goes first: with no deficient support there, no smaller
+    one is, and the first (m - d + 1)-set is the witness, untested; else
+    sizes 1..m - d - 1 go in order, then the top size's first deficient
+    support. Each size is ranked in lexicographic chunks of 1, 8, 64, then
+    _KERNEL_CHUNK supports, one stacked SVD each, which gives every support
+    the singular values of its own SVD. Its loop and cutoff are its own: it
+    shares only the budget with spark (sizes 1..m - d + 1), to stay an
+    independent route, one only away from the cutoff.
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
@@ -198,17 +203,25 @@ def spark_via_kernel(
     # basis scale (1), not their own largest entry, or pure round-off rows
     # read as full rank.
     cutoff = tol.rank_cutoff_rel * max(nb.shape)
-    for k in range(1, m - d + 1):
-        supports = itertools.combinations(range(m), k)
-        while len(chunk := np.array(list(itertools.islice(supports, _KERNEL_CHUNK)))):
+
+    def first_deficient(k):
+        supports, size = itertools.combinations(range(m), k), 1
+        while len(chunk := np.array(list(itertools.islice(supports, size)))):
             outside = np.ones((len(chunk), m), dtype=bool)
             outside[np.arange(len(chunk))[:, None], chunk] = False
             rows = np.broadcast_to(nb, (len(chunk), m, d))[outside].reshape(-1, m - k, d)
             s = np.linalg.svd(rows, compute_uv=False)
             deficient = np.count_nonzero(s > cutoff, axis=1) < d
             if deficient.any():
-                return _kernel_witness(nb, chunk[np.argmax(deficient)])
-    return _kernel_witness(nb, range(m - d + 1))
+                return tuple(chunk[np.argmax(deficient)])
+            size = min(8 * size, _KERNEL_CHUNK)
+        return None
+
+    # A zero F (d = m) has no top size to rank.
+    top = first_deficient(m - d) if m > d else None
+    if top is None:
+        return _kernel_witness(nb, range(m - d + 1))
+    return _kernel_witness(nb, next(filter(None, map(first_deficient, range(1, m - d))), top))
 
 
 def _kernel_witness(nb: np.ndarray, support) -> SparkResult:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import numbers
@@ -84,11 +85,13 @@ class TestFileRoundTrips:
         )
 
     @pytest.mark.parametrize("cell, shown", [
-        ("nan", "nan"), ("inf", "inf"), ("-1e999", "-inf"), ("x", "'x'"), (" ", "' '"),
+        ("nan", "'nan'"), ("inf", "'inf'"), ("-1e999", "-inf"), ("x", "'x'"), (" ", "' '"),
+        ("1_0", "'1_0'"), ("+1", "'+1'"), (".5", "'.5'"), ("1.", "'1.'"), ("01", "'01'"),
     ])
     def test_csv_bad_cell_named_by_line_and_column(self, tmp_path, cell, shown):
-        """A cell that is not a finite number is refused with its 1-based line,
-        blank lines counted, and column."""
+        """A cell that is not a finite JSON number is refused with its 1-based
+        line, blank lines counted, and column: text as it stands, and a JSON
+        number past the float range as the infinity it reads as."""
         path = tmp_path / "m.csv"
         path.write_text(f"1.0,2.0\n\n3.0,{cell}\n")
         with pytest.raises(MatrixFormatError, match=re.escape(
@@ -174,6 +177,50 @@ def test_save_then_load_is_bit_exact(tmp_path_factory, mat, suffix):
     got = load_matrix(path)
     assert got.shape == mat.shape
     np.testing.assert_array_equal(got.view(np.uint64), mat.view(np.uint64))
+
+
+def _json_float(text):
+    """The finite float json.loads reads text as, or None (not a number, a
+    bool, or a number past the float range)."""
+    try:
+        value = json.loads(text)
+        return float(value) if type(value) in (int, float) and math.isfinite(value) else None
+    except (ValueError, OverflowError):
+        return None
+
+
+_JSON_NUMBER_TEXT = st.from_regex(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?",
+                                  fullmatch=True)
+# JSON numbers, with and without whitespace that JSON does or does not allow
+# around them; Python's float spellings; near misses; and arbitrary text.
+_CSV_CELL = st.one_of(
+    _JSON_NUMBER_TEXT,
+    st.tuples(st.text(" \t\r\n\x0b\x0c\xa0", max_size=2), _JSON_NUMBER_TEXT,
+              st.text(" \t\r\n\x0b\x0c\xa0", max_size=2)).map("".join),
+    st.floats().map(repr),
+    st.sampled_from(["1_0", "+1", ".5", "1.", "01", "-0", "1e", "0x1", "--1", "NaN",
+                     "Infinity", "-Infinity", "1e999", "٣", "true", "[1]", '"1"']),
+    st.text("0123456789+-.eE_ \t\r\nxinfaN", max_size=8),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=_CSV_CELL)
+@example(cell="1" * 400)
+def test_csv_cell_loads_exactly_when_json_reads_a_finite_number(tmp_path_factory, cell):
+    """A cell loads exactly when json.loads reads it as a finite float (or an
+    int in float range), and it loads as that float."""
+    path = tmp_path_factory.mktemp("cell") / "m.csv"
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerow(["1.0", cell])
+    want = _json_float(cell)
+    if want is None:
+        with pytest.raises(MatrixFormatError, match=re.escape(
+                f"{path}: line 1, column 2: expected a finite number, got ")):
+            load_matrix(path)
+    else:
+        np.testing.assert_array_equal(load_matrix(path), [[1.0, want]])
 
 
 def _entries_by_loop(values, where):

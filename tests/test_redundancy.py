@@ -92,7 +92,8 @@ def _one_support_kernel_spark(mat, tol):
 
 def _damaged_matrix(rng, n, m, rank, damage, eps, column_scales):
     """Random n x m matrix of rank <= rank, with one column zero, a duplicate,
-    within about eps of the others' span, or faint (x 1e-11), as damage says."""
+    the sum of n - 1 others ("top": at rank n, one dependent n-set), within
+    about eps of the others' span, or faint (x 1e-11), as damage says."""
     rank = min(rank, n, m)
     mat = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
     if m >= 2 and damage != "none":
@@ -101,6 +102,9 @@ def _damaged_matrix(rng, n, m, rank, damage, eps, column_scales):
             mat[:, j] = 0.0
         elif damage == "duplicate":
             mat[:, j] = mat[:, i]
+        elif damage == "top":
+            others = rng.choice(np.delete(np.arange(m), j), size=min(n, m) - 1, replace=False)
+            mat[:, j] = mat[:, others].sum(axis=1)
         elif damage == "near":
             others = np.delete(mat, j, axis=1)
             mat[:, j] = others @ rng.standard_normal(m - 1) + eps * rng.standard_normal(n)
@@ -312,17 +316,20 @@ class TestSpark:
         n=st.integers(1, 6),
         m=st.integers(1, 10),
         rank=st.integers(0, 6),
-        damage=st.sampled_from(["none", "zero", "duplicate", "near", "faint"]),
+        damage=st.sampled_from(["none", "zero", "duplicate", "top", "near", "faint"]),
         eps=st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 1e-7]),
         column_scales=st.booleans(),
         scale=st.sampled_from([1e-150, 1.0, 1e150]),
         coarse=st.booleans(),
         chunk=st.sampled_from([1, 3, redundancy._KERNEL_CHUNK]),
     )
-    # A zero 1x1 matrix, full column rank, one row, repeated columns in chunks of
-    # one, and a 6x12 whose levels 5 and 6 span two chunks of 512.
+    # Zero matrices (d = m, no top size to rank), full column rank, one row,
+    # repeated columns in chunks of one, and a 6x12 whose levels 5 and 6 span
+    # two chunks of 512.
     @example(seed=0, n=1, m=1, rank=0, damage="none", eps=1e-9, column_scales=False,
              scale=1.0, coarse=False, chunk=1)
+    @example(seed=0, n=2, m=5, rank=0, damage="none", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
     @example(seed=1, n=4, m=3, rank=4, damage="none", eps=1e-9, column_scales=True,
              scale=1.0, coarse=False, chunk=512)
     @example(seed=2, n=1, m=10, rank=1, damage="zero", eps=1e-9, column_scales=False,
@@ -330,6 +337,21 @@ class TestSpark:
     @example(seed=3, n=5, m=9, rank=5, damage="duplicate", eps=1e-9, column_scales=False,
              scale=1.0, coarse=False, chunk=1)
     @example(seed=4, n=6, m=12, rank=6, damage="none", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    # 6x12s whose one dependent set lies at the top size 6, as its 9th, 10th,
+    # 73rd, 74th, 585th and 586th support: each side of the 1 | 8 | 64 | 512
+    # chunk boundaries.
+    @example(seed=1000, n=6, m=12, rank=6, damage="top", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    @example(seed=703, n=6, m=12, rank=6, damage="top", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    @example(seed=958, n=6, m=12, rank=6, damage="top", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    @example(seed=396, n=6, m=12, rank=6, damage="top", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    @example(seed=649, n=6, m=12, rank=6, damage="top", eps=1e-9, column_scales=False,
+             scale=1.0, coarse=False, chunk=512)
+    @example(seed=691, n=6, m=12, rank=6, damage="top", eps=1e-9, column_scales=False,
              scale=1.0, coarse=False, chunk=512)
     def test_kernel_route_matches_one_support_reference(
         self, seed, n, m, rank, damage, eps, column_scales, scale, coarse, chunk
@@ -345,6 +367,40 @@ class TestSpark:
         assert (got.witness is None) == (want.witness is None)
         if got.witness is not None:
             assert got.witness.tobytes() == want.witness.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), extra=st.integers(0, 6))
+    def test_kernel_route_ranks_only_the_top_size_of_a_generic_frame(self, seed, n, extra):
+        """An undamaged generic n x m F with m > n has d = m - n and no
+        dependent n-set: the stacked SVDs rank the C(m, m - d) top supports
+        and nothing below, and the first (n + 1)-set is the witness, untested.
+        At m = n the kernel is trivial and no support is ranked."""
+        m = n + extra
+        f = np.random.default_rng(seed).standard_normal((n, m))
+        with counting_subsets() as seen, counting_svds() as svd:
+            got = spark_via_kernel(f)
+        assert got.value == (n + 1 if extra else math.inf)
+        assert seen[0] == (math.comb(m, n) if extra else 0)
+        # Beside the stacks, one SVD finds the kernel and, when the d - 1 rows
+        # outside the witness's support are not empty, one the witness.
+        assert _svd_blocks(svd) == seen[0] + 1 + (extra >= 2)
+
+    def test_kernel_route_counts_on_7x14(self):
+        """A generic 7x14 ranks its 3,432 top supports in 10 stacked SVDs,
+        where sizes 1..7 in order, in chunks of 512, rank 9,907 in 22. With
+        its last column repeating its first, the top size's first deficient
+        support, (0..5, 13), lies in its second chunk, and the ramps of sizes
+        1 and 2 end in the chunk holding (0, 13): 9 + 14 + 73 supports,
+        against 105 for sizes in order in chunks of 512."""
+        f = np.random.default_rng(5).standard_normal((7, 14))
+        with counting_subsets() as seen, counting_svds() as svd:
+            assert spark_via_kernel(f).value == 8
+        assert (seen[0], svd.call_count) == (math.comb(14, 7), 10 + 2)
+        f[:, 13] = f[:, 0]
+        with counting_subsets() as seen:
+            got = spark_via_kernel(f)
+        assert got.value == 2 and np.flatnonzero(abs(got.witness) > 1e-9).tolist() == [0, 13]
+        assert seen[0] == 96
 
     def test_kernel_route_reads_no_scan_kernel(self):
         """spark_via_kernel checks spark: it ranks its own row sets, with none
