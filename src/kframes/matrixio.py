@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import numbers
-import re
 from itertools import chain
 from pathlib import Path
 
@@ -93,14 +92,14 @@ def _is_entry(value) -> bool:
         return False
 
 
-# JSON's number grammar; [0-9], as \d also matches other scripts' digits.
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-
-
 def _csv_entry(cell: str):
-    """The cell's float when it is a JSON number, bar JSON whitespace around
-    it (1e999 reads as inf); else the text, which finite_entries refuses."""
-    return float(cell) if _JSON_NUMBER.fullmatch(cell.strip(" \t\n\r")) else cell
+    """The cell read as JSON, as its twin in a JSON matrix file is (1e999 reads
+    as inf, NaN as nan); else the text. finite_entries refuses all but a
+    finite number."""
+    try:
+        return json.loads(cell)
+    except (ValueError, RecursionError):  # not JSON, or nested past the stack
+        return cell
 
 
 def _matrix_from_csv(path: Path) -> np.ndarray:
@@ -129,7 +128,7 @@ def read_json(path):
     """
     try:
         return json.loads((path if isinstance(path, Path) else Path(path)).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -87,16 +87,30 @@ class TestFileRoundTrips:
     @pytest.mark.parametrize("cell, shown", [
         ("nan", "'nan'"), ("inf", "'inf'"), ("-1e999", "-inf"), ("x", "'x'"), (" ", "' '"),
         ("1_0", "'1_0'"), ("+1", "'+1'"), (".5", "'.5'"), ("1.", "'1.'"), ("01", "'01'"),
+        ("NaN", "nan"), ("true", "True"), ("null", "None"),
     ])
     def test_csv_bad_cell_named_by_line_and_column(self, tmp_path, cell, shown):
         """A cell that is not a finite JSON number is refused with its 1-based
         line, blank lines counted, and column: text as it stands, and a JSON
-        number past the float range as the infinity it reads as."""
+        number past the float range as the infinity it reads as; other JSON
+        as the value it reads as."""
         path = tmp_path / "m.csv"
         path.write_text(f"1.0,2.0\n\n3.0,{cell}\n")
         with pytest.raises(MatrixFormatError, match=re.escape(
                 f"{path}: line 3, column 2: expected a finite number, got {shown}")):
             load_matrix(path)
+
+    def test_nesting_past_the_stack_is_a_format_error(self, tmp_path):
+        """A CSV cell or a JSON file nested deeper than the parser's stack is
+        refused as a bad cell or invalid JSON, not a crash."""
+        cell = tmp_path / "m.csv"
+        cell.write_text("1.0," + "[" * 10**5 + "\n")
+        with pytest.raises(MatrixFormatError, match="line 1, column 2: .*got '\\[\\["):
+            load_matrix(cell)
+        wrapped = tmp_path / "m.json"
+        wrapped.write_text("[" * 10**5)
+        with pytest.raises(MatrixFormatError, match="invalid JSON: maximum recursion"):
+            load_matrix(wrapped)
 
     def test_csv_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -208,9 +222,10 @@ _CSV_CELL = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(cell=_CSV_CELL)
 @example(cell="1" * 400)
+@example(cell="-0")
 def test_csv_cell_loads_exactly_when_json_reads_a_finite_number(tmp_path_factory, cell):
     """A cell loads exactly when json.loads reads it as a finite float (or an
-    int in float range), and it loads as that float."""
+    int in float range), and it loads as that float, sign bit included."""
     path = tmp_path_factory.mktemp("cell") / "m.csv"
     with path.open("w", newline="") as handle:
         csv.writer(handle).writerow(["1.0", cell])
@@ -220,7 +235,7 @@ def test_csv_cell_loads_exactly_when_json_reads_a_finite_number(tmp_path_factory
                 f"{path}: line 1, column 2: expected a finite number, got ")):
             load_matrix(path)
     else:
-        np.testing.assert_array_equal(load_matrix(path), [[1.0, want]])
+        assert load_matrix(path).tobytes() == np.array([[1.0, want]]).tobytes()
 
 
 def _entries_by_loop(values, where):
