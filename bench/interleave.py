@@ -7,14 +7,16 @@ unpacked with `git archive`. Its src/kframes is imported as kframes_before
 beside this checkout's kframes, and each case of this checkout's
 bench/test_layers.py is built once on each package. ROUNDS rounds alternate
 which side goes first; a timing repeats the call for at least 20 ms and keeps
-the mean. OUT.json gets, per case, the median over the rounds of each side,
-under write_bench.py's keys: microseconds per call, or signals per second for
-plan + apply. A case that fails on BEFORE_ROOT (a command its budget
-refused, say) is timed on this checkout alone and reads null before.
-src_lines holds write_bench.py's line count of each checkout's src/. A
-shared host's speed drifts by tens of percent within minutes, which separate
-runs cannot tell from a change; interleaving exposes both sides to the same
-drift. Run it with BLAS pinned to one thread.
+the mean. OUT.json gets, per case, the median over the rounds of each side:
+test_<name> is timed as <name>_us in microseconds per call (a parametrized
+case adds its parameter, as in spark_6x12_us and run_simulate_10k_us), and
+a plan + apply case as plan_apply_<param>_signals_per_s. A case that fails
+on BEFORE_ROOT (a command its budget refused, say) is timed on this checkout
+alone and reads null before. src_lines holds the line count of the Python
+files under each checkout's src/. A shared host's speed drifts by tens of
+percent within minutes, which separate runs cannot tell from a change;
+interleaving exposes both sides to the same drift, so this is the one
+writer of BENCH json. Run it with BLAS pinned to one thread.
 """
 
 import inspect
@@ -27,10 +29,13 @@ import time
 import types
 from pathlib import Path
 
-from write_bench import src_lines
-
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = (ROOT / "bench" / "test_layers.py").read_text()
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in the Python files under root/src."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
 
 
 def _layers(package: str, scratch: Path, may_fail: bool = False) -> dict:

@@ -1,7 +1,6 @@
 """Layer benchmarks (pytest-benchmark), kept out of the tier-1 test paths.
 
     python -m pytest bench/ --benchmark-json=bench.json
-    python bench/write_bench.py OUT.json      # runs the cases, writes medians
     python bench/interleave.py BEFORE_ROOT 20 OUT.json   # two checkouts, interleaved
 
 Every case runs on one seeded 6x12 system with rank(K) = 4, its canonical

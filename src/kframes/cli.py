@@ -6,10 +6,12 @@ go to stderr. Exit codes: 0 success, 1 contract violation or a computed
 value out of float64 range, 2 I/O or parse error, 64 unknown command or bad
 usage.
 
-`_parsers` builds each command's parser once per process, with the common
-options from one parent and the handler as `args.run`. A handler maps args
-to its report body; `run_command` alone parses, prints {"command": name,
-**body} and maps exceptions to exit codes.
+`_parsers` builds each command's parser once per process, with only the
+common options the command reads, the handler as `args.run` and the check of
+flags that depend on each other as `args.check`. A handler maps args to its
+report body; `run_command` alone parses, checks, prints {"command": name,
+**body} and maps exceptions to exit codes. Every usage error, a tolerance
+outside TolerancePolicy's range among them, exits 64 before any file is read.
 
 All user-facing indices are 1-based; matrices use the JSON/CSV formats
 documented in matrixio.
@@ -31,6 +33,7 @@ from .canonical import canonical_kdual, canonical_kdual_restricted
 from .errors import BudgetExceededError, KFrameError, MatrixFormatError
 from .fixtures import get_fixture
 from .frames import (
+    DEFAULT_CAP,
     DualSystem,
     KFrameSystem,
     classify,
@@ -38,7 +41,7 @@ from .frames import (
     verify_kdual,
     verify_kframe,
 )
-from .linalg import TolerancePolicy, matvec_rows, row_norms
+from .linalg import DEFAULT_TOL, TolerancePolicy, matvec_rows, row_norms
 from .recovery import (
     STRATEGIES,
     erase,
@@ -71,7 +74,11 @@ commands:
   simulate        seeded Monte-Carlo erasure/recovery experiment
   fixtures        emit a built-in reference system (FIX-A .. FIX-D)
 
-common options: --tol-rank X --tol-res X --cap-subsets N --pretty
+options each command takes besides its own:
+  --pretty          every command
+  --tol-rank X      every command but fixtures
+  --tol-res X       every command but fixtures and spark
+  --cap-subsets N   spark, analyze, mrc, find-rk, simulate
 """
 
 
@@ -85,13 +92,24 @@ def _at_least(low: int):
     return integer
 
 
+def _tolerance(field: str):
+    """argparse type: a float that TolerancePolicy takes as field; else a usage error."""
+    def tolerance(text: str) -> float:
+        value = float(text)
+        try:
+            TolerancePolicy(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return tolerance
+
+
 def _policy(args) -> TolerancePolicy:
     return TolerancePolicy(rank_cutoff_rel=args.tol_rank, residual_rel=args.tol_res)
 
 
 def _load_system(args) -> KFrameSystem:
-    tol = _policy(args)  # a bad --tol-* is reported before the file is read
-    return verify_kframe(*matrixio.load_matrix(args.system, key=("F", "K")), tol)
+    return verify_kframe(*matrixio.load_matrix(args.system, key=("F", "K")), _policy(args))
 
 
 def _load_dual(path, system: KFrameSystem) -> DualSystem:
@@ -187,7 +205,8 @@ def _cmd_fixtures(args) -> dict:
 
 def _cmd_spark(args) -> dict:
     mat = matrixio.load_matrix(args.matrix)
-    return {"matrix": args.matrix, **_spark_obj(spark(mat, _policy(args), cap=args.cap_subsets))}
+    tol = TolerancePolicy(rank_cutoff_rel=args.tol_rank)
+    return {"matrix": args.matrix, **_spark_obj(spark(mat, tol, cap=args.cap_subsets))}
 
 
 def _cmd_check_dual(args) -> dict:
@@ -300,8 +319,6 @@ def _cmd_recover(args) -> dict:
     coded = _load_coded(args.coded, system.m)
     m_mat = _rk_matrix(args)
     if args.strategy == "side-info":
-        if args.side_info is None:
-            raise KFrameError("side-info strategy requires --side-info")
         v = matrixio.vector_from_obj(matrixio.read_json(args.side_info),
                                      f"{args.side_info}: side vector")
         result = recover_side_info(system, m_mat, coded, v, dual=dual)
@@ -371,7 +388,7 @@ def _cmd_simulate(args) -> dict:
         else _load_dual(args.dual, system)
     if not (0 <= args.r < system.m):
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    strategies = _names(args.strategies)
     if not strategies or any(s not in STRATEGIES or strategies.count(s) > 1 for s in strategies):
         raise KFrameError(f"--strategies needs distinct names of {', '.join(STRATEGIES)}, "
                           f"got {args.strategies!r}")
@@ -415,39 +432,72 @@ def _cmd_simulate(args) -> dict:
     }
 
 
+def _names(text: str) -> list[str]:
+    """The names of a comma-separated list, without blanks."""
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _check_recover(args) -> str | None:
+    """Why the strategy cannot run with these file flags; None when it can."""
+    if args.strategy == "side-info" and args.side_info is None:
+        return "side-info strategy requires --side-info"
+    if args.strategy != "side-info" and args.side_info is not None:
+        return "--side-info is read only by --strategy side-info"
+    if args.strategy == "consistency" and args.rk_matrix is not None:
+        return "--rk-matrix is read only by --strategy side-info or blind"
+    return None
+
+
+def _check_simulate(args) -> str | None:
+    """Why --rk-matrix is refused: no strategy named would read it; else None."""
+    if args.rk_matrix is not None and not {"side-info", "blind"} & set(_names(args.strategies)):
+        return "--rk-matrix is read only when --strategies holds side-info or blind"
+    return None
+
+
 @functools.cache
 def _parsers() -> dict[str, argparse.ArgumentParser]:
-    """One parser per command, built once; each holds its handler as `run`."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=1e-10)
-    common.add_argument("--tol-res", type=float, default=1e-9)
-    common.add_argument("--cap-subsets", type=_at_least(1), default=10**6)
-    common.add_argument("--pretty", action="store_true")
+    """One parser per command, built once, taking only the common options the
+    command reads; each holds its handler as `run` and its flag check as `check`."""
+    common = {  # flag -> add_argument keywords
+        "--tol-rank": {"type": _tolerance("rank_cutoff_rel"),
+                       "default": DEFAULT_TOL.rank_cutoff_rel},
+        "--tol-res": {"type": _tolerance("residual_rel"), "default": DEFAULT_TOL.residual_rel},
+        "--cap-subsets": {"type": _at_least(1), "default": DEFAULT_CAP},
+        "--pretty": {"action": "store_true"},
+    }
     parsers = {}
 
-    def command(name, run, *required) -> argparse.ArgumentParser:
-        parsers[name] = parser = argparse.ArgumentParser(prog=f"kframes {name}", parents=[common])
-        parser.set_defaults(run=run)
+    def command(name, run, options, *required, check=lambda args: None):
+        parsers[name] = parser = argparse.ArgumentParser(prog=f"kframes {name}")
+        parser.set_defaults(run=run, check=check)
+        for flag in options.split():
+            parser.add_argument(flag, **common[flag])
         for flag in required:
             parser.add_argument(flag, required=True)
         return parser
 
-    command("fixtures", _cmd_fixtures, "--name").add_argument("--with-dual", action="store_true")
-    command("spark", _cmd_spark, "--matrix")
-    command("check-dual", _cmd_check_dual, "--system", "--dual")
-    command("canonical-dual", _cmd_canonical_dual, "--system").add_argument(
+    every, tols = " ".join(common), "--tol-rank --tol-res --pretty"
+    command("fixtures", _cmd_fixtures, "--pretty", "--name").add_argument(
+        "--with-dual", action="store_true")
+    command("spark", _cmd_spark, "--tol-rank --cap-subsets --pretty", "--matrix")
+    command("check-dual", _cmd_check_dual, tols, "--system", "--dual")
+    command("canonical-dual", _cmd_canonical_dual, tols, "--system").add_argument(
         "--method", choices=("douglas", "restricted"), default="douglas")
-    command("analyze", _cmd_analyze, "--system").add_argument("--r", type=_at_least(0), default=1)
-    group = command("mrc", _cmd_mrc, "--system").add_mutually_exclusive_group(required=True)
+    command("analyze", _cmd_analyze, every, "--system").add_argument(
+        "--r", type=_at_least(0), default=1)
+    group = command("mrc", _cmd_mrc, every, "--system").add_mutually_exclusive_group(
+        required=True)
     group.add_argument("--sigma", help="comma-separated 1-based indices")
     group.add_argument("--r", type=_at_least(0))
-    parser = command("recover", _cmd_recover, "--system", "--dual", "--coded")
+    parser = command("recover", _cmd_recover, tols, "--system", "--dual", "--coded",
+                     check=_check_recover)
     parser.add_argument("--strategy", default="consistency", choices=STRATEGIES)
     parser.add_argument("--rk-matrix", default=None)
     parser.add_argument("--side-info", default=None)
-    parser = command("find-rk", _cmd_find_rk, "--system", "--dual")
+    parser = command("find-rk", _cmd_find_rk, every, "--system", "--dual")
     parser.add_argument("--r", type=_at_least(0), required=True)
-    parser = command("simulate", _cmd_simulate, "--system")
+    parser = command("simulate", _cmd_simulate, every, "--system", check=_check_simulate)
     parser.add_argument("--dual", default=None, help="dual file; canonical dual when omitted")
     parser.add_argument("--r", type=_at_least(0), required=True)
     parser.add_argument("--signals", type=_at_least(1), default=1000)
@@ -469,6 +519,8 @@ def run_command(argv) -> int:
         return 64
     try:
         args = parser.parse_args(argv[1:])
+        if problem := args.check(args):
+            parser.error(problem)
         with np.errstate(over="raise", invalid="raise"):
             body = args.run(args)
     except SystemExit as exc:

@@ -50,6 +50,7 @@ __all__ = [
     "DualSystem",
     "Classification",
     "normalize_erasure_set",
+    "DEFAULT_CAP",
     "scan_budget",
     "SubsetTable",
     "is_kframe",
@@ -193,6 +194,10 @@ _TABLE_FROM = 512
 # Most subsets of a level that builds an index table: 20/10 is 1.8 MB as uint8.
 # A larger level is streamed from itertools.combinations to its end.
 _TABLE_ROWS = 2**19
+
+
+# Every scan's default cap, in subset tests: the library's and --cap-subsets'.
+DEFAULT_CAP = 10**6
 
 
 def scan_budget(what: str, m: int, sizes, cap: int) -> None:
@@ -485,7 +490,7 @@ def _max_erasure_norm(
 
 
 def worst_erasure_error(
-    sys: KFrameSystem, dual: DualSystem, r: int, cap: int = 10**6
+    sys: KFrameSystem, dual: DualSystem, r: int, cap: int = DEFAULT_CAP
 ) -> tuple[float, tuple[int, ...]]:
     """Erasure error: the exact maximum of ||sum_{i in L} f_i g_i^T|| over all |L| = r.
 

@@ -163,8 +163,6 @@ def svd_factor(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def rank_of(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     arr = ensure_matrix(m)
-    if arr.size == 0:
-        return 0
     return _svd_rank(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
 
 
@@ -176,7 +174,8 @@ def stacked_ranks(
     The stacked SVD returns the singular values that a separate SVD of each
     block returns, so each rank equals that block's own rank decision: by
     rank_of's relative cutoff, or by the fixed cutoff when one is given.
-    Blocks without rows or columns have rank 0.
+    Blocks without rows or columns have rank 0, with no SVD: kframe_flags
+    meets them whenever K is invertible.
     """
     if blocks.shape[-1] == 0 or blocks.shape[-2] == 0:
         return np.zeros(len(blocks), dtype=np.intp)
@@ -299,8 +298,6 @@ def _pinv_from_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray, r: int) -> np.nd
 def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     """Pseudo-inverse and numerical rank, both read off one SVD."""
     arr = ensure_matrix(m)
-    if arr.size == 0:
-        return np.zeros((arr.shape[1], arr.shape[0])), 0
     u, s, v = svd_factor(arr)
     r = _svd_rank(s, arr.shape, tol)
     return _pinv_from_svd(u, s, v, r), r
@@ -338,29 +335,20 @@ def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
 def range_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space (left singular vectors)."""
     arr = ensure_matrix(m)
-    n = arr.shape[0]
-    if arr.size == 0:
-        return SubspaceBasis(n, np.zeros((n, 0)))
     u, s, _ = svd_factor(arr)
-    return SubspaceBasis(n, _canonical_signs(u[:, :_svd_rank(s, arr.shape, tol)]))
+    return SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :_svd_rank(s, arr.shape, tol)]))
 
 
 def null_space_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the kernel; empty basis when the kernel is trivial."""
     arr = ensure_matrix(m)
-    cols = arr.shape[1]
-    if arr.size == 0:
-        return SubspaceBasis(cols, np.eye(cols))
     _, s, v = svd_factor(arr)
-    return SubspaceBasis(cols, _canonical_signs(v[:, _svd_rank(s, arr.shape, tol):]))
+    return SubspaceBasis(arr.shape[1], _canonical_signs(v[:, _svd_rank(s, arr.shape, tol):]))
 
 
 def operator_norm(m) -> float:
     """Largest singular value; 0 for empty matrices."""
-    arr = ensure_matrix(m)
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+    return float(np.linalg.svd(ensure_matrix(m), compute_uv=False).max(initial=0.0))
 
 
 def matvec_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:

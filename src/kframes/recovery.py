@@ -40,6 +40,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .frames import (
+    DEFAULT_CAP,
     DualSystem,
     KFrameSystem,
     _complements,
@@ -96,10 +97,6 @@ class CodedSignal:
 
     coefficients: np.ndarray
     mask: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return self.coefficients.shape[0]
 
 
 def encode(dual: DualSystem, f) -> np.ndarray:
@@ -172,7 +169,7 @@ class RkCertificate:
 
 
 def validate_rk_matrix(
-    sys: KFrameSystem, dual: DualSystem, m_mat, cap: int = 10**6
+    sys: KFrameSystem, dual: DualSystem, m_mat, cap: int = DEFAULT_CAP
 ) -> RkCertificate:
     mat = _recovery_matrix(sys, m_mat)
     n_mat = _blind_matrix(sys, mat)
@@ -200,7 +197,7 @@ class RkSearchResult:
 
 
 def find_rk_matrix(
-    sys: KFrameSystem, dual: DualSystem, r_target: int, cap: int = 10**6
+    sys: KFrameSystem, dual: DualSystem, r_target: int, cap: int = DEFAULT_CAP
 ) -> RkSearchResult:
     """The Gramian at r_target 0, else the one candidate Gram + A (I - P), certified.
 
@@ -511,7 +508,7 @@ def erasure_error_split(
 
 
 def worst_residual_error(
-    sys: KFrameSystem, dual: DualSystem, r: int, cap: int = 10**6
+    sys: KFrameSystem, dual: DualSystem, r: int, cap: int = DEFAULT_CAP
 ) -> tuple[float, tuple[int, ...]]:
     """Erasure error and uniform excess: the exact worst residual error over |L| = r."""
     residual_dual = (np.eye(sys.n) - sys.K.range.projector()) @ dual.G
@@ -537,7 +534,7 @@ class ComposedRecovery:
 
 
 def compose_recovery_matrices(
-    sys: KFrameSystem, n_mat, m_mat, cap: int = 10**6
+    sys: KFrameSystem, n_mat, m_mat, cap: int = DEFAULT_CAP
 ) -> ComposedRecovery:
     """Earlier approach the (r,k)-matrix is compared with: N (N F^T = 0) times M."""
     tol = sys.tol

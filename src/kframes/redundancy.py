@@ -8,7 +8,7 @@ are desk scale.
 
 Every scan reads one frames.SubsetTable, which checks the one budget rule,
 frames.scan_budget, before its first subset test: BudgetExceededError when
-the worst-case count of tests exceeds cap (default 10**6). A test is one
+the worst-case count of tests exceeds cap (DEFAULT_CAP). A test is one
 rank decision on a submatrix or one K-frame check, made for a whole chunk by
 one stacked SVD, which gives every subset the singular values of its own
 SVD. Where full rank is the expected answer, the table is certificate
@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import KFrameError, RestrictedInverseError
 from .frames import (
+    DEFAULT_CAP,
     KFrameSystem,
     SubsetTable,
     _as_operator,
@@ -120,7 +121,7 @@ def hamming_weight(x, tol: float = 1e-9) -> int:
     return int(np.sum(np.abs(arr) > cut))
 
 
-def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6) -> SparkResult:
+def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = DEFAULT_CAP) -> SparkResult:
     """Smallest dependent column subset, rank level first.
 
     Submatrix rank tests use one cutoff, anchored to the parent matrix scale
@@ -173,7 +174,7 @@ def _spark_scan(mat, tol: TolerancePolicy, cap: int):
 
 
 def spark_via_kernel(
-    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = 10**6
+    mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = DEFAULT_CAP
 ) -> SparkResult:
     """Perfbench's oracle, an independent spark route: support search inside the kernel.
 
@@ -296,7 +297,7 @@ def _parseval_condition(
 
 
 def mrc_all(
-    f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL
+    f, k, r: int, cap: int = DEFAULT_CAP, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Conjunction of mrc_subset over all size-r sets, lexicographic scan."""
     return _mrc_scan(f, k, r, cap, tol)()
@@ -346,7 +347,7 @@ def _exact(table: SubsetTable, rank_k: int, s: int) -> bool:
 
 
 def uniform_excess(
-    f, k, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL
+    f, k, cap: int = DEFAULT_CAP, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExcessReport:
     """Largest r >= 1 with every r-column removal leaving an exact K-frame.
 
@@ -411,7 +412,7 @@ def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
     return run
 
 
-def analyze_scans(f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL):
+def analyze_scans(f, k, r: int, cap: int = DEFAULT_CAP, tol: TolerancePolicy = DEFAULT_TOL):
     """spark of F, uniform_excess and mrc_all at r, each as its own call returns it.
 
     Their budgets are checked in that order before any of them scans. With K
@@ -425,7 +426,7 @@ def analyze_scans(f, k, r: int, cap: int = 10**6, tol: TolerancePolicy = DEFAULT
 
 
 def is_maximal_robust(
-    f, k, cap: int = 10**6, tol: TolerancePolicy = DEFAULT_TOL
+    f, k, cap: int = DEFAULT_CAP, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
     """True when every rank(K)-column subset is an exact K-frame."""
     arr = ensure_matrix(f, "F")

@@ -94,17 +94,19 @@ class TestDispatch:
         assert code == 2
 
     def test_contract_violation_is_exit_one(self, capsys, system_d, tmp_path):
-        sys_path, dual_path = system_d
-        coded = tmp_path / "c.json"
-        coded.write_text(json.dumps({
-            "coefficients": [1.0, 2.0, 0.0, 1.0], "erased": [1],
-        }))
-        code, _, err = run(
-            capsys, "recover", "--system", sys_path, "--dual", dual_path,
-            "--coded", str(coded), "--strategy", "side-info",
-        )
-        assert code == 1
-        assert "side-info" in err
+        """Blind recovery on FIX-D against the Gramian: M - Gram = 0, so every
+        erasure is ambiguous."""
+        fix = FIXTURES["FIX-D"]
+        gram, coded = tmp_path / "gram.json", tmp_path / "c.json"
+        gram.write_text(json.dumps(_matrix_obj(fix.F.T @ fix.F)))
+        c = fix.dual.T @ np.ones(4)
+        coded.write_text(json.dumps({"coefficients": [None, *c[1:].tolist()], "erased": [1]}))
+        code, out, err = run(capsys, "recover", "--strategy", "blind", "--system", system_d[0],
+                             "--dual", system_d[1], "--coded", str(coded),
+                             "--rk-matrix", str(gram))
+        assert (code, out) == (1, "")
+        assert err == ("kframes recover: blind: erased columns are rank deficient (0 < 1); "
+                       "recovery is ambiguous\n")
 
     @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
     def test_non_finite_report_exits_one_and_prints_nothing(
@@ -645,8 +647,8 @@ class TestSimulateCommand:
     def test_tolerance_flag_outside_policy_range(self, capsys, system_d):
         code, _, err = run(capsys, "analyze", "--system", system_d[0],
                            "--tol-res", "0.5")
-        assert code == 1
-        assert "residual_rel" in err
+        assert code == 64
+        assert "argument --tol-res: residual_rel must lie in (0, 1e-2), got 0.5" in err
 
     @pytest.mark.parametrize("strategies",
                              ["bogus", ",", "blind,blind", "side-info, blind,side-info"])
@@ -1098,3 +1100,120 @@ def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
         '"certificate": null, "strategies": {"consistency": {"signals": 200, '
         '"completed": 200, "skipped": 0, "exact": 150, "exact_fraction": 0.75, '
         '"max_error": 2.5325196480669656, "mean_error": 0.20352069100840503}}}\n')
+
+
+def _required(command: str, absent: Path) -> list[str]:
+    """The flags command requires, every file among them the absent path."""
+    files = {"spark": ["--matrix"], "check-dual": ["--system", "--dual"],
+             "canonical-dual": ["--system"], "analyze": ["--system"], "mrc": ["--system"],
+             "recover": ["--system", "--dual", "--coded"], "find-rk": ["--system", "--dual"],
+             "simulate": ["--system"]}
+    if command == "fixtures":
+        return ["--name", "FIX-A"]
+    r = ["--r", "1"] if command in ("mrc", "find-rk", "simulate") else []
+    return [x for flag in files[command] for x in (flag, str(absent))] + r
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fixtures", "--tol-rank"), ("fixtures", "--tol-res"), ("fixtures", "--cap-subsets"),
+    ("spark", "--tol-res"), ("check-dual", "--cap-subsets"), ("canonical-dual", "--cap-subsets"),
+    ("recover", "--cap-subsets"),
+])
+def test_options_a_command_never_reads_are_usage_errors(capsys, tmp_path, command, flag):
+    value = "5" if flag == "--cap-subsets" else "1e-6"
+    code, out, err = run(capsys, command, *_required(command, tmp_path / "absent.json"),
+                         flag, value)
+    assert (code, out) == (64, "")
+    assert f"kframes {command}: error: unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "0.5", "nan"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in ("spark", "check-dual", "canonical-dual", "analyze", "mrc", "recover",
+                    "find-rk", "simulate")
+    for flag in ("--tol-rank", "--tol-res") if (command, flag) != ("spark", "--tol-res")
+])
+def test_tolerance_outside_the_policy_is_refused_before_any_file_is_read(
+        capsys, tmp_path, command, flag, value):
+    """Each file is absent, which would exit 2 once read: the flag exits 64 first."""
+    code, out, err = run(capsys, command, *_required(command, tmp_path / "absent.json"),
+                         flag, value)
+    assert (code, out) == (64, "")
+    field = "rank_cutoff_rel" if flag == "--tol-rank" else "residual_rel"
+    assert f"argument {flag}: {field} must lie in (0, 1e-2), got {float(value)!r}" in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["recover", "--strategy", "consistency", "--rk-matrix", "bad"],
+     "--rk-matrix is read only by --strategy side-info or blind"),
+    (["recover", "--rk-matrix", "bad"],
+     "--rk-matrix is read only by --strategy side-info or blind"),
+    (["recover", "--strategy", "consistency", "--side-info", "absent"],
+     "--side-info is read only by --strategy side-info"),
+    (["recover", "--strategy", "blind", "--side-info", "bad"],
+     "--side-info is read only by --strategy side-info"),
+    (["recover", "--strategy", "side-info"], "side-info strategy requires --side-info"),
+    (["simulate", "--strategies", "consistency", "--rk-matrix", "bad"],
+     "--rk-matrix is read only when --strategies holds side-info or blind"),
+], ids=["recover-consistency-rk", "recover-default-rk", "recover-consistency-side",
+        "recover-blind-side", "recover-side-info-without-side", "simulate-consistency-rk"])
+def test_strategy_flags_no_strategy_reads_are_usage_errors(capsys, tmp_path, argv, shown):
+    """A malformed or absent file behind a flag that the strategy never reads is
+    refused as usage (64), not as a bad file (2), before any file is read: the
+    system, dual and coded files are absent too."""
+    (tmp_path / "bad").write_text("{")
+    argv = [str(tmp_path / x) if x in ("bad", "absent") else x for x in argv]
+    code, out, err = run(capsys, *argv, *_required(argv[0], tmp_path / "absent.json"))
+    assert (code, out) == (64, "")
+    assert f"kframes {argv[0]}: error: {shown}\n" in err
+
+
+def test_mrc_sigma_keeps_the_cap_that_mrc_r_reads(capsys, system_d):
+    report = run_json(capsys, "mrc", "--system", system_d[0], "--sigma", "1",
+                      "--cap-subsets", "1")
+    assert report["sigma"] == [1]
+
+
+def test_blind_recovery_with_a_find_rk_matrix_is_exact_within_r_blind(capsys, tmp_path):
+    f, k = random_kframe(np.random.default_rng(0), 3, 6, 3)
+    dual = (np.linalg.pinv(f) @ k).T
+    found = _report(tmp_path, "rk", ["find-rk", "--r", "1"], system={"F": f, "K": k},
+                    dual={"G": dual})
+    r_blind = found["r_blind"]
+    assert r_blind == 3
+    (tmp_path / "m.json").write_text(json.dumps(found["M"]))
+    signal = np.random.default_rng(1).standard_normal(3)
+    c = dual.T @ signal
+    (tmp_path / "coded.json").write_text(json.dumps(
+        {"coefficients": [None] * r_blind + c[r_blind:].tolist(),
+         "erased": list(range(1, r_blind + 1))}))
+    report = run_json(capsys, "recover", "--strategy", "blind", "--system",
+                      str(tmp_path / "rk-system.json"), "--dual", str(tmp_path / "rk-dual.json"),
+                      "--coded", str(tmp_path / "coded.json"),
+                      "--rk-matrix", str(tmp_path / "m.json"))
+    assert report["certified_exact"] is True
+    np.testing.assert_allclose(report["reconstructed"], k @ signal, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(report["coefficients"], c, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("coded, shown", [
+    ([None, 1.0, 2.0, 0.5], "expected an object with 'coefficients'"),
+    ({"erased": [1]}, "expected an object with 'coefficients'"),
+    ({"coefficients": [1.0, 2.0, 0.5]}, "expected 4 coefficients, got 3"),
+    ({"coefficients": {"1": 1.0}}, "expected 4 coefficients, got dict"),
+], ids=["list", "no-coefficients", "short", "not-a-list"])
+def test_coded_file_without_m_coefficients_exits_two(capsys, system_d, tmp_path, coded, shown):
+    path = tmp_path / "coded.json"
+    path.write_text(json.dumps(coded))
+    code, out, err = run(capsys, "recover", "--system", system_d[0], "--dual", system_d[1],
+                         "--coded", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"kframes recover: {path}: {shown}\n"
+
+
+@pytest.mark.parametrize("r", ["4", "9"])
+def test_simulate_refuses_r_of_m_or_more(capsys, system_d, r):
+    code, out, err = run(capsys, "simulate", "--system", system_d[0], "--r", r)
+    assert (code, out) == (1, "")
+    assert err == "kframes simulate: r must satisfy 0 <= r < m = 4\n"

@@ -27,6 +27,7 @@ from kframes.linalg import (
     certified_full_rank,
     column_blocks,
     intersection_dims,
+    pinv_and_rank,
     ranges_nested,
     row_norms,
     stacked_ranks,
@@ -45,12 +46,16 @@ def _collinear(u, v, atol=1e-9):
 
 
 # Where each field of TolerancePolicy may be read: the policy owns the rank
-# rule and the residual rule, the CLI builds the policy from its flags, and
-# spark_via_kernel keeps its own cutoff as the independent spark oracle.
+# rule and the residual rule, the CLI takes its flags' defaults from
+# DEFAULT_TOL and builds the policy from its flags (spark's from --tol-rank
+# alone), and spark_via_kernel keeps its own cutoff as the independent spark
+# oracle.
 _READERS = {
     "rank_cutoff_rel": {("linalg.py", "TolerancePolicy"), ("cli.py", "_policy"),
+                        ("cli.py", "_cmd_spark"), ("cli.py", "_parsers"),
                         ("redundancy.py", "spark_via_kernel")},
-    "residual_rel": {("linalg.py", "TolerancePolicy"), ("cli.py", "_policy")},
+    "residual_rel": {("linalg.py", "TolerancePolicy"), ("cli.py", "_policy"),
+                     ("cli.py", "_parsers")},
 }
 
 
@@ -481,6 +486,31 @@ class TestRangeProjector:
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         np.testing.assert_allclose(p @ m, m, atol=1e-10)
         np.testing.assert_allclose(p, p.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (1, 0), (0, 1)])
+def test_empty_matrices_take_the_generic_path(shape):
+    """A matrix without rows or columns has rank 0, a zero pseudo-inverse of the
+    transposed shape, a range basis without columns, the identity as its kernel
+    basis and norm 0, as numpy's SVD of it gives them."""
+    rows, cols = shape
+    m = np.zeros(shape)
+    assert type(rank_of(m)) is int and rank_of(m) == 0
+    p, r = pinv_and_rank(m)
+    assert (p.shape, p.dtype, r) == ((cols, rows), np.float64, 0)
+    assert (pseudo_inverse(m).shape, range_basis(m).ambient_dim) == ((cols, rows), rows)
+    assert range_basis(m).basis.shape == (rows, 0)
+    kernel = null_space_basis(m)
+    assert kernel.ambient_dim == cols
+    np.testing.assert_array_equal(kernel.basis, np.eye(cols))
+    assert type(operator_norm(m)) is float and operator_norm(m) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 0), (4, 0, 3), (0, 2, 2)])
+def test_empty_stacks_have_rank_zero(shape):
+    ranks = stacked_ranks(np.zeros(shape))
+    assert (ranks.shape, ranks.dtype) == ((shape[0],), np.intp)
+    assert not ranks.any()
 
 
 class TestOperatorNorm:
