@@ -29,8 +29,9 @@ their first set, which the SVD tests alone, and
 test_spark_rank7_14x14 on find-rk's shape of N, a seeded 14x14 matrix of
 rank 7, whose rank-level blocks are tall, 14x7. test_spark_via_kernel
 times the kernel route, the benchmark's spark oracle, on the seeded 7x14
-construction with K invertible (full spark, so every support of sizes 1..7
-is ranked) and on that 14x14 matrix of rank 7. test_rank_of times rank_of
+construction with K invertible (full spark, so every support of the top
+size 7 is ranked), on that 14x14 matrix of rank 7 and on a seeded generic 8x16,
+whose C(16, 8) = 12,870 top supports are ranked. test_rank_of times rank_of
 on seeded generic F of size 6x12 and 8x16.
 test_uniform_excess and test_mrc_all time the K-frame scans on a seeded 7x14
 system, with K invertible and with rank(K) = 5: uniform excess with maximal
@@ -230,14 +231,16 @@ def test_spark_rank7_14x14(benchmark):
     assert benchmark(spark, a @ a.T).value == 8
 
 
-@pytest.mark.parametrize("case", ["7x14", "rank7_14x14"])
+@pytest.mark.parametrize("case", ["7x14", "rank7_14x14", "8x16"])
 def test_spark_via_kernel(benchmark, case):
     if case == "7x14":
         mat = _kframe(np.random.default_rng(5), 7, n=7, m=14).F
+    elif case == "8x16":
+        mat = np.random.default_rng(5).standard_normal((8, 16))
     else:
         a = np.random.default_rng(5).standard_normal((14, 7))
         mat = a @ a.T
-    assert benchmark(spark_via_kernel, mat).value == 8
+    assert benchmark(spark_via_kernel, mat).value == (9 if case == "8x16" else 8)
 
 
 @pytest.mark.parametrize("shape", ["6x12", "8x16"])

@@ -388,10 +388,6 @@ def _cmd_simulate(args) -> dict:
         else _load_dual(args.dual, system)
     if not (0 <= args.r < system.m):
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
-    strategies = _names(args.strategies)
-    if not strategies or any(s not in STRATEGIES or strategies.count(s) > 1 for s in strategies):
-        raise KFrameError(f"--strategies needs distinct names of {', '.join(STRATEGIES)}, "
-                          f"got {args.strategies!r}")
     m_mat = _rk_matrix(args)
     rng = np.random.default_rng(args.seed)
     signals = np.empty((args.signals, system.n))
@@ -409,7 +405,7 @@ def _cmd_simulate(args) -> dict:
     sets, which = ranked[new], np.empty(args.signals, dtype=np.intp)
     which[order] = np.cumsum(new) - 1
     certificate = None
-    if {"side-info", "blind"} & set(strategies):
+    if {"side-info", "blind"} & set(args.strategies):
         cert = validate_rk_matrix(system, dual, m_mat, cap=args.cap_subsets)
         certificate = _certificate_obj(cert, lambda s: _spark_obj(s)["spark"])
     coeffs, targets = matvec_rows(dual.G.T, signals), matvec_rows(system.K.matrix, signals)
@@ -421,20 +417,24 @@ def _cmd_simulate(args) -> dict:
             "r": args.r,
             "signals": args.signals,
             "seed": args.seed,
-            "strategies": strategies,
+            "strategies": args.strategies,
             "rk_matrix": args.rk_matrix,
         },
         "certificate": certificate,
         "strategies": {
             s: _simulate_strategy(system, dual, s, m_mat, products, sets, which)
-            for s in strategies
+            for s in args.strategies
         },
     }
 
 
-def _names(text: str) -> list[str]:
-    """The names of a comma-separated list, without blanks."""
-    return [s.strip() for s in text.split(",") if s.strip()]
+def _strategy_list(text: str) -> list[str]:
+    """argparse type: a comma-separated list of distinct strategy names; else a usage error."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names or any(s not in STRATEGIES or names.count(s) > 1 for s in names):
+        raise argparse.ArgumentTypeError(
+            f"needs distinct names of {', '.join(STRATEGIES)}, got {text!r}")
+    return names
 
 
 def _check_recover(args) -> str | None:
@@ -450,7 +450,7 @@ def _check_recover(args) -> str | None:
 
 def _check_simulate(args) -> str | None:
     """Why --rk-matrix is refused: no strategy named would read it; else None."""
-    if args.rk_matrix is not None and not {"side-info", "blind"} & set(_names(args.strategies)):
+    if args.rk_matrix is not None and not {"side-info", "blind"} & set(args.strategies):
         return "--rk-matrix is read only when --strategies holds side-info or blind"
     return None
 
@@ -502,7 +502,7 @@ def _parsers() -> dict[str, argparse.ArgumentParser]:
     parser.add_argument("--r", type=_at_least(0), required=True)
     parser.add_argument("--signals", type=_at_least(1), default=1000)
     parser.add_argument("--seed", type=_at_least(0), default=0)
-    parser.add_argument("--strategies", default="side-info,blind,consistency")
+    parser.add_argument("--strategies", type=_strategy_list, default=",".join(STRATEGIES))
     parser.add_argument("--rk-matrix", default=None)
     return parsers
 

@@ -186,10 +186,11 @@ def spark_via_kernel(
     one is, and the first (m - d + 1)-set is the witness, untested; else
     sizes 1..m - d - 1 go in order, then the top size's first deficient
     support. Each size is ranked in lexicographic chunks of 1, 8, 64, then
-    _KERNEL_CHUNK supports, one stacked SVD each, which gives every support
-    the singular values of its own SVD. Its loop and cutoff are its own: it
-    shares only the budget with spark (sizes 1..m - d + 1), to stay an
-    independent route, one only away from the cutoff.
+    _KERNEL_CHUNK supports; at the top size _lu_proven proves most d x d
+    blocks full rank from one stacked LU, and one stacked SVD, giving each
+    support the singular values of its own SVD, decides every other block.
+    Its loop and cutoff are its own: it shares only spark's budget (sizes
+    1..m - d), to stay an independent route, one only away from the cutoff.
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
@@ -197,13 +198,15 @@ def spark_via_kernel(
     d = kernel.dim
     if d == 0:
         return SparkResult(INFINITE, None)
-    # Supports of size m - d + 1 leave d - 1 rows, which cannot have rank d.
-    scan_budget("spark_via_kernel", m, range(1, m - d + 2), cap)
+    # Sizes 1..m - d are spark's 1..rank; the (m - d + 1)-set witness is untested.
+    scan_budget("spark_via_kernel", m, range(1, m - d + 1), cap)
     nb = kernel.basis
     # Row submatrices of an orthonormal basis must be ranked against the
     # basis scale (1), not their own largest entry, or pure round-off rows
     # read as full rank.
     cutoff = tol.rank_cutoff_rel * max(nb.shape)
+    # sigma_max(nb)^2 <= ||nb^T nb||_inf, plus the rounding of Gram and root.
+    t = math.sqrt(np.abs(nb.T @ nb).sum(axis=1).max() + 4 * m * d * np.finfo(float).eps)
 
     def first_deficient(k):
         supports, size = itertools.combinations(range(m), k), 1
@@ -211,7 +214,9 @@ def spark_via_kernel(
             outside = np.ones((len(chunk), m), dtype=bool)
             outside[np.arange(len(chunk))[:, None], chunk] = False
             rows = np.broadcast_to(nb, (len(chunk), m, d))[outside].reshape(-1, m - k, d)
-            s = np.linalg.svd(rows, compute_uv=False)
+            if k == m - d:  # only the blocks the LU leaves unproven go to the SVD
+                chunk, rows = chunk[keep := ~_lu_proven(rows, cutoff, t)], rows[keep]
+            s = np.linalg.svd(rows, compute_uv=False) if len(rows) else np.zeros((0, d))
             deficient = np.count_nonzero(s > cutoff, axis=1) < d
             if deficient.any():
                 return tuple(chunk[np.argmax(deficient)])
@@ -223,6 +228,26 @@ def spark_via_kernel(
     if top is None:
         return _kernel_witness(nb, range(m - d + 1))
     return _kernel_witness(nb, next(filter(None, map(first_deficient, range(1, m - d))), top))
+
+
+def _lu_proven(rows: np.ndarray, cutoff: float, t: float) -> np.ndarray:
+    """True where a d x d block R of the stack rows, sigma_max(R) <= t, is
+    sure to have the sigma_d of its own SVD above cutoff. slogdet's LU with
+    partial pivoting gives L U = P (R + E), ||E||_2 <= eta = eps d^3 2^(d-1) t,
+    as |E| <= gamma_d |L| |U|, |L| <= 1 and |U| <= 2^(d-1) t (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 9). As prod |u_ii| = |det(R +
+    E)| <= sigma_d(R + E) (t + eta)^(d-1), sigma_d(R) >= prod |u_ii| / (t +
+    eta)^(d-1) - eta, which must exceed the cutoff plus certified_full_rank's
+    SVD error, 8 (d + 1) d eps ||R||_F, after the log-sum's rounding (sum
+    |log u_ii| <= 2 d^2 + |log det|). Where eta reaches the cutoff, no LU runs.
+    """
+    d, eps = rows.shape[-1], np.finfo(float).eps
+    eta = eps * d**3 * 2.0 ** (d - 1) * t
+    if eta >= cutoff:
+        return np.zeros(len(rows), dtype=bool)
+    need = (cutoff + 8 * (d + 1) * d * eps * math.sqrt(d) * t + eta) * (t + eta) ** (d - 1)
+    logdet = np.linalg.slogdet(rows)[1]
+    return logdet - 4 * (d + 2) * eps * (2 * d * d + np.abs(logdet)) > math.log(need)
 
 
 def _kernel_witness(nb: np.ndarray, support) -> SparkResult:

@@ -74,6 +74,25 @@ def counting_subsets():
         yield seen
 
 
+@contextmanager
+def counting_svds():
+    """Count every np.linalg.svd call."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        yield svd
+
+
+@contextmanager
+def counting_dets():
+    """Count every np.linalg.slogdet call, the LU of spark_via_kernel's proof."""
+    with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as det:
+        yield det
+
+
+def stacked_blocks(counter):
+    """Matrices passed to the counted calls, each block of a stack counted."""
+    return sum(np.asarray(call.args[0])[..., 0, 0].size for call in counter.call_args_list)
+
+
 def random_operator(rng, n, rank):
     """Random n x n matrix of exact rank (generic factor product)."""
     if rank == 0:

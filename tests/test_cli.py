@@ -655,8 +655,15 @@ class TestSimulateCommand:
     def test_bad_strategy_lists_rejected(self, capsys, system_d, strategies):
         code, out, err = run(capsys, "simulate", "--system", system_d[0], "--r", "1",
                              "--signals", "4", "--strategies", strategies)
-        assert code == 1 and out == ""
-        assert "--strategies needs distinct names of side-info, blind, consistency" in err
+        assert code == 64 and out == ""
+        assert ("argument --strategies: needs distinct names of side-info, blind, "
+                "consistency") in err
+
+    def test_bad_strategy_list_rejected_before_any_file_is_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", "--system", str(tmp_path / "absent.json"),
+                             "--r", "1", "--strategies", "blind,blind")
+        assert code == 64 and out == ""
+        assert "argument --strategies: needs distinct names" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--cap-subsets", "0"),

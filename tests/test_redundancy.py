@@ -42,11 +42,14 @@ from kframes.recovery import plan_recovery
 from kframes.redundancy import ExcessReport, SparkResult, _kframe_table, analyze_scans
 
 from conftest import (
+    counting_dets,
     counting_subsets,
+    counting_svds,
     random_kframe,
     random_operator,
     random_parseval_kframe,
     spark_oracle_bruteforce,
+    stacked_blocks,
     uniform_excess_construction,
 )
 
@@ -147,18 +150,6 @@ def without_certificate():
 
     with mock.patch.object(redundancy, "certified_full_rank", unknown):
         yield
-
-
-@contextlib.contextmanager
-def counting_svds():
-    """Count every np.linalg.svd call."""
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        yield svd
-
-
-def _svd_blocks(svd):
-    """Matrices decomposed by the counted SVD calls, each block of a stack counted."""
-    return sum(np.asarray(call.args[0])[..., 0, 0].size for call in svd.call_args_list)
 
 
 def _collinear(u, v):
@@ -339,10 +330,10 @@ class TestSpark:
         f = np.random.default_rng(5).standard_normal((7, 14))
         with counting_svds() as svd:
             assert spark(f).value == 8
-        assert (svd.call_count, _svd_blocks(svd)) == (3, 3)
+        assert (svd.call_count, stacked_blocks(svd)) == (3, 3)
         with without_certificate(), counting_svds() as svd:
             spark(f)
-        assert (svd.call_count, _svd_blocks(svd)) == (8, math.comb(14, 7) + 2)
+        assert (svd.call_count, stacked_blocks(svd)) == (8, math.comb(14, 7) + 2)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -406,35 +397,82 @@ class TestSpark:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), extra=st.integers(0, 6))
     def test_kernel_route_ranks_only_the_top_size_of_a_generic_frame(self, seed, n, extra):
         """An undamaged generic n x m F with m > n has d = m - n and no
-        dependent n-set: the stacked SVDs rank the C(m, m - d) top supports
-        and nothing below, and the first (n + 1)-set is the witness, untested.
-        At m = n the kernel is trivial and no support is ranked."""
+        dependent n-set: the C(m, m - d) top supports are ranked and nothing
+        below, and the first (n + 1)-set is the witness, untested. Each top
+        block goes to the LU, and the ones it leaves unproven to the SVD. At
+        m = n the kernel is trivial and no support is ranked."""
         m = n + extra
         f = np.random.default_rng(seed).standard_normal((n, m))
-        with counting_subsets() as seen, counting_svds() as svd:
+        prove, proven = redundancy._lu_proven, [0]
+
+        def lu_proven(*args):
+            out = prove(*args)
+            proven[0] += int(out.sum())
+            return out
+
+        with counting_subsets() as seen, counting_svds() as svd, counting_dets() as det, \
+                mock.patch.object(redundancy, "_lu_proven", lu_proven):
             got = spark_via_kernel(f)
         assert got.value == (n + 1 if extra else math.inf)
-        assert seen[0] == (math.comb(m, n) if extra else 0)
-        # Beside the stacks, one SVD finds the kernel and, when the d - 1 rows
-        # outside the witness's support are not empty, one the witness.
-        assert _svd_blocks(svd) == seen[0] + 1 + (extra >= 2)
+        assert seen[0] == stacked_blocks(det) == (math.comb(m, n) if extra else 0)
+        # Beside the unproven blocks, one SVD finds the kernel and, when the
+        # d - 1 rows outside the witness's support are not empty, one the witness.
+        assert stacked_blocks(svd) == seen[0] - proven[0] + 1 + (extra >= 2)
 
     def test_kernel_route_counts_on_7x14(self):
-        """A generic 7x14 ranks its 3,432 top supports in 10 stacked SVDs,
-        where sizes 1..7 in order, in chunks of 512, rank 9,907 in 22. With
-        its last column repeating its first, the top size's first deficient
-        support, (0..5, 13), lies in its second chunk, and the ramps of sizes
-        1 and 2 end in the chunk holding (0, 13): 9 + 14 + 73 supports,
-        against 105 for sizes in order in chunks of 512."""
+        """A generic 7x14 ranks its 3,432 top supports in 10 stacked LU
+        determinants, which prove every block full rank, so the SVD only
+        finds the kernel and the witness; sizes 1..7 in order, in chunks of
+        512, would rank 9,907 supports in 22 stacked SVDs. With its last
+        column repeating its first, the top size's first deficient support,
+        (0..5, 13), lies in its second chunk, and the ramps of sizes 1 and 2
+        end in the chunk holding (0, 13): 9 + 14 + 73 supports, against 105
+        for sizes in order in chunks of 512."""
         f = np.random.default_rng(5).standard_normal((7, 14))
-        with counting_subsets() as seen, counting_svds() as svd:
+        with counting_subsets() as seen, counting_svds() as svd, counting_dets() as det:
             assert spark_via_kernel(f).value == 8
-        assert (seen[0], svd.call_count) == (math.comb(14, 7), 10 + 2)
+        assert (seen[0], det.call_count, svd.call_count) == (math.comb(14, 7), 10, 2)
         f[:, 13] = f[:, 0]
         with counting_subsets() as seen:
             got = spark_via_kernel(f)
         assert got.value == 2 and np.flatnonzero(abs(got.witness) > 1e-9).tolist() == [0, 13]
         assert seen[0] == 96
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 12),
+        delta=st.sampled_from([None, -1e-3, 0.0, 1e-6, 1e-3, 1.0, 1e3]),
+        cutoff_rel=st.sampled_from([1e-10, 1e-3]),
+        spread=st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    def test_lu_proof_implies_full_svd_rank(self, seed, d, delta, cutoff_rel, spread):
+        """A d x d block with sigma_max <= 1 that _lu_proven proves ranks d
+        under its own SVD against the same cutoff. Planted blocks get
+        sigma_min = cutoff (1 + delta) and the other singular values in
+        [spread, 0.99); None draws d rows of an orthonormal 2d x d basis."""
+        rng = np.random.default_rng(seed)
+        cutoff = cutoff_rel * 2 * d
+        if delta is None:
+            block = np.linalg.qr(rng.standard_normal((2 * d, d)))[0][rng.permutation(2 * d)[:d]]
+        else:
+            u, v = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+            sigma = rng.uniform(spread, 0.99, d)
+            sigma[-1] = cutoff * (1 + delta)
+            block = (u * sigma) @ v.T
+        proven = redundancy._lu_proven(block[None], cutoff, 1.0)[0]
+        event(f"proven: {bool(proven)}")
+        if proven:
+            assert np.count_nonzero(np.linalg.svd(block, compute_uv=False) > cutoff) == d
+
+    def test_lu_proof_proves_well_conditioned_blocks(self):
+        """The proof is not vacuous: blocks far from the cutoff are proven up
+        to d = 12, and a singular one or one below the cutoff is not."""
+        for d in range(1, 13):
+            block = np.diag(np.linspace(0.5, 0.9, d))
+            assert redundancy._lu_proven(block[None], 1e-10 * 2 * d, 1.0).all()
+        assert not redundancy._lu_proven(np.diag([0.5, 2e-10])[None], 4e-10, 1.0).any()
+        assert not redundancy._lu_proven(np.zeros((1, 3, 3)), 6e-10, 1.0).any()
 
     def test_kernel_route_reads_no_scan_kernel(self):
         """spark_via_kernel checks spark: it ranks its own row sets, with none
@@ -444,6 +482,14 @@ class TestSpark:
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert not called & {"SubsetTable", "stacked_ranks", "certified_full_rank",
                              "_spark_scan", "spark"}
+
+    def test_lu_proof_reads_no_scan_kernel(self):
+        """The route's LU proof is its own as well."""
+        tree = ast.parse(inspect.getsource(redundancy._lu_proven))
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "slogdet" in called and not called & {
+            "SubsetTable", "stacked_ranks", "certified_full_rank", "_spark_scan", "spark"}
 
 
 def _min_support_in_range(a) -> int | float:
@@ -990,10 +1036,10 @@ def test_uniform_excess_with_k_invertible_needs_a_handful_of_svds():
     with counting_svds() as svd:
         report = uniform_excess(f, k)
     assert (report.value, report.maximal_robust) == (7, True)
-    assert (svd.call_count, _svd_blocks(svd)) == (2, 2)
+    assert (svd.call_count, stacked_blocks(svd)) == (2, 2)
     with without_certificate(), counting_svds() as svd:
         uniform_excess(f, k)
-    assert (svd.call_count, _svd_blocks(svd)) == (7, math.comb(14, 7) + 1)
+    assert (svd.call_count, stacked_blocks(svd)) == (7, math.comb(14, 7) + 1)
 
 
 def _straddling_operator():

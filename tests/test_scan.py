@@ -42,10 +42,10 @@ def _rank(a):
     return int(np.linalg.matrix_rank(a, rtol=1e-10 * max(a.shape)))
 
 
-def _spark_count(mat, top=1):
-    """Sizes 1..rank, and for the kernel route rank + 1 (top=2)."""
+def _spark_count(mat):
+    """Sizes 1..rank, the budget of both spark routes."""
     m, r = mat.shape[1], _rank(mat)
-    return sum(comb(m, k) for k in range(1, r + top))
+    return sum(comb(m, k) for k in range(1, r + 1))
 
 
 def _cases(f, k, r):
@@ -56,7 +56,7 @@ def _cases(f, k, r):
     rank_k = _rank(k)
     return [
         ("spark", _spark_count(f), lambda cap: spark(f, cap=cap)),
-        ("spark_via_kernel", _spark_count(f, top=2),
+        ("spark_via_kernel", _spark_count(f),
          lambda cap: spark_via_kernel(f, cap=cap)),
         ("mrc_all", comb(m, r), lambda cap: mrc_all(f, k, r, cap=cap)),
         ("uniform_excess", sum(comb(m, s) for s in range(rank_k, m)),
