@@ -14,7 +14,9 @@ simulate. Every system with rank K < n also runs find-rk at each r up to
 m - 1 against a dual perturbed off the pseudo-inverse one along Ker F,
 where the top levels are often out of reach. FIX-D then runs find-rk with
 --trials and --seed and a few commands with --json, flags the CLI once
-had. Malformed inputs on FIX-D follow: invalid JSON, missing keys, ragged
+had. The 2x2 system F = 1e308 ones(2, 2), K = 0 with G = I runs check-dual,
+spark and analyze: its residual and F's largest singular value lie past
+float64. Malformed inputs on FIX-D follow: invalid JSON, missing keys, ragged
 rows, bool, string, null, 1e999 and 10**400 entries in every file kind, bad
 erased positions, CSV matrices good and bad (a non-numeric, blank, nan,
 inf or 1e999 cell), and a missing file, each given by a plain, a
@@ -164,6 +166,12 @@ def build_corpus(work: Path) -> list[list[str]]:
     commands += [["spark", "--matrix", "FIX-D-F.json", "--json"],
                  ["analyze", "--system", "FIX-D.json", "--json"],
                  ["simulate", *fixd, "--r", "1", "--signals", "10", "--json"]]
+    big = np.full((2, 2), 1e308)
+    system = _write(work / "overflow.json", {"F": _matrix(big), "K": _matrix(np.zeros((2, 2)))})
+    commands += [["check-dual", "--system", system, "--dual",
+                  _write(work / "overflow-dual.json", {"G": _matrix(np.eye(2))})],
+                 ["spark", "--matrix", _write(work / "overflow-F.json", _matrix(big))],
+                 ["analyze", "--system", system]]
     return commands + _malformed(work, "FIX-D.json", "FIX-D-dual.json")
 
 

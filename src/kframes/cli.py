@@ -53,7 +53,6 @@ from .recovery import (
     validate_rk_matrix,
 )
 from .redundancy import (
-    INFINITE,
     SparkResult,
     analyze_scans,
     mrc_all,
@@ -122,22 +121,6 @@ def _rk_matrix(args) -> np.ndarray | None:
     return None if args.rk_matrix is None else matrixio.load_matrix(args.rk_matrix)
 
 
-def _jsonable(value):
-    """The report with numpy values as Python ones and inf as "inf"; NaN and -inf stay."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        out = float(value)
-        return "inf" if out == INFINITE else out
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def _spark_obj(result: SparkResult) -> dict:
     return {"spark": "inf" if not result.finite else int(result.value),
             "witness": result.witness}
@@ -176,18 +159,10 @@ def _plain(value):
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    """Print the report as JSON; raises ValueError, printing nothing, on NaN or -inf.
-
-    One json.dumps encodes the report, numpy values through _plain. Only when
-    it meets a non-finite float is the report encoded again through _jsonable,
-    which writes inf as "inf".
-    """
-    indent = 2 if pretty else None
-    try:
-        text = json.dumps(report, indent=indent, allow_nan=False, default=_plain)
-    except ValueError:
-        text = json.dumps(_jsonable(report), indent=indent, allow_nan=False)
-    print(text)
+    """Print the report as one json.dumps, numpy values through _plain; raises
+    ValueError, printing nothing, on any non-finite float. spark's "inf" is
+    written as that string where the report is built (_spark_obj)."""
+    print(json.dumps(report, indent=2 if pretty else None, allow_nan=False, default=_plain))
 
 
 def _cmd_fixtures(args) -> dict:

@@ -339,15 +339,21 @@ class SubsetTable:
         return tuple(subset)
 
 
-def _as_operator(k, tol: TolerancePolicy) -> OperatorK:
-    return k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
+def _operands(f, k, tol: TolerancePolicy) -> tuple[np.ndarray, OperatorK]:
+    """F checked by ensure_matrix and K as an OperatorK, built under tol unless it
+    is one: the entry of every function on raw F and K. ShapeMismatchError when
+    F's rows differ from K's dimension."""
+    arr = ensure_matrix(f, "F")
+    op = k if isinstance(k, OperatorK) else OperatorK.from_matrix(k, tol)
+    if arr.shape[0] != op.dim:
+        raise ShapeMismatchError(f"F has {arr.shape[0]} rows but K acts on dimension {op.dim}")
+    return arr, op
 
 
 def is_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Whether R(K) lies in R(F): kframe_flags on the one subset of all columns."""
-    arr = ensure_matrix(f, "F")
-    every = np.arange(arr.shape[1])[None]
-    return bool(kframe_flags(arr, _as_operator(k, tol), every, tol)[0])
+    arr, op = _operands(f, k, tol)
+    return bool(kframe_flags(arr, op, np.arange(arr.shape[1])[None], tol)[0])
 
 
 def kframe_flags(
@@ -359,11 +365,10 @@ def kframe_flags(
     Q = op.range_perp, reaches rank K; so the verdict is free of the scale of
     F and of K. Each rank is one stacked SVD over the chunk. An F_S that
     spans R^n passes for any K of rank > 0, and linalg.certified_full_rank,
-    whose margin covers both ranks, can prove that for a subset table.
+    whose margin covers both ranks, can prove that for a subset table. F and
+    op must act on the same R^n, as _operands checks.
     """
     rank_k = op.rank
-    if f.shape[0] != op.dim:
-        return np.zeros(len(subsets), dtype=bool)
     if rank_k == 0:
         return np.ones(len(subsets), dtype=bool)
     # Exactly, the dimension never exceeds rank K; >= keeps a rounding excess a K-frame.
@@ -376,12 +381,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
     Raises NotKFrameError with a witness vector (in R(K) but outside R(F))
     when the inclusion fails, ShapeMismatchError on incompatible shapes.
     """
-    arr = ensure_matrix(f, "F")
-    op = _as_operator(k, tol)
-    if arr.shape[0] != op.dim:
-        raise ShapeMismatchError(
-            f"F has {arr.shape[0]} rows but K acts on dimension {op.dim}"
-        )
+    arr, op = _operands(f, k, tol)
     if not is_kframe(arr, op, tol):
         proj = range_basis(arr, tol).projector()
         leftover = op.range.basis - proj @ op.range.basis

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import KFrameError, ShapeMismatchError
 
 __all__ = [
     "TolerancePolicy",
@@ -71,8 +71,16 @@ class TolerancePolicy:
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
 
     def rank_cutoff(self, s: np.ndarray, shape) -> np.ndarray:
-        """Per-block cutoff for singular values s (... x k): relative to s[..., 0], >= _TINY."""
-        return np.maximum(self.rank_cutoff_rel * max(shape[-2:]) * s[..., :1], _TINY)
+        """Per-block cutoff for singular values s (... x k): relative to s[..., 0], >= _TINY.
+
+        LAPACK returns inf, raising nothing, for a largest singular value past
+        float64; every value would then read as zero, so that is refused.
+        """
+        top = s[..., :1]
+        if not np.isfinite(top).all():
+            raise KFrameError("computed values leave the float64 range "
+                              "(a largest singular value overflows)")
+        return np.maximum(self.rank_cutoff_rel * max(shape[-2:]) * top, _TINY)
 
     def accepts(self, residual, scale=0.0, factor=1.0):
         """Residual test: residual <= residual_rel * factor * (1 + scale)."""

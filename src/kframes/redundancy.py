@@ -52,8 +52,8 @@ from .frames import (
     DEFAULT_CAP,
     KFrameSystem,
     SubsetTable,
-    _as_operator,
     _complements,
+    _operands,
     classify,
     is_kframe,
     kframe_flags,
@@ -280,8 +280,7 @@ class MrcReport:
 
 
 def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
-    arr = ensure_matrix(f, "F")
-    op = _as_operator(k, tol)
+    arr, op = _operands(f, k, tol)
     m = arr.shape[1]
     sig = normalize_erasure_set(sigma, m)
     survivors = [i for i in range(m) if i not in sig]
@@ -330,8 +329,7 @@ def mrc_all(
 
 def _mrc_scan(f, k, r: int, cap: int, tol: TolerancePolicy):
     """mrc_all with its budget checked now and its scan left to a call."""
-    arr = ensure_matrix(f, "F")
-    op = _as_operator(k, tol)
+    arr, op = _operands(f, k, tol)
     m = arr.shape[1]
     if not (0 <= r <= m):
         raise ValueError(f"erasure count must satisfy 0 <= r <= m, got {r}")
@@ -385,9 +383,8 @@ def uniform_excess(
 def _span_prover(arr: np.ndarray, op, tol: TolerancePolicy):
     """A prover for kframe_flags on sets of at least n columns: an F_S proven
     to span R^n contains R(K), and certified_full_rank's margin covers both
-    ranks of the test. None where kframe_flags needs no SVD (rank K = 0, or F
-    and K of different n)."""
-    if op.rank == 0 or arr.shape[0] != op.dim:
+    ranks of the test. None where kframe_flags needs no SVD (rank K = 0)."""
+    if op.rank == 0:
         return None
     return lambda subsets: certified_full_rank(arr, subsets, tol)
 
@@ -409,14 +406,13 @@ def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
     cutoff, rel m sigma_max(F), by a factor m / n that covers the rounding of
     both sigma_max, so every n-set spark found independent is a K-frame.
     """
-    arr = ensure_matrix(f, "F")
-    op = _as_operator(k, tol)
+    arr, op = _operands(f, k, tol)
     (n, m), rk = arr.shape, op.rank
     # T_s from s = rank K on; only maximal robustness at rank K = m reads T_m.
     table = _kframe_table("uniform_excess", arr, op, range(rk, m + (rk >= m)), cap, tol)
 
     def run(spark_value=None):
-        if spark_value == n + 1 and rk == op.dim == n:
+        if spark_value == n + 1 and rk == n:
             table.settle(n, True)
         # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
         best = next((m - s for s in range(1, m) if _exact(table, rk, s)), 0)
@@ -454,8 +450,7 @@ def is_maximal_robust(
     f, k, cap: int = DEFAULT_CAP, tol: TolerancePolicy = DEFAULT_TOL
 ) -> bool:
     """True when every rank(K)-column subset is an exact K-frame."""
-    arr = ensure_matrix(f, "F")
-    op = _as_operator(k, tol)
+    arr, op = _operands(f, k, tol)
     rk = op.rank
     if rk > arr.shape[1]:
         return False

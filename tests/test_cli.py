@@ -108,7 +108,7 @@ class TestDispatch:
         assert err == ("kframes recover: blind: erased columns are rank deficient (0 < 1); "
                        "recovery is ambiguous\n")
 
-    @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_report_exits_one_and_prints_nothing(
             self, capsys, monkeypatch, system_d, value):
         monkeypatch.setattr(kframes.cli, "verify_kdual",
@@ -465,24 +465,39 @@ _REPORT = st.dictionaries(st.text(max_size=3), st.recursive(
     max_leaves=10), max_size=4)
 
 
+def _non_finite(value) -> bool:
+    """Whether a report value holds a float that is not finite, at any depth."""
+    if isinstance(value, dict):
+        return any(map(_non_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_non_finite, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "f" and not np.isfinite(value).all()
+    return isinstance(value, (float, np.floating)) and not math.isfinite(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(report=_REPORT, pretty=st.booleans())
-@example(report={"spark": math.inf, "M": np.array([[1.0, math.inf]]), "r": (np.int64(2),)},
+@example(report={"spark": "inf", "M": np.array([[1.0, 2.0]]), "r": (np.int64(2),)},
          pretty=False)
+@example(report={"spark": math.inf}, pretty=False)
+@example(report={"M": np.array([[1.0, math.inf]])}, pretty=True)
 @example(report={"residual": np.float64(-math.inf)}, pretty=True)
 @example(report={"v": [np.float32(0.1), {"x": math.nan}]}, pretty=False)
-def test_emit_prints_the_bytes_of_the_jsonable_walk(report, pretty):
-    """_emit prints json.dumps(_jsonable(report)) byte for byte; where that
-    raises ValueError (NaN or -inf), _emit raises it too and prints nothing."""
+def test_emit_prints_one_encoding_pass(report, pretty):
+    """_emit prints json.dumps(report, default=_plain, allow_nan=False) byte for
+    byte. A report holding +inf, -inf or NaN anywhere raises ValueError and
+    prints nothing: no value is rewritten, so spark's "inf" string is the only
+    infinity a report can hold."""
     indent = 2 if pretty else None
     out = io.StringIO()
-    try:
-        want = json.dumps(kframes.cli._jsonable(report), indent=indent, allow_nan=False) + "\n"
-    except ValueError:
+    if _non_finite(report):
         with contextlib.redirect_stdout(out), pytest.raises(ValueError):
             kframes.cli._emit(report, pretty)
         assert out.getvalue() == ""
     else:
+        want = json.dumps(report, indent=indent, default=kframes.cli._plain,
+                          allow_nan=False) + "\n"
         with contextlib.redirect_stdout(out):
             kframes.cli._emit(report, pretty)
         assert out.getvalue() == want
@@ -995,6 +1010,42 @@ def test_overflow_exits_one_without_warnings(capsys, tmp_path, strategy):
     assert (code, out, caught) == (1, "", [])
     assert "computed values leave the float64 range" in err
     assert "RuntimeWarning" not in err and "non-finite" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 6), cols=st.integers(2, 6), factor=st.floats(1.001, 1.999))
+def test_overflowed_singular_value_decides_no_rank(tmp_path_factory, rows, cols, factor):
+    """Equal entries of 2^1024 / k times factor, k = min(rows, cols) >= 2: the
+    largest singular value passes float64, and LAPACK returns inf for it. Each
+    rank decision refuses that (OperatorK on the leading k x k block), and
+    spark --matrix exits 1."""
+    k = min(rows, cols)
+    block = np.full((rows, cols), math.ldexp(2.0 / k * factor, 1023))
+    message = "computed values leave the float64 range"
+    for decide, mat in ((kframes.spark, block), (kframes.rank_of, block),
+                        (kframes.null_space_basis, block),
+                        (kframes.OperatorK.from_matrix, block[:k, :k])):
+        with pytest.raises(kframes.KFrameError, match=message):
+            decide(mat)
+    path = tmp_path_factory.mktemp("overflow") / "block.json"
+    path.write_text(json.dumps(_matrix_obj(block)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(["spark", "--matrix", str(path)])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith(f"kframes spark: {message}")
+
+
+def test_check_dual_past_float64_exits_one(capsys, tmp_path):
+    """F = 1e308 ones(2, 2), K = 0, G = I: ||F G^T - M_K|| overflows, so the
+    residual is no float64 number and check-dual exits 1, printing nothing."""
+    system, dual = tmp_path / "system.json", tmp_path / "dual.json"
+    system.write_text(json.dumps({"F": _matrix_obj(np.full((2, 2), 1e308)),
+                                  "K": _matrix_obj(np.zeros((2, 2)))}))
+    dual.write_text(json.dumps({"G": _matrix_obj(np.eye(2))}))
+    code, out, err = run(capsys, "check-dual", "--system", str(system), "--dual", str(dual))
+    assert (code, out) == (1, "")
+    assert "kframes check-dual: report is not valid JSON" in err
 
 
 @pytest.mark.parametrize("name", ["FIX-A", "FIX-B", "FIX-C", "FIX-D"])

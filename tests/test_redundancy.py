@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from kframes import (
     BudgetExceededError,
     KFrameError,
+    ShapeMismatchError,
     classify,
     derived_pinv_frames,
     hamming_weight,
@@ -474,6 +476,16 @@ class TestSpark:
         assert not redundancy._lu_proven(np.diag([0.5, 2e-10])[None], 4e-10, 1.0).any()
         assert not redundancy._lu_proven(np.zeros((1, 3, 3)), 6e-10, 1.0).any()
 
+    def test_lu_proof_skips_blocks_where_its_error_reaches_the_cutoff(self):
+        """At the default tolerance the LU's error bound eta reaches the cutoff
+        from d = 14 (m = 2d): a 14 x 14 stack, however well conditioned, proves
+        nothing and runs no slogdet, while d = 13 still runs it."""
+        for d, runs in ((13, 1), (14, 0)):
+            blocks = np.broadcast_to(np.diag(np.linspace(0.5, 0.9, d)), (3, d, d))
+            with counting_dets() as det:
+                proven = redundancy._lu_proven(blocks, DEFAULT_TOL.rank_cutoff_rel * 2 * d, 1.0)
+            assert (det.call_count, proven.tolist()) == (runs, [bool(runs)] * 3)
+
     def test_kernel_route_reads_no_scan_kernel(self):
         """spark_via_kernel checks spark: it ranks its own row sets, with none
         of the subset table's or the certificate's code."""
@@ -672,6 +684,11 @@ class TestMaximalRobust:
         f = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert not is_maximal_robust(f, np.eye(2))
 
+    def test_operator_rank_above_m_false(self):
+        """rank K = 3 > m = 2: no set of m columns can be a K-frame."""
+        f = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert not is_maximal_robust(f, np.eye(3))
+
     def test_preserved_under_invertible_and_diagonal(self):
         # Invertible left factor and unitary diagonal right factor keep both
         # maximal robustness and MRC-for-r status, in the positive and the
@@ -695,6 +712,30 @@ class TestMaximalRobust:
                     assert (
                         mrc_all(out.F, out.K, r)[0] == mrc_all(f, k, r)[0]
                     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dim=st.integers(1, 4),
+       extra=st.integers(0, 3), rank_k=st.integers(0, 4), built=st.booleans())
+def test_raw_entry_points_refuse_f_and_k_of_different_dimensions(seed, n, dim, extra, rank_k,
+                                                                 built):
+    """F with n rows and K acting on R^dim, dim != n: the question has no
+    meaning, and every function on raw F and K raises verify_kframe's
+    ShapeMismatchError rather than answer it. K comes as a matrix or as an
+    OperatorK."""
+    assume(dim != n)
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    f = rng.standard_normal((n, m))
+    k = random_operator(rng, dim, min(rank_k, dim))
+    if built:
+        k = OperatorK.from_matrix(k)
+    message = re.escape(f"F has {n} rows but K acts on dimension {dim}")
+    for call in (lambda: is_kframe(f, k), lambda: mrc_subset(f, k, [0]),
+                 lambda: mrc_all(f, k, 1), lambda: uniform_excess(f, k),
+                 lambda: is_maximal_robust(f, k), lambda: analyze_scans(f, k, 1)):
+        with pytest.raises(ShapeMismatchError, match=message):
+            call()
 
 
 class TestDerivedPinvFrames:
