@@ -46,6 +46,10 @@ of the CLI: test_load_system_8x16 times reading the system file of the 8x16
 construction with rank(K) = 5 (load_matrix of F and K, then verify_kframe),
 and test_emit_canonical_8x16 printing its `canonical-dual --method
 restricted` report (_emit, to a sink that discards the text).
+test_draw_loop_1k times simulate's draw loop (cli._draw) for 1,000 signals
+of the 6x12 system at r = 4, and test_column_blocks_7x14 one column_blocks
+gather of the first 2,048 7-column subsets of the 7x14 F with K invertible,
+a full scan chunk.
 """
 
 import contextlib
@@ -73,8 +77,9 @@ from kframes import (
     verify_kframe,
     worst_erasure_error,
 )
+from kframes import cli
 from kframes.cli import _emit, _parsers, run_command
-from kframes.linalg import pinv_and_rank
+from kframes.linalg import column_blocks, pinv_and_rank
 from kframes.matrixio import load_matrix, matrix_to_obj
 from kframes.recovery import STRATEGIES
 
@@ -326,3 +331,18 @@ def test_emit_canonical_8x16(benchmark, tmp_path):
 
     benchmark(emit)
     assert report["G"]["rows"] == 8 and report["G"]["cols"] == 16
+
+
+def test_draw_loop_1k(benchmark):
+    # cli._draw is looked up at call time: a checkout without it reads null
+    # in bench/interleave.py instead of failing to import.
+    signals, draws = benchmark(lambda: cli._draw(np.random.default_rng(3), SIGNALS, N, M, R))
+    draws.sort(axis=1)
+    assert signals.shape == (SIGNALS, N) and (np.diff(draws, axis=1) > 0).all()
+
+
+def test_column_blocks_7x14(benchmark):
+    f = _kframe(np.random.default_rng(5), 7, n=7, m=14).F
+    subsets = np.array(list(itertools.islice(itertools.combinations(range(14), 7), 2048)))
+    blocks = benchmark(column_blocks, f, subsets)
+    assert blocks.shape == (2048, 7, 7) and np.array_equal(blocks[-1], f[:, subsets[-1]])

@@ -158,11 +158,31 @@ def _plain(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _non_finite_at(value, path: str = "") -> str | None:
+    """'<path> is <value>' for the first non-finite float of a report value in
+    print order, keys joined by '.' and list positions 1-based; else None."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        found = (_non_finite_at(v, f"{path}.{k}" if path else str(k)) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        found = (_non_finite_at(v, f"{path}[{i}]") for i, v in enumerate(value, start=1))
+    else:
+        bad = isinstance(value, (float, np.floating)) and not np.isfinite(value)
+        return f"{path} is {value}" if bad else None
+    return next(filter(None, found), None)
+
+
 def _emit(report: dict, pretty: bool) -> None:
-    """Print the report as one json.dumps, numpy values through _plain; raises
-    ValueError, printing nothing, on any non-finite float. spark's "inf" is
-    written as that string where the report is built (_spark_obj)."""
-    print(json.dumps(report, indent=2 if pretty else None, allow_nan=False, default=_plain))
+    """Print the report as one json.dumps, numpy values through _plain; on any
+    non-finite float, print nothing and raise ValueError naming the first
+    (_non_finite_at). spark's "inf" is written as that string where the
+    report is built (_spark_obj)."""
+    try:
+        text = json.dumps(report, indent=2 if pretty else None, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise ValueError(_non_finite_at(report) or str(exc)) from None
+    print(text)
 
 
 def _cmd_fixtures(args) -> dict:
@@ -335,6 +355,8 @@ def _simulate_strategy(system, dual, strategy, m_mat, products, sets, which):
     count = len(coeffs)
     plan = plan_recovery(system, strategy, sets, m_mat=m_mat, dual=dual)
     ok = plan.deficiency[which] == 0
+    if ok.all():  # no set is skipped: whole arrays, no masked copies
+        ok = slice(None)
     full, _, certified = plan.apply(coeffs[ok], which[ok], sides[ok])
     target = targets[ok]
     errors = np.full(count, np.nan)
@@ -357,6 +379,20 @@ def _simulate_strategy(system, dual, strategy, m_mat, products, sets, which):
     return entry
 
 
+def _draw(rng, count: int, n: int, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """count signals in R^n and their erased slots, r distinct of m, unsorted.
+    Per signal the rng sees rng.standard_normal(n), then rng.choice(m, size=r,
+    replace=False); 0-d array arguments take choice's cheaper ndarray path."""
+    signals = np.empty((count, n))
+    draws = np.empty((count, r), dtype=np.intp)
+    normal, choice = rng.standard_normal, rng.choice
+    pool, size = np.array(m), np.array(r)
+    for row, draw in zip(signals, draws):
+        normal(out=row)
+        draw[:] = choice(pool, size=size, replace=False)
+    return signals, draws
+
+
 def _cmd_simulate(args) -> dict:
     system = _load_system(args)
     dual = canonical_kdual(system).dual if args.dual is None \
@@ -364,12 +400,8 @@ def _cmd_simulate(args) -> dict:
     if not (0 <= args.r < system.m):
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
     m_mat = _rk_matrix(args)
-    rng = np.random.default_rng(args.seed)
-    signals = np.empty((args.signals, system.n))
-    draws = np.empty((args.signals, args.r), dtype=np.intp)
-    for i in range(args.signals):
-        signals[i] = rng.standard_normal(system.n)
-        draws[i] = rng.choice(system.m, size=args.r, replace=False)
+    signals, draws = _draw(np.random.default_rng(args.seed), args.signals,
+                           system.n, system.m, args.r)
     draws.sort(axis=1)
     # The distinct sets in lexicographic order, and each draw's place among
     # them, as np.unique(draws, axis=0, return_inverse=True) gives them.

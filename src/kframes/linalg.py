@@ -292,7 +292,7 @@ def certified_full_rank(
 
 def column_blocks(m: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """N x n x k stack of the submatrices m[:, S], one per row S of an index array."""
-    return m.T[subsets].transpose(0, 2, 1)
+    return m.T.take(subsets, axis=0).transpose(0, 2, 1)
 
 
 def _svd_rank(s: np.ndarray, shape, tol: TolerancePolicy) -> int:

@@ -210,10 +210,11 @@ def spark_via_kernel(
 
     def first_deficient(k):
         supports, size = itertools.combinations(range(m), k), 1
-        while len(chunk := np.array(list(itertools.islice(supports, size)))):
+        while len(chunk := np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(supports, size)), np.intp).reshape(-1, k)):
             outside = np.ones((len(chunk), m), dtype=bool)
             outside[np.arange(len(chunk))[:, None], chunk] = False
-            rows = np.broadcast_to(nb, (len(chunk), m, d))[outside].reshape(-1, m - k, d)
+            rows = nb.take(np.nonzero(outside)[1].reshape(-1, m - k), axis=0)
             if k == m - d:  # only the blocks the LU leaves unproven go to the SVD
                 chunk, rows = chunk[keep := ~_lu_proven(rows, cutoff, t)], rows[keep]
             s = np.linalg.svd(rows, compute_uv=False) if len(rows) else np.zeros((0, d))

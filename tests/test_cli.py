@@ -116,7 +116,7 @@ class TestDispatch:
         code, out, err = run(capsys, "check-dual", "--system", system_d[0],
                              "--dual", system_d[1])
         assert (code, out) == (1, "")
-        assert "kframes check-dual: report is not valid JSON" in err
+        assert err == f"kframes check-dual: report is not valid JSON: residual is {value}\n"
 
     def test_every_report_opens_with_its_command(self, capsys, system_d, tmp_path):
         sys_path, dual_path = system_d
@@ -492,9 +492,10 @@ def test_emit_prints_one_encoding_pass(report, pretty):
     indent = 2 if pretty else None
     out = io.StringIO()
     if _non_finite(report):
-        with contextlib.redirect_stdout(out), pytest.raises(ValueError):
+        with contextlib.redirect_stdout(out), pytest.raises(ValueError) as exc:
             kframes.cli._emit(report, pretty)
         assert out.getvalue() == ""
+        assert str(exc.value).endswith((" is inf", " is -inf", " is nan"))
     else:
         want = json.dumps(report, indent=indent, default=kframes.cli._plain,
                           allow_nan=False) + "\n"
@@ -1038,14 +1039,15 @@ def test_overflowed_singular_value_decides_no_rank(tmp_path_factory, rows, cols,
 
 def test_check_dual_past_float64_exits_one(capsys, tmp_path):
     """F = 1e308 ones(2, 2), K = 0, G = I: ||F G^T - M_K|| overflows, so the
-    residual is no float64 number and check-dual exits 1, printing nothing."""
+    residual is no float64 number and check-dual exits 1, printing nothing
+    and naming the residual."""
     system, dual = tmp_path / "system.json", tmp_path / "dual.json"
     system.write_text(json.dumps({"F": _matrix_obj(np.full((2, 2), 1e308)),
                                   "K": _matrix_obj(np.zeros((2, 2)))}))
     dual.write_text(json.dumps({"G": _matrix_obj(np.eye(2))}))
     code, out, err = run(capsys, "check-dual", "--system", str(system), "--dual", str(dual))
     assert (code, out) == (1, "")
-    assert "kframes check-dual: report is not valid JSON" in err
+    assert err == "kframes check-dual: report is not valid JSON: residual is inf\n"
 
 
 @pytest.mark.parametrize("name", ["FIX-A", "FIX-B", "FIX-C", "FIX-D"])
@@ -1142,15 +1144,21 @@ def test_analyze_checks_every_budget_before_any_scan(capsys, tmp_path):
     assert str(exc.value) == "uniform_excess needs 616665 subset tests, more than the cap of 616664"
 
 
-def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
-    """One seed's report, byte for byte: the draws are sorted once after the
-    loop, and the rng sees the calls it saw when each draw was sorted alone."""
+def _simulate_fix_d(capsys, tmp_path, monkeypatch, *flags):
+    """simulate on FIX-D, 200 signals at seed 7, from a system file named as in the report."""
     fix = FIXTURES["FIX-D"]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fix-d.json").write_text(json.dumps(
         {"F": _matrix_obj(fix.F), "K": _matrix_obj(fix.K)}))
-    code, out, _ = run(capsys, "simulate", "--system", "fix-d.json", "--r", "1",
-                       "--signals", "200", "--seed", "7", "--strategies", "consistency")
+    return run(capsys, "simulate", "--system", "fix-d.json", "--signals", "200", "--seed", "7",
+               *flags)
+
+
+def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    """One seed's report, byte for byte: the draws are sorted once after the
+    loop, and the rng sees the calls it saw when each draw was sorted alone."""
+    code, out, _ = _simulate_fix_d(capsys, tmp_path, monkeypatch,
+                                   "--r", "1", "--strategies", "consistency")
     assert code == 0
     assert out == (
         '{"command": "simulate", "config": {"system": "fix-d.json", "dual": null, "r": 1, '
@@ -1158,6 +1166,82 @@ def test_simulate_report_bytes_are_pinned(capsys, tmp_path, monkeypatch):
         '"certificate": null, "strategies": {"consistency": {"signals": 200, '
         '"completed": 200, "skipped": 0, "exact": 150, "exact_fraction": 0.75, '
         '"max_error": 2.5325196480669656, "mean_error": 0.20352069100840503}}}\n')
+
+
+_PINNED_ALL_STRATEGIES = {
+    2: (
+        '{"command": "simulate", "config": {"system": "fix-d.json", "dual": null, "r": 2, '
+        '"signals": 200, "seed": 7, "strategies": ["side-info", "blind", "consistency"], '
+        '"rk_matrix": null}, "certificate": {"spark_M": 3, "spark_N": 1, '
+        '"annihilation_residual": 0.0, "annihilation_ok": true, "r_side_info": 2, '
+        '"r_blind": 0}, "strategies": {"side-info": {"signals": 200, "completed": 200, '
+        '"skipped": 0, "exact": 200, "exact_fraction": 1.0, '
+        '"max_error": 1.7763568394002505e-15, "mean_error": 3.392781976886059e-16}, '
+        '"blind": {"signals": 200, "completed": 0, "skipped": 200, "exact": 0, '
+        '"exact_fraction": 0.0, "max_error": null, "mean_error": null, '
+        '"skipped_all": true}, "consistency": {"signals": 200, "completed": 200, '
+        '"skipped": 0, "exact": 0, "exact_fraction": 0.0, "max_error": 4.966960156822449, '
+        '"mean_error": 0.9739168377480554}}}\n'),
+    3: (
+        '{"command": "simulate", "config": {"system": "fix-d.json", "dual": null, "r": 3, '
+        '"signals": 200, "seed": 7, "strategies": ["side-info", "blind", "consistency"], '
+        '"rk_matrix": null}, "certificate": {"spark_M": 3, "spark_N": 1, '
+        '"annihilation_residual": 0.0, "annihilation_ok": true, "r_side_info": 2, '
+        '"r_blind": 0}, "strategies": {"side-info": {"signals": 200, "completed": 147, '
+        '"skipped": 53, "exact": 147, "exact_fraction": 0.735, '
+        '"max_error": 1.3567800076261183e-15, "mean_error": 3.2216377239391537e-16}, '
+        '"blind": {"signals": 200, "completed": 0, "skipped": 200, "exact": 0, '
+        '"exact_fraction": 0.0, "max_error": null, "mean_error": null, '
+        '"skipped_all": true}, "consistency": {"signals": 200, "completed": 200, '
+        '"skipped": 0, "exact": 0, "exact_fraction": 0.0, "max_error": 4.500568724889326, '
+        '"mean_error": 1.5478905385899404}}}\n'),
+}
+
+
+@pytest.mark.parametrize("r", sorted(_PINNED_ALL_STRATEGIES))
+def test_simulate_report_bytes_are_pinned_for_every_strategy(capsys, tmp_path, monkeypatch, r):
+    """FIX-D at r = 2 and 3 with all three strategies, byte for byte: r = 3
+    skips side-info draws and blind skips every draw (M - Gram = 0)."""
+    code, out, _ = _simulate_fix_d(capsys, tmp_path, monkeypatch, "--r", str(r))
+    assert (code, out) == (0, _PINNED_ALL_STRATEGIES[r])
+
+
+def _reference_draws(rng, count, n, m, r):
+    signals, draws = np.empty((count, n)), np.empty((count, r), dtype=np.intp)
+    for i in range(count):
+        signals[i] = rng.standard_normal(n)
+        draws[i] = rng.choice(m, size=r, replace=False)
+    return signals, draws
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**128), count=st.integers(0, 5), data=st.data())
+def test_simulate_draws_are_the_reference_calls(seed, count, data):
+    """simulate's draw loop gives the signals and erased slots of one
+    rng.standard_normal(n) and one rng.choice(m, size=r, replace=False) per
+    signal, and leaves the rng where that loop leaves it."""
+    n = data.draw(st.integers(1, 8), label="n")
+    m = data.draw(st.integers(n + 1, 16), label="m")
+    r = data.draw(st.integers(0, m - 1), label="r")
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    signals, draws = kframes.cli._draw(rng, count, n, m, r)
+    want_signals, want_draws = _reference_draws(reference, count, n, m, r)
+    assert np.array_equal(signals, want_signals) and np.array_equal(draws, want_draws)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("report, named", [
+    ({"command": "x", "G": {"rows": 2, "cols": 2, "data": [[1.0, 2.0], [-math.inf, 0.0]]}},
+     "G.data[2][1] is -inf"),
+    ({"command": "x", "ok": [1.0], "M": np.array([[0.5, 1.0], [2.0, np.nan]])},
+     "M[2][2] is nan"),
+])
+def test_non_finite_matrix_entry_is_named(report, named):
+    """The first non-finite entry is named by its keys and 1-based positions."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError) as exc:
+        kframes.cli._emit(report, False)
+    assert (out.getvalue(), str(exc.value)) == ("", named)
 
 
 def _required(command: str, absent: Path) -> list[str]:

@@ -277,6 +277,21 @@ class TestStackedRanks:
             assert np.array_equal(block, mat[:, cols])
         assert column_blocks(mat, np.zeros((1, 0), dtype=int)).shape == (1, 3, 0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(mat=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 10)),
+                      elements=st.floats(-1e3, 1e3)),
+           fortran=st.booleans(), data=st.data())
+    def test_column_blocks_keep_the_fancy_index_layout(self, mat, fortran, data):
+        """Same values and strides as m.T[subsets].transpose(0, 2, 1), so every
+        matvec on the stack keeps its BLAS path and its bits."""
+        mat = np.asfortranarray(mat) if fortran else mat
+        subsets = data.draw(arrays(np.intp, st.tuples(st.integers(0, 6),
+                                                       st.integers(0, mat.shape[1])),
+                                   elements=st.integers(0, mat.shape[1] - 1)))
+        blocks, want = column_blocks(mat, subsets), mat.T[subsets].transpose(0, 2, 1)
+        assert blocks.strides == want.strides
+        assert np.array_equal(blocks, want)
+
 
 def _planted_blocks(rng, p, q, lows):
     """One p x q block per entry of lows, singular values in [low, 1] with low the smallest."""
