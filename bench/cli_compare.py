@@ -8,18 +8,19 @@ numpy alone: FIX-A..D (each also at scales 1e-150 and 1e150), the 2x3
 frame whose third vector repeats its first, and generated K-frames with no
 damage, a repeated column, a zero column or both, each with its
 pseudo-inverse dual and a recovery matrix Gram + A Q (Q the projector onto
-Ker G). It runs every command: fixtures, spark, check-dual, canonical-dual,
-analyze, mrc, find-rk, recover with each strategy on many erasure sets, and
-simulate. Every system with rank K < n also runs find-rk at each r up to
+Ker G). It runs every command: fixtures (also with a lower-case and an
+unknown name), spark, check-dual, canonical-dual, analyze, mrc, find-rk,
+recover with each strategy on many erasure sets, and simulate. Every system with rank K < n also runs find-rk at each r up to
 m - 1 against a dual perturbed off the pseudo-inverse one along Ker F,
 where the top levels are often out of reach. FIX-D then runs find-rk with
 --trials and --seed and a few commands with --json, flags the CLI once
 had. The 2x2 system F = 1e308 ones(2, 2), K = 0 with G = I runs check-dual,
 spark and analyze: its residual and F's largest singular value lie past
-float64. Malformed inputs on FIX-D follow: invalid JSON, missing keys, ragged
-rows, bool, string, null, 1e999 and 10**400 entries in every file kind, bad
-erased positions, CSV matrices good and bad (a non-numeric, blank, nan,
-inf or 1e999 cell), and a missing file, each given by a plain, a
+float64. Malformed inputs on FIX-D follow: invalid JSON, a JSON or CSV
+file that is not UTF-8, missing keys, ragged rows, bool, string, null,
+1e999 and 10**400 entries in every file kind, bad erased positions, CSV
+matrices good and bad (a non-numeric, blank, nan, inf or 1e999 cell), and
+a missing file, each given by a plain, a
 ./-prefixed and a doubled-slash path, since messages print the path. Each
 checkout runs the whole corpus in its own Python process, which imports
 that checkout's src/, with BLAS on one thread; each command runs
@@ -108,6 +109,7 @@ def build_corpus(work: Path) -> list[list[str]]:
     """Write every input file under work and return the commands, in order."""
     commands = [["fixtures", "--name", f"FIX-{x}", *extra]
                 for x in "ABCD" for extra in ([], ["--with-dual"])]
+    commands += [["fixtures", "--name", name] for name in ("fix-a", "FIX-Z")]
     for index, (name, f, k, g, with_rk) in enumerate(_systems()):
         rng = np.random.default_rng(index)
         n, m = f.shape
@@ -227,6 +229,9 @@ def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
                "nan.csv": csv_with(3, 3, "nan"), "1e999.csv": csv_with(1, 0, "1e999"),
                "blank-cell.csv": csv_with(2, 2, " "), "empty.csv": "\n"},
     }
+    for named in files.values():  # bytes, written as they are: neither file is UTF-8
+        named.update({"not-utf8.json": b'\xff{"rows": 1}',
+                      "not-utf8.csv": b"1.0,2.0\n3.0,\xc3(\n"})
     for what, erased in {"outside": [5], "zero": [0], "repeat": [1, 1], "bool": [True],
                          "float": [1.0], "string": "1"}.items():
         files["coded"][f"erased-{what}.json"] = _bad_text(
@@ -254,7 +259,9 @@ def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
     commands = []
     for kind, named in files.items():
         for name, text in {**named, "missing.json": None}.items():
-            if text is not None:
+            if isinstance(text, bytes):
+                (bad_dir / f"{kind}-{name}").write_bytes(text)
+            elif text is not None:
                 (bad_dir / f"{kind}-{name}").write_text(text)
             for path in (f"bad/{kind}-{name}", f"./bad/{kind}-{name}", f"bad//{kind}-{name}"):
                 commands += uses[kind](path)

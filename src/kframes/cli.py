@@ -31,7 +31,7 @@ import numpy as np
 from . import matrixio
 from .canonical import canonical_kdual, canonical_kdual_restricted
 from .errors import BudgetExceededError, KFrameError, MatrixFormatError
-from .fixtures import get_fixture
+from .fixtures import FIXTURES, get_fixture
 from .frames import (
     DEFAULT_CAP,
     DualSystem,
@@ -485,8 +485,9 @@ def _parsers() -> dict[str, argparse.ArgumentParser]:
         return parser
 
     every, tols = " ".join(common), "--tol-rank --tol-res --pretty"
-    command("fixtures", _cmd_fixtures, "--pretty", "--name").add_argument(
-        "--with-dual", action="store_true")
+    parser = command("fixtures", _cmd_fixtures, "--pretty")
+    parser.add_argument("--name", required=True, type=str.upper, choices=sorted(FIXTURES))
+    parser.add_argument("--with-dual", action="store_true")
     command("spark", _cmd_spark, "--tol-rank --cap-subsets --pretty", "--matrix")
     command("check-dual", _cmd_check_dual, tols, "--system", "--dual")
     command("canonical-dual", _cmd_canonical_dual, tols, "--system").add_argument(
@@ -538,7 +539,7 @@ def run_command(argv) -> int:
     except (MatrixFormatError, OSError) as exc:
         _sys.stderr.write(f"kframes {name}: {exc}\n")
         return 2
-    except (KFrameError, ValueError, KeyError) as exc:
+    except (KFrameError, ValueError) as exc:
         budget = isinstance(exc, BudgetExceededError)
         hint = "; --cap-subsets raises the limit" if budget else ""
         _sys.stderr.write(f"kframes {name}: {exc}{hint}\n")

@@ -186,6 +186,7 @@ def _complements(sets: np.ndarray, m: int) -> np.ndarray:
 
 # Most subsets per chunk: enough to spread the fixed cost of one stacked SVD or
 # Cholesky thin, and few enough that a chunk's blocks stay small next to a level.
+# Recovery's apply passes take this many signals each.
 SCAN_CHUNK = 2048
 # The first chunk of a level with this many subsets or more builds the level's
 # index table, and every later chunk is cut from it; the ramp's smaller first

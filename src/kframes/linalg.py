@@ -320,15 +320,17 @@ def stacked_pinv_and_rank(
     The stacked SVD returns each block's own factors, and the pseudo-inverses
     are formed in pinv_and_rank's operand order, one batch per distinct rank;
     so a block that both rank alike gets pinv_and_rank's result bit for bit.
-    Column j of a block's V (k x k) is its j-th right singular vector; those
-    from its rank on span its numerical kernel.
+    When one rank covers the whole stack, U and V^T are read as views, not
+    gathered. Column j of a block's V (k x k) is its j-th right singular
+    vector; those from its rank on span its numerical kernel.
     """
     count, rows, cols = blocks.shape
     pinvs = np.zeros((count, cols, rows))
     u, s, vt = np.linalg.svd(blocks, full_matrices=True)
     ranks = np.count_nonzero(s > cutoff, axis=1)
-    for r in set(ranks.tolist()) - {0}:
-        sel = np.flatnonzero(ranks == r)
+    classes = set(ranks.tolist())
+    for r in classes - {0}:
+        sel = slice(None) if len(classes) == 1 else np.flatnonzero(ranks == r)
         diag = np.eye(r) / s[sel, :r, None]
         v, ut = vt[sel, :r].transpose(0, 2, 1), u[sel, :, :r].transpose(0, 2, 1)
         pinvs[sel] = v @ diag @ ut

@@ -10,6 +10,7 @@ numpy real, not a bool or string, and finite; `finite_entries` is that check.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -107,12 +108,12 @@ def _matrix_from_csv(path: Path) -> np.ndarray:
     number and passes the entry check, and a bad one is named by its 1-based
     line and column."""
     rows: list[np.ndarray] = []
-    with path.open(newline="") as handle:
-        for line_no, record in enumerate(csv.reader(handle), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            rows.append(finite_entries([_csv_entry(cell) for cell in record],
-                                       lambda k: f"{path}: line {line_no}, column {k}"))
+    lines = io.StringIO(_read_text(path), newline="")
+    for line_no, record in enumerate(csv.reader(lines), start=1):
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        rows.append(finite_entries([_csv_entry(cell) for cell in record],
+                                   lambda k: f"{path}: line {line_no}, column {k}"))
     if not rows:
         raise MatrixFormatError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -121,13 +122,24 @@ def _matrix_from_csv(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _read_text(path: Path) -> str:
+    """The file's text read as UTF-8; MatrixFormatError naming the file and the
+    1-based offset of the first byte that is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start + 1}: {exc.reason})") from exc
+
+
 def read_json(path):
-    """The parsed JSON file; MatrixFormatError naming the file when it is not JSON.
+    """The parsed JSON file; MatrixFormatError naming the file when it is not
+    UTF-8 text or not JSON.
 
     path is a str or a Path; a Path is read as given, without building another.
     """
     try:
-        return json.loads((path if isinstance(path, Path) else Path(path)).read_text())
+        return json.loads(_read_text(path if isinstance(path, Path) else Path(path)))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .frames import (
     DEFAULT_CAP,
+    SCAN_CHUNK,
     DualSystem,
     KFrameSystem,
     _complements,
@@ -233,11 +234,6 @@ def find_rk_matrix(
 STRATEGIES = ("side-info", "blind", "consistency")
 
 
-# Signals recovered per pass of RecoveryPlan.apply; bounds the per-signal
-# operators it gathers.
-APPLY_CHUNK = 256
-
-
 @dataclass(frozen=True)
 class RecoveryPlan:
     """Recovery maps of one strategy for G erasure sets, the rows of erased.
@@ -276,7 +272,9 @@ class RecoveryPlan:
         coefficients and side (side-info only) are B x m, one row per signal,
         and signal i was erased at the set erased[which[i]]. Each signal gets
         its own matrix-vector products with its set's map, so it is rounded
-        exactly as when recovered alone. A signal is certified when its set's
+        exactly as when recovered alone. Signals go in passes of SCAN_CHUNK,
+        read at call time; a pass gathers about 8 m(m + r) bytes per signal,
+        3 MiB for m = 12 and r = 4. A signal is certified when its set's
         range_ok holds and tol.accepts(residual, scale): scale is ||rhs||, and
         for side-info max(||rhs||, ||side||), as v - M_known c_known can cancel
         to round-off of the size of side.
@@ -287,8 +285,8 @@ class RecoveryPlan:
         if self.erased.shape[1] == 0:
             # Nothing erased: the survivors are the whole coefficient vector.
             return full, residual, certified
-        for start in range(0, len(full), APPLY_CHUNK):
-            rows = slice(start, start + APPLY_CHUNK)
+        for start in range(0, len(full), SCAN_CHUNK):
+            rows = slice(start, start + SCAN_CHUNK)
             sets = which[rows]
             known, erased = self.known[sets], self.erased[sets]
             signal = np.arange(start, start + len(sets))[:, None]

@@ -13,15 +13,17 @@ import contextlib
 import io
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kframes import verify_kdual, verify_kframe
+from kframes import recovery, verify_kdual, verify_kframe
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
+from kframes.linalg import pinv_and_rank
 from kframes.recovery import STRATEGIES, plan_recovery
 
 from conftest import random_kframe
@@ -252,6 +254,59 @@ def test_stacked_plan_matches_per_set_reference(
             assert plan.rank[g] == rank and plan.range_ok[g] == range_ok
             assert _same(plan.solver[g], solver)
         full, residual, certified = plan.apply(coeffs, which, sides)
+        for i, g in enumerate(which):
+            want = _reference_apply(strategy, tuple(sets[g]), refs[g], coeffs[i], sides[i])
+            assert _same(full[i], want[0])
+            assert residual[i] == want[1] and certified[i] == want[2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(1, 4),
+    rank_k=st.integers(1, 4),
+    r=st.integers(1, 3),
+    chunk=st.sampled_from([1, 3, 7]),
+    passes=st.integers(2, 4),
+    mixed=st.booleans(),
+)
+def test_apply_passes_match_reference(seed, n, extra, rank_k, r, chunk, passes, mixed):
+    """apply reads SCAN_CHUNK at call time and recovers in passes of that many
+    signals; across pass boundaries every row, residual and flag is the per-set
+    reference's, and every solver is pinv_and_rank's where the two rank alike.
+    A generic M ranks every side-info set alike, one rank class; zeroing its
+    first column drops the sets that hold it one rank, two classes."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    r = min(r, m - 1)
+    f_mat, k_mat = random_kframe(rng, n, m, min(rank_k, n))
+    sys = verify_kframe(f_mat, k_mat)
+    dual = verify_kdual(sys, (np.linalg.pinv(f_mat) @ k_mat).T)
+    m_mat = _annihilating_matrix(rng, f_mat, dual.G)
+    if mixed:
+        m_mat[:, 0] = 0.0
+    sets = np.array(list(itertools.combinations(range(m), r)), dtype=int)
+    count = chunk * passes + int(rng.integers(chunk))
+    which = rng.permutation(np.arange(count) % len(sets))
+    signals = rng.standard_normal((count, n))
+    coeffs = signals @ dual.G
+    sides = signals @ k_mat.T @ f_mat
+    for strategy in STRATEGIES:
+        mat = m_mat - f_mat.T @ f_mat if strategy == "blind" else m_mat
+        plan = plan_recovery(sys, strategy, sets, m_mat=m_mat, dual=dual)
+        if strategy == "side-info":
+            assert len(set(plan.rank.tolist())) == 1 + mixed
+        for g, lam in enumerate(sets):
+            solver, rank = pinv_and_rank(plan.matrix[:, lam], sys.tol)
+            if rank == plan.rank[g]:
+                assert _same(plan.solver[g], solver)
+        refs = {g: _reference_plan(sys, dual, strategy, mat, tuple(sets[g]))
+                for g in set(which.tolist())}
+        with mock.patch.object(recovery, "SCAN_CHUNK", chunk), mock.patch.object(
+                recovery, "matvec_rows", wraps=recovery.matvec_rows) as products:
+            full, residual, certified = plan.apply(coeffs, which, sides)
+        assert products.call_count == 3 * -(-count // chunk)  # three per pass
         for i, g in enumerate(which):
             want = _reference_apply(strategy, tuple(sets[g]), refs[g], coeffs[i], sides[i])
             assert _same(full[i], want[0])

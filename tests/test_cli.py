@@ -181,8 +181,13 @@ class TestFixturesCommand:
         assert report["G"]["data"] == FIXTURES["FIX-D"].dual.tolist()
 
     def test_unknown_fixture(self, capsys):
-        code, _, _ = run(capsys, "fixtures", "--name", "FIX-Z")
-        assert code == 1
+        code, out, err = run(capsys, "fixtures", "--name", "FIX-Z")
+        assert (code, out) == (64, "")
+        assert "invalid choice: 'FIX-Z'" in err
+
+    def test_name_is_case_insensitive(self, capsys):
+        assert run_json(capsys, "fixtures", "--name", "fix-a") == run_json(
+            capsys, "fixtures", "--name", "FIX-A")
 
 
 class TestSparkCommand:
@@ -984,6 +989,35 @@ def test_undecodable_coded_or_side_file_exits_two_naming_it(capsys, system_d, tm
                          "--dual", system_d[1], *(str(x) for pair in files.items() for x in pair))
     assert (code, out) == (2, "")
     assert f"{files[which]}: invalid JSON: Expecting ',' delimiter" in err
+
+
+@pytest.mark.parametrize("suffix, text, byte", [
+    ("json", b'\xff{"rows": 1}', 1), ("csv", b"1.0,2.0\n3.0,\xc3(\n", 13)])
+@pytest.mark.parametrize("flag", ["--system", "--dual", "--coded", "--side-info",
+                                  "--rk-matrix", "--matrix"])
+def test_non_utf8_file_exits_two_naming_it(capsys, system_d, tmp_path, flag, suffix, text,
+                                           byte):
+    """A file that is not UTF-8, given to any file flag in either format, exits 2
+    with its path and the 1-based offset of its first bad byte."""
+    bad = tmp_path / f"bad.{suffix}"
+    bad.write_bytes(text)
+    coded = tmp_path / "coded.json"
+    coded.write_text(json.dumps({"coefficients": [None, 1.0, 2.0, 0.5], "erased": [1]}))
+    system, dual, bad_path = *system_d, str(bad)
+    recover = ["recover", "--system", system, "--dual", dual]
+    argv = {
+        "--system": ["check-dual", "--system", bad_path, "--dual", dual],
+        "--dual": ["check-dual", "--system", system, "--dual", bad_path],
+        "--coded": recover + ["--coded", bad_path],
+        "--side-info": recover + ["--coded", str(coded), "--strategy", "side-info",
+                                  "--side-info", bad_path],
+        "--rk-matrix": recover + ["--coded", str(coded), "--strategy", "blind",
+                                  "--rk-matrix", bad_path],
+        "--matrix": ["spark", "--matrix", bad_path],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{bad}: not UTF-8 text (byte {byte}: " in err
 
 
 def test_system_file_is_checked_f_before_k(capsys, tmp_path):
