@@ -5,11 +5,14 @@
 BEFORE_ROOT is the root of another checkout, for example the parent commit
 unpacked with `git archive`. The corpus is built once from fixed seeds with
 numpy alone: FIX-A..D (each also at scales 1e-150 and 1e150), the 2x3
-frame whose third vector repeats its first, and generated K-frames with no
-damage, a repeated column, a zero column or both, each with its
-pseudo-inverse dual and a recovery matrix Gram + A Q (Q the projector onto
-Ker G). It runs every command: fixtures (also with a lower-case and an
-unknown name), spark, check-dual, canonical-dual, analyze, mrc, find-rk,
+frame whose third vector repeats its first, generated K-frames with no
+damage, a repeated column, a zero column or both, and a generated K-frame
+whose F spans R^n only through a column scaled to 10 times its rank cutoff,
+with its twin at a tenth of the cutoff, which reads rank deficient; each
+with its pseudo-inverse dual and a recovery matrix Gram + A Q (Q the
+projector onto Ker G). It runs every command: fixtures (also with a
+lower-case and an unknown name), spark, check-dual, canonical-dual,
+analyze, mrc (on the near-cutoff pair with every --sigma), find-rk,
 recover with each strategy on many erasure sets, and simulate. Every system with rank K < n also runs find-rk at each r up to
 m - 1 against a dual perturbed off the pseudo-inverse one along Ker F,
 where the top levels are often out of reach. FIX-D then runs find-rk with
@@ -86,6 +89,18 @@ def _generated(n, m, rank_k, damage, seed):
     return f, k
 
 
+def _near_cutoff(n, m, rank_k, power, seed):
+    """A K-frame whose first m - 1 columns and R(K) lie in one hyperplane; the
+    last column, normal to it, is 10^power times the rank cutoff of F."""
+    rng = np.random.default_rng([n, m, rank_k, seed, 7])
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    plane = basis[:, : n - 1]
+    k = plane @ rng.standard_normal((n - 1, rank_k)) @ rng.standard_normal((rank_k, n))
+    f = plane @ rng.standard_normal((n - 1, m - 1))
+    faint = 1e-10 * max(n, m) * np.linalg.norm(f, 2) * 10.0**power
+    return np.hstack([f, faint * basis[:, n - 1:]]), k
+
+
 def _systems():
     """(name, F, K, G, has recovery matrix) of every corpus system."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -102,6 +117,9 @@ def _systems():
     for (n, m, rank_k), damage, seed in itertools.product(SHAPES, DAMAGES, SEEDS):
         f, k = _generated(n, m, rank_k, damage, seed)
         out.append((f"gen{n}x{m}k{rank_k}-{damage}-{seed}", f, k, _pinv_dual(f, k), True))
+    for power, seed in itertools.product((1, -1), SEEDS):
+        f, k = _near_cutoff(4, 7, 2, power, seed)
+        out.append((f"near4x7k2{power:+d}-{seed}", f, k, _pinv_dual(f, k), True))
     return out
 
 
@@ -129,6 +147,8 @@ def build_corpus(work: Path) -> list[list[str]]:
             ["mrc", *base, "--r", "1"],
             ["mrc", *base, "--sigma", str(int(rng.integers(1, m + 1)))],
         ]
+        if name.startswith("near"):
+            commands += [["mrc", *base, "--sigma", str(j)] for j in range(1, m + 1)]
         if with_rk:
             commands += [["spark", "--matrix", rk],
                          *(["find-rk", *base, "--dual", dual, "--r", str(r)] for r in (1, 2))]

@@ -44,8 +44,12 @@ times one consistency plan_recovery over all C(12, 4) = 495 erasure sets of
 the 6x12 system, each with its F-ambiguity test. The per-command fixed cost
 of the CLI: test_load_system_8x16 times reading the system file of the 8x16
 construction with rank(K) = 5 (load_matrix of F and K, then verify_kframe),
+test_check_dual reading the 6x12 system and its canonical dual from their
+files (load_matrix, verify_kframe and verify_kdual, as `check-dual` does),
 and test_emit_canonical_8x16 printing its `canonical-dual --method
 restricted` report (_emit, to a sink that discards the text).
+test_recover_consistency times one single-signal recover_consistency on
+the 6x12 system, as `recover --strategy consistency` makes it.
 test_draw_loop_1k times simulate's draw loop (cli._draw) for 1,000 signals
 of the 6x12 system at r = 4, and test_column_blocks_7x14 one column_blocks
 gather of the first 2,048 7-column subsets of the 7x14 F with K invertible,
@@ -70,10 +74,12 @@ from kframes import (
     mrc_subset,
     plan_recovery,
     rank_of,
+    recover_consistency,
     recover_side_info,
     spark,
     spark_via_kernel,
     uniform_excess,
+    verify_kdual,
     verify_kframe,
     worst_erasure_error,
 )
@@ -112,6 +118,14 @@ def test_recover_side_info(benchmark, setup):
     coded = erase(encode(dual, f), sets[0])
     v = system.F.T @ (system.K.matrix @ f)
     report = benchmark(recover_side_info, system, m_mat, coded, v)
+    assert report.certified_exact
+
+
+def test_recover_consistency(benchmark, setup):
+    system, dual, _, signals, sets, _ = setup
+    f = signals[0]
+    coded = erase(encode(dual, f), sets[0])
+    report = benchmark(recover_consistency, system, dual, coded)
     assert report.certified_exact
 
 
@@ -307,6 +321,19 @@ def test_load_system_8x16(benchmark, tmp_path):
     path = _write_system(system, tmp_path / "system.json")
     loaded = benchmark(lambda: verify_kframe(*load_matrix(path, key=("F", "K"))))
     assert loaded.K.rank == 5 and np.array_equal(loaded.F, system.F)
+
+
+def test_check_dual(benchmark, setup, tmp_path):
+    system, dual = setup[:2]
+    path = _write_system(system, tmp_path / "system.json")
+    dual_path = tmp_path / "dual.json"
+    dual_path.write_text(json.dumps({"G": matrix_to_obj(dual.G)}))
+
+    def check():
+        loaded = verify_kframe(*load_matrix(path, key=("F", "K")))
+        return verify_kdual(loaded, load_matrix(dual_path, key="G", bare=True))
+
+    assert benchmark(check).is_valid
 
 
 class _Sink:

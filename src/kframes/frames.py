@@ -67,13 +67,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorK:
-    """A square operator with its rank and bases of R(K) and R(K)^perp, all
-    read off one SVD."""
+    """A square operator, its rank and U of one SVD: U's first rank columns span
+    R(K), the rest R(K)^perp (range_perp); the signed range is formed on first read."""
 
     matrix: np.ndarray
     rank: int
-    range: SubspaceBasis
-    range_perp: np.ndarray
+    left: np.ndarray
 
     @classmethod
     def from_matrix(cls, m, tol: TolerancePolicy = DEFAULT_TOL) -> "OperatorK":
@@ -81,13 +80,15 @@ class OperatorK:
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"K must be square, got {arr.shape}")
         u, s, _ = svd_factor(arr)
-        r = _svd_rank(s, arr.shape, tol)
-        return cls(
-            matrix=arr,
-            rank=r,
-            range=SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :r])),
-            range_perp=u[:, r:],
-        )
+        return cls(matrix=arr, rank=_svd_rank(s, arr.shape, tol), left=u)
+
+    @cached_property
+    def range(self) -> SubspaceBasis:
+        return SubspaceBasis(self.dim, _canonical_signs(self.left[:, :self.rank]))
+
+    @property
+    def range_perp(self) -> np.ndarray:
+        return self.left[:, self.rank:]
 
     @property
     def dim(self) -> int:
@@ -364,10 +365,10 @@ def kframe_flags(
 
     S is a K-frame when dim(R(F_S) & R(K)), by intersection_dims through
     Q = op.range_perp, reaches rank K; so the verdict is free of the scale of
-    F and of K. Each rank is one stacked SVD over the chunk. An F_S that
-    spans R^n passes for any K of rank > 0, and linalg.certified_full_rank,
-    whose margin covers both ranks, can prove that for a subset table. F and
-    op must act on the same R^n, as _operands checks.
+    F and of K. Each rank is one stacked SVD over the chunk, and an F_S that
+    spans R^n takes only the first: it passes for any K of rank > 0, and
+    linalg.certified_full_rank can prove that for a subset table. F and op
+    must act on the same R^n, as _operands checks.
     """
     rank_k = op.rank
     if rank_k == 0:
@@ -434,20 +435,23 @@ def classify(sys: KFrameSystem) -> Classification:
 
 
 def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
-    """Residual-based K-dual check: ||F G^T - M_K|| against the threshold."""
+    """Residual-based K-dual check: ||F G^T - M_K|| against the threshold. Both
+    norms come from one stacked SVD, each bit for bit its operator_norm, and a
+    non-finite residual is refused as operator_norm refuses it."""
     arr = ensure_matrix(g, "G")
     if arr.shape != sys.F.shape:
         raise ShapeMismatchError(
             f"G shape {arr.shape} != F shape {sys.F.shape}"
         )
-    residual = operator_norm(sys.F @ arr.T - sys.K.matrix)
+    stack = np.array((ensure_matrix(sys.F @ arr.T - sys.K.matrix), sys.K.matrix))
+    residual, k_norm = np.linalg.svd(stack, compute_uv=False).max(axis=1, initial=0.0)
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
     e = unit_scaled(sys.K.matrix)[1]
     with np.errstate(over="ignore"):  # past float64 at K's unit size: far above any threshold
         scaled = np.ldexp(residual, -e)
-    is_valid = bool(sys.tol.accepts(scaled, np.ldexp(operator_norm(sys.K.matrix), -e)))
-    return DualSystem(G=arr, residual=residual, is_valid=is_valid)
+    is_valid = bool(sys.tol.accepts(scaled, np.ldexp(k_norm, -e)))
+    return DualSystem(G=arr, residual=float(residual), is_valid=is_valid)
 
 
 def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem:

@@ -196,13 +196,22 @@ def stacked_ranks(
 def intersection_dims(
     blocks: np.ndarray, perp: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
 ) -> np.ndarray:
-    """dim(R(B) & V) = rank B - rank(perp^T B) for every block B of an N x n x k
-    stack, perp an orthonormal basis of V^perp: the package's one intersection
-    rule. Both ranks are cut off against B's largest singular value, so the
-    result is free of B's scale, and V enters only through perp."""
+    """dim(R(B) & V) = min(rank B - rank(perp^T B), dim V) for every block B of an
+    N x n x k stack, perp an orthonormal n x d basis of V^perp (dim V = n - d): the
+    package's one intersection rule. Both ranks are cut off against B's largest
+    singular value, so the result is free of B's scale, and V enters only through
+    perp. A block of rank n meets all of V, as rank(perp^T B) <= d, so only blocks of
+    lower rank take the second SVD: the stack as it is if all do, else gathered."""
     s = np.linalg.svd(blocks, compute_uv=False)
     cutoff = tol.rank_cutoff(s, blocks.shape)
-    return np.count_nonzero(s > cutoff, axis=1) - stacked_ranks(perp.T @ blocks, cutoff=cutoff)
+    dims = np.count_nonzero(s > cutoff, axis=1)
+    low = dims < blocks.shape[1]
+    count = np.count_nonzero(low)
+    if count == len(low):
+        dims -= stacked_ranks(perp.T @ blocks, cutoff=cutoff)
+    elif count:
+        dims[low] -= stacked_ranks(perp.T @ blocks[low], cutoff=cutoff[low])
+    return np.minimum(dims, blocks.shape[1] - perp.shape[1])
 
 
 def unit_scaled(a: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -250,14 +259,9 @@ def certified_full_rank(
     operation). A non-positive or NaN pivot, from a rank deficient block,
     one near its cutoff or an overflow past one, leaves its subset unknown.
 
-    The margin also covers kframe_flags' second rank when B spans R^p (k = p
-    <= q): rank(Q^T B), Q = op.range_perp, p x d, reads d = p - rank K, so
-    the K-frame test reads rank K. Exactly, sigma_d(Q^T B) >= sigma_min(Q)
-    sigma_p(B); Q, from LAPACK's SVD, is orthonormal to within p eps, and the
-    product rounds by at most p u sqrt(d) ||B||_F. As c < sigma_p(B) <=
-    ||B||_F, the computed sigma_d(Q^T B) loses at most (p + p^1.5 / 2) eps
-    ||B||_F plus its SVD's error, below 8 (p + 1) q eps ||B||_F, so it too
-    exceeds the cutoff that kframe_flags takes from B's own SVD.
+    This is all kframe_flags needs when B spans R^p (k = p <= q): each rank is
+    one stacked SVD, and intersection_dims reads a block of rank p as meeting
+    R(K) in all of it, rank K, with no second rank of Q^T B to cover.
     """
     (p, m), (count, q) = mat.shape, subsets.shape
     k = min(p, q)

@@ -50,6 +50,7 @@ from .frames import (
 )
 from .linalg import (
     TolerancePolicy,
+    _svd_rank,
     column_blocks,
     ensure_matrix,
     ensure_vector,
@@ -60,6 +61,7 @@ from .linalg import (
     range_basis,
     row_norms,
     stacked_pinv_and_rank,
+    svd_factor,
     unit_scaled,
 )
 from .redundancy import INFINITE, SparkResult, spark
@@ -312,13 +314,14 @@ def plan_recovery(
     """Plan recovery of every erasure set (row of the G x r index array sets).
 
     side-info and blind read m_mat (default: the Gramian), consistency the
-    dual; N is M, M - Gram or Q, the projector onto Ker G, exactly 0 when
-    that kernel is trivial. One stacked SVD of the erased blocks N_L, each
-    ranked against spark's cutoff at sigma_max(N), gives every set its rank,
-    pseudo-inverse and null right singular vectors; a rank-deficient set is
-    marked by its deficiency, not raised. range_ok: F_L maps each null vector
-    to 0 (rank cutoff at F's Frobenius norm, at unit size) and the dual, when
-    one is given, is a K-dual, as F c is Kf only then.
+    dual; N is M, M - Gram or Q, the projector onto Ker G (bit for bit
+    null_space_basis(G).projector()), exactly 0 when that kernel is trivial.
+    One stacked SVD of the erased blocks N_L, each ranked against spark's
+    cutoff at sigma_max(N), gives every set its rank, pseudo-inverse and null
+    right singular vectors; a rank-deficient set is marked by its deficiency,
+    not raised. range_ok: F_L maps each null vector to 0 (rank cutoff at F's
+    Frobenius norm, at unit size) and the dual, when one is given, is a
+    K-dual, as F c is Kf only then.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -330,7 +333,11 @@ def plan_recovery(
         raise ShapeMismatchError(f"erasure sets must be a G x r array, got {erased.shape}")
     known = _complements(erased, sys.m)
     if strategy == "consistency":
-        mat = null_space_basis(dual.G, tol).projector()
+        # Unsigned kernel vectors: a sign flip leaves each v v^T bit-identical, and a
+        # C-ordered N rounds as null_space_basis's basis.
+        _, s, v = svd_factor(dual.G)
+        null = np.ascontiguousarray(v[:, _svd_rank(s, dual.G.shape, tol):])
+        mat = null @ null.T
     else:
         mat = _recovery_matrix(sys, m_mat)
         if strategy == "blind":

@@ -404,6 +404,40 @@ class TestRecoverCommand:
         np.testing.assert_allclose(report["coefficients"], c, atol=1e-9)
         assert report["erased"] == [1, 2]
 
+    def test_check_dual_and_recover_sign_no_basis(self, capsys, system_d, tmp_path,
+                                                  monkeypatch):
+        """check-dual and recover (side-info, consistency) never read K's signed
+        range basis nor sign a kernel basis: _canonical_signs, counted wherever
+        a kframes module binds it, is not called; mrc --sigma, which reads
+        R(K)'s basis, shows that the count sees a call."""
+        sys_path, dual_path = system_d
+        fix = FIXTURES["FIX-D"]
+        f = np.array([1.0, -2.0, 0.5, 1.0])
+        c = fix.dual.T @ f
+        coded = tmp_path / "coded.json"
+        coded.write_text(json.dumps({"coefficients": [None, *c[1:]], "erased": [1]}))
+        side = tmp_path / "v.json"
+        side.write_text(json.dumps(list(fix.F.T @ (fix.K @ f))))
+        calls = []
+        original = kframes.linalg._canonical_signs
+
+        def counted(columns):
+            calls.append(columns.shape)
+            return original(columns)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kframes") \
+                    and getattr(module, "_canonical_signs", None) is original:
+                monkeypatch.setattr(module, "_canonical_signs", counted)
+        recover = ["recover", "--system", sys_path, "--dual", dual_path, "--coded", str(coded)]
+        for argv in (["check-dual", "--system", sys_path, "--dual", dual_path],
+                     recover + ["--strategy", "side-info", "--side-info", str(side)],
+                     recover + ["--strategy", "consistency"]):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        assert run(capsys, "mrc", "--system", sys_path, "--sigma", "1")[0] == 0
+        assert calls
+
     def test_consistency_default(self, capsys, system_d, tmp_path):
         sys_path, dual_path = system_d
         fix = FIXTURES["FIX-D"]

@@ -36,10 +36,12 @@ from kframes import (
     worst_erasure_error,
     worst_residual_error,
 )
+from kframes import frames
 from kframes.fixtures import FIXTURES
 from kframes.frames import SCAN_CHUNK
+from kframes.linalg import _canonical_signs, svd_factor, unit_scaled
 
-from conftest import lower_bound_oracle, random_kframe
+from conftest import lower_bound_oracle, random_kframe, random_operator
 
 
 class TestVerifyKFrame:
@@ -484,3 +486,60 @@ def test_bounds_are_formed_on_first_read(name, scale):
         upper = np.float64(operator_norm(f)) ** 2
         lower = 1.0 / np.float64(operator_norm(pseudo_inverse(f) @ k)) ** 2
     assert sys.bounds == (lower, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rank=st.integers(0, 6),
+       exponent=st.integers(-300, 300))
+def test_operator_range_is_formed_once_on_first_read(seed, n, rank, exponent):
+    """OperatorK.range is the signed basis that from_matrix once built eagerly,
+    from the first rank left singular vectors of K's SVD, bit for bit; it is
+    signed on the first read only, and range_perp is the rest of U."""
+    k = random_operator(np.random.default_rng(seed), n, min(rank, n)) * 2.0**exponent
+    op = OperatorK.from_matrix(k)
+    u = svd_factor(k)[0]
+    eager = _canonical_signs(u[:, :op.rank])
+    assert "range" not in vars(op)
+    with mock.patch.object(frames, "_canonical_signs", wraps=_canonical_signs) as signs:
+        first, again = op.range, op.range
+    assert signs.call_count == 1 and first is again
+    assert first.basis.tobytes() == eager.tobytes() and first.dim == op.rank
+    assert op.range_perp.tobytes() == u[:, op.rank:].tobytes()
+
+
+def _two_norm_kdual(sys, g):
+    """verify_kdual's residual and verdict from one operator_norm per norm."""
+    residual = operator_norm(sys.F @ g.T - sys.K.matrix)
+    e = unit_scaled(sys.K.matrix)[1]
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(residual, -e)
+    return residual, bool(sys.tol.accepts(scaled, np.ldexp(operator_norm(sys.K.matrix), -e)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), extra=st.integers(0, 3),
+       rank_k=st.integers(0, 5), exponent=st.integers(-300, 300),
+       offset=st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1.0]))
+def test_kdual_norms_match_two_operator_norms(seed, n, extra, rank_k, exponent, offset):
+    """The stacked SVD gives verify_kdual the residual and verdict of two
+    operator_norm calls bit for bit, for K-duals and duals off by offset."""
+    rng = np.random.default_rng(seed)
+    f, k = random_kframe(rng, n, n + extra, min(rank_k, n))
+    sys = verify_kframe(f * 2.0**exponent, k * 2.0**exponent)
+    g = (pseudo_inverse(f) @ k).T + offset * rng.standard_normal(f.shape)
+    dual = verify_kdual(sys, g)
+    residual, is_valid = _two_norm_kdual(sys, g)
+    assert type(dual.residual) is float and dual.residual == residual
+    assert dual.is_valid is is_valid
+
+
+def test_kdual_refuses_a_residual_past_float64_as_operator_norm_does():
+    fix = FIXTURES["FIX-D"]
+    sys = verify_kframe(1e200 * fix.F, 1e200 * fix.K)
+    g = 1e200 * fix.dual
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as norm:
+            operator_norm(sys.F @ g.T - sys.K.matrix)
+        with pytest.raises(ValueError) as dual:
+            verify_kdual(sys, g)
+    assert str(dual.value) == str(norm.value) == "matrix contains non-finite entries"

@@ -2,11 +2,12 @@ import ast
 import importlib
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, event, example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +24,9 @@ from kframes import (
     restricted_operator,
     svd_factor,
 )
+from kframes.frames import OperatorK, kframe_flags
 from kframes.linalg import (
+    DEFAULT_TOL,
     certified_full_rank,
     column_blocks,
     intersection_dims,
@@ -31,8 +34,12 @@ from kframes.linalg import (
     ranges_nested,
     row_norms,
     stacked_ranks,
+    unit_scaled,
 )
+from kframes.redundancy import mrc_subset
 from kframes.fixtures import FIXTURES
+
+from conftest import random_kframe
 
 FC = FIXTURES["FIX-C"].F
 FB_K = FIXTURES["FIX-B"].K
@@ -100,6 +107,122 @@ class TestIntersectionDims:
                         and _called(node) & _JOINS:
                     found.add((path.name, node.name))
         assert found <= {("linalg.py", "intersection_dims")}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k=st.integers(0, 9),
+        d=st.integers(0, 6),
+        kinds=st.lists(st.sampled_from(["span", "deficient", "near"]), min_size=1, max_size=5),
+        exponent=st.integers(-200, 200),
+    )
+    def test_capped_rule_matches_an_independent_svd(self, seed, n, k, d, kinds, exponent):
+        """Each dimension is min(rank B - rank(Q^T B), dim V), both ranks by
+        scipy's SVD at the policy's cutoff of B, on stacks that mix blocks that
+        span R^n, blocks of lower rank that partly lie in V, and blocks with one
+        column scaled to within 10^+-4 of the cutoff."""
+        rng = np.random.default_rng(seed)
+        d = min(d, n)
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        perp, inside = basis[:, :d], basis[:, d:]
+        blocks = []
+        for kind in kinds:
+            if kind == "deficient":
+                r = int(rng.integers(0, min(n, k) + 1)) if k else 0
+                j = int(rng.integers(0, min(r, n - d) + 1))
+                left = np.hstack([inside[:, :j], rng.standard_normal((n, r - j))])
+                block = left @ rng.standard_normal((r, k))
+            else:
+                block = rng.standard_normal((n, k))
+            if kind == "near" and k:
+                col = int(rng.integers(k))
+                top = np.linalg.norm(block, 2)
+                scale = 1e-10 * max(n, k) * 10.0 ** rng.uniform(-4, 4)
+                block[:, col] *= scale * top / (np.linalg.norm(block[:, col]) or 1.0)
+            blocks.append(block)
+        blocks = np.array(blocks).reshape(len(kinds), n, k) * 2.0**exponent
+        want, far = [], True
+        for block in blocks:
+            s = scipy.linalg.svdvals(block) if block.size else np.zeros(0)
+            cutoff = DEFAULT_TOL.rank_cutoff(s, block.shape)[0] if s.size else 0.0
+            sq = scipy.linalg.svdvals(perp.T @ block) if d and k else np.zeros(0)
+            values = np.concatenate([s, sq])
+            far &= bool(((values > 1e2 * cutoff) | (values < 1e-2 * cutoff)).all())
+            rank = np.count_nonzero(s > cutoff) - np.count_nonzero(sq > cutoff)
+            want.append(min(rank, n - d))
+        if not far:
+            event("a ranked singular value within 1e2 of its cutoff, draw skipped")
+            assume(False)
+        assert intersection_dims(blocks, perp).tolist() == want
+
+    def test_spanning_blocks_take_one_svd(self):
+        rng = np.random.default_rng(0)
+        basis = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        perp = basis[:, :2]
+        blocks = rng.standard_normal((5, 4, 6))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            assert intersection_dims(blocks, perp).tolist() == [2] * 5
+        assert svd.call_count == 1
+        # A block of rank 1 inside V: only it takes the second SVD.
+        blocks[3] = np.outer(basis[:, 2], rng.standard_normal(6))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            assert intersection_dims(blocks, perp).tolist() == [2, 2, 2, 1, 2]
+        assert svd.call_count == 2 and svd.call_args.args[0].shape == (1, 2, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        extra=st.integers(0, 3),
+        rank_k=st.integers(0, 5),
+        damage=st.sampled_from(["none", "duplicate", "zero", "faint"]),
+        exponent=st.integers(-100, 100),
+    )
+    def test_verdicts_match_the_uncapped_rule(self, seed, n, extra, rank_k, damage, exponent):
+        """kframe_flags, ranges_nested and mrc_subset's verdicts equal those of
+        rank B - rank(Q^T B) from two stacked SVDs, the rule before the cap."""
+        rng = np.random.default_rng(seed)
+        m, rank_k = n + extra, min(rank_k, n)
+        f, k = random_kframe(rng, n, m, rank_k)
+        col = int(rng.integers(m))
+        if damage == "duplicate":
+            f[:, col] = f[:, 0]
+        elif damage == "zero":
+            f[:, col] = 0.0
+        elif damage == "faint":
+            f[:, col] *= 1e-11
+        f, k = f * 2.0**exponent, k * 2.0**exponent
+
+        def uncapped(blocks, perp):
+            s = np.linalg.svd(blocks, compute_uv=False)
+            cutoff = DEFAULT_TOL.rank_cutoff(s, blocks.shape)
+            return (np.count_nonzero(s > cutoff, axis=1)
+                    - stacked_ranks(perp.T @ blocks, cutoff=cutoff))
+
+        def nested(a, b):
+            u, s, _ = np.linalg.svd(a)
+            r = np.count_nonzero(s > DEFAULT_TOL.rank_cutoff(s, a.shape)) if s.size else 0
+            return bool(uncapped(b[None], u[:, r:])[0] >= r)
+
+        op = OperatorK.from_matrix(k)
+        for size in range(1, m + 1):
+            subsets = np.array(list(itertools.combinations(range(m), size)))
+            want = uncapped(column_blocks(f, subsets), op.range_perp) >= op.rank
+            assert kframe_flags(f, op, subsets).tolist() == (want | (op.rank == 0)).tolist()
+        for a, b in ((k, f), (f, k), (f[:, :1], f[:, 1:]), (f[:, 1:], k)):
+            if a.shape[1] and b.shape[1]:
+                assert ranges_nested(a, b) == nested(a, b)
+        for sigma in map(list, itertools.combinations(range(m), min(2, m - 1))):
+            if not sigma:
+                continue
+            survivors = [i for i in range(m) if i not in sigma]
+            report = mrc_subset(f, k, sigma)
+            coeffs = unit_scaled(f)[0].T @ op.range.basis
+            assert report.necessary_condition_i == (
+                not uncapped(coeffs[None], np.eye(m)[:, survivors])[0])
+            flags = uncapped(f[None][:, :, survivors], op.range_perp) >= op.rank
+            assert report.is_mrc == bool(flags[0] or op.rank == 0)
 
 
 def test_row_norms_rescale_only_rows_whose_squares_overflow():

@@ -33,7 +33,8 @@ from kframes import (
     worst_residual_error,
 )
 from kframes.fixtures import FIXTURES
-from kframes.linalg import range_basis
+from kframes.frames import DualSystem, KFrameSystem, OperatorK
+from kframes.linalg import DEFAULT_TOL, range_basis
 from kframes.redundancy import INFINITE, spark_via_kernel
 
 from conftest import (
@@ -634,6 +635,31 @@ class TestRecoverConsistency:
         assert whole.certified_exact
         np.testing.assert_allclose(whole.reconstructed, sys.K.matrix @ x, atol=1e-9)
         assert not recover_consistency(sys, dual, erase(c, [1])).certified_exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), extra=st.integers(0, 4),
+       rank=st.integers(0, 5), zeros=st.integers(0, 2), repeats=st.integers(0, 2),
+       exponent=st.integers(-500, 500), column_exponents=st.booleans())
+def test_consistency_projector_is_the_signed_kernel_projector(
+        seed, n, extra, rank, zeros, repeats, exponent, column_exponents):
+    """Consistency's Q, formed from the SVD's unsigned kernel vectors, is
+    null_space_basis(G).projector() bit for bit, on G with zero and repeated
+    columns, scaled by 2^k as a whole or column by column."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    g = rng.standard_normal((n, min(rank, n))) @ rng.standard_normal((min(rank, n), m))
+    g[:, rng.choice(m, size=min(zeros, m), replace=False)] = 0.0
+    for _ in range(repeats):
+        i, j = rng.integers(m, size=2)
+        g[:, j] = g[:, i]
+    if column_exponents:
+        g = g * 2.0 ** rng.integers(-40, 41, m)
+    g = g * 2.0**exponent
+    sys = KFrameSystem(F=g, K=OperatorK.from_matrix(np.eye(n)), tol=DEFAULT_TOL)
+    dual = DualSystem(G=g, residual=0.0, is_valid=True)
+    plan = plan_recovery(sys, "consistency", [[0]], dual=dual)
+    assert plan.matrix.tobytes() == null_space_basis(g).projector().tobytes()
 
 
 class TestProjectedExpansion:
