@@ -17,7 +17,9 @@ recover with each strategy on many erasure sets, and simulate. Every system with
 m - 1 against a dual perturbed off the pseudo-inverse one along Ker F,
 where the top levels are often out of reach. FIX-D then runs find-rk with
 --trials and --seed and a few commands with --json, flags the CLI once
-had. The 2x2 system F = 1e308 ones(2, 2), K = 0 with G = I runs check-dual,
+had, and mrc with every kind of --sigma spelling (signs, leading zeros,
+empty items, non-integers, positions out of range or repeated), on FIX-D's
+system and on a missing one. The 2x2 system F = 1e308 ones(2, 2), K = 0 with G = I runs check-dual,
 spark and analyze: its residual and F's largest singular value lie past
 float64. Malformed inputs on FIX-D follow: invalid JSON, a JSON or CSV
 file that is not UTF-8, missing keys, ragged rows, bool, string, null,
@@ -194,7 +196,14 @@ def build_corpus(work: Path) -> list[list[str]]:
                   _write(work / "overflow-dual.json", {"G": _matrix(np.eye(2))})],
                  ["spark", "--matrix", _write(work / "overflow-F.json", _matrix(big))],
                  ["analyze", "--system", system]]
+    # Every kind of --sigma spelling, with FIX-D's system and with a missing one.
+    commands += [["mrc", "--system", path, "--sigma", sigma]
+                 for path in ("FIX-D.json", "missing.json") for sigma in SIGMAS]
     return commands + _malformed(work, "FIX-D.json", "FIX-D-dual.json")
+
+
+SIGMAS = ("1", " 2 , 3 ", "+1", "01", "-1", "0", "5", "1,1", "3,1", "1,,2", ",", "", "1,",
+          "1.5", "x", "1_0", "1e0", "\u0663")
 
 
 # Bad entries: "1e999" is a placeholder for the bare JSON number 1e999, which

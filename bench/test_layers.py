@@ -6,8 +6,14 @@
 Every case runs on one seeded 6x12 system with rank(K) = 4, its canonical
 dual and a find-rk recovery matrix that tolerates 4 erasures for both
 side-info and blind recovery. test_verify_kframe times building the system
-from F and K; test_mrc_subset one sigma of two columns; test_is_canonical the
-test on the canonical dual; test_run_analyze one `analyze` through
+from F and K; test_mrc_subset one sigma of two columns, and
+test_mrc_subset_parseval the same on a 6x12 Parseval system of rank(K) = 4,
+where condition (ii) runs; test_canonical_kdual_restricted both
+restricted-inverse duals and their hypotheses on the construction at 6x12 and
+8x16 with rank(K) = n - 1; test_recover_side_info_gramian one single-signal
+recover_side_info against the Gramian, with the dual's annihilation check,
+as `recover --strategy side-info` without --rk-matrix makes it;
+test_is_canonical the test on the canonical dual; test_run_analyze one `analyze` through
 run_command, from reading the system file to printing the report, and
 test_run_analyze_invertible the same on the seeded construction with
 rank(K) = N = 6, where uniform excess reads the full 6-of-12 table, and
@@ -66,6 +72,7 @@ import pytest
 
 from kframes import (
     canonical_kdual,
+    canonical_kdual_restricted,
     encode,
     erase,
     find_rk_matrix,
@@ -160,6 +167,34 @@ def test_mrc_subset(benchmark, setup):
     system = setup[0]
     report = benchmark(mrc_subset, system.F, system.K, [0, 5], system.tol)
     assert report.is_mrc and report.parseval_condition_ii is None
+
+
+def test_mrc_subset_parseval(benchmark):
+    """mrc_subset on a 6x12 Parseval system of rank(K) 4, where condition (ii) runs."""
+    rng = np.random.default_rng(5)
+    u, sv, _ = np.linalg.svd(rng.standard_normal((N, RANK_K)) @ rng.standard_normal((RANK_K, N)))
+    q = np.linalg.qr(rng.standard_normal((M, RANK_K)))[0]
+    system = verify_kframe(u[:, :RANK_K] @ np.diag(sv[:RANK_K]) @ q.T,
+                           u[:, :RANK_K] @ np.diag(sv[:RANK_K]) @ u[:, :RANK_K].T)
+    report = benchmark(mrc_subset, system.F, system.K, [0, 5], system.tol)
+    assert report.parseval_condition_ii is not None
+
+
+@pytest.mark.parametrize("shape", ["6x12", "8x16"])
+def test_canonical_kdual_restricted(benchmark, shape):
+    n, m = map(int, shape.split("x"))
+    system = _kframe(np.random.default_rng(5), n - 1, n=n, m=m)
+    report = benchmark(canonical_kdual_restricted, system)
+    assert report.dual_image.G.shape == (n, m)
+
+
+def test_recover_side_info_gramian(benchmark, setup):
+    system, dual, _, signals, sets, _ = setup
+    f = signals[0]
+    coded = erase(encode(dual, f), sets[0])
+    v = system.F.T @ (system.K.matrix @ f)
+    report = benchmark(recover_side_info, system, None, coded, v, dual=dual)
+    assert report.certified_exact
 
 
 def test_is_canonical(benchmark, setup):

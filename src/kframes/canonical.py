@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RestrictedInverseError
-from .frames import DualSystem, KFrameSystem, verify_kdual
+from .frames import DualSystem, KFrameSystem, _verify_kduals, verify_kdual
 from .linalg import (
+    _svd_rank,
+    intersection_dims,
     null_space_basis,
     operator_norm,
     pseudo_inverse,
-    ranges_nested,
     restricted_operator,
+    svd_factor,
     unit_scaled,
 )
 
@@ -106,14 +108,14 @@ def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
     mk_t = sys.K.matrix.T
     g_image = np.ldexp(mk_t @ d @ inv @ r.T @ f, -f_exp)
     g_domain = np.ldexp(mk_t @ r @ inv.T @ d.T @ f, -f_exp)
-    hypotheses = {
-        "frame_in_operator_range": ranges_nested(f, d, sys.tol),
-        "operator_range_in_image": ranges_nested(d, r, sys.tol),
-        "frame_in_image": ranges_nested(f, r, sys.tol),
-    }
-    return RestrictedDualReport(
-        dual_image=verify_kdual(sys, g_image),
-        dual_domain=verify_kdual(sys, g_domain),
-        hypotheses=hypotheses,
-    )
-
+    # R(f) within R(d) and within R(r): d and r, both n x rank K, against R(f)^perp
+    # from one SVD of f; R(d) within R(r) against R(K)^perp, which the system holds.
+    u, s, _ = svd_factor(f)
+    rank_f = _svd_rank(s, f.shape, sys.tol)
+    in_frame = intersection_dims(np.array((d, r)), u[:, rank_f:], sys.tol) >= rank_f
+    in_image = intersection_dims(r[None], sys.K.range_perp, sys.tol)[0] >= sys.K.rank
+    return RestrictedDualReport(*_verify_kduals(sys, (g_image, g_domain)), hypotheses={
+        "frame_in_operator_range": bool(in_frame[0]),
+        "operator_range_in_image": bool(in_image),
+        "frame_in_image": bool(in_frame[1]),
+    })

@@ -24,7 +24,6 @@ import functools
 import json
 import re
 import sys as _sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -250,7 +249,8 @@ def _cmd_analyze(args) -> dict:
         "m": system.m,
         "operator_rank": system.K.rank,
         "bounds": bounds,
-        "classification": asdict(cls),
+        "classification": {"tight_alpha": cls.tight_alpha, "parseval": cls.parseval,
+                           "equal_norm": cls.equal_norm},
         "spark": _spark_obj(spark_f),
         "uniform_excess": {
             "value": excess.value,
@@ -266,11 +266,10 @@ def _cmd_mrc(args) -> dict:
     if args.sigma is None:
         return _mrc_all_obj(args.r, *mrc_all(system.F, system.K, args.r, args.cap_subsets,
                                              system.tol))
-    raw = [s.strip() for s in args.sigma.split(",") if s.strip()]
-    sigma = _positions([int(s) if re.fullmatch(r"[+-]?\d+", s) else s for s in raw],
-                       system.m, "--sigma")
-    rep = mrc_subset(system.F, system.K, sigma, system.tol)
-    return {**asdict(rep), "sigma": _one_based(rep.sigma)}
+    rep = mrc_subset(system.F, system.K, _positions(args.sigma, system.m, "--sigma"), system.tol)
+    return {"sigma": _one_based(rep.sigma), "is_mrc": rep.is_mrc,
+            "necessary_condition_i": rep.necessary_condition_i,
+            "parseval_condition_ii": rep.parseval_condition_ii}
 
 
 def _positions(values, m: int, what: str) -> list[int]:
@@ -444,6 +443,16 @@ def _strategy_list(text: str) -> list[str]:
     return names
 
 
+def _sigma_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers, each an optional sign and decimal
+    digits with spaces around; an empty or other item is a usage error. Whether
+    each is a distinct position in 1..m is checked once the system is read."""
+    items = [s.strip() for s in text.split(",")]
+    if not all(re.fullmatch(r"[+-]?\d+", s) for s in items):
+        raise argparse.ArgumentTypeError(f"needs comma-separated integer positions, got {text!r}")
+    return [int(s) for s in items]
+
+
 def _check_recover(args) -> str | None:
     """Why the strategy cannot run with these file flags; None when it can."""
     if args.strategy == "side-info" and args.side_info is None:
@@ -496,7 +505,7 @@ def _parsers() -> dict[str, argparse.ArgumentParser]:
         "--r", type=_at_least(0), default=1)
     group = command("mrc", _cmd_mrc, every, "--system").add_mutually_exclusive_group(
         required=True)
-    group.add_argument("--sigma", help="comma-separated 1-based indices")
+    group.add_argument("--sigma", type=_sigma_list, help="comma-separated 1-based indices")
     group.add_argument("--r", type=_at_least(0))
     parser = command("recover", _cmd_recover, tols, "--system", "--dual", "--coded",
                      check=_check_recover)

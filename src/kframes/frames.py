@@ -384,7 +384,7 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
     when the inclusion fails, ShapeMismatchError on incompatible shapes.
     """
     arr, op = _operands(f, k, tol)
-    if not is_kframe(arr, op, tol):
+    if not kframe_flags(arr, op, np.arange(arr.shape[1])[None], tol)[0]:
         proj = range_basis(arr, tol).projector()
         leftover = op.range.basis - proj @ op.range.basis
         worst = int(np.argmax(np.linalg.norm(leftover, axis=0)))
@@ -435,23 +435,31 @@ def classify(sys: KFrameSystem) -> Classification:
 
 
 def verify_kdual(sys: KFrameSystem, g) -> DualSystem:
-    """Residual-based K-dual check: ||F G^T - M_K|| against the threshold. Both
-    norms come from one stacked SVD, each bit for bit its operator_norm, and a
-    non-finite residual is refused as operator_norm refuses it."""
-    arr = ensure_matrix(g, "G")
-    if arr.shape != sys.F.shape:
-        raise ShapeMismatchError(
-            f"G shape {arr.shape} != F shape {sys.F.shape}"
-        )
-    stack = np.array((ensure_matrix(sys.F @ arr.T - sys.K.matrix), sys.K.matrix))
-    residual, k_norm = np.linalg.svd(stack, compute_uv=False).max(axis=1, initial=0.0)
+    """Residual-based K-dual check: ||F G^T - M_K|| against the threshold."""
+    return _verify_kduals(sys, [g])[0]
+
+
+def _verify_kduals(sys: KFrameSystem, gs) -> list[DualSystem]:
+    """verify_kdual of each G in gs. Every residual and ||K|| come from one stacked
+    SVD, each bit for bit its operator_norm, and a non-finite residual is refused
+    as operator_norm refuses it."""
+    arrs, blocks = [], []
+    for g in gs:
+        arr = ensure_matrix(g, "G")
+        if arr.shape != sys.F.shape:
+            raise ShapeMismatchError(f"G shape {arr.shape} != F shape {sys.F.shape}")
+        arrs.append(arr)
+        blocks.append(ensure_matrix(sys.F @ arr.T - sys.K.matrix))
+    *residuals, k_norm = np.linalg.svd(np.array((*blocks, sys.K.matrix)),
+                                       compute_uv=False).max(axis=1, initial=0.0)
     # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
     # scaling F and K together keeps the verdict.
     e = unit_scaled(sys.K.matrix)[1]
     with np.errstate(over="ignore"):  # past float64 at K's unit size: far above any threshold
-        scaled = np.ldexp(residual, -e)
-    is_valid = bool(sys.tol.accepts(scaled, np.ldexp(k_norm, -e)))
-    return DualSystem(G=arr, residual=float(residual), is_valid=is_valid)
+        scaled = np.ldexp(residuals, -e)
+    valid = sys.tol.accepts(scaled, np.ldexp(k_norm, -e))
+    return [DualSystem(G=arr, residual=float(residual), is_valid=bool(ok))
+            for arr, residual, ok in zip(arrs, residuals, valid)]
 
 
 def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem:

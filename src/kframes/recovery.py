@@ -146,7 +146,10 @@ def _blind_matrix(sys: KFrameSystem, mat: np.ndarray) -> np.ndarray:
 
 def _vanishes(tol: TolerancePolicy, a: np.ndarray, b: np.ndarray) -> bool:
     """Whether A B is zero up to round-off: ||A B|| against ||A|| ||B||, with A and B
-    scaled exactly to unit size, so that the verdict is free of their scales."""
+    scaled exactly to unit size, so that the verdict is free of their scales. An A
+    that is exactly zero, as N = M - Gram is for the Gramian, takes no SVD."""
+    if not a.any():
+        return True
     a, b = unit_scaled(a)[0], unit_scaled(b)[0]
     return bool(tol.accepts(operator_norm(a @ b), operator_norm(a) * operator_norm(b)))
 

@@ -286,17 +286,16 @@ def mrc_subset(f, k, sigma, tol: TolerancePolicy = DEFAULT_TOL) -> MrcReport:
     sig = normalize_erasure_set(sigma, m)
     survivors = [i for i in range(m) if i not in sig]
     mrc = is_kframe(arr[:, survivors], op, tol)
-    # R(F^T M_K) = R(F^T Q), Q the basis of R(K), meets no erased axis; the
-    # survivor axes span their complement. At unit size F^T Q cannot overflow.
-    coeffs = unit_scaled(arr)[0].T @ op.range.basis
+    # R(F^T M_K) = R(F^T Q), Q K's unsigned range columns, meets no erased axis;
+    # the survivor axes span their complement. At unit size F^T Q cannot overflow.
+    coeffs = unit_scaled(arr)[0].T @ op.left[:, :op.rank]
     cond_i = not intersection_dims(coeffs[None], np.eye(m)[:, survivors], tol)[0]
-    cond_ii = None
-    if is_kframe(arr, op, tol):
-        sys_full = KFrameSystem(arr, op, tol)
-        with np.errstate(over="ignore"):  # a tight bound past float64 is no Parseval frame
-            parseval = classify(sys_full).parseval
-        if parseval:
-            cond_ii = _parseval_condition(sys_full, sig, survivors)
+    sys_full = KFrameSystem(arr, op, tol)  # unverified: classify reads only F and K
+    with np.errstate(over="ignore"):  # a tight bound past float64 is no Parseval frame
+        parseval = classify(sys_full).parseval
+    # Condition (ii) is for Parseval K-frames: only a Parseval F is tested as one.
+    cond_ii = _parseval_condition(sys_full, sig, survivors) if (
+        parseval and is_kframe(arr, op, tol)) else None
     return MrcReport(sigma=sig, is_mrc=mrc, necessary_condition_i=cond_i,
                      parseval_condition_ii=cond_ii)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from kframes import (
+    RestrictedInverseError,
     canonical_kdual,
     canonical_kdual_restricted,
     dual_perturbation,
@@ -233,3 +235,78 @@ def test_canonical_dual_is_minimal(seed, inrange, n, extra, rank_k, exponent, k_
     assert other.is_valid
     assert not is_canonical(sys, other)
     assert result.analysis_norm <= operator_norm(other.G.T) * (1 + 1e-12)
+
+
+def _reference_range(a):
+    """Orthonormal basis of R(a) from scipy's SVD under the policy's default rank
+    rule (1e-10 max(shape) sigma_max), and whether a singular value lies within a
+    factor 1e2 of that cutoff."""
+    u, s, _ = scipy.linalg.svd(a)
+    cut = 1e-10 * max(a.shape) * s.max(initial=0.0)
+    return u[:, :np.count_nonzero(s > cut)], bool(((s > cut / 1e2) & (s < cut * 1e2)).any())
+
+
+def _reference_included(inner, outer):
+    """Whether R(inner) lies in R(outer), by scipy SVDs: the largest principal-angle
+    sine, ||(I - Q_o Q_o^T) Q_i||, against the cutoff of a unit-norm n-row block;
+    and whether any decision was within a factor 1e2 of its cutoff."""
+    (qi, near_i), (qo, near_o) = _reference_range(inner), _reference_range(outer)
+    sine = scipy.linalg.svdvals(qi - qo @ (qo.T @ qi)).max(initial=0.0)
+    cut = 1e-10 * inner.shape[0]
+    return bool(sine <= cut), near_i or near_o or cut / 1e2 < sine < cut * 1e2
+
+
+def _hypothesis_system(rng, kind, n, extra, rank_f, rank_k):
+    """F (n x (n + extra)) and K with R(K) in R(F): a generic F with rank K of
+    rank_k; F inside R(K); a Parseval system; or an F of rank rank_f whose range
+    holds the range of K, of rank min(rank_k, rank_f)."""
+    m = n + extra
+    if kind == "generic":
+        return random_kframe(rng, n, m, rank_k)
+    if kind == "inrange":
+        return random_inrange_kframe(rng, n, m, max(rank_k, 1))
+    if kind == "parseval":
+        return random_parseval_kframe(rng, n, m, max(rank_k, 1))
+    a = rng.standard_normal((n, rank_f))
+    rank_k = min(rank_k, rank_f)
+    return a @ rng.standard_normal((rank_f, m)), a[:, :rank_k] @ rng.standard_normal((rank_k, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("generic", "inrange", "parseval", "lowrank")),
+    n=st.integers(2, 5),
+    extra=st.integers(0, 3),
+    rank_f=st.integers(1, 5),
+    rank_k=st.integers(0, 5),
+    exponent=st.integers(-300, 300),
+)
+def test_restricted_hypotheses_match_scipy_inclusions(seed, kind, n, extra, rank_f, rank_k,
+                                                      exponent):
+    """The three restricted hypotheses, read from one SVD of F and from K's own
+    R(K)^perp, equal subspace inclusions found by scipy: R(F) in R(K), R(K) in
+    S R(K) and R(F) in S R(K), S = F F^T, on systems with F or K rank deficient
+    (K = 0 among them) and scaled by 2^exponent. A draw with a rank or inclusion
+    decision within a factor 1e2 of its cutoff is skipped and counted."""
+    rng = np.random.default_rng(seed)
+    f, k = _hypothesis_system(rng, kind, n, extra, min(rank_f, n), min(rank_k, n))
+    (q_k, near_k), (_, near_f) = _reference_range(k), _reference_range(f)
+    q_image, near_image = _reference_range(f @ (f.T @ q_k)) if q_k.size else (q_k, False)
+    checks = {
+        "frame_in_operator_range": _reference_included(f, q_k),
+        "operator_range_in_image": _reference_included(q_k, q_image),
+        "frame_in_image": _reference_included(f, q_image),
+    }
+    if near_k or near_f or near_image or any(near for _, near in checks.values()):
+        event("skipped: a decision within 1e2 of its cutoff")
+        assume(False)
+    sys = verify_kframe(np.ldexp(f, exponent), np.ldexp(k, exponent))
+    if q_image.shape[1] < q_k.shape[1]:
+        event("S restricted to R(K) is singular")
+        with pytest.raises(RestrictedInverseError):
+            canonical_kdual_restricted(sys)
+        return
+    held = {name: verdict for name, (verdict, _) in checks.items()}
+    event(f"hypotheses {sorted(name for name in held if held[name])}")
+    assert canonical_kdual_restricted(sys).hypotheses == held

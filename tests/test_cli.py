@@ -24,6 +24,7 @@ from kframes.redundancy import analyze_scans
 
 from conftest import (
     counting_subsets,
+    counting_svds,
     random_kframe,
     random_parseval_kframe,
     unreachable_rk_system,
@@ -360,14 +361,29 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("sigma, shown", [
         ("0", "must lie in 1..4, got [0]"),
         ("99", "must lie in 1..4, got [99]"),
+        ("-1", "must lie in 1..4, got [-1]"),
         ("2,2", "repeat: [2]"),
-        ("x", "integer positions, got ['x']"),
-        ("1.5", "integer positions, got ['1.5']"),
+        ("3, 1,+3", "repeat: [3]"),
     ])
     def test_bad_sigma_rejected(self, capsys, system_d, sigma, shown):
         code, out, err = run(capsys, "mrc", "--system", system_d[0], "--sigma", sigma)
         assert code == 2 and out == ""
         assert "--sigma" in err and shown in err
+
+    @pytest.mark.parametrize("sigma", ["x", "1.5", "1,,2", ",", "", "1,", "1_0", "1e0", "0x1"])
+    def test_malformed_sigma_is_a_usage_error_before_any_file_is_read(
+            self, capsys, tmp_path, sigma):
+        code, out, err = run(capsys, "mrc", "--system", str(tmp_path / "absent.json"),
+                             "--sigma", sigma)
+        assert (code, out) == (64, "")
+        assert (f"kframes mrc: error: argument --sigma: needs comma-separated integer "
+                f"positions, got {sigma!r}") in err
+
+    def test_sigma_items_read_as_int_reads_them(self, capsys, system_d):
+        """A sign, leading zeros and spaces around an item are accepted."""
+        want = run_json(capsys, "mrc", "--system", system_d[0], "--sigma", "1,3")
+        for sigma in ("+1,3", "01,003", " 1 , +03 "):
+            assert run_json(capsys, "mrc", "--system", system_d[0], "--sigma", sigma) == want
 
     def test_mrc_scan_mode(self, capsys, tmp_path):
         fix = FIXTURES["FIX-B"]
@@ -408,8 +424,8 @@ class TestRecoverCommand:
                                                   monkeypatch):
         """check-dual and recover (side-info, consistency) never read K's signed
         range basis nor sign a kernel basis: _canonical_signs, counted wherever
-        a kframes module binds it, is not called; mrc --sigma, which reads
-        R(K)'s basis, shows that the count sees a call."""
+        a kframes module binds it, is not called; canonical-dual --method
+        restricted, which reads R(K)'s signed basis, shows that the count sees a call."""
         sys_path, dual_path = system_d
         fix = FIXTURES["FIX-D"]
         f = np.array([1.0, -2.0, 0.5, 1.0])
@@ -435,7 +451,8 @@ class TestRecoverCommand:
                      recover + ["--strategy", "consistency"]):
             assert run(capsys, *argv)[0] == 0
         assert calls == []
-        assert run(capsys, "mrc", "--system", sys_path, "--sigma", "1")[0] == 0
+        restricted = ["canonical-dual", "--system", sys_path, "--method", "restricted"]
+        assert run(capsys, *restricted)[0] == 0
         assert calls
 
     def test_consistency_default(self, capsys, system_d, tmp_path):
@@ -1427,3 +1444,41 @@ def test_simulate_refuses_r_of_m_or_more(capsys, system_d, r):
     code, out, err = run(capsys, "simulate", "--system", system_d[0], "--r", r)
     assert (code, out) == (1, "")
     assert err == "kframes simulate: r must satisfy 0 <= r < m = 4\n"
+
+
+# np.linalg.svd calls per command, each stacked SVD counted once: the restricted
+# dual factors F once and reads R(K)^perp from the system, mrc --sigma tests the
+# whole frame only for a Parseval system, and side-info against the Gramian
+# takes no SVD for its annihilation check, N = M - Gram being exactly zero.
+SVD_CALLS = {
+    ("FIX-D", "restricted"): 10, ("FIX-D", "mrc"): 7, ("FIX-D", "side-info"): 6,
+    ("gen6x12", "restricted"): 8, ("gen6x12", "mrc"): 5, ("gen6x12", "side-info"): 5,
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(SVD_CALLS))
+def test_small_commands_factor_each_operand_once(capsys, tmp_path, name, command):
+    """A later change that factors an operand again moves one of these counts."""
+    if name == "FIX-D":
+        f, k, g = FIXTURES["FIX-D"].F, FIXTURES["FIX-D"].K, FIXTURES["FIX-D"].dual
+    else:
+        f, k = random_kframe(np.random.default_rng(7), 6, 12, 4)
+        g = (np.linalg.pinv(f) @ k).T
+    system, dual = tmp_path / "sys.json", tmp_path / "dual.json"
+    system.write_text(json.dumps({"F": matrix_to_obj(f), "K": matrix_to_obj(k)}))
+    dual.write_text(json.dumps({"G": matrix_to_obj(g)}))
+    signal = np.arange(1.0, f.shape[0] + 1)
+    c = g.T @ signal
+    coded, side = tmp_path / "coded.json", tmp_path / "side.json"
+    coded.write_text(json.dumps({"coefficients": [None, *c[1:]], "erased": [1]}))
+    side.write_text(json.dumps((f.T @ (k @ signal)).tolist()))
+    argv = {
+        "restricted": ["canonical-dual", "--system", str(system), "--method", "restricted"],
+        "mrc": ["mrc", "--system", str(system), "--sigma", "1,3"],
+        "side-info": ["recover", "--system", str(system), "--dual", str(dual), "--coded",
+                      str(coded), "--strategy", "side-info", "--side-info", str(side)],
+    }[command]
+    with counting_svds() as svd:
+        code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert svd.call_count == SVD_CALLS[name, command]

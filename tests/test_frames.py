@@ -543,3 +543,26 @@ def test_kdual_refuses_a_residual_past_float64_as_operator_norm_does():
         with pytest.raises(ValueError) as dual:
             verify_kdual(sys, g)
     assert str(dual.value) == str(norm.value) == "matrix contains non-finite entries"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), extra=st.integers(0, 3),
+       rank_k=st.integers(0, 5), exponent=st.integers(-300, 300),
+       offsets=st.lists(st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1.0]), min_size=1,
+                        max_size=4))
+def test_many_kduals_match_one_verify_kdual_per_dual(seed, n, extra, rank_k, exponent,
+                                                     offsets):
+    """_verify_kduals, one stacked SVD for every G and K, returns bit for bit what
+    one verify_kdual per G returns: the same G, residual and verdict."""
+    rng = np.random.default_rng(seed)
+    f, k = random_kframe(rng, n, n + extra, min(rank_k, n))
+    sys = verify_kframe(f * 2.0**exponent, k * 2.0**exponent)
+    base = (pseudo_inverse(f) @ k).T
+    gs = [base + offset * rng.standard_normal(f.shape) for offset in offsets]
+    many = frames._verify_kduals(sys, gs)
+    for dual, g in zip(many, gs, strict=True):
+        one = verify_kdual(sys, g)
+        assert dual.G.tobytes() == one.G.tobytes()
+        assert type(dual.residual) is float and dual.residual == one.residual
+        assert dual.is_valid is one.is_valid
+        assert (dual.residual, dual.is_valid) == _two_norm_kdual(sys, g)

@@ -34,7 +34,8 @@ from kframes import (
 )
 from kframes.fixtures import FIXTURES
 from kframes.frames import DualSystem, KFrameSystem, OperatorK
-from kframes.linalg import DEFAULT_TOL, range_basis
+from kframes.linalg import DEFAULT_TOL, operator_norm, range_basis, unit_scaled
+from kframes.recovery import _vanishes
 from kframes.redundancy import INFINITE, spark_via_kernel
 
 from conftest import (
@@ -921,3 +922,34 @@ class TestSurvivorFrameProperty:
                         sys.K.matrix.T, dual.G[:, survivors], sys.tol
                     )
         assert checked > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    inner=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    a_kind=st.sampled_from(["zero", "negative_zero", "random", "low_rank", "tiny"]),
+    b_zero=st.booleans(),
+    exponent=st.integers(-300, 300),
+    tol=st.sampled_from([DEFAULT_TOL, TolerancePolicy(residual_rel=1e-3)]),
+)
+def test_vanishes_keeps_its_verdict(seed, rows, inner, cols, a_kind, b_zero, exponent, tol):
+    """_vanishes, which returns at once for an A that is exactly zero, gives the
+    verdict of ||A B|| against ||A|| ||B||, three operator norms at unit size, on
+    zero A (either sign), B = 0, products that vanish and products that do not."""
+    rng = np.random.default_rng(seed)
+    b = np.zeros((inner, cols)) if b_zero else rng.standard_normal((inner, cols))
+    if a_kind in ("zero", "negative_zero"):
+        a = np.zeros((rows, inner)) * (-1.0 if a_kind == "negative_zero" else 1.0)
+    elif a_kind == "low_rank":  # rows of A in the left kernel of B, when it has one
+        kernel = np.linalg.svd(b)[0][:, np.linalg.matrix_rank(b):]
+        a = rng.standard_normal((rows, kernel.shape[1])) @ kernel.T
+    else:
+        a = rng.standard_normal((rows, inner)) * (1e-300 if a_kind == "tiny" else 1.0)
+    a = np.ldexp(a, exponent)
+    ua, ub = unit_scaled(a)[0], unit_scaled(b)[0]
+    before = bool(tol.accepts(operator_norm(ua @ ub), operator_norm(ua) * operator_norm(ub)))
+    event(f"{a_kind}: {before}")
+    assert _vanishes(tol, a, b) is before

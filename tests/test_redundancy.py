@@ -38,10 +38,18 @@ from kframes.linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _canonical_signs,
+    intersection_dims,
     ranges_nested,
+    unit_scaled,
 )
 from kframes.recovery import plan_recovery
-from kframes.redundancy import ExcessReport, SparkResult, _kframe_table, analyze_scans
+from kframes.redundancy import (
+    ExcessReport,
+    MrcReport,
+    SparkResult,
+    _kframe_table,
+    analyze_scans,
+)
 
 from conftest import (
     counting_dets,
@@ -553,22 +561,27 @@ class TestMrc:
         report = mrc_subset(sys_b.F, sys_b.K, [])
         assert report.is_mrc
 
-    def test_full_frame_range_test_runs_once(self, sys_b, monkeypatch):
-        """One K-frame test of the 2 survivors, then one of the full frame of 4.
+    @pytest.mark.parametrize("parseval, widths", [(False, [2]), (True, [2, 4])],
+                             ids=["fix_b", "parseval"])
+    def test_full_frame_range_test_runs_once(self, sys_b, monkeypatch, parseval, widths):
+        """One K-frame test of the 2 survivors, then, for a Parseval system alone,
+        one of the full frame of 4: condition (ii) is reported only there.
 
         is_kframe is kframe_flags on one subset, so the widths of the subsets
-        that kframe_flags receives count the tests."""
-        widths = []
+        that kframe_flags receives count the tests. FIX-B is not Parseval."""
+        f, k = random_parseval_kframe(np.random.default_rng(5), 3, 4, 2) if parseval \
+            else (sys_b.F, sys_b.K)
+        seen = []
         real = frames.kframe_flags
 
         def counted(f, op, subsets, tol):
-            widths.extend([subsets.shape[1]] * len(subsets))
+            seen.extend([subsets.shape[1]] * len(subsets))
             return real(f, op, subsets, tol)
 
         monkeypatch.setattr(frames, "kframe_flags", counted)
-        report = mrc_subset(sys_b.F, sys_b.K, [0, 2])
-        assert widths == [2, 4]
-        assert report.parseval_condition_ii is None
+        report = mrc_subset(f, k, [0, 2])
+        assert seen == widths
+        assert (report.parseval_condition_ii is None) is not parseval
 
     def test_dual_as_adjoint_frame_candidate(self, sys_d, dual_d):
         report = mrc_subset(dual_d.G, sys_d.K.matrix.T, [0])
@@ -941,6 +954,60 @@ def test_kframe_verdicts_are_invariant_under_scaling(seed, n, extra, rank_k, dam
     sigma = rng.choice(m, size=r, replace=False)
     assert _kframe_verdicts(np.ldexp(f, e_f), np.ldexp(k, e_k), sigma, r) == (
         _kframe_verdicts(f, k, sigma, r))
+
+
+def _mrc_subset_before(f, k, sigma):
+    """mrc_subset as it was written before it classified first: condition (i)
+    through the signed basis op.range, and the whole-frame K-frame test run
+    before classify, on every system."""
+    op = OperatorK.from_matrix(k)
+    m = f.shape[1]
+    sig = tuple(sorted(int(i) for i in sigma))
+    survivors = [i for i in range(m) if i not in sig]
+    mrc = is_kframe(f[:, survivors], op)
+    coeffs = unit_scaled(f)[0].T @ op.range.basis
+    cond_i = not intersection_dims(coeffs[None], np.eye(m)[:, survivors])[0]
+    cond_ii = None
+    if is_kframe(f, op):
+        sys_full = KFrameSystem(f, op, DEFAULT_TOL)
+        with np.errstate(over="ignore"):
+            parseval = classify(sys_full).parseval
+        if parseval:
+            cond_ii = redundancy._parseval_condition(sys_full, sig, survivors)
+    return MrcReport(sigma=sig, is_mrc=mrc, necessary_condition_i=cond_i,
+                     parseval_condition_ii=cond_ii)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["parseval", "tight", "none", "duplicate", "zero", "not_kframe"]),
+    n=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    rank_k=st.integers(0, 4),
+    r=st.integers(0, 3),
+    exponent=st.integers(-300, 300),
+)
+def test_mrc_subset_matches_its_former_formulation(seed, kind, n, extra, rank_k, r, exponent):
+    """mrc_subset reports what it did when it tested the whole frame before
+    classify and read condition (i) through K's signed range: on Parseval
+    systems, tight ones with frame bound 4, damaged K-frames and pairs that are no
+    K-frame (F of rank below n, K invertible), each scaled by 2^exponent."""
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    if kind in ("parseval", "tight"):
+        f, k = random_parseval_kframe(rng, n, m, max(min(rank_k, n), 1))
+        f = 2 * f if kind == "tight" else f
+    elif kind == "not_kframe":
+        f = random_operator(rng, n, n - 1) @ rng.standard_normal((n, m))
+        k = random_operator(rng, n, n)
+    else:
+        f, k = _damaged_kframe(rng, n, m, rank_k, kind)
+    f, k = np.ldexp(f, exponent), np.ldexp(k, exponent)
+    sigma = rng.choice(m, size=min(r, m), replace=False)
+    report = mrc_subset(f, k, sigma)
+    event(f"{kind}: condition (ii) {report.parseval_condition_ii}")
+    assert report == _mrc_subset_before(f, k, sigma)
 
 
 def _intersection_verdicts(f, k, g, sigma, r):
