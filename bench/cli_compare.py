@@ -13,23 +13,26 @@ with its pseudo-inverse dual and a recovery matrix Gram + A Q (Q the
 projector onto Ker G). It runs every command: fixtures (also with a
 lower-case and an unknown name), spark, check-dual, canonical-dual,
 analyze, mrc (on the near-cutoff pair with every --sigma), find-rk,
-recover with each strategy on many erasure sets, and simulate. Every system with rank K < n also runs find-rk at each r up to
-m - 1 against a dual perturbed off the pseudo-inverse one along Ker F,
-where the top levels are often out of reach. FIX-D then runs find-rk with
---trials and --seed and a few commands with --json, flags the CLI once
-had, and mrc with every kind of --sigma spelling (signs, leading zeros,
-empty items, non-integers, positions out of range or repeated), on FIX-D's
-system and on a missing one. The 2x2 system F = 1e308 ones(2, 2), K = 0 with G = I runs check-dual,
-spark and analyze: its residual and F's largest singular value lie past
-float64. Malformed inputs on FIX-D follow: invalid JSON, a JSON or CSV
-file that is not UTF-8, missing keys, ragged rows, bool, string, null,
-1e999 and 10**400 entries in every file kind, bad erased positions, CSV
-matrices good and bad (a non-numeric, blank, nan, inf or 1e999 cell), and
-a missing file, each given by a plain, a
-./-prefixed and a doubled-slash path, since messages print the path. Each
-checkout runs the whole corpus in its own Python process, which imports
-that checkout's src/, with BLAS on one thread; each command runs
-in-process through kframes.cli.run_command.
+recover with each strategy on many erasure sets, and simulate. Every
+system with rank K < n also runs find-rk at each r up to m - 1 against a
+dual perturbed off the pseudo-inverse one along Ker F, where the top
+levels are often out of reach. FIX-D then runs find-rk with --trials and
+--seed and a few commands with --json, flags the CLI once had. A 5x5
+system with F of condition number about 6e4 and K invertible, whose frame
+operator squares that past the rank cutoff, runs canonical-dual with each
+method. The 2x2 system F = 1e308 ones(2, 2), K = 0 with G = I runs
+check-dual, spark and analyze: its residual and F's largest singular value
+lie past float64. mrc runs with every kind of --sigma spelling (signs,
+leading zeros, empty items, non-integers, positions out of range or
+repeated), on FIX-D's system and on a missing one. Malformed inputs on
+FIX-D follow: invalid JSON, a JSON or CSV file that is not UTF-8, missing
+keys, ragged rows, bool, string, null, 1e999 and 10**400 entries in every
+file kind, bad erased positions, CSV matrices good and bad (a
+non-numeric, blank, nan, inf or 1e999 cell), and a missing file, each
+given by a plain, a ./-prefixed and a doubled-slash path, since messages
+print the path. Each checkout runs the whole corpus in its own Python
+process, which imports that checkout's src/, with BLAS on one thread; each
+command runs in-process through kframes.cli.run_command.
 
 OUT.json lists every command whose stdout, stderr or exit code differs, with
 the changed fields of recover and simulate reports (JSON paths, array
@@ -190,6 +193,14 @@ def build_corpus(work: Path) -> list[list[str]]:
     commands += [["spark", "--matrix", "FIX-D-F.json", "--json"],
                  ["analyze", "--system", "FIX-D.json", "--json"],
                  ["simulate", *fixd, "--r", "1", "--signals", "10", "--json"]]
+    # F invertible with condition number about 6e4, K invertible: S = F F^T squares
+    # it past the rank cutoff, where a ranked restriction reads singular.
+    rng = np.random.default_rng(1029874448)
+    a = rng.standard_normal((5, 5))
+    f, k = a @ rng.standard_normal((5, 5)), a @ rng.standard_normal((5, 5))
+    system = _write(work / "ill-5x5.json", {"F": _matrix(f), "K": _matrix(k)})
+    commands += [["canonical-dual", "--system", system, "--method", method]
+                 for method in ("douglas", "restricted")]
     big = np.full((2, 2), 1e308)
     system = _write(work / "overflow.json", {"F": _matrix(big), "K": _matrix(np.zeros((2, 2)))})
     commands += [["check-dual", "--system", system, "--dual",

@@ -14,7 +14,6 @@ from .errors import (
     KFrameError,
     MatrixFormatError,
     NotKFrameError,
-    RestrictedInverseError,
     ShapeMismatchError,
     ZeroOperatorError,
 )
@@ -43,7 +42,6 @@ from .linalg import (
     range_basis,
     rank_of,
     ranges_nested,
-    restricted_operator,
     svd_factor,
 )
 from .recovery import (

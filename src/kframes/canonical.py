@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RestrictedInverseError
 from .frames import DualSystem, KFrameSystem, _verify_kduals, verify_kdual
 from .linalg import (
-    _svd_rank,
+    _restricted_inverse,
     intersection_dims,
     null_space_basis,
     operator_norm,
     pseudo_inverse,
-    restricted_operator,
-    svd_factor,
+    rank_of,
     unit_scaled,
 )
 
@@ -92,30 +90,21 @@ class RestrictedDualReport:
 
 def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
     # The frame operator is formed on F scaled exactly by 2^-e to unit size,
-    # where it neither over- nor underflows. Positive scalings keep every
-    # range compared here, and the duals, each 2^e times the unscaled one,
-    # are scaled back exactly.
+    # where it neither over- nor underflows, and the duals on F and K at unit
+    # size. Positive scalings keep every range compared here, and the duals,
+    # each 2^(e - e_K) times the unscaled one, are scaled back exactly.
     f, f_exp = unit_scaled(sys.F)
-    domain = sys.K.range
-    coord, image = restricted_operator(f @ f.T, domain, sys.tol)
-    if coord.shape[0] < coord.shape[1]:
-        raise RestrictedInverseError(
-            "frame operator restricted to R(K) is singular",
-            defect=coord.shape[1] - coord.shape[0],
-        )
-    inv = np.linalg.inv(coord)
-    d, r = domain.basis, image.basis
-    mk_t = sys.K.matrix.T
-    g_image = np.ldexp(mk_t @ d @ inv @ r.T @ f, -f_exp)
-    g_domain = np.ldexp(mk_t @ r @ inv.T @ d.T @ f, -f_exp)
-    # R(f) within R(d) and within R(r): d and r, both n x rank K, against R(f)^perp
-    # from one SVD of f; R(d) within R(r) against R(K)^perp, which the system holds.
-    u, s, _ = svd_factor(f)
-    rank_f = _svd_rank(s, f.shape, sys.tol)
-    in_frame = intersection_dims(np.array((d, r)), u[:, rank_f:], sys.tol) >= rank_f
+    k, k_exp = unit_scaled(sys.K.matrix)
+    d = sys.K.range.basis
+    r, inv = _restricted_inverse(f, d)
+    g_image = np.ldexp(k.T @ d @ inv @ r.T @ f, k_exp - f_exp)
+    g_domain = np.ldexp(k.T @ r @ inv.T @ d.T @ f, k_exp - f_exp)
+    # R(K) lies in R(F), and S R(K) in R(F) has dimension rank K: R(F) lies in
+    # either exactly when rank F = rank K. R(K) in S R(K) is judged against R(K)^perp.
+    spans = rank_of(f, sys.tol) == sys.K.rank
     in_image = intersection_dims(r[None], sys.K.range_perp, sys.tol)[0] >= sys.K.rank
     return RestrictedDualReport(*_verify_kduals(sys, (g_image, g_domain)), hypotheses={
-        "frame_in_operator_range": bool(in_frame[0]),
+        "frame_in_operator_range": spans,
         "operator_range_in_image": bool(in_image),
-        "frame_in_image": bool(in_frame[1]),
+        "frame_in_image": spans,
     })

@@ -48,10 +48,3 @@ class AmbiguityError(KFrameError):
 class ExpansionError(KFrameError):
     """Projected dual vectors do not lie in the span of surviving columns."""
 
-
-class RestrictedInverseError(KFrameError):
-    """A restricted operator is singular; carries the defect dimension."""
-
-    def __init__(self, message, defect=0):
-        super().__init__(message)
-        self.defect = defect

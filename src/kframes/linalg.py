@@ -37,7 +37,6 @@ __all__ = [
     "operator_norm",
     "matvec_rows",
     "row_norms",
-    "restricted_operator",
     "ranges_nested",
 ]
 
@@ -391,28 +390,17 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def restricted_operator(
-    t, domain: SubspaceBasis, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[np.ndarray, SubspaceBasis]:
-    """Coordinate matrix of a square operator restricted to a subspace.
-
-    Returns (matrix_in_bases, image_basis) where image_basis spans t(domain)
-    and matrix_in_bases = image_basis^T t domain_basis. The restriction,
-    viewed as a map from the domain onto its image, is invertible exactly
-    when matrix_in_bases is square and invertible. Rank deficiency is
-    visible in the shape, not raised here.
-    """
-    arr = ensure_matrix(t, "operator")
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatchError(f"operator must be square, got {arr.shape}")
-    if domain.ambient_dim != arr.shape[0]:
-        raise ShapeMismatchError(
-            f"domain ambient dim {domain.ambient_dim} != operator size {arr.shape[0]}"
-        )
-    image = arr @ domain.basis
-    img_basis = range_basis(image, tol)
-    matrix = img_basis.basis.T @ image
-    return matrix, img_basis
+def _restricted_inverse(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, (r^T S d)^-1) for S = f f^T, f at unit size, and d an orthonormal
+    n x k basis of a subspace V of R(f): r, the first k left singular vectors
+    of S d, is an orthonormal basis of S V. No rank is decided: S is positive
+    definite on R(f), so its restriction to V is injective and S V has
+    dimension k. A restriction that is numerically singular reaches
+    np.linalg.inv's LinAlgError."""
+    image = (f @ f.T) @ d
+    # Contiguous, as range_basis's basis is: a strided single column rounds r^T S d apart.
+    r = svd_factor(image)[0][:, : d.shape[1]].copy()
+    return r, np.linalg.inv(r.T @ image)
 
 
 def ranges_nested(inner, outer, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -151,13 +151,14 @@ def load_matrix(path, key: str | tuple[str, ...] | None = None, bare: bool = Fal
     `key` (e.g. a dual file {"G": ...}); with bare=True a file without the
     key is read as the matrix object itself. A tuple of keys gives one matrix
     per key, read and checked in that order from one parse of the file (e.g.
-    ("F", "K") of a system file). A CSV file is its own matrix for any key.
+    ("F", "K") of a system file). A CSV file is its own matrix for any key: it
+    is parsed once, and every key gets that one array.
     Error messages name the file, and the key of a wrapped matrix.
     """
     p = Path(path)
     keys = key if isinstance(key, tuple) else (key,)
     if p.suffix.lower() == ".csv":
-        mats = [_matrix_from_csv(p) for _ in keys]
+        mats = [_matrix_from_csv(p)] * len(keys)
     else:
         obj = read_json(p)
         mats = [_matrix_at(obj, k, p, bare) for k in keys]

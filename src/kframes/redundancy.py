@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KFrameError, RestrictedInverseError
+from .errors import KFrameError
 from .frames import (
     DEFAULT_CAP,
     KFrameSystem,
@@ -64,6 +64,7 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _canonical_signs,
+    _restricted_inverse,
     certified_full_rank,
     column_blocks,
     ensure_matrix,
@@ -74,7 +75,6 @@ from .linalg import (
     pseudo_inverse,
     range_basis,
     ranges_nested,
-    restricted_operator,
     stacked_ranks,
     unit_scaled,
 )
@@ -312,12 +312,11 @@ def _parseval_condition(
     x = pseudo_inverse(f, sys.tol) @ k
     t = k - f[:, list(sig)] @ x[list(sig), :]
     domain = range_basis(sys.K.matrix.T, sys.tol)
-    coord, image = restricted_operator(t, domain, sys.tol)
-    injective = image.dim == domain.dim and coord.shape[0] == coord.shape[1]
+    image = range_basis(t @ domain.basis, sys.tol)
     f_c = f[:, survivors]
     target = (f_c @ f_c.T) @ sys.K.range.basis
-    return injective and ranges_nested(image.basis, target, sys.tol) and ranges_nested(
-        target, image.basis, sys.tol)
+    return image.dim == domain.dim and ranges_nested(
+        image.basis, target, sys.tol) and ranges_nested(target, image.basis, sys.tol)
 
 
 def mrc_all(
@@ -477,20 +476,18 @@ def derived_pinv_frames(
     """
     sig = normalize_erasure_set(sigma, sys.m)
     survivors = [i for i in range(sys.m) if i not in sig]
-    if not is_kframe(sys.F[:, survivors], sys.K, sys.tol):
-        raise KFrameError(f"erasure set {sig} does not satisfy MRC")
     f_c = sys.F[:, survivors]
-    s_c = f_c @ f_c.T
-    coord, image = restricted_operator(s_c, sys.K.range, sys.tol)
-    if coord.shape[0] < coord.shape[1]:
-        raise RestrictedInverseError(
-            "survivor frame operator restricted to R(K) is singular",
-            defect=coord.shape[1] - coord.shape[0],
-        )
-    inv = np.linalg.inv(coord)
-    seq1 = sys.K.matrix.T @ sys.K.range.basis @ inv @ image.basis.T @ f_c
+    if not is_kframe(f_c, sys.K, sys.tol):
+        raise KFrameError(f"erasure set {sig} does not satisfy MRC")
+    # Restricted, and seq1 formed, with F_c and K at unit size, seq1 then scaled
+    # back exactly; (K^+)^T K^+, which can over- or underflow, is never formed.
+    unit, e = unit_scaled(f_c)
+    k, k_e = unit_scaled(sys.K.matrix)
+    d = sys.K.range.basis
+    r, inv = _restricted_inverse(unit, d)
+    seq1 = np.ldexp(k.T @ d @ inv @ r.T @ unit, k_e - e)
     k_pinv = pseudo_inverse(sys.K.matrix, sys.tol)
-    seq2 = k_pinv.T @ k_pinv @ f_c
+    seq2 = k_pinv.T @ (k_pinv @ f_c)
     residual = operator_norm(seq1 @ seq2.T - k_pinv)
     report = DerivedPairReport(
         dual_residual=residual,

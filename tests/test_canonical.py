@@ -5,7 +5,6 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from kframes import (
-    RestrictedInverseError,
     canonical_kdual,
     canonical_kdual_restricted,
     dual_perturbation,
@@ -13,10 +12,13 @@ from kframes import (
     null_space_basis,
     operator_norm,
     pseudo_inverse,
+    range_basis,
+    rank_of,
     verify_kdual,
     verify_kframe,
 )
 from kframes.fixtures import FIXTURES
+from kframes.linalg import unit_scaled
 
 from conftest import random_inrange_kframe, random_kframe, random_parseval_kframe
 
@@ -174,7 +176,8 @@ class TestRestrictedFormulas:
                     report.dual_domain.G, canonical_kdual(sys).dual.G, atol=1e-8
                 )
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**1000, 2.0**-1000],
+                             ids=["1e200", "1e-200", "2^1000", "2^-1000"])
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixtures_at_extreme_scale_match_scale_one(self, name, scale):
         fix = FIXTURES[name]
@@ -284,11 +287,12 @@ def _hypothesis_system(rng, kind, n, extra, rank_f, rank_k):
 )
 def test_restricted_hypotheses_match_scipy_inclusions(seed, kind, n, extra, rank_f, rank_k,
                                                       exponent):
-    """The three restricted hypotheses, read from one SVD of F and from K's own
+    """The three restricted hypotheses, read from one rank of F and from K's own
     R(K)^perp, equal subspace inclusions found by scipy: R(F) in R(K), R(K) in
     S R(K) and R(F) in S R(K), S = F F^T, on systems with F or K rank deficient
     (K = 0 among them) and scaled by 2^exponent. A draw with a rank or inclusion
-    decision within a factor 1e2 of its cutoff is skipped and counted."""
+    decision within a factor 1e2 of its cutoff, or whose S R(K) reads short of
+    rank K there, is skipped and counted."""
     rng = np.random.default_rng(seed)
     f, k = _hypothesis_system(rng, kind, n, extra, min(rank_f, n), min(rank_k, n))
     (q_k, near_k), (_, near_f) = _reference_range(k), _reference_range(f)
@@ -301,12 +305,59 @@ def test_restricted_hypotheses_match_scipy_inclusions(seed, kind, n, extra, rank
     if near_k or near_f or near_image or any(near for _, near in checks.values()):
         event("skipped: a decision within 1e2 of its cutoff")
         assume(False)
-    sys = verify_kframe(np.ldexp(f, exponent), np.ldexp(k, exponent))
     if q_image.shape[1] < q_k.shape[1]:
-        event("S restricted to R(K) is singular")
-        with pytest.raises(RestrictedInverseError):
-            canonical_kdual_restricted(sys)
-        return
+        event("skipped: S restricted to R(K) reads singular")
+        assume(False)
+    sys = verify_kframe(np.ldexp(f, exponent), np.ldexp(k, exponent))
     held = {name: verdict for name, (verdict, _) in checks.items()}
     event(f"hypotheses {sorted(name for name in held if held[name])}")
     assert canonical_kdual_restricted(sys).hypotheses == held
+
+
+def _restricted_duals_ranked(sys):
+    """The restricted duals as they were computed while the restriction was
+    ranked: range_basis of S d (S = F F^T at unit size, d K's signed range
+    basis) and the inverse of the coordinate matrix r^T S d; None where that
+    route refused, the basis having fewer than rank K columns."""
+    f, f_exp = unit_scaled(sys.F)
+    d = sys.K.range.basis
+    image = (f @ f.T) @ d
+    r = range_basis(image, sys.tol).basis
+    if r.shape[1] < d.shape[1]:
+        return None
+    inv = np.linalg.inv(r.T @ image)
+    mk_t = sys.K.matrix.T
+    return (np.ldexp(mk_t @ d @ inv @ r.T @ f, -f_exp),
+            np.ldexp(mk_t @ r @ inv.T @ d.T @ f, -f_exp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("generic", "inrange", "parseval", "lowrank")),
+    n=st.integers(2, 5),
+    extra=st.integers(0, 3),
+    rank_f=st.integers(1, 5),
+    rank_k=st.integers(0, 5),
+    exponent=st.integers(-300, 300),
+)
+def test_restricted_duals_match_the_ranked_route(seed, kind, n, extra, rank_f, rank_k,
+                                                 exponent):
+    """Wherever the ranked route answers, both restricted duals equal its duals
+    bit for bit: the unranked basis differs from range_basis's only in column
+    signs, which cancel exactly in inv r^T and r inv^T, and K taken at unit size
+    is scaled by a power of two, which is exact. Systems as in the scipy
+    property, F or K rank deficient (K = 0 among them), scaled by 2^exponent.
+    Both R(F) hypotheses read rank F = rank K."""
+    rng = np.random.default_rng(seed)
+    f, k = _hypothesis_system(rng, kind, n, extra, min(rank_f, n), min(rank_k, n))
+    sys = verify_kframe(np.ldexp(f, exponent), np.ldexp(k, exponent))
+    report = canonical_kdual_restricted(sys)
+    ranked = _restricted_duals_ranked(sys)
+    event(f"{kind}: the ranked route {'refused' if ranked is None else 'answered'}")
+    if ranked is not None:
+        for dual, want in zip((report.dual_image, report.dual_domain), ranked):
+            assert dual.G.tobytes() == want.tobytes()
+    spans = rank_of(sys.F, sys.tol) == sys.K.rank
+    hyp = report.hypotheses
+    assert hyp["frame_in_operator_range"] == hyp["frame_in_image"] == spans

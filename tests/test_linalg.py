@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 import kframes
 from kframes import (
-    ShapeMismatchError,
     SubspaceBasis,
     TolerancePolicy,
     null_space_basis,
@@ -21,12 +20,12 @@ from kframes import (
     pseudo_inverse,
     range_basis,
     rank_of,
-    restricted_operator,
     svd_factor,
 )
 from kframes.frames import OperatorK, kframe_flags
 from kframes.linalg import (
     DEFAULT_TOL,
+    _restricted_inverse,
     certified_full_rank,
     column_blocks,
     intersection_dims,
@@ -675,37 +674,22 @@ class TestOperatorNorm:
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
 
 
-class TestRestrictedOperator:
-    def test_projector_restriction_is_identity(self):
-        s = np.diag([1.0, 1.0, 0.0])
-        domain = SubspaceBasis(3, np.array([[1.0], [0.0], [0.0]]))
-        coord, image = restricted_operator(s, domain)
-        np.testing.assert_allclose(coord, [[1.0]], atol=1e-12)
-        np.testing.assert_allclose(image.basis, domain.basis, atol=1e-12)
-
+class TestRestrictedInverse:
     def test_frame_operator_restriction_invertible(self):
         fb = FIXTURES["FIX-B"].F
         s = fb @ fb.T
-        domain = SubspaceBasis(4, np.eye(4)[:, :2])
-        coord, image = restricted_operator(s, domain)
-        assert coord.shape == (2, 2)
-        assert abs(np.linalg.det(coord)) > 1e-9
-        # e1 goes to 2 e1 + e3, e2 stays fixed.
-        np.testing.assert_allclose(s @ domain.basis[:, 0], [2.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(s @ domain.basis[:, 1], [0.0, 1.0, 0.0, 0.0])
+        d = np.eye(4)[:, :2]
+        r, inv = _restricted_inverse(fb, d)
+        assert r.shape == (4, 2) and inv.shape == (2, 2)
+        np.testing.assert_allclose(r.T @ r, np.eye(2), atol=1e-12)
+        # e1 goes to 2 e1 + e3, e2 stays fixed; r spans both images.
+        np.testing.assert_allclose(s @ d, [[2.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_allclose(r @ (r.T @ s @ d), s @ d, atol=1e-12)
+        np.testing.assert_allclose(inv @ (r.T @ s @ d), np.eye(2), atol=1e-12)
 
     def test_zero_operator(self):
-        domain = SubspaceBasis(3, np.eye(3)[:, :2])
-        coord, image = restricted_operator(np.zeros((3, 3)), domain)
-        assert coord.shape == (0, 2)
-        assert image.dim == 0
-
-    def test_shape_guards(self):
-        domain = SubspaceBasis(3, np.eye(3)[:, :1])
-        with pytest.raises(ShapeMismatchError):
-            restricted_operator(np.zeros((2, 3)), domain)
-        with pytest.raises(ShapeMismatchError):
-            restricted_operator(np.zeros((4, 4)), domain)
+        r, inv = _restricted_inverse(np.eye(3), np.zeros((3, 0)))
+        assert r.shape == (3, 0) and inv.shape == (0, 0)
 
 
 class TestPolicyAndBasis:

@@ -3,6 +3,7 @@ import json
 import math
 import numbers
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from kframes import MatrixFormatError
+from kframes import MatrixFormatError, matrixio
 from kframes.errors import MissingKeyError
 from kframes.matrixio import (
     finite_entries,
@@ -135,6 +136,22 @@ class TestFileRoundTrips:
         with pytest.raises(MatrixFormatError, match="row 1, column 1") as info:
             load_matrix(path, key="G")
         assert not isinstance(info.value, MissingKeyError)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_system_file_is_read_once(self, tmp_path, suffix):
+        """Both keys of a system file come from one read and one parse; a CSV
+        file is its own F and K, one array for both."""
+        mat = np.array([[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / f"sys{suffix}"
+        if suffix == ".csv":
+            save_matrix(mat, path)
+        else:
+            path.write_text(json.dumps({"F": matrix_to_obj(mat), "K": matrix_to_obj(mat)}))
+        with mock.patch.object(matrixio, "_read_text", wraps=matrixio._read_text) as read:
+            f, k = load_matrix(path, key=("F", "K"))
+        assert read.call_count == 1
+        np.testing.assert_array_equal(f, mat)
+        np.testing.assert_array_equal(k, mat)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -799,6 +799,75 @@ class TestDerivedPinvFrames:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**1000, 2.0**-1000],
+                             ids=["1e200", "1e-200", "2^1000", "2^-1000"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixtures_at_extreme_scale_match_scale_one(self, name, scale):
+        """On every erasure set of at most one vector that satisfies MRC, seq1 is
+        scale free and seq2 scales as 1 / scale, with the verdicts of scale 1."""
+        fix = FIXTURES[name]
+        base, scaled = verify_kframe(fix.F, fix.K), verify_kframe(scale * fix.F, scale * fix.K)
+        for sigma in [[]] + [[i] for i in range(base.m)]:
+            if not is_kframe(np.delete(fix.F, sigma, axis=1), base.K):
+                continue
+            want, got = derived_pinv_frames(base, sigma), derived_pinv_frames(scaled, sigma)
+            _assert_derived_pair_scaled(got, want, scale)
+
+
+def _assert_derived_pair_scaled(got, want, scale):
+    """got is derived_pinv_frames of a system scaled by scale, want of the system."""
+    (seq1, seq2, report), (seq1_0, seq2_0, report_0) = got, want
+    for name in ("pair_is_dual", "seq1_spans_pinv_range", "seq2_is_kframe"):
+        assert getattr(report, name) == getattr(report_0, name)
+    np.testing.assert_allclose(seq1, seq1_0, rtol=1e-9, atol=1e-9 * np.abs(seq1_0).max())
+    np.testing.assert_allclose(seq2 * scale, seq2_0, rtol=1e-9,
+                               atol=1e-9 * np.abs(seq2_0).max())
+
+
+def _ldexp_exact(a, sign=1):
+    """(lo, hi): np.ldexp(a, sign * j) is exact and keeps every nonzero entry of
+    a, and every singular value above the default rank cutoff, normal and
+    finite exactly when lo <= j <= hi."""
+    s = np.linalg.svd(a, compute_uv=False)
+    values = np.concatenate((a[a != 0], s[s > DEFAULT_TOL.rank_cutoff(s, a.shape)]))
+    e = np.frexp(values)[1]
+    lo, hi = int(-1021 - e.min()), int(1024 - e.max())
+    return (lo, hi) if sign > 0 else (-hi, -lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    extra=st.integers(0, 3),
+    rank_k=st.integers(1, 4),
+    r=st.integers(0, 3),
+    data=st.data(),
+)
+def test_derived_pinv_frames_is_scale_free(seed, n, extra, rank_k, r, data):
+    """derived_pinv_frames on F and K scaled by 2^j gives the verdicts of scale
+    1, seq1 unchanged and seq2 scaled by 2^-j. j is any exponent at which ldexp
+    keeps F and K, and the scale-1 seq2 and K^+ at 2^-j, exact, with their
+    entries and singular values normal: the frame operator is restricted at unit
+    size, and (K^+)^T K^+ is never formed. A draw whose pair residual lies
+    within 1e3 of its threshold is skipped and counted."""
+    rng = np.random.default_rng(seed)
+    f, k = random_kframe(rng, n, n + extra, min(rank_k, n))
+    sigma = rng.choice(n + extra, size=min(r, n + extra - 1), replace=False)
+    base = verify_kframe(f, k)
+    assume(is_kframe(np.delete(f, sigma, axis=1), base.K))
+    want = derived_pinv_frames(base, sigma)
+    if want[2].dual_residual > 1e-3 * base.tol.residual_rel * (
+            1 + np.linalg.norm(pseudo_inverse(k), 2)):
+        event("skipped: the pair's residual within 1e3 of its threshold")
+        assume(False)
+    bounds = [_ldexp_exact(f), _ldexp_exact(k), _ldexp_exact(want[1], -1),
+              _ldexp_exact(pseudo_inverse(k), -1)]
+    j = data.draw(st.integers(max(lo for lo, _ in bounds), min(hi for _, hi in bounds)))
+    event(f"|j| {'above' if abs(j) > 500 else 'up to'} 500")
+    got = derived_pinv_frames(verify_kframe(np.ldexp(f, j), np.ldexp(k, j)), sigma)
+    _assert_derived_pair_scaled(got, want, 2.0**j)
+
 
 def _orth(a):
     """Orthonormal basis of R(a) by scipy's SVD, cut off by the default relative rule."""
