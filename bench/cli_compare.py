@@ -30,7 +30,13 @@ keys, ragged rows, bool, string, null, 1e999 and 10**400 entries in every
 file kind, bad erased positions, CSV matrices good and bad (a
 non-numeric, blank, nan, inf or 1e999 cell), and a missing file, each
 given by a plain, a ./-prefixed and a doubled-slash path, since messages
-print the path. Each checkout runs the whole corpus in its own Python
+print the path. Last come the cases of scale-free verdicts: side-info
+recover (each single erasure) and simulate --strategies side-info on
+FIX-A..D at 1e-5 and 1e-100, each recover with a side vector off by half
+its largest entry; analyze and spark on F = [[s, s]], K = [[s]] at s =
+1e-300 and 1e-310; and on FIX-D a dual of shape 4x3 (check-dual, recover), a
+side vector of one entry (recover) and a 2x2 recovery matrix (recover,
+simulate). Each checkout runs the whole corpus in its own Python
 process, which imports that checkout's src/, with BLAS on one thread; each
 command runs in-process through kframes.cli.run_command.
 
@@ -210,7 +216,7 @@ def build_corpus(work: Path) -> list[list[str]]:
     # Every kind of --sigma spelling, with FIX-D's system and with a missing one.
     commands += [["mrc", "--system", path, "--sigma", sigma]
                  for path in ("FIX-D.json", "missing.json") for sigma in SIGMAS]
-    return commands + _malformed(work, "FIX-D.json", "FIX-D-dual.json")
+    return commands + _malformed(work, "FIX-D.json", "FIX-D-dual.json") + _scale_cases(work)
 
 
 SIGMAS = ("1", " 2 , 3 ", "+1", "01", "-1", "0", "5", "1,1", "3,1", "1,,2", ",", "", "1,",
@@ -306,6 +312,50 @@ def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
             for path in (f"bad/{kind}-{name}", f"./bad/{kind}-{name}", f"bad//{kind}-{name}"):
                 commands += uses[kind](path)
     return commands
+
+
+def _scale_cases(work: Path) -> list[list[str]]:
+    """Verdicts that once hung on an absolute scale, and mis-sized input files."""
+    from kframes.fixtures import FIXTURES
+
+    commands = []
+    for (name, fix), scale in itertools.product(sorted(FIXTURES.items()), (1e-5, 1e-100)):
+        f, k = scale * fix.F, scale * fix.K
+        g = _pinv_dual(fix.F, fix.K) if fix.dual is None else fix.dual
+        stem = f"{name}@{scale:g}-off"
+        base = ["--system", _write(work / f"{stem}.json", {"F": _matrix(f), "K": _matrix(k)}),
+                "--dual", _write(work / f"{stem}-dual.json", {"G": _matrix(g)})]
+        signal = np.arange(1.0, f.shape[0] + 1)
+        side = f.T @ (k @ signal)
+        side[np.argmax(np.abs(side))] += 0.5 * np.abs(side).max()
+        side_path = _write(work / f"{stem}-v.json", side.tolist())
+        c = g.T @ signal
+        for j in range(f.shape[1]):
+            coded = _write(work / f"{stem}-c{j}.json", {
+                "coefficients": [None if i == j else float(c[i]) for i in range(len(c))],
+                "erased": [j + 1]})
+            commands.append(["recover", *base, "--coded", coded, "--strategy", "side-info",
+                             "--side-info", side_path])
+        commands.append(["simulate", *base, "--r", "1", "--signals", str(SIGNALS),
+                         "--strategies", "side-info"])
+    for scale in (1e-300, 1e-310):
+        f = _matrix(np.array([[scale, scale]]))
+        commands += [["analyze", "--system", _write(work / f"tiny{scale:g}.json", {
+            "F": f, "K": _matrix(np.array([[scale]]))})],
+                     ["spark", "--matrix", _write(work / f"tiny{scale:g}-F.json", f)]]
+    fixd = ["--system", "FIX-D.json"]
+    dual = _write(work / "sized-dual.json", {"G": _matrix(np.ones((4, 3)))})
+    side = _write(work / "sized-side.json", [1.0])
+    rk = _write(work / "sized-rk.json", _matrix(np.eye(2)))
+    coded = _write(work / "sized-c.json", {"coefficients": [None, 1.0, 2.0, 0.5], "erased": [1]})
+    recover = ["recover", *fixd, "--dual", "FIX-D-dual.json", "--coded", coded, "--strategy"]
+    return commands + [
+        ["check-dual", *fixd, "--dual", dual],
+        ["recover", *fixd, "--dual", dual, "--coded", coded, "--strategy", "consistency"],
+        [*recover, "side-info", "--side-info", side],
+        [*recover, "blind", "--rk-matrix", rk],
+        ["simulate", *fixd, "--r", "1", "--signals", "10", "--rk-matrix", rk],
+    ]
 
 
 def run_corpus(root: str, commands_path: str, results_path: str) -> None:

@@ -110,14 +110,23 @@ def _load_system(args) -> KFrameSystem:
     return verify_kframe(*matrixio.load_matrix(args.system, key=("F", "K")), _policy(args))
 
 
+def _sized(path, value: np.ndarray, shape: tuple) -> np.ndarray:
+    """value, read from path, if shaped as the system needs; else exit 2 naming path."""
+    if value.shape != shape:
+        raise MatrixFormatError(f"{path}: expected shape {shape}, got {value.shape}")
+    return value
+
+
 def _load_dual(path, system: KFrameSystem) -> DualSystem:
     """The dual of a file holding {"G": matrix} or the bare matrix, parsed once."""
-    return verify_kdual(system, matrixio.load_matrix(path, key="G", bare=True))
+    return verify_kdual(system, _sized(path, matrixio.load_matrix(path, key="G", bare=True),
+                                       system.F.shape))
 
 
-def _rk_matrix(args) -> np.ndarray | None:
-    """The --rk-matrix file's matrix; None (the Gramian) when it is absent."""
-    return None if args.rk_matrix is None else matrixio.load_matrix(args.rk_matrix)
+def _rk_matrix(args, m: int) -> np.ndarray | None:
+    """The --rk-matrix file's m x m matrix; None (the Gramian) when it is absent."""
+    return None if args.rk_matrix is None else _sized(
+        args.rk_matrix, matrixio.load_matrix(args.rk_matrix), (m, m))
 
 
 def _spark_obj(result: SparkResult) -> dict:
@@ -311,10 +320,10 @@ def _cmd_recover(args) -> dict:
     system = _load_system(args)
     dual = _load_dual(args.dual, system)
     coded = _load_coded(args.coded, system.m)
-    m_mat = _rk_matrix(args)
+    m_mat = _rk_matrix(args, system.m)
     if args.strategy == "side-info":
-        v = matrixio.vector_from_obj(matrixio.read_json(args.side_info),
-                                     f"{args.side_info}: side vector")
+        v = _sized(args.side_info, matrixio.vector_from_obj(
+            matrixio.read_json(args.side_info), f"{args.side_info}: side vector"), (system.m,))
         result = recover_side_info(system, m_mat, coded, v, dual=dual)
     elif args.strategy == "blind":
         result = recover_blind(system, m_mat, coded, dual=dual)
@@ -398,7 +407,7 @@ def _cmd_simulate(args) -> dict:
         else _load_dual(args.dual, system)
     if not (0 <= args.r < system.m):
         raise KFrameError(f"r must satisfy 0 <= r < m = {system.m}")
-    m_mat = _rk_matrix(args)
+    m_mat = _rk_matrix(args, system.m)
     signals, draws = _draw(np.random.default_rng(args.seed), args.signals,
                            system.n, system.m, args.r)
     draws.sort(axis=1)

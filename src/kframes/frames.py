@@ -27,7 +27,6 @@ from .errors import (
     ZeroOperatorError,
 )
 from .linalg import (
-    _TINY,
     DEFAULT_TOL,
     SubspaceBasis,
     TolerancePolicy,
@@ -147,8 +146,7 @@ class DualSystem:
     """A candidate K-dual with its verification residual.
 
     residual = ||F G^T - M_K|| in operator norm; is_valid applies the
-    policy's relative threshold against 1 + ||M_K||, with M_K and the
-    residual scaled exactly to the unit size of M_K.
+    policy's residual rule against ||M_K||.
     """
 
     G: np.ndarray
@@ -402,7 +400,7 @@ def frame_bounds(sys: KFrameSystem) -> tuple[float, float]:
     """
     if sys.bounds is None:
         raise ZeroOperatorError("lower frame bound is undefined for K = 0")
-    if not all(_TINY <= bound < math.inf for bound in sys.bounds):
+    if not all(np.finfo(float).tiny <= bound < math.inf for bound in sys.bounds):
         raise KFrameError(f"frame bounds {sys.bounds} lie outside the float64 range")
     return sys.bounds
 
@@ -425,12 +423,12 @@ def classify(sys: KFrameSystem) -> Classification:
         resid = np.linalg.norm(ss - fit * kk)
         if tol.accepts(resid, np.linalg.norm(ss)):
             alpha = float(np.ldexp(fit, 2 * (f_exp - k_exp)))
-    elif tol.accepts(np.linalg.norm(ss)):
+    elif tol.accepts(np.linalg.norm(ss), 1.0):
         alpha = 1.0
     norms = np.linalg.norm(f, axis=0)
     spread = float(norms.max() - norms.min()) if norms.size else 0.0
     equal_norm = tol.accepts(spread, float(norms.max(initial=0.0)))
-    parseval = alpha is not None and tol.accepts(abs(alpha - 1.0), factor=10)
+    parseval = alpha is not None and tol.accepts(abs(alpha - 1.0), 1.0, factor=10)
     return Classification(tight_alpha=alpha, parseval=parseval, equal_norm=equal_norm)
 
 
@@ -452,14 +450,8 @@ def _verify_kduals(sys: KFrameSystem, gs) -> list[DualSystem]:
         blocks.append(ensure_matrix(sys.F @ arr.T - sys.K.matrix))
     *residuals, k_norm = np.linalg.svd(np.array((*blocks, sys.K.matrix)),
                                        compute_uv=False).max(axis=1, initial=0.0)
-    # Judged at K's unit size (both sides scaled exactly by 2^-e), so that
-    # scaling F and K together keeps the verdict.
-    e = unit_scaled(sys.K.matrix)[1]
-    with np.errstate(over="ignore"):  # past float64 at K's unit size: far above any threshold
-        scaled = np.ldexp(residuals, -e)
-    valid = sys.tol.accepts(scaled, np.ldexp(k_norm, -e))
-    return [DualSystem(G=arr, residual=float(residual), is_valid=bool(ok))
-            for arr, residual, ok in zip(arrs, residuals, valid)]
+    return [DualSystem(G=arr, residual=float(r), is_valid=bool(sys.tol.accepts(r, k_norm)))
+            for arr, r in zip(arrs, residuals)]
 
 
 def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem:
@@ -526,6 +518,6 @@ def transform(sys: KFrameSystem, a, u) -> KFrameSystem:
     if u.shape != (sys.m, sys.m):
         raise ShapeMismatchError(f"U must be {sys.m}x{sys.m}, got {u.shape}")
     unitary_defect = operator_norm(u.T @ u - np.eye(sys.m))
-    if not sys.tol.accepts(unitary_defect, factor=10):
+    if not sys.tol.accepts(unitary_defect, 1.0, factor=10):
         raise ValueError(f"U is not unitary (||U^T U - I|| = {unitary_defect:.3e})")
     return verify_kframe(a @ sys.F @ u, a @ sys.K.matrix, sys.tol)

@@ -1,12 +1,12 @@
 """Tolerance-aware dense real linear algebra primitives.
 
 All matrices are 2-D float64 numpy arrays with finite entries. Every
-numerical verdict in the package applies one of the two rules of
-TolerancePolicy: rank_cutoff for rank decisions, relative to the largest
-singular value so they are invariant under global scaling, and accepts for
-residual tests. Orthonormal bases always come from the SVD, with a
-deterministic sign convention (largest-magnitude entry of each basis vector
-is positive), so repeated runs produce identical bases.
+numerical verdict applies one of TolerancePolicy's two purely relative rules,
+so none depends on the input's scale: rank_cutoff, relative to the largest
+singular value, and accepts, relative to the scale of the terms a residual
+sums. A pseudo-inverse whose kept 1 / sigma overflows is refused with
+KFrameError. Orthonormal bases come from the SVD, signed deterministically
+(the largest-magnitude entry of each basis vector is positive).
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 
-# Singular values below the smallest normal double cannot be inverted
-# without overflow; they count as zero in every rank decision.
-_TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 # Least ||B||_F^2 at the parent's unit size that certified_full_rank can prove.
 _GRAM_FLOOR = 2.0**-600
@@ -53,11 +50,11 @@ _ROW_FLOOR = 2.0**-480
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """The package's two numerical rules, each written only here.
-
-    rank_cutoff_rel scales the singular-value threshold for rank decisions;
-    residual_rel scales acceptance thresholds for matrix-equation residuals.
-    Both must be positive and below 1e-2.
+    """The package's two numerical rules, each written only here, both purely
+    relative. A rank counts the singular values above rank_cutoff_rel
+    max(shape) sigma_1; a residual passes at or under residual_rel factor
+    scale, scale the size of the terms it sums, named by each caller (README's
+    design notes list them). Both lie in (0, 1e-2).
     """
 
     rank_cutoff_rel: float = 1e-10
@@ -70,7 +67,7 @@ class TolerancePolicy:
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {value!r}")
 
     def rank_cutoff(self, s: np.ndarray, shape) -> np.ndarray:
-        """Per-block cutoff for singular values s (... x k): relative to s[..., 0], >= _TINY.
+        """Per-block cutoff for singular values s (... x k), relative to s[..., 0].
 
         LAPACK returns inf, raising nothing, for a largest singular value past
         float64; every value would then read as zero, so that is refused.
@@ -79,11 +76,11 @@ class TolerancePolicy:
         if not np.isfinite(top).all():
             raise KFrameError("computed values leave the float64 range "
                               "(a largest singular value overflows)")
-        return np.maximum(self.rank_cutoff_rel * max(shape[-2:]) * top, _TINY)
+        return self.rank_cutoff_rel * max(shape[-2:]) * top
 
-    def accepts(self, residual, scale=0.0, factor=1.0):
-        """Residual test: residual <= residual_rel * factor * (1 + scale)."""
-        return residual <= self.residual_rel * factor * (1.0 + scale)
+    def accepts(self, residual, scale, factor=1.0):
+        """Residual test: residual <= residual_rel * factor * scale."""
+        return residual <= self.residual_rel * factor * scale
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -239,8 +236,7 @@ def certified_full_rank(
     ||B||_F^2 and a Cholesky run along the stack; a subset is proven when all
     its k pivots are positive. c is the cutoff at unit size: the fixed
     cutoff times 2^-e, clamped at 2^64 so that it stays finite and then
-    proves nothing; else the policy's rule with sigma_max bounded by ||B||_F,
-    and its _TINY floor as _TINY 2^-e.
+    proves nothing; else the policy's rule with sigma_max bounded by ||B||_F.
 
     Why a proof holds. Each Gram entry is a dot product of length p (column
     side) or q (row side: the membership's zeros add exactly), so the Gram
@@ -280,10 +276,8 @@ def certified_full_rank(
     diag = a.reshape(k * k, count)[:: k + 1]
     sq = diag.sum(axis=0)
     norm = np.sqrt(sq)
-    if cutoff is None:
-        c = np.maximum(tol.rank_cutoff(norm[:, None], (p, q))[:, 0], np.ldexp(_TINY, -e))
-    else:
-        c = np.ldexp(cutoff, np.minimum(-e, 64 - np.frexp(cutoff)[1]))
+    c = tol.rank_cutoff(norm[:, None], (p, q))[:, 0] if cutoff is None else np.ldexp(
+        cutoff, np.minimum(-e, 64 - np.frexp(cutoff)[1]))
     diag -= (c + 8 * (k + 1) * max(p, q) * _EPS * norm) ** 2 + 8 * (p + q) * _EPS * sq
     # A failed pivot leaves NaN or a non-positive diagonal, which stays unknown.
     with np.errstate(all="ignore"):
@@ -302,8 +296,12 @@ def _svd_rank(s: np.ndarray, shape, tol: TolerancePolicy) -> int:
     return int(np.count_nonzero(s > tol.rank_cutoff(s, shape)))
 
 
-def _pinv_from_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray, r: int) -> np.ndarray:
-    return v[:, :r] @ np.diag(1.0 / s[:r]) @ u[:, :r].T
+def _reciprocals(s: np.ndarray) -> np.ndarray:
+    """1 / s of kept singular values; KFrameError where one overflows."""
+    with np.errstate(over="ignore"):
+        if np.isinf(inv := 1.0 / s).any():
+            raise KFrameError("computed values leave the float64 range (1 / sigma overflows)")
+    return inv
 
 
 def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -311,7 +309,7 @@ def pinv_and_rank(m, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, in
     arr = ensure_matrix(m)
     u, s, v = svd_factor(arr)
     r = _svd_rank(s, arr.shape, tol)
-    return _pinv_from_svd(u, s, v, r), r
+    return v[:, :r] @ np.diag(_reciprocals(s[:r])) @ u[:, :r].T, r
 
 
 def stacked_pinv_and_rank(
@@ -334,7 +332,7 @@ def stacked_pinv_and_rank(
     classes = set(ranks.tolist())
     for r in classes - {0}:
         sel = slice(None) if len(classes) == 1 else np.flatnonzero(ranks == r)
-        diag = np.eye(r) / s[sel, :r, None]
+        diag = np.eye(r) * _reciprocals(s[sel, :r, None])
         v, ut = vt[sel, :r].transpose(0, 2, 1), u[sel, :, :r].transpose(0, 2, 1)
         pinvs[sel] = v @ diag @ ut
     return pinvs, ranks, vt.transpose(0, 2, 1)

@@ -280,9 +280,9 @@ class RecoveryPlan:
         exactly as when recovered alone. Signals go in passes of SCAN_CHUNK,
         read at call time; a pass gathers about 8 m(m + r) bytes per signal,
         3 MiB for m = 12 and r = 4. A signal is certified when its set's
-        range_ok holds and tol.accepts(residual, scale): scale is ||rhs||, and
-        for side-info max(||rhs||, ||side||), as v - M_known c_known can cancel
-        to round-off of the size of side.
+        range_ok holds and tol.accepts(residual, scale), scale the size of rhs's
+        terms before they cancel (rhs can be pure round-off, at a zero column of
+        F): ||N||_F ||c_known||, N at unit size, plus ||side|| for side-info.
         """
         full = coefficients.copy()
         residual = np.zeros(len(full))
@@ -290,19 +290,22 @@ class RecoveryPlan:
         if self.erased.shape[1] == 0:
             # Nothing erased: the survivors are the whole coefficient vector.
             return full, residual, certified
+        unit, e = unit_scaled(self.matrix)
         for start in range(0, len(full), SCAN_CHUNK):
             rows = slice(start, start + SCAN_CHUNK)
             sets = which[rows]
             known, erased = self.known[sets], self.erased[sets]
             signal = np.arange(start, start + len(sets))[:, None]
-            coupled = matvec_rows(column_blocks(self.matrix, known), coefficients[signal, known])
+            survivors = coefficients[signal, known]
+            coupled = matvec_rows(column_blocks(self.matrix, known), survivors)
             rhs = side[rows] - coupled if self.strategy == "side-info" else -coupled
             x = matvec_rows(self.solver[sets], rhs)
             residual[rows] = row_norms(matvec_rows(column_blocks(self.matrix, erased), x) - rhs)
             full[signal, erased] = x
-            scale = row_norms(rhs)
-            if self.strategy == "side-info":
-                scale = np.maximum(scale, row_norms(side[rows]))
+            with np.errstate(over="ignore"):  # terms past float64 read inf
+                scale = np.ldexp(np.linalg.norm(unit) * row_norms(survivors), e)
+                if self.strategy == "side-info":
+                    scale += row_norms(side[rows])
             certified[rows] &= self.tol.accepts(residual[rows], scale)
         return full, residual, certified
 

@@ -153,7 +153,7 @@ def test_fixture_d_blind_against_gramian_all_skipped(tmp_path, r):
 def _cutoff(a):
     """The library's rank cutoff for a, from numpy's singular values of a."""
     s = np.linalg.svd(a, compute_uv=False)
-    return max(1e-10 * max(a.shape) * s[0], np.finfo(float).tiny)
+    return 1e-10 * max(a.shape) * s[0]
 
 
 def _reference_plan(sys, dual, strategy, mat, lam):
@@ -163,11 +163,11 @@ def _reference_plan(sys, dual, strategy, mat, lam):
     if strategy == "consistency":
         # N = Q, the projector onto Ker G, from numpy's own SVD of G.
         _, s_g, vt_g = np.linalg.svd(dual.G, full_matrices=True)
-        rank_g = int(np.sum(s_g > max(1e-10 * max(dual.G.shape) * s_g[0], np.finfo(float).tiny)))
+        rank_g = int(np.sum(s_g > 1e-10 * max(dual.G.shape) * s_g[0]))
         kernel = np.ascontiguousarray(vt_g[rank_g:].T)
         mat = kernel @ kernel.T
-        valid = np.linalg.norm(sys.F @ dual.G.T - sys.K.matrix, 2) <= 1e-9 * (
-            1.0 + np.linalg.norm(sys.K.matrix, 2))
+        valid = np.linalg.norm(sys.F @ dual.G.T - sys.K.matrix, 2) <= 1e-9 * np.linalg.norm(
+            sys.K.matrix, 2)
     block, coupling = mat[:, list(lam)], mat[:, known]
     rank, solver, null = 0, np.zeros(block.shape[::-1]), np.eye(len(lam))
     if block.size:
@@ -181,7 +181,7 @@ def _reference_plan(sys, dual, strategy, mat, lam):
     # to unit size.
     f_unit = np.ldexp(sys.F, -np.frexp(np.abs(sys.F).max())[1])
     moved = np.linalg.norm(f_unit[:, list(lam)] @ null, axis=0)
-    f_cutoff = max(1e-10 * max(f_unit.shape) * np.linalg.norm(f_unit), np.finfo(float).tiny)
+    f_cutoff = 1e-10 * max(f_unit.shape) * np.linalg.norm(f_unit)
     range_ok = bool(valid and np.all(moved <= f_cutoff))
     return rank, range_ok, block, solver, coupling
 
@@ -200,10 +200,12 @@ def _reference_apply(strategy, lam, plan, c, side):
     x = solver @ rhs
     residual = float(np.linalg.norm(block @ x - rhs))
     full[list(lam)] = x
-    scale = np.linalg.norm(rhs)
+    # The terms of rhs before they cancel: ||N||_F (its columns in another
+    # order) ||c_known||, plus ||side|| for side-info.
+    scale = np.linalg.norm(np.hstack([block, coupling])) * np.linalg.norm(known_values)
     if strategy == "side-info":
-        scale = max(scale, np.linalg.norm(side))
-    return full, residual, range_ok and residual <= 1e-9 * (1.0 + scale)
+        scale += np.linalg.norm(side)
+    return full, residual, range_ok and residual <= 1e-9 * scale
 
 
 def _same(a, b):

@@ -286,7 +286,7 @@ class TestAnalysisCommands:
             g = np.array(dual["G"]["data"])
             residual = np.linalg.norm(f @ g.T - k, 2)
             assert dual["residual"] == pytest.approx(residual, rel=1e-6)
-            assert dual["is_valid"] is bool(residual <= 1e-9 * (1 + np.linalg.norm(k, 2)))
+            assert dual["is_valid"] is bool(residual <= 1e-9 * np.linalg.norm(k, 2))
 
     def test_check_dual_discrepancy(self, capsys, tmp_path):
         fix = FIXTURES["FIX-C"]
@@ -1043,7 +1043,8 @@ def test_side_info_recovery_does_not_overflow_at_1e150(tmp_path):
 def test_side_info_certificates_survive_cancellation_at_scale(tmp_path):
     """At 1e100 and 1e150 the right-hand side v - M_known c_known of FIX-A's
     side-info solve cancels to round-off of the size of v, so each residual is
-    judged against max(||rhs||, ||v||): every draw is certified, as at scale 1."""
+    judged against the size of those terms, ||M|| ||c_known|| + ||v||: every draw
+    is certified, as at scale 1."""
     fix = FIXTURES["FIX-A"]
     argv = ["simulate", "--r", "1", "--signals", "200", "--strategies", "side-info"]
     exact = [_report(tmp_path, str(c), argv, system={"F": c * fix.F, "K": c * fix.K})
@@ -1487,6 +1488,75 @@ def test_coded_file_without_m_coefficients_exits_two(capsys, system_d, tmp_path,
                          "--coded", str(path))
     assert (code, out) == (2, "")
     assert err == f"kframes recover: {path}: {shown}\n"
+
+
+@pytest.mark.parametrize("bad, shown, argvs", [
+    ({"G": {"rows": 4, "cols": 3, "data": [[1.0, 2.0, 3.0]] * 4}},
+     "expected shape (4, 4), got (4, 3)",
+     [["check-dual", "--dual", "BAD"],
+      ["recover", "--dual", "BAD", "--coded", "CODED", "--strategy", "consistency"]]),
+    ([1.0], "expected shape (4,), got (1,)",
+     [["recover", "--dual", "DUAL", "--coded", "CODED", "--strategy", "side-info",
+       "--side-info", "BAD"]]),
+    ({"rows": 2, "cols": 2, "data": [[1.0, 2.0], [3.0, 4.0]]},
+     "expected shape (4, 4), got (2, 2)",
+     [["recover", "--dual", "DUAL", "--coded", "CODED", "--strategy", "blind",
+       "--rk-matrix", "BAD"],
+      ["simulate", "--r", "1", "--rk-matrix", "BAD"]]),
+], ids=["dual", "side-info", "rk-matrix"])
+def test_mis_sized_file_exits_two_naming_it(capsys, system_d, tmp_path, bad, shown, argvs):
+    """A dual, side vector or recovery matrix whose shape disagrees with the
+    system is an input error, exit 2, named by its file as a mis-sized coded
+    signal is, and checked before any library call."""
+    paths = {"BAD": tmp_path / "bad.json", "CODED": tmp_path / "coded.json",
+             "DUAL": system_d[1]}
+    paths["CODED"].write_text(json.dumps({"coefficients": [None, 1.0, 2.0, 0.5],
+                                          "erased": [1]}))
+    paths["BAD"].write_text(json.dumps(bad))
+    for name, *flags in argvs:
+        code, out, err = run(capsys, name, "--system", system_d[0],
+                             *(str(paths.get(flag, flag)) for flag in flags))
+        assert (code, out, err) == (2, "", f"kframes {name}: {paths['BAD']}: {shown}\n")
+
+
+def test_side_info_off_side_vector_is_refused_at_small_scale(capsys, tmp_path):
+    """FIX-D at 1e-5 with a side vector off by half its largest entry: the
+    recovery is 24% off, and certified_exact is false, as at scale 1. An
+    absolute term in the residual test once accepted it."""
+    fix = FIXTURES["FIX-D"]
+    signal = np.arange(1.0, 5.0)
+    coded = tmp_path / "coded.json"
+    coded.write_text(json.dumps({"coefficients": [None, *(fix.dual.T @ signal)[1:].tolist()],
+                                 "erased": [1]}))
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps({"G": matrix_to_obj(fix.dual)}))
+    for c in (1.0, 1e-5, 1e-100):
+        f, k = c * fix.F, c * fix.K
+        side = f.T @ (k @ signal)
+        side[np.argmax(np.abs(side))] += 0.5 * np.abs(side).max()
+        (tmp_path / "side.json").write_text(json.dumps(side.tolist()))
+        (tmp_path / "sys.json").write_text(json.dumps({"F": matrix_to_obj(f),
+                                                       "K": matrix_to_obj(k)}))
+        report = run_json(capsys, "recover", "--system", str(tmp_path / "sys.json"),
+                          "--dual", str(dual), "--coded", str(coded), "--strategy", "side-info",
+                          "--side-info", str(tmp_path / "side.json"))
+        error = np.linalg.norm(np.array(report["reconstructed"]) - k @ signal)
+        assert error > 0.2 * np.linalg.norm(k @ signal)
+        assert report["certified_exact"] is False
+
+
+@pytest.mark.parametrize("scale", [1e-300, 3e-308, 1e-310])
+def test_analyze_reads_a_subnormal_operator_at_its_rank(capsys, tmp_path, scale):
+    """F = [[s, s]], K = [[s]]: no floor reads K, or a column of F, as zero, so
+    operator_rank is 1 and the spark is 2 at every s where the report exists."""
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"F": matrix_to_obj(np.array([[scale, scale]])),
+                                "K": matrix_to_obj(np.array([[scale]]))}))
+    report = run_json(capsys, "analyze", "--system", str(path))
+    assert (report["operator_rank"], report["spark"]["spark"]) == (1, 2)
+    assert report["uniform_excess"] == {"value": 1, "witness": None}
+    (tmp_path / "f.json").write_text(json.dumps(matrix_to_obj(np.array([[scale, scale]]))))
+    assert run_json(capsys, "spark", "--matrix", str(tmp_path / "f.json"))["spark"] == 2
 
 
 @pytest.mark.parametrize("r", ["4", "9"])

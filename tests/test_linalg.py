@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import kframes
 from kframes import (
+    KFrameError,
     SubspaceBasis,
     TolerancePolicy,
     null_space_basis,
@@ -32,6 +33,7 @@ from kframes.linalg import (
     pinv_and_rank,
     ranges_nested,
     row_norms,
+    stacked_pinv_and_rank,
     stacked_ranks,
     unit_scaled,
 )
@@ -272,8 +274,11 @@ def test_benchmark_names_resolve():
             if isinstance(node, ast.ImportFrom) and node.module.startswith("kframes"):
                 wanted |= {(node.module, alias.name) for alias in node.names}
     assert len(wanted) > 30
+    # Every module is imported before any name is looked up: `from kframes import
+    # cli` resolves only once kframes.cli is imported, whatever the set's order.
+    modules = {module: importlib.import_module(module) for module, _ in wanted}
     assert {(module, name) for module, name in wanted
-            if not hasattr(importlib.import_module(module), name)} == set()
+            if not hasattr(modules[module], name)} == set()
 
 
 class TestTolerancePolicy:
@@ -293,21 +298,48 @@ class TestTolerancePolicy:
         assert found == _READERS
 
     def test_rank_cutoff_is_per_block(self):
+        """Purely relative: a zero block's cutoff is 0 and a subnormal one's is
+        its own, with no floor."""
         tol = TolerancePolicy()
-        s = np.array([[4.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(tol.rank_cutoff(s, (2, 5, 3)),
-                                      [[1e-10 * 5 * 4.0], [np.finfo(float).tiny]])
+        s = np.array([[4.0, 1.0], [0.0, 0.0], [1e-300, 0.0]])
+        np.testing.assert_array_equal(tol.rank_cutoff(s, (3, 5, 3)),
+                                      [[1e-10 * 5 * 4.0], [0.0], [1e-10 * 5 * 1e-300]])
         np.testing.assert_array_equal(tol.rank_cutoff(s[0], (3, 7)), [1e-10 * 7 * 4.0])
 
     def test_accepts(self):
+        """residual <= rel * factor * scale, the scale named by the caller, with
+        no absolute term: a residual of 0 passes against scale 0, nothing else does."""
         tol = TolerancePolicy(residual_rel=1e-6)
-        assert tol.accepts(2e-6, scale=1.0) and not tol.accepts(2.1e-6, scale=1.0)
-        assert tol.accepts(1e-6 * 10, factor=10) and not tol.accepts(1e-6 * 11, factor=10)
+        assert tol.accepts(1e-6, 1.0) and not tol.accepts(1.1e-6, 1.0)
+        assert tol.accepts(1e-6 * 10, 1.0, factor=10) and not tol.accepts(1e-6 * 11, 1.0, factor=10)
+        assert tol.accepts(1e-306, 1e-300) and not tol.accepts(1e-305, 1e-300)
+        assert tol.accepts(0.0, 0.0) and not tol.accepts(5e-324, 0.0)
         # A NaN residual is refused, the safe side of every test.
-        assert not tol.accepts(np.nan)
+        assert not tol.accepts(np.nan, 1.0)
         np.testing.assert_array_equal(
             tol.accepts(np.array([0.0, 1.0, np.nan]), np.array([0.0, 1e6, 0.0])),
             [True, True, False])
+
+    def test_accepts_has_no_default_scale(self):
+        with pytest.raises(TypeError):
+            TolerancePolicy().accepts(0.0)
+
+    def test_no_floor_decides_a_rank(self):
+        """diag(1, 1e-9) has rank 2 at every scale: at 1e-300 its second singular
+        value lies below the smallest normal double, and no floor reads it as 0."""
+        for scale in (1.0, 1e-290, 1e-300, 2.0**-1040):
+            assert rank_of(np.diag([1.0, 1e-9]) * scale) == 2
+        assert rank_of(np.zeros((2, 3))) == 0
+
+    def test_pseudo_inverse_whose_reciprocal_overflows_is_refused(self):
+        """A kept singular value whose 1 / sigma leaves float64 is refused, never
+        floored to a rank deficiency."""
+        for a in (np.array([[1e-310]]), np.diag([1.0, 1e-9]) * 1e-300):
+            with pytest.raises(KFrameError, match="leave the float64 range"):
+                pseudo_inverse(a)
+            with pytest.raises(KFrameError, match="leave the float64 range"):
+                stacked_pinv_and_rank(a[None], np.zeros((1, 1)))
+        assert pseudo_inverse(np.array([[2.0**-1000]]))[0, 0] == 2.0**1000
 
 
 class TestSvdFactor:

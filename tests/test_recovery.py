@@ -336,7 +336,7 @@ def _near_cutoff(mat, sets):
     and the certificate's may fall on different sides of it."""
     s = np.linalg.svd(mat, compute_uv=False)
     low = np.linalg.svd(mat.T[sets].transpose(0, 2, 1), compute_uv=False)[:, -1]
-    cutoff = max(1e-10 * max(mat.shape) * s[0], np.finfo(float).tiny)
+    cutoff = 1e-10 * max(mat.shape) * s[0]
     return bool(np.any(np.abs(low - cutoff) <= 64 * max(mat.shape) * np.finfo(float).eps * s[0]))
 
 
@@ -460,6 +460,31 @@ def test_find_rk_candidate_reaches_the_optimal_levels(seed, n, extra, rank_k, da
         found = find_rk_matrix(sys, dual, r)
         np.testing.assert_array_equal(found.certificate.M, m_mat)
         assert (found.mode, found.trial) == ("both" if r <= cert.r_blind else "side-info", 1)
+
+
+@pytest.mark.parametrize("exponent", [0, -60, 60, -400])
+def test_erased_zero_column_is_certified_at_every_scale(exponent):
+    """F with a zero column j: the canonical dual's g_j is 0, so c_j = 0, and the
+    exact right-hand side of erasing j is 0; computed, it is round-off of the size
+    of ||N|| ||c_known|| (+ ||v||). A residual judged against those terms, not
+    against ||rhs||, certifies both solvers at every scale, with c_j recovered as 0
+    to round-off."""
+    rng = np.random.default_rng(3)
+    f, k = random_kframe(rng, 3, 6, 2)
+    f[:, 4] = 0.0
+    f, k = np.ldexp(f, exponent), np.ldexp(k, exponent)
+    sys = verify_kframe(f, k)
+    dual = canonical_kdual(sys).dual
+    # Gram + ||Gram|| A (I - P), P the projector onto R(G^T): it annihilates G^T.
+    q = np.eye(6) - range_basis(dual.G.T).projector()
+    m_mat = sys.gramian + operator_norm(sys.gramian) * rng.standard_normal((6, 6)) @ q
+    signal = rng.standard_normal(3)
+    coded = erase(encode(dual, signal), [4])
+    side = f.T @ (k @ signal)
+    for report in (recover_side_info(sys, m_mat, coded, side, dual=dual),
+                   recover_blind(sys, m_mat, coded, dual=dual)):
+        assert report.certified_exact
+        assert abs(report.coefficients[4]) <= 1e-12 * np.abs(report.coefficients).max()
 
 
 def test_blind_refuses_what_its_certificate_refuses():

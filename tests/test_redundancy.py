@@ -179,8 +179,24 @@ class TestHammingWeight:
     def test_relative_threshold(self):
         assert hamming_weight([1e6, 1e-12, 0.0]) == 1
 
+    @given(entries=st.lists(st.sampled_from([0.0, 1.0, -0.5, 3.0, 1e-12]), min_size=1,
+                            max_size=8),
+           k=st.integers(-1000, 1000))
+    def test_weight_is_scale_free(self, entries, k):
+        """Entries above tol ||x||_inf count, with no absolute floor: x scaled
+        by 2^k keeps the weight it has at scale 1."""
+        x = np.array(entries)
+        assert hamming_weight(np.ldexp(x, k)) == hamming_weight(x)
+
 
 class TestSpark:
+    @pytest.mark.parametrize("scale", [1.0, 1e-290, 1e-300, 2.0**-1040])
+    def test_no_floor_decides_a_subset_rank(self, scale):
+        """[[1, 0, 1], [0, 1e-9, 1e-9]] has spark 3 at every scale: at 1e-300 its
+        second row lies below the smallest normal double, and no floor reads it as 0."""
+        mat = np.array([[1.0, 0.0, 1.0], [0.0, 1e-9, 1e-9]]) * scale
+        assert spark(mat).value == spark_via_kernel(mat).value == 3
+
     def test_fixture_c(self, sys_c):
         result = spark(sys_c.F)
         assert result.value == 3
@@ -857,8 +873,8 @@ def test_derived_pinv_frames_is_scale_free(seed, n, extra, rank_k, r, data):
     base = verify_kframe(f, k)
     assume(is_kframe(np.delete(f, sigma, axis=1), base.K))
     want = derived_pinv_frames(base, sigma)
-    if want[2].dual_residual > 1e-3 * base.tol.residual_rel * (
-            1 + np.linalg.norm(pseudo_inverse(k), 2)):
+    if want[2].dual_residual > 1e-3 * base.tol.residual_rel * np.linalg.norm(
+            pseudo_inverse(k), 2):
         event("skipped: the pair's residual within 1e3 of its threshold")
         assume(False)
     bounds = [_ldexp_exact(f), _ldexp_exact(k), _ldexp_exact(want[1], -1),
