@@ -34,9 +34,13 @@ print the path. Last come the cases of scale-free verdicts: side-info
 recover (each single erasure) and simulate --strategies side-info on
 FIX-A..D at 1e-5 and 1e-100, each recover with a side vector off by half
 its largest entry; analyze and spark on F = [[s, s]], K = [[s]] at s =
-1e-300 and 1e-310; and on FIX-D a dual of shape 4x3 (check-dual, recover), a
+1e-300 and 1e-310; on FIX-D a dual of shape 4x3 (check-dual, recover), a
 side vector of one entry (recover) and a 2x2 recovery matrix (recover,
-simulate). Each checkout runs the whole corpus in its own Python
+simulate); and system files whose K is 4x5, or 5x5 beside a 4x6 F, with
+every command that reads --system. Every generated K-frame also runs
+analyze at each r in 0..m, and a generic 7x14 pair (K invertible, and
+rank K 5) runs analyze at each r in 0..14, at the default --tol-rank and
+at 1e-15. Each checkout runs the whole corpus in its own Python
 process, which imports that checkout's src/, with BLAS on one thread; each
 command runs in-process through kframes.cli.run_command.
 
@@ -154,7 +158,8 @@ def build_corpus(work: Path) -> list[list[str]]:
             ["check-dual", *base, "--dual", dual],
             ["canonical-dual", *base, "--method", "douglas"],
             ["canonical-dual", *base, "--method", "restricted"],
-            ["analyze", *base, "--r", "1"],
+            *(["analyze", *base, "--r", str(r)] for r in (
+                range(m + 1) if name.startswith("gen") else [1])),
             ["mrc", *base, "--r", "1"],
             ["mrc", *base, "--sigma", str(int(rng.integers(1, m + 1)))],
         ]
@@ -207,6 +212,13 @@ def build_corpus(work: Path) -> list[list[str]]:
     system = _write(work / "ill-5x5.json", {"F": _matrix(f), "K": _matrix(k)})
     commands += [["canonical-dual", "--system", system, "--method", method]
                  for method in ("douglas", "restricted")]
+    # A generic 7x14 pair, where analyze reads the K-frame levels above n off
+    # spark's rank level at the default --tol-rank and reads them itself at 1e-15.
+    for rank_k in (7, 5):
+        f, k = _generated(7, 14, rank_k, "none", 0)
+        system = _write(work / f"generic7x14k{rank_k}.json", {"F": _matrix(f), "K": _matrix(k)})
+        commands += [["analyze", "--system", system, "--r", str(r), *tol]
+                     for tol in ([], ["--tol-rank", "1e-15"]) for r in range(15)]
     big = np.full((2, 2), 1e308)
     system = _write(work / "overflow.json", {"F": _matrix(big), "K": _matrix(np.zeros((2, 2)))})
     commands += [["check-dual", "--system", system, "--dual",
@@ -349,13 +361,23 @@ def _scale_cases(work: Path) -> list[list[str]]:
     rk = _write(work / "sized-rk.json", _matrix(np.eye(2)))
     coded = _write(work / "sized-c.json", {"coefficients": [None, 1.0, 2.0, 0.5], "erased": [1]})
     recover = ["recover", *fixd, "--dual", "FIX-D-dual.json", "--coded", coded, "--strategy"]
-    return commands + [
+    commands += [
         ["check-dual", *fixd, "--dual", dual],
         ["recover", *fixd, "--dual", dual, "--coded", coded, "--strategy", "consistency"],
         [*recover, "side-info", "--side-info", side],
         [*recover, "blind", "--rk-matrix", rk],
         ["simulate", *fixd, "--r", "1", "--signals", "10", "--rk-matrix", rk],
     ]
+    # System files whose K is not square, or acts on other than F's rows.
+    for f_shape, k_shape in (((4, 4), (4, 5)), ((4, 6), (5, 5))):
+        system = _write(work / "sized-system-{}x{}.json".format(*k_shape),
+                        {"F": _matrix(np.ones(f_shape)), "K": _matrix(np.eye(*k_shape))})
+        commands += [[name, "--system", system, *flags] for name, *flags in (
+            ["check-dual", "--dual", "FIX-D-dual.json"], ["canonical-dual"], ["analyze"],
+            ["mrc", "--r", "1"], ["mrc", "--sigma", "1"],
+            ["recover", "--dual", "FIX-D-dual.json", "--coded", coded],
+            ["find-rk", "--dual", "FIX-D-dual.json", "--r", "1"], ["simulate", "--r", "1"])]
+    return commands
 
 
 def run_corpus(root: str, commands_path: str, results_path: str) -> None:

@@ -22,7 +22,7 @@ at 9x18 and 10x20, both at the default cap, which admits 10x20 since the
 budgets count only the levels from rank K on. test_analyze_8x16_rank5 times
 `analyze --r 2` on the construction at 8x16 with rank(K) = 5, whose K-frame
 levels of 8 columns or more (the r = 1 witness's T_15 and T_14, and the MRC
-survivor sets) are certified as spans of R^8.
+survivor sets) are read off spark's rank level as spans of R^8.
 test_worst_erasure_error_6x12_r4 times worst_erasure_error at r = 4 on the
 6x12 system and its canonical dual, over all C(12, 4) = 495 erasure sets.
 test_run_simulate times one `simulate --r 4` through run_command on the same

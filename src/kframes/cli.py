@@ -29,7 +29,7 @@ import numpy as np
 
 from . import matrixio
 from .canonical import canonical_kdual, canonical_kdual_restricted
-from .errors import BudgetExceededError, KFrameError, MatrixFormatError
+from .errors import BudgetExceededError, KFrameError, MatrixFormatError, ShapeMismatchError
 from .fixtures import FIXTURES, get_fixture
 from .frames import (
     DEFAULT_CAP,
@@ -107,7 +107,10 @@ def _policy(args) -> TolerancePolicy:
 
 
 def _load_system(args) -> KFrameSystem:
-    return verify_kframe(*matrixio.load_matrix(args.system, key=("F", "K")), _policy(args))
+    try:
+        return verify_kframe(*matrixio.load_matrix(args.system, key=("F", "K")), _policy(args))
+    except ShapeMismatchError as exc:
+        raise MatrixFormatError(f"{args.system}: {exc}") from None
 
 
 def _sized(path, value: np.ndarray, shape: tuple) -> np.ndarray:

@@ -25,7 +25,7 @@ a dependent set: under its one fixed cutoff, interlacing keeps every subset
 of an independent set independent, and makes every (rank + 1)-set
 dependent, so that level is neither tested nor counted in its budget.
 analyze_scans checks the budgets of analyze's three scans before the first
-runs, and reads T_n off spark's rank level when it can.
+runs, and reads levels of n..m - 1 columns off spark's rank level when it can.
 
 An index set sigma satisfies the minimal redundancy condition (MRC) when
 the frame restricted to the complement is still a K-frame. "Exact K-frame"
@@ -131,19 +131,19 @@ def spark(mat, tol: TolerancePolicy = DEFAULT_TOL, cap: int = DEFAULT_CAP) -> Sp
     rank-set. The budget counts sizes 1..rank, the levels it can test,
     before any subset.
     """
-    return _spark_scan(mat, tol, cap)()
+    return _spark_scan(mat, tol, cap)()[0]
 
 
 def _spark_scan(mat, tol: TolerancePolicy, cap: int):
-    """spark with its budget checked now and its scan left to a call."""
+    """spark with its budget checked now; run() returns it and a call for _spanning_sizes."""
     arr = ensure_matrix(mat)
-    m = arr.shape[1]
+    n, m = arr.shape
     # One SVD of the parent gives its rank and the fixed cutoff of every subset.
     s = np.linalg.svd(arr, compute_uv=False)
     cutoff = tol.rank_cutoff(s, arr.shape)
     r = int(np.count_nonzero(s > cutoff))
     if r == m:
-        return lambda: SparkResult(INFINITE, None)
+        return lambda: (SparkResult(INFINITE, None), tuple)
 
     def independent(chunk):
         return stacked_ranks(column_blocks(arr, chunk), cutoff=cutoff) == chunk.shape[1]
@@ -165,9 +165,25 @@ def _spark_scan(mat, tol: TolerancePolicy, cap: int):
         cols = list(subset)
         witness = np.zeros(m)
         witness[cols] = _small_singular_vector(arr[:, cols], len(cols))
-        return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0])
+        spans = (lambda: _spanning_sizes(s, (n, m), tol)) if top is None and 0 < r == n else tuple
+        return SparkResult(len(subset), _canonical_signs(witness[:, None])[:, 0]), spans
 
     return run
+
+
+def _spanning_sizes(s: np.ndarray, shape, tol: TolerancePolicy) -> list[int]:
+    """Sizes t in n..m - 1 at which every F_S, |S| = t, reads rank n in
+    kframe_flags (a K-frame for any K), given that spark found every n-set of
+    F (n x m, singular values s) independent under its cutoff c = rel m s_1.
+    At n, the set's own cutoff is below c by the factor m / n. Above n, with
+    delta = 8 (n + 1) m eps ||F||_F (certified_full_rank's SVD allowance), a
+    t-set holds an n-set, so by interlacing its SVD reads sigma_n > c - 2
+    delta; its cutoff is at most c_t + 2 delta, c_t = rel t s_1 (rel t < 1):
+    level t spans where c - c_t > 4 delta. delta's floor, 8 (n + 1) m 2^-1074,
+    covers subnormal roundings and decides only what is read, never a verdict."""
+    (n, m), step = shape, tol.rank_cutoff(s, (1, 1))[0]  # c - c_t = (m - t) step
+    delta = 8 * (n + 1) * m * max(np.finfo(float).eps * math.hypot(*s), 2.0**-1074)
+    return [t for t in range(n, m) if t == n or (m - t) * step > 4 * delta]
 
 
 def spark_via_kernel(
@@ -337,7 +353,9 @@ def _mrc_scan(f, k, r: int, cap: int, tol: TolerancePolicy):
                         lambda chunk: kframe_flags(arr, op, _complements(chunk, m), tol),
                         certify)
 
-    def run():
+    def run(spans=()):
+        if m - r in spans:
+            table.settle(r, True)
         failing = table.first(r, False)
         # The one set of size 0 is (), reported as no failing set.
         return failing is None, failing or None
@@ -394,22 +412,16 @@ def _kframe_table(what: str, arr: np.ndarray, op, sizes, cap: int, tol: Toleranc
 
 
 def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
-    """uniform_excess with its budget checked now and its scan left to a call.
-
-    run(spark_value) takes T_n all true when K is invertible and spark of F
-    under the same policy found no dependent n-set (value n + 1, so m > n):
-    each n-set's own cutoff, rel n sigma_max(F_S), lies below spark's fixed
-    cutoff, rel m sigma_max(F), by a factor m / n that covers the rounding of
-    both sigma_max, so every n-set spark found independent is a K-frame.
-    """
+    """uniform_excess with its budget checked now and its scan left to a call;
+    run(spans) takes T_s as all K-frames for s in spans (_spanning_sizes)."""
     arr, op = _operands(f, k, tol)
-    (n, m), rk = arr.shape, op.rank
+    m, rk = arr.shape[1], op.rank
     # T_s from s = rank K on; only maximal robustness at rank K = m reads T_m.
     table = _kframe_table("uniform_excess", arr, op, range(rk, m + (rk >= m)), cap, tol)
 
-    def run(spark_value=None):
-        if spark_value == n + 1 and rk == n:
-            table.settle(n, True)
+    def run(spans=()):
+        for s in spans:
+            table.settle(s, True)
         # Removing r columns leaves s = m - r; the largest r is the smallest exact s.
         best = next((m - s for s in range(1, m) if _exact(table, rk, s)), 0)
         robust = rk <= m and _exact(table, rk, rk)
@@ -432,14 +444,14 @@ def _excess_scan(f, k, cap: int, tol: TolerancePolicy):
 def analyze_scans(f, k, r: int, cap: int = DEFAULT_CAP, tol: TolerancePolicy = DEFAULT_TOL):
     """spark of F, uniform_excess and mrc_all at r, each as its own call returns it.
 
-    Their budgets are checked in that order before any of them scans. With K
-    invertible, T_n is read off spark's rank level when that level holds no
-    dependent set, so level n is enumerated and certified once.
+    Their budgets are checked in that order before any of them scans. When
+    spark finds no dependent n-set, uniform_excess's T_s and mrc_all's
+    complements of s columns, s in _spanning_sizes, are all K-frames, untested.
     """
     spark_run, excess_run = _spark_scan(f, tol, cap), _excess_scan(f, k, cap, tol)
     mrc_run = _mrc_scan(f, k, r, cap, tol)
-    spark_f = spark_run()
-    return spark_f, excess_run(spark_f.value), mrc_run()
+    spark_f, spanning = spark_run()
+    return spark_f, excess_run(spans := spanning()), mrc_run(spans)
 
 
 def is_maximal_robust(

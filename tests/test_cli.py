@@ -852,17 +852,18 @@ def test_analyze_is_scale_invariant(tmp_path_factory, kind, seed, n, extra, rank
 
 
 def test_analyze_tests_each_subset_once_per_scan(tmp_path):
-    """Maximal robustness is read from uniform excess's tables, and T_3 from
-    spark's: spark and mrc_all alone hand out 20 + 6 subsets here. F is full
-    spark, so spark reads its rank level, C(6, 3) = 20 sets, and names the
-    first 4-set untested; a size-ascending scan would read sizes 1 to 3 and
-    one 4-set, 42 subsets in all. K is invertible, so uniform excess needs only
-    T_3: spark found each 3-set independent, so each is a K-frame, and no 1-
-    or 2-set spans R^3, which the tables answer without a subset."""
+    """Maximal robustness is read from uniform excess's tables, and T_3 and
+    mrc_all's 5-column complements from spark's: spark alone hands out 20
+    subsets here. F is full spark, so spark reads its rank level, C(6, 3) =
+    20 sets, and names the first 4-set untested; a size-ascending scan would
+    read sizes 1 to 3 and one 4-set, 42 subsets in all. K is invertible, so
+    uniform excess needs only T_3: spark found each 3-set independent, so
+    each is a K-frame, and no 1- or 2-set spans R^3, which the tables answer
+    without a subset. Each 5-set holds an independent 3-set, so it spans R^3."""
     f, k = random_kframe(np.random.default_rng(0), 3, 6, 3)
     with counting_subsets() as seen:
         _analyze(tmp_path, f, k)
-    assert seen[0] == 26
+    assert seen[0] == 20
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
@@ -1272,8 +1273,8 @@ def test_analyze_checks_every_budget_before_any_scan(capsys, tmp_path):
     with counting_subsets() as seen:
         spark_f, excess, mrc = analyze_scans(f, k, 2)
     assert (spark_f.value, excess.value, excess.maximal_robust, mrc) == (11, 10, True, (True, None))
-    # Level 10 is enumerated once, for spark and T_10 both, and mrc_all reads its pairs.
-    assert seen[0] == math.comb(20, 10) + math.comb(20, 2)
+    # Level 10 is enumerated once, for spark, T_10 and mrc_all's 18-column complements.
+    assert seen[0] == math.comb(20, 10)
     with counting_subsets() as seen, pytest.raises(kframes.BudgetExceededError) as exc:
         kframes.uniform_excess(f, k, cap=616664)
     assert seen[0] == 0
@@ -1517,6 +1518,37 @@ def test_mis_sized_file_exits_two_naming_it(capsys, system_d, tmp_path, bad, sho
         code, out, err = run(capsys, name, "--system", system_d[0],
                              *(str(paths.get(flag, flag)) for flag in flags))
         assert (code, out, err) == (2, "", f"kframes {name}: {paths['BAD']}: {shown}\n")
+
+
+@pytest.mark.parametrize("f_shape, k_shape, shown", [
+    ((4, 4), (4, 5), "K must be square, got (4, 5)"),
+    ((4, 6), (5, 5), "F has 4 rows but K acts on dimension 5"),
+], ids=["k-not-square", "k-other-dimension"])
+@pytest.mark.parametrize("argv", [
+    ["check-dual", "--dual", "DUAL"],
+    ["canonical-dual"],
+    ["canonical-dual", "--method", "restricted"],
+    ["analyze"],
+    ["mrc", "--r", "1"],
+    ["mrc", "--sigma", "1"],
+    ["recover", "--dual", "DUAL", "--coded", "CODED", "--strategy", "consistency"],
+    ["find-rk", "--dual", "DUAL", "--r", "1"],
+    ["simulate", "--r", "1", "--signals", "10"],
+], ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+def test_mis_shaped_system_file_exits_two_naming_it(capsys, system_d, tmp_path, f_shape, k_shape,
+                                                    shown, argv):
+    """A system file whose K is not square, or whose F's rows differ from K's
+    dimension, is an input error of that file for every command that reads
+    --system: exit 2, the file named, nothing printed."""
+    path = tmp_path / "bad-system.json"
+    path.write_text(json.dumps({"F": matrix_to_obj(np.ones(f_shape)),
+                                "K": matrix_to_obj(np.eye(*k_shape))}))
+    coded = tmp_path / "coded.json"
+    coded.write_text(json.dumps({"coefficients": [None, 1.0, 2.0, 0.5], "erased": [1]}))
+    files = {"DUAL": system_d[1], "CODED": str(coded)}
+    name, *flags = argv
+    code, out, err = run(capsys, name, "--system", str(path), *(files.get(a, a) for a in flags))
+    assert (code, out, err) == (2, "", f"kframes {name}: {path}: {shown}\n")
 
 
 def test_side_info_off_side_vector_is_refused_at_small_scale(capsys, tmp_path):

@@ -985,29 +985,74 @@ _SCALES = st.one_of(st.sampled_from([1e-150, 1e150]),
                     st.floats(-150, 150).map(lambda e: 10.0 ** e))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 5),
     extra=st.integers(0, 4),
-    damage=st.sampled_from(["none", "duplicate", "two_duplicates", "zero"]),
-    r=st.integers(0, 3),
+    rank_k=st.integers(0, 5),
+    damage=st.sampled_from(["none", "none", "duplicate", "two_duplicates", "zero"]),
+    r=st.integers(0, 9),
+    rel=st.sampled_from([DEFAULT_TOL.rank_cutoff_rel, 1e-3, 1e-15]),
     a=_SCALES,
     b=_SCALES,
 )
-def test_analyze_reads_t_n_off_spark_as_uniform_excess_would(seed, n, extra, damage, r, a, b):
-    """With K invertible, analyze takes T_n all true when spark's rank level
-    holds no dependent set (spark n + 1; undamaged), and reads it itself when
-    spark is at most n (damaged): either way its uniform excess and maximal
-    robustness are uniform_excess's own, under independent scalings of F and K."""
+def test_analyze_reads_t_n_off_spark_as_uniform_excess_would(seed, n, extra, rank_k, damage, r,
+                                                              rel, a, b):
+    """For every rank K in 0..n and r in 0..m, analyze takes T_s and mrc_all's
+    complements of s columns as all K-frames where spark's rank level holds
+    no dependent set (spark n + 1): at s = n always, above n where the
+    cutoffs' gap covers the SVD error, which at rank tolerance 1e-15 it never
+    does. Damaged draws have spark at most n and settle nothing. Either way
+    its spark, uniform excess, maximal robustness and MRC are each scan's
+    own, under independent scalings of F and K."""
     rng = np.random.default_rng(seed)
     m = n + extra
-    f, k = _damaged_kframe(rng, n, m, n, damage)
+    f, k = _damaged_kframe(rng, n, m, rank_k % (n + 1), damage)
     f, k = a * f, b * k
     r = min(r, m)
-    spark_f, excess, mrc = analyze_scans(f, k, r)
-    assert excess == uniform_excess(f, k)
-    assert (spark_f.value, mrc) == (spark(f).value, mrc_all(f, k, r))
+    tol = TolerancePolicy(rank_cutoff_rel=rel)
+    with mock.patch.object(frames.SubsetTable, "settle", autospec=True,
+                           side_effect=frames.SubsetTable.settle) as settle:
+        spark_f, excess, mrc = analyze_scans(f, k, r, tol=tol)
+    # uniform_excess's table settles its levels first, then mrc_all's its one.
+    calls = [call.args for call in settle.call_args_list]
+    assert all(value is True for _, _, value in calls)
+    settled = [s for table, s, _ in calls if table is calls[0][0]]
+    assert [s for table, s, _ in calls if table is not calls[0][0]] == (
+        [r] if m - r in settled else [])
+    above = [s for s in settled if s > n]
+    event(f"rel {rel:g}: " + ("nothing" if not settled else "T_n alone" if not above else
+                              "every level" if len(above) == m - n - 1 else "some levels")
+          + " settled")
+    if rel == 1e-15:
+        assert not above
+    assert excess == uniform_excess(f, k, tol=tol)
+    assert spark_f.value == spark(f, tol).value
+    np.testing.assert_array_equal(spark_f.witness, spark(f, tol).witness)
+    assert mrc == mrc_all(f, k, r, tol=tol)
+
+
+# C(14, 7) for spark's rank level; with rank K 5, T_5 and T_6 read to their first
+# failure and first K-frame, 10; at 1e-15, mrc_all's pairs (91) and, with rank K 5,
+# the first subset of T_8..T_12 (5), the rest of T_12 (90) and T_13 (14) again.
+@pytest.mark.parametrize("rank_k, rel, subsets", [
+    (7, DEFAULT_TOL.rank_cutoff_rel, 3432),
+    (5, DEFAULT_TOL.rank_cutoff_rel, 3432 + 10),
+    (7, 1e-15, 3432 + 91),
+    (5, 1e-15, 3432 + 10 + 5 + 90 + 14 + 91),
+])
+def test_analyze_hands_out_spark_rank_level_and_little_else(rank_k, rel, subsets):
+    """Generic 7x14 systems at seed 11, analyze --r 2: spark reads its rank
+    level, C(14, 7) = 3,432 subsets, and every K-frame level of 7..13 columns
+    and each 12-column complement is read off it, for K invertible and for
+    rank K 5. At rank tolerance 1e-15 the cutoffs' gap lies below the SVD
+    error, so only T_7 is read off it, and the levels above are read again."""
+    f, k = random_kframe(np.random.default_rng(11), 7, 14, rank_k)
+    with counting_subsets() as seen:
+        spark_f, excess, mrc = analyze_scans(f, k, 2, tol=TolerancePolicy(rank_cutoff_rel=rel))
+    assert (spark_f.value, excess.value, mrc) == (8, 7 if rank_k == 7 else 0, (True, None))
+    assert seen[0] == subsets
 
 
 def _kframe_verdicts(f, k, sigma, r):
