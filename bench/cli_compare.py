@@ -26,8 +26,9 @@ lie past float64. mrc runs with every kind of --sigma spelling (signs,
 leading zeros, empty items, non-integers, positions out of range or
 repeated), on FIX-D's system and on a missing one. Malformed inputs on
 FIX-D follow: invalid JSON, a JSON or CSV file that is not UTF-8, missing
-keys, ragged rows, bool, string, null, 1e999 and 10**400 entries in every
-file kind, bad erased positions, CSV matrices good and bad (a
+keys, ragged rows, a repeated key (at the top and inside a matrix object),
+bool, string, null, 1e999 and 10**400 entries in every file kind, bad
+erased positions, CSV matrices good and bad (a
 non-numeric, blank, nan, inf or 1e999 cell), and a missing file, each
 given by a plain, a ./-prefixed and a doubled-slash path, since messages
 print the path. Last come the cases of scale-free verdicts: side-info
@@ -36,8 +37,11 @@ FIX-A..D at 1e-5 and 1e-100, each recover with a side vector off by half
 its largest entry; analyze and spark on F = [[s, s]], K = [[s]] at s =
 1e-300 and 1e-310; on FIX-D a dual of shape 4x3 (check-dual, recover), a
 side vector of one entry (recover) and a 2x2 recovery matrix (recover,
-simulate); and system files whose K is 4x5, or 5x5 beside a 4x6 F, with
-every command that reads --system. Every generated K-frame also runs
+simulate); system files whose K is 4x5, or 5x5 beside a 4x6 F, with
+every command that reads --system; and FIX-A..D at 2^-1000, 2^-500, 2^500
+and 2^1000, past where LAPACK rescales K, each running analyze, check-dual
+with its scale-1 dual, canonical-dual --method restricted and mrc --sigma
+at every position. Every generated K-frame also runs
 analyze at each r in 0..m, and a generic 7x14 pair (K invertible, and
 rank K 5) runs analyze at each r in 0..14, at the default --tol-rank and
 at 1e-15. Each checkout runs the whole corpus in its own Python
@@ -290,6 +294,19 @@ def _malformed(work: Path, system: str, dual: str) -> list[list[str]]:
     for named in files.values():  # bytes, written as they are: neither file is UTF-8
         named.update({"not-utf8.json": b'\xff{"rows": 1}',
                       "not-utf8.csv": b"1.0,2.0\n3.0,\xc3(\n"})
+    for kind, text in {  # a repeated key: json alone keeps the last value
+            "system": f'{{"F": {json.dumps(_matrix(f))}, "K": {json.dumps(_matrix(k))}, '
+                      f'"F": {json.dumps(_matrix(2 * fix.F))}}}',
+            "dual": f'{{"G": {json.dumps(_matrix(g))}, "G": {json.dumps(_matrix(2 * fix.dual))}}}',
+            "coded": f'{{"coefficients": {json.dumps([None, *c[1:]])}, "erased": [1], '
+                     f'"erased": [2]}}',
+            "side": f'{{"rows": 4, "cols": 1, "data": {json.dumps([[x] for x in c])}, '
+                    f'"cols": 1}}',
+            "rk": f'{{"rows": 4, "rows": 4, "cols": 4, "data": {json.dumps(gram)}}}'}.items():
+        files[kind]["repeated-key.json"] = text
+    files["system"]["repeated-rows.json"] = (
+        f'{{"F": {{"rows": 4, "cols": 4, "rows": 4, "data": {json.dumps(f)}}}, '
+        f'"K": {json.dumps(_matrix(k))}}}')
     for what, erased in {"outside": [5], "zero": [0], "repeat": [1, 1], "bool": [True],
                          "float": [1.0], "string": "1"}.items():
         files["coded"][f"erased-{what}.json"] = _bad_text(
@@ -368,6 +385,17 @@ def _scale_cases(work: Path) -> list[list[str]]:
         [*recover, "blind", "--rk-matrix", rk],
         ["simulate", *fixd, "--r", "1", "--signals", "10", "--rk-matrix", rk],
     ]
+    # FIX-A..D past 2^±459, where LAPACK rescales K unless it is factored at unit size.
+    for (name, fix), j in itertools.product(sorted(FIXTURES.items()), (-1000, -500, 500, 1000)):
+        g = _pinv_dual(fix.F, fix.K) if fix.dual is None else fix.dual
+        system = _write(work / f"{name}@2^{j}.json", {"F": _matrix(np.ldexp(fix.F, j)),
+                                                      "K": _matrix(np.ldexp(fix.K, j))})
+        base = ["--system", system]
+        commands += [["analyze", *base],
+                     ["check-dual", *base, "--dual", _write(work / f"{name}@2^{j}-dual.json",
+                                                            {"G": _matrix(g)})],
+                     ["canonical-dual", *base, "--method", "restricted"],
+                     *(["mrc", *base, "--sigma", str(i)] for i in range(1, fix.F.shape[1] + 1))]
     # System files whose K is not square, or acts on other than F's rows.
     for f_shape, k_shape in (((4, 4), (4, 5)), ((4, 6), (5, 5))):
         system = _write(work / "sized-system-{}x{}.json".format(*k_shape),

@@ -34,7 +34,6 @@ from .frames import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SubspaceBasis,
     TolerancePolicy,
     null_space_basis,
     operator_norm,

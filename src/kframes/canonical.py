@@ -68,8 +68,8 @@ def is_canonical(sys: KFrameSystem, dual: DualSystem) -> bool:
     if not dual.is_valid:
         raise ValueError("is_canonical requires a valid dual")
     g, _ = unit_scaled(dual.G)
-    null = null_space_basis(sys.F, sys.tol)
-    return sys.tol.accepts(operator_norm(g @ null.basis), operator_norm(g), factor=10)
+    return sys.tol.accepts(operator_norm(g @ null_space_basis(sys.F, sys.tol)),
+                           operator_norm(g), factor=10)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def canonical_kdual_restricted(sys: KFrameSystem) -> RestrictedDualReport:
     # each 2^(e - e_K) times the unscaled one, are scaled back exactly.
     f, f_exp = unit_scaled(sys.F)
     k, k_exp = unit_scaled(sys.K.matrix)
-    d = sys.K.range.basis
+    d = sys.K.range
     r, inv = _restricted_inverse(f, d)
     g_image = np.ldexp(k.T @ d @ inv @ r.T @ f, k_exp - f_exp)
     g_domain = np.ldexp(k.T @ r @ inv.T @ d.T @ f, k_exp - f_exp)

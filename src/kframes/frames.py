@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SubspaceBasis,
     TolerancePolicy,
     _canonical_signs,
     _svd_rank,
@@ -66,8 +65,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorK:
-    """A square operator, its rank and U of one SVD: U's first rank columns span
-    R(K), the rest R(K)^perp (range_perp); the signed range is formed on first read."""
+    """A square operator, its rank and U of one SVD of K at unit size (unit_scaled), so
+    neither depends on K's scale: U's first rank columns span R(K), the rest R(K)^perp
+    (range_perp); the signed n x rank range is formed on first read."""
 
     matrix: np.ndarray
     rank: int
@@ -78,12 +78,12 @@ class OperatorK:
         arr = ensure_matrix(m, "K")
         if arr.shape[0] != arr.shape[1]:
             raise ShapeMismatchError(f"K must be square, got {arr.shape}")
-        u, s, _ = svd_factor(arr)
+        u, s, _ = svd_factor(unit_scaled(arr)[0])
         return cls(matrix=arr, rank=_svd_rank(s, arr.shape, tol), left=u)
 
     @cached_property
-    def range(self) -> SubspaceBasis:
-        return SubspaceBasis(self.dim, _canonical_signs(self.left[:, :self.rank]))
+    def range(self) -> np.ndarray:
+        return _canonical_signs(self.left[:, :self.rank])
 
     @property
     def range_perp(self) -> np.ndarray:
@@ -383,12 +383,12 @@ def verify_kframe(f, k, tol: TolerancePolicy = DEFAULT_TOL) -> KFrameSystem:
     """
     arr, op = _operands(f, k, tol)
     if not kframe_flags(arr, op, np.arange(arr.shape[1])[None], tol)[0]:
-        proj = range_basis(arr, tol).projector()
-        leftover = op.range.basis - proj @ op.range.basis
+        span = range_basis(arr, tol)
+        leftover = op.range - span @ span.T @ op.range
         worst = int(np.argmax(np.linalg.norm(leftover, axis=0)))
         raise NotKFrameError(
             "operator range is not contained in the frame span",
-            witness=op.range.basis[:, worst].copy(),
+            witness=op.range[:, worst].copy(),
         )
     return KFrameSystem(F=arr, K=op, tol=tol)
 
@@ -464,15 +464,14 @@ def dual_perturbation(sys: KFrameSystem, base: DualSystem, coeffs) -> DualSystem
         raise ValueError("base dual must be valid before perturbing")
     null = null_space_basis(sys.F, sys.tol)
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size == 0:
-        coeffs = coeffs.reshape(sys.n, null.dim) if null.dim == 0 else coeffs
-    if coeffs.shape != (sys.n, null.dim):
-        raise ShapeMismatchError(
-            f"coeffs shape {coeffs.shape} != (n, kernel dim) = ({sys.n}, {null.dim})"
-        )
-    if null.dim == 0:
+    d = null.shape[1]
+    if d == 0 and coeffs.size == 0:
         return base
-    return verify_kdual(sys, base.G + coeffs @ null.basis.T)
+    if coeffs.shape != (sys.n, d):
+        raise ShapeMismatchError(
+            f"coeffs shape {coeffs.shape} != (n, kernel dim) = ({sys.n}, {d})"
+        )
+    return verify_kdual(sys, base.G + coeffs @ null.T)
 
 
 def _max_erasure_norm(

@@ -5,8 +5,9 @@ numerical verdict applies one of TolerancePolicy's two purely relative rules,
 so none depends on the input's scale: rank_cutoff, relative to the largest
 singular value, and accepts, relative to the scale of the terms a residual
 sums. A pseudo-inverse whose kept 1 / sigma overflows is refused with
-KFrameError. Orthonormal bases come from the SVD, signed deterministically
-(the largest-magnitude entry of each basis vector is positive).
+KFrameError. A subspace is a plain float64 array of orthonormal columns, U or V
+of one SVD, signed deterministically (the largest-magnitude entry of each
+basis vector is positive); no check re-tests its orthonormality.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import KFrameError, ShapeMismatchError
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_TOL",
-    "SubspaceBasis",
     "ensure_matrix",
     "svd_factor",
     "rank_of",
@@ -103,38 +103,6 @@ def ensure_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of R^ambient_dim, columns are vectors.
-
-    An empty basis (zero columns) is a legal value representing the trivial
-    subspace.
-    """
-
-    ambient_dim: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = ensure_matrix(self.basis, "basis")
-        if b.shape[0] != self.ambient_dim:
-            raise ShapeMismatchError(
-                f"basis rows {b.shape[0]} != ambient dim {self.ambient_dim}"
-            )
-        if b.shape[1]:
-            # np.allclose(gram, I, atol=1e-8) written out, without its overhead.
-            eye = np.eye(b.shape[1])
-            if not (np.abs(b.T @ b - eye) <= 1e-8 + 1e-5 * eye).all():
-                raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-
 def _canonical_signs(columns: np.ndarray) -> np.ndarray:
     """Flip column signs so the leading near-maximal entry is positive.
 
@@ -170,23 +138,15 @@ def rank_of(m, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     return _svd_rank(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
 
 
-def stacked_ranks(
-    blocks: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL, cutoff: float | None = None
-) -> np.ndarray:
-    """Rank of every block of an N x n x k stack, from one stacked SVD.
-
-    The stacked SVD returns the singular values that a separate SVD of each
-    block returns, so each rank equals that block's own rank decision: by
-    rank_of's relative cutoff, or by the fixed cutoff when one is given.
-    Blocks without rows or columns have rank 0, with no SVD: kframe_flags
-    meets them whenever K is invertible.
+def stacked_ranks(blocks: np.ndarray, cutoff) -> np.ndarray:
+    """Rank of every block of an N x n x k stack against a fixed cutoff (one, or
+    one per block), from one stacked SVD, which returns the singular values that
+    a separate SVD of each block returns. Blocks without rows or columns have
+    rank 0, with no SVD: kframe_flags meets them whenever K is invertible.
     """
     if blocks.shape[-1] == 0 or blocks.shape[-2] == 0:
         return np.zeros(len(blocks), dtype=np.intp)
-    s = np.linalg.svd(blocks, compute_uv=False)
-    if cutoff is None:
-        cutoff = tol.rank_cutoff(s, blocks.shape)
-    return np.count_nonzero(s > cutoff, axis=1)
+    return np.count_nonzero(np.linalg.svd(blocks, compute_uv=False) > cutoff, axis=1)
 
 
 def intersection_dims(
@@ -222,10 +182,10 @@ def certified_full_rank(
     mat: np.ndarray, subsets: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
     cutoff: float | None = None
 ) -> np.ndarray:
-    """True where stacked_ranks(mat[:, S], tol, cutoff) is sure to read rank
-    k = min(p, q), for every row S of an N x q index array of distinct
-    indices, p the rows of mat: F_S is proven independent (q <= p) or to span
-    R^p (q > p).
+    """True where the rank of mat[:, S] against cutoff, or else against the
+    policy's cutoff of that block, is sure to read k = min(p, q), for every row
+    S of an N x q index array of distinct indices, p the rows of mat: F_S is
+    proven independent (q <= p) or to span R^p (q > p).
 
     mat is scaled once, exactly, by 2^-e to unit size. For each block B =
     F[:, S] (F = mat / 2^e) the Gram of the smaller side is formed: on the
@@ -343,18 +303,18 @@ def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     return pinv_and_rank(m, tol)[0]
 
 
-def range_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the column space (left singular vectors)."""
+def range_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal n x rank basis of the column space: the signed left singular vectors."""
     arr = ensure_matrix(m)
     u, s, _ = svd_factor(arr)
-    return SubspaceBasis(arr.shape[0], _canonical_signs(u[:, :_svd_rank(s, arr.shape, tol)]))
+    return _canonical_signs(u[:, :_svd_rank(s, arr.shape, tol)])
 
 
-def null_space_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the kernel; empty basis when the kernel is trivial."""
+def null_space_basis(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal m x (m - rank) basis of the kernel, signed; m x 0 when it is trivial."""
     arr = ensure_matrix(m)
     _, s, v = svd_factor(arr)
-    return SubspaceBasis(arr.shape[1], _canonical_signs(v[:, _svd_rank(s, arr.shape, tol):]))
+    return _canonical_signs(v[:, _svd_rank(s, arr.shape, tol):])
 
 
 def operator_norm(m) -> float:
@@ -396,7 +356,7 @@ def _restricted_inverse(f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.nd
     dimension k. A restriction that is numerically singular reaches
     np.linalg.inv's LinAlgError."""
     image = (f @ f.T) @ d
-    # Contiguous, as range_basis's basis is: a strided single column rounds r^T S d apart.
+    # Contiguous, as range_basis is: a strided single column rounds r^T S d apart.
     r = svd_factor(image)[0][:, : d.shape[1]].copy()
     return r, np.linalg.inv(r.T @ image)
 

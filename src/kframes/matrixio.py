@@ -3,8 +3,9 @@
 JSON format: {"rows": n, "cols": m, "data": [[row], ...]}. CSV alternative:
 one matrix row per line, comma separated, each cell a JSON number (JSON
 whitespace around it is allowed). Ragged rows are rejected in both
-formats. An entry (matrix, vector or coded coefficient) must be a Python or
-numpy real, not a bool or string, and finite; `finite_entries` is that check.
+formats, and so is a JSON object that repeats a key. An entry (matrix,
+vector or coded coefficient) must be a Python or numpy real, not a bool or
+string, and finite; `finite_entries` is that check.
 """
 
 from __future__ import annotations
@@ -132,16 +133,34 @@ def _read_text(path: Path) -> str:
             f"{path}: not UTF-8 text (byte {exc.start + 1}: {exc.reason})") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's pairs as a dict; KeyError carrying the first key that repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise KeyError(next(key for i, key in enumerate(keys) if key in keys[:i]))
+    return obj
+
+
+# One decoder for every file: building one per call costs more than the parse.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def read_json(path):
     """The parsed JSON file; MatrixFormatError naming the file when it is not
-    UTF-8 text or not JSON.
+    UTF-8 text, not JSON, or repeats a key in any object, at any depth.
 
     path is a str or a Path; a Path is read as given, without building another.
     """
+    text = _read_text(path if isinstance(path, Path) else Path(path))
     try:
-        return json.loads(_read_text(path if isinstance(path, Path) else Path(path)))
+        if text.startswith("\ufeff"):  # json.loads' refusal, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise MatrixFormatError(f"{path}: repeated key {exc.args[0]!r}") from None
 
 
 def load_matrix(path, key: str | tuple[str, ...] | None = None, bare: bool = False):

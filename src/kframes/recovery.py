@@ -219,7 +219,8 @@ def find_rk_matrix(
     if r_target == 0:
         cert = validate_rk_matrix(sys, dual, sys.gramian, cap=cap)
         return RkSearchResult(certificate=cert, mode="both", trial=0)
-    annihilator = np.eye(sys.m) - range_basis(dual.G.T, sys.tol).projector()
+    row_space = range_basis(dual.G.T, sys.tol)
+    annihilator = np.eye(sys.m) - row_space @ row_space.T
     a = np.random.default_rng(0).standard_normal((sys.m, sys.m))
     cert = validate_rk_matrix(sys, dual, sys.gramian + a @ annihilator, cap=cap)
     blind_ok = cert.r_blind >= r_target
@@ -321,7 +322,7 @@ def plan_recovery(
 
     side-info and blind read m_mat (default: the Gramian), consistency the
     dual; N is M, M - Gram or Q, the projector onto Ker G (bit for bit
-    null_space_basis(G).projector()), exactly 0 when that kernel is trivial.
+    N N^T for N = null_space_basis(G)), exactly 0 when that kernel is trivial.
     One stacked SVD of the erased blocks N_L, each ranked against spark's
     cutoff at sigma_max(N), gives every set its rank, pseudo-inverse and null
     right singular vectors; a rank-deficient set is marked by its deficiency,
@@ -340,7 +341,7 @@ def plan_recovery(
     known = _complements(erased, sys.m)
     if strategy == "consistency":
         # Unsigned kernel vectors: a sign flip leaves each v v^T bit-identical, and a
-        # C-ordered N rounds as null_space_basis's basis.
+        # C-ordered N rounds as null_space_basis does.
         _, s, v = svd_factor(dual.G)
         null = np.ascontiguousarray(v[:, _svd_rank(s, dual.G.shape, tol):])
         mat = null @ null.T
@@ -462,7 +463,7 @@ def projected_dual_expansion(
     tol = sys.tol
     mask = normalize_erasure_set(lam, sys.m)
     survivors = [j for j in range(sys.m) if j not in mask]
-    projector = sys.K.range.projector()
+    projector = sys.K.range @ sys.K.range.T
     targets = projector @ dual.G[:, list(mask)]
     basis = sys.F[:, survivors]
     alpha = (pseudo_inverse(basis, tol) @ targets).T
@@ -504,7 +505,7 @@ def erasure_error_split(
     """Erasure error and uniform excess: F_L G_L^T split as ErrorSplit describes."""
     n = sys.n
     idx = list(normalize_erasure_set(lam, sys.m))
-    projector = sys.K.range.projector()
+    projector = sys.K.range @ sys.K.range.T
     f_part = sys.F[:, idx]
     g_part = dual.G[:, idx]
     error = f_part @ g_part.T
@@ -522,7 +523,7 @@ def worst_residual_error(
     sys: KFrameSystem, dual: DualSystem, r: int, cap: int = DEFAULT_CAP
 ) -> tuple[float, tuple[int, ...]]:
     """Erasure error and uniform excess: the exact worst residual error over |L| = r."""
-    residual_dual = (np.eye(sys.n) - sys.K.range.projector()) @ dual.G
+    residual_dual = (np.eye(sys.n) - sys.K.range @ sys.K.range.T) @ dual.G
     return _max_erasure_norm("worst_residual_error", sys.F, residual_dual, r, cap)
 
 
@@ -569,8 +570,8 @@ def compose_recovery_matrices(
         composed_spark = spark(product, tol, cap)
     spark_m = spark(m_arr, tol, cap)
     kernel = null_space_basis(m_arr, tol)
-    contained = not kernel.dim or bool(tol.accepts(
-        np.max(np.abs(product @ kernel.basis), initial=0.0), operator_norm(product), factor=10))
+    contained = not kernel.shape[1] or bool(tol.accepts(
+        np.max(np.abs(product @ kernel), initial=0.0), operator_norm(product), factor=10))
     return ComposedRecovery(
         product=product,
         spark=composed_spark,

@@ -207,13 +207,12 @@ def spark_via_kernel(
     """
     arr = ensure_matrix(mat)
     m = arr.shape[1]
-    kernel = null_space_basis(arr, tol)
-    d = kernel.dim
+    nb = null_space_basis(arr, tol)
+    d = nb.shape[1]
     if d == 0:
         return SparkResult(INFINITE, None)
     # Sizes 1..m - d are spark's 1..rank; the (m - d + 1)-set witness is untested.
     scan_budget("spark_via_kernel", m, range(1, m - d + 1), cap)
-    nb = kernel.basis
     # Row submatrices of an orthonormal basis must be ranked against the
     # basis scale (1), not their own largest entry, or pure round-off rows
     # read as full rank.
@@ -325,11 +324,11 @@ def _parseval_condition(
     x = pseudo_inverse(f, sys.tol) @ k
     t = k - f[:, list(sig)] @ x[list(sig), :]
     domain = range_basis(sys.K.matrix.T, sys.tol)
-    image = range_basis(t @ domain.basis, sys.tol)
+    image = range_basis(t @ domain, sys.tol)
     f_c = f[:, survivors]
-    target = (f_c @ f_c.T) @ sys.K.range.basis
-    return image.dim == domain.dim and ranges_nested(
-        image.basis, target, sys.tol) and ranges_nested(target, image.basis, sys.tol)
+    target = (f_c @ f_c.T) @ sys.K.range
+    return image.shape[1] == domain.shape[1] and ranges_nested(
+        image, target, sys.tol) and ranges_nested(target, image, sys.tol)
 
 
 def mrc_all(
@@ -492,7 +491,7 @@ def derived_pinv_frames(
     # back exactly; (K^+)^T K^+, which can over- or underflow, is never formed.
     unit, e = unit_scaled(f_c)
     k, k_e = unit_scaled(sys.K.matrix)
-    d = sys.K.range.basis
+    d = sys.K.range
     r, inv = _restricted_inverse(unit, d)
     seq1 = np.ldexp(k.T @ d @ inv @ r.T @ unit, k_e - e)
     k_pinv = pseudo_inverse(sys.K.matrix, sys.tol)

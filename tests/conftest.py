@@ -93,6 +93,11 @@ def stacked_blocks(counter):
     return sum(np.asarray(call.args[0])[..., 0, 0].size for call in counter.call_args_list)
 
 
+def projector(basis):
+    """The orthogonal projector onto the span of an orthonormal basis array."""
+    return basis @ basis.T
+
+
 def random_operator(rng, n, rank):
     """Random n x n matrix of exact rank (generic factor product)."""
     if rank == 0:

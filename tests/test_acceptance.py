@@ -34,7 +34,12 @@ from kframes import (
 from kframes.cli import run_command
 from kframes.fixtures import FIXTURES
 
-from conftest import random_inrange_kframe, random_kframe, uniform_excess_construction
+from conftest import (
+    projector,
+    random_inrange_kframe,
+    random_kframe,
+    uniform_excess_construction,
+)
 
 
 def _report(cid, ok, detail):
@@ -184,7 +189,7 @@ def test_criterion_5_minimal_norm_and_dual_identity():
         null = null_space_basis(sys.F)
         gram = result.dual.G @ result.dual.G.T
         for _ in range(3):
-            coeffs = rng.standard_normal((sys.n, null.dim))
+            coeffs = rng.standard_normal((sys.n, null.shape[1]))
             other = dual_perturbation(sys, result.dual, coeffs)
             if result.analysis_norm > operator_norm(other.G.T) + 1e-9:
                 norm_violations += 1
@@ -240,7 +245,7 @@ def test_criterion_7_perfect_reconstruction_in_range_duals():
         dual = canonical_kdual(sys).dual
         # Construction guarantee: every dual vector lies in R(K).
         off_range = operator_norm(
-            (np.eye(n) - sys.K.range.projector()) @ dual.G
+            (np.eye(n) - projector(sys.K.range)) @ dual.G
         )
         worst = max(worst, off_range)
         for r in range(1, sys.m):

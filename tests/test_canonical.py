@@ -40,7 +40,7 @@ class TestCanonicalKdual:
         null = null_space_basis(sys_d.F)
         rng = np.random.default_rng(31)
         for _ in range(50):
-            coeffs = rng.standard_normal((sys_d.n, null.dim))
+            coeffs = rng.standard_normal((sys_d.n, null.shape[1]))
             other = dual_perturbation(sys_d, result.dual, coeffs)
             assert result.analysis_norm <= operator_norm(other.G.T) + 1e-9
 
@@ -105,7 +105,7 @@ class TestIsCanonical:
     def test_perturbed_false(self, sys_d, dual_d):
         can = canonical_kdual(sys_d).dual
         null = null_space_basis(sys_d.F)
-        coeffs = np.ones((sys_d.n, null.dim))
+        coeffs = np.ones((sys_d.n, null.shape[1]))
         perturbed = dual_perturbation(sys_d, can, coeffs)
         assert not is_canonical(sys_d, perturbed)
         # The published dual differs from canonical, so it cannot pass.
@@ -123,7 +123,7 @@ class TestIsCanonical:
         gram = can.G @ can.G.T
         for _ in range(20):
             z = dual_perturbation(
-                sys_c, can, rng.standard_normal((sys_c.n, null.dim))
+                sys_c, can, rng.standard_normal((sys_c.n, null.shape[1]))
             )
             assert operator_norm(gram - can.G @ z.G.T) <= 1e-8
 
@@ -201,7 +201,7 @@ class TestMinimality:
             null = null_space_basis(sys.F)
             for _ in range(3):
                 other = dual_perturbation(
-                    sys, result.dual, rng.standard_normal((sys.n, null.dim))
+                    sys, result.dual, rng.standard_normal((sys.n, null.shape[1]))
                 )
                 assert result.analysis_norm <= operator_norm(other.G.T) + 1e-9
 
@@ -231,8 +231,8 @@ def test_canonical_dual_is_minimal(seed, inrange, n, extra, rank_k, exponent, k_
     result = canonical_kdual(sys)
     assert is_canonical(sys, result.dual)
     null = null_space_basis(sys.F, sys.tol)
-    assert null.dim >= extra
-    coeffs = rng.standard_normal((sys.n, null.dim))
+    assert null.shape[1] >= extra
+    coeffs = rng.standard_normal((sys.n, null.shape[1]))
     coeffs[0, 0] += np.copysign(1.0, coeffs[0, 0])  # keeps C away from 0
     other = dual_perturbation(sys, result.dual, 10.0 ** k_exponent * coeffs)
     assert other.is_valid
@@ -320,9 +320,9 @@ def _restricted_duals_ranked(sys):
     basis) and the inverse of the coordinate matrix r^T S d; None where that
     route refused, the basis having fewer than rank K columns."""
     f, f_exp = unit_scaled(sys.F)
-    d = sys.K.range.basis
+    d = sys.K.range
     image = (f @ f.T) @ d
-    r = range_basis(image, sys.tol).basis
+    r = range_basis(image, sys.tol)
     if r.shape[1] < d.shape[1]:
         return None
     inv = np.linalg.inv(r.T @ image)

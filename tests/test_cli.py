@@ -1123,6 +1123,53 @@ def test_non_utf8_file_exits_two_naming_it(capsys, system_d, tmp_path, flag, suf
     assert f"{bad}: not UTF-8 text (byte {byte}: " in err
 
 
+def _object(*pairs) -> str:
+    """A JSON object written pair by pair, so a key may repeat."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--system", "F"), ("--system", "rows"), ("--dual", "G"), ("--coded", "erased"),
+    ("--side-info", "cols"), ("--rk-matrix", "data")])
+def test_repeated_key_exits_two_naming_file_and_key(capsys, system_d, tmp_path, flag, key):
+    """A repeated key in any file, at the top or inside a matrix object, exits 2
+    with the file and the key, where json would keep the last value silently."""
+    fix = FIXTURES["FIX-D"]
+
+    def matrix(a, repeat=None):
+        a = np.asarray(a, dtype=float)
+        pairs = [("rows", a.shape[0]), ("cols", a.shape[1]), ("data", json.dumps(a.tolist()))]
+        return _object(*pairs, *[p for p in pairs if p[0] == repeat])
+
+    texts = {
+        "--system": _object(("F", matrix(fix.F, key)), ("K", matrix(fix.K)),
+                            *([("F", matrix(2 * fix.F))] if key == "F" else [])),
+        "--dual": _object(("G", matrix(fix.dual)), ("G", matrix(2 * fix.dual))),
+        "--coded": _object(("coefficients", "[null, 1.0, 2.0, 0.5]"), ("erased", "[1]"),
+                           ("erased", "[2]")),
+        "--side-info": matrix(np.ones((4, 1)), key),
+        "--rk-matrix": matrix(fix.F.T @ fix.F, key),
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(texts[flag])
+    coded = tmp_path / "coded.json"
+    coded.write_text(json.dumps({"coefficients": [None, 1.0, 2.0, 0.5], "erased": [1]}))
+    system, dual = system_d
+    recover = ["recover", "--system", system, "--dual", dual]
+    argv = {
+        "--system": ["analyze", "--system", str(bad)],
+        "--dual": ["check-dual", "--system", system, "--dual", str(bad)],
+        "--coded": recover + ["--coded", str(bad)],
+        "--side-info": recover + ["--coded", str(coded), "--strategy", "side-info",
+                                  "--side-info", str(bad)],
+        "--rk-matrix": recover + ["--coded", str(coded), "--strategy", "blind",
+                                  "--rk-matrix", str(bad)],
+    }[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"kframes {argv[0]}: {bad}: repeated key {key!r}\n"
+
+
 def test_system_file_is_checked_f_before_k(capsys, tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"F": {"rows": 1, "cols": 1, "data": [["x"]]}}))
@@ -1155,16 +1202,15 @@ def test_overflow_exits_one_without_warnings(capsys, tmp_path, strategy):
 def test_overflowed_singular_value_decides_no_rank(tmp_path_factory, rows, cols, factor):
     """Equal entries of 2^1024 / k times factor, k = min(rows, cols) >= 2: the
     largest singular value passes float64, and LAPACK returns inf for it. Each
-    rank decision refuses that (OperatorK on the leading k x k block), and
-    spark --matrix exits 1."""
+    rank decision refuses that, and spark --matrix exits 1. OperatorK factors
+    K at unit size, so it reads the leading k x k block's rank, 1, at any scale."""
     k = min(rows, cols)
     block = np.full((rows, cols), math.ldexp(2.0 / k * factor, 1023))
     message = "computed values leave the float64 range"
-    for decide, mat in ((kframes.spark, block), (kframes.rank_of, block),
-                        (kframes.null_space_basis, block),
-                        (kframes.OperatorK.from_matrix, block[:k, :k])):
+    for decide in (kframes.spark, kframes.rank_of, kframes.null_space_basis):
         with pytest.raises(kframes.KFrameError, match=message):
-            decide(mat)
+            decide(block)
+    assert kframes.OperatorK.from_matrix(block[:k, :k]).rank == 1
     path = tmp_path_factory.mktemp("overflow") / "block.json"
     path.write_text(json.dumps(_matrix_obj(block)))
     out, err = io.StringIO(), io.StringIO()

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kframes import (
@@ -41,7 +41,7 @@ from kframes.fixtures import FIXTURES
 from kframes.frames import SCAN_CHUNK
 from kframes.linalg import _canonical_signs, svd_factor, unit_scaled
 
-from conftest import lower_bound_oracle, random_kframe, random_operator
+from conftest import lower_bound_oracle, projector, random_kframe, random_operator
 
 
 class TestVerifyKFrame:
@@ -212,7 +212,7 @@ class TestVerifyKDual:
 
         null = null_space_basis(sys_d.F)
         for _ in range(10):
-            coeffs = rng.standard_normal((sys_d.n, null.dim))
+            coeffs = rng.standard_normal((sys_d.n, null.shape[1]))
             duals.append(dual_perturbation(sys_d, dual_d, coeffs))
         bound = 1e-8 * (1 + operator_norm(sys_d.K.matrix))
         for dual in duals:
@@ -327,7 +327,7 @@ def test_stacked_erasure_norms_match_a_per_subset_loop(seed, n, extra, rank_k, r
     sys = KFrameSystem(f * 2.0 ** rng.integers(-40, 41, m), OperatorK.from_matrix(k),
                        TolerancePolicy())
     dual = verify_kdual(sys, rng.standard_normal((n, m)) * 2.0 ** rng.integers(-40, 41, m))
-    residual_g = (np.eye(n) - sys.K.range.projector()) @ dual.G
+    residual_g = (np.eye(n) - projector(sys.K.range)) @ dual.G
     chunks, left, size = 0, comb(m, r), 1
     while left > 0:
         chunks, left, size = chunks + 1, left - size, min(8 * size, SCAN_CHUNK)
@@ -493,18 +493,42 @@ def test_bounds_are_formed_on_first_read(name, scale):
        exponent=st.integers(-300, 300))
 def test_operator_range_is_formed_once_on_first_read(seed, n, rank, exponent):
     """OperatorK.range is the signed basis that from_matrix once built eagerly,
-    from the first rank left singular vectors of K's SVD, bit for bit; it is
-    signed on the first read only, and range_perp is the rest of U."""
+    from the first rank left singular vectors of the SVD of K at unit size, bit
+    for bit; it is signed on the first read only, and range_perp is the rest of U."""
     k = random_operator(np.random.default_rng(seed), n, min(rank, n)) * 2.0**exponent
     op = OperatorK.from_matrix(k)
-    u = svd_factor(k)[0]
+    u = svd_factor(unit_scaled(k)[0])[0]
     eager = _canonical_signs(u[:, :op.rank])
     assert "range" not in vars(op)
     with mock.patch.object(frames, "_canonical_signs", wraps=_canonical_signs) as signs:
         first, again = op.range, op.range
     assert signs.call_count == 1 and first is again
-    assert first.basis.tobytes() == eager.tobytes() and first.dim == op.rank
+    assert first.tobytes() == eager.tobytes() and first.shape == (n, op.rank)
     assert op.range_perp.tobytes() == u[:, op.rank:].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rank=st.integers(0, 6),
+       j=st.integers(-1080, 1030))
+# K of random_kframe(default_rng(3), 2, 2, 2), whose derived pinv pair once read
+# no K-dual pair at these scales (test_derived_pair_of_a_scaled_system_is_dual).
+@example(seed=3, n=2, rank=2, j=500)
+@example(seed=3, n=2, rank=2, j=-500)
+@example(seed=3, n=2, rank=2, j=1000)
+@example(seed=3, n=2, rank=2, j=-1000)
+def test_operator_k_is_free_of_scale(seed, n, rank, j):
+    """OperatorK of 2^j K has the rank of K and a bit-identical left, for every j
+    at which 2^j K stays exact and normal: K is factored at unit size, so neither
+    depends on LAPACK's rescaling of entries past about 2^±459."""
+    k = random_operator(np.random.default_rng(seed), n, min(rank, n))
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(k, j)
+    nonzero = np.abs(scaled[k != 0])
+    assume(np.array_equal(np.ldexp(scaled, -j), k) and (nonzero >= np.finfo(float).tiny).all()
+           and np.isfinite(nonzero).all())
+    op, op_j = OperatorK.from_matrix(k), OperatorK.from_matrix(scaled)
+    assert op_j.rank == op.rank
+    assert op_j.left.tobytes() == op.left.tobytes()
 
 
 def _two_norm_kdual(sys, g):

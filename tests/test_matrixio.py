@@ -159,6 +159,62 @@ class TestFileRoundTrips:
         with pytest.raises(MatrixFormatError):
             load_matrix(path)
 
+    def test_byte_order_mark_is_named(self, tmp_path):
+        """A UTF-8 BOM is refused with json.loads' own message, as the shared decoder
+        would only report an unexpected first character."""
+        path = tmp_path / "bom.json"
+        path.write_text('\ufeff{"rows": 1, "cols": 1, "data": [[1.0]]}', encoding="utf-8")
+        with pytest.raises(MatrixFormatError, match="invalid JSON: Unexpected UTF-8 BOM"):
+            load_matrix(path)
+
+
+# JSON values whose objects are written as lists of (key, value) pairs, so a key may repeat.
+_KEYS = st.sampled_from(["F", "K", "G", "rows", "cols", "data", "erased", "é"])
+_PAIRED = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats(-1e3, 1e3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.builds(
+        lambda pairs: ("object", pairs), st.lists(st.tuples(_KEYS, inner), max_size=4)),
+    max_leaves=12)
+
+
+def _text(value) -> str:
+    """The JSON text of a _PAIRED value, each object's pairs in their order."""
+    if isinstance(value, tuple):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(v)}" for k, v in value[1]) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return json.dumps(value)
+
+
+def _repeated(value) -> set:
+    """Every key that repeats within one object of a _PAIRED value, at any depth."""
+    if isinstance(value, tuple):
+        keys = [k for k, _ in value[1]]
+        return {k for k in keys if keys.count(k) > 1}.union(
+            *(_repeated(v) for _, v in value[1]))
+    if isinstance(value, list):
+        return set().union(*map(_repeated, value))
+    return set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_PAIRED)
+@example(value=("object", [("F", 1), ("K", 2), ("F", 3)]))
+@example(value=("object", [("F", ("object", [("rows", 1), ("data", []), ("rows", 1)]))]))
+@example(value=[("object", [("G", None)]), ("object", [("G", None)])])
+def test_read_json_refuses_a_repeated_key_at_any_depth(tmp_path_factory, value):
+    """read_json gives json.loads' value when no object repeats a key, and else
+    refuses the file, naming it and a key that repeats; objects apart may share keys."""
+    path = tmp_path_factory.mktemp("json") / "file.json"
+    path.write_text(_text(value), encoding="utf-8")
+    repeated = _repeated(value)
+    if not repeated:
+        assert matrixio.read_json(path) == json.loads(path.read_text(encoding="utf-8"))
+        return
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: repeated key ") as exc:
+        matrixio.read_json(path)
+    assert str(exc.value).split(": repeated key ")[1] in {repr(k) for k in repeated}
+
 
 class TestVectorFromObj:
     def test_flat_array(self):

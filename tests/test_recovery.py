@@ -39,6 +39,7 @@ from kframes.recovery import _vanishes
 from kframes.redundancy import INFINITE, spark_via_kernel
 
 from conftest import (
+    projector,
     random_inrange_kframe,
     random_kframe,
     uniform_excess_construction,
@@ -132,7 +133,7 @@ class TestValidateRkMatrix:
         assert not cert.annihilation_ok
         assert cert.annihilation_residual > 0.0
         a = np.random.default_rng(1).standard_normal((6, 6))
-        annihilator = np.eye(6) - range_basis(dual.G.T).projector()
+        annihilator = np.eye(6) - projector(range_basis(dual.G.T))
         assert validate_rk_matrix(sys, dual, sys.gramian + scale**2 * a @ annihilator
                                   ).annihilation_ok
 
@@ -243,7 +244,7 @@ def test_exact_recovery_up_to_spark_minus_one(seed, n, extra, rank_k, use_gramia
     if not use_gramian:
         # P projects onto the row space of the dual under the system's rank
         # rule, as find_rk_matrix builds it.
-        proj = range_basis(dual.G.T, sys.tol).projector()
+        proj = projector(range_basis(dual.G.T, sys.tol))
         m_mat += rng.standard_normal((m, m)) @ (np.eye(m) - proj)
     assert validate_rk_matrix(sys, dual, m_mat).annihilation_ok
     signal = rng.standard_normal(n)
@@ -373,7 +374,7 @@ def test_plan_agrees_with_certificate(seed, n, extra, rank_k, damage, use_gramia
     m_mat = sys.gramian.copy()
     if not use_gramian:
         a = scale * scale * rng.standard_normal((m, m))
-        m_mat += a @ null_space_basis(dual.G, sys.tol).projector()
+        m_mat += a @ projector(null_space_basis(dual.G, sys.tol))
     cert = validate_rk_matrix(sys, dual, m_mat)
     for strategy, mat, level, found in (("side-info", cert.M, cert.r_side_info, cert.spark_M),
                                         ("blind", cert.N, cert.r_blind, cert.spark_N)):
@@ -434,10 +435,10 @@ def test_find_rk_candidate_reaches_the_optimal_levels(seed, n, extra, rank_k, da
     sys = verify_kframe(f_mat, k_mat)
     dual = canonical_kdual(sys).dual
     if perturbed:
-        kernel_dim = null_space_basis(sys.F, sys.tol).dim
+        kernel_dim = null_space_basis(sys.F, sys.tol).shape[1]
         dual = dual_perturbation(sys, dual, rng.standard_normal((n, kernel_dim)))
     a = np.random.default_rng(0).standard_normal((m, m))
-    m_mat = sys.gramian + a @ (np.eye(m) - range_basis(dual.G.T, sys.tol).projector())
+    m_mat = sys.gramian + a @ (np.eye(m) - projector(range_basis(dual.G.T, sys.tol)))
     cert = validate_rk_matrix(sys, dual, m_mat)
     # The oracle's projector: numpy's SVD of G^T under the same relative cutoff.
     u, s, _ = np.linalg.svd(dual.G.T)
@@ -476,7 +477,7 @@ def test_erased_zero_column_is_certified_at_every_scale(exponent):
     sys = verify_kframe(f, k)
     dual = canonical_kdual(sys).dual
     # Gram + ||Gram|| A (I - P), P the projector onto R(G^T): it annihilates G^T.
-    q = np.eye(6) - range_basis(dual.G.T).projector()
+    q = np.eye(6) - projector(range_basis(dual.G.T))
     m_mat = sys.gramian + operator_norm(sys.gramian) * rng.standard_normal((6, 6)) @ q
     signal = rng.standard_normal(3)
     coded = erase(encode(dual, signal), [4])
@@ -626,7 +627,7 @@ class TestRecoverConsistency:
         """With a direction u of R(K^T) taken out of the dual, even the whole
         coefficient vector cannot pin Kf, and nothing erased is no exception."""
         g = canonical_kdual(sys_d).dual.G
-        u = range_basis(sys_d.K.matrix.T).basis[:, :1]
+        u = range_basis(sys_d.K.matrix.T)[:, :1]
         dual = verify_kdual(sys_d, g - u @ (u.T @ g))
         c = encode(dual, np.random.default_rng(85).standard_normal(4))
         assert not recover_consistency(sys_d, dual, erase(c, [])).certified_exact
@@ -670,7 +671,7 @@ class TestRecoverConsistency:
 def test_consistency_projector_is_the_signed_kernel_projector(
         seed, n, extra, rank, zeros, repeats, exponent, column_exponents):
     """Consistency's Q, formed from the SVD's unsigned kernel vectors, is
-    null_space_basis(G).projector() bit for bit, on G with zero and repeated
+    projector(null_space_basis(G)) bit for bit, on G with zero and repeated
     columns, scaled by 2^k as a whole or column by column."""
     rng = np.random.default_rng(seed)
     m = n + extra
@@ -685,7 +686,7 @@ def test_consistency_projector_is_the_signed_kernel_projector(
     sys = KFrameSystem(F=g, K=OperatorK.from_matrix(np.eye(n)), tol=DEFAULT_TOL)
     dual = DualSystem(G=g, residual=0.0, is_valid=True)
     plan = plan_recovery(sys, "consistency", [[0]], dual=dual)
-    assert plan.matrix.tobytes() == null_space_basis(g).projector().tobytes()
+    assert plan.matrix.tobytes() == projector(null_space_basis(g)).tobytes()
 
 
 class TestProjectedExpansion:
@@ -697,7 +698,7 @@ class TestProjectedExpansion:
         # Identity block at the erased column, minus coefficients elsewhere.
         assert exp.recovery_matrix.shape == (1, 3)
         assert exp.recovery_matrix[0, 0] == 1.0
-        target = sys.K.range.projector() @ dual.G[:, 0]
+        target = projector(sys.K.range) @ dual.G[:, 0]
         rebuilt = sys.F[:, [1, 2]] @ exp.alpha[0]
         np.testing.assert_allclose(rebuilt, target, atol=1e-10)
 
@@ -717,7 +718,7 @@ class TestProjectedExpansion:
         sys = verify_kframe(f_mat, k_mat)
         dual = canonical_kdual(sys).dual
         exp = projected_dual_expansion(sys, dual, [0])
-        proj = sys.K.range.projector()
+        proj = projector(sys.K.range)
         for _ in range(100):
             f = rng.standard_normal(3)
             survivors = sys.F[:, [1, 2]].T @ f
@@ -820,7 +821,7 @@ class TestComposeRecoveryMatrices:
         at any scale s, while an exactly zero product is."""
         f, k = random_kframe(np.random.default_rng(0), 3, 6, 2)
         sys = verify_kframe(f * scale, k * scale)
-        n_mat = null_space_basis(sys.F).basis.T
+        n_mat = null_space_basis(sys.F).T
         m_mat = sys.gramian + 0.1 * scale**2 * np.eye(6)
         out = compose_recovery_matrices(sys, n_mat, m_mat)
         assert not out.degenerate
@@ -831,7 +832,7 @@ class TestComposeRecoveryMatrices:
         # Any annihilating matrix has rows along the kernel, whose third
         # coordinate vanishes, so it can protect at most one erasure.
         kernel = null_space_basis(sys_c.F)
-        n_mat = kernel.basis.T
+        n_mat = kernel.T
         np.testing.assert_allclose(n_mat[:, 2], 0.0, atol=1e-12)
         assert spark(n_mat).value == 1
         out = compose_recovery_matrices(sys_c, n_mat, sys_c.gramian)
@@ -843,14 +844,14 @@ class TestComposeRecoveryMatrices:
         sys = verify_kframe(f, np.eye(2))
         dual = canonical_kdual(sys).dual
         kernel = null_space_basis(sys.F)
-        n_mat = kernel.basis.T
+        n_mat = kernel.T
         found = find_rk_matrix(sys, dual, 1)
         out = compose_recovery_matrices(sys, n_mat, found.certificate.M)
         assert out.kernel_contained
         # Enumeration cross-check of the containment.
         null_m = null_space_basis(found.certificate.M)
-        for j in range(null_m.dim):
-            assert np.linalg.norm(out.product @ null_m.basis[:, j]) < 1e-8
+        for j in range(null_m.shape[1]):
+            assert np.linalg.norm(out.product @ null_m[:, j]) < 1e-8
 
     def test_precondition_enforced(self, sys_c):
         with pytest.raises(KFrameError):
@@ -864,7 +865,7 @@ class TestComposeRecoveryMatrices:
         sys = verify_kframe(f * scale, k * scale)
         with pytest.raises(KFrameError, match="not an erasure-recovery matrix"):
             compose_recovery_matrices(sys, scale * np.eye(6)[:3], sys.gramian)
-        kernel_rows = scale * null_space_basis(sys.F).basis.T
+        kernel_rows = scale * null_space_basis(sys.F).T
         assert compose_recovery_matrices(sys, kernel_rows, sys.gramian).degenerate
 
     def test_kernel_containment_is_judged_by_the_system_policy(self):
@@ -877,7 +878,7 @@ class TestComposeRecoveryMatrices:
         u, s, vt = np.linalg.svd(found.certificate.M)
         s[-1] = 1e-6 * s[0]
         coarse = verify_kframe(f, np.eye(2), TolerancePolicy(1e-3, 1e-4))
-        n_mat = null_space_basis(f).basis.T
+        n_mat = null_space_basis(f).T
         out = compose_recovery_matrices(coarse, n_mat, u @ np.diag(s) @ vt)
         assert out.kernel_contained
 

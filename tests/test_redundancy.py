@@ -89,7 +89,7 @@ def _one_support_kernel_spark(mat, tol):
     supports in lexicographic order, under the route's cutoff on the rows of an
     orthonormal kernel basis outside the support."""
     m = mat.shape[1]
-    nb = null_space_basis(mat, tol).basis
+    nb = null_space_basis(mat, tol)
     d = nb.shape[1]
     if d == 0:
         return SparkResult(math.inf, None)
@@ -142,7 +142,7 @@ def _far_from_cutoffs(mat, tol, margin=1e2) -> bool:
     for size in range(1, min(n, m) + 1):
         blocks = mat.T[list(itertools.combinations(range(m), size))].transpose(0, 2, 1)
         ranked.append((np.linalg.svd(blocks, compute_uv=False)[:, -1], cutoff))
-    nb = null_space_basis(mat, tol).basis
+    nb = null_space_basis(mat, tol)
     d = nb.shape[1]
     for size in range(1, m - d + 1 if d else 1):
         outside = [[i for i in range(m) if i not in support]
@@ -531,7 +531,7 @@ class TestSpark:
 def _min_support_in_range(a) -> int | float:
     """The sparsest nonzero vector of R(A) has weight spark(N^T), N an orthonormal
     basis of R(A)^perp, as the kernel of N^T is R(A)."""
-    return spark(null_space_basis(np.asarray(a, dtype=float).T).basis.T).value
+    return spark(null_space_basis(np.asarray(a, dtype=float).T).T).value
 
 
 class TestMinSupportInRange:
@@ -830,6 +830,18 @@ class TestDerivedPinvFrames:
             _assert_derived_pair_scaled(got, want, scale)
 
 
+@pytest.mark.parametrize("j", [-1000, -500, 500, 1000])
+def test_derived_pair_of_a_scaled_system_is_dual(j):
+    """The pinv pair of random_kframe(default_rng(3), 2, 2, 2) at 2^j keeps the
+    verdicts of scale 1, pair_is_dual among them: R(K) comes from the SVD of K
+    at unit size, whatever LAPACK does to entries past about 2^±459."""
+    f, k = random_kframe(np.random.default_rng(3), 2, 2, 2)
+    want = derived_pinv_frames(verify_kframe(f, k), [])
+    got = derived_pinv_frames(verify_kframe(np.ldexp(f, j), np.ldexp(k, j)), [])
+    assert want[2].pair_is_dual
+    _assert_derived_pair_scaled(got, want, 2.0**j)
+
+
 def _assert_derived_pair_scaled(got, want, scale):
     """got is derived_pinv_frames of a system scaled by scale, want of the system."""
     (seq1, seq2, report), (seq1_0, seq2_0, report_0) = got, want
@@ -1095,7 +1107,7 @@ def _mrc_subset_before(f, k, sigma):
     sig = tuple(sorted(int(i) for i in sigma))
     survivors = [i for i in range(m) if i not in sig]
     mrc = is_kframe(f[:, survivors], op)
-    coeffs = unit_scaled(f)[0].T @ op.range.basis
+    coeffs = unit_scaled(f)[0].T @ op.range
     cond_i = not intersection_dims(coeffs[None], np.eye(m)[:, survivors])[0]
     cond_ii = None
     if is_kframe(f, op):
@@ -1308,11 +1320,11 @@ def test_operator_rank_and_range_come_from_one_svd():
     rank-K set of F, drawn inside R(K), is exact."""
     k, tol, rng = _straddling_operator()
     op = OperatorK.from_matrix(k, tol)
-    assert op.rank == op.range.dim
-    f = op.range.basis @ rng.standard_normal((op.rank, 4))
+    assert op.rank == op.range.shape[1]
+    f = op.range @ rng.standard_normal((op.rank, 4))
     sets = lambda s: np.array(list(itertools.combinations(range(4), s)))  # noqa: E731
-    exact = (kframe_flags(f, op, sets(op.range.dim), tol).all()
-             and not kframe_flags(f, op, sets(op.range.dim - 1), tol).any())
+    exact = (kframe_flags(f, op, sets(op.range.shape[1]), tol).all()
+             and not kframe_flags(f, op, sets(op.range.shape[1] - 1), tol).any())
     assert exact
     assert uniform_excess(f, op, tol=tol).maximal_robust == exact
     assert is_maximal_robust(f, op, tol=tol) == exact
